@@ -137,11 +137,13 @@ func (x *PairIndex) track(k PairKey, old, now float64) {
 	}
 }
 
-// AddPair records one (source, replier) observation.
-func (x *PairIndex) AddPair(src, rep trace.HostID) {
+// AddPair records one (source, replier) observation and returns the
+// pair's new support.
+func (x *PairIndex) AddPair(src, rep trace.HostID) float64 {
 	k := PackPair(src, rep)
 	old, now := x.counts.Add(k, 1)
 	x.track(k, old, now)
+	return now
 }
 
 // Add adjusts the pair's count by w (decay-mode Set/Add callers use

@@ -31,45 +31,61 @@ var (
 	gPublishLag  = obsv.GetGauge("core.publish.lag_obs")
 )
 
+// RuleEntry is one rule of a snapshot: the packed {source} -> {replier}
+// pair and its support at publish time.
+type RuleEntry struct {
+	Key     PairKey
+	Support float64
+}
+
 // RuleSnapshot is one published generation of a node's routing knowledge:
-// the pairs at or above the activation threshold at publish time, with
-// their decayed supports and per-antecedent consequent lists pre-sorted by
-// descending support (HostID ascending as the deterministic tiebreak).
-// A snapshot is immutable once published and implements RuleView, so the
-// block evaluator and the online router read rules through one contract.
+// the pairs at or above the activation threshold at publish time with
+// their decayed supports, held as one flat slice sorted by antecedent
+// ascending, then support descending, then replier ascending. Every
+// antecedent's consequents are therefore one contiguous run, already in
+// forwarding order (highest support first, HostID as the deterministic
+// tiebreak), found by binary search. A snapshot is immutable once
+// published and implements RuleView, so the block evaluator and the
+// online router read rules through one contract.
 type RuleSnapshot struct {
 	version uint64
 	at      int64 // publish wall-clock, ns since epoch (0 = never published)
-	support map[PairKey]float64
-	conseq  map[trace.HostID][]trace.HostID
+	rules   []RuleEntry
 }
 
 // emptySnapshot is what a Publisher serves before its first publish.
-var emptySnapshot = &RuleSnapshot{
-	support: map[PairKey]float64{},
-	conseq:  map[trace.HostID][]trace.HostID{},
+var emptySnapshot = &RuleSnapshot{}
+
+// ruleLess is the canonical snapshot order every producer (Publish, the
+// single-pair upsert, the codec decoder, RemapSnapshot) shares.
+func ruleLess(a, b RuleEntry) bool {
+	if sa, sb := a.Key.Source(), b.Key.Source(); sa != sb {
+		return sa < sb
+	}
+	if a.Support != b.Support {
+		return a.Support > b.Support
+	}
+	return a.Key < b.Key
 }
 
-// buildConseq derives the per-antecedent consequent lists from a support
-// table, sorted by descending support with HostID ascending as the
-// deterministic tiebreak — the one canonical ordering every snapshot
-// producer (Publish, the codec decoder, RemapSnapshot) shares.
-func buildConseq(support map[PairKey]float64) map[trace.HostID][]trace.HostID {
-	conseq := make(map[trace.HostID][]trace.HostID)
-	for k := range support {
-		conseq[k.Source()] = append(conseq[k.Source()], k.Replier())
+// sortRules puts rules into the canonical snapshot order.
+func sortRules(rules []RuleEntry) {
+	sort.Slice(rules, func(i, j int) bool { return ruleLess(rules[i], rules[j]) })
+}
+
+// runBounds returns the half-open index range of src's run in rules.
+func runBounds(rules []RuleEntry, src trace.HostID) (lo, hi int) {
+	hi = len(rules)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); rules[m].Key.Source() < src {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	for src, list := range conseq {
-		src := src
-		sort.Slice(list, func(i, j int) bool {
-			si, sj := support[PackPair(src, list[i])], support[PackPair(src, list[j])]
-			if si != sj {
-				return si > sj
-			}
-			return list[i] < list[j]
-		})
+	for hi = lo; hi < len(rules) && rules[hi].Key.Source() == src; hi++ {
 	}
-	return conseq
+	return lo, hi
 }
 
 // Version returns the snapshot's publication sequence number (0 for the
@@ -86,50 +102,111 @@ func (s *RuleSnapshot) PublishedAt() time.Time {
 }
 
 // Len returns the number of rules in the snapshot.
-func (s *RuleSnapshot) Len() int { return len(s.support) }
+func (s *RuleSnapshot) Len() int { return len(s.rules) }
+
+// Run returns the rules whose antecedent is src, ordered by descending
+// support with HostID as the tiebreak. The slice aliases the snapshot's
+// immutable storage: callers must not modify it.
+func (s *RuleSnapshot) Run(src trace.HostID) []RuleEntry {
+	lo, hi := runBounds(s.rules, src)
+	return s.rules[lo:hi:hi]
+}
 
 // Support returns the rule's support at publish time, or 0 if the pair was
 // below the activation threshold.
 func (s *RuleSnapshot) Support(src, rep trace.HostID) float64 {
-	return s.support[PackPair(src, rep)]
+	k := PackPair(src, rep)
+	for _, e := range s.Run(src) {
+		if e.Key == k {
+			return e.Support
+		}
+	}
+	return 0
 }
 
 // Covers implements RuleView: some rule has src as its antecedent.
 func (s *RuleSnapshot) Covers(src trace.HostID) bool {
-	return len(s.conseq[src]) > 0
+	return len(s.Run(src)) > 0
 }
 
 // Matches implements RuleView: {src} -> {rep} was an active rule at
 // publish time.
 func (s *RuleSnapshot) Matches(src, rep trace.HostID) bool {
-	return s.support[PackPair(src, rep)] > 0
+	return s.Support(src, rep) > 0
 }
 
 // Consequents returns up to k consequent hosts for queries arriving from
 // src, ordered by descending support with HostID as the tiebreak. k <= 0
-// returns all of them. The ordering is precomputed at publish time, so
-// this is a slice copy.
+// returns all of them.
 func (s *RuleSnapshot) Consequents(src trace.HostID, k int) []trace.HostID {
-	list := s.conseq[src]
-	if len(list) == 0 {
+	run := s.Run(src)
+	if len(run) == 0 {
 		return nil
 	}
-	if k > 0 && k < len(list) {
-		list = list[:k]
+	if k > 0 && k < len(run) {
+		run = run[:k]
 	}
-	out := make([]trace.HostID, len(list))
-	copy(out, list)
+	out := make([]trace.HostID, len(run))
+	for i, e := range run {
+		out[i] = e.Key.Replier()
+	}
 	return out
 }
 
-// Range calls f for every rule in the snapshot until f returns false.
-// Iteration order is unspecified.
+// Range calls f for every rule in the snapshot, in the snapshot's
+// canonical order, until f returns false.
 func (s *RuleSnapshot) Range(f func(k PairKey, support float64) bool) {
-	for k, v := range s.support {
-		if !f(k, v) {
+	for _, e := range s.rules {
+		if !f(e.Key, e.Support) {
 			return
 		}
 	}
+}
+
+// byKey returns a copy of the rules in ascending PairKey order: the
+// codec's record order and the order Restore seeds a learn plane in.
+func (s *RuleSnapshot) byKey() []RuleEntry {
+	out := make([]RuleEntry, len(s.rules))
+	copy(out, s.rules)
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
+}
+
+// upsertRule returns rules with k's entry brought to support now: dropped
+// when now is below minSupport, otherwise placed at its canonical position
+// within its antecedent's run. The input is never modified; it is returned
+// as is when k is absent and stays absent.
+func upsertRule(rules []RuleEntry, k PairKey, now, minSupport float64) []RuleEntry {
+	lo, hi := runBounds(rules, k.Source())
+	at := lo
+	for at < hi && rules[at].Key != k {
+		at++
+	}
+	size, pending := len(rules), now >= minSupport
+	if at == hi && !pending {
+		return rules
+	}
+	if at < hi {
+		size--
+	}
+	if pending {
+		size++
+	}
+	e := RuleEntry{Key: k, Support: now}
+	out := append(make([]RuleEntry, 0, size), rules[:lo]...)
+	for i := lo; i < hi; i++ {
+		if i == at {
+			continue
+		}
+		if pending && ruleLess(e, rules[i]) {
+			out, pending = append(out, e), false
+		}
+		out = append(out, rules[i])
+	}
+	if pending {
+		out = append(out, e)
+	}
+	return append(out, rules[hi:]...)
 }
 
 // PublishPolicy selects when a Publisher turns accumulated observations
@@ -140,7 +217,9 @@ const (
 	// PublishSync publishes after every observation. Readers always see
 	// the newest rule state, so a single-goroutine deployment (the
 	// sequential peer.Engine) reproduces direct-index routing decisions
-	// exactly. Each observation pays a snapshot build.
+	// exactly. Each observation pays a publish: a single-pair upsert when
+	// the learner reports the pair it moved (ObservePair), a rebuild
+	// otherwise.
 	PublishSync PublishPolicy = iota
 	// PublishOnChange publishes only when some pair crossed the
 	// activation threshold since the last publish — the rule *set*
@@ -288,23 +367,51 @@ func (p *Publisher) ObserveN(n int) {
 	if n <= 0 {
 		return
 	}
-	total := p.obsSince.Add(int64(n))
+	if total := p.obsSince.Add(int64(n)); p.due(total) {
+		p.Publish()
+	} else {
+		gPublishLag.Set(total)
+	}
+}
+
+// ObservePair is Observe for a single-writer learner whose observation
+// did nothing to the index but move pair k to support now (no decay, no
+// reset, no other pair). When the policy publishes and this is the only
+// observation since the served snapshot was built, the next snapshot is
+// that one with k upserted — O(active rules), no walk of the index, no
+// sort — and shares its storage outright when k stays below MinSupport.
+// Otherwise the served snapshot is missing more than this pair (or was
+// never built from the index at all) and the publish is a full rebuild.
+// Either way version, publish time, lag and the instruments advance
+// exactly as under Observe. Every index change must reach the publisher
+// through Observe, ObserveN, ObservePair or Publish for this to hold.
+func (p *Publisher) ObservePair(k PairKey, now float64) {
+	total := p.obsSince.Add(1)
+	if !p.due(total) {
+		gPublishLag.Set(total)
+		return
+	}
+	p.pmu.Lock()
+	defer p.pmu.Unlock()
+	if base := p.cur.Load(); total == 1 && base.version > 0 {
+		p.swap(upsertRule(base.rules, k, now, p.cfg.MinSupport))
+	} else {
+		p.swap(p.rebuild())
+	}
+}
+
+// due applies the publication policy to the observations absorbed since
+// the last publish.
+func (p *Publisher) due(total int64) bool {
 	switch p.cfg.Policy {
 	case PublishSync:
-		p.Publish()
-		return
+		return true
 	case PublishOnChange:
-		if p.src.Crossings() != p.crossAt.Load() {
-			p.Publish()
-			return
-		}
+		return p.src.Crossings() != p.crossAt.Load()
 	case PublishEpoch:
-		if total >= int64(p.cfg.Epoch) {
-			p.Publish()
-			return
-		}
+		return total >= int64(p.cfg.Epoch)
 	}
-	gPublishLag.Set(total)
+	return false
 }
 
 // Publish materializes the index's current rules as a new immutable
@@ -316,25 +423,33 @@ func (p *Publisher) ObserveN(n int) {
 func (p *Publisher) Publish() *RuleSnapshot {
 	p.pmu.Lock()
 	defer p.pmu.Unlock()
-	p.version++
-	s := &RuleSnapshot{
-		version: p.version,
-		at:      time.Now().UnixNano(),
-		support: make(map[PairKey]float64),
-	}
+	return p.swap(p.rebuild())
+}
+
+// rebuild collects the index's pairs at or above MinSupport in canonical
+// snapshot order.
+func (p *Publisher) rebuild() []RuleEntry {
+	var rules []RuleEntry
 	p.src.Range(func(k PairKey, v float64) bool {
 		if v >= p.cfg.MinSupport {
-			s.support[k] = v
+			rules = append(rules, RuleEntry{Key: k, Support: v})
 		}
 		return true
 	})
-	s.conseq = buildConseq(s.support)
+	sortRules(rules)
+	return rules
+}
+
+// swap publishes rules as the next version. Caller holds pmu.
+func (p *Publisher) swap(rules []RuleEntry) *RuleSnapshot {
+	p.version++
+	s := &RuleSnapshot{version: p.version, at: time.Now().UnixNano(), rules: rules}
 	p.cur.Store(s)
 	p.obsSince.Store(0)
 	p.crossAt.Store(p.src.Crossings())
 	mPublishes.Inc()
 	gPublishVer.Set(int64(s.version))
-	gPublishSize.Set(int64(len(s.support)))
+	gPublishSize.Set(int64(len(rules)))
 	gPublishLag.Set(0)
 	return s
 }

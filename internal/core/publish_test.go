@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"arq/internal/trace"
 )
@@ -183,4 +184,96 @@ func TestPublisherConcurrentReaders(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestSinglePairPublicationEqualsRebuild is the contract ObservePair rests
+// on: over random sequences of AddPair, weighted Add, Set, Decay and Reset
+// on a decay index, the snapshot a PublishSync publisher reaches by
+// upserting the one pair each observation moved (with the full publish
+// wherever the step touched more than one pair) equals, element for
+// element and at every step, what a rebuild from the index gives. Ids and
+// supports come from small grids, so pairs cross the threshold in both
+// directions and tie with each other all the time.
+func TestSinglePairPublicationEqualsRebuild(t *testing.T) {
+	const threshold = 2
+	weights := []float64{-2, -1, -0.5, 0.5, 1, 2}
+	values := []float64{0, 1, 1.5, 2, 3, 4}
+	f := func(ops []uint32) bool {
+		idx := NewDecayIndex(threshold)
+		p := NewPublisher(idx, PublisherConfig{Policy: PublishSync})
+		ref := NewPublisher(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
+		p.Publish() // ObservePair needs a base that was built from the index
+		for step, op := range ops {
+			src, rep := trace.HostID(1+op>>4%3), trace.HostID(1+op>>6%4)
+			k, pick := PackPair(src, rep), int(op>>8)%len(weights)
+			before := p.View()
+			switch kind := op % 16; {
+			case kind < 7:
+				p.ObservePair(k, idx.AddPair(src, rep))
+			case kind < 10:
+				idx.Add(src, rep, weights[pick])
+				p.ObservePair(k, idx.Support(src, rep))
+			case kind < 13:
+				idx.Set(src, rep, values[pick])
+				p.ObservePair(k, values[pick])
+			case kind < 15:
+				idx.Decay(0.5, 0.25)
+				p.Observe()
+			default:
+				idx.Reset()
+				p.Observe()
+			}
+			got, want := p.View(), ref.Publish()
+			if got.Version() != before.Version()+1 {
+				t.Errorf("step %d: version %d after %d", step, got.Version(), before.Version())
+				return false
+			}
+			if len(got.rules) != len(want.rules) {
+				t.Errorf("step %d (op %#x): %d rules, rebuild has %d", step, op, len(got.rules), len(want.rules))
+				return false
+			}
+			for i := range want.rules {
+				if got.rules[i] != want.rules[i] {
+					t.Errorf("step %d (op %#x): rules[%d] = %+v, rebuild has %+v", step, op, i, got.rules[i], want.rules[i])
+					return false
+				}
+			}
+			// A pair that was not a rule and still is not leaves the rule
+			// slice shared, not copied.
+			if op%16 < 13 && !before.Matches(src, rep) && !got.Matches(src, rep) && len(got.rules) > 0 &&
+				&got.rules[0] != &before.rules[0] {
+				t.Errorf("step %d (op %#x): sub-threshold pair copied the rule slice", step, op)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// ObservePair falls back to the full rebuild whenever the served snapshot
+// is missing more than the reported pair: before the first publish, and
+// under a policy that let earlier observations go unpublished.
+func TestObservePairRebuildsWhenSnapshotIsBehind(t *testing.T) {
+	idx := NewDecayIndex(2)
+	idx.Set(1, 2, 5) // in the index before any publish
+	p := NewPublisher(idx, PublisherConfig{Policy: PublishSync})
+	p.ObservePair(PackPair(3, 4), idx.AddPair(3, 4))
+	if v := p.View(); v.Version() != 1 || v.Support(1, 2) != 5 {
+		t.Fatalf("first publish: v%d support(1,2)=%v, want the full rebuild", v.Version(), v.Support(1, 2))
+	}
+
+	idx = NewDecayIndex(1)
+	p = NewPublisher(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 2})
+	p.Publish()
+	p.ObservePair(PackPair(1, 2), idx.AddPair(1, 2)) // unpublished: epoch not full
+	if p.Version() != 1 || p.Lag() != 1 {
+		t.Fatalf("epoch policy: v%d lag %d after one observation, want v1 lag 1", p.Version(), p.Lag())
+	}
+	p.ObservePair(PackPair(1, 3), idx.AddPair(1, 3))
+	if v := p.View(); v.Version() != 2 || v.Len() != 2 || p.Lag() != 0 {
+		t.Fatalf("epoch policy: v%d with %d rules, lag %d; want v2 with both pairs, lag 0", v.Version(), v.Len(), p.Lag())
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"arq/internal/trace"
 )
@@ -40,20 +39,16 @@ const snapshotHeaderLen = 4 + 2 + 8 + 8 + 4
 // snapshots always produce identical bytes, so checkpoints can be
 // compared and deduplicated byte-wise.
 func (s *RuleSnapshot) Marshal() []byte {
-	keys := make([]PairKey, 0, len(s.support))
-	for k := range s.support {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]byte, 0, snapshotHeaderLen+16*len(keys))
+	rules := s.byKey()
+	out := make([]byte, 0, snapshotHeaderLen+16*len(rules))
 	out = append(out, snapshotMagic...)
 	out = binary.LittleEndian.AppendUint16(out, SnapshotCodecVersion)
 	out = binary.LittleEndian.AppendUint64(out, s.version)
 	out = binary.LittleEndian.AppendUint64(out, uint64(s.at))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(keys)))
-	for _, k := range keys {
-		out = binary.LittleEndian.AppendUint64(out, uint64(k))
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.support[k]))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(rules)))
+	for _, e := range rules {
+		out = binary.LittleEndian.AppendUint64(out, uint64(e.Key))
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(e.Support))
 	}
 	return out
 }
@@ -61,7 +56,7 @@ func (s *RuleSnapshot) Marshal() []byte {
 // UnmarshalSnapshot decodes a snapshot produced by Marshal, validating
 // the header, the exact payload length, strictly increasing keys (the
 // canonical-encoding invariant), and finite positive supports. The
-// consequent lists are rebuilt with the same ordering Publish uses, so a
+// records are then put into the same canonical order Publish uses, so a
 // decoded snapshot serves routing decisions identical to the original.
 func UnmarshalSnapshot(p []byte) (*RuleSnapshot, error) {
 	if len(p) < snapshotHeaderLen {
@@ -85,7 +80,7 @@ func UnmarshalSnapshot(p []byte) (*RuleSnapshot, error) {
 	s := &RuleSnapshot{
 		version: version,
 		at:      at,
-		support: make(map[PairKey]float64, n),
+		rules:   make([]RuleEntry, 0, n),
 	}
 	prev, first := PairKey(0), true
 	for i := 0; i < int(n); i++ {
@@ -98,10 +93,10 @@ func UnmarshalSnapshot(p []byte) (*RuleSnapshot, error) {
 		if math.IsNaN(sup) || math.IsInf(sup, 0) || sup <= 0 {
 			return nil, fmt.Errorf("core: snapshot support %v out of range", sup)
 		}
-		s.support[k] = sup
+		s.rules = append(s.rules, RuleEntry{Key: k, Support: sup})
 		prev, first = k, false
 	}
-	s.conseq = buildConseq(s.support)
+	sortRules(s.rules)
 	return s, nil
 }
 
@@ -113,23 +108,23 @@ func UnmarshalSnapshot(p []byte) (*RuleSnapshot, error) {
 // node ids -> re-established conn ids on warm start) and how federated
 // snapshots translate between id universes.
 func RemapSnapshot(s *RuleSnapshot, f func(trace.HostID) (trace.HostID, bool)) *RuleSnapshot {
-	out := &RuleSnapshot{
-		version: s.version,
-		at:      s.at,
-		support: make(map[PairKey]float64, len(s.support)),
-	}
-	for k, sup := range s.support {
-		src, ok := f(k.Source())
+	sum := make(map[PairKey]float64, len(s.rules))
+	for _, e := range s.rules {
+		src, ok := f(e.Key.Source())
 		if !ok {
 			continue
 		}
-		rep, ok := f(k.Replier())
+		rep, ok := f(e.Key.Replier())
 		if !ok {
 			continue
 		}
-		out.support[PackPair(src, rep)] += sup
+		sum[PackPair(src, rep)] += e.Support
 	}
-	out.conseq = buildConseq(out.support)
+	out := &RuleSnapshot{version: s.version, at: s.at, rules: make([]RuleEntry, 0, len(sum))}
+	for k, sup := range sum {
+		out.rules = append(out.rules, RuleEntry{Key: k, Support: sup})
+	}
+	sortRules(out.rules)
 	return out
 }
 
@@ -166,13 +161,8 @@ func (p *Publisher) Restore(s *RuleSnapshot, discount float64) (*RuleSnapshot, e
 	}
 	// Seed in sorted key order so restore is deterministic even on learn
 	// planes whose internal bookkeeping is order-sensitive.
-	keys := make([]PairKey, 0, len(s.support))
-	for k := range s.support {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		seeder.Add(k.Source(), k.Replier(), s.support[k]*discount)
+	for _, e := range s.byKey() {
+		seeder.Add(e.Key.Source(), e.Key.Replier(), e.Support*discount)
 	}
 	p.pmu.Lock()
 	if s.version > p.version {

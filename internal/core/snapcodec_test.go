@@ -254,6 +254,18 @@ func FuzzSnapshotDecode(f *testing.F) {
 	idx.Add(9, 1, 7)
 	p := NewPublisher(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
 	f.Add(p.Publish().Marshal())
+	// Several antecedents whose consequents tie on support, some with each
+	// other and some across antecedents: key order (what the bytes carry)
+	// and canonical order (what the decoder must restore) differ most here.
+	for _, sups := range [][]float64{{4, 4, 4}, {2, 6, 2}, {5, 3, 5}} {
+		tied := NewDecayIndex(1)
+		for i, src := range []trace.HostID{9, 2, 5} {
+			for j, sup := range sups {
+				tied.Set(src, trace.HostID(10*(j+1)+i), sup)
+			}
+		}
+		f.Add(NewPublisher(tied, PublisherConfig{}).Publish().Marshal())
+	}
 	f.Add(emptySnapshot.Marshal())
 	f.Add([]byte("ARQS"))
 	f.Add([]byte{})
@@ -267,6 +279,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 		// then re-encode is the identity on bytes.
 		if !bytes.Equal(s.Marshal(), data) {
 			t.Fatalf("accepted non-canonical snapshot: %d bytes re-encode to %d", len(data), len(s.Marshal()))
+		}
+		// The decoder must hand back the canonical snapshot order, the
+		// one Publish and the single-pair upsert maintain.
+		for i := 1; i < len(s.rules); i++ {
+			if !ruleLess(s.rules[i-1], s.rules[i]) {
+				t.Fatalf("decoded rules %d and %d out of canonical order: %+v, %+v", i-1, i, s.rules[i-1], s.rules[i])
+			}
 		}
 		// Derived state must be internally consistent.
 		n := 0

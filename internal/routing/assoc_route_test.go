@@ -1,0 +1,174 @@
+package routing
+
+import (
+	"testing"
+
+	"arq/internal/obsv"
+	"arq/internal/peer"
+)
+
+// assocCounters reads the three decision counters RouteAppend moves.
+func assocCounters() (routed, fallback, drops int64) {
+	return obsv.GetCounter("routing.assoc.rule_routed").Value(),
+		obsv.GetCounter("routing.assoc.fallback_flood").Value(),
+		obsv.GetCounter("routing.assoc.strict_drops").Value()
+}
+
+// RouteAppend walks the antecedent's consequents, not the neighbor list,
+// so a rule can name a node that is not a usable next hop. Such a
+// consequent is skipped, the next one takes its top-k slot, and a run with
+// no usable consequent is handled exactly like an uncovered antecedent.
+func TestAssocSkipsDepartedAndSenderConsequents(t *testing.T) {
+	a := NewAssoc(AssocConfig{TopK: 2, Threshold: 1, Decay: 0.5, DecayEvery: 1000})
+	q := peer.Meta{}
+	// Rules for antecedent 5, by support: 12 (4), 10 (3), 13 (2), 5 (2), 11 (1).
+	for v, n := range map[int]int{12: 4, 10: 3, 13: 2, 5: 2, 11: 1} {
+		for i := 0; i < n; i++ {
+			a.ObserveHit(0, 5, q, v)
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		nbrs []int32
+		want []int32
+	}{
+		{"all present", []int32{5, 10, 11, 12, 13}, []int32{12, 10}},
+		{"top consequent departed", []int32{5, 10, 11, 13}, []int32{10, 13}},
+		{"sender is never a next hop", []int32{5, 11}, []int32{11}},
+		{"neighbor order is irrelevant", []int32{13, 11, 10}, []int32{10, 13}},
+	} {
+		r0, f0, d0 := assocCounters()
+		got := a.Route(0, 5, q, tc.nbrs)
+		if !int32sEqual(got, tc.want) {
+			t.Errorf("%s: route = %v, want %v", tc.name, got, tc.want)
+		}
+		if r, f, d := assocCounters(); r-r0 != 1 || f != f0 || d != d0 {
+			t.Errorf("%s: counted as routed %d, fallback %d, drop %d; want one rule-routed decision",
+				tc.name, r-r0, f-f0, d-d0)
+		}
+	}
+
+	// Every consequent gone (only the sender and strangers remain): the
+	// same flood, into the caller's buffer, that an antecedent without
+	// rules gets.
+	nbrs := []int32{5, 20, 21}
+	r0, f0, _ := assocCounters()
+	got := a.RouteAppend([]int32{99}, 0, 5, q, nbrs)
+	if !int32sEqual(got, []int32{99, 20, 21}) {
+		t.Fatalf("no live consequent: route = %v, want the flood appended to the prefix", got)
+	}
+	if !int32sEqual(a.Route(0, 7, q, nbrs), []int32{5, 20, 21}) {
+		t.Fatal("uncovered antecedent did not flood")
+	}
+	if r, f, _ := assocCounters(); r != r0 || f-f0 != 2 {
+		t.Fatalf("no live consequent: routed %d, fallback %d; want 0 and 2", r-r0, f-f0)
+	}
+
+	// Under strict deployment the same situation is a drop.
+	s := NewAssoc(AssocConfig{TopK: 2, Threshold: 1, Decay: 0.5, DecayEvery: 1000, Strict: true})
+	s.ObserveHit(0, 5, q, 12)
+	_, _, d0 := assocCounters()
+	if got := s.RouteAppend([]int32{99}, 0, 5, q, nbrs); !int32sEqual(got, []int32{99}) {
+		t.Fatalf("strict, no live consequent: route = %v, want nothing appended", got)
+	}
+	if _, _, d := assocCounters(); d-d0 != 1 {
+		t.Fatalf("strict, no live consequent: %d drops counted, want 1", d-d0)
+	}
+}
+
+// The serve plane allocates nothing once the caller's buffer has room —
+// covered, uncovered and flood-phase alike — and a learn step that leaves
+// the rule set unchanged allocates only the new snapshot's header.
+func TestAssocHotPathAllocations(t *testing.T) {
+	a := NewAssoc(AssocConfig{TopK: 2, Threshold: 2, Decay: 0.5, DecayEvery: 1 << 30})
+	nbrs := []int32{10, 11, 12, 13, 14, 15}
+	q := peer.Meta{}
+	for i := 0; i < 3; i++ {
+		a.ObserveHit(0, 5, q, 12)
+		a.ObserveHit(0, 5, q, 14)
+	}
+	buf := make([]int32, 0, len(nbrs))
+	for _, tc := range []struct {
+		name string
+		from int
+		q    peer.Meta
+		want int
+	}{
+		{"covered", 5, q, 2},
+		{"uncovered", 7, q, len(nbrs)},
+		{"flood phase", 5, peer.Meta{FloodPhase: true}, len(nbrs)},
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			buf = a.RouteAppend(buf[:0], 0, tc.from, tc.q, nbrs)
+		}); n != 0 {
+			t.Errorf("%s RouteAppend: %v allocs per call, want 0", tc.name, n)
+		}
+		if len(buf) != tc.want {
+			t.Errorf("%s RouteAppend chose %v, want %d next hops", tc.name, buf, tc.want)
+		}
+	}
+
+	// Threshold out of reach: the pair is tracked but never becomes a rule.
+	sub := NewAssoc(AssocConfig{TopK: 2, Threshold: 1 << 40, Decay: 0.5, DecayEvery: 1 << 30})
+	sub.ObserveHit(0, 5, q, 12)
+	v0 := sub.SnapshotVersion()
+	if n := testing.AllocsPerRun(100, func() { sub.ObserveHit(0, 5, q, 12) }); n != 1 {
+		t.Errorf("sub-threshold ObserveHit: %v allocs per call, want 1 (the snapshot header)", n)
+	}
+	if got := sub.SnapshotVersion() - v0; got != 101 || sub.RuleCount() != 0 {
+		t.Errorf("sub-threshold ObserveHit: version advanced by %d with %d rules, want 101 and 0", got, sub.RuleCount())
+	}
+}
+
+var benchRoute []int32
+
+func BenchmarkAssocRouteAppend(b *testing.B) {
+	a := NewAssoc(DefaultAssocConfig())
+	nbrs := []int32{10, 11, 12, 13, 14, 15, 16, 17}
+	for _, v := range []int{11, 13, 14, 16} {
+		for i := 0; i < 4; i++ {
+			a.ObserveHit(0, 5, peer.Meta{}, v)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		from int
+	}{{"covered", 5}, {"uncovered", 7}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			buf := make([]int32, 0, len(nbrs))
+			for i := 0; i < b.N; i++ {
+				buf = a.RouteAppend(buf[:0], 0, bc.from, peer.Meta{}, nbrs)
+			}
+			benchRoute = buf
+		})
+	}
+}
+
+func BenchmarkAssocObserveHit(b *testing.B) {
+	// "visible" moves one of four published rules; "sub-threshold" puts
+	// the threshold out of reach, so every publish between decay steps
+	// shares the (empty) rule slice. Both pay the full rebuild every
+	// DecayEvery-th call.
+	for _, bc := range []struct {
+		name      string
+		threshold float64
+	}{{"visible", 2}, {"sub-threshold", 1 << 40}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := DefaultAssocConfig()
+			cfg.Threshold = bc.threshold
+			a := NewAssoc(cfg)
+			for _, v := range []int{11, 13, 14, 16} {
+				for i := 0; i < 4; i++ {
+					a.ObserveHit(0, 5, peer.Meta{}, v)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.ObserveHit(0, 5, peer.Meta{}, 13)
+			}
+		})
+	}
+}

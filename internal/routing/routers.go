@@ -8,6 +8,7 @@
 package routing
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -248,16 +249,20 @@ type assocLearner struct {
 
 // observeHit folds one {ante} -> {via} observation into the index,
 // decaying at the configured cadence, and lets the publisher apply its
-// policy.
+// policy. Between decay steps the observation moved exactly one pair, so
+// the publisher is told which and can derive the next snapshot from the
+// served one; a decay step touches every pair and takes the full rebuild.
 func (l *assocLearner) observeHit(ante, via trace.HostID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.idx.AddPair(ante, via)
+	now := l.idx.AddPair(ante, via)
 	l.seen++
 	if l.seen%l.cfg.DecayEvery == 0 {
 		l.idx.Decay(l.cfg.Decay, l.cfg.Floor)
+		l.pub.Observe()
+		return
 	}
-	l.pub.Observe()
+	l.pub.ObservePair(core.PackPair(ante, via), now)
 }
 
 // adoptShortcut grafts {a} -> {hw} siblings for every active rule
@@ -482,15 +487,26 @@ func (a *Assoc) Name() string { return "assoc" }
 // Walk implements peer.Router.
 func (a *Assoc) Walk() bool { return false }
 
-// Route implements peer.Router. It is the serve plane: decisions come
-// from the currently published snapshot via one atomic load, so Route is
-// safe for any number of concurrent callers and never contends with
-// learning.
+// Route implements peer.Router: RouteAppend into a fresh slice.
 func (a *Assoc) Route(u, from int, q peer.Meta, nbrs []int32) []int32 {
+	return a.RouteAppend(nil, u, from, q, nbrs)
+}
+
+// RouteAppend implements peer.RouteAppender. It is the serve plane:
+// decisions come from the currently published snapshot via one atomic
+// load, so it is safe for any number of concurrent callers and never
+// contends with learning. The snapshot keeps the antecedent's rules as one
+// run already in forwarding order, so the decision walks that run and
+// keeps the first TopK consequents that are usable next hops. A rule may
+// name a node that is no longer a neighbor (churned away since the rule
+// was learned) or the sender itself; such a consequent is skipped and the
+// next one takes its top-k slot. A run with no usable consequent is
+// handled exactly like an antecedent with no rules.
+func (a *Assoc) RouteAppend(dst []int32, u, from int, q peer.Meta, nbrs []int32) []int32 {
 	if q.FloodPhase {
 		// Origin-level fallback reissue: behave as a flooder.
 		mAssocFloodPhase.Inc()
-		return Flood{}.Route(u, from, q, nbrs)
+		return Flood{}.RouteAppend(dst, u, from, q, nbrs)
 	}
 	if (a.cfg.StaleObs > 0 || a.cfg.StaleAge > 0) &&
 		a.pub.Stale(int64(a.cfg.StaleObs), a.cfg.StaleAge) {
@@ -500,52 +516,34 @@ func (a *Assoc) Route(u, from int, q peer.Meta, nbrs []int32) []int32 {
 		// Deliberately overrides Strict — a strict drop on stale rules
 		// would compound the outage.
 		mAssocStale.Inc()
-		return Flood{}.Route(u, from, q, nbrs)
+		return Flood{}.RouteAppend(dst, u, from, q, nbrs)
 	}
-	view := a.pub.View()
-	ante := assocHost(from)
-	type cand struct {
-		v   int32
-		sup float64
-	}
-	var cands []cand
-	for _, v := range nbrs {
-		if int(v) == from {
+	base := len(dst)
+	// The snapshot holds exactly the pairs at or above the activation
+	// threshold, so presence is the rule test.
+	for _, e := range a.pub.View().Run(assocHost(from)) {
+		v := assocNode(e.Key.Replier())
+		if int(v) == from || !slices.Contains(nbrs, v) {
 			continue
 		}
-		// The snapshot holds exactly the pairs at or above the activation
-		// threshold, so presence is the rule test.
-		if sup := view.Support(ante, assocHost(int(v))); sup >= a.cfg.Threshold {
-			cands = append(cands, cand{v, sup})
+		dst = append(dst, v)
+		if len(dst)-base == a.cfg.TopK {
+			break
 		}
 	}
-	if len(cands) == 0 {
-		if a.cfg.Strict {
-			// Uncovered under strict deployment: drop; the origin will
-			// revert the query to flooding if nothing is found.
-			mAssocDrops.Inc()
-			return nil
-		}
-		// Uncovered: locally revert to flooding.
-		mAssocFallbacks.Inc()
-		return Flood{}.Route(u, from, q, nbrs)
+	if len(dst) > base {
+		mAssocRuleRouted.Inc()
+		return dst
 	}
-	mAssocRuleRouted.Inc()
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].sup != cands[j].sup {
-			return cands[i].sup > cands[j].sup
-		}
-		return cands[i].v < cands[j].v
-	})
-	k := a.cfg.TopK
-	if k > len(cands) {
-		k = len(cands)
+	if a.cfg.Strict {
+		// Uncovered under strict deployment: drop; the origin will
+		// revert the query to flooding if nothing is found.
+		mAssocDrops.Inc()
+		return dst
 	}
-	out := make([]int32, 0, k)
-	for _, c := range cands[:k] {
-		out = append(out, c.v)
-	}
-	return out
+	// Uncovered: locally revert to flooding.
+	mAssocFallbacks.Inc()
+	return Flood{}.RouteAppend(dst, u, from, q, nbrs)
 }
 
 // ObserveHit implements peer.Router: support for {from} -> {via} grows by
