@@ -11,7 +11,6 @@ package arq
 //	msgs/query, success-rate/op  — network deployment costs
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"arq/internal/adapt"
@@ -483,92 +482,6 @@ func BenchmarkConcurrentRouting(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedLearn measures learn-plane intake across shard and
-// writer counts: concurrent writers folding hit observations into one
-// node's core.ShardedPairIndex (AddPair plus periodic epoch-barrier
-// decay), the path a single mutex-guarded PairIndex serializes. Writers
-// use disjoint antecedent ranges — distinct upstream neighbors — so with
-// enough shards they touch disjoint locks. Reported obs/sec and ns/obs
-// scale with shards only on multi-core hosts; at GOMAXPROCS=1 writers
-// interleave instead of contending and every variant measures the same
-// serial intake rate.
-func BenchmarkShardedLearn(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, writers := range []int{1, 4, 8} {
-			shards, writers := shards, writers
-			b.Run(fmt.Sprintf("shards=%d/writers=%d", shards, writers), func(b *testing.B) {
-				idx := core.NewShardedDecayIndex(2, shards)
-				per := b.N/writers + 1
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < writers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						rng := stats.NewRNG(uint64(w)*77 + 13)
-						for i := 0; i < per; i++ {
-							src := trace.HostID(1 + w*512 + rng.Intn(512))
-							idx.AddPair(src, trace.HostID(1+rng.Intn(64)))
-							if i%4096 == 4095 {
-								idx.Decay(0.5, 0.25)
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-				obs := float64(per * writers)
-				b.ReportMetric(obs/b.Elapsed().Seconds(), "obs/sec")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/obs, "ns/obs")
-			})
-		}
-	}
-}
-
-// BenchmarkBatchedLearn is BenchmarkShardedLearn through the batched
-// learn plane — ObsBatch accumulation into AddBatch on the flat-table
-// index, with the same per-writer stream shape and decay cadence, so
-// the ns/obs rows are comparable pair for pair. cmd/arqbench's `learn`
-// section records the committed numbers; this keeps the comparison one
-// `go test -bench` away.
-func BenchmarkBatchedLearn(b *testing.B) {
-	for _, batch := range []int{1, 64, 256} {
-		for _, writers := range []int{1, 4} {
-			batch, writers := batch, writers
-			b.Run(fmt.Sprintf("batch=%d/writers=%d", batch, writers), func(b *testing.B) {
-				idx := core.NewShardedFlatDecayIndex(2, 1)
-				per := b.N/writers + 1
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < writers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						rng := stats.NewRNG(uint64(w)*77 + 13)
-						buf := core.NewObsBatch(batch)
-						for i := 0; i < per; i++ {
-							src := trace.HostID(1 + w*512 + rng.Intn(512))
-							if buf.Append(src, trace.HostID(1+rng.Intn(64))) {
-								idx.AddBatch(buf.Obs())
-								buf.Reset()
-							}
-							if i%4096 == 4095 {
-								idx.Decay(0.5, 0.25)
-							}
-						}
-						if buf.Len() > 0 {
-							idx.AddBatch(buf.Obs())
-						}
-					}(w)
-				}
-				wg.Wait()
-				obs := float64(per * writers)
-				b.ReportMetric(obs/b.Elapsed().Seconds(), "obs/sec")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/obs, "ns/obs")
-			})
-		}
-	}
-}
-
 // BenchmarkMinerComparison compares the two frequent-itemset miners of
 // internal/assoc on the role-tagged pair corpus; they are cross-checked
 // for exact agreement in the assoc tests.
@@ -613,40 +526,6 @@ func BenchmarkSuperPeer(b *testing.B) {
 	}
 	b.ReportMetric(agg.AvgMessages, "msgs/query")
 	b.ReportMetric(agg.SuccessRate, "success-rate/op")
-}
-
-// BenchmarkChurnResilience measures the association router under node
-// turnover — the dynamic environment that motivates the adaptive policies.
-func BenchmarkChurnResilience(b *testing.B) {
-	for _, perChurn := range []int{0, 50, 10} {
-		perChurn := perChurn
-		name := "none"
-		if perChurn > 0 {
-			name = fmt.Sprintf("every-%d-queries", perChurn)
-		}
-		b.Run(name, func(b *testing.B) {
-			var agg peer.Aggregate
-			for i := 0; i < b.N; i++ {
-				rng := stats.NewRNG(48)
-				g := overlay.GnutellaLike(rng, 600)
-				model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
-				e := peer.NewEngine(g, model, func(u int) peer.Router {
-					return routing.NewAssoc(routing.DefaultAssocConfig())
-				})
-				s := &routing.OneShot{Label: "assoc", E: e, TTL: 7}
-				routing.RunWorkload(stats.NewRNG(1), s, e, 5000)
-				ch := &routing.Churner{
-					E: e, RNG: stats.NewRNG(2), TargetDegree: 4,
-					NewRouter: func(u int) peer.Router {
-						return routing.NewAssoc(routing.DefaultAssocConfig())
-					},
-				}
-				agg = peer.Summarize(routing.ChurnWorkload(stats.NewRNG(3), s, e, ch, 1000, perChurn))
-			}
-			b.ReportMetric(agg.SuccessRate, "success-rate/op")
-			b.ReportMetric(agg.AvgMessages, "msgs/query")
-		})
-	}
 }
 
 // BenchmarkAblationExtendedRules compares plain Sliding against the §VI

@@ -24,7 +24,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"time"
 
 	"arq/internal/adapt"
@@ -51,7 +50,7 @@ var (
 	trials    = flag.Int("trials", 365, "tested blocks per trace-driven run (the paper uses 365)")
 	seed      = flag.Uint64("seed", 1, "master seed for all generators")
 	markdown  = flag.Bool("markdown", false, "emit Markdown tables instead of ASCII")
-	section   = flag.String("section", "", "run only the named sections, comma-separated (policies, fig1, fig2, fig3, fig4, static, import, grid, incremental, recovery, network, concurrent, sharded, learn, rewire, faults, transport, scale, scenarios)")
+	section   = flag.String("section", "", "run only the named sections, comma-separated (policies, fig1, fig2, fig3, fig4, static, import, grid, incremental, recovery, network, concurrent, rewire, faults, transport, scale, scenarios)")
 	quick     = flag.Bool("quick", false, "reduced scale for a fast smoke run")
 	jsonOut   = flag.String("json", "", "write a machine-readable benchmark artifact to this path")
 	cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
@@ -139,8 +138,6 @@ func main() {
 	run("recovery", recovery)
 	run("network", network)
 	run("concurrent", concurrent)
-	run("sharded", sharded)
-	run("learn", learn)
 	run("rewire", rewire)
 	run("faults", faults)
 	run("transport", transportSection)
@@ -816,180 +813,6 @@ func concurrent() {
 			"msgs_per_query": agg.AvgMessages,
 			"ns_per_query":   nsq,
 		})
-	}
-	emit(t)
-}
-
-// learnStream pregenerates one writer's observation stream: per-writer
-// antecedent ranges model distinct upstream neighbors feeding one node's
-// miner. Generated outside the timed region so the learn-plane sections
-// price index intake, not the RNG.
-func learnStream(w, per int) []trace.Pair {
-	rng := stats.NewRNG(*seed + uint64(w)*77 + 13)
-	obs := make([]trace.Pair, per)
-	for i := range obs {
-		obs[i] = trace.Pair{
-			Source:  trace.HostID(1 + w*512 + rng.Intn(512)),
-			Replier: trace.HostID(1 + rng.Intn(64)),
-		}
-	}
-	return obs
-}
-
-// learnPasses times fn (one full pass of total observations through a
-// learn plane) three times against the same index and returns the
-// fastest pass's nanoseconds per observation. The first pass pays table
-// growth and page faults; later passes run at steady state, and the
-// minimum sheds scheduler-steal spikes that otherwise dominate a
-// single pass on a loaded host. Both learn sections use this, so their
-// rows stay comparable.
-func learnPasses(total int, fn func()) float64 {
-	best := time.Duration(1<<63 - 1)
-	for pass := 0; pass < 3; pass++ {
-		start := time.Now()
-		fn()
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return float64(best.Nanoseconds()) / float64(total)
-}
-
-// shardedLearnRate drives total observations through a sharded learn
-// plane from the given number of concurrent writers and returns wall
-// nanoseconds per observation. It measures index intake itself — AddPair
-// plus periodic epoch-barrier decay, the part a single-writer mutex
-// serializes; snapshot publication cost is measured separately by the
-// concurrent section.
-func shardedLearnRate(shards, writers, total int) float64 {
-	idx := core.NewShardedDecayIndex(2, shards)
-	per := total / writers
-	streams := make([][]trace.Pair, writers)
-	for w := range streams {
-		streams[w] = learnStream(w, per)
-	}
-	return learnPasses(per*writers, func() {
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i, o := range streams[w] {
-					idx.AddPair(o.Source, o.Replier)
-					if i%4096 == 4095 {
-						idx.Decay(0.5, 0.25)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	})
-}
-
-// sharded measures learn-plane intake throughput across shard and writer
-// counts — the single-writer bottleneck the sharded PairIndex removes.
-// The recorded ns_per_obs is a perf key for arqcheck (only a 10x
-// slowdown fails CI); the printed table adds obs/sec for reading. The
-// shards×writers ratios only spread on multi-core hosts: with one CPU
-// (GOMAXPROCS=1) writers interleave instead of contending, so every cell
-// measures the same serial intake rate.
-func sharded() {
-	total := 1_600_000
-	if *quick {
-		total = 320_000
-	}
-	t := metrics.NewTable(fmt.Sprintf("Sharded learn plane — %d observations through ShardedPairIndex + on-change publisher", total),
-		"shards", "writers", "ns/obs", "obs/sec")
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, writers := range []int{1, 4, 8} {
-			nsq := shardedLearnRate(shards, writers, total)
-			t.AddRow(shards, writers, fmt.Sprintf("%.0f", nsq), fmt.Sprintf("%.2e", 1e9/nsq))
-			rec("sharded", fmt.Sprintf("shards=%d writers=%d", shards, writers), map[string]float64{
-				"shards":     float64(shards),
-				"writers":    float64(writers),
-				"ns_per_obs": nsq,
-			})
-		}
-	}
-	emit(t)
-}
-
-// batchedLearnRate drives total observations through the batched learn
-// plane — per-writer ObsBatch accumulation, AddBatch application, lazy
-// Decay announcements at the same 4096-observation cadence the sharded
-// section uses — and returns wall nanoseconds per observation plus the
-// applied batch and announced decay counts.
-func batchedLearnRate(batchSize, shards, writers, total int) (nsPerObs float64, batches, lazyDecays int) {
-	idx := core.NewShardedFlatDecayIndex(2, shards)
-	per := total / writers
-	// Same pregenerated stream shape as shardedLearnRate, so ns/obs is
-	// comparable row for row.
-	streams := make([][]trace.Pair, writers)
-	for w := range streams {
-		streams[w] = learnStream(w, per)
-	}
-	nsPerObs = learnPasses(per*writers, func() {
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				buf := core.NewObsBatch(batchSize)
-				for i, o := range streams[w] {
-					if buf.Append(o.Source, o.Replier) {
-						idx.AddBatch(buf.Obs())
-						buf.Reset()
-					}
-					if i%4096 == 4095 {
-						idx.Decay(0.5, 0.25)
-					}
-				}
-				if buf.Len() > 0 {
-					idx.AddBatch(buf.Obs())
-				}
-			}(w)
-		}
-		wg.Wait()
-	})
-	perBatches := (per + batchSize - 1) / batchSize
-	return nsPerObs, writers * perBatches, writers * (per / 4096)
-}
-
-// learn measures the batched learn plane across batch, shard, and writer
-// counts — the amortization the per-observation `sharded` rows (kept as
-// the unbatched reference) cannot reach: one shard-lock round-trip per
-// batch and O(1) lazy decay announcements instead of stop-the-world
-// barriers. The recorded ns_per_obs is a perf key for arqcheck (only a
-// 10x slowdown fails CI) and obs_per_sec its inverse-perf twin (only a
-// 10x throughput collapse fails); batches and lazy_decays are exact
-// counts pinning the amortization arithmetic. batch=1 rows price the
-// batched machinery at its worst (AddBatch per observation); writer
-// spreads need multi-core hosts to show (see the GOMAXPROCS/NumCPU
-// metadata in the artifact).
-func learn() {
-	total := 1_600_000
-	if *quick {
-		total = 320_000
-	}
-	t := metrics.NewTable(fmt.Sprintf("Batched learn plane — %d observations through ObsBatch + AddBatch + lazy decay", total),
-		"batch", "shards", "writers", "ns/obs", "obs/sec", "batches", "lazy decays")
-	for _, batch := range []int{1, 64, 256} {
-		for _, shards := range []int{1, 4, 8} {
-			for _, writers := range []int{1, 4} {
-				nsq, batches, decays := batchedLearnRate(batch, shards, writers, total)
-				t.AddRow(batch, shards, writers, fmt.Sprintf("%.0f", nsq),
-					fmt.Sprintf("%.2e", 1e9/nsq), fmt.Sprintf("%d", batches), fmt.Sprintf("%d", decays))
-				rec("learn", fmt.Sprintf("batch=%d shards=%d writers=%d", batch, shards, writers), map[string]float64{
-					"batch":       float64(batch),
-					"shards":      float64(shards),
-					"writers":     float64(writers),
-					"ns_per_obs":  nsq,
-					"obs_per_sec": 1e9 / nsq,
-					"batches":     float64(batches),
-					"lazy_decays": float64(decays),
-				})
-			}
-		}
 	}
 	emit(t)
 }

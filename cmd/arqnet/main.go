@@ -18,7 +18,6 @@ import (
 	"arq/internal/chaos"
 	"arq/internal/cluster"
 	"arq/internal/content"
-	"arq/internal/core"
 	"arq/internal/metrics"
 	"arq/internal/overlay"
 	"arq/internal/peer"
@@ -38,8 +37,6 @@ var (
 	seed     = flag.Uint64("seed", 42, "seed for topology, content, and workload")
 	engine   = flag.String("engine", "sequential", "sequential | flat (struct-of-arrays) | actor (flood/kwalk/assoc)")
 	parallel = flag.Int("parallel", 4, "concurrent workload workers on the actor engine")
-	shards   = flag.Int("shards", 0, "assoc learn-plane shards (0/1 = single-writer learner)")
-	batch    = flag.Int("batch", 0, "learn-plane batch size for assoc routers and netcluster servents (0 = per-observation learner)")
 	chaosRun = flag.Bool("chaos", false, "run the fault-injection chaos soak instead of a strategy comparison")
 )
 
@@ -142,23 +139,6 @@ func runChaos() {
 	fmt.Print(rec.Format())
 }
 
-// assocCfg is the deployment association-router config with the -shards
-// and -batch overrides applied. Sharding or batching defers publication
-// to on-change: publishing on every observation would serialize the
-// writers on snapshot builds and defeat the amortized learn plane.
-func assocCfg() routing.AssocConfig {
-	cfg := routing.DefaultAssocConfig()
-	if *shards > 1 {
-		cfg.Shards = *shards
-		cfg.Publish = core.PublishOnChange
-	}
-	if *batch > 0 {
-		cfg.Batch = *batch
-		cfg.Publish = core.PublishOnChange
-	}
-	return cfg
-}
-
 // newQueryEngine builds the sequential engine selected by -engine:
 // "flat" is the struct-of-arrays engine (peer/flat), anything else the
 // map-based peer.Engine. Both produce identical per-query stats (pinned
@@ -184,10 +164,10 @@ func buildSearcher(g *overlay.Graph, model *content.Model) (routing.Searcher, pe
 		e := mk(func(u int) peer.Router { return &routing.RandomWalk{K: *walkers, RNG: wrng.Split()} })
 		return &routing.OneShot{Label: "k-walk", E: e, TTL: 1024}, e, false, nil
 	case "assoc":
-		e := mk(func(u int) peer.Router { return routing.NewAssoc(assocCfg()) })
+		e := mk(func(u int) peer.Router { return routing.NewAssoc(routing.DefaultAssocConfig()) })
 		return &routing.OneShot{Label: "assoc", E: e, TTL: *ttl}, e, true, nil
 	case "assoc2ph":
-		cfg := assocCfg()
+		cfg := routing.DefaultAssocConfig()
 		cfg.Strict = true
 		e := mk(func(u int) peer.Router { return routing.NewAssoc(cfg) })
 		return &routing.AssocTwoPhase{E: e, TTL: *ttl}, e, true, nil
@@ -224,7 +204,7 @@ func runActor(g *overlay.Graph, model *content.Model) {
 		}
 		queryTTL = 1024
 	case "assoc":
-		factory = func(u int) peer.Router { return routing.NewAssoc(assocCfg()) }
+		factory = func(u int) peer.Router { return routing.NewAssoc(routing.DefaultAssocConfig()) }
 		needsWarm = true
 	default:
 		fmt.Fprintf(os.Stderr, "arqnet: actor engine supports flood, kwalk, and assoc, not %q\n", *router)

@@ -43,7 +43,6 @@ func runNetCluster() {
 		Seed:          int64(*seed),
 		Dir:           *logDir,
 		FreeRiderFrac: *freeRiders,
-		LearnBatch:    *batch,
 		Restart:       *restartID >= 0,
 		RestartNode:   *restartID,
 		Checkpoint:    *checkpoint,

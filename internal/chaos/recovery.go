@@ -193,11 +193,7 @@ func recoveryArm(name string, cfg RecoveryConfig) (RecoveryArm, error) {
 				if err != nil {
 					return arm, err
 				}
-				n, err := fresh.Restore(snap, cfg.Discount)
-				if err != nil {
-					return arm, err
-				}
-				arm.RestoredRules += n
+				arm.RestoredRules += fresh.Restore(snap, cfg.Discount)
 			}
 			assocs[u] = fresh
 			e.RouterReset(u, fresh)

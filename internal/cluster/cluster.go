@@ -70,9 +70,6 @@ type NodeConfig struct {
 	// FreeRiderFrac marks that fraction of nodes as sharing nothing
 	// (scenario.ClusterPlan.FreeRider); 0 is the historical cluster.
 	FreeRiderFrac float64 `json:"free_rider_frac,omitempty"`
-	// LearnBatch sets the rule server's batched learn plane
-	// (vantage.RuleConfig.Batch); 0 keeps the per-observation learner.
-	LearnBatch int `json:"learn_batch,omitempty"`
 	// ListenAddr pins the node to a concrete address instead of
 	// 127.0.0.1:0 — how a restarted node comes back where its peers'
 	// supervisors are redialing.
@@ -147,9 +144,6 @@ type Config struct {
 	// FreeRiderFrac marks that fraction of nodes as sharing nothing
 	// (scenario.ClusterPlan.FreeRider); 0 is the historical cluster.
 	FreeRiderFrac float64
-	// LearnBatch sets each node's batched learn plane
-	// (vantage.RuleConfig.Batch); 0 keeps the per-observation learner.
-	LearnBatch int
 	// Restart, when true, runs the kill/restart drill: once every node
 	// is measuring, RestartNode is killed, its stale result discarded,
 	// and it is re-execed with the same id, listen address, and
@@ -271,9 +265,6 @@ func runNode(cfg NodeConfig) error {
 	g0 := runtime.NumGoroutine()
 	deadline := time.Now().Add(90 * time.Second)
 	rules := vantage.DefaultRuleConfig()
-	if cfg.LearnBatch > 0 {
-		rules.Batch = cfg.LearnBatch
-	}
 	listenAddr := "127.0.0.1:0"
 	if cfg.ListenAddr != "" {
 		listenAddr = cfg.ListenAddr
@@ -485,7 +476,6 @@ func Run(cfg Config) (*Result, error) {
 			Warm: cfg.Warm, Queries: cfg.Queries, TTL: cfg.TTL, Seed: cfg.Seed,
 			QueryTimeoutMS: int(cfg.QueryTimeout / time.Millisecond),
 			FreeRiderFrac:  cfg.FreeRiderFrac,
-			LearnBatch:     cfg.LearnBatch,
 		}
 		if cfg.Checkpoint {
 			nc.CheckpointDir = filepath.Join(dir, fmt.Sprintf("ckpt.%d", i))

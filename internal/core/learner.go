@@ -1,0 +1,108 @@
+package core
+
+import (
+	"sync"
+	"time"
+
+	"arq/internal/trace"
+)
+
+// This file is the learn plane of the rule lifecycle — the paper's §VI
+// loop as one type: count {upstream} -> {replier}, decay every N hits,
+// publish what is above threshold. Both deployments of the online miner
+// (routing.Assoc per simulated node, the vantage rule server per live
+// servent) hold one Learner and nothing else that can write.
+
+// LearnerConfig parameterizes a Learner.
+type LearnerConfig struct {
+	// Threshold is the decayed support at which a pair becomes a rule
+	// (must be positive).
+	Threshold float64
+	// Decay multiplies every support after each DecayEvery observations;
+	// pairs that fall below Floor are evicted. DecayEvery <= 0 never
+	// decays.
+	Decay      float64
+	DecayEvery int
+	Floor      float64
+	// Publish selects when observations surface in the served snapshot.
+	Publish PublisherConfig
+}
+
+// Learner owns a decay-mode PairIndex, the Publisher over it, and the
+// mutex that guards both: every read or write of the index (Observe,
+// Update, Publish, Restore) happens under that one mutex, so callers may
+// use a Learner from any number of goroutines. The serve-side accessors
+// (View, Version, Lag, Stale) take no lock.
+type Learner struct {
+	cfg LearnerConfig
+	pub *Publisher
+
+	mu   sync.Mutex
+	idx  *PairIndex
+	seen int
+}
+
+// NewLearner returns a learner serving the empty version-0 snapshot.
+func NewLearner(cfg LearnerConfig) *Learner {
+	idx := NewDecayIndex(cfg.Threshold)
+	return &Learner{cfg: cfg, idx: idx, pub: NewPublisher(idx, cfg.Publish)}
+}
+
+// Observe folds one {src} -> {rep} observation into the index, decaying
+// at the configured cadence, and lets the publisher apply its policy.
+// Between decay steps the observation moved exactly one pair, so the
+// publisher is told which and can derive the next snapshot from the
+// served one; a decay step touches every pair and takes the full rebuild.
+func (l *Learner) Observe(src, rep trace.HostID) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	now := l.idx.AddPair(src, rep)
+	l.seen++
+	if l.cfg.DecayEvery > 0 && l.seen%l.cfg.DecayEvery == 0 {
+		l.idx.Decay(l.cfg.Decay, l.cfg.Floor)
+		l.pub.Observe()
+		return
+	}
+	l.pub.ObservePair(PackPair(src, rep), now)
+}
+
+// Update applies a structural edit to the index (anything other than one
+// observation: grafting, seeding, resetting) and publishes the result
+// unconditionally. edit must not retain the index.
+func (l *Learner) Update(edit func(*PairIndex)) *RuleSnapshot {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	edit(l.idx)
+	return l.pub.Publish()
+}
+
+// Publish forces a snapshot of the index's current rules regardless of
+// the publication policy.
+func (l *Learner) Publish() *RuleSnapshot {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.pub.Publish()
+}
+
+// Restore seeds the index from a persisted snapshot at discounted
+// support and publishes; see Publisher.Restore.
+func (l *Learner) Restore(s *RuleSnapshot, discount float64) *RuleSnapshot {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.pub.Restore(s, discount)
+}
+
+// View returns the currently served snapshot: one atomic load, never nil.
+func (l *Learner) View() *RuleSnapshot { return l.pub.View() }
+
+// Version returns the served snapshot's sequence number.
+func (l *Learner) Version() uint64 { return l.pub.Version() }
+
+// Lag returns the observations absorbed since the last publish.
+func (l *Learner) Lag() int64 { return l.pub.Lag() }
+
+// Stale reports whether the served snapshot breaches either staleness
+// bound; see Publisher.Stale.
+func (l *Learner) Stale(maxLag int64, maxAge time.Duration) bool {
+	return l.pub.Stale(maxLag, maxAge)
+}

@@ -37,22 +37,6 @@ func (k PairKey) Replier() trace.HostID { return trace.HostID(k) }
 // copies of the blocks themselves.
 type BlockDelta map[PairKey]int32
 
-// countStore is the count-table contract PairIndex runs on. Two
-// implementations exist, bit-identical in arithmetic and deletion
-// semantics: the builtin-map stream.CountTable (the default) and the
-// open-addressing stream.FlatCountTable the batched learn plane selects
-// for its cheaper per-observation slot resolution.
-type countStore interface {
-	Add(k PairKey, w float64) (old, now float64)
-	Set(k PairKey, v float64) (old float64)
-	Get(k PairKey) float64
-	Len() int
-	Reset()
-	Range(f func(k PairKey, count float64) bool)
-	Decay(factor, floor float64, onChange func(k PairKey, old, now float64))
-	DecayTracked(factor, floor, threshold float64, onCross func(k PairKey, old, now float64))
-}
-
 // PairIndex is the incremental pair-count engine. It runs in one of two
 // modes fixed at construction:
 //
@@ -66,19 +50,17 @@ type countStore interface {
 //
 // A PairIndex is not safe for concurrent use.
 type PairIndex struct {
-	counts countStore
+	counts *stream.CountTable[PairKey]
 
 	// Decay-mode bookkeeping: threshold > 0 enables it. activeBySrc
 	// tracks, per antecedent, how many consequents are at or above the
 	// threshold, so Covers is a single lookup instead of an inner-map
-	// scan; a flat table rather than a builtin map because every
-	// threshold crossing during a decay sweep pays one increment here,
-	// and the sweep is on the learn plane's amortized budget. active is
-	// the total active-rule count. crossings counts every activation-set
-	// change monotonically, so a snapshot publisher can detect "the rule
-	// set itself changed" with one comparison (PublishOnChange).
+	// scan. active is the total active-rule count. crossings counts every
+	// activation-set change monotonically, so a snapshot publisher can
+	// detect "the rule set itself changed" with one comparison
+	// (PublishOnChange).
 	threshold   float64
-	activeBySrc *stream.FlatCountTable[uint64]
+	activeBySrc *stream.CountTable[trace.HostID]
 	active      int
 	crossings   uint64
 }
@@ -91,28 +73,13 @@ func NewPairIndex() *PairIndex {
 // NewDecayIndex returns a decay-mode engine: pairs with count >= threshold
 // are active rules, tracked incrementally. threshold must be positive.
 func NewDecayIndex(threshold float64) *PairIndex {
-	return newDecayIndex(threshold, stream.NewCountTable[PairKey]())
-}
-
-// NewFlatDecayIndex returns a decay-mode engine backed by the
-// open-addressing stream.FlatCountTable instead of the builtin map —
-// the batched learn plane's backend, roughly an order of magnitude
-// cheaper per observation. Semantics are bit-identical to NewDecayIndex
-// for any operation sequence (same counts, crossings, snapshots; pinned
-// by the equivalence properties in obsbatch_test.go); only unspecified
-// iteration order differs.
-func NewFlatDecayIndex(threshold float64) *PairIndex {
-	return newDecayIndex(threshold, stream.NewFlatCountTable[PairKey]())
-}
-
-func newDecayIndex(threshold float64, counts countStore) *PairIndex {
 	if threshold <= 0 {
 		panic("core: NewDecayIndex requires threshold > 0")
 	}
 	return &PairIndex{
-		counts:      counts,
+		counts:      stream.NewCountTable[PairKey](),
 		threshold:   threshold,
-		activeBySrc: stream.NewFlatCountTable[uint64](),
+		activeBySrc: stream.NewCountTable[trace.HostID](),
 	}
 }
 
@@ -126,7 +93,7 @@ func (x *PairIndex) track(k PairKey, old, now float64) {
 	if was == is {
 		return
 	}
-	src := uint64(k.Source())
+	src := k.Source()
 	x.crossings++
 	if is {
 		x.active++
@@ -234,7 +201,7 @@ func (x *PairIndex) Crossings() uint64 { return x.crossings }
 // Covers implements RuleView in decay mode: some consequent for src is at
 // or above the activation threshold.
 func (x *PairIndex) Covers(src trace.HostID) bool {
-	return x.threshold > 0 && x.activeBySrc.Get(uint64(src)) > 0
+	return x.threshold > 0 && x.activeBySrc.Get(src) > 0
 }
 
 // Matches implements RuleView in decay mode: the pair's count is at or

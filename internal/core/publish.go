@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -243,61 +242,30 @@ type PublisherConfig struct {
 	MinSupport float64
 }
 
-// RulePairs is the read-side contract a Publisher needs from a
-// learn-plane index: iterate the current (pair, support) table and expose
-// the monotone threshold-crossing counter PublishOnChange polls. Both the
-// single-writer PairIndex and the ShardedPairIndex satisfy it.
-type RulePairs interface {
-	Range(f func(k PairKey, support float64) bool)
-	Crossings() uint64
-}
-
 // Publisher ties a learn-plane index to a lock-free stream of
-// RuleSnapshots. View may be called from any number of goroutines
-// concurrently and never blocks. Observe and Publish may also be called
-// concurrently — a sharded index has one writer per shard — and
-// serialize only on the publish itself: the trigger bookkeeping is
-// atomic, so a non-publishing Observe takes no lock. With a single
-// writer (the unsharded PairIndex contract) the behaviour is exactly the
-// pre-sharding single-writer publisher.
+// RuleSnapshots. View, Version, Lag and Stale may be called from any
+// number of goroutines concurrently and never block. Everything else
+// (Observe, ObservePair, Publish, Restore) reads the index and belongs to
+// the index's single writer; a Learner is that writer and holds the
+// mutex for it.
 type Publisher struct {
-	src RulePairs
+	src *PairIndex
 	cfg PublisherConfig
 	cur atomic.Pointer[RuleSnapshot]
 
-	// pmu serializes snapshot builds so version stays monotone; held
-	// only while publishing, never by a non-publishing Observe.
-	pmu      sync.Mutex
 	version  uint64
-	obsSince atomic.Int64
-	crossAt  atomic.Uint64
+	crossAt  uint64
+	obsSince atomic.Int64 // read by Lag and Stale
 }
 
-// NewPublisher wraps a single-writer idx. The publisher starts serving
-// the empty version-0 snapshot; nothing is read from idx until the first
-// publish.
+// NewPublisher wraps idx. The publisher starts serving the empty
+// version-0 snapshot; nothing is read from idx until the first publish.
 func NewPublisher(idx *PairIndex, cfg PublisherConfig) *Publisher {
 	if idx == nil {
 		panic("core: NewPublisher requires an index")
 	}
-	return newPublisher(idx, idx.threshold, cfg)
-}
-
-// NewShardedPublisher wraps a sharded index: Publish materializes one
-// snapshot by merging the per-shard tables (shard = hash of the
-// antecedent, so the merge is a disjoint union and consequent lists sort
-// exactly as in the unsharded build). Shard writers call Observe
-// concurrently.
-func NewShardedPublisher(idx *ShardedPairIndex, cfg PublisherConfig) *Publisher {
-	if idx == nil {
-		panic("core: NewShardedPublisher requires an index")
-	}
-	return newPublisher(idx, idx.threshold, cfg)
-}
-
-func newPublisher(src RulePairs, threshold float64, cfg PublisherConfig) *Publisher {
 	if cfg.MinSupport <= 0 {
-		cfg.MinSupport = threshold
+		cfg.MinSupport = idx.threshold
 	}
 	if cfg.MinSupport <= 0 {
 		panic("core: NewPublisher requires MinSupport (or a decay-mode index)")
@@ -305,7 +273,7 @@ func newPublisher(src RulePairs, threshold float64, cfg PublisherConfig) *Publis
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = 64
 	}
-	p := &Publisher{src: src, cfg: cfg}
+	p := &Publisher{src: idx, cfg: cfg}
 	p.cur.Store(emptySnapshot)
 	return p
 }
@@ -351,32 +319,18 @@ func (p *Publisher) Stale(maxLag int64, maxAge time.Duration) bool {
 }
 
 // Observe records that the index absorbed one observation and publishes
-// if the policy calls for it. Callable from any shard writer: the
-// trigger check is atomic reads only, so observations that do not
-// publish never serialize here.
-func (p *Publisher) Observe() { p.ObserveN(1) }
-
-// ObserveN records that the index absorbed n observations at once — the
-// batched learn plane's trigger: one policy check per applied batch
-// instead of one per observation. PublishSync over a batch publishes
-// once after the batch lands (the batch is the new observation
-// granularity); PublishOnChange and PublishEpoch behave as if the batch
-// were one large observation, so a batch that crosses the epoch budget
-// or moves Crossings triggers a single publish. n <= 0 is a no-op.
-func (p *Publisher) ObserveN(n int) {
-	if n <= 0 {
-		return
-	}
-	if total := p.obsSince.Add(int64(n)); p.due(total) {
+// if the policy calls for it.
+func (p *Publisher) Observe() {
+	if total := p.obsSince.Add(1); p.due(total) {
 		p.Publish()
 	} else {
 		gPublishLag.Set(total)
 	}
 }
 
-// ObservePair is Observe for a single-writer learner whose observation
-// did nothing to the index but move pair k to support now (no decay, no
-// reset, no other pair). When the policy publishes and this is the only
+// ObservePair is Observe for an observation that did nothing to the
+// index but move pair k to support now (no decay, no reset, no other
+// pair). When the policy publishes and this is the only
 // observation since the served snapshot was built, the next snapshot is
 // that one with k upserted — O(active rules), no walk of the index, no
 // sort — and shares its storage outright when k stays below MinSupport.
@@ -384,15 +338,13 @@ func (p *Publisher) ObserveN(n int) {
 // never built from the index at all) and the publish is a full rebuild.
 // Either way version, publish time, lag and the instruments advance
 // exactly as under Observe. Every index change must reach the publisher
-// through Observe, ObserveN, ObservePair or Publish for this to hold.
+// through Observe, ObservePair or Publish for this to hold.
 func (p *Publisher) ObservePair(k PairKey, now float64) {
 	total := p.obsSince.Add(1)
 	if !p.due(total) {
 		gPublishLag.Set(total)
 		return
 	}
-	p.pmu.Lock()
-	defer p.pmu.Unlock()
 	if base := p.cur.Load(); total == 1 && base.version > 0 {
 		p.swap(upsertRule(base.rules, k, now, p.cfg.MinSupport))
 	} else {
@@ -407,7 +359,7 @@ func (p *Publisher) due(total int64) bool {
 	case PublishSync:
 		return true
 	case PublishOnChange:
-		return p.src.Crossings() != p.crossAt.Load()
+		return p.src.Crossings() != p.crossAt
 	case PublishEpoch:
 		return total >= int64(p.cfg.Epoch)
 	}
@@ -415,14 +367,8 @@ func (p *Publisher) due(total int64) bool {
 }
 
 // Publish materializes the index's current rules as a new immutable
-// snapshot and swaps it in, returning the new snapshot. Concurrent
-// publishers serialize on the build; over a sharded index the merge
-// visits shards one at a time, so each shard's rules are internally
-// consistent while shards still being written land at whatever their
-// writers had committed when the merge reached them.
+// snapshot and swaps it in, returning the new snapshot.
 func (p *Publisher) Publish() *RuleSnapshot {
-	p.pmu.Lock()
-	defer p.pmu.Unlock()
 	return p.swap(p.rebuild())
 }
 
@@ -440,13 +386,13 @@ func (p *Publisher) rebuild() []RuleEntry {
 	return rules
 }
 
-// swap publishes rules as the next version. Caller holds pmu.
+// swap publishes rules as the next version.
 func (p *Publisher) swap(rules []RuleEntry) *RuleSnapshot {
 	p.version++
 	s := &RuleSnapshot{version: p.version, at: time.Now().UnixNano(), rules: rules}
 	p.cur.Store(s)
 	p.obsSince.Store(0)
-	p.crossAt.Store(p.src.Crossings())
+	p.crossAt = p.src.Crossings()
 	mPublishes.Inc()
 	gPublishVer.Set(int64(s.version))
 	gPublishSize.Set(int64(len(rules)))

@@ -128,14 +128,7 @@ func RemapSnapshot(s *RuleSnapshot, f func(trace.HostID) (trace.HostID, bool)) *
 	return out
 }
 
-// pairSeeder is the write-side contract Restore needs from a learn-plane
-// index: a weighted support add. Both PairIndex and ShardedPairIndex
-// satisfy it.
-type pairSeeder interface {
-	Add(src, rep trace.HostID, w float64)
-}
-
-// Restore seeds the publisher's learn plane from a persisted snapshot at
+// Restore seeds the publisher's index from a persisted snapshot at
 // discounted support and publishes the result. Each rule's support is
 // added (not overwritten) at s.Support * discount, so restoring into a
 // live index merges rather than clobbers — the same primitive a
@@ -148,26 +141,19 @@ type pairSeeder interface {
 // the post-restore publish is strictly newer than both the restored
 // snapshot and anything published before — version monotonicity holds
 // across restarts.
-func (p *Publisher) Restore(s *RuleSnapshot, discount float64) (*RuleSnapshot, error) {
-	seeder, ok := p.src.(pairSeeder)
-	if !ok {
-		return nil, errors.New("core: learn plane does not support restore seeding")
-	}
+func (p *Publisher) Restore(s *RuleSnapshot, discount float64) *RuleSnapshot {
 	if s == nil {
 		s = emptySnapshot
 	}
 	if discount <= 0 || discount > 1 {
 		discount = 1
 	}
-	// Seed in sorted key order so restore is deterministic even on learn
-	// planes whose internal bookkeeping is order-sensitive.
+	// Seed in sorted key order so restore is deterministic.
 	for _, e := range s.byKey() {
-		seeder.Add(e.Key.Source(), e.Key.Replier(), e.Support*discount)
+		p.src.Add(e.Key.Source(), e.Key.Replier(), e.Support*discount)
 	}
-	p.pmu.Lock()
 	if s.version > p.version {
 		p.version = s.version
 	}
-	p.pmu.Unlock()
-	return p.Publish(), nil
+	return p.Publish()
 }

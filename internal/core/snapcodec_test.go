@@ -148,10 +148,7 @@ func TestRestoreSeedsDiscounted(t *testing.T) {
 
 	idx2 := NewDecayIndex(1)
 	p2 := NewPublisher(idx2, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
-	out, err := p2.Restore(s, 0.5)
-	if err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
+	out := p2.Restore(s, 0.5)
 	if got := out.Support(1, 2); got != 4 {
 		t.Fatalf("restored support(1,2) = %v, want 4 (8 discounted by 0.5)", got)
 	}
@@ -169,10 +166,7 @@ func TestRestoreMergesIntoLiveIndex(t *testing.T) {
 	idx2 := NewDecayIndex(1)
 	idx2.Add(1, 2, 4) // live state the restore must merge with, not clobber
 	p2 := NewPublisher(idx2, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
-	out, err := p2.Restore(s, 1)
-	if err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
+	out := p2.Restore(s, 1)
 	if got := out.Support(1, 2); got != 10 {
 		t.Fatalf("merged support(1,2) = %v, want 10 (4 live + 6 restored)", got)
 	}
@@ -186,39 +180,16 @@ func TestRestoreVersionMonotone(t *testing.T) {
 		pHigh.Publish() // version now 10
 	}
 	_, sLow := publishedSnapshot(t, 1, func(idx *PairIndex) { idx.Add(5, 6, 5) }) // version 1
-	out, err := pHigh.Restore(sLow, 1)
-	if err != nil {
-		t.Fatalf("Restore(old snapshot): %v", err)
-	}
+	out := pHigh.Restore(sLow, 1)
 	if out.Version() != 11 {
 		t.Fatalf("restore of old snapshot published v%d, want v11", out.Version())
 	}
 
 	pFresh, _ := publishedSnapshot(t, 1, func(idx *PairIndex) { idx.Add(7, 8, 5) })
 	sHigh := pHigh.View() // version 11
-	out, err = pFresh.Restore(sHigh, 1)
-	if err != nil {
-		t.Fatalf("Restore(new snapshot): %v", err)
-	}
+	out = pFresh.Restore(sHigh, 1)
 	if out.Version() <= sHigh.Version() {
 		t.Fatalf("restore published v%d, not newer than restored v%d", out.Version(), sHigh.Version())
-	}
-}
-
-func TestRestoreShardedPublisher(t *testing.T) {
-	_, s := publishedSnapshot(t, 1, func(idx *PairIndex) {
-		idx.Add(1, 2, 8)
-		idx.Add(2, 3, 4)
-	})
-	sidx := NewShardedDecayIndex(1, 4)
-	p := NewShardedPublisher(sidx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
-	out, err := p.Restore(s, 1)
-	if err != nil {
-		t.Fatalf("Restore on sharded publisher: %v", err)
-	}
-	if out.Support(1, 2) != 8 || out.Support(2, 3) != 4 {
-		t.Fatalf("sharded restore lost rules: sup(1,2)=%v sup(2,3)=%v",
-			out.Support(1, 2), out.Support(2, 3))
 	}
 }
 

@@ -223,3 +223,31 @@ func TestAssocActorNetParallelWorkload(t *testing.T) {
 		})
 	}
 }
+
+// TestAssocLearnerCallsSerialize drives every call that reads or writes
+// the learner's index — ObserveHit, PublishNow, Restore — from separate
+// goroutines on one default-config router. All of them must go through
+// the core.Learner mutex: under -race a path that reaches the index
+// without it is reported, and the version count shows a lost publish.
+func TestAssocLearnerCallsSerialize(t *testing.T) {
+	a := NewAssoc(DefaultAssocConfig())
+	const observes, publishes, restores = 4000, 500, 100
+	var wg sync.WaitGroup
+	run := func(n int, f func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				f(i)
+			}
+		}()
+	}
+	run(observes, func(i int) { a.ObserveHit(0, i%5-1, peer.Meta{}, 1+i%7) })
+	run(publishes, func(int) { a.PublishNow() })
+	run(restores, func(int) { a.Restore(a.Snapshot(), 0.5) })
+	wg.Wait()
+	// PublishSync: each of the three calls publishes exactly once.
+	if got := a.SnapshotVersion(); got != observes+publishes+restores {
+		t.Fatalf("snapshot version %d after %d serialized publishes", got, observes+publishes+restores)
+	}
+}

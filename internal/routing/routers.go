@@ -10,8 +10,6 @@ package routing
 import (
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"arq/internal/core"
@@ -157,29 +155,6 @@ type AssocConfig struct {
 	Publish core.PublishPolicy
 	// PublishEvery is the epoch length for core.PublishEpoch (default 64).
 	PublishEvery int
-	// Shards splits the learn plane into that many single-writer index
-	// shards keyed by the antecedent (core.ShardedPairIndex), so hits
-	// observed for independent upstream neighbors learn concurrently
-	// without sharing a lock. 0 or 1 keeps today's single mutex-guarded
-	// learner — the exact pre-sharding code path. On a sequential
-	// observation stream both paths produce identical rules (sharding
-	// only partitions the table; per-pair count histories are unchanged),
-	// so Shards trades nothing but memory for write parallelism.
-	Shards int
-	// Batch, when positive, switches the learn plane to amortized batch
-	// application: observed hits accumulate in a core.ObsBatch and fold
-	// into the index Batch at a time (one shard-lock round-trip per
-	// batch instead of per observation), with decay still announced at
-	// exactly the same observation ordinals — a batch spanning a
-	// DecayEvery boundary is split there, so the decay cadence is
-	// bit-identical to the per-observation plane. Values above
-	// core.MaxObsBatch are clamped. The zero value keeps the
-	// per-observation write plane — the exact pre-batching code path,
-	// pinned by the 8000-step reference test. Batching trades serve-plane
-	// freshness (up to Batch-1 observations sit unapplied until the next
-	// flush; see Assoc.FlushObs) for learn throughput; final state after
-	// a flush is identical to unbatched application of the same stream.
-	Batch int
 	// StaleObs, when positive, bounds how far the served snapshot may
 	// lag the learn plane: once that many observations have been
 	// absorbed since the last publish, Route stops trusting the decayed
@@ -210,205 +185,15 @@ const defaultAssocFloor = 0.25
 // (§III-B: "if hits aren't found ... the node can still revert to
 // flooding"). Queries originated locally use a distinct antecedent slot.
 //
-// The rule lifecycle is split into two planes. The write plane
-// (assocLearner) owns the decay-mode core.PairIndex — the same engine the
-// simulator's maintenance policies run on — and consumes hit observations
-// under a mutex. The read plane is Route/Consequents/RuleCount serving
-// lock-free from the immutable snapshots the learner publishes through a
-// core.Publisher, so any number of goroutines can route concurrently
-// while learning proceeds — reads never contend with writes.
+// The rule lifecycle is split into two planes. The write plane is one
+// core.Learner: the decay-mode core.PairIndex the simulator's maintenance
+// policies also run on, its publisher, and the only mutex. The read plane
+// is Route/Consequents/RuleCount serving lock-free from the immutable
+// snapshots the learner publishes, so any number of goroutines can route
+// concurrently while learning proceeds — reads never contend with writes.
 type Assoc struct {
 	cfg   AssocConfig
-	pub   *core.Publisher
-	learn assocWritePlane
-}
-
-// assocWritePlane is the learner behind an Assoc: the unsharded
-// mutex-guarded assocLearner (Shards <= 1, the pinned reference path),
-// the shardedAssocLearner built on core.ShardedPairIndex, or the
-// batchedAssocLearner that amortizes shard locking over whole batches.
-// flush forces any buffered observations into the index — a no-op for
-// the per-observation learners, which never buffer.
-type assocWritePlane interface {
-	observeHit(ante, via trace.HostID)
-	adoptShortcut(hv, hw trace.HostID)
-	flush()
-}
-
-// assocLearner is the single-writer plane of the association router: it
-// owns the support index, applies hit observations and periodic decay,
-// and feeds the publisher. The mutex serializes writers; readers never
-// take it.
-type assocLearner struct {
-	mu   sync.Mutex
-	cfg  AssocConfig
-	idx  *core.PairIndex
-	pub  *core.Publisher
-	seen int
-}
-
-// observeHit folds one {ante} -> {via} observation into the index,
-// decaying at the configured cadence, and lets the publisher apply its
-// policy. Between decay steps the observation moved exactly one pair, so
-// the publisher is told which and can derive the next snapshot from the
-// served one; a decay step touches every pair and takes the full rebuild.
-func (l *assocLearner) observeHit(ante, via trace.HostID) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	now := l.idx.AddPair(ante, via)
-	l.seen++
-	if l.seen%l.cfg.DecayEvery == 0 {
-		l.idx.Decay(l.cfg.Decay, l.cfg.Floor)
-		l.pub.Observe()
-		return
-	}
-	l.pub.ObservePair(core.PackPair(ante, via), now)
-}
-
-// adoptShortcut grafts {a} -> {hw} siblings for every active rule
-// {a} -> {hv} (see Assoc.AdoptShortcut) and publishes unconditionally.
-func (l *assocLearner) adoptShortcut(hv, hw trace.HostID) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, u := range collectAdoptions(l.idx.Range, hv, l.cfg.Threshold) {
-		if l.idx.Support(u.ante, hw) < u.sup {
-			l.idx.Set(u.ante, hw, u.sup*1.01)
-		}
-	}
-	l.pub.Publish()
-}
-
-// flush implements assocWritePlane: the per-observation learner never
-// buffers.
-func (l *assocLearner) flush() {}
-
-// shardedAssocLearner is the parallel write plane: observations land in
-// the shard owning their antecedent, so hits relayed for independent
-// upstream neighbors never contend. The decay cadence is driven by one
-// shared atomic observation counter — on a sequential stream it fires at
-// exactly the same steps as the unsharded learner's seen counter, which
-// is what keeps the two paths rule-for-rule identical.
-type shardedAssocLearner struct {
-	cfg  AssocConfig
-	idx  *core.ShardedPairIndex
-	pub  *core.Publisher
-	seen atomic.Int64
-}
-
-func (l *shardedAssocLearner) observeHit(ante, via trace.HostID) {
-	l.idx.AddPair(ante, via)
-	if n := l.seen.Add(1); n%int64(l.cfg.DecayEvery) == 0 {
-		l.idx.Decay(l.cfg.Decay, l.cfg.Floor)
-	}
-	l.pub.Observe()
-}
-
-func (l *shardedAssocLearner) adoptShortcut(hv, hw trace.HostID) {
-	// Collect outside the per-shard locks (Range holds them; Set must
-	// not run inside the callback), then apply. The writes race benignly
-	// with concurrent observations — same as any interleaved learning.
-	for _, u := range collectAdoptions(l.idx.Range, hv, l.cfg.Threshold) {
-		if l.idx.Support(u.ante, hw) < u.sup {
-			l.idx.Set(u.ante, hw, u.sup*1.01)
-		}
-	}
-	l.pub.Publish()
-}
-
-// flush implements assocWritePlane: the sharded per-observation learner
-// never buffers.
-func (l *shardedAssocLearner) flush() {}
-
-// batchedAssocLearner is the amortized write plane (AssocConfig.Batch):
-// observations accumulate in an ObsBatch under a producer mutex and fold
-// into the sharded index one batch at a time via AddBatch — each touched
-// shard's lock taken once per batch. Decay cadence is preserved exactly:
-// a flush splits the batch at every DecayEvery boundary and announces
-// the (lazy) decay at that boundary, so the observation ordinals at
-// which decay fires are bit-identical to the per-observation learners'.
-// The publisher sees ObserveN(segment) — at most one policy check per
-// segment, the batched granularity of staleness.
-type batchedAssocLearner struct {
-	mu   sync.Mutex
-	cfg  AssocConfig
-	idx  *core.ShardedPairIndex
-	pub  *core.Publisher
-	buf  *core.ObsBatch
-	seen int64 // observations applied (not merely buffered), guarded by mu
-}
-
-func (l *batchedAssocLearner) observeHit(ante, via trace.HostID) {
-	l.mu.Lock()
-	if l.buf.Append(ante, via) {
-		l.flushLocked()
-	}
-	l.mu.Unlock()
-}
-
-// flushLocked applies the buffered observations, segmenting at decay
-// boundaries. Caller holds l.mu.
-func (l *batchedAssocLearner) flushLocked() {
-	obs := l.buf.Obs()
-	for len(obs) > 0 {
-		// Observations left before the next DecayEvery boundary.
-		seg := l.cfg.DecayEvery - int(l.seen%int64(l.cfg.DecayEvery))
-		if seg > len(obs) {
-			seg = len(obs)
-		}
-		l.idx.AddBatch(obs[:seg])
-		l.seen += int64(seg)
-		if l.seen%int64(l.cfg.DecayEvery) == 0 {
-			l.idx.Decay(l.cfg.Decay, l.cfg.Floor)
-		}
-		l.pub.ObserveN(seg)
-		obs = obs[seg:]
-	}
-	l.buf.Reset()
-}
-
-func (l *batchedAssocLearner) flush() {
-	l.mu.Lock()
-	if l.buf.Len() > 0 {
-		l.flushLocked()
-	}
-	l.mu.Unlock()
-}
-
-// adoptShortcut flushes buffered observations first — the grafted
-// supports must be computed over fully applied state, matching the
-// per-observation learners — then adopts and publishes.
-func (l *batchedAssocLearner) adoptShortcut(hv, hw trace.HostID) {
-	l.mu.Lock()
-	if l.buf.Len() > 0 {
-		l.flushLocked()
-	}
-	for _, u := range collectAdoptions(l.idx.Range, hv, l.cfg.Threshold) {
-		if l.idx.Support(u.ante, hw) < u.sup {
-			l.idx.Set(u.ante, hw, u.sup*1.01)
-		}
-	}
-	l.pub.Publish()
-	l.mu.Unlock()
-}
-
-// adoption is one active rule {ante} -> {v} whose support a shortcut to w
-// should inherit (plus epsilon).
-type adoption struct {
-	ante trace.HostID
-	sup  float64
-}
-
-// collectAdoptions gathers the active rules pointing at hv from either
-// index flavor's Range.
-func collectAdoptions(rangeFn func(func(core.PairKey, float64) bool), hv trace.HostID, threshold float64) []adoption {
-	var ups []adoption
-	rangeFn(func(k core.PairKey, sup float64) bool {
-		if k.Replier() == hv && sup >= threshold {
-			ups = append(ups, adoption{k.Source(), sup})
-		}
-		return true
-	})
-	return ups
+	learn *core.Learner
 }
 
 // assocHost maps a simulator node id into the engine's HostID key space.
@@ -447,38 +232,13 @@ func NewAssoc(cfg AssocConfig) *Assoc {
 	if cfg.PublishEvery <= 0 {
 		cfg.PublishEvery = 64
 	}
-	if cfg.Batch > core.MaxObsBatch {
-		cfg.Batch = core.MaxObsBatch
-	}
-	if cfg.Batch > 0 {
-		// The batched plane always runs on the sharded index (one shard
-		// is fine — the batch amortizes that single lock too), with
-		// flat-table shards: once locking is amortized, the builtin
-		// map's per-observation cost is the bottleneck.
-		shards := cfg.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		idx := core.NewShardedFlatDecayIndex(cfg.Threshold, shards)
-		pub := core.NewShardedPublisher(idx, core.PublisherConfig{
-			Policy: cfg.Publish, Epoch: cfg.PublishEvery,
-		})
-		return &Assoc{cfg: cfg, pub: pub, learn: &batchedAssocLearner{
-			cfg: cfg, idx: idx, pub: pub, buf: core.NewObsBatch(cfg.Batch),
-		}}
-	}
-	if cfg.Shards > 1 {
-		idx := core.NewShardedDecayIndex(cfg.Threshold, cfg.Shards)
-		pub := core.NewShardedPublisher(idx, core.PublisherConfig{
-			Policy: cfg.Publish, Epoch: cfg.PublishEvery,
-		})
-		return &Assoc{cfg: cfg, pub: pub, learn: &shardedAssocLearner{cfg: cfg, idx: idx, pub: pub}}
-	}
-	idx := core.NewDecayIndex(cfg.Threshold)
-	pub := core.NewPublisher(idx, core.PublisherConfig{
-		Policy: cfg.Publish, Epoch: cfg.PublishEvery,
-	})
-	return &Assoc{cfg: cfg, pub: pub, learn: &assocLearner{cfg: cfg, idx: idx, pub: pub}}
+	return &Assoc{cfg: cfg, learn: core.NewLearner(core.LearnerConfig{
+		Threshold:  cfg.Threshold,
+		Decay:      cfg.Decay,
+		DecayEvery: cfg.DecayEvery,
+		Floor:      cfg.Floor,
+		Publish:    core.PublisherConfig{Policy: cfg.Publish, Epoch: cfg.PublishEvery},
+	})}
 }
 
 // Name implements peer.Router.
@@ -509,7 +269,7 @@ func (a *Assoc) RouteAppend(dst []int32, u, from int, q peer.Meta, nbrs []int32)
 		return Flood{}.RouteAppend(dst, u, from, q, nbrs)
 	}
 	if (a.cfg.StaleObs > 0 || a.cfg.StaleAge > 0) &&
-		a.pub.Stale(int64(a.cfg.StaleObs), a.cfg.StaleAge) {
+		a.learn.Stale(int64(a.cfg.StaleObs), a.cfg.StaleAge) {
 		// The served snapshot has fallen behind the learn plane
 		// (publication stalled or overloaded): decayed rules are more
 		// dangerous than expensive flooding, so degrade gracefully.
@@ -521,7 +281,7 @@ func (a *Assoc) RouteAppend(dst []int32, u, from int, q peer.Meta, nbrs []int32)
 	base := len(dst)
 	// The snapshot holds exactly the pairs at or above the activation
 	// threshold, so presence is the rule test.
-	for _, e := range a.pub.View().Run(assocHost(from)) {
+	for _, e := range a.learn.View().Run(assocHost(from)) {
 		v := assocNode(e.Key.Replier())
 		if int(v) == from || !slices.Contains(nbrs, v) {
 			continue
@@ -558,7 +318,7 @@ func (a *Assoc) ObserveHit(u, from int, _ peer.Meta, via int) {
 		// consequent to learn.
 		return
 	}
-	a.learn.observeHit(assocHost(from), assocHost(via))
+	a.learn.Observe(assocHost(from), assocHost(via))
 }
 
 // Consequents returns the published consequent neighbors for queries
@@ -567,7 +327,7 @@ func (a *Assoc) ObserveHit(u, from int, _ peer.Meta, via int) {
 // would you forward queries from me?" (§VI). Like Route, it reads the
 // current snapshot and is safe under concurrency.
 func (a *Assoc) Consequents(antecedent int) []int32 {
-	hosts := a.pub.View().Consequents(assocHost(antecedent), 0)
+	hosts := a.learn.View().Consequents(assocHost(antecedent), 0)
 	out := make([]int32, len(hosts))
 	for i, h := range hosts {
 		out[i] = assocNode(h)
@@ -582,64 +342,67 @@ func (a *Assoc) Consequents(antecedent int) []int32 {
 // the preference is reinforced only if it actually produces hits. A
 // structural change to the rule table, it publishes unconditionally.
 func (a *Assoc) AdoptShortcut(v, w int32) {
-	a.learn.adoptShortcut(assocHost(int(v)), assocHost(int(w)))
+	hv, hw := assocHost(int(v)), assocHost(int(w))
+	a.learn.Update(func(idx *core.PairIndex) {
+		// Collect first: Range must not see the index change under it.
+		type adoption struct {
+			ante trace.HostID
+			sup  float64
+		}
+		var ups []adoption
+		idx.Range(func(k core.PairKey, sup float64) bool {
+			if k.Replier() == hv && sup >= a.cfg.Threshold {
+				ups = append(ups, adoption{k.Source(), sup})
+			}
+			return true
+		})
+		for _, u := range ups {
+			if idx.Support(u.ante, hw) < u.sup {
+				idx.Set(u.ante, hw, u.sup*1.01)
+			}
+		}
+	})
 }
 
 // PublishNow forces an immediate snapshot publication regardless of the
 // configured policy — the escape hatch that resumes serving fresh rules
 // after a publication stall (and the chaos harness's lever for staging
-// one). Buffered observations (AssocConfig.Batch) are flushed first, so
-// the snapshot reflects everything observed so far.
+// one).
 func (a *Assoc) PublishNow() {
-	a.learn.flush()
-	a.pub.Publish()
-}
-
-// FlushObs forces any observations buffered by the batched learn plane
-// (AssocConfig.Batch) into the index without publishing. A no-op on the
-// per-observation planes. After FlushObs, the learn-plane state is
-// identical to unbatched application of the same observation stream.
-func (a *Assoc) FlushObs() {
-	a.learn.flush()
+	a.learn.Publish()
 }
 
 // SnapshotLag reports how many observations the learn plane has
 // absorbed since the snapshot being served was published.
 func (a *Assoc) SnapshotLag() int64 {
-	return a.pub.Lag()
+	return a.learn.Lag()
 }
 
 // RuleCount reports the number of rules in the published snapshot (for
 // instrumentation).
 func (a *Assoc) RuleCount() int {
-	return a.pub.View().Len()
+	return a.learn.View().Len()
 }
 
 // SnapshotVersion reports the version of the currently served snapshot
 // (0 until the first publish).
 func (a *Assoc) SnapshotVersion() uint64 {
-	return a.pub.Version()
+	return a.learn.Version()
 }
 
 // Snapshot returns the currently served rule snapshot — the immutable
 // state a checkpoint persists (core.RuleSnapshot.Marshal) and a warm
 // restart feeds back through Restore.
 func (a *Assoc) Snapshot() *core.RuleSnapshot {
-	return a.pub.View()
+	return a.learn.View()
 }
 
 // Restore seeds the learn plane from a persisted snapshot at discounted
-// support and publishes, returning the restored rule count. Buffered
-// observations are flushed first so the restore merges with — never
-// reorders around — what this router has already learned. See
+// support and publishes, returning the restored rule count. The restore
+// merges with what this router has already learned. See
 // core.Publisher.Restore for the discount and version semantics.
-func (a *Assoc) Restore(s *core.RuleSnapshot, discount float64) (int, error) {
-	a.learn.flush()
-	out, err := a.pub.Restore(s, discount)
-	if err != nil {
-		return 0, err
-	}
-	return out.Len(), nil
+func (a *Assoc) Restore(s *core.RuleSnapshot, discount float64) int {
+	return a.learn.Restore(s, discount).Len()
 }
 
 // RoutingIndex approximates the compound routing indices of Crespo and

@@ -1,12 +1,16 @@
+// Package stream holds the two keyed-stream primitives the learn plane
+// runs on: CountTable, the additive support-count table under
+// core.PairIndex, and DropRing, the bounded drop-oldest queue behind
+// every overload-protected intake.
 package stream
 
 // CountTable maintains additive support counts over a keyed stream: the
 // shared substrate under core.PairIndex, where every rule-maintenance
 // policy and the online association router keep their (source, replier)
-// supports. Unlike DecayCounter it decays eagerly with a caller-chosen
-// prune floor, because the rule semantics built on top require the exact
-// moment an entry is dropped to be observable (an entry deleted at one
-// floor and re-added later counts from zero, not from its residue).
+// supports. It decays eagerly with a caller-chosen prune floor, because
+// the rule semantics built on top require the exact moment an entry is
+// dropped to be observable (an entry deleted at one floor and re-added
+// later counts from zero, not from its residue).
 //
 // Counts are float64 so the same table serves both exact windowed counting
 // (integer adds and removes stay exact far beyond any block size) and

@@ -76,78 +76,6 @@ func (r *DropRing[T]) Push(v T) (dropped bool) {
 	return dropped
 }
 
-// PushBatch enqueues every item of vs in order without ever blocking,
-// taking the ring lock once for the whole batch — the batched learn
-// plane's producer side, one synchronization per batch of observations
-// instead of one per observation. Shedding is drop-oldest per item,
-// exactly as if each item had been Pushed individually: a batch longer
-// than the free space displaces the oldest queued items (which may
-// include earlier items of this same batch when len(vs) exceeds the
-// ring's capacity). It returns the number of items shed; on a closed
-// ring the entire batch is shed (dropped == len(vs)), so the caller's
-// accounting always settles: accepted == len(vs) - dropped.
-func (r *DropRing[T]) PushBatch(vs []T) (dropped int) {
-	if len(vs) == 0 {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return len(vs)
-	}
-	for _, v := range vs {
-		if r.n == len(r.buf) {
-			r.head = (r.head + 1) % len(r.buf)
-			r.n--
-			dropped++
-		}
-		r.buf[(r.head+r.n)%len(r.buf)] = v
-		r.n++
-	}
-	// A batch can satisfy several blocked Pops at once.
-	r.nempty.Broadcast()
-	return dropped
-}
-
-// PopBatch dequeues up to len(dst) of the oldest queued items into dst
-// in FIFO order, blocking while the ring is empty — the batched learn
-// plane's consumer side, one synchronization per drained batch. It
-// returns how many items were written; ok=false (with n == 0) only when
-// the ring has been closed and fully drained. It never waits for the
-// ring to fill: the first moment anything is queued it takes what is
-// there, so a trickle of observations drains with per-item latency
-// while a flood drains in full batches. len(dst) == 0 returns (0, true)
-// immediately on an open ring.
-func (r *DropRing[T]) PopBatch(dst []T) (n int, ok bool) {
-	if len(dst) == 0 {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return 0, !(r.closed && r.n == 0)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.n == 0 {
-		if r.closed {
-			return 0, false
-		}
-		r.nempty.Wait()
-	}
-	n = r.n
-	if n > len(dst) {
-		n = len(dst)
-	}
-	var zero T
-	for i := 0; i < n; i++ {
-		dst[i] = r.buf[r.head]
-		r.buf[r.head] = zero
-		r.head = (r.head + 1) % len(r.buf)
-	}
-	r.n -= n
-	// Draining a batch can unblock several PushDeadline waiters.
-	r.nfull.Broadcast()
-	return n, true
-}
-
 // PushEvict enqueues v without ever blocking, evicting the oldest
 // queued item when the ring is full. The displaced item is returned so
 // the caller can account for it (a shed message may carry obligations —

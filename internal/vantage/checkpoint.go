@@ -86,7 +86,7 @@ func (s *Servent) maybeCheckpoint() {
 	if ck == nil {
 		return
 	}
-	ver := s.rules.pub.Version()
+	ver := s.rules.learner.Version()
 	ck.mu.Lock()
 	if ck.stopped || ck.busy || ver < ck.lastVer+ck.cfg.EveryVersions {
 		ck.mu.Unlock()
@@ -117,7 +117,7 @@ func (s *Servent) WriteCheckpoint() error {
 }
 
 func (s *Servent) writeCheckpoint() error {
-	view := s.rules.pub.View()
+	view := s.rules.learner.View()
 	s.mu.Lock()
 	toNode := make(map[trace.HostID]trace.HostID, len(s.conns))
 	for id, pc := range s.conns {
@@ -184,9 +184,7 @@ func (s *Servent) WarmStart() (int, error) {
 		v, ok := toConn[h]
 		return v, ok
 	})
-	if _, err := s.rules.pub.Restore(remapped, s.ckpt.cfg.Discount); err != nil {
-		return 0, err
-	}
+	s.rules.learner.Restore(remapped, s.ckpt.cfg.Discount)
 	mWarmRestores.Inc()
 	return remapped.Len(), nil
 }

@@ -95,7 +95,7 @@ func TestCheckpointWarmStartAcrossRestart(t *testing.T) {
 	if hub2.RuleCount() != 1 {
 		t.Fatalf("published rule count after warm start = %d, want 1", hub2.RuleCount())
 	}
-	if got := hub2.rules.pub.View().Support(connHost(1), connHost(2)); got != 3 {
+	if got := hub2.rules.learner.View().Support(connHost(1), connHost(2)); got != 3 {
 		t.Fatalf("restored support on remapped conns = %v, want 3 (6 discounted by 0.5)", got)
 	}
 
@@ -155,5 +155,41 @@ func waitConns(t *testing.T, s *Servent, n int) {
 			t.Fatalf("servent has %d of %d connections", s.NumConns(), n)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestWarmStartConcurrentWithObserve restores a checkpoint while routed
+// hits are still arriving. Both sides reach the learner's index, so both
+// must hold its mutex: under -race an unguarded restore is reported, and
+// the version count shows a lost publish.
+func TestWarmStartConcurrentWithObserve(t *testing.T) {
+	cfg := DefaultRuleConfig() // PublishSync: every observation publishes
+	s, err := Listen("127.0.0.1:0", Options{
+		Rules:      &cfg,
+		Checkpoint: &CheckpointConfig{Dir: t.TempDir()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if err := s.WriteCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	const observes, restores = 4000, 100
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < observes; i++ {
+			s.rules.observe(0, 1+i%3)
+		}
+	}()
+	for i := 0; i < restores; i++ {
+		if _, err := s.WarmStart(); err != nil {
+			t.Fatalf("WarmStart: %v", err)
+		}
+	}
+	<-done
+	if got := s.rules.learner.Version(); got != observes+restores {
+		t.Fatalf("snapshot version %d after %d serialized publishes", got, observes+restores)
 	}
 }

@@ -19,11 +19,12 @@ import (
 // crosses the activation threshold, queries from that upstream are
 // forwarded to the learned top-k connections instead of flooded.
 //
-// Learning happens under the ruleServer mutex on the query-hit path, but
-// serving never touches that mutex: the forwarding decision reads the
-// latest published core.RuleSnapshot — one atomic load — so concurrent
-// connection goroutines route without contending with learning or with
-// each other.
+// Learning goes through one core.Learner (on the query-hit path, or on
+// the single drainer goroutine behind a bounded intake), and the mutex
+// lives there. Serving never touches it: the forwarding decision reads
+// the latest published core.RuleSnapshot — one atomic load — so
+// concurrent connection goroutines route without contending with
+// learning or with each other.
 
 // Rule-serving instruments: queries forwarded on learned rules vs flooded
 // (no coverage, or no learned consequent currently connected).
@@ -60,31 +61,14 @@ type RuleConfig struct {
 	Publish core.PublishPolicy
 	// PublishEvery is the epoch length for core.PublishEpoch.
 	PublishEvery int
-	// Shards splits the learn plane into that many single-writer index
-	// shards keyed by the upstream connection (core.ShardedPairIndex),
-	// so hits routed for independent upstreams learn without sharing a
-	// lock. 0 or 1 keeps the single mutex-guarded index.
-	Shards int
 	// QueueCap, when positive, bounds the learn plane's observation
 	// intake: routed hits are pushed onto a fixed-capacity drop-oldest
-	// queue drained by background learner goroutines instead of being
+	// queue drained by a background learner goroutine instead of being
 	// folded in on the query-hit path. Under sustained overload the
 	// oldest queued observations are shed (counted by
 	// vantage.learn.dropped) so learning lags but memory and hit-path
 	// latency stay bounded. 0 learns synchronously on the hit path.
 	QueueCap int
-	// Batch, when positive, amortizes the learn plane: observations
-	// accumulate into Batch-sized groups on the hit path and are handed
-	// to the queue (PushBatch) and folded into the index (AddBatch) a
-	// whole batch at a time — one synchronization per batch instead of
-	// per observation, with decay announced at exactly the same
-	// observation ordinals. Values above core.MaxObsBatch are clamped;
-	// the batched plane always runs on the sharded index (Shards < 2
-	// uses one shard). Shed accounting still settles exactly: every
-	// observation is eventually absorbed or counted dropped, never lost
-	// — including a partial batch in flight at close. 0 keeps the
-	// per-observation plane.
-	Batch int
 	// StaleObs, when positive, degrades rule serving to flooding once
 	// that many observations have been absorbed since the last publish
 	// (see routing.AssocConfig.StaleObs; counted by
@@ -108,37 +92,17 @@ func DefaultRuleConfig() RuleConfig {
 // upstreamConn was routed back via viaConn.
 type ruleObs struct{ up, via int }
 
-// ruleServer owns the learn plane (a single mutex-guarded index, or a
-// sharded one when cfg.Shards > 1, optionally fed through a bounded
-// drop-oldest queue) and hands out lock-free routing decisions from the
-// published snapshot.
+// ruleServer owns the learn plane (one core.Learner, optionally fed
+// through a bounded drop-oldest queue) and hands out lock-free routing
+// decisions from the published snapshot.
 type ruleServer struct {
-	cfg RuleConfig
-	pub *core.Publisher
+	cfg     RuleConfig
+	learner *core.Learner
 
-	// Unsharded learn plane (cfg.Shards <= 1).
-	mu   sync.Mutex
-	idx  *core.PairIndex
-	seen int
-
-	// Sharded learn plane (cfg.Shards > 1). The decay cadence rides one
-	// shared atomic counter, mirroring the unsharded seen counter.
-	sidx  *core.ShardedPairIndex
-	sseen atomic.Int64
-
-	// Bounded intake (cfg.QueueCap > 0): observe pushes, background
-	// learner goroutines drain. nil means learn on the hit path.
+	// Bounded intake (cfg.QueueCap > 0): observe pushes, one background
+	// goroutine drains. nil means learn on the hit path.
 	queue *stream.DropRing[ruleObs]
 	wg    sync.WaitGroup
-
-	// Batched intake (cfg.Batch > 0): observations accumulate in pending
-	// under bmu and move as whole batches — into the queue (PushBatch)
-	// or straight into the index (learnBatch) when there is no queue.
-	// pclosed marks the server closed: later observations count as
-	// dropped (the closed-ring contract), so accounting still settles.
-	bmu     sync.Mutex
-	pending []ruleObs
-	pclosed bool
 
 	// Degradation bookkeeping (cfg.StaleObs/StaleAge). drops mirrors
 	// this server's share of vantage.learn.dropped; lastVer/dropsAtVer
@@ -164,111 +128,47 @@ func newRuleServer(cfg RuleConfig) *ruleServer {
 	if cfg.PublishEvery <= 0 {
 		cfg.PublishEvery = 64
 	}
-	if cfg.Batch > core.MaxObsBatch {
-		cfg.Batch = core.MaxObsBatch
-	}
-	r := &ruleServer{cfg: cfg}
-	if cfg.Batch > 0 {
-		r.pending = make([]ruleObs, 0, cfg.Batch)
-	}
-	if cfg.Shards > 1 || cfg.Batch > 0 {
-		shards := cfg.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		if cfg.Batch > 0 {
-			// Batched intake amortizes the shard locks, so the flat
-			// count table's cheaper per-observation slot resolution is
-			// what sets the intake rate.
-			r.sidx = core.NewShardedFlatDecayIndex(cfg.Threshold, shards)
-		} else {
-			r.sidx = core.NewShardedDecayIndex(cfg.Threshold, shards)
-		}
-		r.pub = core.NewShardedPublisher(r.sidx, core.PublisherConfig{Policy: cfg.Publish, Epoch: cfg.PublishEvery})
-	} else {
-		r.idx = core.NewDecayIndex(cfg.Threshold)
-		r.pub = core.NewPublisher(r.idx, core.PublisherConfig{Policy: cfg.Publish, Epoch: cfg.PublishEvery})
-	}
+	r := &ruleServer{cfg: cfg, learner: core.NewLearner(core.LearnerConfig{
+		Threshold:  cfg.Threshold,
+		Decay:      cfg.Decay,
+		DecayEvery: cfg.DecayEvery,
+		Floor:      cfg.Floor,
+		Publish:    core.PublisherConfig{Policy: cfg.Publish, Epoch: cfg.PublishEvery},
+	})}
 	if cfg.QueueCap > 0 {
 		r.queue = stream.NewDropRing[ruleObs](cfg.QueueCap)
 	}
 	return r
 }
 
-// start launches the background learner goroutines that drain the
-// bounded intake (no-op without one). One drainer per shard keeps shard
-// writers busy; the unsharded index gets a single writer.
+// start launches the background goroutine that drains the bounded intake
+// (no-op without one).
 func (r *ruleServer) start() {
 	if r.queue == nil {
 		return
 	}
-	workers := 1
-	if r.sidx != nil {
-		workers = r.sidx.Shards()
-	}
-	for i := 0; i < workers; i++ {
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			if r.cfg.Batch > 0 {
-				// Batch-aware drain: pop up to a batch per ring
-				// synchronization and fold it in with one AddBatch per
-				// decay segment.
-				buf := make([]ruleObs, r.cfg.Batch)
-				for {
-					n, ok := r.queue.PopBatch(buf)
-					if !ok {
-						return
-					}
-					r.learnBatch(buf[:n])
-				}
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		for {
+			obs, ok := r.queue.Pop()
+			if !ok {
+				return
 			}
-			for {
-				obs, ok := r.queue.Pop()
-				if !ok {
-					return
-				}
-				r.learn(obs.up, obs.via)
-			}
-		}()
-	}
+			r.learn(obs.up, obs.via)
+		}
+	}()
 }
 
-// close drains and stops the learn plane. A partial batch still pending
-// on the hit path is flushed whole — into the queue (fully queued, any
-// shedding of older items accounted) or straight into the index — so an
-// in-flight batch is always fully absorbed or fully counted dropped,
-// never split or leaked. Observations arriving after close count as
-// dropped, mirroring the closed ring's Push contract. Queued
-// observations are absorbed before the learners exit.
+// close drains and stops the learn plane: queued observations are
+// absorbed before the drainer exits. Observations arriving after close
+// count as dropped (the closed ring's Push contract).
 func (r *ruleServer) close() {
-	if r.cfg.Batch > 0 {
-		r.bmu.Lock()
-		if len(r.pending) > 0 {
-			if r.queue != nil {
-				r.accountDrops(r.queue.PushBatch(r.pending))
-			} else {
-				r.learnBatch(r.pending)
-			}
-			r.pending = r.pending[:0]
-		}
-		r.pclosed = true
-		r.bmu.Unlock()
-	}
 	if r.queue == nil {
 		return
 	}
 	r.queue.Close()
 	r.wg.Wait()
-}
-
-// accountDrops records n shed observations in both the process counter
-// and this server's degradation bookkeeping.
-func (r *ruleServer) accountDrops(n int) {
-	if n > 0 {
-		mLearnDropped.Add(int64(n))
-		r.drops.Add(int64(n))
-	}
 }
 
 // observe takes one routed query-hit observation: queries arriving on
@@ -280,10 +180,6 @@ func (r *ruleServer) observe(upstreamConn, viaConn int) {
 	if upstreamConn < 0 || upstreamConn == viaConn {
 		return // our own search, or a degenerate loop
 	}
-	if r.cfg.Batch > 0 {
-		r.observeBatched(ruleObs{upstreamConn, viaConn})
-		return
-	}
 	if r.queue != nil {
 		if r.queue.Push(ruleObs{upstreamConn, viaConn}) {
 			mLearnDropped.Inc()
@@ -294,96 +190,9 @@ func (r *ruleServer) observe(upstreamConn, viaConn int) {
 	r.learn(upstreamConn, viaConn)
 }
 
-// observeBatched accumulates one observation into the pending batch and
-// moves the batch on when full — to the queue as one PushBatch, or
-// (without a queue) straight into the index as one learnBatch. After
-// close the observation counts as dropped, never silently lost.
-func (r *ruleServer) observeBatched(obs ruleObs) {
-	r.bmu.Lock()
-	if r.pclosed {
-		r.bmu.Unlock()
-		mLearnDropped.Inc()
-		r.drops.Add(1)
-		return
-	}
-	r.pending = append(r.pending, obs)
-	if len(r.pending) < r.cfg.Batch {
-		r.bmu.Unlock()
-		return
-	}
-	if r.queue != nil {
-		// PushBatch copies the items into the ring, so pending can be
-		// reused immediately.
-		dropped := r.queue.PushBatch(r.pending)
-		r.pending = r.pending[:0]
-		r.bmu.Unlock()
-		r.accountDrops(dropped)
-		return
-	}
-	r.learnBatch(r.pending)
-	r.pending = r.pending[:0]
-	r.bmu.Unlock()
-}
-
-// learn folds one observation into whichever learn plane is configured,
-// decaying at the configured cadence.
+// learn folds one observation into the learner, bypassing the queue.
 func (r *ruleServer) learn(upstreamConn, viaConn int) {
-	if r.sidx != nil {
-		r.sidx.AddPair(connHost(upstreamConn), connHost(viaConn))
-		if n := r.sseen.Add(1); r.cfg.DecayEvery > 0 && n%int64(r.cfg.DecayEvery) == 0 {
-			r.sidx.Decay(r.cfg.Decay, r.cfg.Floor)
-		}
-		r.pub.Observe()
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.idx.AddPair(connHost(upstreamConn), connHost(viaConn))
-	r.seen++
-	if r.cfg.DecayEvery > 0 && r.seen%r.cfg.DecayEvery == 0 {
-		r.idx.Decay(r.cfg.Decay, r.cfg.Floor)
-	}
-	r.pub.Observe()
-}
-
-// learnBatch folds a batch of observations into the sharded index with
-// one AddBatch per decay segment. The batch claims its observation
-// ordinals atomically up front, then splits at every DecayEvery boundary
-// inside its claimed range and announces the (lazy) decay there — on a
-// sequential stream the decay ordinals are bit-identical to per-obs
-// learning, and under concurrent drainers the total decay count is still
-// exactly total/DecayEvery (each boundary belongs to exactly one claimed
-// range). The publisher sees ObserveN(segment): one policy check per
-// segment instead of per observation. len(obs) never exceeds cfg.Batch
-// <= core.MaxObsBatch, so the conversion scratch lives on the stack.
-func (r *ruleServer) learnBatch(obs []ruleObs) {
-	if len(obs) == 0 {
-		return
-	}
-	var scratch [core.MaxObsBatch]core.Obs
-	conv := scratch[:len(obs)]
-	for i, o := range obs {
-		conv[i] = core.Obs{Src: connHost(o.up), Rep: connHost(o.via)}
-	}
-	start := r.sseen.Add(int64(len(obs))) - int64(len(obs))
-	if r.cfg.DecayEvery <= 0 {
-		r.sidx.AddBatch(conv)
-		r.pub.ObserveN(len(conv))
-		return
-	}
-	de := int64(r.cfg.DecayEvery)
-	for applied := int64(0); applied < int64(len(conv)); {
-		seg := de - (start+applied)%de // observations to the next boundary
-		if rest := int64(len(conv)) - applied; seg > rest {
-			seg = rest
-		}
-		r.sidx.AddBatch(conv[applied : applied+seg])
-		applied += seg
-		if (start+applied)%de == 0 {
-			r.sidx.Decay(r.cfg.Decay, r.cfg.Floor)
-		}
-		r.pub.ObserveN(int(seg))
-	}
+	r.learner.Observe(connHost(upstreamConn), connHost(viaConn))
 }
 
 // degraded reports whether the served snapshot should not be trusted to
@@ -394,14 +203,14 @@ func (r *ruleServer) degraded() bool {
 	if r.cfg.StaleObs <= 0 && r.cfg.StaleAge <= 0 {
 		return false
 	}
-	if ver := r.pub.Version(); ver != r.lastVer.Load() {
+	if ver := r.learner.Version(); ver != r.lastVer.Load() {
 		r.dropsAtVer.Store(r.drops.Load())
 		r.lastVer.Store(ver)
 	}
 	if r.drops.Load() != r.dropsAtVer.Load() {
 		return true
 	}
-	return r.pub.Stale(int64(r.cfg.StaleObs), r.cfg.StaleAge)
+	return r.learner.Stale(int64(r.cfg.StaleObs), r.cfg.StaleAge)
 }
 
 // filter narrows a query's flood targets to the learned top-k connections
@@ -417,7 +226,7 @@ func (r *ruleServer) filter(upstreamConn int, targets []*peerConn) []*peerConn {
 		mRuleStaleFlood.Inc()
 		return targets
 	}
-	hosts := r.pub.View().Consequents(connHost(upstreamConn), r.cfg.TopK)
+	hosts := r.learner.View().Consequents(connHost(upstreamConn), r.cfg.TopK)
 	if len(hosts) == 0 {
 		mRuleFlood.Inc()
 		return targets
@@ -446,5 +255,5 @@ func (s *Servent) RuleCount() int {
 	if s.rules == nil {
 		return 0
 	}
-	return s.rules.pub.View().Len()
+	return s.rules.learner.View().Len()
 }

@@ -15,7 +15,6 @@ import (
 // the queue fully drained. Run with -race in CI.
 func TestRuleServerCloseExactUnderConcurrentProducers(t *testing.T) {
 	cfg := DefaultRuleConfig()
-	cfg.Shards = 2
 	cfg.QueueCap = 32
 	cfg.DecayEvery = 0 // no decay: index support counts absorptions exactly
 	cfg.Publish = core.PublishEpoch
@@ -39,9 +38,11 @@ func TestRuleServerCloseExactUnderConcurrentProducers(t *testing.T) {
 
 	dropped := obsv.GetCounter("vantage.learn.dropped").Value() - before
 	var absorbed float64
-	r.sidx.Range(func(_ core.PairKey, v float64) bool {
-		absorbed += v
-		return true
+	r.learner.Update(func(idx *core.PairIndex) {
+		idx.Range(func(_ core.PairKey, v float64) bool {
+			absorbed += v
+			return true
+		})
 	})
 	if total := int64(absorbed) + dropped; total != producers*perProducer {
 		t.Fatalf("absorbed %v + dropped %d = %d, want %d observations accounted for",
@@ -67,7 +68,7 @@ func TestRuleServerStaleSnapshotFloods(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.learn(0, 1)
 	}
-	r.pub.Publish()
+	r.learner.Publish()
 	if got := r.filter(0, targets); len(got) != 1 || got[0].id != 1 {
 		t.Fatalf("fresh filter = %d conns, want the learned [1]", len(got))
 	}
@@ -83,7 +84,7 @@ func TestRuleServerStaleSnapshotFloods(t *testing.T) {
 		t.Fatalf("rule_stale_flood delta = %d, want 1", d)
 	}
 
-	r.pub.Publish()
+	r.learner.Publish()
 	if got := r.filter(0, targets); len(got) != 1 || got[0].id != 1 {
 		t.Fatalf("post-republish filter = %d conns, want [1]", len(got))
 	}
@@ -106,7 +107,7 @@ func TestRuleServerShedDegradesUntilRepublish(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.learn(0, 1) // bypass the queue: learn synchronously
 	}
-	r.pub.Publish()
+	r.learner.Publish()
 	if got := r.filter(0, targets); len(got) != 1 {
 		t.Fatalf("fresh filter = %d conns, want 1", len(got))
 	}
@@ -118,7 +119,7 @@ func TestRuleServerShedDegradesUntilRepublish(t *testing.T) {
 	if got := r.filter(0, targets); len(got) != 3 {
 		t.Fatalf("post-shed filter = %d conns, want the full 3", len(got))
 	}
-	r.pub.Publish()
+	r.learner.Publish()
 	if got := r.filter(0, targets); len(got) != 1 {
 		t.Fatalf("post-republish filter = %d conns, want 1", len(got))
 	}

@@ -31,12 +31,11 @@ func TestRuleServerQueueDropsOldest(t *testing.T) {
 	}
 }
 
-// TestRuleServerShardedQueuedLearns runs the full live path — star
-// topology, sharded learn plane behind a bounded queue — and checks the
-// hub still learns the routing rule from asynchronously absorbed hits.
-func TestRuleServerShardedQueuedLearns(t *testing.T) {
+// TestRuleServerQueuedLearns runs the full live path — star topology,
+// learner behind a bounded queue — and checks the hub still learns the
+// routing rule from asynchronously absorbed hits.
+func TestRuleServerQueuedLearns(t *testing.T) {
 	cfg := DefaultRuleConfig()
-	cfg.Shards = 4
 	cfg.QueueCap = 256
 	center, leaves := star(t, 3, Options{Rules: &cfg}, nil)
 	origin, sharer := leaves[0], leaves[1]
@@ -50,7 +49,7 @@ func TestRuleServerShardedQueuedLearns(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for center.RuleCount() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("hub learned no rule from queued sharded observations")
+			t.Fatal("hub learned no rule from queued observations")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -61,7 +60,6 @@ func TestRuleServerShardedQueuedLearns(t *testing.T) {
 // are all learned by the time close returns.
 func TestRuleServerCloseDrainsQueue(t *testing.T) {
 	cfg := DefaultRuleConfig()
-	cfg.Shards = 2
 	cfg.QueueCap = 1024
 	cfg.DecayEvery = 0 // no decay: supports count observations exactly
 	r := newRuleServer(cfg)
@@ -71,7 +69,7 @@ func TestRuleServerCloseDrainsQueue(t *testing.T) {
 		r.observe(0, 1) // same pair: support accumulates
 	}
 	r.close()
-	if got := r.sidx.Support(connHost(0), connHost(1)); got != obs {
+	if got := r.learner.Publish().Support(connHost(0), connHost(1)); got != obs {
 		t.Fatalf("close left support %v, want %d (queue not drained)", got, obs)
 	}
 }
