@@ -20,6 +20,7 @@ import (
 	"arq/internal/db"
 	"arq/internal/overlay"
 	"arq/internal/peer"
+	"arq/internal/peer/flat"
 	"arq/internal/replicate"
 	"arq/internal/routing"
 	"arq/internal/sim"
@@ -202,42 +203,42 @@ func BenchmarkNetworkRouters(b *testing.B) {
 
 	cases := []struct {
 		name string
-		make func() (routing.Searcher, *peer.Engine, bool)
+		make func() (routing.Searcher, *flat.Engine, bool)
 	}{
-		{"flood", func() (routing.Searcher, *peer.Engine, bool) {
-			e := peer.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
+		{"flood", func() (routing.Searcher, *flat.Engine, bool) {
+			e := flat.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
 			return &routing.OneShot{Label: "flood", E: e, TTL: ttl}, e, false
 		}},
-		{"expanding-ring", func() (routing.Searcher, *peer.Engine, bool) {
-			e := peer.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
+		{"expanding-ring", func() (routing.Searcher, *flat.Engine, bool) {
+			e := flat.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
 			return &routing.ExpandingRing{E: e, Start: 1, Step: 2, Max: ttl}, e, false
 		}},
-		{"k-walk", func() (routing.Searcher, *peer.Engine, bool) {
+		{"k-walk", func() (routing.Searcher, *flat.Engine, bool) {
 			wrng := stats.NewRNG(7)
-			e := peer.NewEngine(g, model, func(u int) peer.Router {
+			e := flat.NewEngine(g, model, func(u int) peer.Router {
 				return &routing.RandomWalk{K: 16, RNG: wrng.Split()}
 			})
 			return &routing.OneShot{Label: "kwalk", E: e, TTL: 1024}, e, false
 		}},
-		{"routing-index", func() (routing.Searcher, *peer.Engine, bool) {
+		{"routing-index", func() (routing.Searcher, *flat.Engine, bool) {
 			idx := routing.BuildRoutingIndices(g, model.HostedCategories, 4, 2)
-			e := peer.NewEngine(g, model, func(u int) peer.Router { return idx[u] })
+			e := flat.NewEngine(g, model, func(u int) peer.Router { return idx[u] })
 			return &routing.OneShot{Label: "ri", E: e, TTL: ttl}, e, false
 		}},
-		{"shortcuts", func() (routing.Searcher, *peer.Engine, bool) {
-			e := peer.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
+		{"shortcuts", func() (routing.Searcher, *flat.Engine, bool) {
+			e := flat.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
 			return routing.NewShortcuts(e, ttl, 5, 10), e, true
 		}},
-		{"assoc", func() (routing.Searcher, *peer.Engine, bool) {
-			e := peer.NewEngine(g, model, func(u int) peer.Router {
+		{"assoc", func() (routing.Searcher, *flat.Engine, bool) {
+			e := flat.NewEngine(g, model, func(u int) peer.Router {
 				return routing.NewAssoc(routing.DefaultAssocConfig())
 			})
 			return &routing.OneShot{Label: "assoc", E: e, TTL: ttl}, e, true
 		}},
-		{"assoc-two-phase", func() (routing.Searcher, *peer.Engine, bool) {
+		{"assoc-two-phase", func() (routing.Searcher, *flat.Engine, bool) {
 			cfg := routing.DefaultAssocConfig()
 			cfg.Strict = true
-			e := peer.NewEngine(g, model, func(u int) peer.Router { return routing.NewAssoc(cfg) })
+			e := flat.NewEngine(g, model, func(u int) peer.Router { return routing.NewAssoc(cfg) })
 			return &routing.AssocTwoPhase{E: e, TTL: ttl}, e, true
 		}},
 	}
@@ -290,7 +291,7 @@ func BenchmarkAblationTopK(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := routing.DefaultAssocConfig()
 				cfg.TopK = k
-				e := peer.NewEngine(g, model, func(u int) peer.Router { return routing.NewAssoc(cfg) })
+				e := flat.NewEngine(g, model, func(u int) peer.Router { return routing.NewAssoc(cfg) })
 				s := &routing.OneShot{Label: "assoc", E: e, TTL: 7}
 				routing.RunWorkload(stats.NewRNG(5), s, e, 6000)
 				agg = peer.Summarize(routing.RunWorkload(stats.NewRNG(9), s, e, 800))
@@ -310,7 +311,7 @@ func BenchmarkRewireAdaptation(b *testing.B) {
 		g := overlay.Random(rng, 600, 3.2)
 		model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
 		assocs := make([]*routing.Assoc, g.N())
-		e := peer.NewEngine(g, model, func(u int) peer.Router {
+		e := flat.NewEngine(g, model, func(u int) peer.Router {
 			assocs[u] = routing.NewAssoc(routing.DefaultAssocConfig())
 			return assocs[u]
 		})
@@ -320,6 +321,9 @@ func BenchmarkRewireAdaptation(b *testing.B) {
 		adapt.Rewire(g, func(v, a int) []int32 { return assocs[v].Consequents(a) },
 			adapt.Options{MaxNewPerNode: 2, MaxDegree: 12, OnAdd: func(u int, c, w int32) {
 				assocs[u].AdoptShortcut(c, w)
+				// The engine routes from its own adjacency snapshot.
+				e.NeighborsChanged(u, g.Neighbors(u))
+				e.NeighborsChanged(int(w), g.Neighbors(int(w)))
 			}})
 		routing.RunWorkload(stats.NewRNG(3), s, e, 6000)
 		after := peer.Summarize(routing.RunWorkload(stats.NewRNG(2), s, e, 800))
@@ -431,54 +435,6 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.NextPair()
-	}
-}
-
-// BenchmarkActorEngineFlood measures the goroutine-per-peer engine on a
-// full flood, the concurrency-stress path.
-func BenchmarkActorEngineFlood(b *testing.B) {
-	rng := stats.NewRNG(44)
-	g := overlay.GnutellaLike(rng, 500)
-	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
-	net := peer.NewActorNet(g, model, func(u int) peer.Router { return routing.Flood{} })
-	defer net.Close()
-	r := stats.NewRNG(45)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		origin := r.Intn(g.N())
-		net.RunQuery(origin, model.DrawQuery(r, origin), 7)
-		if i%64 == 63 {
-			b.StopTimer()
-			net.Flush()
-			b.StartTimer()
-		}
-	}
-}
-
-// BenchmarkConcurrentRouting measures the learn/serve split end to end:
-// association routers on the goroutine-per-peer engine serve every
-// forwarding decision from their published snapshots while the parallel
-// workload driver keeps several queries in flight. Throughput scales with
-// workers on multi-core hosts; msgs/query and success stay flat because
-// the pre-drawn workload is identical at every worker count.
-func BenchmarkConcurrentRouting(b *testing.B) {
-	rng := stats.NewRNG(49)
-	g := overlay.GnutellaLike(rng, 500)
-	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
-	for _, workers := range []int{1, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			net := peer.NewActorNet(g, model, func(u int) peer.Router {
-				return routing.NewAssoc(routing.DefaultAssocConfig())
-			})
-			defer net.Close()
-			net.Workload(stats.NewRNG(50), 4000, 7, workers)
-			net.Flush()
-			b.ResetTimer()
-			agg := peer.Summarize(net.Workload(stats.NewRNG(51), b.N, 7, workers))
-			b.ReportMetric(agg.AvgMessages, "msgs/query")
-			b.ReportMetric(agg.SuccessRate, "success-rate/op")
-		})
 	}
 }
 
@@ -619,7 +575,7 @@ func BenchmarkReplication(b *testing.B) {
 				ccfg.Categories = 100
 				ccfg.FilesPerNode = 2
 				model := content.Build(rng.Split(), 400, ccfg)
-				e := peer.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
+				e := flat.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
 				ring := &routing.ExpandingRing{E: e, Start: 1, Step: 2, Max: 9}
 				var cache *replicate.Cache
 				switch strat {
@@ -640,7 +596,16 @@ func BenchmarkReplication(b *testing.B) {
 						for h := 0; h < st.FirstHitHops; h++ {
 							path = append(path, wrng.Intn(g.N()))
 						}
+						// The engine answers hosting from its own
+						// snapshot: patch it with what replication moved.
+						old := make([][]trace.InterestID, len(path))
+						for j, u := range path {
+							old[j] = append([]trace.InterestID(nil), model.HostedCategories(u)...)
+						}
 						cache.OnSuccess(origin, path, cat)
+						for j, u := range path {
+							e.HostedChanged(u, old[j], model.HostedCategories(u))
+						}
 					}
 					if q >= 2*rounds/3 {
 						late += float64(st.Total())

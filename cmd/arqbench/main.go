@@ -50,7 +50,7 @@ var (
 	trials    = flag.Int("trials", 365, "tested blocks per trace-driven run (the paper uses 365)")
 	seed      = flag.Uint64("seed", 1, "master seed for all generators")
 	markdown  = flag.Bool("markdown", false, "emit Markdown tables instead of ASCII")
-	section   = flag.String("section", "", "run only the named sections, comma-separated (policies, fig1, fig2, fig3, fig4, static, import, grid, incremental, recovery, network, concurrent, rewire, faults, transport, scale, scenarios)")
+	section   = flag.String("section", "", "run only the named sections, comma-separated (policies, fig1, fig2, fig3, fig4, static, import, grid, incremental, recovery, network, rewire, faults, transport, scale, scenarios)")
 	quick     = flag.Bool("quick", false, "reduced scale for a fast smoke run")
 	jsonOut   = flag.String("json", "", "write a machine-readable benchmark artifact to this path")
 	cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
@@ -137,7 +137,6 @@ func main() {
 	run("incremental", incremental)
 	run("recovery", recovery)
 	run("network", network)
-	run("concurrent", concurrent)
 	run("rewire", rewire)
 	run("faults", faults)
 	run("transport", transportSection)
@@ -536,20 +535,43 @@ func recovery() {
 	if *quick {
 		rcfg.Nodes, rcfg.Warm = 150, 1500
 	}
+	restartAB("", rcfg)
+	if !*quick {
+		rcfg.Nodes, rcfg.Warm = largeNodes, largeWarm
+		restartAB(largePrefix, rcfg)
+	}
+}
+
+// largeNodes is the overlay size of the full-mode faults and recovery
+// rows that the flat engine's fault injection unlocked: the same drills,
+// two orders of magnitude past the 150–300 nodes the map engine ran them
+// at. largeWarm teaches it at two queries per node where the small runs
+// get ten, because the warm-up floods (EXPERIMENTS.md has the cost and
+// what the under-training does to ρ).
+const (
+	largeNodes  = 20000
+	largeWarm   = 40000
+	largePrefix = "N=20000/"
+)
+
+// restartAB runs one process-restart A/B and records its arms as
+// recovery/<prefix>restart_<arm>.
+func restartAB(prefix string, rcfg chaos.RecoveryConfig) {
+	start := time.Now()
 	rres, err := chaos.RunRecovery(rcfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arqbench:", err)
 		os.Exit(1)
 	}
-	rt := metrics.NewTable(fmt.Sprintf("Process restart A/B — %d nodes, %.0f%% crashed, strict two-phase deployment (ρ = rule-phase success per %d-query window)",
-		rcfg.Nodes, 100*rres.Cfg.CrashFrac, rres.Cfg.Window),
+	rt := metrics.NewTable(fmt.Sprintf("Process restart A/B — %d nodes, %.0f%% crashed, strict two-phase deployment (ρ = rule-phase success per %d-query window), %.1fs wall",
+		rcfg.Nodes, 100*rres.Cfg.CrashFrac, rres.Cfg.Window, time.Since(start).Seconds()),
 		"arm", "pre-crash ρ", "first window", "queries to recover", "final ρ", "restored rules")
 	for _, a := range rres.Arms {
 		recLabel := "never"
 		if a.QueriesToRecover >= 0 {
 			recLabel = fmt.Sprintf("%d", a.QueriesToRecover)
 		}
-		rt.AddRow("restart_"+a.Name, a.PreSuccess, fmt.Sprintf("%.3f", a.WindowSuccess[0]),
+		rt.AddRow(prefix+"restart_"+a.Name, a.PreSuccess, fmt.Sprintf("%.3f", a.WindowSuccess[0]),
 			recLabel, fmt.Sprintf("%.3f", a.FinalSuccess), fmt.Sprintf("%d", a.RestoredRules))
 		m := map[string]float64{
 			"pre_success":    a.PreSuccess,
@@ -560,7 +582,7 @@ func recovery() {
 		if a.QueriesToRecover >= 0 {
 			m["queries_to_recover"] = float64(a.QueriesToRecover)
 		}
-		rec("recovery", "restart_"+a.Name, m)
+		rec("recovery", prefix+"restart_"+a.Name, m)
 	}
 	emit(rt)
 }
@@ -582,10 +604,10 @@ func network() {
 	type entry struct {
 		name     string
 		searcher routing.Searcher
-		engine   *peer.Engine
+		engine   *flat.Engine
 		warm     bool
 	}
-	mk := func(f func(u int) peer.Router) *peer.Engine { return peer.NewEngine(g, model, f) }
+	mk := func(f func(u int) peer.Router) *flat.Engine { return flat.NewEngine(g, model, f) }
 	ef := mk(func(u int) peer.Router { return routing.Flood{} })
 	er := mk(func(u int) peer.Router { return routing.Flood{} })
 	wrng := stats.NewRNG(*seed + 200)
@@ -634,31 +656,26 @@ func network() {
 	emit(t)
 }
 
-// scale measures the capacity envelope of the sequential engines: the
-// same flood workload on the map-based peer.Engine ("seq") and the
-// struct-of-arrays flat engine (peer/flat, "flat") at increasing overlay
-// sizes. Quick mode runs both at 10k nodes (the CI scale-smoke step);
-// the full run adds 100k for both and 1M for flat — the size the
-// ROADMAP's million-node item calls for, which the map engine cannot
-// reach in reasonable wall time. Recorded keys: ns_per_msg is a perf
-// key (only a 10x slowdown fails CI), heap_per_node_bytes is a memory
-// key (only 3x growth fails — this is what machine-checks "bytes/node
-// bounded" instead of eyeballing it), and success_rate/msgs_per_query
-// are deterministic given the seed. The printed table adds msgs/sec
-// for reading; it is derived from ns_per_msg and not recorded.
+// scale measures the capacity envelope of the flat engine (peer/flat):
+// one flood workload at increasing overlay sizes. Quick mode runs 10k
+// nodes (the CI scale-smoke step); the full run adds 100k and 1M — the
+// size the ROADMAP's million-node item calls for. Recorded keys:
+// ns_per_msg is a perf key (only a 10x slowdown fails CI),
+// heap_per_node_bytes is a memory key (only 3x growth fails — this is
+// what machine-checks "bytes/node bounded" instead of eyeballing it),
+// and success_rate/msgs_per_query are deterministic given the seed. The
+// printed table adds msgs/sec for reading; it is derived from ns_per_msg
+// and not recorded. Row names keep the "flat/" prefix they had beside
+// the map engine's rows, so committed artifacts stay comparable.
 func scale() {
-	type cfg struct {
-		engine string
-		n, nq  int
-	}
-	rows := []cfg{{"seq", 10000, 30}, {"flat", 10000, 30}}
+	type cfg struct{ n, nq int }
+	rows := []cfg{{10000, 30}}
 	if !*quick {
-		rows = append(rows,
-			cfg{"seq", 100000, 20}, cfg{"flat", 100000, 20}, cfg{"flat", 1000000, 10})
+		rows = append(rows, cfg{100000, 20}, cfg{1000000, 10})
 	}
 	const ttl = 7
 	t := metrics.NewTable("Engine scale envelope — flood workload on a power-law overlay, clustered interests",
-		"engine", "nodes", "msgs/query", "msgs/sec", "ns/msg", "heap bytes/node", "success")
+		"nodes", "msgs/query", "msgs/sec", "ns/msg", "heap bytes/node", "success")
 	for _, c := range rows {
 		runtime.GC()
 		var before runtime.MemStats
@@ -667,13 +684,7 @@ func scale() {
 		rng := stats.NewRNG(*seed + 500)
 		g := overlay.GnutellaLike(rng, c.n)
 		model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
-		factory := func(u int) peer.Router { return routing.Flood{} }
-		var e sim.NetEngine
-		if c.engine == "flat" {
-			e = flat.NewEngine(g, model, factory)
-		} else {
-			e = peer.NewEngine(g, model, factory)
-		}
+		e := flat.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
 
 		// Two untimed warmup queries (separate RNG, so the measured
 		// workload below is unaffected) fault in the engine's arrays
@@ -703,8 +714,8 @@ func scale() {
 			totalMsgs += s.Total()
 		}
 		nsPerMsg := float64(elapsed.Nanoseconds()) / float64(totalMsgs)
-		name := fmt.Sprintf("%s/N=%d", c.engine, c.n)
-		t.AddRow(c.engine, c.n, fmt.Sprintf("%.0f", agg.AvgMessages),
+		name := fmt.Sprintf("flat/N=%d", c.n)
+		t.AddRow(c.n, fmt.Sprintf("%.0f", agg.AvgMessages),
 			fmt.Sprintf("%.2fM", 1e9/nsPerMsg/1e6), fmt.Sprintf("%.1f", nsPerMsg),
 			fmt.Sprintf("%.0f", heapPerNode), agg.SuccessRate)
 		rec("scale", name, map[string]float64{
@@ -772,51 +783,6 @@ func scenarios() {
 	emit(t)
 }
 
-// concurrent measures the learn/serve split on the goroutine-per-peer
-// engine: association routers serve every forwarding decision from their
-// published snapshots while learning from returning hits, and the
-// workload driver issues queries with increasing worker counts. The
-// recorded ns_per_query is wall time per query (a perf key for arqcheck,
-// so machine noise only fails CI on a 10x slowdown); the printed table
-// adds queries/sec for reading.
-func concurrent() {
-	n := 1500
-	warm, measure := 12000, 3000
-	if *quick {
-		n, warm, measure = 400, 3000, 1000
-	}
-	rng := stats.NewRNG(*seed + 400)
-	g := overlay.GnutellaLike(rng, n)
-	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
-	const ttl = 7
-
-	t := metrics.NewTable(fmt.Sprintf("Concurrent routing — %d goroutine peers, assoc routers on published snapshots, %d measured queries", n, measure),
-		"workers", "success", "msgs/query", "hit hops", "queries/sec")
-	for _, workers := range []int{1, 2, 4, 8} {
-		net := peer.NewActorNet(g, model, func(u int) peer.Router {
-			return routing.NewAssoc(routing.DefaultAssocConfig())
-		})
-		net.Workload(stats.NewRNG(*seed+5), warm, ttl, workers)
-		net.Flush()
-		start := time.Now()
-		res := net.Workload(stats.NewRNG(*seed+7), measure, ttl, workers)
-		elapsed := time.Since(start)
-		net.Close()
-
-		agg := peer.Summarize(res)
-		nsq := float64(elapsed.Nanoseconds()) / float64(measure)
-		t.AddRow(workers, agg.SuccessRate, fmt.Sprintf("%.0f", agg.AvgMessages),
-			fmt.Sprintf("%.2f", agg.AvgHitHops), fmt.Sprintf("%.0f", 1e9/nsq))
-		rec("concurrent", fmt.Sprintf("workers=%d", workers), map[string]float64{
-			"workers":        float64(workers),
-			"success_rate":   agg.SuccessRate,
-			"msgs_per_query": agg.AvgMessages,
-			"ns_per_query":   nsq,
-		})
-	}
-	emit(t)
-}
-
 // rewire demonstrates the §VI topology adaptation: learned rules propose
 // shortcut edges and first-hit hop counts drop.
 func rewire() {
@@ -832,7 +798,7 @@ func rewire() {
 	g := overlay.Random(rng, n, 3.2)
 	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
 	assocs := make([]*routing.Assoc, n)
-	e := peer.NewEngine(g, model, func(u int) peer.Router {
+	e := flat.NewEngine(g, model, func(u int) peer.Router {
 		assocs[u] = routing.NewAssoc(routing.DefaultAssocConfig())
 		return assocs[u]
 	})
@@ -843,6 +809,9 @@ func rewire() {
 	added := adapt.Rewire(g, func(v, ante int) []int32 { return assocs[v].Consequents(ante) },
 		adapt.Options{MaxNewPerNode: 2, MaxDegree: 12, OnAdd: func(u int, consulted, w int32) {
 			assocs[u].AdoptShortcut(consulted, w)
+			// The engine routes from its own adjacency snapshot.
+			e.NeighborsChanged(u, g.Neighbors(u))
+			e.NeighborsChanged(int(w), g.Neighbors(int(w)))
 		}})
 	routing.RunWorkload(stats.NewRNG(*seed+10), search, e, warm) // relearn over the new edges
 	after := peer.Summarize(routing.RunWorkload(stats.NewRNG(*seed+9), search, e, measure))
@@ -875,17 +844,27 @@ func faults() {
 	if *quick {
 		cfg.Nodes, cfg.Warm, cfg.Queries = 150, 1500, 300
 	}
+	soak("", cfg)
+	if !*quick {
+		cfg.Nodes, cfg.Warm = largeNodes, largeWarm
+		soak(largePrefix, cfg)
+	}
+}
+
+// soak runs one chaos soak and records its phases as faults/<prefix><phase>.
+func soak(prefix string, cfg chaos.Config) {
+	start := time.Now()
 	res := chaos.Soak(cfg)
-	t := metrics.NewTable(fmt.Sprintf("Fault-injection soak — %d nodes, drop=%.2f crash=%.2f slow=%.2f, publication stalled (nofallback/* arm has the staleness fallback disabled)",
-		cfg.Nodes, res.Cfg.Fault.Drop, res.Cfg.Fault.Crash, res.Cfg.Fault.Slow),
+	t := metrics.NewTable(fmt.Sprintf("Fault-injection soak — %d nodes, drop=%.2f crash=%.2f slow=%.2f, publication stalled (nofallback/* arm has the staleness fallback disabled), %.1fs wall",
+		cfg.Nodes, res.Cfg.Fault.Drop, res.Cfg.Fault.Crash, res.Cfg.Fault.Slow, time.Since(start).Seconds()),
 		"phase", "success", "rule share", "stale fallbacks", "msg drops", "down drops")
 	for _, p := range res.Phases {
 		stale := p.CounterDelta("routing.assoc.stale_fallbacks")
 		drops := p.CounterDelta("fault.msg_drops")
 		down := p.CounterDelta("fault.down_drops")
-		t.AddRow(p.Name, p.Success, fmt.Sprintf("%.3f", p.RuleShare),
+		t.AddRow(prefix+p.Name, p.Success, fmt.Sprintf("%.3f", p.RuleShare),
 			fmt.Sprintf("%d", stale), fmt.Sprintf("%d", drops), fmt.Sprintf("%d", down))
-		rec("faults", p.Name, map[string]float64{
+		rec("faults", prefix+p.Name, map[string]float64{
 			"success_rate":    p.Success,
 			"rule_share":      p.RuleShare,
 			"stale_fallbacks": float64(stale),

@@ -1,11 +1,10 @@
-// Command arqnet runs the message-level overlay simulation, comparing a
-// chosen routing strategy against flooding on the same topology and
-// workload, optionally on the concurrent goroutine-per-peer engine.
+// Command arqnet runs the message-level overlay simulation on the flat
+// engine (internal/peer/flat), comparing a chosen routing strategy
+// against flooding on the same topology and workload.
 //
 //	arqnet -router assoc -nodes 2000 -queries 5000
 //	arqnet -router kwalk -walkers 16
-//	arqnet -router flood -engine flat -nodes 1000000 -queries 200
-//	arqnet -router assoc -engine actor -parallel 8
+//	arqnet -router flood -nodes 1000000 -queries 200
 //	arqnet -chaos -nodes 200 -warm 2000 -queries 400
 package main
 
@@ -13,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 
 	"arq/internal/chaos"
 	"arq/internal/cluster"
@@ -35,8 +33,6 @@ var (
 	ttl      = flag.Int("ttl", 7, "query TTL")
 	walkers  = flag.Int("walkers", 16, "k for k-random walks")
 	seed     = flag.Uint64("seed", 42, "seed for topology, content, and workload")
-	engine   = flag.String("engine", "sequential", "sequential | flat (struct-of-arrays) | actor (flood/kwalk/assoc)")
-	parallel = flag.Int("parallel", 4, "concurrent workload workers on the actor engine")
 	chaosRun = flag.Bool("chaos", false, "run the fault-injection chaos soak instead of a strategy comparison")
 )
 
@@ -73,17 +69,8 @@ func main() {
 	}
 	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
 
-	if *engine == "actor" {
-		runActor(g, model)
-		return
-	}
-	if *engine != "sequential" && *engine != "flat" {
-		fmt.Fprintf(os.Stderr, "arqnet: unknown engine %q (valid: sequential, flat, actor)\n", *engine)
-		os.Exit(2)
-	}
-
 	// Baseline flood for comparison.
-	ef := newQueryEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
+	ef := flat.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
 	floodAgg := peer.Summarize(routing.RunWorkload(stats.NewRNG(*seed+1),
 		&routing.OneShot{Label: "flood", E: ef, TTL: *ttl}, ef, *nq))
 
@@ -121,37 +108,17 @@ func main() {
 // no timings and no map-ordered iteration, so identical flags print
 // identical bytes — CI runs this twice and diffs (the chaos-smoke job).
 func runChaos() {
-	res := chaos.Soak(chaos.Config{
+	err := chaos.Report(os.Stdout, chaos.Config{
 		Seed: *seed, Nodes: *nodes, Warm: *warm, Queries: *nq, TTL: *ttl,
-	})
-	fmt.Print(res.Format())
-	fmt.Println("shed drill:")
-	for _, d := range chaos.ShedDrill(*seed, 4096) {
-		fmt.Printf("  %-40s %+d\n", d.Name, d.Delta)
-	}
-	rec, err := chaos.RunRecovery(chaos.RecoveryConfig{
-		Seed: *seed, Nodes: *nodes, Warm: *warm, TTL: *ttl,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arqnet:", err)
 		os.Exit(1)
 	}
-	fmt.Print(rec.Format())
-}
-
-// newQueryEngine builds the sequential engine selected by -engine:
-// "flat" is the struct-of-arrays engine (peer/flat), anything else the
-// map-based peer.Engine. Both produce identical per-query stats (pinned
-// by the flat package's golden test); flat is the one that scales.
-func newQueryEngine(g *overlay.Graph, model *content.Model, f func(u int) peer.Router) peer.QueryEngine {
-	if *engine == "flat" {
-		return flat.NewEngine(g, model, f)
-	}
-	return peer.NewEngine(g, model, f)
 }
 
 func buildSearcher(g *overlay.Graph, model *content.Model) (routing.Searcher, peer.QueryEngine, bool, error) {
-	mk := func(f func(u int) peer.Router) peer.QueryEngine { return newQueryEngine(g, model, f) }
+	mk := func(f func(u int) peer.Router) peer.QueryEngine { return flat.NewEngine(g, model, f) }
 	switch *router {
 	case "flood":
 		e := mk(func(u int) peer.Router { return routing.Flood{} })
@@ -181,46 +148,4 @@ func buildSearcher(g *overlay.Graph, model *content.Model) (routing.Searcher, pe
 	default:
 		return nil, nil, false, fmt.Errorf("arqnet: unknown router %q (valid: flood, expring, kwalk, assoc, assoc2ph, ri, shortcuts)", *router)
 	}
-}
-
-// runActor exercises the goroutine-per-peer engine, driving the workload
-// with -parallel concurrent workers. Learning routers (assoc) warm up on
-// an unmeasured workload first — routing served from published snapshots
-// while the warm-up learns, exactly the learn/serve split in deployment.
-func runActor(g *overlay.Graph, model *content.Model) {
-	queryTTL := *ttl
-	needsWarm := false
-	var factory func(u int) peer.Router
-	switch *router {
-	case "flood":
-		factory = func(u int) peer.Router { return routing.Flood{} }
-	case "kwalk":
-		wrng := stats.NewRNG(*seed + 3)
-		var mu sync.Mutex
-		factory = func(u int) peer.Router {
-			mu.Lock()
-			defer mu.Unlock()
-			return &routing.RandomWalk{K: *walkers, RNG: wrng.Split()}
-		}
-		queryTTL = 1024
-	case "assoc":
-		factory = func(u int) peer.Router { return routing.NewAssoc(routing.DefaultAssocConfig()) }
-		needsWarm = true
-	default:
-		fmt.Fprintf(os.Stderr, "arqnet: actor engine supports flood, kwalk, and assoc, not %q\n", *router)
-		os.Exit(2)
-	}
-	net := peer.NewActorNet(g, model, factory)
-	defer net.Close()
-
-	if needsWarm {
-		net.Workload(stats.NewRNG(*seed+2), *warm, queryTTL, *parallel)
-		net.Flush()
-	}
-	all := net.Workload(stats.NewRNG(*seed+1), *nq, queryTTL, *parallel)
-	a := peer.Summarize(all)
-	fmt.Printf("actor engine: %d nodes, %d goroutine peers, %d workload workers\n",
-		g.N(), g.N(), *parallel)
-	fmt.Printf("%s: success=%.3f msgs/query=%.0f hit-hops=%.2f\n",
-		*router, a.SuccessRate, a.AvgMessages, a.AvgHitHops)
 }

@@ -10,11 +10,10 @@
 //	arqsim -policy lazy -interval 10 -trace pairs.jsonl -block 10000
 //	arqsim -policy sliding -csv > sliding.csv
 //
-// With -net it instead drives a message-level network simulation through
-// the same block/series harness (sim.RunNet), choosing the query engine
-// with -engine:
+// With -net it instead drives a message-level network simulation on the
+// flat engine through the same block/series harness (sim.RunNet):
 //
-//	arqsim -net -engine flat -nodes 100000 -trials 5 -block 200
+//	arqsim -net -nodes 100000 -trials 5 -block 200
 package main
 
 import (
@@ -50,7 +49,6 @@ var (
 	everyN    = flag.Int("every", 10, "print every Nth block in report mode")
 
 	netMode   = flag.Bool("net", false, "run a message-level network simulation instead of the policy simulator")
-	netEngine = flag.String("engine", "seq", "net: seq (map-based) | flat (struct-of-arrays) query engine")
 	netRouter = flag.String("router", "flood", "net: flood | assoc per-node router")
 	netNodes  = flag.Int("nodes", 2000, "net: overlay size")
 	netTTL    = flag.Int("ttl", 7, "net: query TTL")
@@ -105,7 +103,7 @@ func main() {
 }
 
 // runNet drives -trials blocks of -block queries each through the
-// selected network engine and prints the per-block series — the
+// flat engine and prints the per-block series — the
 // network-level analogue of the policy report, produced by the same
 // sim harness.
 func runNet() {
@@ -119,24 +117,17 @@ func runNet() {
 		fmt.Fprintf(os.Stderr, "arqsim: unknown net router %q (valid: flood, assoc)\n", *netRouter)
 		os.Exit(2)
 	}
-	if *netEngine != "seq" && *netEngine != "flat" {
-		fmt.Fprintf(os.Stderr, "arqsim: unknown net engine %q (valid: seq, flat)\n", *netEngine)
-		os.Exit(2)
-	}
 	if *scenName != "" {
 		runNetScenario(factory)
 		return
 	}
 	spec := sim.NetSpec{
-		Name: fmt.Sprintf("%s/%s", *netEngine, *netRouter),
+		Name: *netRouter,
 		Engine: func() sim.NetEngine {
 			rng := stats.NewRNG(*seed)
 			g := overlay.GnutellaLike(rng, *netNodes)
 			m := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
-			if *netEngine == "flat" {
-				return flat.NewEngine(g, m, factory)
-			}
-			return peer.NewEngine(g, m, factory)
+			return flat.NewEngine(g, m, factory)
 		},
 		Seed:   *seed + 1,
 		Blocks: *trials, BlockSize: *blockSize,
@@ -151,8 +142,8 @@ func runNet() {
 		}
 		return
 	}
-	fmt.Printf("net engine=%s router=%s nodes=%d ttl=%d block=%d trials=%d\n",
-		*netEngine, *netRouter, *netNodes, *netTTL, *blockSize, res.Trials)
+	fmt.Printf("net router=%s nodes=%d ttl=%d block=%d trials=%d\n",
+		*netRouter, *netNodes, *netTTL, *blockSize, res.Trials)
 	fmt.Printf("coverage  %s  avg=%.3f\n", res.Coverage.Sparkline(60), res.MeanCoverage())
 	fmt.Printf("success   %s  avg=%.3f\n", res.Success.Sparkline(60), res.MeanSuccess())
 	fmt.Printf("wall: %.2fs (%.0f queries/sec)\n", float64(res.WallNanos)/1e9,
@@ -160,8 +151,8 @@ func runNet() {
 }
 
 // runNetScenario drives a preset scenario — dynamics, roles, top-k and
-// all — through the selected engine and router, via scenario.Runner and
-// the shared block harness.
+// all — through the flat engine and the selected router, via
+// scenario.Runner and the shared block harness.
 func runNetScenario(factory func(u int) peer.Router) {
 	sc, err := scenario.ByName(*scenName, *netNodes, *seed)
 	if err != nil {
@@ -170,15 +161,10 @@ func runNetScenario(factory func(u int) peer.Router) {
 	}
 	sc.Query.TTL = *netTTL
 	g, m := sc.Build()
-	var eng peer.QueryEngine
-	if *netEngine == "flat" {
-		eng = flat.NewEngine(g, m, factory)
-	} else {
-		eng = peer.NewEngine(g, m, factory)
-	}
+	eng := flat.NewEngine(g, m, factory)
 	search := &routing.OneShot{Label: *netRouter, E: eng, TTL: sc.Query.TTL, TopK: sc.Query.TopK, Stop: sc.Query.Stop}
 	r := scenario.NewRunner(sc, g, m, eng, search, factory)
-	res := sim.RunBlocks(fmt.Sprintf("%s/%s/%s", sc.Name, *netEngine, *netRouter), r, *trials, *blockSize)
+	res := sim.RunBlocks(sc.Name+"/"+*netRouter, r, *trials, *blockSize)
 
 	if *csvOut {
 		fmt.Print("block,coverage,success\n")
@@ -187,8 +173,8 @@ func runNetScenario(factory func(u int) peer.Router) {
 		}
 		return
 	}
-	fmt.Printf("scenario=%s engine=%s router=%s nodes=%d ttl=%d block=%d trials=%d\n",
-		sc.Name, *netEngine, *netRouter, *netNodes, sc.Query.TTL, *blockSize, res.Trials)
+	fmt.Printf("scenario=%s router=%s nodes=%d ttl=%d block=%d trials=%d\n",
+		sc.Name, *netRouter, *netNodes, sc.Query.TTL, *blockSize, res.Trials)
 	fmt.Printf("coverage  %s  avg=%.3f\n", res.Coverage.Sparkline(60), res.MeanCoverage())
 	fmt.Printf("success   %s  avg=%.3f\n", res.Success.Sparkline(60), res.MeanSuccess())
 	fmt.Printf("wall: %.2fs (%.0f queries/sec)\n", float64(res.WallNanos)/1e9,

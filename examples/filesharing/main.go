@@ -11,6 +11,7 @@ import (
 	"arq/internal/metrics"
 	"arq/internal/overlay"
 	"arq/internal/peer"
+	"arq/internal/peer/flat"
 	"arq/internal/routing"
 	"arq/internal/stats"
 )
@@ -33,21 +34,23 @@ func main() {
 		g.N(), g.M(), ds.Mean(), ds.Max())
 
 	// Three networks, identical except for the router at every node.
-	flood := peer.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
+	flood := flat.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
 	wrng := stats.NewRNG(7)
-	walks := peer.NewEngine(g, model, func(u int) peer.Router {
+	walks := flat.NewEngine(g, model, func(u int) peer.Router {
 		return &routing.RandomWalk{K: 16, RNG: wrng.Split()}
 	})
-	assoc := peer.NewEngine(g, model, func(u int) peer.Router {
-		return routing.NewAssoc(routing.DefaultAssocConfig())
+	assocs := make([]*routing.Assoc, nodes)
+	assoc := flat.NewEngine(g, model, func(u int) peer.Router {
+		assocs[u] = routing.NewAssoc(routing.DefaultAssocConfig())
+		return assocs[u]
 	})
 
 	// The association-rule nodes learn from live traffic first.
 	fmt.Printf("warming association rules with %d queries...\n", warm)
 	routing.RunWorkload(stats.NewRNG(3), &routing.OneShot{Label: "assoc", E: assoc, TTL: ttl}, assoc, warm)
 	rules := 0
-	for u := 0; u < nodes; u++ {
-		rules += assoc.Routers[u].(*routing.Assoc).RuleCount()
+	for _, a := range assocs {
+		rules += a.RuleCount()
 	}
 	fmt.Printf("network now holds %d routing rules (%.1f per node)\n\n",
 		rules, float64(rules)/nodes)
@@ -59,7 +62,7 @@ func main() {
 	for _, e := range []struct {
 		name string
 		s    routing.Searcher
-		eng  *peer.Engine
+		eng  *flat.Engine
 	}{
 		{"flooding", &routing.OneShot{Label: "flood", E: flood, TTL: ttl}, flood},
 		{"16-random walks", &routing.OneShot{Label: "kwalk", E: walks, TTL: 1024}, walks},

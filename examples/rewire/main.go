@@ -13,6 +13,7 @@ import (
 	"arq/internal/content"
 	"arq/internal/overlay"
 	"arq/internal/peer"
+	"arq/internal/peer/flat"
 	"arq/internal/routing"
 	"arq/internal/stats"
 	"arq/internal/trace"
@@ -33,7 +34,7 @@ func mechanism() {
 	}
 	model := content.Explicit(5, 2, map[int][]trace.InterestID{4: {0}})
 	assocs := make([]*routing.Assoc, 5)
-	e := peer.NewEngine(g, model, func(u int) peer.Router {
+	e := flat.NewEngine(g, model, func(u int) peer.Router {
 		assocs[u] = routing.NewAssoc(routing.AssocConfig{TopK: 1, Threshold: 2, Decay: 0.9, DecayEvery: 1000})
 		return assocs[u]
 	})
@@ -51,6 +52,9 @@ func mechanism() {
 	added := adapt.Rewire(g, func(v, ante int) []int32 { return assocs[v].Consequents(ante) },
 		adapt.Options{MaxNewPerNode: 1, OnAdd: func(u int, consulted, w int32) {
 			assocs[u].AdoptShortcut(consulted, w)
+			// The engine routes from its own adjacency snapshot.
+			e.NeighborsChanged(u, g.Neighbors(u))
+			e.NeighborsChanged(int(w), g.Neighbors(int(w)))
 		}})
 	fmt.Printf("adaptation added edges: %v\n", added)
 
@@ -75,7 +79,7 @@ func aggregate() {
 	g := overlay.Random(rng, nodes, 3.2)
 	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
 	assocs := make([]*routing.Assoc, nodes)
-	e := peer.NewEngine(g, model, func(u int) peer.Router {
+	e := flat.NewEngine(g, model, func(u int) peer.Router {
 		assocs[u] = routing.NewAssoc(routing.DefaultAssocConfig())
 		return assocs[u]
 	})
@@ -87,6 +91,9 @@ func aggregate() {
 	added := adapt.Rewire(g, func(v, ante int) []int32 { return assocs[v].Consequents(ante) },
 		adapt.Options{MaxNewPerNode: 2, MaxDegree: 12, OnAdd: func(u int, consulted, w int32) {
 			assocs[u].AdoptShortcut(consulted, w)
+			// The engine routes from its own adjacency snapshot.
+			e.NeighborsChanged(u, g.Neighbors(u))
+			e.NeighborsChanged(int(w), g.Neighbors(int(w)))
 		}})
 	routing.RunWorkload(stats.NewRNG(3), search, e, warm)
 	after := peer.Summarize(routing.RunWorkload(stats.NewRNG(2), search, e, nq))

@@ -13,6 +13,7 @@ import (
 	"arq/internal/db"
 	"arq/internal/overlay"
 	"arq/internal/peer"
+	"arq/internal/peer/flat"
 	"arq/internal/routing"
 	"arq/internal/sim"
 	"arq/internal/stats"
@@ -78,39 +79,13 @@ func TestEndToEndCapturePipeline(t *testing.T) {
 	}
 }
 
-func TestEndToEndRuleSetPersistence(t *testing.T) {
-	// A node learns rules from one block, persists them, restarts, and
-	// routes with the restored state.
-	cfg := tracegen.PaperProfile()
-	cfg.Seed = 78
-	cfg.TotalBlocks = 2
-	gen := tracegen.New(cfg)
-	genBlock, _ := gen.Next()
-	testBlock, _ := gen.Next()
-	rules := core.GenerateRuleSet(genBlock, 10)
-
-	var buf bytes.Buffer
-	if err := rules.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := core.LoadRuleSet(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := rules.Test(testBlock)
-	b := restored.Test(testBlock)
-	if a != b {
-		t.Fatalf("restored rule set scores differently: %+v vs %+v", a, b)
-	}
-}
-
 func TestEndToEndDeployment(t *testing.T) {
-	// Overlay + content + learning router on both engines.
+	// Overlay + content + learning router on the engine that ships.
 	rng := stats.NewRNG(79)
 	g := overlay.GnutellaLike(rng, 400)
 	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
 
-	e := peer.NewEngine(g, model, func(u int) peer.Router {
+	e := flat.NewEngine(g, model, func(u int) peer.Router {
 		return routing.NewAssoc(routing.DefaultAssocConfig())
 	})
 	search := &routing.OneShot{Label: "assoc", E: e, TTL: 7}
@@ -120,22 +95,12 @@ func TestEndToEndDeployment(t *testing.T) {
 		t.Fatalf("deployed success = %.3f", agg.SuccessRate)
 	}
 
-	floodE := peer.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
+	floodE := flat.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
 	flood := peer.Summarize(routing.RunWorkload(stats.NewRNG(2),
 		&routing.OneShot{Label: "flood", E: floodE, TTL: 7}, floodE, 400))
 	if agg.AvgMessages >= flood.AvgMessages {
 		t.Fatalf("assoc (%.0f msgs) not cheaper than flooding (%.0f)",
 			agg.AvgMessages, flood.AvgMessages)
-	}
-
-	// The concurrent engine deploys the same stateless baseline.
-	// TTL far above the diameter so async delivery order (which can hand
-	// a node its first copy over a longer path) cannot strand any node.
-	net := peer.NewActorNet(g, model, func(u int) peer.Router { return routing.Flood{} })
-	defer net.Close()
-	st := net.RunQuery(3, model.DrawQuery(stats.NewRNG(3), 3), 64)
-	if st.NodesReached != g.N() {
-		t.Fatalf("actor flood reached %d of %d nodes", st.NodesReached, g.N())
 	}
 }
 

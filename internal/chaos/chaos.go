@@ -1,14 +1,16 @@
 // Package chaos is the fault-injection soak harness: it drives a seeded
-// association-routing overlay (peer.Engine + routing.Assoc per node)
-// through a clean / faulted / republished phase sequence under a
-// fault.Seeded injector and reports, per phase, the success rate ρ, the
-// fraction of routing decisions made on learned rules (the coverage
-// share α), and the deltas of every fault and degradation counter.
+// association-routing overlay (flat.Engine + routing.Assoc per node, so
+// the drills run at any size the engine does) through a clean / faulted
+// / republished phase sequence under a fault.Seeded injector and
+// reports, per phase, the success rate ρ, the fraction of routing
+// decisions made on learned rules (the coverage share α), and the deltas
+// of every fault and degradation counter.
 //
 // Everything is sequential and seeded, so a soak is a pure function of
 // its Config: the same seed yields a byte-identical Result.Format()
-// string. CI runs the soak twice and diffs the output (the chaos-smoke
-// job); the determinism test in this package pins the same contract.
+// string. CI runs the soak twice, diffs the output, and compares it with
+// testdata/soak_golden.txt (the chaos-smoke job); TestSoakDeterministic
+// and TestSoakGolden pin the same contract in-process.
 //
 // The phase arc demonstrates graceful degradation end to end. Rule
 // publication is stalled (core.PublishEpoch with an unreachable epoch),
@@ -24,6 +26,7 @@ package chaos
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -33,6 +36,7 @@ import (
 	"arq/internal/obsv"
 	"arq/internal/overlay"
 	"arq/internal/peer"
+	"arq/internal/peer/flat"
 	"arq/internal/routing"
 	"arq/internal/stats"
 )
@@ -151,7 +155,7 @@ func runArm(prefix string, cfg Config, staleObs int) []Phase {
 	acfg.PublishEvery = 1 << 30 // stalled: snapshots move only on PublishNow
 	acfg.StaleObs = staleObs
 	assocs := make([]*routing.Assoc, cfg.Nodes)
-	e := peer.NewEngine(g, model, func(u int) peer.Router {
+	e := flat.NewEngine(g, model, func(u int) peer.Router {
 		assocs[u] = routing.NewAssoc(acfg)
 		return assocs[u]
 	})
@@ -243,4 +247,24 @@ func (r *Result) Format() string {
 		}
 	}
 	return b.String()
+}
+
+// Report runs the whole drill `arqnet -chaos` prints — the soak, the
+// DropRing shed drill, and the process-recovery A/B at the soak's seed,
+// size, warm-up and TTL — writing each part to w as it completes. The
+// bytes are a pure function of cfg; testdata/soak_golden.txt freezes
+// them for one config.
+func Report(w io.Writer, cfg Config) error {
+	res := Soak(cfg)
+	fmt.Fprint(w, res.Format())
+	fmt.Fprintln(w, "shed drill:")
+	for _, d := range ShedDrill(cfg.Seed, 4096) {
+		fmt.Fprintf(w, "  %-40s %+d\n", d.Name, d.Delta)
+	}
+	rec, err := RunRecovery(RecoveryConfig{Seed: cfg.Seed, Nodes: cfg.Nodes, Warm: cfg.Warm, TTL: cfg.TTL})
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprint(w, rec.Format())
+	return err
 }

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"bytes"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -19,6 +21,25 @@ func TestSoakDeterministic(t *testing.T) {
 	b := Soak(testConfig())
 	if af, bf := a.Format(), b.Format(); af != bf {
 		t.Fatalf("identical seeds produced different soaks:\n--- a ---\n%s--- b ---\n%s", af, bf)
+	}
+}
+
+// The whole `arqnet -chaos` report for one config, frozen. The file was
+// written by the map-based peer.Engine (the commit before the harness
+// moved to flat.Engine), so equality here is the end-to-end form of the
+// faulted engine golden: same faults, same learning, same counters. The
+// CI chaos-smoke job compares the CLI's output against the same file.
+func TestSoakGolden(t *testing.T) {
+	var got bytes.Buffer
+	if err := Report(&got, Config{Seed: 42, Nodes: 150, Warm: 1500, Queries: 300, TTL: 6}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/soak_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("soak report drifted from testdata/soak_golden.txt:\n%s", got.String())
 	}
 }
 

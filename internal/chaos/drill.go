@@ -9,10 +9,10 @@ import (
 )
 
 // Shed-drill instruments: a deterministic, single-goroutine exercise of
-// every stream.DropRing shedding policy. The actor engine's own sheds
-// (peer.actor.shed_*) depend on goroutine scheduling and are excluded
-// from the determinism contract; this drill is the seeded, reproducible
-// stand-in the chaos smoke test diffs.
+// every stream.DropRing shedding policy. The sheds of a live transport
+// outbox depend on goroutine scheduling and socket timing and are
+// outside the determinism contract; this drill is the seeded,
+// reproducible stand-in the chaos smoke test diffs.
 var (
 	mDrillOps             = obsv.GetCounter("chaos.drill.ops")
 	mDrillEvictions       = obsv.GetCounter("chaos.drill.evictions")

@@ -33,6 +33,7 @@ import (
 	"arq/internal/core"
 	"arq/internal/overlay"
 	"arq/internal/peer"
+	"arq/internal/peer/flat"
 	"arq/internal/routing"
 	"arq/internal/stats"
 )
@@ -145,7 +146,7 @@ func recoveryArm(name string, cfg RecoveryConfig) (RecoveryArm, error) {
 	acfg := routing.DefaultAssocConfig()
 	acfg.Strict = true // paper deployment: drop uncovered, origin reissues
 	assocs := make([]*routing.Assoc, cfg.Nodes)
-	e := peer.NewEngine(g, model, func(u int) peer.Router {
+	e := flat.NewEngine(g, model, func(u int) peer.Router {
 		assocs[u] = routing.NewAssoc(acfg)
 		return assocs[u]
 	})

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -147,49 +145,5 @@ func TestSlidingExtNames(t *testing.T) {
 		if got := (&SlidingExt{Opts: opts}).Name(); got != want {
 			t.Fatalf("name for %+v = %q, want %q", opts, got, want)
 		}
-	}
-}
-
-func TestRuleSetSaveLoadRoundTrip(t *testing.T) {
-	block := trace.Block{
-		ipair(1, 1, 10, 0), ipair(2, 1, 10, 0),
-		ipair(3, 2, 20, 0), ipair(4, 2, 20, 0), ipair(5, 2, 21, 0), ipair(6, 2, 21, 0),
-	}
-	rs := GenerateRuleSet(block, 2)
-	var buf bytes.Buffer
-	if err := rs.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadRuleSet(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != rs.Len() {
-		t.Fatalf("loaded %d rules, want %d", loaded.Len(), rs.Len())
-	}
-	a, b := rs.Rules(), loaded.Rules()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("rule %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestLoadRuleSetRejectsGarbage(t *testing.T) {
-	if _, err := LoadRuleSet(strings.NewReader("not json\n")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := LoadRuleSet(strings.NewReader(`{"ante":1,"cons":2,"sup":0}` + "\n")); err == nil {
-		t.Fatal("non-positive support accepted")
-	}
-}
-
-func TestLoadRuleSetEmptyAndBlankLines(t *testing.T) {
-	rs, err := LoadRuleSet(strings.NewReader("\n\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Len() != 0 {
-		t.Fatalf("rules = %d", rs.Len())
 	}
 }

@@ -1,16 +1,17 @@
 // Package fault is the deterministic fault-injection layer for the
 // network stacks: per-edge message drop, duplication, delay/reorder,
 // GUID corruption, and per-node crash-and-restart churn plus slow-peer
-// stalls. The engines in internal/peer and the live servent in
-// internal/vantage consult an Injector at every message handoff; a nil
-// Injector is the lossless fast path and leaves their behaviour exactly
-// as before (pinned by the golden and reference-equivalence tests).
+// stalls. The query engine (internal/peer/flat, and its oracle in
+// internal/peer) and the live servent in internal/vantage consult an
+// Injector at every message handoff; a nil Injector is the lossless fast
+// path and leaves their behaviour exactly as before (pinned by the
+// golden and reference-equivalence tests).
 //
 // Every decision a Seeded injector makes is a pure hash of (seed, fault
 // kind, edge or node, per-edge ordinal or churn epoch). Each edge's
 // fault sequence is therefore a function of that edge's own send order
-// only: the sequential Engine gets globally reproducible runs, and the
-// concurrent ActorNet gets per-edge reproducibility regardless of
+// only: the sequential engines get globally reproducible runs, and a
+// concurrent servent mesh gets per-edge reproducibility regardless of
 // goroutine interleaving.
 package fault
 
@@ -34,10 +35,10 @@ type Fate struct {
 	// its hits. The simulator engines have no wire encoding and treat
 	// Corrupt as Duplicate.
 	Corrupt bool
-	// Delay postpones delivery by that many delivery steps (sequential
-	// engine: messages issued later overtake it — reordering) or
-	// step-units of wall time (actor engine). Slow-peer stalls surface
-	// here too: every send from a stalled peer carries the stall delay.
+	// Delay postpones delivery by that many delivery steps (the engines'
+	// step counter: messages issued later overtake it — reordering).
+	// Slow-peer stalls surface here too: every send from a stalled peer
+	// carries the stall delay.
 	Delay int
 }
 

@@ -1,4 +1,4 @@
-package peer
+package peer_test
 
 import (
 	"reflect"
@@ -7,21 +7,52 @@ import (
 	"arq/internal/content"
 	"arq/internal/fault"
 	"arq/internal/overlay"
+	"arq/internal/peer"
+	"arq/internal/peer/flat"
+	"arq/internal/routing"
 	"arq/internal/stats"
+	"arq/internal/trace"
 )
+
+// faultEngine is what the fault tests need of an engine.
+type faultEngine interface {
+	peer.QueryEngine
+	Workload(rng *stats.RNG, nQueries, ttl int) []peer.Stats
+}
+
+// mkFaultEngine builds a flood engine with inj installed (nil leaves
+// the network perfect).
+type mkFaultEngine func(g *overlay.Graph, m *content.Model, inj fault.Injector) faultEngine
+
+// faultEngines is the table every test below runs over: the production
+// engine and the oracle it is pinned to.
+var faultEngines = []struct {
+	name string
+	mk   mkFaultEngine
+}{
+	{"flat", func(g *overlay.Graph, m *content.Model, inj fault.Injector) faultEngine {
+		e := flat.NewEngine(g, m, func(u int) peer.Router { return routing.Flood{} })
+		e.Fault = inj
+		return e
+	}},
+	{"oracle", func(g *overlay.Graph, m *content.Model, inj fault.Injector) faultEngine {
+		e := peer.NewEngine(g, m, func(u int) peer.Router { return routing.Flood{} })
+		e.Fault = inj
+		return e
+	}},
+}
 
 // faultWorkload runs one seeded flood workload on a fresh engine with
 // the given injector config and returns the per-query stats.
-func faultWorkload(t *testing.T, seed uint64, cfg *fault.Config) []Stats {
-	t.Helper()
+func faultWorkload(mk mkFaultEngine, seed uint64, cfg *fault.Config) []peer.Stats {
 	rng := stats.NewRNG(seed)
 	g := overlay.GnutellaLike(rng, 200)
 	m := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
-	e := NewEngine(g, m, func(u int) Router { return floodRouter{} })
+	var inj fault.Injector
 	if cfg != nil {
-		e.Fault = fault.NewSeeded(*cfg)
+		inj = fault.NewSeeded(*cfg)
 	}
-	return e.Workload(stats.NewRNG(seed+1), 200, 6)
+	return mk(g, m, inj).Workload(stats.NewRNG(seed+1), 200, 6)
 }
 
 // Identical seeds must give byte-identical stats series under injected
@@ -29,10 +60,12 @@ func faultWorkload(t *testing.T, seed uint64, cfg *fault.Config) []Stats {
 func TestEngineFaultsDeterministic(t *testing.T) {
 	cfg := fault.Config{Seed: 17, Drop: 0.1, Duplicate: 0.05, Delay: 0.2, MaxDelay: 4,
 		Crash: 0.1, Slow: 0.1, EpochEvery: 16}
-	a := faultWorkload(t, 5, &cfg)
-	b := faultWorkload(t, 5, &cfg)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("identical seeds produced different stats under faults")
+	for _, eng := range faultEngines {
+		a := faultWorkload(eng.mk, 5, &cfg)
+		b := faultWorkload(eng.mk, 5, &cfg)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: identical seeds produced different stats under faults", eng.name)
+		}
 	}
 }
 
@@ -40,29 +73,31 @@ func TestEngineFaultsDeterministic(t *testing.T) {
 // successes and fewer nodes reached than the clean run. A zero-config
 // injector must change nothing at all versus Fault == nil.
 func TestEngineFaultsDegradeAndZeroConfigIsExact(t *testing.T) {
-	clean := faultWorkload(t, 5, nil)
-	zero := faultWorkload(t, 5, &fault.Config{Seed: 17})
-	if !reflect.DeepEqual(clean, zero) {
-		t.Fatal("zero-config injector diverged from nil injector")
-	}
-
-	lossy := faultWorkload(t, 5, &fault.Config{Seed: 17, Drop: 0.3, Crash: 0.2, EpochEvery: 16})
-	sum := func(all []Stats) (succ int, reached int) {
-		for _, s := range all {
-			if s.Found {
-				succ++
-			}
-			reached += s.NodesReached
+	for _, eng := range faultEngines {
+		clean := faultWorkload(eng.mk, 5, nil)
+		zero := faultWorkload(eng.mk, 5, &fault.Config{Seed: 17})
+		if !reflect.DeepEqual(clean, zero) {
+			t.Fatalf("%s: zero-config injector diverged from nil injector", eng.name)
 		}
-		return
-	}
-	cs, cr := sum(clean)
-	ls, lr := sum(lossy)
-	if ls >= cs {
-		t.Fatalf("success did not degrade under loss+churn: clean %d, lossy %d", cs, ls)
-	}
-	if lr >= cr {
-		t.Fatalf("reach did not degrade under loss+churn: clean %d, lossy %d", cr, lr)
+
+		lossy := faultWorkload(eng.mk, 5, &fault.Config{Seed: 17, Drop: 0.3, Crash: 0.2, EpochEvery: 16})
+		sum := func(all []peer.Stats) (succ int, reached int) {
+			for _, s := range all {
+				if s.Found {
+					succ++
+				}
+				reached += s.NodesReached
+			}
+			return
+		}
+		cs, cr := sum(clean)
+		ls, lr := sum(lossy)
+		if ls >= cs {
+			t.Fatalf("%s: success did not degrade under loss+churn: clean %d, lossy %d", eng.name, cs, ls)
+		}
+		if lr >= cr {
+			t.Fatalf("%s: reach did not degrade under loss+churn: clean %d, lossy %d", eng.name, cr, lr)
+		}
 	}
 }
 
@@ -73,54 +108,24 @@ func TestEngineFaultsDegradeAndZeroConfigIsExact(t *testing.T) {
 // severs exactly the hit's way home: the content still matches
 // (Hits = 1) but the query must not be Found.
 func TestEngineHitLossIsNotFound(t *testing.T) {
-	g := lineGraph(6)
-	m := modelHosting(6, 4)
-	e := floodEngine(g, m)
-	e.Fault = downhillDropInjector{}
-	st := e.RunQuery(0, 0, 8)
-	if st.Hits != 1 {
-		t.Fatalf("content did not match: %+v", st)
+	g := overlay.NewGraph(6)
+	for i := 1; i < 6; i++ {
+		g.AddEdge(i-1, i)
 	}
-	if st.Found {
-		t.Fatalf("query Found although the hit's reverse path was severed: %+v", st)
-	}
-
-	// Same topology, no faults: the identical query is Found.
-	e2 := floodEngine(g, m)
-	if st := e2.RunQuery(0, 0, 8); !st.Found {
-		t.Fatalf("clean control query not Found: %+v", st)
-	}
-}
-
-// The actor engine takes the same injector: queries must terminate
-// under loss and churn (dropped messages settle their in-flight count)
-// and success must degrade versus a clean run. Run with -race in CI.
-func TestActorFaultsTerminateAndDegrade(t *testing.T) {
-	rng := stats.NewRNG(13)
-	g := overlay.GnutellaLike(rng, 150)
-	m := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
-	run := func(inj fault.Injector) []Stats {
-		a := NewActorNetWith(g, m, func(u int) Router { return floodRouter{} },
-			ActorConfig{Fault: inj})
-		defer a.Close()
-		return a.Workload(stats.NewRNG(14), 150, 6, 4)
-	}
-	succ := func(all []Stats) int {
-		n := 0
-		for _, s := range all {
-			if s.Found {
-				n++
-			}
+	m := content.Explicit(6, 4, map[int][]trace.InterestID{4: {0}})
+	for _, eng := range faultEngines {
+		st := eng.mk(g, m, downhillDropInjector{}).RunQuery(0, 0, 8)
+		if st.Hits != 1 {
+			t.Fatalf("%s: content did not match: %+v", eng.name, st)
 		}
-		return n
-	}
-	clean := succ(run(nil))
-	lossy := succ(run(fault.NewSeeded(fault.Config{Seed: 3, Drop: 0.3, Crash: 0.2, EpochEvery: 16})))
-	if clean == 0 {
-		t.Fatal("clean workload found nothing; test proves nothing")
-	}
-	if lossy >= clean {
-		t.Fatalf("success did not degrade on the actor engine: clean %d, lossy %d", clean, lossy)
+		if st.Found {
+			t.Fatalf("%s: query Found although the hit's reverse path was severed: %+v", eng.name, st)
+		}
+
+		// Same topology, no faults: the identical query is Found.
+		if st := eng.mk(g, m, nil).RunQuery(0, 0, 8); !st.Found {
+			t.Fatalf("%s: clean control query not Found: %+v", eng.name, st)
+		}
 	}
 }
 

@@ -7,12 +7,10 @@ import (
 )
 
 // This file is the engine-independent query lifecycle: the per-delivery
-// evaluation rules and the workload draw order that every engine — the
-// sequential map-based Engine, the goroutine-per-peer ActorNet, and the
-// struct-of-arrays engine in peer/flat — must agree on. Each engine used
-// to carry its own copy of these decisions inline; extracting them here
-// is what lets the small-N golden tests pin all engines to identical
-// per-query stats.
+// evaluation rules and the workload draw order that the engine in
+// peer/flat and the map-based oracle Engine must agree on. Each used to
+// carry its own copy of these decisions inline; extracting them here is
+// what lets the golden tests pin them to identical per-query stats.
 
 // StopRule selects how a top-k query stops propagating once its result
 // budget fills (Akbarinia et al.: stop after the best k answers instead
@@ -50,7 +48,7 @@ type QuerySpec struct {
 
 // DeliveryOutcome is the fate of one query copy arriving at a node,
 // decided by rules shared across all engines. The engine owns transport
-// (queues, channels, frontiers) and bookkeeping state; the outcome tells
+// (queues, frontiers) and bookkeeping state; the outcome tells
 // it what this delivery means.
 type DeliveryOutcome struct {
 	// Duplicate: flood-mode duplicate suppression fired — count it and
@@ -152,8 +150,8 @@ type WorkloadJob struct {
 }
 
 // DrawWorkload pre-draws nQueries jobs from rng in the canonical order
-// (origin, then category, per query). Every workload driver — sequential
-// engines, the actor net, and driver-level search strategies — draws
+// (origin, then category, per query). Every workload driver — the
+// engines' Workload methods and driver-level search strategies — draws
 // through this one function, so a fixed seed yields the same
 // (origin, category) list regardless of which engine replays it.
 func DrawWorkload(rng *stats.RNG, m *content.Model, n, nQueries int) []WorkloadJob {
@@ -190,10 +188,9 @@ type Broadcaster interface {
 }
 
 // QueryEngine is the sequential query-execution surface shared by the
-// map-based Engine and the flat struct-of-arrays engine (peer/flat):
+// flat struct-of-arrays engine (peer/flat) and the oracle Engine:
 // driver-level search strategies (internal/routing) and workload drivers
-// are written against it, so every strategy runs unchanged on either
-// engine.
+// are written against it, so every strategy runs unchanged on either.
 type QueryEngine interface {
 	// Nodes returns the overlay size.
 	Nodes() int
@@ -212,11 +209,11 @@ type QueryEngine interface {
 
 // DynamicEngine is the dynamics surface of an engine: the notifications
 // a scenario runner issues after mutating the shared graph or content
-// model between queries (churn, content shocks). The map-based Engine
-// and ActorNet read the live structures, so their patch notifications
-// are no-ops; the flat engine snapshots adjacency into a CSR and
-// hosting into a bitset at construction, and applies these as
-// epoch-versioned patches. Never call while a query is in flight.
+// model between queries (churn, content shocks). The flat engine
+// snapshots adjacency into a CSR and hosting into a bitset at
+// construction, and applies these as epoch-versioned patches; the oracle
+// Engine reads the live structures, so its patch notifications are
+// no-ops. Never call while a query is in flight.
 type DynamicEngine interface {
 	QueryEngine
 	// NeighborsChanged installs row as node u's current adjacency. The

@@ -1,7 +1,8 @@
-// Package flat is the struct-of-arrays query engine: the third engine
-// over the shared peer node/router model, built to run million-node
-// overlays that the map-based peer.Engine and the goroutine-per-peer
-// peer.ActorNet cannot reach.
+// Package flat is the query engine: the struct-of-arrays simulator over
+// the peer node/router model that every command, example, drill and
+// benchmark runs on, from 150-node chaos soaks to million-node floods.
+// The map-based peer.Engine it grew out of survives only as the oracle
+// its goldens compare against.
 //
 // Layout over behavior: peers are indices into dense slices, adjacency
 // is an overlay.CSR snapshot (one contiguous column array, sequential
@@ -16,14 +17,18 @@
 // goes through peer.EvalDelivery, frontier-swap order equals
 // peer.Engine's FIFO order (FIFO from a single depth-0 injection IS
 // strict BFS depth order — processing depth d only appends depth d+1),
-// and router construction order matches peer.NewEngine. The golden test
-// in this package holds per-query stats byte-identical to peer.Engine
-// for all strategies under the same seed. The engine models a perfect
-// network only — fault injection stays with the two small engines.
+// and router construction order matches the oracle's constructor. The
+// golden tests in this package hold per-query stats byte-identical to
+// peer.Engine for all strategies under the same seed, on a perfect
+// network (TestEngineGolden) and under a full fault mix
+// (TestEngineFaultedGolden). Fault injection is Engine.Fault: when set,
+// queries leave the frontier loops for the step-counter loop in
+// faulted.go.
 package flat
 
 import (
 	"arq/internal/content"
+	"arq/internal/fault"
 	"arq/internal/overlay"
 	"arq/internal/peer"
 	"arq/internal/stats"
@@ -115,6 +120,19 @@ type Engine struct {
 	pfSink uint64
 
 	nextID peer.QueryID
+
+	// Fault, when non-nil, injects message and node faults (see
+	// internal/fault): forwards may be dropped, duplicated, or delayed
+	// (delivered out of BFS order), crashed nodes discard deliveries,
+	// and a hit only counts as Found if it survives the reverse path to
+	// the origin. Queries then run the step-counter loop in faulted.go,
+	// record for record equal to peer.Engine under the same injector.
+	// nil is a perfect network: the frontier loops below, untouched.
+	Fault fault.Injector
+	// fqueue and fdelayed are the faulted loop's FIFO and delay heap,
+	// reused across queries.
+	fqueue   []fmsg
+	fdelayed delayHeap
 }
 
 // prefetchDist is the base lookahead of the delivery loops: how many
@@ -129,9 +147,9 @@ type Engine struct {
 const prefetchDist = 16
 
 // NewEngine snapshots g into a CSR and builds one router per node via
-// factory, in node order — the same construction order as
-// peer.NewEngine, so stateful factories (split RNGs, shared tables)
-// produce identical routers on either engine.
+// factory, in node order — the same construction order as the oracle
+// (peer.Engine), so stateful factories (split RNGs, shared tables)
+// produce identical routers on either.
 func NewEngine(g *overlay.Graph, m *content.Model, factory func(u int) peer.Router) *Engine {
 	n := g.N()
 	words := (n + 63) / 64
@@ -283,6 +301,11 @@ func (e *Engine) RunQuerySpec(origin int, category trace.InterestID, spec peer.Q
 	org := int32(origin)
 
 	walk := e.routers[origin].Walk()
+	if e.Fault != nil {
+		e.runFaulted(org, hb, walk, meta, spec, &st)
+		peer.RecordQuery(&st)
+		return st
+	}
 	if e.allBcast && !walk && spec.TopK == 0 {
 		e.runFlood(org, hb, ttl, meta, &st)
 		peer.RecordQuery(&st)
@@ -481,7 +504,7 @@ func (e *Engine) propagateHit(meta peer.Meta, u, upstreamAtU int32, st *peer.Sta
 
 // Workload drives nQueries random queries through the engine, drawing
 // origins and categories in the canonical order (peer.DrawWorkload) so
-// a fixed seed yields the same query list as the other engines.
+// a fixed seed yields the same query list as the oracle.
 func (e *Engine) Workload(rng *stats.RNG, nQueries, ttl int) []peer.Stats {
 	out := make([]peer.Stats, 0, nQueries)
 	for _, j := range peer.DrawWorkload(rng, e.content, e.Nodes(), nQueries) {

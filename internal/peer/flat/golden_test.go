@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"arq/internal/content"
+	"arq/internal/fault"
 	"arq/internal/overlay"
 	"arq/internal/peer"
 	"arq/internal/peer/flat"
@@ -19,7 +20,7 @@ import (
 	"arq/internal/stats"
 )
 
-var update = flag.Bool("update", false, "rewrite the engine equivalence golden file")
+var update = flag.Bool("update", false, "rewrite the engine equivalence golden files")
 
 // The golden pins per-query stats for all seven strategies at N=500:
 // the flat engine must match peer.Engine exactly, query by query, and
@@ -57,39 +58,39 @@ func toRec(s peer.Stats) qrec {
 // the same behavior whichever engine implementation backs it.
 type strategy struct {
 	name  string
-	build func(mk func(factory func(u int) peer.Router) peer.QueryEngine) (routing.Searcher, peer.QueryEngine)
+	build func(mk mkEngine) (routing.Searcher, peer.QueryEngine)
 	warm  bool
 }
 
 func strategies(g *overlay.Graph, model *content.Model) []strategy {
 	return []strategy{
-		{"flood", func(mk func(func(u int) peer.Router) peer.QueryEngine) (routing.Searcher, peer.QueryEngine) {
+		{"flood", func(mk mkEngine) (routing.Searcher, peer.QueryEngine) {
 			e := mk(func(u int) peer.Router { return routing.Flood{} })
 			return &routing.OneShot{Label: "flood", E: e, TTL: goldenTTL}, e
 		}, false},
-		{"expanding-ring", func(mk func(func(u int) peer.Router) peer.QueryEngine) (routing.Searcher, peer.QueryEngine) {
+		{"expanding-ring", func(mk mkEngine) (routing.Searcher, peer.QueryEngine) {
 			e := mk(func(u int) peer.Router { return routing.Flood{} })
 			return &routing.ExpandingRing{E: e, Start: 1, Step: 2, Max: goldenTTL}, e
 		}, false},
-		{"kwalk-16", func(mk func(func(u int) peer.Router) peer.QueryEngine) (routing.Searcher, peer.QueryEngine) {
+		{"kwalk-16", func(mk mkEngine) (routing.Searcher, peer.QueryEngine) {
 			wrng := stats.NewRNG(goldenSeed + 200)
 			e := mk(func(u int) peer.Router { return &routing.RandomWalk{K: 16, RNG: wrng.Split()} })
 			return &routing.OneShot{Label: "kwalk", E: e, TTL: 64}, e
 		}, false},
-		{"routing-index", func(mk func(func(u int) peer.Router) peer.QueryEngine) (routing.Searcher, peer.QueryEngine) {
+		{"routing-index", func(mk mkEngine) (routing.Searcher, peer.QueryEngine) {
 			idx := routing.BuildRoutingIndices(g, model.HostedCategories, 4, 2)
 			e := mk(func(u int) peer.Router { return idx[u] })
 			return &routing.OneShot{Label: "ri", E: e, TTL: goldenTTL}, e
 		}, false},
-		{"interest-shortcuts", func(mk func(func(u int) peer.Router) peer.QueryEngine) (routing.Searcher, peer.QueryEngine) {
+		{"interest-shortcuts", func(mk mkEngine) (routing.Searcher, peer.QueryEngine) {
 			e := mk(func(u int) peer.Router { return routing.Flood{} })
 			return routing.NewShortcuts(e, goldenTTL, 5, 10), e
 		}, true},
-		{"assoc", func(mk func(func(u int) peer.Router) peer.QueryEngine) (routing.Searcher, peer.QueryEngine) {
+		{"assoc", func(mk mkEngine) (routing.Searcher, peer.QueryEngine) {
 			e := mk(func(u int) peer.Router { return routing.NewAssoc(routing.DefaultAssocConfig()) })
 			return &routing.OneShot{Label: "assoc", E: e, TTL: goldenTTL}, e
 		}, true},
-		{"assoc-two-phase", func(mk func(func(u int) peer.Router) peer.QueryEngine) (routing.Searcher, peer.QueryEngine) {
+		{"assoc-two-phase", func(mk mkEngine) (routing.Searcher, peer.QueryEngine) {
 			cfg := routing.DefaultAssocConfig()
 			cfg.Strict = true
 			e := mk(func(u int) peer.Router { return routing.NewAssoc(cfg) })
@@ -100,7 +101,7 @@ func strategies(g *overlay.Graph, model *content.Model) []strategy {
 
 // runStrategy drives one strategy's warm-up and measured workload on the
 // given engine implementation and returns per-query records.
-func runStrategy(st strategy, mk func(factory func(u int) peer.Router) peer.QueryEngine) []qrec {
+func runStrategy(st strategy, mk mkEngine) []qrec {
 	s, e := st.build(mk)
 	if st.warm {
 		routing.RunWorkload(stats.NewRNG(goldenSeed+5), s, e, goldenWarm)
@@ -113,44 +114,74 @@ func runStrategy(st strategy, mk func(factory func(u int) peer.Router) peer.Quer
 	return out
 }
 
-// runAll runs every strategy on both engines with the given worker
-// count, asserts seq/flat equality per query, and returns the canonical
-// golden bytes.
-func runAll(t *testing.T, workers int) []byte {
+// mkEngine builds one engine for a strategy's router factory.
+type mkEngine = func(factory func(u int) peer.Router) peer.QueryEngine
+
+// pairing is one row of an equivalence run: a strategy, the engine whose
+// records are the reference (and go into the golden bytes), and the
+// engine that must reproduce them query for query.
+type pairing struct {
+	st       strategy
+	ref, got mkEngine
+}
+
+// oracleWith builds peer.Engine (the oracle) and flatWith flat.Engine,
+// each engine under its own fault.NewSeeded(*cfg) — or on a perfect
+// network when cfg is nil.
+func oracleWith(g *overlay.Graph, model *content.Model, cfg *fault.Config) mkEngine {
+	return func(f func(u int) peer.Router) peer.QueryEngine {
+		e := peer.NewEngine(g, model, f)
+		if cfg != nil {
+			e.Fault = fault.NewSeeded(*cfg)
+		}
+		return e
+	}
+}
+
+func flatWith(g *overlay.Graph, model *content.Model, cfg *fault.Config) mkEngine {
+	return func(f func(u int) peer.Router) peer.QueryEngine {
+		e := flat.NewEngine(g, model, f)
+		if cfg != nil {
+			e.Fault = fault.NewSeeded(*cfg)
+		}
+		return e
+	}
+}
+
+// runAll builds the golden overlay, runs every row's strategy on both of
+// its engines with the given worker count, asserts equality per query,
+// and returns the canonical golden bytes.
+func runAll(t *testing.T, workers int, rows func(g *overlay.Graph, model *content.Model) []pairing) []byte {
 	t.Helper()
 	rng := stats.NewRNG(goldenSeed + 100)
 	g := overlay.GnutellaLike(rng, goldenN)
 	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
 
-	strats := strategies(g, model)
+	pairs := rows(g, model)
 	recs := make([]struct {
 		Name    string `json:"name"`
 		Queries []qrec `json:"queries"`
-	}, len(strats))
+	}, len(pairs))
 
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
-	for i, st := range strats {
+	for i, p := range pairs {
 		wg.Add(1)
-		go func(i int, st strategy) {
+		go func(i int, p pairing) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			seq := runStrategy(st, func(f func(u int) peer.Router) peer.QueryEngine {
-				return peer.NewEngine(g, model, f)
-			})
-			fl := runStrategy(st, func(f func(u int) peer.Router) peer.QueryEngine {
-				return flat.NewEngine(g, model, f)
-			})
-			for q := range seq {
-				if !recEqual(seq[q], fl[q]) {
-					t.Errorf("%s query %d: peer.Engine %+v != flat.Engine %+v", st.name, q, seq[q], fl[q])
+			ref := runStrategy(p.st, p.ref)
+			got := runStrategy(p.st, p.got)
+			for q := range ref {
+				if !recEqual(ref[q], got[q]) {
+					t.Errorf("%s query %d: reference %+v != engine under test %+v", p.st.name, q, ref[q], got[q])
 					return
 				}
 			}
-			recs[i].Name = st.name
-			recs[i].Queries = seq
-		}(i, st)
+			recs[i].Name = p.st.name
+			recs[i].Queries = ref
+		}(i, p)
 	}
 	wg.Wait()
 	if t.Failed() {
@@ -178,19 +209,22 @@ func recEqual(a, b qrec) bool {
 	return true
 }
 
-func TestEngineGolden(t *testing.T) {
+// checkGolden runs rows at worker counts 1 and 4, requires equal bytes,
+// and compares them with (or, under -update, rewrites) the gzipped file.
+func checkGolden(t *testing.T, name string, rows func(g *overlay.Graph, model *content.Model) []pairing) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("golden equivalence run is not short")
 	}
-	seqRun := runAll(t, 1)
-	fanRun := runAll(t, 4)
+	seqRun := runAll(t, 1, rows)
+	fanRun := runAll(t, 4, rows)
 	if !bytes.Equal(seqRun, fanRun) {
 		t.Fatal("golden bytes differ between worker counts 1 and 4")
 	}
 
 	// The golden is stored gzipped (the JSON is ~32k lines); comparison
 	// happens on the decompressed bytes, and -update rewrites the .gz.
-	path := filepath.Join("testdata", "engine_golden.json.gz")
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -230,6 +264,58 @@ func TestEngineGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(seqRun, want) {
-		t.Fatalf("engine golden drifted: got %d bytes, want %d; rerun with -update and inspect the diff", len(seqRun), len(want))
+		t.Fatalf("%s drifted: got %d bytes, want %d; rerun with -update and inspect the diff", name, len(seqRun), len(want))
 	}
+}
+
+func TestEngineGolden(t *testing.T) {
+	checkGolden(t, "engine_golden.json.gz", func(g *overlay.Graph, model *content.Model) []pairing {
+		oracle, fl := oracleWith(g, model, nil), flatWith(g, model, nil)
+		var rows []pairing
+		for _, st := range strategies(g, model) {
+			rows = append(rows, pairing{st, oracle, fl})
+		}
+		return rows
+	})
+}
+
+// goldenFaults is the full mix: every fault kind the injector has, with
+// delays long enough (MaxDelay > 1, plus slow-peer stalls) that delayed
+// copies are overtaken by several later ones.
+var goldenFaults = fault.Config{Seed: goldenSeed + 300, Drop: 0.1, Duplicate: 0.05, Corrupt: 0.02,
+	Delay: 0.2, MaxDelay: 6, Crash: 0.1, Slow: 0.1, EpochEvery: 16}
+
+// TestEngineFaultedGolden pins fault injection on the production engine
+// to the oracle's: all seven strategies, plus top-k under both stop
+// rules, each engine under its own identically seeded injector, must
+// agree per query and with the committed bytes. The last row pins the
+// faulted loop against the flood fast path it bypasses: a zero-config
+// injector must change nothing versus Fault == nil.
+// Regenerate with: go test ./internal/peer/flat -run TestEngineFaultedGolden -update
+func TestEngineFaultedGolden(t *testing.T) {
+	checkGolden(t, "engine_faulted_golden.json.gz", func(g *overlay.Graph, model *content.Model) []pairing {
+		oracle, fl := oracleWith(g, model, &goldenFaults), flatWith(g, model, &goldenFaults)
+		var rows []pairing
+		for _, st := range strategies(g, model) {
+			rows = append(rows, pairing{st, oracle, fl})
+		}
+		// Top-k under faults: a flood, where the budget fills with many
+		// copies still in flight to absorb, and the learned router, where
+		// each hit prunes its subtree.
+		topK := func(name string, stop peer.StopRule, router func(u int) peer.Router, warm bool) strategy {
+			return strategy{name, func(mk mkEngine) (routing.Searcher, peer.QueryEngine) {
+				e := mk(router)
+				return &routing.OneShot{Label: name, E: e, TTL: goldenTTL, TopK: 3, Stop: stop}, e
+			}, warm}
+		}
+		rows = append(rows,
+			pairing{topK("flood-top3-absorb", peer.StopAbsorb,
+				func(u int) peer.Router { return routing.Flood{} }, false), oracle, fl},
+			pairing{topK("assoc-top3-stop-at-hit", peer.StopAtHit,
+				func(u int) peer.Router { return routing.NewAssoc(routing.DefaultAssocConfig()) }, true), oracle, fl})
+
+		flood := strategies(g, model)[0]
+		flood.name = "flood-zero-config-vs-nil"
+		return append(rows, pairing{flood, flatWith(g, model, nil), flatWith(g, model, &fault.Config{})})
+	})
 }

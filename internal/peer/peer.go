@@ -4,16 +4,14 @@
 // path, and pluggable per-node routers (flooding, random walks, and the
 // paper's association-rule router live in internal/routing).
 //
-// Two engines share the same node/router model:
-//
-//   - Engine is a deterministic sequential discrete-event simulator, used
-//     by the benchmarks so results are exactly reproducible.
-//   - ActorNet (actor.go) runs one goroutine per peer with channel
-//     inboxes, exercising the same routers under real concurrency.
-//
-// For flooding with TTL at least the graph diameter, both engines produce
-// identical message counts — each reached node forwards exactly once —
-// which the integration tests exploit.
+// The package holds the model every engine shares — Router, Meta, Stats,
+// QuerySpec and the per-delivery rules in eval.go — and Engine, the
+// map-based deterministic sequential simulator. Engine is the reference
+// oracle: the engine that ships is peer/flat, and its goldens (perfect
+// network, full fault mix, live churn) and sim's net tests hold it to
+// this one record for record. Nothing outside a _test.go file constructs
+// an Engine (CI greps for it), so it is kept small and obvious rather
+// than fast.
 package peer
 
 import (
@@ -27,9 +25,9 @@ import (
 	"arq/internal/trace"
 )
 
-// Observability instruments shared by both engines (sequential Engine and
-// concurrent ActorNet). Counts are recorded once per completed query from
-// its final Stats — the per-delivery hot loops stay untouched.
+// Observability instruments shared by the engines (Engine here and
+// peer/flat). Counts are recorded once per completed query from its
+// final Stats — the per-delivery hot loops stay untouched.
 var (
 	mQueries    = obsv.GetCounter("peer.queries")
 	mFound      = obsv.GetCounter("peer.queries_found")
@@ -74,13 +72,12 @@ type Meta struct {
 const NoUpstream = -1
 
 // Router decides, per node, which neighbors a query is forwarded to.
-// Implementations may keep per-node learning state. The engines call a
-// given node's router from one goroutine at a time — in ActorNet each
-// node's goroutine is the sole caller, even with many queries in flight —
-// but distinct nodes' routers run concurrently, so any state shared
-// across routers (a common rule table, a snapshot publisher) must make
-// Route safe for concurrent readers and serialize learning internally,
-// as routing.Assoc does via its learn/serve split.
+// Implementations may keep per-node learning state. The engines are
+// sequential and call routers from one goroutine; a deployed servent is
+// not (connection goroutines route while a drainer learns), so a router
+// that is also used there must make Route safe for concurrent readers
+// and serialize learning internally, as routing.Assoc does via its
+// learn/serve split.
 type Router interface {
 	// Name identifies the routing strategy.
 	Name() string
@@ -113,9 +110,10 @@ type Stats struct {
 // Total returns total network messages attributable to the query.
 func (s Stats) Total() int { return s.QueryMessages + s.HitMessages }
 
-// Engine is the deterministic sequential simulator. It owns per-node
-// router instances and replays queries one at a time; learning routers
-// accumulate state across queries exactly as deployed nodes would.
+// Engine is the deterministic sequential simulator kept as the reference
+// oracle for peer/flat. It owns per-node router instances and replays
+// queries one at a time; learning routers accumulate state across
+// queries exactly as deployed nodes would.
 type Engine struct {
 	G       *overlay.Graph
 	Content *content.Model

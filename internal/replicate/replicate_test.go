@@ -6,6 +6,7 @@ import (
 	"arq/internal/content"
 	"arq/internal/overlay"
 	"arq/internal/peer"
+	"arq/internal/peer/flat"
 	"arq/internal/routing"
 	"arq/internal/stats"
 	"arq/internal/trace"
@@ -99,7 +100,7 @@ func TestReplicationImprovesSearch(t *testing.T) {
 	cfg.Categories = 100
 	cfg.FilesPerNode = 2
 	model := content.Build(rng.Split(), 400, cfg)
-	e := peer.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
+	e := flat.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
 	ring := &routing.ExpandingRing{E: e, Start: 1, Step: 2, Max: 9}
 	cache := NewCache(model, Path{}, 4, rng.Split())
 
@@ -119,7 +120,17 @@ func TestReplicationImprovesSearch(t *testing.T) {
 			for h := 0; h < st.FirstHitHops; h++ {
 				path = append(path, wrng.Intn(g.N()))
 			}
+			// Replication changes what nodes host; the engine answers
+			// hosting from its own snapshot, so patch it like any other
+			// content change between queries.
+			old := make([][]trace.InterestID, len(path))
+			for j, u := range path {
+				old[j] = append([]trace.InterestID(nil), model.HostedCategories(u)...)
+			}
 			cache.OnSuccess(origin, path, cat)
+			for j, u := range path {
+				e.HostedChanged(u, old[j], model.HostedCategories(u))
+			}
 		}
 		cost := float64(st.Total())
 		if i < rounds/3 {

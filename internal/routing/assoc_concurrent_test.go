@@ -180,50 +180,6 @@ func TestAssocAdoptShortcutVisibleToConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestAssocActorNetParallelWorkload drives association routers on the
-// concurrent actor network with a parallel workload — the full learn/serve
-// pipeline under real message-passing concurrency. Run under -race this is
-// the end-to-end stress test for the split; the assertions check the
-// workload completed and the routers actually learned rules.
-func TestAssocActorNetParallelWorkload(t *testing.T) {
-	g, m := netFixture(33, 300)
-	for name, policy := range map[string]core.PublishPolicy{
-		"sync":     core.PublishSync,
-		"onchange": core.PublishOnChange,
-	} {
-		t.Run(name, func(t *testing.T) {
-			cfg := DefaultAssocConfig()
-			cfg.Publish = policy
-			routers := make([]*Assoc, g.N())
-			a := peer.NewActorNet(g, m, func(u int) peer.Router {
-				routers[u] = NewAssoc(cfg)
-				return routers[u]
-			})
-			defer a.Close()
-
-			res := a.Workload(stats.NewRNG(5), 400, 6, 8)
-			if len(res) != 400 {
-				t.Fatalf("workload returned %d stats", len(res))
-			}
-			found, rules := 0, 0
-			for _, st := range res {
-				if st.Found {
-					found++
-				}
-			}
-			for _, r := range routers {
-				rules += r.RuleCount()
-			}
-			if found == 0 {
-				t.Fatal("no query succeeded")
-			}
-			if rules == 0 {
-				t.Fatal("no router learned a rule from the workload")
-			}
-		})
-	}
-}
-
 // TestAssocLearnerCallsSerialize drives every call that reads or writes
 // the learner's index — ObserveHit, PublishNow, Restore — from separate
 // goroutines on one default-config router. All of them must go through

@@ -24,7 +24,8 @@ import (
 // across all node instances: how often queries ride rules vs fall back to
 // flooding (the paper's traffic-reduction mechanism vs its safety net),
 // strict-mode drops, and the hit feedback that trains the rules. Shared
-// atomics; routers on distinct nodes record concurrently under ActorNet.
+// atomics: one process can run many routers (every servent of an
+// in-process mesh, every sweep worker's engine) recording concurrently.
 var (
 	mAssocRuleRouted = obsv.GetCounter("routing.assoc.rule_routed")
 	mAssocFallbacks  = obsv.GetCounter("routing.assoc.fallback_flood")

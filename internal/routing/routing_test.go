@@ -6,6 +6,7 @@ import (
 	"arq/internal/content"
 	"arq/internal/overlay"
 	"arq/internal/peer"
+	"arq/internal/peer/flat"
 	"arq/internal/stats"
 	"arq/internal/trace"
 )
@@ -198,8 +199,8 @@ func netFixture(seed uint64, n int) (*overlay.Graph, *content.Model) {
 
 func TestExpandingRingCheaperThanFlood(t *testing.T) {
 	g, m := netFixture(21, 600)
-	ef := peer.NewEngine(g, m, func(u int) peer.Router { return Flood{} })
-	er := peer.NewEngine(g, m, func(u int) peer.Router { return Flood{} })
+	ef := flat.NewEngine(g, m, func(u int) peer.Router { return Flood{} })
+	er := flat.NewEngine(g, m, func(u int) peer.Router { return Flood{} })
 	flood := peer.Summarize(RunWorkload(stats.NewRNG(3), &OneShot{Label: "flood", E: ef, TTL: 7}, ef, 300))
 	ring := peer.Summarize(RunWorkload(stats.NewRNG(3), &ExpandingRing{E: er, Start: 1, Step: 2, Max: 7}, er, 300))
 	if ring.AvgMessages >= flood.AvgMessages {
@@ -214,8 +215,8 @@ func TestExpandingRingCheaperThanFlood(t *testing.T) {
 
 func TestAssocReducesTrafficAtHighSuccess(t *testing.T) {
 	g, m := netFixture(22, 800)
-	ef := peer.NewEngine(g, m, func(u int) peer.Router { return Flood{} })
-	ea := peer.NewEngine(g, m, func(u int) peer.Router { return NewAssoc(DefaultAssocConfig()) })
+	ef := flat.NewEngine(g, m, func(u int) peer.Router { return Flood{} })
+	ea := flat.NewEngine(g, m, func(u int) peer.Router { return NewAssoc(DefaultAssocConfig()) })
 	// Warm the rules, then measure.
 	RunWorkload(stats.NewRNG(4), &OneShot{Label: "assoc", E: ea, TTL: 7}, ea, 4000)
 	flood := peer.Summarize(RunWorkload(stats.NewRNG(5), &OneShot{Label: "flood", E: ef, TTL: 7}, ef, 500))
@@ -231,11 +232,11 @@ func TestAssocReducesTrafficAtHighSuccess(t *testing.T) {
 
 func TestShortcutsLearn(t *testing.T) {
 	g, m := netFixture(23, 600)
-	e := peer.NewEngine(g, m, func(u int) peer.Router { return Flood{} })
+	e := flat.NewEngine(g, m, func(u int) peer.Router { return Flood{} })
 	s := NewShortcuts(e, 7, 5, 10)
 	RunWorkload(stats.NewRNG(6), s, e, 4000)
 	agg := peer.Summarize(RunWorkload(stats.NewRNG(7), s, e, 500))
-	ef := peer.NewEngine(g, m, func(u int) peer.Router { return Flood{} })
+	ef := flat.NewEngine(g, m, func(u int) peer.Router { return Flood{} })
 	flood := peer.Summarize(RunWorkload(stats.NewRNG(7), &OneShot{Label: "flood", E: ef, TTL: 7}, ef, 500))
 	if agg.AvgMessages > 0.5*flood.AvgMessages {
 		t.Fatalf("shortcuts %.0f msgs vs flood %.0f", agg.AvgMessages, flood.AvgMessages)
@@ -249,9 +250,9 @@ func TestAssocTwoPhaseNeverLosesContent(t *testing.T) {
 	g, m := netFixture(24, 500)
 	cfg := DefaultAssocConfig()
 	cfg.Strict = true
-	e := peer.NewEngine(g, m, func(u int) peer.Router { return NewAssoc(cfg) })
+	e := flat.NewEngine(g, m, func(u int) peer.Router { return NewAssoc(cfg) })
 	two := &AssocTwoPhase{E: e, TTL: 7}
-	ef := peer.NewEngine(g, m, func(u int) peer.Router { return Flood{} })
+	ef := flat.NewEngine(g, m, func(u int) peer.Router { return Flood{} })
 	for i := 0; i < 300; i++ {
 		rng := stats.NewRNG(uint64(1000 + i))
 		origin := rng.Intn(g.N())

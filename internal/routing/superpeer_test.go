@@ -5,6 +5,7 @@ import (
 
 	"arq/internal/content"
 	"arq/internal/peer"
+	"arq/internal/peer/flat"
 	"arq/internal/stats"
 	"arq/internal/trace"
 )
@@ -105,7 +106,7 @@ func TestSuperPeerCheaperThanFlatFlood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ef := peer.NewEngine(g, model, func(u int) peer.Router { return Flood{} })
+	ef := flat.NewEngine(g, model, func(u int) peer.Router { return Flood{} })
 	flood := peer.Summarize(RunWorkload(stats.NewRNG(4), &OneShot{Label: "flood", E: ef, TTL: 7}, ef, 300))
 	super := peer.Summarize(runSuperWorkload(stats.NewRNG(4), sp, model, 800, 300))
 	if super.AvgMessages >= flood.AvgMessages/2 {

@@ -16,12 +16,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the churn scenario golden file")
 
-// The churn golden pins all three engines to one dynamic scenario: the
-// sequential engine and the flat engine must agree on every Stats field
-// query by query while peers churn, and the actor net must agree on the
-// schedule-independent envelope. TTL = N with flood routers makes every
-// count purely structural, so even the concurrent actor engine is
-// deterministic here. Regenerate with:
+// The churn golden pins the flat engine to the oracle on one dynamic
+// scenario: peer.Engine, which reads the live graph and content model,
+// and flat.Engine, which patches its snapshots, must agree on every
+// Stats field query by query while peers churn. Regenerate with:
 // go test ./internal/scenario -run TestChurnGolden -update
 const (
 	churnSeed    = 11
@@ -35,7 +33,7 @@ func churnScenario() scenario.Scenario {
 		panic(err)
 	}
 	// Tight epochs so the 120-query run crosses several churn events,
-	// and a TTL that floods the whole overlay (see the envelope note).
+	// and a TTL that floods the whole overlay.
 	sc.Query.TTL = churnN
 	sc.Dynamics.QueriesPerEpoch = 25
 	sc.Dynamics.Period = 1
@@ -84,33 +82,14 @@ func TestChurnGolden(t *testing.T) {
 		s := &routing.OneShot{Label: "flood", E: e, TTL: sc.Query.TTL, TopK: sc.Query.TopK, Stop: sc.Query.Stop}
 		return e, scenario.NewRunner(sc, g, m, e, s, flood)
 	}
-	mkActor := func(sc scenario.Scenario) (peer.QueryEngine, *scenario.Runner) {
-		g, m := sc.Build()
-		a := peer.NewActorNet(g, m, flood)
-		t.Cleanup(a.Close)
-		s := &routing.OneShot{Label: "flood", E: a, TTL: sc.Query.TTL, TopK: sc.Query.TopK, Stop: sc.Query.Stop}
-		return a, scenario.NewRunner(sc, g, m, a, s, flood)
-	}
-
 	seq := runChurn(mkSeq)
 	fl := runChurn(mkFlat)
-	act := runChurn(mkActor)
 
 	recs := make([]qrec, len(seq))
 	for i := range seq {
 		recs[i] = toRec(seq[i])
 		if got := toRec(fl[i]); !recEqual(recs[i], got) {
 			t.Fatalf("query %d: peer.Engine %+v != flat.Engine %+v", i, recs[i], got)
-		}
-		// The actor net's envelope: with TTL = N and flood routers the
-		// counts are structural (schedule-independent); message order —
-		// and with it FirstHitHops, HitMessages, and HitNodes order —
-		// is not.
-		if act[i].Found != seq[i].Found || act[i].Hits != seq[i].Hits ||
-			act[i].QueryMessages != seq[i].QueryMessages ||
-			act[i].Duplicates != seq[i].Duplicates ||
-			act[i].NodesReached != seq[i].NodesReached {
-			t.Fatalf("query %d: actor envelope %+v != seq %+v", i, act[i], seq[i])
 		}
 	}
 

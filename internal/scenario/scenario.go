@@ -2,11 +2,10 @@
 // topology, a content placement (communities, super-peer hubs, free
 // riders, workload roles), the per-query semantics (TTL-exhaust or top-k
 // early termination), and a deterministic dynamics schedule of churn and
-// content shocks. Every engine — the sequential peer.Engine, the
-// goroutine-per-peer peer.ActorNet, and the struct-of-arrays
-// peer/flat.Engine — consumes the same Scenario through the shared
+// content shocks. The engine (peer/flat.Engine) and its oracle
+// (peer.Engine) consume the same Scenario through the shared
 // peer.QueryEngine / peer.DynamicEngine lifecycle, so one description
-// drives them all to identical results.
+// drives both to identical results.
 package scenario
 
 import (

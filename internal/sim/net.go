@@ -10,10 +10,8 @@ import (
 )
 
 // NetEngine is the workload surface a message-level network engine
-// exposes to the sim harness: both peer.Engine and the struct-of-arrays
-// flat.Engine satisfy it, so sweeps can choose the engine per spec.
-// (peer.ActorNet's workload takes a worker count and is driven by
-// cmd/arqnet directly.)
+// exposes to the sim harness: flat.Engine satisfies it, and so does the
+// oracle peer.Engine the net tests compare it against.
 type NetEngine interface {
 	Nodes() int
 	Workload(rng *stats.RNG, nQueries, ttl int) []peer.Stats

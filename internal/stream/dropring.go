@@ -15,7 +15,8 @@ import (
 // mining is exactly the data that mattered least.
 //
 // Beyond the original drop-oldest Push, the ring offers the three
-// overload policies a bounded outbox needs (peer.ActorNet): PushEvict
+// overload policies a bounded outbox needs (internal/transport's
+// per-connection send queue): PushEvict
 // (drop-oldest, handing the evicted item back so the caller can account
 // for it), PushReject (drop-newest), and PushDeadline (block until
 // space frees or a deadline passes).
