@@ -4,22 +4,21 @@
 // the paper reports. See EXPERIMENTS.md for the recorded paper-vs-measured
 // comparison.
 //
-// With -json, the same results are additionally written as a versioned
-// machine-readable artifact (internal/report): per-section metric rows,
-// run metadata, and a snapshot of the obsv instrument registry. CI runs
-// `arqbench -quick -json out.json` and diffs the artifact against the
-// committed BENCH_baseline.json with cmd/arqcheck; see README.md.
+// It prints and does nothing else. Every section but scale is
+// deterministic given -seed, and the -quick output of those sections is
+// pinned byte for byte by testdata/quick_golden.txt (TestQuickGolden);
+// performance is measured by benchmark/ against BENCHMARK.json.
 //
 // Usage:
 //
-//	arqbench [-trials N] [-seed S] [-markdown] [-section a,b,...] [-quick] [-json out.json]
+//	arqbench [-trials N] [-seed S] [-markdown] [-section a,b,...] [-quick]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	         [-mutexprofile mutex.pprof] [-blockprofile block.pprof]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -28,16 +27,13 @@ import (
 
 	"arq/internal/adapt"
 	"arq/internal/chaos"
-	"arq/internal/cluster"
 	"arq/internal/content"
 	"arq/internal/core"
 	"arq/internal/db"
 	"arq/internal/metrics"
-	"arq/internal/obsv"
 	"arq/internal/overlay"
 	"arq/internal/peer"
 	"arq/internal/peer/flat"
-	"arq/internal/report"
 	"arq/internal/routing"
 	"arq/internal/scenario"
 	"arq/internal/sim"
@@ -47,30 +43,83 @@ import (
 )
 
 var (
-	trials    = flag.Int("trials", 365, "tested blocks per trace-driven run (the paper uses 365)")
-	seed      = flag.Uint64("seed", 1, "master seed for all generators")
-	markdown  = flag.Bool("markdown", false, "emit Markdown tables instead of ASCII")
-	section   = flag.String("section", "", "run only the named sections, comma-separated (policies, fig1, fig2, fig3, fig4, static, import, grid, incremental, recovery, network, rewire, faults, transport, scale, scenarios)")
-	quick     = flag.Bool("quick", false, "reduced scale for a fast smoke run")
-	jsonOut   = flag.String("json", "", "write a machine-readable benchmark artifact to this path")
-	cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
-	memProf   = flag.String("memprofile", "", "write a heap profile taken after all sections to this path")
-	mutexProf = flag.String("mutexprofile", "", "record all mutex contention and write the profile to this path (measures learn-plane lock pressure)")
-	blockProf = flag.String("blockprofile", "", "record all blocking events and write the profile to this path")
+	trials   = flag.Int("trials", 365, "tested blocks per trace-driven run (the paper uses 365)")
+	seed     = flag.Uint64("seed", 1, "master seed for all generators")
+	markdown = flag.Bool("markdown", false, "emit Markdown tables instead of ASCII")
+	section  = flag.String("section", "", "run only the named sections, comma-separated ("+strings.Join(sectionNames(), ", ")+")")
+	quick    = flag.Bool("quick", false, "reduced scale for a fast smoke run")
+	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
+	memProf  = flag.String("memprofile", "", "write a heap profile taken after all sections to this path")
 )
 
-// art collects every section's rows; written to disk only under -json.
-var art = &report.Artifact{Schema: report.SchemaVersion, Tool: "arqbench"}
+// out is where every section prints; the golden test points it at a
+// buffer.
+var out io.Writer = os.Stdout
 
-// rec appends one metric row to the artifact (non-finite values dropped).
-func rec(section, row string, m map[string]float64) {
-	art.Section(section).Add(row, m)
+// sections is every section in run order. The deterministic ones come
+// first and scale, the one section that prints timings, last.
+var sections = []struct {
+	name string
+	run  func()
+}{
+	{"policies", policySummary},
+	{"fig1", fig1},
+	{"fig2", fig2},
+	{"fig3", fig3},
+	{"fig4", fig4},
+	{"static", staticDetail},
+	{"import", importPipeline},
+	{"grid", grid22},
+	{"incremental", incremental},
+	{"network", network},
+	{"rewire", rewire},
+	{"recovery", recovery},
+	{"faults", faults},
+	{"scenarios", scenarios},
+	{"ablations", ablations},
+	{"scale", scale},
+}
+
+func sectionNames() []string {
+	names := make([]string, len(sections))
+	for i, s := range sections {
+		names[i] = s.name
+	}
+	return names
+}
+
+// run prints the sections named in spec, comma-separated, in table
+// order with a blank line after each; the empty spec means all of them.
+// A name that is not a section is an error that lists the ones that are.
+func run(spec string) error {
+	if spec == "" {
+		spec = strings.Join(sectionNames(), ",")
+	}
+	selected := make(map[string]bool)
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		known := false
+		for _, s := range sections {
+			known = known || s.name == name
+		}
+		if !known {
+			return fmt.Errorf("unknown section %q (sections: %s)", name, strings.Join(sectionNames(), ", "))
+		}
+		selected[name] = true
+	}
+	if *quick && *trials > 60 {
+		*trials = 60
+	}
+	for _, s := range sections {
+		if selected[s.name] {
+			s.run()
+			fmt.Fprintln(out)
+		}
+	}
+	return nil
 }
 
 func main() {
-	// A process launched by cluster.Run (the transport section) is a
-	// cluster node, not a benchmark: ChildMain runs the node and exits.
-	cluster.ChildMain()
 	flag.Parse()
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -100,85 +149,17 @@ func main() {
 			}
 		}()
 	}
-	if *mutexProf != "" {
-		runtime.SetMutexProfileFraction(1)
-		defer writeLookupProfile("mutex", *mutexProf)
-	}
-	if *blockProf != "" {
-		runtime.SetBlockProfileRate(1)
-		defer writeLookupProfile("block", *blockProf)
-	}
-	if *quick {
-		if *trials > 60 {
-			*trials = 60
-		}
-	}
-	selected := make(map[string]bool)
-	if *section != "" {
-		for _, s := range strings.Split(*section, ",") {
-			selected[strings.TrimSpace(s)] = true
-		}
-	}
-	run := func(name string, fn func()) {
-		if len(selected) > 0 && !selected[name] {
-			return
-		}
-		fn()
-		fmt.Println()
-	}
-	run("policies", policySummary)
-	run("fig1", fig1)
-	run("fig2", fig2)
-	run("fig3", fig3)
-	run("fig4", fig4)
-	run("static", staticDetail)
-	run("import", importPipeline)
-	run("grid", grid22)
-	run("incremental", incremental)
-	run("recovery", recovery)
-	run("network", network)
-	run("rewire", rewire)
-	run("faults", faults)
-	run("transport", transportSection)
-	run("scale", scale)
-	run("scenarios", scenarios)
-
-	if *jsonOut != "" {
-		art.GoVersion = runtime.Version()
-		art.GOMAXPROCS = runtime.GOMAXPROCS(0)
-		art.NumCPU = runtime.NumCPU()
-		art.Seed = *seed
-		art.Trials = *trials
-		art.Quick = *quick
-		art.Registry = obsv.Default.Snapshot()
-		if err := art.Write(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "arqbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "arqbench: wrote %s (%d sections)\n", *jsonOut, len(art.Sections))
-	}
-}
-
-// writeLookupProfile dumps a runtime profile (mutex, block) collected
-// over the whole run.
-func writeLookupProfile(name, path string) {
-	f, err := os.Create(path)
-	if err != nil {
+	if err := run(*section); err != nil {
 		fmt.Fprintln(os.Stderr, "arqbench:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fmt.Fprintln(os.Stderr, "arqbench:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 }
 
 func emit(t *metrics.Table) {
 	if *markdown {
-		fmt.Println(t.Markdown())
+		fmt.Fprintln(out, t.Markdown())
 	} else {
-		fmt.Println(t.String())
+		fmt.Fprintln(out, t.String())
 	}
 }
 
@@ -208,13 +189,6 @@ func policySummary() {
 		"policy", "avg coverage", "avg success", "regens", "blocks/regen")
 	for _, r := range sim.Sweep(specs, 0) {
 		t.AddRow(r.Name, r.MeanCoverage(), r.MeanSuccess(), r.Regens, fmt.Sprintf("%.2f", r.BlocksPerRegen()))
-		rec("policies", r.Name, map[string]float64{
-			"coverage":         r.MeanCoverage(),
-			"success":          r.MeanSuccess(),
-			"regens":           float64(r.Regens),
-			"blocks_per_regen": r.BlocksPerRegen(), // dropped for never-regenerating policies (+Inf)
-			"ns_per_block":     r.NsPerBlock(),
-		})
 	}
 	emit(t)
 }
@@ -223,14 +197,9 @@ func policySummary() {
 // time.
 func fig1() {
 	r := sim.Run("sliding", &core.Sliding{Prune: 10}, source(), 0)
-	fmt.Println("Fig. 1 — Sliding Window over time (paper: coverage >0.80, success just under 0.79)")
-	fmt.Println(seriesLine("coverage", r.Coverage))
-	fmt.Println(seriesLine("success", r.Success))
-	rec("fig1", "sliding", map[string]float64{
-		"coverage":     r.MeanCoverage(),
-		"success":      r.MeanSuccess(),
-		"ns_per_block": r.NsPerBlock(),
-	})
+	fmt.Fprintln(out, "Fig. 1 — Sliding Window over time (paper: coverage >0.80, success just under 0.79)")
+	fmt.Fprintln(out, seriesLine("coverage", r.Coverage))
+	fmt.Fprintln(out, seriesLine("success", r.Success))
 }
 
 // fig2 reproduces Figure 2: Sliding Window coverage across block sizes,
@@ -263,11 +232,6 @@ func fig2() {
 		"configuration", "trials", "avg coverage", "avg success")
 	for _, r := range sim.Sweep(specs, 0) {
 		t.AddRow(r.Name, r.Trials, r.MeanCoverage(), r.MeanSuccess())
-		rec("fig2", r.Name, map[string]float64{
-			"trials":   float64(r.Trials),
-			"coverage": r.MeanCoverage(),
-			"success":  r.MeanSuccess(),
-		})
 	}
 	emit(t)
 }
@@ -276,13 +240,9 @@ func fig2() {
 // for 10 blocks.
 func fig3() {
 	r := sim.Run("lazy", &core.Lazy{Prune: 10, Interval: 10}, source(), 0)
-	fmt.Println("Fig. 3 — Lazy Sliding Window over time, rule set reused 10 blocks (paper: avg 0.59/0.59)")
-	fmt.Println(seriesLine("coverage", r.Coverage))
-	fmt.Println(seriesLine("success", r.Success))
-	rec("fig3", "lazy", map[string]float64{
-		"coverage": r.MeanCoverage(),
-		"success":  r.MeanSuccess(),
-	})
+	fmt.Fprintln(out, "Fig. 3 — Lazy Sliding Window over time, rule set reused 10 blocks (paper: avg 0.59/0.59)")
+	fmt.Fprintln(out, seriesLine("coverage", r.Coverage))
+	fmt.Fprintln(out, seriesLine("success", r.Success))
 }
 
 // fig4 reproduces Figure 4: Adaptive Sliding Window with thresholds from
@@ -295,14 +255,9 @@ func fig4() {
 			&core.Adaptive{Prune: 10, Window: w, Init: 0.7}, source(), 0)
 		t.AddRow(fmt.Sprintf("previous %d values", w), r.MeanCoverage(), r.MeanSuccess(),
 			fmt.Sprintf("%.2f", r.BlocksPerRegen()))
-		rec("fig4", fmt.Sprintf("window=%d", w), map[string]float64{
-			"coverage":         r.MeanCoverage(),
-			"success":          r.MeanSuccess(),
-			"blocks_per_regen": r.BlocksPerRegen(),
-		})
 		if w == 10 {
-			fmt.Println(seriesLine("coverage (N=10)", r.Coverage))
-			fmt.Println(seriesLine("success  (N=10)", r.Success))
+			fmt.Fprintln(out, seriesLine("coverage (N=10)", r.Coverage))
+			fmt.Fprintln(out, seriesLine("success  (N=10)", r.Success))
 		}
 	}
 	emit(t)
@@ -312,9 +267,9 @@ func fig4() {
 // collapse, and the lingering coverage.
 func staticDetail() {
 	r := sim.Run("static", &core.Static{Prune: 10}, source(), 0)
-	fmt.Println("§V-A — Static Ruleset (paper: success ~0 by trial 16 and never recovers; coverage lingers ~0.4; averages 0.18 / <0.02)")
-	fmt.Println(seriesLine("coverage", r.Coverage))
-	fmt.Println(seriesLine("success", r.Success))
+	fmt.Fprintln(out, "§V-A — Static Ruleset (paper: success ~0 by trial 16 and never recovers; coverage lingers ~0.4; averages 0.18 / <0.02)")
+	fmt.Fprintln(out, seriesLine("coverage", r.Coverage))
+	fmt.Fprintln(out, seriesLine("success", r.Success))
 	t := metrics.NewTable("", "measure", "trials 1-5", "trials 12-20", "last quarter", "overall avg")
 	avg := func(vals []float64, lo, hi int) float64 {
 		if hi > len(vals) {
@@ -330,11 +285,6 @@ func staticDetail() {
 		r.Coverage.Tail(n/4), r.MeanCoverage())
 	t.AddRow("success", avg(r.Success.Values, 0, 5), avg(r.Success.Values, 11, 20),
 		r.Success.Tail(n/4), r.MeanSuccess())
-	rec("static", "static", map[string]float64{
-		"coverage":     r.MeanCoverage(),
-		"success":      r.MeanSuccess(),
-		"late_success": r.Success.Tail(n / 4),
-	})
 	emit(t)
 }
 
@@ -364,15 +314,6 @@ func importPipeline() {
 	t.AddRow("raw replies", s.RawReplies, rat(s.RawReplies))
 	t.AddRow("replies without query", s.UnmatchedReplies, rat(s.UnmatchedReplies))
 	t.AddRow("query-reply pairs", s.Pairs, rat(s.Pairs))
-	rec("import", "pipeline", map[string]float64{
-		"raw_queries":       float64(s.RawQueries),
-		"duplicate_guids":   float64(s.DuplicateGUIDs),
-		"kept_queries":      float64(s.KeptQueries),
-		"raw_replies":       float64(s.RawReplies),
-		"unmatched_replies": float64(s.UnmatchedReplies),
-		"pairs":             float64(s.Pairs),
-		"pairs_ratio":       float64(s.Pairs) / float64(s.RawQueries),
-	})
 	emit(t)
 }
 
@@ -439,13 +380,6 @@ func grid22() {
 		"configuration", "trials", "avg coverage", "avg success", "regens")
 	for _, r := range sim.Sweep(specs, 0) {
 		t.AddRow(r.Name, r.Trials, r.MeanCoverage(), r.MeanSuccess(), r.Regens)
-		rec("grid", r.Name, map[string]float64{
-			"trials":       float64(r.Trials),
-			"coverage":     r.MeanCoverage(),
-			"success":      r.MeanSuccess(),
-			"regens":       float64(r.Regens),
-			"ns_per_block": r.NsPerBlock(),
-		})
 	}
 	emit(t)
 }
@@ -454,21 +388,16 @@ func grid22() {
 // coverage and success consistently above 90%.
 func incremental() {
 	r := sim.Run("incremental", &core.Incremental{}, source(), 0)
-	fmt.Println("§VI — incremental (stream-updated) rules (paper: consistently above 90%)")
-	fmt.Println(seriesLine("coverage", r.Coverage))
-	fmt.Println(seriesLine("success", r.Success))
+	fmt.Fprintln(out, "§VI — incremental (stream-updated) rules (paper: consistently above 90%)")
+	fmt.Fprintln(out, seriesLine("coverage", r.Coverage))
+	fmt.Fprintln(out, seriesLine("success", r.Success))
 	above := 0
 	for i := range r.Coverage.Values {
 		if r.Coverage.Values[i] > 0.9 && r.Success.Values[i] > 0.9 {
 			above++
 		}
 	}
-	fmt.Printf("blocks with both measures > 0.90: %d/%d\n", above, r.Trials)
-	rec("incremental", "incremental", map[string]float64{
-		"coverage":     r.MeanCoverage(),
-		"success":      r.MeanSuccess(),
-		"above90_frac": float64(above) / float64(r.Trials),
-	})
+	fmt.Fprintf(out, "blocks with both measures > 0.90: %d/%d\n", above, r.Trials)
 }
 
 // recovery measures how each policy responds to a regime shock (80%% of
@@ -515,15 +444,6 @@ func recovery() {
 		}
 		post := stats.Mean(r.Success.Values[si+1:])
 		t.AddRow(r.Name, pre, at, recLabel, post)
-		m := map[string]float64{
-			"pre_shock_success": pre,
-			"at_shock_success":  at,
-			"post_success":      post,
-		}
-		if recovered > 0 {
-			m["recovery_blocks"] = float64(recovered)
-		}
-		rec("recovery", r.Name, m)
 	}
 	emit(t)
 
@@ -554,8 +474,9 @@ const (
 	largePrefix = "N=20000/"
 )
 
-// restartAB runs one process-restart A/B and records its arms as
-// recovery/<prefix>restart_<arm>.
+// restartAB runs one process-restart A/B and prints its arms as
+// <prefix>restart_<arm>; the wall time goes to stderr, so stdout stays
+// deterministic.
 func restartAB(prefix string, rcfg chaos.RecoveryConfig) {
 	start := time.Now()
 	rres, err := chaos.RunRecovery(rcfg)
@@ -563,8 +484,9 @@ func restartAB(prefix string, rcfg chaos.RecoveryConfig) {
 		fmt.Fprintln(os.Stderr, "arqbench:", err)
 		os.Exit(1)
 	}
-	rt := metrics.NewTable(fmt.Sprintf("Process restart A/B — %d nodes, %.0f%% crashed, strict two-phase deployment (ρ = rule-phase success per %d-query window), %.1fs wall",
-		rcfg.Nodes, 100*rres.Cfg.CrashFrac, rres.Cfg.Window, time.Since(start).Seconds()),
+	fmt.Fprintf(os.Stderr, "arqbench: restart A/B at %d nodes: %.1fs wall\n", rcfg.Nodes, time.Since(start).Seconds())
+	rt := metrics.NewTable(fmt.Sprintf("Process restart A/B — %d nodes, %.0f%% crashed, strict two-phase deployment (ρ = rule-phase success per %d-query window)",
+		rcfg.Nodes, 100*rres.Cfg.CrashFrac, rres.Cfg.Window),
 		"arm", "pre-crash ρ", "first window", "queries to recover", "final ρ", "restored rules")
 	for _, a := range rres.Arms {
 		recLabel := "never"
@@ -573,16 +495,6 @@ func restartAB(prefix string, rcfg chaos.RecoveryConfig) {
 		}
 		rt.AddRow(prefix+"restart_"+a.Name, a.PreSuccess, fmt.Sprintf("%.3f", a.WindowSuccess[0]),
 			recLabel, fmt.Sprintf("%.3f", a.FinalSuccess), fmt.Sprintf("%d", a.RestoredRules))
-		m := map[string]float64{
-			"pre_success":    a.PreSuccess,
-			"final_success":  a.FinalSuccess,
-			"crashed_count":  float64(a.Crashed),
-			"restored_count": float64(a.RestoredRules),
-		}
-		if a.QueriesToRecover >= 0 {
-			m["queries_to_recover"] = float64(a.QueriesToRecover)
-		}
-		rec("recovery", prefix+"restart_"+a.Name, m)
 	}
 	emit(rt)
 }
@@ -645,28 +557,17 @@ func network() {
 		t.AddRow(e.name, agg.SuccessRate, fmt.Sprintf("%.0f", agg.AvgMessages),
 			fmt.Sprintf("%.0f", agg.AvgDuplicates), fmt.Sprintf("%.2f", agg.AvgHitHops),
 			fmt.Sprintf("%.0f", agg.AvgReached))
-		rec("network", e.name, map[string]float64{
-			"success_rate":   agg.SuccessRate,
-			"msgs_per_query": agg.AvgMessages,
-			"dup_per_query":  agg.AvgDuplicates,
-			"hit_hops":       agg.AvgHitHops,
-			"nodes_reached":  agg.AvgReached,
-		})
 	}
 	emit(t)
 }
 
 // scale measures the capacity envelope of the flat engine (peer/flat):
 // one flood workload at increasing overlay sizes. Quick mode runs 10k
-// nodes (the CI scale-smoke step); the full run adds 100k and 1M — the
-// size the ROADMAP's million-node item calls for. Recorded keys:
-// ns_per_msg is a perf key (only a 10x slowdown fails CI),
-// heap_per_node_bytes is a memory key (only 3x growth fails — this is
-// what machine-checks "bytes/node bounded" instead of eyeballing it),
-// and success_rate/msgs_per_query are deterministic given the seed. The
-// printed table adds msgs/sec for reading; it is derived from ns_per_msg
-// and not recorded. Row names keep the "flat/" prefix they had beside
-// the map engine's rows, so committed artifacts stay comparable.
+// nodes (the CI scale-smoke step); the full run adds 100k and 1M, the
+// only million-node driver in the repo. ns/msg, msgs/sec and heap
+// bytes/node depend on the host, which is why this is the one section
+// outside the golden; success and msgs/query are deterministic given the
+// seed.
 func scale() {
 	type cfg struct{ n, nq int }
 	rows := []cfg{{10000, 30}}
@@ -714,17 +615,9 @@ func scale() {
 			totalMsgs += s.Total()
 		}
 		nsPerMsg := float64(elapsed.Nanoseconds()) / float64(totalMsgs)
-		name := fmt.Sprintf("flat/N=%d", c.n)
 		t.AddRow(c.n, fmt.Sprintf("%.0f", agg.AvgMessages),
 			fmt.Sprintf("%.2fM", 1e9/nsPerMsg/1e6), fmt.Sprintf("%.1f", nsPerMsg),
 			fmt.Sprintf("%.0f", heapPerNode), agg.SuccessRate)
-		rec("scale", name, map[string]float64{
-			"nodes":               float64(c.n),
-			"success_rate":        agg.SuccessRate,
-			"msgs_per_query":      agg.AvgMessages,
-			"ns_per_msg":          nsPerMsg,
-			"heap_per_node_bytes": heapPerNode,
-		})
 	}
 	emit(t)
 }
@@ -735,9 +628,7 @@ func scale() {
 // roles, a free-rider-heavy network, top-k early termination, and
 // steady churn), all on the flat struct-of-arrays engine driven through
 // scenario.Runner — one workload model for every engine and every
-// experiment. Recorded keys: success_rate and msgs_per_query are
-// deterministic given the seed; ns_per_msg is a perf key for arqcheck
-// (only a 10x slowdown fails CI).
+// experiment.
 func scenarios() {
 	n := 1200
 	warm, measure := 5000, 1500
@@ -745,7 +636,7 @@ func scenarios() {
 		n, warm, measure = 300, 1200, 400
 	}
 	t := metrics.NewTable(fmt.Sprintf("Scenario matrix — %d-node power-law overlay, flat engine, %d measured queries after %d warm-up", n, measure, warm),
-		"scenario/strategy", "success", "msgs/query", "ns/msg")
+		"scenario/strategy", "success", "msgs/query")
 	for _, sc := range scenario.Presets(n, *seed) {
 		g0, m0 := sc.Build()
 		for _, strat := range scenario.Strategies(g0, m0, sc.Query, sc.Seed) {
@@ -757,27 +648,8 @@ func scenarios() {
 			})
 			r := scenario.NewRunner(sc, g, m, eng, search, newRouter)
 			r.Block(warm)
-			start := time.Now()
-			res := r.Block(measure)
-			elapsed := time.Since(start)
-
-			agg := peer.Summarize(res)
-			totalMsgs := 0
-			for _, s := range res {
-				totalMsgs += s.Total()
-			}
-			nsPerMsg := 0.0
-			if totalMsgs > 0 {
-				nsPerMsg = float64(elapsed.Nanoseconds()) / float64(totalMsgs)
-			}
-			name := sc.Name + "/" + strat.Name
-			t.AddRow(name, agg.SuccessRate, fmt.Sprintf("%.0f", agg.AvgMessages),
-				fmt.Sprintf("%.1f", nsPerMsg))
-			rec("scenarios", name, map[string]float64{
-				"success_rate":   agg.SuccessRate,
-				"msgs_per_query": agg.AvgMessages,
-				"ns_per_msg":     nsPerMsg,
-			})
+			agg := peer.Summarize(r.Block(measure))
+			t.AddRow(sc.Name+"/"+strat.Name, agg.SuccessRate, fmt.Sprintf("%.0f", agg.AvgMessages))
 		}
 	}
 	emit(t)
@@ -820,17 +692,6 @@ func rewire() {
 		"phase", "success", "msgs/query", "hit hops")
 	t.AddRow("before rewiring", before.SuccessRate, fmt.Sprintf("%.0f", before.AvgMessages), fmt.Sprintf("%.2f", before.AvgHitHops))
 	t.AddRow("after rewiring", after.SuccessRate, fmt.Sprintf("%.0f", after.AvgMessages), fmt.Sprintf("%.2f", after.AvgHitHops))
-	rec("rewire", "before", map[string]float64{
-		"success_rate":   before.SuccessRate,
-		"msgs_per_query": before.AvgMessages,
-		"hit_hops":       before.AvgHitHops,
-	})
-	rec("rewire", "after", map[string]float64{
-		"success_rate":   after.SuccessRate,
-		"msgs_per_query": after.AvgMessages,
-		"hit_hops":       after.AvgHitHops,
-		"edges_added":    float64(len(added)),
-	})
 	emit(t)
 }
 
@@ -851,12 +712,14 @@ func faults() {
 	}
 }
 
-// soak runs one chaos soak and records its phases as faults/<prefix><phase>.
+// soak runs one chaos soak and prints its phases as <prefix><phase>; the
+// wall time goes to stderr, so stdout stays deterministic.
 func soak(prefix string, cfg chaos.Config) {
 	start := time.Now()
 	res := chaos.Soak(cfg)
-	t := metrics.NewTable(fmt.Sprintf("Fault-injection soak — %d nodes, drop=%.2f crash=%.2f slow=%.2f, publication stalled (nofallback/* arm has the staleness fallback disabled), %.1fs wall",
-		cfg.Nodes, res.Cfg.Fault.Drop, res.Cfg.Fault.Crash, res.Cfg.Fault.Slow, time.Since(start).Seconds()),
+	fmt.Fprintf(os.Stderr, "arqbench: soak at %d nodes: %.1fs wall\n", cfg.Nodes, time.Since(start).Seconds())
+	t := metrics.NewTable(fmt.Sprintf("Fault-injection soak — %d nodes, drop=%.2f crash=%.2f slow=%.2f, publication stalled (nofallback/* arm has the staleness fallback disabled)",
+		cfg.Nodes, res.Cfg.Fault.Drop, res.Cfg.Fault.Crash, res.Cfg.Fault.Slow),
 		"phase", "success", "rule share", "stale fallbacks", "msg drops", "down drops")
 	for _, p := range res.Phases {
 		stale := p.CounterDelta("routing.assoc.stale_fallbacks")
@@ -864,57 +727,65 @@ func soak(prefix string, cfg chaos.Config) {
 		down := p.CounterDelta("fault.down_drops")
 		t.AddRow(prefix+p.Name, p.Success, fmt.Sprintf("%.3f", p.RuleShare),
 			fmt.Sprintf("%d", stale), fmt.Sprintf("%d", drops), fmt.Sprintf("%d", down))
-		rec("faults", prefix+p.Name, map[string]float64{
-			"success_rate":    p.Success,
-			"rule_share":      p.RuleShare,
-			"stale_fallbacks": float64(stale),
-			"msg_drops":       float64(drops),
-			"down_drops":      float64(down),
-		})
 	}
 	emit(t)
 }
 
-// transportSection runs the servent as a real N-process localhost
-// cluster (internal/cluster re-execs this binary per node) and records
-// socket-level throughput and query latency per process count. The
-// recorded msg/latency keys are perf keys for arqcheck (timing on a
-// shared runner only fails CI at a 10x slowdown); the net-smoke CI job
-// owns the hard success-rate gate.
-func transportSection() {
-	counts := []int{2, 4, 8}
-	warmQ, measure := 100, 100
-	if *quick {
-		warmQ, measure = 30, 30
+// ablations sweeps the design choices DESIGN.md calls out, the source of
+// EXPERIMENTS.md's "Extension ablations": the support-pruning threshold
+// (§III-B.1), the generation-window width (§III-B.4's staleness remark),
+// the §VI rule extensions, and how many consequents a covered query is
+// forwarded to in deployment. Sizes are fixed whatever -trials and -quick
+// say: the sweeps compare configurations with each other, not with the
+// paper's 365-block averages.
+func ablations() {
+	const blocks = 30
+	src := func() trace.Source {
+		cfg := tracegen.PaperProfile()
+		cfg.Seed = *seed
+		cfg.TotalBlocks = blocks + 1
+		return tracegen.New(cfg)
 	}
-	t := metrics.NewTable(fmt.Sprintf("transport: N-process localhost servent cluster, ring+chord overlay, %d measured queries per node", measure),
-		"processes", "success", "msgs/s in", "p50 ms", "p99 ms", "sheds")
-	for _, n := range counts {
-		res, err := cluster.Run(cluster.Config{
-			N: n, Warm: warmQ, Queries: measure, Seed: int64(*seed),
-			Timeout: 3 * time.Minute,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "arqbench: transport cluster n=%d: %v\n", n, err)
-			os.Exit(1)
-		}
-		msgNS := 0.0
-		if res.MsgsIn > 0 {
-			msgNS = float64(res.DurationNS) / float64(res.MsgsIn)
-		}
-		t.AddRow(fmt.Sprintf("%d", n), res.SuccessRate,
-			fmt.Sprintf("%.0f", res.MsgsPerSec),
-			fmt.Sprintf("%.2f", float64(res.P50NS)/1e6),
-			fmt.Sprintf("%.2f", float64(res.P99NS)/1e6),
-			fmt.Sprintf("%d", res.QueueSheds))
-		rec("transport", fmt.Sprintf("procs%d", n), map[string]float64{
-			"procs":    float64(n),
-			"hit_rate": res.SuccessRate,
-			"msg_ns":   msgNS,
-			"p50_ns":   float64(res.P50NS),
-			"p99_ns":   float64(res.P99NS),
-			"sheds":    float64(res.QueueSheds),
-		})
+	var specs []sim.Spec
+	add := func(name string, p func() core.Policy) {
+		specs = append(specs, sim.Spec{Name: name, Policy: p, Source: src})
+	}
+	for _, th := range []int{1, 5, 10, 20, 50} {
+		th := th
+		add(fmt.Sprintf("prune threshold=%d", th), func() core.Policy { return &core.Sliding{Prune: th} })
+	}
+	for _, w := range []int{1, 2, 4} {
+		w := w
+		add(fmt.Sprintf("window width=%d", w), func() core.Policy { return &core.Wide{Prune: 10, Width: w} })
+	}
+	add("rules: plain", func() core.Policy { return &core.Sliding{Prune: 10} })
+	add("rules: confidence >= 0.2", func() core.Policy {
+		return &core.SlidingExt{Opts: core.GenOptions{Prune: 10, MinConfidence: 0.2}}
+	})
+	add("rules: interest dimension", func() core.Policy {
+		return &core.SlidingExt{Opts: core.GenOptions{Prune: 10, UseInterest: true}}
+	})
+	t := metrics.NewTable(fmt.Sprintf("Ablations — rule generation, %d tested blocks", blocks),
+		"configuration", "avg coverage", "avg success", "regens", "avg rules")
+	for _, r := range sim.Sweep(specs, 0) {
+		t.AddRow(r.Name, r.MeanCoverage(), r.MeanSuccess(), r.Regens, fmt.Sprintf("%.1f", r.RuleCount.Mean()))
 	}
 	emit(t)
+
+	const n, ttl, warm, measure = 600, 7, 6000, 800
+	rng := stats.NewRNG(*seed + 42)
+	g := overlay.GnutellaLike(rng, n)
+	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
+	kt := metrics.NewTable(fmt.Sprintf("Ablations — consequents per covered query, %d-node power-law overlay, %d measured queries after %d warm-up", n, measure, warm),
+		"top-k", "success", "msgs/query")
+	for _, k := range []int{1, 2, 3} {
+		cfg := routing.DefaultAssocConfig()
+		cfg.TopK = k
+		e := flat.NewEngine(g, model, func(u int) peer.Router { return routing.NewAssoc(cfg) })
+		s := &routing.OneShot{Label: "assoc", E: e, TTL: ttl}
+		routing.RunWorkload(stats.NewRNG(*seed+4), s, e, warm)
+		agg := peer.Summarize(routing.RunWorkload(stats.NewRNG(*seed+8), s, e, measure))
+		kt.AddRow(k, agg.SuccessRate, fmt.Sprintf("%.1f", agg.AvgMessages))
+	}
+	emit(kt)
 }

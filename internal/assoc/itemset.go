@@ -1,14 +1,14 @@
-// Package assoc is a general association-analysis substrate (paper §III-A):
-// transactions over discrete items, frequent-itemset mining with the
-// Apriori algorithm of Agrawal et al. [15][16], association-rule generation,
-// and the standard interestingness measures (support, confidence, lift).
+// Package assoc is the general form of the association analysis the
+// paper applies (§III-A): transactions over discrete items and
+// frequent-itemset mining with the Apriori algorithm of Agrawal et al.
+// [15][16].
 //
 // The routing core (internal/core) uses only the single-antecedent /
 // single-consequent special case, which it implements directly with
-// counters for speed; this package provides the full machinery the paper
-// positions its approach as an application of, and is exercised by the
-// examples and by cross-checks in the core tests (the 1-item case of
-// Apriori must agree exactly with the core's direct rule generation).
+// counters for speed. This package is its test oracle: the 2-itemset
+// case of Apriori must agree exactly with core.GenerateRuleSet
+// (TestGenerateRuleSetMatchesApriori), and nothing outside a test
+// imports it.
 package assoc
 
 import (

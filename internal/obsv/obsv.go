@@ -7,8 +7,8 @@
 //
 // Instruments are registered once (get-or-create by name, typically in a
 // package-level var) and recorded against forever after; Registry.Snapshot
-// produces a JSON-marshalable view that cmd/arqbench embeds in its
-// machine-readable benchmark artifact and cmd/arqcheck diffs across PRs.
+// produces a JSON-marshalable view: benchmark/ reads per-layer counts
+// from it and internal/chaos takes per-phase counter deltas.
 package obsv
 
 import (
