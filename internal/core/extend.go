@@ -22,17 +22,6 @@ type GenOptions struct {
 	UseInterest bool
 }
 
-// copyBlock snapshots a block so SlidingExt may retain it across Step
-// calls regardless of the Source's buffer ownership. The plain policies no
-// longer need this — they fold blocks into PairIndex deltas — but the
-// extended antecedent (source, interest) does not pack into a PairKey, so
-// the ext path still regenerates from a retained block.
-func copyBlock(b trace.Block) trace.Block {
-	out := make(trace.Block, len(b))
-	copy(out, b)
-	return out
-}
-
 // anteKey is the antecedent of an extended rule; Interest is -1 when the
 // interest dimension is unused.
 type anteKey struct {
@@ -102,26 +91,9 @@ func (rs *ExtRuleSet) Len() int { return rs.count }
 // Test evaluates the rule set over a block with the §III-B.2 measures,
 // using the extended antecedent.
 func (rs *ExtRuleSet) Test(block trace.Block) TestResult {
-	type state struct{ covered, successful bool }
-	seen := make(map[trace.GUID]*state, len(block))
-	var res TestResult
-	for _, p := range block {
-		k := rs.key(p)
-		st := seen[p.GUID]
-		if st == nil {
-			st = &state{covered: len(rs.byAnte[k]) > 0}
-			seen[p.GUID] = st
-			res.N++
-			if st.covered {
-				res.Covered++
-			}
-		}
-		if st.covered && !st.successful && rs.byAnte[k][p.Replier] > 0 {
-			st.successful = true
-			res.Successful++
-		}
-	}
-	return res
+	return evalBlock(block,
+		func(p *trace.Pair) bool { return len(rs.byAnte[rs.key(*p)]) > 0 },
+		func(p *trace.Pair) bool { return rs.byAnte[rs.key(*p)][p.Replier] > 0 }, nil)
 }
 
 // SlidingExt is the Sliding Window policy over extended rule generation:
@@ -130,7 +102,11 @@ func (rs *ExtRuleSet) Test(block trace.Block) TestResult {
 // dimension (the §VI ablations).
 type SlidingExt struct {
 	Opts GenOptions
-	prev trace.Block
+	// prev is a copy of the previous block in a buffer the policy owns:
+	// (source, interest) does not pack into a PairKey, so rules regenerate
+	// from the block itself where the plain policies keep a BlockDelta.
+	prev    trace.Block
+	started bool
 }
 
 // Name implements Policy.
@@ -149,12 +125,13 @@ func (s *SlidingExt) Name() string {
 
 // Step implements Policy.
 func (s *SlidingExt) Step(block trace.Block) StepResult {
-	if s.prev == nil {
-		s.prev = copyBlock(block)
+	if !s.started {
+		s.started = true
+		s.prev = append(s.prev[:0], block...)
 		return StepResult{}
 	}
 	rs := GenerateExtRuleSet(s.prev, s.Opts)
 	res := rs.Test(block)
-	s.prev = copyBlock(block)
+	s.prev = append(s.prev[:0], block...)
 	return StepResult{Tested: true, Result: res, Regenerated: true, Rules: rs.Len()}
 }

@@ -138,12 +138,38 @@ func (x *PairIndex) Support(src, rep trace.HostID) float64 {
 // that delta subtracts the block's exact contribution later. The block
 // itself is not retained — sources may reuse its buffer.
 func (x *PairIndex) AddBlock(b trace.Block) BlockDelta {
-	delta := make(BlockDelta)
+	return x.addBlock(b, nil)
+}
+
+// pairsPerDistinct sizes a fresh BlockDelta: a block of the paper's trace
+// shape repeats each (source, replier) pair about nine times.
+const pairsPerDistinct = 8
+
+// addBlock is AddBlock counting into delta, a retired BlockDelta the
+// caller no longer needs (nil allocates one). In windowed mode the block
+// is counted once into the delta and the delta's distinct pairs are then
+// folded into the index — one hash operation per pair plus two per
+// distinct pair, against three per pair; integer adds are exact in
+// float64, so the order of folding cannot show. A decay-mode index adds
+// pair by pair: its counts are not integers and its crossings are
+// observable between pairs.
+func (x *PairIndex) addBlock(b trace.Block, delta BlockDelta) BlockDelta {
+	if delta == nil {
+		delta = make(BlockDelta, len(b)/pairsPerDistinct)
+	}
+	clear(delta)
+	if x.threshold > 0 {
+		for _, p := range b {
+			x.AddPair(p.Source, p.Replier)
+			delta[PackPair(p.Source, p.Replier)]++
+		}
+		return delta
+	}
 	for _, p := range b {
-		k := PackPair(p.Source, p.Replier)
-		old, now := x.counts.Add(k, 1)
-		x.track(k, old, now)
-		delta[k]++
+		delta[PackPair(p.Source, p.Replier)]++
+	}
+	for k, n := range delta {
+		x.counts.Add(k, float64(n))
 	}
 	return delta
 }

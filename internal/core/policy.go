@@ -83,7 +83,7 @@ func (s *Sliding) Step(block trace.Block) StepResult {
 	rs := s.idx.Snapshot(s.Prune)
 	res := rs.Test(block)
 	s.idx.RemoveBlock(s.prev)
-	s.prev = s.idx.AddBlock(block)
+	s.prev = s.idx.addBlock(block, s.prev)
 	return StepResult{Tested: true, Result: res, Regenerated: true, Rules: rs.Len()}
 }
 
@@ -121,12 +121,13 @@ func (w *Wide) Step(block trace.Block) StepResult {
 	}
 	rs := w.idx.Snapshot(w.Prune)
 	res := rs.Test(block)
-	w.ring = append(w.ring, w.idx.AddBlock(block))
-	for len(w.ring) > width {
-		w.idx.RemoveBlock(w.ring[0])
-		w.ring[0] = nil
-		w.ring = w.ring[1:]
+	var retired BlockDelta
+	for len(w.ring) >= width {
+		retired = w.ring[0]
+		w.idx.RemoveBlock(retired)
+		w.ring = append(w.ring[:0], w.ring[1:]...)
 	}
+	w.ring = append(w.ring, w.idx.addBlock(block, retired))
 	return StepResult{Tested: true, Result: res, Regenerated: true, Rules: rs.Len()}
 }
 
@@ -290,9 +291,11 @@ func (in *Incremental) Step(block trace.Block) StepResult {
 	// Age out old observations at the block boundary.
 	in.idx.Decay(decay, incrementalFloor)
 
-	res := evalBlock(in.idx, block, func(p trace.Pair) {
-		in.idx.AddPair(p.Source, p.Replier)
-	})
+	idx := in.idx
+	res := evalBlock(block,
+		func(p *trace.Pair) bool { return idx.Covers(p.Source) },
+		func(p *trace.Pair) bool { return idx.Matches(p.Source, p.Replier) },
+		func(p trace.Pair) { idx.AddPair(p.Source, p.Replier) })
 	if warmup {
 		return StepResult{Rules: in.idx.ActiveRules()}
 	}

@@ -329,3 +329,40 @@ func TestWideAggregatesSupportAcrossBlocks(t *testing.T) {
 		}
 	}
 }
+
+// A steady Sliding.Step allocates what the snapshot it builds needs — a
+// few objects per rule — and nothing per pair or per GUID of the
+// 10 000-pair block it tests and folds in.
+func TestSlidingStepAllocations(t *testing.T) {
+	blocks := paperBlocks(4)
+	s := &Sliding{Prune: 10}
+	rules := 0
+	for _, b := range blocks {
+		rules = s.Step(b).Rules
+	}
+	i := 0
+	n := testing.AllocsPerRun(8, func() { s.Step(blocks[i%len(blocks)]); i++ })
+	if limit := float64(4*rules + 64); n > limit {
+		t.Errorf("Sliding.Step: %v allocs per %d-pair block with %d rules, want at most %v", n, len(blocks[0]), rules, limit)
+	}
+}
+
+var benchStep StepResult
+
+func BenchmarkPolicyStep(b *testing.B) {
+	blocks := paperBlocks(8)
+	for _, name := range []string{"static", "sliding", "lazy", "adaptive", "incremental"} {
+		b.Run(name, func(b *testing.B) {
+			p, err := NewPolicy(name, 10)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p.Step(blocks[0])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchStep = p.Step(blocks[1+i%(len(blocks)-1)])
+			}
+		})
+	}
+}

@@ -16,7 +16,10 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"math/rand/v2"
 	"sort"
+	"sync"
 	"time"
 
 	"arq/internal/obsv"
@@ -50,25 +53,86 @@ func (r Rule) String() string {
 	return fmt.Sprintf("{%s} -> {%s} (support %d)", r.Antecedent, r.Consequent, r.Support)
 }
 
+// flatTable is an open-addressed uint64 -> uint8 table with linear probing
+// at load <= 1/2: the per-query state of a block test and the membership
+// sets of a RuleSet. A zero byte marks a free slot, so every stored value
+// is non-zero and clearing the table is one memclr of vals; keys left over
+// from an earlier use are never read.
+type flatTable struct {
+	keys  []uint64
+	vals  []uint8
+	shift uint // 64 - log2(len(keys))
+}
+
+// hashMul is the odd multiplier of the table's multiply-shift hash, drawn
+// once per process so no block of GUIDs can be built to collide ahead of
+// time. It decides only where a key sits, never what a lookup answers.
+var hashMul = rand.Uint64() | 1
+
+// reset empties the table and sizes it for n keys, reusing its arrays when
+// they are large enough.
+func (t *flatTable) reset(n int) {
+	lg := bits.Len(uint(2*n) | 1)
+	size := 1 << lg
+	if cap(t.keys) < size {
+		t.keys, t.vals = make([]uint64, size), make([]uint8, size)
+	}
+	t.keys, t.vals, t.shift = t.keys[:size], t.vals[:size], uint(64-lg)
+	clear(t.vals)
+}
+
+// find returns the slot that holds k, or the free slot k belongs in when
+// it is absent (ok false). It writes nothing, so concurrent finds on an
+// unchanging table are safe.
+func (t *flatTable) find(k uint64) (slot uint64, ok bool) {
+	mask := uint64(len(t.vals) - 1)
+	for slot = (k * hashMul) >> t.shift; t.vals[slot] != 0; slot = (slot + 1) & mask {
+		if t.keys[slot] == k {
+			return slot, true
+		}
+	}
+	return slot, false
+}
+
+// add puts k in the set.
+func (t *flatTable) add(k uint64) {
+	slot, _ := t.find(k)
+	t.keys[slot], t.vals[slot] = k, 1
+}
+
+// has reports whether k is in the table.
+func (t *flatTable) has(k uint64) bool {
+	_, ok := t.find(k)
+	return ok
+}
+
 // RuleSet is the set of routing rules a node derives from one generation
-// window: a flat support table keyed by packed pair plus per-antecedent
-// consequent lists pre-sorted by descending support (HostID ascending as
-// the deterministic tiebreak). RuleSets are immutable once built.
+// window. The block test asks only "is src an antecedent" and "is this
+// pair a rule", so those two sets are flat tables (antes, pairs); the
+// support map and the per-antecedent consequent lists, pre-sorted by
+// descending support (HostID ascending as the deterministic tiebreak),
+// serve the accessors that are not on that path. RuleSets are immutable
+// once built and safe for concurrent readers.
 type RuleSet struct {
-	support map[PairKey]int
-	conseq  map[trace.HostID][]trace.HostID
+	support      map[PairKey]int
+	conseq       map[trace.HostID][]trace.HostID
+	pairs, antes flatTable
 }
 
 // newRuleSet builds the immutable query structures over a pruned support
 // table. The table is owned by the rule set afterwards.
 func newRuleSet(support map[PairKey]int) *RuleSet {
 	rs := &RuleSet{support: support, conseq: make(map[trace.HostID][]trace.HostID)}
+	rs.pairs.reset(len(support))
 	for k := range support {
 		src := k.Source()
 		rs.conseq[src] = append(rs.conseq[src], k.Replier())
+		rs.pairs.add(uint64(k))
 	}
+	rs.antes.reset(len(rs.conseq))
 	for src, list := range rs.conseq {
 		src := src
+		rs.antes.add(uint64(src))
 		sort.Slice(list, func(i, j int) bool {
 			si, sj := support[PackPair(src, list[i])], support[PackPair(src, list[j])]
 			if si != sj {
@@ -95,12 +159,12 @@ func (rs *RuleSet) Len() int { return len(rs.support) }
 // Covers reports whether any rule has src as its antecedent — i.e. the
 // rule set can route queries arriving from src.
 func (rs *RuleSet) Covers(src trace.HostID) bool {
-	return len(rs.conseq[src]) > 0
+	return rs.antes.has(uint64(src))
 }
 
 // Matches reports whether {src} -> {replier} is a rule in the set.
 func (rs *RuleSet) Matches(src, replier trace.HostID) bool {
-	return rs.support[PackPair(src, replier)] > 0
+	return rs.pairs.has(uint64(PackPair(src, replier)))
 }
 
 // SupportOf returns the support count of {src} -> {replier}, or 0 if the
@@ -193,41 +257,60 @@ type RuleView interface {
 }
 
 // EvaluateBlock runs RULESET-TEST (§III-B.2) over a block against any rule
-// view: queries are identified by GUID, a query with several replies
-// counts once, its covered status is fixed at first sighting, and it is
-// successful if any of its replies matches a rule for its source.
+// view.
 func EvaluateBlock(v RuleView, block trace.Block) TestResult {
-	return evalBlock(v, block, nil)
+	return evalBlock(block,
+		func(p *trace.Pair) bool { return v.Covers(p.Source) },
+		func(p *trace.Pair) bool { return v.Matches(p.Source, p.Replier) }, nil)
 }
 
-// evalBlock is EvaluateBlock with an optional per-pair train hook invoked
-// after the pair has been scored — the test-then-train discipline of the
-// incremental policy, which folds each pair in only after it was evaluated
-// against the rule state as of its arrival.
-func evalBlock(v RuleView, block trace.Block, train func(trace.Pair)) TestResult {
-	type state struct {
-		covered, successful bool
-	}
-	seen := make(map[trace.GUID]*state, len(block))
+// Per-query state of a block test, one byte per GUID in a flatTable.
+const (
+	qSeen uint8 = 1 << iota
+	qCovered
+	qSuccessful
+)
+
+// guidTables recycles the per-query tables of evalBlock, so a block test
+// allocates nothing once a table of the block's size exists and rule sets
+// shared between goroutines (sim.Sweep) need no lock.
+var guidTables = sync.Pool{New: func() any { return new(flatTable) }}
+
+// evalBlock is the one RULESET-TEST loop (§III-B.2): queries are
+// identified by GUID, a query with several replies counts once, its
+// covered status is fixed at first sighting, and it is successful if any
+// of its replies matches a rule for its antecedent. covers and matches
+// take the whole pair because the antecedent need not be the source alone
+// (ExtRuleSet). The optional train hook is invoked after each pair has
+// been scored — the test-then-train discipline of the incremental policy,
+// which folds each pair in only after it was evaluated against the rule
+// state as of its arrival.
+func evalBlock(block trace.Block, covers, matches func(*trace.Pair) bool, train func(trace.Pair)) TestResult {
+	seen := guidTables.Get().(*flatTable)
+	seen.reset(len(block))
 	var res TestResult
-	for _, p := range block {
-		st := seen[p.GUID]
-		if st == nil {
-			st = &state{covered: v.Covers(p.Source)}
-			seen[p.GUID] = st
+	for i := range block {
+		p := &block[i]
+		slot, ok := seen.find(uint64(p.GUID))
+		st := seen.vals[slot]
+		if !ok {
+			st = qSeen
 			res.N++
-			if st.covered {
+			if covers(p) {
+				st |= qCovered
 				res.Covered++
 			}
+			seen.keys[slot], seen.vals[slot] = uint64(p.GUID), st
 		}
-		if st.covered && !st.successful && v.Matches(p.Source, p.Replier) {
-			st.successful = true
+		if st == qSeen|qCovered && matches(p) {
+			seen.vals[slot] = st | qSuccessful
 			res.Successful++
 		}
 		if train != nil {
-			train(p)
+			train(*p)
 		}
 	}
+	guidTables.Put(seen)
 	return res
 }
 
@@ -235,7 +318,9 @@ func evalBlock(v RuleView, block trace.Block, train func(trace.Pair)) TestResult
 // query–reply pairs.
 func (rs *RuleSet) Test(block trace.Block) TestResult {
 	start := time.Now()
-	res := EvaluateBlock(rs, block)
+	res := evalBlock(block,
+		func(p *trace.Pair) bool { return rs.Covers(p.Source) },
+		func(p *trace.Pair) bool { return rs.Matches(p.Source, p.Replier) }, nil)
 	mTests.Inc()
 	mTestNs.Observe(time.Since(start).Nanoseconds())
 	return res

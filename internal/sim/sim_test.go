@@ -189,6 +189,55 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// sharedRules is a policy that tests every block against a rule set it
+// does not own, as the specs of one sweep may.
+type sharedRules struct{ rs *core.RuleSet }
+
+func (p sharedRules) Name() string { return "shared" }
+
+func (p sharedRules) Step(block trace.Block) core.StepResult {
+	return core.StepResult{Tested: true, Result: p.rs.Test(block), Rules: p.rs.Len()}
+}
+
+// TestSweepSharesOneRuleSet: a RuleSet is immutable and its block test
+// keeps its per-query state in a pooled table, so many workers may test
+// against one *RuleSet at once and get what one worker gets. Under -race
+// this is the check that RuleSet.Test writes nothing shared.
+func TestSweepSharesOneRuleSet(t *testing.T) {
+	mkSource := func(seed uint64) func() trace.Source {
+		return func() trace.Source {
+			cfg := tracegen.PaperProfile()
+			cfg.Seed = seed
+			cfg.BlockSize = 1500
+			cfg.TotalBlocks = 6
+			return tracegen.New(cfg)
+		}
+	}
+	gen, _ := mkSource(1)().Next()
+	rs := core.GenerateRuleSet(gen, 3)
+	var specs []Spec
+	for i := 0; i < 12; i++ {
+		specs = append(specs, Spec{
+			Name:   fmt.Sprintf("shared-%d", i),
+			Policy: func() core.Policy { return sharedRules{rs} },
+			Source: mkSource(uint64(1 + i%3)),
+		})
+	}
+	serial, parallel := Sweep(specs, 1), Sweep(specs, 6)
+	for i := range serial {
+		s, p := serial[i], parallel[i]
+		if s.Trials != 6 || s.MeanCoverage() == 0 {
+			t.Fatalf("spec %d tested nothing: %+v", i, s)
+		}
+		for j := range s.Coverage.Values {
+			if s.Coverage.Values[j] != p.Coverage.Values[j] || s.Success.Values[j] != p.Success.Values[j] {
+				t.Fatalf("spec %d block %d: one worker %v/%v, six workers %v/%v", i, j,
+					s.Coverage.Values[j], s.Success.Values[j], p.Coverage.Values[j], p.Success.Values[j])
+			}
+		}
+	}
+}
+
 func TestResultString(t *testing.T) {
 	r := Run("x", &core.Sliding{Prune: 5}, newFixedSource(3), 0)
 	s := r.String()
