@@ -179,7 +179,7 @@ func policySummary() {
 	specs := []sim.Spec{
 		{Name: "static", Policy: func() core.Policy { return &core.Static{Prune: 10} }, Source: source},
 		{Name: "sliding", Policy: func() core.Policy { return &core.Sliding{Prune: 10} }, Source: source},
-		{Name: "wide (4 blocks)", Policy: func() core.Policy { return &core.Wide{Prune: 10, Width: core.DefaultWideWidth} }, Source: source},
+		{Name: "wide (4 blocks)", Policy: func() core.Policy { return &core.Sliding{Prune: 10, Width: core.DefaultWideWidth} }, Source: source},
 		{Name: "lazy (10 blocks)", Policy: func() core.Policy { return &core.Lazy{Prune: 10, Interval: 10} }, Source: source},
 		{Name: "adaptive (N=10)", Policy: func() core.Policy { return &core.Adaptive{Prune: 10, Window: 10, Init: 0.7} }, Source: source},
 		{Name: "adaptive (N=50)", Policy: func() core.Policy { return &core.Adaptive{Prune: 10, Window: 50, Init: 0.7} }, Source: source},
@@ -756,7 +756,7 @@ func ablations() {
 	}
 	for _, w := range []int{1, 2, 4} {
 		w := w
-		add(fmt.Sprintf("window width=%d", w), func() core.Policy { return &core.Wide{Prune: 10, Width: w} })
+		add(fmt.Sprintf("window width=%d", w), func() core.Policy { return &core.Sliding{Prune: 10, Width: w} })
 	}
 	add("rules: plain", func() core.Policy { return &core.Sliding{Prune: 10} })
 	add("rules: confidence >= 0.2", func() core.Policy {

@@ -188,7 +188,7 @@ func buildPolicy() (core.Policy, error) {
 	case "sliding":
 		return &core.Sliding{Prune: *threshold}, nil
 	case "wide":
-		return &core.Wide{Prune: *threshold, Width: *width}, nil
+		return &core.Sliding{Prune: *threshold, Width: *width}, nil
 	case "lazy":
 		return &core.Lazy{Prune: *threshold, Interval: *interval}, nil
 	case "adaptive":

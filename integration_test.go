@@ -1,7 +1,7 @@
 package arq
 
 // End-to-end integration tests across modules: the full §IV pipeline
-// (generate raw capture → JSONL round trip → relational import → block
+// (generate raw capture → JSONL round trip → import → block
 // source → policy → measures), and the deployment stack (overlay →
 // content → engines → routers).
 import (
@@ -53,7 +53,7 @@ func TestEndToEndCapturePipeline(t *testing.T) {
 			len(qs2), len(qs), len(rs2), len(rs))
 	}
 
-	// 3. Import through the relational pipeline (dedup + join).
+	// 3. Import: first use of a GUID wins, then join replies on GUID.
 	imp, err := db.Import(qs2, rs2)
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ func goldenPolicies() []struct {
 	}{
 		{"static", func() Policy { return &Static{Prune: 10} }},
 		{"sliding", func() Policy { return &Sliding{Prune: 10} }},
-		{"wide3", func() Policy { return &Wide{Prune: 10, Width: 3} }},
+		{"wide3", func() Policy { return &Sliding{Prune: 10, Width: 3} }},
 		{"lazy", func() Policy { return &Lazy{Prune: 10, Interval: 10} }},
 		{"adaptive", func() Policy { return &Adaptive{Prune: 10, Window: 10, Init: 0.7} }},
 		{"incremental", func() Policy { return &Incremental{} }},

@@ -56,78 +56,47 @@ func (s *Static) Step(block trace.Block) StepResult {
 }
 
 // Sliding implements SLIDING-WINDOW (§III-B.4): before testing each block,
-// the rule set is regenerated from the immediately preceding block — here
-// as the width-1 case of the delta window: the index always holds exactly
-// the previous block's counts, maintained by retiring its delta and adding
-// the new block's.
+// the rule set is regenerated from the pooled counts of the previous Width
+// blocks. Width <= 1 is the paper's policy, rules from the immediately
+// preceding block; larger widths trade recency for support (an ablation of
+// the one-block window choice — §III-B.4 notes larger windows "consider
+// more hosts ... meaning some rules may be stale"). The index carries the
+// pooled counts across steps — add the newest block's delta, retire the
+// oldest — so a step costs O(block) regardless of Width.
 type Sliding struct {
-	Prune   int
-	idx     *PairIndex
-	prev    BlockDelta
-	started bool
-}
-
-// Name implements Policy.
-func (s *Sliding) Name() string { return "sliding" }
-
-// Step implements Policy.
-func (s *Sliding) Step(block trace.Block) StepResult {
-	if s.idx == nil {
-		s.idx = NewPairIndex()
-	}
-	if !s.started {
-		s.started = true
-		s.prev = s.idx.AddBlock(block)
-		return StepResult{}
-	}
-	rs := s.idx.Snapshot(s.Prune)
-	res := rs.Test(block)
-	s.idx.RemoveBlock(s.prev)
-	s.prev = s.idx.addBlock(block, s.prev)
-	return StepResult{Tested: true, Result: res, Regenerated: true, Rules: rs.Len()}
-}
-
-// Wide is a sliding window of Width blocks: the rule set is regenerated
-// every block from the pooled counts of the previous Width blocks. Width=1
-// is exactly Sliding; larger widths trade recency for support (an ablation
-// of the paper's one-block window choice — §III-B.4 notes larger windows
-// "consider more hosts ... meaning some rules may be stale"). The index
-// carries the pooled counts across steps — add the newest block's delta,
-// retire the oldest — so a step costs O(block) regardless of Width, where
-// the pre-engine implementation re-concatenated and re-counted all Width
-// blocks (O(Width·block)) every step.
-type Wide struct {
 	Prune int
 	Width int
 	idx   *PairIndex
 	ring  []BlockDelta
 }
 
-// Name implements Policy.
-func (w *Wide) Name() string { return "wide" }
+// Name implements Policy: "sliding" for the paper's one-block window,
+// "wide" for the ablation.
+func (s *Sliding) Name() string {
+	if s.Width > 1 {
+		return "wide"
+	}
+	return "sliding"
+}
 
 // Step implements Policy.
-func (w *Wide) Step(block trace.Block) StepResult {
-	width := w.Width
-	if width <= 0 {
-		width = 1
+func (s *Sliding) Step(block trace.Block) StepResult {
+	if s.idx == nil {
+		s.idx = NewPairIndex()
 	}
-	if w.idx == nil {
-		w.idx = NewPairIndex()
-	}
-	if len(w.ring) == 0 {
-		w.ring = append(w.ring, w.idx.AddBlock(block))
+	if len(s.ring) == 0 {
+		s.ring = append(s.ring, s.idx.AddBlock(block))
 		return StepResult{}
 	}
-	rs := w.idx.Snapshot(w.Prune)
+	rs := s.idx.Snapshot(s.Prune)
 	res := rs.Test(block)
 	var retired BlockDelta
-	for len(w.ring) >= width {
-		retired = w.ring[0]
-		w.idx.RemoveBlock(retired)
-		w.ring = append(w.ring[:0], w.ring[1:]...)
+	for len(s.ring) >= max(s.Width, 1) {
+		retired = s.ring[0]
+		s.idx.RemoveBlock(retired)
+		s.ring = append(s.ring[:0], s.ring[1:]...)
 	}
-	w.ring = append(w.ring, w.idx.addBlock(block, retired))
+	s.ring = append(s.ring, s.idx.addBlock(block, retired))
 	return StepResult{Tested: true, Result: res, Regenerated: true, Rules: rs.Len()}
 }
 
@@ -312,7 +281,7 @@ func NewPolicy(name string, prune int) (Policy, error) {
 	case "sliding":
 		return &Sliding{Prune: prune}, nil
 	case "wide":
-		return &Wide{Prune: prune, Width: DefaultWideWidth}, nil
+		return &Sliding{Prune: prune, Width: DefaultWideWidth}, nil
 	case "lazy":
 		return &Lazy{Prune: prune, Interval: 10}, nil
 	case "adaptive":

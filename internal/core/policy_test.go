@@ -94,7 +94,7 @@ func TestNewPolicyCoversEveryName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, ok := p.(*Wide)
+	w, ok := p.(*Sliding)
 	if !ok {
 		t.Fatalf("NewPolicy(wide) = %T", p)
 	}
@@ -274,19 +274,22 @@ func TestSlidingUsesPreviousBlockOnly(t *testing.T) {
 
 func TestWideWidthOneEqualsSliding(t *testing.T) {
 	blocks := shiftedBlocks(6, 12)
-	w := &Wide{Prune: 3, Width: 1}
+	w := &Sliding{Prune: 3, Width: 1}
 	s := &Sliding{Prune: 3}
+	if w.Name() != "sliding" || s.Name() != "sliding" || (&Sliding{Width: 2}).Name() != "wide" {
+		t.Fatalf("names: width 1 %q, width 0 %q, width 2 %q", w.Name(), s.Name(), (&Sliding{Width: 2}).Name())
+	}
 	for i, b := range blocks {
 		rw := w.Step(b)
 		rs := s.Step(b)
 		if rw.Tested != rs.Tested || rw.Result != rs.Result || rw.Rules != rs.Rules {
-			t.Fatalf("block %d: wide %+v vs sliding %+v", i, rw, rs)
+			t.Fatalf("block %d: width 1 %+v vs width 0 %+v", i, rw, rs)
 		}
 	}
 }
 
 func TestWideKeepsBoundedHistory(t *testing.T) {
-	w := &Wide{Prune: 2, Width: 3}
+	w := &Sliding{Prune: 2, Width: 3}
 	blocks := stableBlocks(10, 5)
 	for _, b := range blocks {
 		w.Step(b)
@@ -314,8 +317,8 @@ func TestWideAggregatesSupportAcrossBlocks(t *testing.T) {
 		}
 		return b
 	}
-	narrow := &Wide{Prune: 5, Width: 1}
-	wide := &Wide{Prune: 5, Width: 2}
+	narrow := &Sliding{Prune: 5, Width: 1}
+	wide := &Sliding{Prune: 5, Width: 2}
 	for i := 0; i < 3; i++ {
 		nres := narrow.Step(mk())
 		wres := wide.Step(mk())

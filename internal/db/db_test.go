@@ -1,239 +1,148 @@
 package db
 
 import (
-	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"arq/internal/trace"
+	"arq/internal/tracegen"
 )
 
-func TestNewTableValidatesSchema(t *testing.T) {
-	if _, err := NewTable("t"); err == nil {
-		t.Fatal("empty schema accepted")
+// bruteImport is the quadratic statement of §IV-A that Import is held to:
+// a query survives if no earlier query has its GUID, and each reply pairs
+// with the first query carrying its GUID.
+func bruteImport(queries []trace.Query, replies []trace.Reply) ([]trace.Pair, ImportStats) {
+	firstUse := func(g trace.GUID) int {
+		return slices.IndexFunc(queries, func(q trace.Query) bool { return q.GUID == g })
 	}
-	if _, err := NewTable("t", Column{Name: "", Type: IntCol}); err == nil {
-		t.Fatal("empty column name accepted")
-	}
-	if _, err := NewTable("t",
-		Column{Name: "a", Type: IntCol},
-		Column{Name: "a", Type: StrCol}); err == nil {
-		t.Fatal("duplicate column accepted")
-	}
-}
-
-func TestInsertAndLookup(t *testing.T) {
-	tb := MustTable("t", Column{Name: "k", Type: IntCol}, Column{Name: "v", Type: StrCol})
-	for i := 0; i < 10; i++ {
-		if err := tb.Insert(Row{Int(int64(i % 3)), Str("x")}); err != nil {
-			t.Fatal(err)
+	st := ImportStats{RawQueries: len(queries), RawReplies: len(replies)}
+	for i, q := range queries {
+		if firstUse(q.GUID) == i {
+			st.KeptQueries++
+		} else {
+			st.DuplicateGUIDs++
 		}
 	}
-	ids, err := tb.Lookup("k", Int(1))
+	var pairs []trace.Pair
+	for _, r := range replies {
+		i := firstUse(r.GUID)
+		if i < 0 {
+			st.UnmatchedReplies++
+			continue
+		}
+		q := queries[i]
+		pairs = append(pairs, trace.Pair{
+			GUID: r.GUID, Source: q.Source, Replier: r.From,
+			Interest: q.Interest, QueryTime: q.Time, ReplyTime: r.Time,
+		})
+	}
+	st.Pairs = len(pairs)
+	return pairs, st
+}
+
+// collidingCapture draws queries and replies from 16 GUIDs, so reuse and
+// unanswered and unknown GUIDs all occur in a few dozen records.
+func collidingCapture(qRaw, rRaw []uint8) ([]trace.Query, []trace.Reply) {
+	qs := make([]trace.Query, len(qRaw))
+	for i, g := range qRaw {
+		qs[i] = trace.Query{
+			GUID: trace.GUID(g%16 + 1), Time: int64(i),
+			Source: trace.HostID(i%5 + 1), Interest: trace.InterestID(i % 3),
+		}
+	}
+	rs := make([]trace.Reply, len(rRaw))
+	for i, g := range rRaw {
+		rs[i] = trace.Reply{
+			GUID: trace.GUID(g%16 + 1), Time: int64(1000 + i),
+			From: trace.HostID(i%4 + 10),
+		}
+	}
+	return qs, rs
+}
+
+func mustImport(t testing.TB, qs []trace.Query, rs []trace.Reply) *Importer {
+	t.Helper()
+	imp, err := Import(qs, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 3 {
-		t.Fatalf("lookup without index: %v", ids)
-	}
-	if err := tb.CreateIndex("k", false); err != nil {
-		t.Fatal(err)
-	}
-	ids2, err := tb.Lookup("k", Int(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids2) != 3 {
-		t.Fatalf("lookup with index: %v", ids2)
-	}
-	for i := range ids {
-		if ids[i] != ids2[i] {
-			t.Fatal("indexed and scanned lookups disagree")
-		}
-	}
+	return imp
 }
 
-func TestInsertWrongArity(t *testing.T) {
-	tb := MustTable("t", Column{Name: "a", Type: IntCol})
-	if err := tb.Insert(Row{Int(1), Int(2)}); err == nil {
-		t.Fatal("wrong arity accepted")
-	}
-}
-
-func TestUniqueIndexRejectsDuplicates(t *testing.T) {
-	tb := MustTable("t", Column{Name: "guid", Type: IntCol})
-	if err := tb.CreateIndex("guid", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Insert(Row{Int(7)}); err != nil {
-		t.Fatal(err)
-	}
-	err := tb.Insert(Row{Int(7)})
-	if !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("want ErrDuplicate, got %v", err)
-	}
-	if tb.Len() != 1 {
-		t.Fatalf("failed insert mutated table: len=%d", tb.Len())
-	}
-}
-
-func TestUniqueIndexOverExistingDuplicatesFails(t *testing.T) {
-	tb := MustTable("t", Column{Name: "a", Type: IntCol})
-	_ = tb.Insert(Row{Int(1)})
-	_ = tb.Insert(Row{Int(1)})
-	if err := tb.CreateIndex("a", true); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("want ErrDuplicate, got %v", err)
-	}
-}
-
-func TestLookupUnknownColumn(t *testing.T) {
-	tb := MustTable("t", Column{Name: "a", Type: IntCol})
-	if _, err := tb.Lookup("zzz", Int(0)); err == nil {
-		t.Fatal("unknown column accepted")
-	}
-}
-
-func TestEquiJoinOrderAndMatches(t *testing.T) {
-	l := MustTable("l", Column{Name: "g", Type: IntCol}, Column{Name: "x", Type: StrCol})
-	r := MustTable("r", Column{Name: "g", Type: IntCol}, Column{Name: "y", Type: StrCol})
-	_ = l.Insert(Row{Int(1), Str("q1")})
-	_ = l.Insert(Row{Int(2), Str("q2")})
-	_ = r.Insert(Row{Int(2), Str("r1")})
-	_ = r.Insert(Row{Int(1), Str("r2")})
-	_ = r.Insert(Row{Int(3), Str("r3")}) // unmatched
-	_ = r.Insert(Row{Int(1), Str("r4")})
-	out, err := EquiJoin(l, "g", r, "g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("join size = %d, want 3", len(out))
-	}
-	// Ordered by right-table insertion order.
-	if out[0].Right[1].S != "r1" || out[1].Right[1].S != "r2" || out[2].Right[1].S != "r4" {
-		t.Fatalf("join order wrong: %+v", out)
-	}
-	if out[0].Left[1].S != "q2" {
-		t.Fatalf("join matched wrong rows: %+v", out[0])
-	}
-}
-
-func TestEquiJoinUsesIndexConsistently(t *testing.T) {
-	build := func(indexed bool) []JoinResult {
-		l := MustTable("l", Column{Name: "g", Type: IntCol})
-		r := MustTable("r", Column{Name: "g", Type: IntCol})
-		for i := 0; i < 50; i++ {
-			_ = l.Insert(Row{Int(int64(i % 5))})
-			_ = r.Insert(Row{Int(int64(i % 7))})
-		}
-		if indexed {
-			if err := l.CreateIndex("g", false); err != nil {
-				t.Fatal(err)
-			}
-		}
-		out, err := EquiJoin(l, "g", r, "g")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	a, b := build(true), build(false)
-	if len(a) != len(b) {
-		t.Fatalf("indexed and unindexed joins differ in size: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].LeftID != b[i].LeftID || a[i].RightID != b[i].RightID {
-			t.Fatalf("join row %d differs", i)
-		}
-	}
-}
-
-func TestDistinctSorted(t *testing.T) {
-	tb := MustTable("t", Column{Name: "a", Type: IntCol})
-	for _, v := range []int64{5, 3, 5, 1, 3} {
-		_ = tb.Insert(Row{Int(v)})
-	}
-	vals, err := tb.Distinct("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 3 || vals[0].I != 1 || vals[1].I != 3 || vals[2].I != 5 {
-		t.Fatalf("distinct = %+v", vals)
-	}
-}
-
-func TestCountBy(t *testing.T) {
-	tb := MustTable("t", Column{Name: "a", Type: StrCol})
-	for _, s := range []string{"x", "y", "x", "x"} {
-		_ = tb.Insert(Row{Str(s)})
-	}
-	counts, err := tb.CountBy("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts[Str("x")] != 3 || counts[Str("y")] != 1 {
-		t.Fatalf("counts = %+v", counts)
-	}
-}
-
-func TestScanEarlyStop(t *testing.T) {
-	tb := MustTable("t", Column{Name: "a", Type: IntCol})
-	for i := 0; i < 10; i++ {
-		_ = tb.Insert(Row{Int(int64(i))})
-	}
-	n := 0
-	tb.Scan(func(id int, _ Row) bool {
-		n++
-		return n < 4
-	})
-	if n != 4 {
-		t.Fatalf("scan visited %d rows, want 4", n)
-	}
-}
-
-func TestImportPipelineMatchesTraceJoin(t *testing.T) {
-	// The relational pipeline must agree exactly with the direct
-	// trace.Dedup+trace.Join implementation.
+func TestImportMatchesBruteForce(t *testing.T) {
 	f := func(qRaw, rRaw []uint8) bool {
-		qs := make([]trace.Query, len(qRaw))
-		for i, g := range qRaw {
-			qs[i] = trace.Query{
-				GUID: trace.GUID(g%16 + 1), Time: int64(i),
-				Source: trace.HostID(i%5 + 1), Interest: trace.InterestID(i % 3),
-			}
-		}
-		rs := make([]trace.Reply, len(rRaw))
-		for i, g := range rRaw {
-			rs[i] = trace.Reply{
-				GUID: trace.GUID(g%16 + 1), Time: int64(1000 + i),
-				From: trace.HostID(i%4 + 10),
-			}
-		}
-		imp, err := Import(qs, rs)
-		if err != nil {
-			return false
-		}
-		kept, removed := trace.Dedup(qs)
-		want, dropped := trace.Join(kept, rs)
-		if imp.Stats.DuplicateGUIDs != removed ||
-			imp.Stats.KeptQueries != len(kept) ||
-			imp.Stats.UnmatchedReplies != dropped ||
-			imp.Stats.Pairs != len(want) {
-			return false
-		}
-		got := imp.PairSlice()
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		qs, rs := collidingCapture(qRaw, rRaw)
+		imp := mustImport(t, qs, rs)
+		want, wantStats := bruteImport(qs, rs)
+		return imp.Stats == wantStats && slices.Equal(imp.PairSlice(), want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The two identities benchmark/policy.go holds every import to.
+func TestImportAccountingIdentities(t *testing.T) {
+	f := func(qRaw, rRaw []uint8) bool {
+		qs, rs := collidingCapture(qRaw, rRaw)
+		st := mustImport(t, qs, rs).Stats
+		return st.RawQueries == len(qs) && st.RawReplies == len(rs) &&
+			st.KeptQueries+st.DuplicateGUIDs == st.RawQueries &&
+			st.Pairs == st.RawReplies-st.UnmatchedReplies
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestImportFirstUseWins(t *testing.T) {
+	qs := []trace.Query{
+		{GUID: 1, Source: 10},
+		{GUID: 2, Source: 11},
+		{GUID: 1, Source: 12}, // duplicate GUID, different query
+		{GUID: 3, Source: 13},
+		{GUID: 2, Source: 14},
+	}
+	// One reply per GUID, issued in query order, shows which queries
+	// survived and that their order is preserved.
+	rs := []trace.Reply{{GUID: 1, From: 20}, {GUID: 2, From: 21}, {GUID: 3, From: 22}}
+	imp := mustImport(t, qs, rs)
+	if imp.Stats.DuplicateGUIDs != 2 || imp.Stats.KeptQueries != 3 {
+		t.Fatalf("stats = %+v, want 2 duplicates and 3 kept", imp.Stats)
+	}
+	var got []trace.HostID
+	for _, p := range imp.PairSlice() {
+		got = append(got, p.Source)
+	}
+	if want := []trace.HostID{10, 11, 13}; !slices.Equal(got, want) {
+		t.Fatalf("surviving sources = %v, want %v", got, want)
+	}
+}
+
+func TestImportPairsInReplyOrder(t *testing.T) {
+	qs := []trace.Query{
+		{GUID: 1, Source: 10, Interest: 3, Time: 5},
+		{GUID: 2, Source: 11, Interest: 4, Time: 6},
+		{GUID: 1, Source: 12, Interest: 5, Time: 7}, // GUID 1 reused
+	}
+	rs := []trace.Reply{
+		{GUID: 2, From: 20, Time: 8},
+		{GUID: 1, From: 21, Time: 9},
+		{GUID: 9, From: 22, Time: 10}, // no matching query
+		{GUID: 1, From: 23, Time: 11}, // second reply, after the reuse: still the first use
+	}
+	imp := mustImport(t, qs, rs)
+	if imp.Stats.UnmatchedReplies != 1 || imp.Stats.Pairs != 3 {
+		t.Fatalf("stats = %+v, want 1 unmatched and 3 pairs", imp.Stats)
+	}
+	want := []trace.Pair{
+		{GUID: 2, Source: 11, Replier: 20, Interest: 4, QueryTime: 6, ReplyTime: 8},
+		{GUID: 1, Source: 10, Replier: 21, Interest: 3, QueryTime: 5, ReplyTime: 9},
+		{GUID: 1, Source: 10, Replier: 23, Interest: 3, QueryTime: 5, ReplyTime: 11},
+	}
+	if got := imp.PairSlice(); !slices.Equal(got, want) {
+		t.Fatalf("pairs = %+v\nwant    %+v", got, want)
 	}
 }
 
@@ -247,17 +156,42 @@ func TestImportStatsSmall(t *testing.T) {
 		{GUID: 1, From: 20},
 		{GUID: 3, From: 21}, // unmatched
 	}
-	imp, err := Import(qs, rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := imp.Stats
-	if s.RawQueries != 3 || s.DuplicateGUIDs != 1 || s.KeptQueries != 2 ||
-		s.RawReplies != 2 || s.UnmatchedReplies != 1 || s.Pairs != 1 {
-		t.Fatalf("stats = %+v", s)
+	imp := mustImport(t, qs, rs)
+	want := ImportStats{RawQueries: 3, DuplicateGUIDs: 1, KeptQueries: 2,
+		RawReplies: 2, UnmatchedReplies: 1, Pairs: 1}
+	if imp.Stats != want {
+		t.Fatalf("stats = %+v, want %+v", imp.Stats, want)
 	}
 	pairs := imp.PairSlice()
 	if pairs[0].Source != 10 || pairs[0].Replier != 20 {
 		t.Fatalf("pair = %+v", pairs[0])
 	}
+}
+
+func TestImportEmpty(t *testing.T) {
+	for _, c := range []struct {
+		qs   []trace.Query
+		rs   []trace.Reply
+		want ImportStats
+	}{
+		{nil, nil, ImportStats{}},
+		{[]trace.Query{{GUID: 1}}, nil, ImportStats{RawQueries: 1, KeptQueries: 1}},
+		{nil, []trace.Reply{{GUID: 1}}, ImportStats{RawReplies: 1, UnmatchedReplies: 1}},
+	} {
+		imp := mustImport(t, c.qs, c.rs)
+		if imp.Stats != c.want || len(imp.PairSlice()) != 0 {
+			t.Fatalf("Import(%v, %v): stats %+v, %d pairs; want %+v and none",
+				c.qs, c.rs, imp.Stats, len(imp.PairSlice()), c.want)
+		}
+	}
+}
+
+func BenchmarkImport(b *testing.B) {
+	qs, rs := tracegen.New(tracegen.PaperProfile()).GenerateRaw(100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mustImport(b, qs, rs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(qs)), "ns/query")
 }

@@ -1,15 +1,16 @@
+// Package db is the paper's §IV-A capture import: keep the first use of
+// each GUID, then pair every reply with the surviving query that carries
+// its GUID. The paper ran this in a relational database; all it asked of
+// the database was a unique index on GUID and one equi-join, which is one
+// hash map and one pass over the replies.
 package db
 
-import (
-	"errors"
-
-	"arq/internal/trace"
-)
+import "arq/internal/trace"
 
 // ImportStats summarizes a trace import, mirroring the counts the paper
 // reports for its capture pipeline (§IV-A): raw queries, queries dropped
 // for duplicate GUIDs, replies, replies dropped because their query was
-// removed or never seen, and the resulting query–reply pairs.
+// never seen, and the resulting query–reply pairs.
 type ImportStats struct {
 	RawQueries       int
 	DuplicateGUIDs   int
@@ -19,135 +20,49 @@ type ImportStats struct {
 	Pairs            int
 }
 
-// Importer loads a raw query/reply capture into relational tables, drops
-// duplicate-GUID queries with a unique index, and materializes the
-// query–reply pair table with an equi-join on GUID — the full §IV-A
-// pipeline.
+// Importer is the result of Import.
 type Importer struct {
-	Queries *Table
-	Replies *Table
-	Pairs   *Table
-	Stats   ImportStats
+	Stats ImportStats
+	pairs []trace.Pair
 }
 
-// querySchema and replySchema match the fields the paper recorded.
-func querySchema() []Column {
-	return []Column{
-		{Name: "guid", Type: IntCol},
-		{Name: "time", Type: IntCol},
-		{Name: "src", Type: IntCol},
-		{Name: "interest", Type: IntCol},
-		{Name: "text", Type: StrCol},
-	}
-}
-
-func replySchema() []Column {
-	return []Column{
-		{Name: "guid", Type: IntCol},
-		{Name: "time", Type: IntCol},
-		{Name: "from", Type: IntCol},
-		{Name: "host", Type: IntCol},
-		{Name: "file", Type: StrCol},
-	}
-}
-
-func pairSchema() []Column {
-	return []Column{
-		{Name: "guid", Type: IntCol},
-		{Name: "src", Type: IntCol},
-		{Name: "replier", Type: IntCol},
-		{Name: "interest", Type: IntCol},
-		{Name: "qtime", Type: IntCol},
-		{Name: "rtime", Type: IntCol},
-	}
-}
-
-// Import runs the pipeline over a raw capture and returns the populated
-// importer. Replies arriving for dropped or unknown GUIDs are counted, not
-// stored.
+// Import is a hash join on GUID. Clients in the wild reuse GUIDs, so only
+// the first query with a given GUID survives, and a reply to a reused GUID
+// joins that first use. Pairs come one per matched reply, in reply arrival
+// order. The error is always nil; it leaves the signature when the caller
+// under benchmark/ can change with it (ROADMAP item 4).
 func Import(queries []trace.Query, replies []trace.Reply) (*Importer, error) {
-	imp := &Importer{
-		Queries: MustTable("queries", querySchema()...),
-		Replies: MustTable("replies", replySchema()...),
-		Pairs:   MustTable("pairs", pairSchema()...),
-	}
-	imp.Stats.RawQueries = len(queries)
-	imp.Stats.RawReplies = len(replies)
-
-	// Unique index on GUID implements "keep only the first use of each
-	// GUID": later inserts with a reused GUID fail with ErrDuplicate.
-	if err := imp.Queries.CreateIndex("guid", true); err != nil {
-		return nil, err
-	}
-	for _, q := range queries {
-		err := imp.Queries.Insert(Row{
-			Int(int64(q.GUID)), Int(q.Time), Int(int64(q.Source)),
-			Int(int64(q.Interest)), Str(q.Text),
-		})
-		if err == nil {
-			imp.Stats.KeptQueries++
-			continue
+	first := make(map[trace.GUID]int, len(queries))
+	for i := range queries {
+		if _, dup := first[queries[i].GUID]; !dup {
+			first[queries[i].GUID] = i
 		}
-		if errors.Is(err, ErrDuplicate) {
-			imp.Stats.DuplicateGUIDs++
-			continue
-		}
-		return nil, err
 	}
-
-	if err := imp.Replies.CreateIndex("guid", false); err != nil {
-		return nil, err
-	}
+	pairs := make([]trace.Pair, 0, len(replies))
 	for _, r := range replies {
-		err := imp.Replies.Insert(Row{
-			Int(int64(r.GUID)), Int(r.Time), Int(int64(r.From)),
-			Int(int64(r.Host)), Str(r.Filename),
-		})
-		if err != nil {
-			return nil, err
+		i, ok := first[r.GUID]
+		if !ok {
+			continue
 		}
-	}
-
-	// Join: one pair per reply whose GUID survives in the query table,
-	// ordered by reply arrival.
-	matches, err := EquiJoin(imp.Queries, "guid", imp.Replies, "guid")
-	if err != nil {
-		return nil, err
-	}
-	matched := make(map[int]bool, len(matches))
-	for _, m := range matches {
-		matched[m.RightID] = true
-		err := imp.Pairs.Insert(Row{
-			m.Left[0],  // guid
-			m.Left[2],  // src
-			m.Right[2], // replier (from)
-			m.Left[3],  // interest
-			m.Left[1],  // qtime
-			m.Right[1], // rtime
+		q := &queries[i]
+		pairs = append(pairs, trace.Pair{
+			GUID:      r.GUID,
+			Source:    q.Source,
+			Replier:   r.From,
+			Interest:  q.Interest,
+			QueryTime: q.Time,
+			ReplyTime: r.Time,
 		})
-		if err != nil {
-			return nil, err
-		}
 	}
-	imp.Stats.Pairs = imp.Pairs.Len()
-	imp.Stats.UnmatchedReplies = imp.Replies.Len() - len(matched)
-	return imp, nil
+	return &Importer{pairs: pairs, Stats: ImportStats{
+		RawQueries:       len(queries),
+		DuplicateGUIDs:   len(queries) - len(first),
+		KeptQueries:      len(first),
+		RawReplies:       len(replies),
+		UnmatchedReplies: len(replies) - len(pairs),
+		Pairs:            len(pairs),
+	}}, nil
 }
 
-// PairSlice converts the pairs table back into the compact representation
-// the simulator consumes.
-func (imp *Importer) PairSlice() []trace.Pair {
-	out := make([]trace.Pair, 0, imp.Pairs.Len())
-	imp.Pairs.Scan(func(_ int, row Row) bool {
-		out = append(out, trace.Pair{
-			GUID:      trace.GUID(row[0].I),
-			Source:    trace.HostID(row[1].I),
-			Replier:   trace.HostID(row[2].I),
-			Interest:  trace.InterestID(row[3].I),
-			QueryTime: row[4].I,
-			ReplyTime: row[5].I,
-		})
-		return true
-	})
-	return out
-}
+// PairSlice returns the query–reply pairs the simulator consumes.
+func (imp *Importer) PairSlice() []trace.Pair { return imp.pairs }

@@ -1,7 +1,7 @@
 // Package trace defines the query/reply trace data model used throughout
 // the repository: the records a vantage node logs (paper §IV-A), the
-// query–reply pairs the simulator consumes, GUID de-duplication, and
-// streaming block iteration.
+// query–reply pairs the simulator consumes, and streaming block
+// iteration. Turning the former into the latter is db.Import.
 //
 // The paper collected a 7-day trace at a modified Gnutella node, recording
 // for each query the query string, time, forwarding neighbor, and GUID, and
@@ -11,9 +11,7 @@
 // 128-bit, which changes nothing observable at simulation scale.
 package trace
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // HostID identifies a peer (a neighbor of the vantage node, or a content
 // host elsewhere in the network). The zero value is reserved as "no host".
@@ -32,7 +30,7 @@ func (h HostID) String() string {
 // GUID is the globally-unique identifier a querying node assigns to a
 // query; replies carry the GUID of the query they answer. As the paper
 // observed, clients in the wild generate colliding GUIDs, so uniqueness
-// must be enforced at import time (see Dedup).
+// must be enforced at import time (see db.Import).
 type GUID uint64
 
 // InterestID labels the interest category a query falls into. The original
@@ -126,53 +124,3 @@ func (s *SliceSource) BlockSize() int { return s.size }
 
 // Reset rewinds the source to the first block.
 func (s *SliceSource) Reset() { s.off = 0 }
-
-// Dedup removes queries whose GUID has been seen before, keeping only the
-// record corresponding to the first use of each GUID — exactly the cleaning
-// step of paper §IV-A ("instances of different queries having the same GUID
-// were found... only the record corresponding to the first use of that GUID
-// was kept"). It returns the retained queries and the number removed. The
-// input order is preserved and the input slice is not modified.
-func Dedup(queries []Query) (kept []Query, removed int) {
-	seen := make(map[GUID]struct{}, len(queries))
-	kept = make([]Query, 0, len(queries))
-	for _, q := range queries {
-		if _, dup := seen[q.GUID]; dup {
-			removed++
-			continue
-		}
-		seen[q.GUID] = struct{}{}
-		kept = append(kept, q)
-	}
-	return kept, removed
-}
-
-// Join pairs each reply with the (deduplicated) query carrying the same
-// GUID, producing one Pair per reply in reply order — the §IV-A database
-// join. Replies whose GUID has no surviving query are counted in dropped.
-func Join(queries []Query, replies []Reply) (pairs []Pair, dropped int) {
-	byGUID := make(map[GUID]*Query, len(queries))
-	for i := range queries {
-		q := &queries[i]
-		if _, dup := byGUID[q.GUID]; !dup {
-			byGUID[q.GUID] = q
-		}
-	}
-	pairs = make([]Pair, 0, len(replies))
-	for _, r := range replies {
-		q, ok := byGUID[r.GUID]
-		if !ok {
-			dropped++
-			continue
-		}
-		pairs = append(pairs, Pair{
-			GUID:      r.GUID,
-			Source:    q.Source,
-			Replier:   r.From,
-			Interest:  q.Interest,
-			QueryTime: q.Time,
-			ReplyTime: r.Time,
-		})
-	}
-	return pairs, dropped
-}

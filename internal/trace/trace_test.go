@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func mkPairs(n int) []Pair {
@@ -71,97 +70,6 @@ func TestSliceSourcePreservesOrder(t *testing.T) {
 		if got[i].GUID != pairs[i].GUID {
 			t.Fatalf("order broken at %d", i)
 		}
-	}
-}
-
-func TestDedupKeepsFirstUse(t *testing.T) {
-	qs := []Query{
-		{GUID: 1, Source: 10},
-		{GUID: 2, Source: 11},
-		{GUID: 1, Source: 12}, // duplicate GUID, different query
-		{GUID: 3, Source: 13},
-		{GUID: 2, Source: 14},
-	}
-	kept, removed := Dedup(qs)
-	if removed != 2 {
-		t.Fatalf("removed = %d, want 2", removed)
-	}
-	if len(kept) != 3 {
-		t.Fatalf("kept = %d, want 3", len(kept))
-	}
-	if kept[0].Source != 10 || kept[1].Source != 11 || kept[2].Source != 13 {
-		t.Fatalf("wrong survivors: %+v", kept)
-	}
-}
-
-func TestDedupIdempotent(t *testing.T) {
-	f := func(guids []uint16) bool {
-		qs := make([]Query, len(guids))
-		for i, g := range guids {
-			qs[i] = Query{GUID: GUID(g), Source: HostID(i + 1)}
-		}
-		once, _ := Dedup(qs)
-		twice, removed := Dedup(once)
-		if removed != 0 || len(twice) != len(once) {
-			return false
-		}
-		for i := range once {
-			if once[i] != twice[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestJoinPairsQueriesWithReplies(t *testing.T) {
-	qs := []Query{
-		{GUID: 1, Source: 10, Interest: 3, Time: 5},
-		{GUID: 2, Source: 11, Interest: 4, Time: 6},
-	}
-	rs := []Reply{
-		{GUID: 2, From: 20, Time: 8},
-		{GUID: 1, From: 21, Time: 9},
-		{GUID: 9, From: 22, Time: 10}, // no matching query
-		{GUID: 1, From: 23, Time: 11}, // second reply to same query
-	}
-	pairs, dropped := Join(qs, rs)
-	if dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", dropped)
-	}
-	if len(pairs) != 3 {
-		t.Fatalf("pairs = %d, want 3", len(pairs))
-	}
-	// Pairs come in reply order and carry the query's source and interest.
-	if pairs[0].Source != 11 || pairs[0].Replier != 20 || pairs[0].Interest != 4 {
-		t.Fatalf("bad first pair: %+v", pairs[0])
-	}
-	if pairs[1].Source != 10 || pairs[1].Replier != 21 {
-		t.Fatalf("bad second pair: %+v", pairs[1])
-	}
-	if pairs[2].Replier != 23 || pairs[2].Source != 10 {
-		t.Fatalf("bad third pair: %+v", pairs[2])
-	}
-}
-
-func TestJoinEveryReplyPairedOrDropped(t *testing.T) {
-	f := func(qGUIDs, rGUIDs []uint8) bool {
-		qs := make([]Query, len(qGUIDs))
-		for i, g := range qGUIDs {
-			qs[i] = Query{GUID: GUID(g), Source: HostID(i + 1)}
-		}
-		rs := make([]Reply, len(rGUIDs))
-		for i, g := range rGUIDs {
-			rs[i] = Reply{GUID: GUID(g), From: HostID(i + 1)}
-		}
-		pairs, dropped := Join(qs, rs)
-		return len(pairs)+dropped == len(rs)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

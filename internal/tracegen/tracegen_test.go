@@ -3,6 +3,7 @@ package tracegen
 import (
 	"testing"
 
+	"arq/internal/db"
 	"arq/internal/trace"
 )
 
@@ -212,8 +213,8 @@ func TestGenerateRawRatios(t *testing.T) {
 	if ratio < want-0.02 || ratio > want+0.02 {
 		t.Fatalf("reply ratio = %.4f, want ~%.4f", ratio, want)
 	}
-	_, removed := trace.Dedup(qs)
-	dupFrac := float64(removed) / float64(n)
+	imp, _ := db.Import(qs, rs)
+	dupFrac := float64(imp.Stats.DuplicateGUIDs) / float64(n)
 	if dupFrac < c.DuplicateGUIDFrac/3 || dupFrac > c.DuplicateGUIDFrac*3 {
 		t.Fatalf("duplicate GUID fraction = %.5f, want ~%.5f", dupFrac, c.DuplicateGUIDFrac)
 	}
@@ -224,14 +225,12 @@ func TestGenerateRawJoinable(t *testing.T) {
 	c.Seed = 11
 	g := New(c)
 	qs, rs := g.GenerateRaw(50_000)
-	kept, _ := trace.Dedup(qs)
-	pairs, dropped := trace.Join(kept, rs)
-	// Nearly every reply must pair with a surviving query; only replies to
-	// queries removed by dedup may drop.
-	if float64(dropped)/float64(len(rs)) > 0.01 {
+	imp, _ := db.Import(qs, rs)
+	// Nearly every reply must pair with a surviving query.
+	if dropped := imp.Stats.UnmatchedReplies; float64(dropped)/float64(len(rs)) > 0.01 {
 		t.Fatalf("dropped %d of %d replies", dropped, len(rs))
 	}
-	if len(pairs) == 0 {
+	if imp.Stats.Pairs == 0 {
 		t.Fatal("no pairs after join")
 	}
 }

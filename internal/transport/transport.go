@@ -9,8 +9,7 @@
 // write loop drains a bounded stream.DropRing outbox under a per-frame
 // write deadline, batching flushes through one bufio.Writer; Send never
 // touches the socket, so a stalled peer costs the sender a shed, not a
-// blocked goroutine. Overflow policy is configurable with the same three
-// shed policies the actor engine's inboxes use: block-with-deadline
+// blocked goroutine. Overflow policy is configurable: block-with-deadline
 // (default), drop-oldest, drop-newest.
 //
 // A fault.Injector can be installed at the socket boundary: every

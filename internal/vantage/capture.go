@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"arq/internal/db"
 	"arq/internal/trace"
 	"arq/internal/wire"
 )
@@ -86,13 +87,12 @@ func (c *Capture) Snapshot() ([]trace.Query, []trace.Reply) {
 	return qs, rs
 }
 
-// Pairs runs GUID dedup and the query/reply join over the capture,
-// yielding the query-reply pairs the simulator consumes.
+// Pairs runs the §IV-A import over the capture, yielding the query-reply
+// pairs the simulator consumes.
 func (c *Capture) Pairs() []trace.Pair {
 	qs, rs := c.Snapshot()
-	kept, _ := trace.Dedup(qs)
-	pairs, _ := trace.Join(kept, rs)
-	return pairs
+	imp, _ := db.Import(qs, rs) // the error is always nil
+	return imp.PairSlice()
 }
 
 // interestOf recovers an interest category from a query string: strings of

@@ -1,6 +1,7 @@
 package vantage
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -213,8 +214,10 @@ func (r *ruleServer) degraded() bool {
 	return r.learner.Stale(int64(r.cfg.StaleObs), r.cfg.StaleAge)
 }
 
-// filter narrows a query's flood targets to the learned top-k connections
-// for its upstream, reading the published snapshot lock-free. Falls back
+// filter narrows a query's flood targets to the k strongest learned
+// connections for its upstream that are among them (a rule naming a
+// connection that has since closed is skipped, it does not use up a
+// slot), reading the published snapshot lock-free. Falls back
 // to the full target list when nothing is learned for this upstream, no
 // learned consequent is currently connected, or the snapshot is degraded
 // (stale or mined from a shed-lossy stream — see RuleConfig.StaleObs).
@@ -226,19 +229,16 @@ func (r *ruleServer) filter(upstreamConn int, targets []*peerConn) []*peerConn {
 		mRuleStaleFlood.Inc()
 		return targets
 	}
-	hosts := r.learner.View().Consequents(connHost(upstreamConn), r.cfg.TopK)
-	if len(hosts) == 0 {
-		mRuleFlood.Inc()
-		return targets
-	}
-	out := make([]*peerConn, 0, len(hosts))
-	for _, h := range hosts {
-		want := int(h) - 1 // invert connHost
-		for _, c := range targets {
-			if c.id == want {
-				out = append(out, c)
-				break
-			}
+	out := make([]*peerConn, 0, r.cfg.TopK)
+	for _, e := range r.learner.View().Run(connHost(upstreamConn)) {
+		want := int(e.Key.Replier()) - 1 // invert connHost
+		i := slices.IndexFunc(targets, func(c *peerConn) bool { return c.id == want })
+		if i < 0 {
+			continue
+		}
+		out = append(out, targets[i])
+		if len(out) == r.cfg.TopK {
+			break
 		}
 	}
 	if len(out) == 0 {

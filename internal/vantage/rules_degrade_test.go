@@ -124,3 +124,27 @@ func TestRuleServerShedDegradesUntilRepublish(t *testing.T) {
 		t.Fatalf("post-republish filter = %d conns, want 1", len(got))
 	}
 }
+
+// Top-k is taken among the connections still open: a learned consequent
+// absent from targets (closed since it was learned) does not use up a
+// slot, so the query still goes to TopK peers.
+func TestRuleServerFilterSkipsClosedConsequents(t *testing.T) {
+	cfg := DefaultRuleConfig()
+	cfg.TopK = 2
+	r := newRuleServer(cfg)
+	for via, hits := range map[int]int{1: 6, 2: 4, 3: 2} {
+		for i := 0; i < hits; i++ {
+			r.learn(0, via)
+		}
+	}
+	// Connection 1, the strongest consequent, has closed.
+	targets := []*peerConn{{id: 4}, {id: 3}, {id: 2}}
+	got := r.filter(0, targets)
+	if len(got) != 2 || got[0].id != 2 || got[1].id != 3 {
+		ids := make([]int, len(got))
+		for i, c := range got {
+			ids[i] = c.id
+		}
+		t.Fatalf("filter = conns %v, want the 2nd and 3rd strongest [2 3]", ids)
+	}
+}
