@@ -14,8 +14,8 @@ import (
 // exponential decay (the §VI incremental policy and routing.Assoc), and
 // materializes the immutable RuleSet of the moment on demand.
 
-// PairKey packs a (source, replier) pair into one 64-bit map key:
-// Source<<32 | Replier. A single flat map keyed by PairKey replaces the
+// PairKey packs a (source, replier) pair into one 64-bit table key:
+// Source<<32 | Replier. A single flat table keyed by PairKey replaces the
 // nested map[HostID]map[HostID] tables the policies used to rebuild per
 // block: one hash per update instead of two, and no inner-map churn.
 type PairKey uint64
@@ -107,10 +107,18 @@ func (x *PairIndex) track(k PairKey, old, now float64) {
 // AddPair records one (source, replier) observation and returns the
 // pair's new support.
 func (x *PairIndex) AddPair(src, rep trace.HostID) float64 {
-	k := PackPair(src, rep)
-	old, now := x.counts.Add(k, 1)
-	x.track(k, old, now)
+	_, now := x.addPair(src, rep)
 	return now
+}
+
+// addPair is AddPair that also returns the support before the
+// observation: old >= threshold is what Matches would have answered, read
+// by the probe that adds.
+func (x *PairIndex) addPair(src, rep trace.HostID) (old, now float64) {
+	k := PackPair(src, rep)
+	old, now = x.counts.Add(k, 1)
+	x.track(k, old, now)
+	return old, now
 }
 
 // Add adjusts the pair's count by w (decay-mode Set/Add callers use
@@ -184,22 +192,14 @@ func (x *PairIndex) RemoveBlock(d BlockDelta) {
 
 // Decay multiplies every count by factor and drops entries that fall below
 // floor — the per-boundary aging of the §VI incremental policy and of the
-// online router. In decay mode the sweep uses the threshold-filtered
-// callback, so entries that do not cross the activation threshold cost
-// one comparison rather than a closure call — the difference between a
-// decay sweep that fits the amortized learn-plane budget and one that
-// dominates it.
+// online router: one linear sweep of the count table, which calls back
+// only for the entries that cross the activation threshold (none in
+// windowed mode, where the threshold is zero).
 func (x *PairIndex) Decay(factor, floor float64) {
-	if x.threshold > 0 {
-		x.counts.DecayTracked(factor, floor, x.threshold, func(k PairKey, old, now float64) {
-			x.track(k, old, now)
-		})
-		return
-	}
-	x.counts.Decay(factor, floor, nil)
+	x.counts.Decay(factor, floor, x.threshold, x.track)
 }
 
-// Reset drops all counts (retaining map capacity), so one index can be
+// Reset drops all counts (retaining table capacity), so one index can be
 // rebuilt per window without reallocating.
 func (x *PairIndex) Reset() {
 	x.counts.Reset()

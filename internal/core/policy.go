@@ -260,11 +260,24 @@ func (in *Incremental) Step(block trace.Block) StepResult {
 	// Age out old observations at the block boundary.
 	in.idx.Decay(decay, incrementalFloor)
 
+	// evalBlock trains on a pair right after it asked whether the pair
+	// matches, with nothing read in between, so when it asks, the one
+	// probe that adds the pair also answers from the support before.
 	idx := in.idx
+	trained := false
 	res := evalBlock(block,
 		func(p *trace.Pair) bool { return idx.Covers(p.Source) },
-		func(p *trace.Pair) bool { return idx.Matches(p.Source, p.Replier) },
-		func(p trace.Pair) { idx.AddPair(p.Source, p.Replier) })
+		func(p *trace.Pair) bool {
+			old, _ := idx.addPair(p.Source, p.Replier)
+			trained = true
+			return old >= idx.threshold
+		},
+		func(p trace.Pair) {
+			if !trained {
+				idx.addPair(p.Source, p.Replier)
+			}
+			trained = false
+		})
 	if warmup {
 		return StepResult{Rules: in.idx.ActiveRules()}
 	}

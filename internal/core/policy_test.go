@@ -350,6 +350,20 @@ func TestSlidingStepAllocations(t *testing.T) {
 	}
 }
 
+// A warm Incremental.Step allocates nothing: the decay sweep, the block
+// test and the per-pair training all run on tables that already exist.
+func TestIncrementalStepAllocations(t *testing.T) {
+	blocks := paperBlocks(4)
+	in := &Incremental{}
+	for i := 0; i < 3*len(blocks); i++ { // the same pairs again: the count table has its final size
+		in.Step(blocks[i%len(blocks)])
+	}
+	i := 0
+	if n := testing.AllocsPerRun(8, func() { in.Step(blocks[i%len(blocks)]); i++ }); n != 0 {
+		t.Errorf("Incremental.Step on a %d-pair block: %v allocs per call, want 0", len(blocks[0]), n)
+	}
+}
+
 var benchStep StepResult
 
 func BenchmarkPolicyStep(b *testing.B) {

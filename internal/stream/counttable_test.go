@@ -1,25 +1,32 @@
 package stream
 
-import "testing"
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"testing/quick"
+)
 
 func TestCountTableAddAndDeleteAtZero(t *testing.T) {
-	tab := NewCountTable[string]()
-	if old, now := tab.Add("a", 2); old != 0 || now != 2 {
+	tab := NewCountTable[int]()
+	if old, now := tab.Add(7, 2); old != 0 || now != 2 {
 		t.Fatalf("Add = (%v, %v)", old, now)
 	}
-	if old, now := tab.Add("a", 3); old != 2 || now != 5 {
+	if old, now := tab.Add(7, 3); old != 2 || now != 5 {
 		t.Fatalf("Add = (%v, %v)", old, now)
 	}
-	if tab.Get("a") != 5 || tab.Len() != 1 {
-		t.Fatalf("get=%v len=%d", tab.Get("a"), tab.Len())
+	if tab.Get(7) != 5 || tab.Len() != 1 {
+		t.Fatalf("get=%v len=%d", tab.Get(7), tab.Len())
 	}
 	// Integer add/remove is exact in float64: removing the same weight
 	// lands on zero and evicts the entry rather than leaving residue.
-	if old, now := tab.Add("a", -5); old != 5 || now != 0 {
+	if old, now := tab.Add(7, -5); old != 5 || now != 0 {
 		t.Fatalf("Add = (%v, %v)", old, now)
 	}
-	if tab.Len() != 0 || tab.Get("a") != 0 {
-		t.Fatalf("entry not evicted: len=%d get=%v", tab.Len(), tab.Get("a"))
+	if tab.Len() != 0 || tab.Get(7) != 0 {
+		t.Fatalf("entry not evicted: len=%d get=%v", tab.Len(), tab.Get(7))
 	}
 }
 
@@ -44,18 +51,35 @@ func TestCountTableSet(t *testing.T) {
 
 func TestCountTableDecayFloorAndCallback(t *testing.T) {
 	tab := NewCountTable[int]()
-	tab.Add(1, 4) // -> 2, survives
-	tab.Add(2, 1) // -> 0.5, below floor: evicted, reported as 0
+	tab.Add(1, 4) // -> 2, survives, stays at or above the threshold
+	tab.Add(2, 3) // -> 1.5, survives, crosses the threshold downwards
+	tab.Add(3, 2) // -> 1, exactly the floor: kept
+	tab.Add(4, 1) // -> 0.5, below floor: evicted, never was above: silent
+	tab.Add(5, 0.25)
+	tab.Set(5, 1.75) // -> 0.875, evicted from below the threshold: silent
 	type change struct{ old, now float64 }
 	got := make(map[int]change)
-	tab.Decay(0.5, 1, func(k int, old, now float64) {
+	tab.Decay(0.5, 1, 2, func(k int, old, now float64) {
 		got[k] = change{old, now}
 	})
-	if tab.Get(1) != 2 || tab.Len() != 1 {
-		t.Fatalf("after decay: get(1)=%v len=%d", tab.Get(1), tab.Len())
+	if tab.Get(1) != 2 || tab.Get(2) != 1.5 || tab.Get(3) != 1 || tab.Len() != 3 {
+		t.Fatalf("after decay: get(1)=%v get(2)=%v get(3)=%v len=%d", tab.Get(1), tab.Get(2), tab.Get(3), tab.Len())
 	}
-	if got[1] != (change{4, 2}) || got[2] != (change{1, 0}) {
-		t.Fatalf("callbacks = %+v", got)
+	if want := map[int]change{2: {3, 1.5}, 3: {2, 1}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("callbacks = %+v, want %+v", got, want)
+	}
+	// An entry evicted from at or above the threshold reports now = 0,
+	// and the untracked form (zero threshold, nil callback) only ages.
+	clear(got)
+	tab.Decay(0.25, 0.5, 1.5, func(k int, old, now float64) {
+		got[k] = change{old, now}
+	})
+	if want := map[int]change{1: {2, 0.5}, 2: {1.5, 0}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("callbacks = %+v, want %+v", got, want)
+	}
+	tab.Decay(0.5, 0, 0, nil)
+	if tab.Get(1) != 0.25 || tab.Len() != 1 {
+		t.Fatalf("after three decays: get(1)=%v len=%d", tab.Get(1), tab.Len())
 	}
 }
 
@@ -88,5 +112,310 @@ func TestCountTableResetAndRange(t *testing.T) {
 	tab.Add(9, 1)
 	if tab.Len() != 1 {
 		t.Fatal("table unusable after reset")
+	}
+}
+
+// setHashMul fixes the multiplier for one test. A table built under
+// another multiplier is unreadable afterwards, so callers build theirs
+// after the call.
+func setHashMul(t testing.TB, m uint64) {
+	old := hashMul
+	hashMul = m | 1
+	t.Cleanup(func() { hashMul = old })
+}
+
+// mapTable is the oracle: the builtin-map CountTable this one replaced,
+// method for method (Decay is its DecayTracked, with underflow to zero
+// spelled out as the eviction it now is).
+type mapTable map[uint64]float64
+
+func (m mapTable) add(k uint64, w float64) (old, now float64) {
+	old = m[k]
+	now = old + w
+	if now <= 0 {
+		delete(m, k)
+		return old, 0
+	}
+	m[k] = now
+	return old, now
+}
+
+func (m mapTable) set(k uint64, v float64) (old float64) {
+	old = m[k]
+	if v <= 0 {
+		delete(m, k)
+		return old
+	}
+	m[k] = v
+	return old
+}
+
+func (m mapTable) decay(factor, floor, threshold float64, onCross func(k uint64, old, now float64)) {
+	for k, v := range m {
+		now := v * factor
+		if now < floor || now == 0 {
+			delete(m, k)
+			now = 0
+		} else {
+			m[k] = now
+		}
+		if (v >= threshold) != (now >= threshold) {
+			onCross(k, v, now)
+		}
+	}
+}
+
+type crossing struct {
+	k        uint64
+	old, now float64
+}
+
+func sortCrossings(c []crossing) {
+	sort.Slice(c, func(i, j int) bool { return c[i].k < c[j].k })
+}
+
+// opKey spreads a byte over 256 keys whose top five bits are the home
+// slot of a 32-slot table under multiplier 1 (the top six that of a
+// 64-slot one, and so on) and whose low bits tell apart the eight keys
+// that share a home: homes 28..31 carry chains over the array end.
+func opKey(b byte) uint64 { return uint64(b>>3)<<59 | uint64(b&7) }
+
+var (
+	opWeights    = []float64{1, 1, 2, -1, 0.5, -2.5, 10, 1e-320, -1e9, 0}
+	opFactors    = []float64{0.9, 0.5, 1, 0.1, 1e-300, 0, 1.5}
+	opFloors     = []float64{0.05, 1, 0, 2.5, 11}
+	opThresholds = []float64{2, 0, 1, 5}
+)
+
+// checkOps interprets data, three bytes an operation, on a CountTable and
+// on the map oracle and fails at the first answer, callback multiset or
+// table content that differs.
+func checkOps(t testing.TB, data []byte) {
+	tab, ref := NewCountTable[uint64](), mapTable{}
+	for pc := 0; pc+2 < len(data); pc += 3 {
+		op, a, b := data[pc], data[pc+1], data[pc+2]
+		k := opKey(a)
+		switch op % 8 {
+		case 0, 1, 2:
+			w := opWeights[int(b)%len(opWeights)]
+			old, now := tab.Add(k, w)
+			if rold, rnow := ref.add(k, w); old != rold || now != rnow {
+				t.Fatalf("op %d: Add(%#x, %v) = (%v, %v), oracle (%v, %v)", pc/3, k, w, old, now, rold, rnow)
+			}
+		case 3:
+			v := opWeights[int(b)%len(opWeights)]
+			if old, rold := tab.Set(k, v), ref.set(k, v); old != rold {
+				t.Fatalf("op %d: Set(%#x, %v) = %v, oracle %v", pc/3, k, v, old, rold)
+			}
+		case 4:
+			if got, want := tab.Get(k), ref[k]; got != want {
+				t.Fatalf("op %d: Get(%#x) = %v, oracle %v", pc/3, k, got, want)
+			}
+		case 5, 6:
+			factor := opFactors[int(a)%len(opFactors)]
+			floor := opFloors[int(b)%len(opFloors)]
+			threshold := opThresholds[int(b>>4)%len(opThresholds)]
+			var got, want []crossing
+			tab.Decay(factor, floor, threshold, func(k uint64, old, now float64) { got = append(got, crossing{k, old, now}) })
+			ref.decay(factor, floor, threshold, func(k uint64, old, now float64) { want = append(want, crossing{k, old, now}) })
+			sortCrossings(got)
+			sortCrossings(want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("op %d: Decay(%v, %v, %v) crossings %v, oracle %v", pc/3, factor, floor, threshold, got, want)
+			}
+		case 7:
+			if a%8 == 0 { // rare: a Reset empties what the run built up
+				tab.Reset()
+				clear(ref)
+			}
+		}
+		if tab.Len() != len(ref) {
+			t.Fatalf("op %d: Len = %d, oracle %d", pc/3, tab.Len(), len(ref))
+		}
+	}
+	// Every key is where a lookup finds it, and Range sees each once.
+	for k, want := range ref {
+		if got := tab.Get(k); got != want {
+			t.Fatalf("end: Get(%#x) = %v, oracle %v", k, got, want)
+		}
+	}
+	seen := mapTable{}
+	tab.Range(func(k uint64, v float64) bool {
+		if _, dup := seen[k]; dup {
+			t.Fatalf("end: Range visits %#x twice", k)
+		}
+		seen[k] = v
+		return true
+	})
+	if !reflect.DeepEqual(seen, ref) {
+		t.Fatalf("end: Range yields %d entries that differ from the oracle's %d", len(seen), len(ref))
+	}
+}
+
+// checkOpsAllMuls runs checkOps under the process multiplier and under
+// the degenerate 1, where opKey decides each home slot: where keys sit
+// may cost time, never answers.
+func checkOpsAllMuls(t testing.TB, data []byte) {
+	checkOps(t, data)
+	old := hashMul // restored here, not by setHashMul's Cleanup: this runs in a loop
+	hashMul = 1
+	defer func() { hashMul = old }()
+	checkOps(t, data)
+}
+
+// TestCountTableMatchesMapOracle is the equivalence property over random
+// operation sequences long enough to take a table from empty through
+// both scanned sizes into the hashed ones and back down by decay.
+func TestCountTableMatchesMapOracle(t *testing.T) {
+	cfg := &quick.Config{
+		MaxCount: 300,
+		Values: func(args []reflect.Value, rng *rand.Rand) {
+			data := make([]byte, 3*rng.Intn(700))
+			rng.Read(data)
+			if rng.Intn(2) == 0 { // half the runs stay within 16 keys of 2 homes
+				for i := 1; i < len(data); i += 3 {
+					data[i] = 0xf0 | data[i]&0x0f
+				}
+			}
+			args[0] = reflect.ValueOf(data)
+		},
+	}
+	if err := quick.Check(func(data []byte) bool { checkOpsAllMuls(t, data); return true }, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzCountTable holds the flat table equal to the map oracle on whatever
+// operation sequence the bytes spell.
+func FuzzCountTable(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 0, 1, 0, 5, 0, 0, 4, 1, 0})
+	// Twelve keys of home slots 30 and 31 (a chain over the array end), a
+	// decay that kills some of them, lookups of all.
+	var wrap []byte
+	for i := byte(0); i < 12; i++ {
+		wrap = append(wrap, 0, 30<<3+i%8+i/8<<3, i%3)
+	}
+	wrap = append(wrap, 5, 1, 3)
+	for i := byte(0); i < 12; i++ {
+		wrap = append(wrap, 4, 30<<3+i%8+i/8<<3, 0)
+	}
+	f.Add(wrap)
+	f.Add(bytes.Repeat([]byte{1, 0xfa, 1, 6, 0, 0x10}, 30))
+	f.Fuzz(func(t *testing.T, data []byte) { checkOpsAllMuls(t, data) })
+}
+
+// TestCountTableDecayWrappedRun pins the sweep's hardest case by hand: a
+// run of occupied slots that starts near the array end and continues at
+// slot 0, in which a decay kills adjacent entries on both sides of the
+// wrap, so survivors shift back across it while the sweep is under way.
+func TestCountTableDecayWrappedRun(t *testing.T) {
+	setHashMul(t, 1)
+	tab, ref := NewCountTable[uint64](), mapTable{}
+	put := func(k uint64, v float64) { tab.Set(k, v); ref.set(k, v) }
+	for i := uint64(0); i < 9; i++ { // nine keys with homes 8..16: the table is hashed, 32 slots
+		put((8+i)<<59, 100)
+	}
+	// Homes 29, 30, 30, 30, 31, 30, 29 fill slots 29, 30, 31, 0, 1, 2, 3.
+	for i, k := range []uint64{29 << 59, 30 << 59, 30<<59 | 1, 30<<59 | 2, 31 << 59, 30<<59 | 3, 29<<59 | 1} {
+		put(k, []float64{1, 9, 1, 1, 9, 1, 9}[i])
+	}
+	if len(tab.vals) != 32 || tab.vals[31] == 0 || tab.vals[3] == 0 || tab.vals[4] != 0 {
+		t.Fatalf("layout is not the wrapped run this test is about: %v", tab.vals)
+	}
+	var got, want []crossing
+	tab.Decay(0.5, 1, 5, func(k uint64, old, now float64) { got = append(got, crossing{k, old, now}) })
+	ref.decay(0.5, 1, 5, func(k uint64, old, now float64) { want = append(want, crossing{k, old, now}) })
+	sortCrossings(got)
+	sortCrossings(want)
+	if !reflect.DeepEqual(got, want) || len(got) != 3 {
+		t.Fatalf("crossings %v, oracle %v, want the three survivors of the run", got, want)
+	}
+	if tab.Len() != len(ref) || tab.Len() != 12 {
+		t.Fatalf("Len = %d, oracle %d, want 12", tab.Len(), len(ref))
+	}
+	for k, v := range ref {
+		if tab.Get(k) != v {
+			t.Fatalf("Get(%#x) = %v, oracle %v", k, tab.Get(k), v)
+		}
+	}
+	// The three survivors of the run, homes 29, 30 and 31, are home.
+	if tab.vals[29] != 4.5 || tab.vals[30] != 4.5 || tab.vals[31] != 4.5 || tab.vals[0] != 0 || tab.vals[3] != 0 {
+		t.Fatalf("survivors did not shift back over the wrap: %v", tab.vals)
+	}
+}
+
+// A learner that has seen nothing owns nothing: reads and decays of an
+// empty table allocate nothing, and three pairs cost two 4-slot arrays.
+func TestCountTableAllocations(t *testing.T) {
+	var sink float64
+	n := testing.AllocsPerRun(100, func() {
+		tab := NewCountTable[uint64]()
+		sink += tab.Get(3) + float64(tab.Len())
+		tab.Range(func(k uint64, v float64) bool { sink += v; return true })
+		tab.Decay(0.9, 0.05, 2, func(k uint64, old, now float64) { sink += now })
+		tab.Reset()
+	})
+	if n != 0 {
+		t.Errorf("empty table: %v allocs, want 0", n)
+	}
+	n = testing.AllocsPerRun(100, func() {
+		tab := NewCountTable[uint64]()
+		tab.Add(1, 1)
+		tab.Add(2, 1)
+		tab.Add(3, 1)
+		tab.Add(3, 1)
+		sink += tab.Get(3)
+	})
+	if n != 2 {
+		t.Errorf("three keys: %v allocs, want 2 (keys and vals)", n)
+	}
+	tab := NewCountTable[uint64]()
+	for i := uint64(0); i < 3; i++ {
+		tab.Add(i, 1)
+	}
+	if len(tab.keys) != firstSlots || len(tab.vals) != firstSlots {
+		t.Errorf("three keys hold %d/%d slots, want %d", len(tab.keys), len(tab.vals), firstSlots)
+	}
+}
+
+var benchCrossings int
+
+// BenchmarkCountTableDecay is the per-block aging of the §VI incremental
+// policy at the size policy-trace runs it: 21 800 live pairs whose ages
+// are spread evenly over the 29 decays a single observation survives, a
+// fifth of them born above the activation threshold. The pairs a sweep
+// evicts are replaced off the clock, so every sweep sees the same table.
+func BenchmarkCountTableDecay(b *testing.B) {
+	const live = 21800
+	tab := NewCountTable[uint64]()
+	next := uint64(0)
+	born := func() float64 {
+		next++
+		if next%5 == 0 {
+			return 8
+		}
+		return 1
+	}
+	for i := 0; i < live; i++ {
+		v := born()
+		for age := i % 29; age > 0; age-- {
+			v *= 0.9
+		}
+		tab.Set(next<<32|next*7%1000, v)
+	}
+	if len(tab.vals) != 1<<16 {
+		b.Fatalf("%d pairs in %d slots, want 65536", live, len(tab.vals))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tab.Decay(0.9, 0.05, 2, func(k uint64, old, now float64) { benchCrossings++ })
+		b.StopTimer()
+		for tab.Len() < live {
+			v := born()
+			tab.Set(next<<32|next*7%1000, v)
+		}
+		b.StartTimer()
 	}
 }

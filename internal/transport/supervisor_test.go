@@ -131,16 +131,19 @@ func TestHeartbeatKeepsIdleConnAlive(t *testing.T) {
 	var ga, gb collect
 	a := listen(t, Options{
 		NodeID: 1, Handler: ga.handle,
-		HeartbeatEvery: 20 * time.Millisecond, ReadIdle: 120 * time.Millisecond,
+		HeartbeatEvery: 20 * time.Millisecond, ReadIdle: 400 * time.Millisecond,
 	})
 	b := listen(t, Options{
 		NodeID: 2, Handler: gb.handle,
-		HeartbeatEvery: 20 * time.Millisecond, ReadIdle: 120 * time.Millisecond,
+		HeartbeatEvery: 20 * time.Millisecond, ReadIdle: 400 * time.Millisecond,
 	})
 	if _, err := a.Dial(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(400 * time.Millisecond) // > 3 ReadIdle periods, all idle
+	// > 3 ReadIdle periods, all idle. ReadIdle is twenty heartbeats wide
+	// because on a loaded two-CPU box `go test ./...` has starved the
+	// writer for over 100 ms (ROADMAP item 1's virtual clock ends that).
+	time.Sleep(1300 * time.Millisecond)
 	if a.NumConns() != 1 || b.NumConns() != 1 {
 		t.Fatalf("idle heartbeat conn reaped: a=%d b=%d conns", a.NumConns(), b.NumConns())
 	}

@@ -38,13 +38,15 @@ func TestCheckpointWarmStartAcrossRestart(t *testing.T) {
 	quiet := listenLeaf(t, Options{Capture: quietCap, Net: &transport.Options{NodeID: 3}})
 	sharer.Share("topic-005 keywords data.bin", 64)
 
-	// Connect in origin, sharer, quiet order: conn ids 0, 1, 2.
-	for _, l := range []*Servent{origin, sharer, quiet} {
+	// Connect in origin, sharer, quiet order: conn ids 0, 1, 2. The hub
+	// registers a connection after the dial returns, so each one waits
+	// for its registration before the next dials.
+	for i, l := range []*Servent{origin, sharer, quiet} {
 		if err := l.ConnectTo(hub.Addr()); err != nil {
 			t.Fatal(err)
 		}
+		waitConns(t, hub, i+1)
 	}
-	waitConns(t, hub, 3)
 
 	// Six routed hits: support 6 for {origin conn} -> {sharer conn},
 	// comfortably above threshold 2 even after the 0.5 restore discount.
@@ -78,12 +80,12 @@ func TestCheckpointWarmStartAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(hub2.Close)
-	for _, l := range []*Servent{quiet, origin, sharer} {
+	for i, l := range []*Servent{quiet, origin, sharer} {
 		if err := l.ConnectTo(hub2.Addr()); err != nil {
 			t.Fatal(err)
 		}
+		waitConns(t, hub2, i+1)
 	}
-	waitConns(t, hub2, 3)
 
 	n, err := hub2.WarmStart()
 	if err != nil {
