@@ -524,10 +524,12 @@ func network() {
 	er := mk(func(u int) peer.Router { return routing.Flood{} })
 	wrng := stats.NewRNG(*seed + 200)
 	ew := mk(func(u int) peer.Router { return &routing.RandomWalk{K: 16, RNG: wrng.Split()} })
-	ea := mk(func(u int) peer.Router { return routing.NewAssoc(routing.DefaultAssocConfig()) })
+	assocs := routing.NewAssocs(n, routing.DefaultAssocConfig())
+	ea := mk(func(u int) peer.Router { return &assocs[u] })
 	strict := routing.DefaultAssocConfig()
 	strict.Strict = true
-	e2 := mk(func(u int) peer.Router { return routing.NewAssoc(strict) })
+	stricts := routing.NewAssocs(n, strict)
+	e2 := mk(func(u int) peer.Router { return &stricts[u] })
 	idx := routing.BuildRoutingIndices(g, model.HostedCategories, 4, 2)
 	ei := mk(func(u int) peer.Router { return idx[u] })
 	es := mk(func(u int) peer.Router { return routing.Flood{} })
@@ -669,11 +671,8 @@ func rewire() {
 	// most content is already 1-2 hops away).
 	g := overlay.Random(rng, n, 3.2)
 	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
-	assocs := make([]*routing.Assoc, n)
-	e := flat.NewEngine(g, model, func(u int) peer.Router {
-		assocs[u] = routing.NewAssoc(routing.DefaultAssocConfig())
-		return assocs[u]
-	})
+	assocs := routing.NewAssocs(n, routing.DefaultAssocConfig())
+	e := flat.NewEngine(g, model, func(u int) peer.Router { return &assocs[u] })
 	search := &routing.OneShot{Label: "assoc", E: e, TTL: 9}
 	routing.RunWorkload(stats.NewRNG(*seed+8), search, e, warm)
 	before := peer.Summarize(routing.RunWorkload(stats.NewRNG(*seed+9), search, e, measure))
@@ -781,7 +780,8 @@ func ablations() {
 	for _, k := range []int{1, 2, 3} {
 		cfg := routing.DefaultAssocConfig()
 		cfg.TopK = k
-		e := flat.NewEngine(g, model, func(u int) peer.Router { return routing.NewAssoc(cfg) })
+		as := routing.NewAssocs(n, cfg)
+		e := flat.NewEngine(g, model, func(u int) peer.Router { return &as[u] })
 		s := &routing.OneShot{Label: "assoc", E: e, TTL: ttl}
 		routing.RunWorkload(stats.NewRNG(*seed+4), s, e, warm)
 		agg := peer.Summarize(routing.RunWorkload(stats.NewRNG(*seed+8), s, e, measure))

@@ -131,12 +131,14 @@ func buildSearcher(g *overlay.Graph, model *content.Model) (routing.Searcher, pe
 		e := mk(func(u int) peer.Router { return &routing.RandomWalk{K: *walkers, RNG: wrng.Split()} })
 		return &routing.OneShot{Label: "k-walk", E: e, TTL: 1024}, e, false, nil
 	case "assoc":
-		e := mk(func(u int) peer.Router { return routing.NewAssoc(routing.DefaultAssocConfig()) })
+		as := routing.NewAssocs(g.N(), routing.DefaultAssocConfig())
+		e := mk(func(u int) peer.Router { return &as[u] })
 		return &routing.OneShot{Label: "assoc", E: e, TTL: *ttl}, e, true, nil
 	case "assoc2ph":
 		cfg := routing.DefaultAssocConfig()
 		cfg.Strict = true
-		e := mk(func(u int) peer.Router { return routing.NewAssoc(cfg) })
+		as := routing.NewAssocs(g.N(), cfg)
+		e := mk(func(u int) peer.Router { return &as[u] })
 		return &routing.AssocTwoPhase{E: e, TTL: *ttl}, e, true, nil
 	case "ri":
 		idx := routing.BuildRoutingIndices(g, model.HostedCategories, 4, 2)

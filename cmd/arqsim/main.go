@@ -107,18 +107,30 @@ func main() {
 // network-level analogue of the policy report, produced by the same
 // sim harness.
 func runNet() {
-	var factory func(u int) peer.Router
+	// routers gives the routers an engine of n nodes is built over,
+	// rejoin the router a churned node comes back with.
+	var routers func(n int) func(u int) peer.Router
+	var rejoin func(u int) peer.Router
 	switch *netRouter {
 	case "flood":
-		factory = func(u int) peer.Router { return routing.Flood{} }
+		rejoin = func(u int) peer.Router { return routing.Flood{} }
+		routers = func(int) func(u int) peer.Router { return rejoin }
 	case "assoc":
-		factory = func(u int) peer.Router { return routing.NewAssoc(routing.DefaultAssocConfig()) }
+		var as []routing.Assoc
+		routers = func(n int) func(u int) peer.Router {
+			as = routing.NewAssocs(n, routing.DefaultAssocConfig())
+			return func(u int) peer.Router { return &as[u] }
+		}
+		rejoin = func(u int) peer.Router {
+			as[u].Reset()
+			return &as[u]
+		}
 	default:
 		fmt.Fprintf(os.Stderr, "arqsim: unknown net router %q (valid: flood, assoc)\n", *netRouter)
 		os.Exit(2)
 	}
 	if *scenName != "" {
-		runNetScenario(factory)
+		runNetScenario(routers, rejoin)
 		return
 	}
 	spec := sim.NetSpec{
@@ -127,7 +139,7 @@ func runNet() {
 			rng := stats.NewRNG(*seed)
 			g := overlay.GnutellaLike(rng, *netNodes)
 			m := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
-			return flat.NewEngine(g, m, factory)
+			return flat.NewEngine(g, m, routers(g.N()))
 		},
 		Seed:   *seed + 1,
 		Blocks: *trials, BlockSize: *blockSize,
@@ -153,7 +165,7 @@ func runNet() {
 // runNetScenario drives a preset scenario — dynamics, roles, top-k and
 // all — through the flat engine and the selected router, via
 // scenario.Runner and the shared block harness.
-func runNetScenario(factory func(u int) peer.Router) {
+func runNetScenario(routers func(n int) func(u int) peer.Router, rejoin func(u int) peer.Router) {
 	sc, err := scenario.ByName(*scenName, *netNodes, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arqsim:", err)
@@ -161,9 +173,9 @@ func runNetScenario(factory func(u int) peer.Router) {
 	}
 	sc.Query.TTL = *netTTL
 	g, m := sc.Build()
-	eng := flat.NewEngine(g, m, factory)
+	eng := flat.NewEngine(g, m, routers(g.N()))
 	search := &routing.OneShot{Label: *netRouter, E: eng, TTL: sc.Query.TTL, TopK: sc.Query.TopK, Stop: sc.Query.Stop}
-	r := scenario.NewRunner(sc, g, m, eng, search, factory)
+	r := scenario.NewRunner(sc, g, m, eng, search, rejoin)
 	res := sim.RunBlocks(sc.Name+"/"+*netRouter, r, *trials, *blockSize)
 
 	if *csvOut {

@@ -39,18 +39,15 @@ func main() {
 	walks := flat.NewEngine(g, model, func(u int) peer.Router {
 		return &routing.RandomWalk{K: 16, RNG: wrng.Split()}
 	})
-	assocs := make([]*routing.Assoc, nodes)
-	assoc := flat.NewEngine(g, model, func(u int) peer.Router {
-		assocs[u] = routing.NewAssoc(routing.DefaultAssocConfig())
-		return assocs[u]
-	})
+	assocs := routing.NewAssocs(nodes, routing.DefaultAssocConfig())
+	assoc := flat.NewEngine(g, model, func(u int) peer.Router { return &assocs[u] })
 
 	// The association-rule nodes learn from live traffic first.
 	fmt.Printf("warming association rules with %d queries...\n", warm)
 	routing.RunWorkload(stats.NewRNG(3), &routing.OneShot{Label: "assoc", E: assoc, TTL: ttl}, assoc, warm)
 	rules := 0
-	for _, a := range assocs {
-		rules += a.RuleCount()
+	for u := range assocs {
+		rules += assocs[u].RuleCount()
 	}
 	fmt.Printf("network now holds %d routing rules (%.1f per node)\n\n",
 		rules, float64(rules)/nodes)

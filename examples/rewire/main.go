@@ -33,11 +33,8 @@ func mechanism() {
 		g.AddEdge(i-1, i)
 	}
 	model := content.Explicit(5, 2, map[int][]trace.InterestID{4: {0}})
-	assocs := make([]*routing.Assoc, 5)
-	e := flat.NewEngine(g, model, func(u int) peer.Router {
-		assocs[u] = routing.NewAssoc(routing.AssocConfig{TopK: 1, Threshold: 2, Decay: 0.9, DecayEvery: 1000})
-		return assocs[u]
-	})
+	assocs := routing.NewAssocs(5, routing.AssocConfig{TopK: 1, Threshold: 2, Decay: 0.9, DecayEvery: 1000})
+	e := flat.NewEngine(g, model, func(u int) peer.Router { return &assocs[u] })
 
 	// Node 0 queries repeatedly; rules form along the chain.
 	for i := 0; i < 5; i++ {
@@ -78,11 +75,8 @@ func aggregate() {
 	rng := stats.NewRNG(99)
 	g := overlay.Random(rng, nodes, 3.2)
 	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
-	assocs := make([]*routing.Assoc, nodes)
-	e := flat.NewEngine(g, model, func(u int) peer.Router {
-		assocs[u] = routing.NewAssoc(routing.DefaultAssocConfig())
-		return assocs[u]
-	})
+	assocs := routing.NewAssocs(nodes, routing.DefaultAssocConfig())
+	e := flat.NewEngine(g, model, func(u int) peer.Router { return &assocs[u] })
 	search := &routing.OneShot{Label: "assoc", E: e, TTL: ttl}
 
 	routing.RunWorkload(stats.NewRNG(1), search, e, warm)

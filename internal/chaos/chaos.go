@@ -154,14 +154,11 @@ func runArm(prefix string, cfg Config, staleObs int) []Phase {
 	acfg.Publish = core.PublishEpoch
 	acfg.PublishEvery = 1 << 30 // stalled: snapshots move only on PublishNow
 	acfg.StaleObs = staleObs
-	assocs := make([]*routing.Assoc, cfg.Nodes)
-	e := flat.NewEngine(g, model, func(u int) peer.Router {
-		assocs[u] = routing.NewAssoc(acfg)
-		return assocs[u]
-	})
+	assocs := routing.NewAssocs(cfg.Nodes, acfg)
+	e := flat.NewEngine(g, model, func(u int) peer.Router { return &assocs[u] })
 	publish := func() {
-		for _, a := range assocs {
-			a.PublishNow()
+		for u := range assocs {
+			assocs[u].PublishNow()
 		}
 	}
 

@@ -145,11 +145,8 @@ func recoveryArm(name string, cfg RecoveryConfig) (RecoveryArm, error) {
 
 	acfg := routing.DefaultAssocConfig()
 	acfg.Strict = true // paper deployment: drop uncovered, origin reissues
-	assocs := make([]*routing.Assoc, cfg.Nodes)
-	e := flat.NewEngine(g, model, func(u int) peer.Router {
-		assocs[u] = routing.NewAssoc(acfg)
-		return assocs[u]
-	})
+	assocs := routing.NewAssocs(cfg.Nodes, acfg)
+	e := flat.NewEngine(g, model, func(u int) peer.Router { return &assocs[u] })
 
 	// twoPhase runs the strict deployment's origin-level loop: a rule
 	// phase first, and on a miss a flood reissue — which both answers the
@@ -188,16 +185,15 @@ func recoveryArm(name string, cfg RecoveryConfig) (RecoveryArm, error) {
 				// crashed router's published snapshot through the codec.
 				blob = assocs[u].Snapshot().Marshal()
 			}
-			fresh := routing.NewAssoc(acfg)
+			assocs[u].Reset()
 			if name == "warm" {
 				snap, err := core.UnmarshalSnapshot(blob)
 				if err != nil {
 					return arm, err
 				}
-				arm.RestoredRules += fresh.Restore(snap, cfg.Discount)
+				arm.RestoredRules += assocs[u].Restore(snap, cfg.Discount)
 			}
-			assocs[u] = fresh
-			e.RouterReset(u, fresh)
+			e.RouterReset(u, &assocs[u])
 		}
 	}
 

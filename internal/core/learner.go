@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"time"
 
 	"arq/internal/trace"
 )
@@ -20,12 +19,37 @@ type LearnerConfig struct {
 	Threshold float64
 	// Decay multiplies every support after each DecayEvery observations;
 	// pairs that fall below Floor are evicted. DecayEvery <= 0 never
-	// decays.
+	// decays. Decay outside (0, 1] is repaired to 0.5 (a zero factor would
+	// forget everything at the first boundary), Floor outside
+	// (0, Threshold) to 0.25, or to Threshold/8 under a threshold that
+	// small.
 	Decay      float64
 	DecayEvery int
 	Floor      float64
-	// Publish selects when observations surface in the served snapshot.
+	// Publish selects when observations surface in the served snapshot
+	// and when that snapshot counts as stale. Its MinSupport defaults to
+	// Threshold.
 	Publish PublisherConfig
+}
+
+// repair validates c and fills its defaults in place; a second call
+// changes nothing.
+func (c *LearnerConfig) repair() {
+	if c.Threshold <= 0 {
+		panic("core: a Learner requires Threshold > 0")
+	}
+	if c.Decay <= 0 || c.Decay > 1 {
+		c.Decay = 0.5
+	}
+	if c.Floor <= 0 || c.Floor >= c.Threshold {
+		c.Floor = 0.25
+		if c.Floor >= c.Threshold {
+			c.Floor = c.Threshold / 8
+		}
+	}
+	if c.Publish.MinSupport <= 0 {
+		c.Publish.MinSupport = c.Threshold
+	}
 }
 
 // Learner owns a decay-mode PairIndex, the Publisher over it, and the
@@ -33,19 +57,37 @@ type LearnerConfig struct {
 // Update, Publish, Restore) happens under that one mutex, so callers may
 // use a Learner from any number of goroutines. The serve-side accessors
 // (View, Version, Lag, Stale) take no lock.
+//
+// Index, count tables and publisher are all held by value, so a learner
+// is one object, and one cache line of it (the publisher's served
+// snapshot, first) is all a routing decision reads. A Learner must not be
+// copied once initialised; an overlay keeps its learners in one slice and
+// initialises each in place.
 type Learner struct {
-	cfg LearnerConfig
-	pub *Publisher
+	pub Publisher
+	cfg *LearnerConfig
 
 	mu   sync.Mutex
-	idx  *PairIndex
 	seen int
+	idx  PairIndex
 }
 
 // NewLearner returns a learner serving the empty version-0 snapshot.
 func NewLearner(cfg LearnerConfig) *Learner {
-	idx := NewDecayIndex(cfg.Threshold)
-	return &Learner{cfg: cfg, idx: idx, pub: NewPublisher(idx, cfg.Publish)}
+	l := new(Learner)
+	l.Init(&cfg)
+	return l
+}
+
+// Init makes l, the zero Learner, serve the empty version-0 snapshot
+// under cfg. The config is kept, not copied, so that a slab of learners
+// shares one: Init repairs it in place (see LearnerConfig) and it must not
+// change afterwards.
+func (l *Learner) Init(cfg *LearnerConfig) {
+	cfg.repair()
+	l.cfg = cfg
+	l.idx.threshold = cfg.Threshold
+	l.pub.init(&cfg.Publish)
 }
 
 // Observe folds one {src} -> {rep} observation into the index, decaying
@@ -60,10 +102,10 @@ func (l *Learner) Observe(src, rep trace.HostID) {
 	l.seen++
 	if l.cfg.DecayEvery > 0 && l.seen%l.cfg.DecayEvery == 0 {
 		l.idx.Decay(l.cfg.Decay, l.cfg.Floor)
-		l.pub.Observe()
+		l.pub.Observe(&l.idx)
 		return
 	}
-	l.pub.ObservePair(PackPair(src, rep), now)
+	l.pub.ObservePair(&l.idx, PackPair(src, rep), now)
 }
 
 // Update applies a structural edit to the index (anything other than one
@@ -72,8 +114,8 @@ func (l *Learner) Observe(src, rep trace.HostID) {
 func (l *Learner) Update(edit func(*PairIndex)) *RuleSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	edit(l.idx)
-	return l.pub.Publish()
+	edit(&l.idx)
+	return l.pub.Publish(&l.idx)
 }
 
 // Publish forces a snapshot of the index's current rules regardless of
@@ -81,7 +123,7 @@ func (l *Learner) Update(edit func(*PairIndex)) *RuleSnapshot {
 func (l *Learner) Publish() *RuleSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.pub.Publish()
+	return l.pub.Publish(&l.idx)
 }
 
 // Restore seeds the index from a persisted snapshot at discounted
@@ -89,7 +131,7 @@ func (l *Learner) Publish() *RuleSnapshot {
 func (l *Learner) Restore(s *RuleSnapshot, discount float64) *RuleSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.pub.Restore(s, discount)
+	return l.pub.Restore(&l.idx, s, discount)
 }
 
 // View returns the currently served snapshot: one atomic load, never nil.
@@ -101,8 +143,6 @@ func (l *Learner) Version() uint64 { return l.pub.Version() }
 // Lag returns the observations absorbed since the last publish.
 func (l *Learner) Lag() int64 { return l.pub.Lag() }
 
-// Stale reports whether the served snapshot breaches either staleness
-// bound; see Publisher.Stale.
-func (l *Learner) Stale(maxLag int64, maxAge time.Duration) bool {
-	return l.pub.Stale(maxLag, maxAge)
-}
+// Stale reports whether the served snapshot breaches a staleness bound
+// of LearnerConfig.Publish; see Publisher.Stale.
+func (l *Learner) Stale() bool { return l.pub.Stale() }

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"arq/internal/stats"
 	"arq/internal/trace"
@@ -37,7 +38,7 @@ func TestLearnerMatchesRebuild(t *testing.T) {
 			}
 			l := NewLearner(cfg)
 			refIdx := NewDecayIndex(cfg.Threshold)
-			ref := NewPublisher(refIdx, cfg.Publish)
+			ref := publisherOver(refIdx, cfg.Publish)
 
 			rng := stats.NewRNG(7)
 			for step := 1; step <= 8000; step++ {
@@ -47,7 +48,7 @@ func TestLearnerMatchesRebuild(t *testing.T) {
 				if tc.decayEvery > 0 && step%tc.decayEvery == 0 {
 					refIdx.Decay(cfg.Decay, cfg.Floor)
 				}
-				ref.Observe()
+				ref.Observe(refIdx)
 
 				got, want := l.View(), ref.View()
 				if got.version != want.version || !slices.Equal(got.rules, want.rules) {
@@ -74,4 +75,125 @@ func TestLearnerMatchesRebuild(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLearnerLayout pins what a Learner costs where thousands sit side by
+// side in one slab (routing.NewAssocs): its size, so that the next field
+// added shows up in review, and that what the serve plane reads on every
+// routing decision — the served snapshot's pointer and the publisher's
+// config, where Stale finds its bounds — comes first. routing's
+// TestAssocLayout puts the two inside the router's first cache line.
+func TestLearnerLayout(t *testing.T) {
+	var l Learner
+	if off := unsafe.Offsetof(l.pub) + unsafe.Offsetof(l.pub.cur); off != 0 {
+		t.Errorf("the served snapshot's pointer is at offset %d of a Learner, want 0", off)
+	}
+	if off := unsafe.Offsetof(l.pub) + unsafe.Offsetof(l.pub.cfg); off > 24 {
+		t.Errorf("the publisher's config pointer is at offset %d of a Learner, want at most 24", off)
+	}
+	if size := unsafe.Sizeof(l); size > 216 {
+		t.Errorf("a Learner is %d bytes, ceiling 216", size)
+	}
+}
+
+// The decay parameters are validated once, here, for both deployments of
+// the learner. A config that sets the cadence and leaves the factor zero
+// used to multiply every support by 0 at the first boundary.
+func TestLearnerRepairsDecayAndFloor(t *testing.T) {
+	l := NewLearner(LearnerConfig{Threshold: 2, DecayEvery: 4})
+	for i := 0; i < 4; i++ {
+		l.Observe(1, 2)
+	}
+	if got := l.View().Support(1, 2); got != 2 {
+		t.Fatalf("support %v after the first decay boundary, want 2 (four hits at the default factor 0.5)", got)
+	}
+	for _, tc := range []struct {
+		in, want LearnerConfig
+	}{
+		{LearnerConfig{Threshold: 2}, LearnerConfig{Threshold: 2, Decay: 0.5, Floor: 0.25}},
+		{LearnerConfig{Threshold: 2, Decay: 1.5, Floor: 2}, LearnerConfig{Threshold: 2, Decay: 0.5, Floor: 0.25}},
+		{LearnerConfig{Threshold: 0.2, Decay: 1, Floor: -1}, LearnerConfig{Threshold: 0.2, Decay: 1, Floor: 0.025}},
+		{LearnerConfig{Threshold: 2, Decay: 0.9, Floor: 1.5}, LearnerConfig{Threshold: 2, Decay: 0.9, Floor: 1.5}},
+	} {
+		got := NewLearner(tc.in).cfg
+		if got.Decay != tc.want.Decay || got.Floor != tc.want.Floor {
+			t.Errorf("%+v: learner runs on Decay %v Floor %v, want %v and %v", tc.in, got.Decay, got.Floor, tc.want.Decay, tc.want.Floor)
+		}
+	}
+}
+
+// FuzzLearnerServe drives a Learner and the rebuild-only oracle of
+// TestLearnerMatchesRebuild (a bare PairIndex under a Publisher that is
+// never told which pair moved) through the same stream of observations,
+// structural Updates, forced Publishes and Restores of snapshots served
+// earlier, under every publish policy and with decay boundaries every few
+// observations. After each step both must serve the same rules at the same
+// version and lag. Every snapshot the learner served along the way is
+// kept with a copy of what it held then, and at the end each must still
+// hold exactly that: a published snapshot is never written again, however
+// many later ones were derived from it or share its rule storage.
+func FuzzLearnerServe(f *testing.F) {
+	f.Add(uint8(0), uint8(4), uint8(0), []byte("\x00\x11\x00\x11\x00\x12\x00\x13\x00\x11\x0d\x25\x00\x11\x0e\x02\x00\x35\x0f\x00"))
+	f.Add(uint8(1), uint8(3), uint8(0), []byte("\x00\x11\x00\x11\x00\x21\x00\x21\x00\x11\x00\x31\x00\x31\x0e\x01\x00\x11"))
+	f.Add(uint8(2), uint8(0), uint8(2), []byte("\x00\x11\x00\x12\x00\x13\x00\x14\x00\x15\x00\x11\x00\x12\x00\x13\x00\x14\x00\x15\x0f\x00"))
+	f.Fuzz(func(t *testing.T, policy, decayEvery, epoch uint8, ops []byte) {
+		cfg := LearnerConfig{
+			Threshold: 2, Decay: 0.5, DecayEvery: int(decayEvery % 8), Floor: 0.25,
+			Publish: PublisherConfig{Policy: PublishPolicy(policy % 3), Epoch: 1 + int(epoch%8)},
+		}
+		l := NewLearner(cfg)
+		refIdx := NewDecayIndex(cfg.Threshold)
+		ref := publisherOver(refIdx, cfg.Publish)
+
+		type served struct {
+			snap *RuleSnapshot
+			then RuleSnapshot
+		}
+		var kept []served
+		seen := 0
+		for step := 0; step+1 < len(ops); step += 2 {
+			kind, arg := ops[step]%16, ops[step+1]
+			src, rep := trace.HostID(arg>>4%4), trace.HostID(1+arg%6)
+			switch {
+			case kind < 13:
+				l.Observe(src, rep)
+				refIdx.AddPair(src, rep)
+				if seen++; cfg.DecayEvery > 0 && seen%cfg.DecayEvery == 0 {
+					refIdx.Decay(cfg.Decay, cfg.Floor)
+				}
+				ref.Observe(refIdx)
+			case kind == 13:
+				edit := func(idx *PairIndex) { idx.Set(src, rep, float64(arg>>6)) }
+				l.Update(edit)
+				edit(refIdx)
+				ref.Publish(refIdx)
+			case kind == 14 && len(kept) > 0:
+				old := kept[int(arg)%len(kept)].snap
+				l.Restore(old, 0.5)
+				ref.Restore(refIdx, old, 0.5)
+			default:
+				l.Publish()
+				ref.Publish(refIdx)
+			}
+			got, want := l.View(), ref.View()
+			if got.version != want.version || !slices.Equal(got.rules, want.rules) {
+				t.Fatalf("step %d (op %#x %#x): learner serves v%d %v, rebuild gives v%d %v",
+					step/2, ops[step], arg, got.version, got.rules, want.version, want.rules)
+			}
+			if l.Version() != ref.Version() || l.Lag() != ref.Lag() {
+				t.Fatalf("step %d: version %d lag %d, reference %d and %d", step/2, l.Version(), l.Lag(), ref.Version(), ref.Lag())
+			}
+			if len(kept) == 0 || kept[len(kept)-1].snap != got {
+				then := *got
+				then.rules = slices.Clone(got.rules)
+				kept = append(kept, served{got, then})
+			}
+		}
+		for _, k := range kept {
+			now, then := k.snap, k.then
+			if now.version != then.version || now.at != then.at || now.mono != then.mono || !slices.Equal(now.rules, then.rules) {
+				t.Fatalf("snapshot v%d changed after it was published: %v, held %v", then.version, now.rules, then.rules)
+			}
+		}
+	})
 }

@@ -48,9 +48,11 @@ type BlockDelta map[PairKey]int32
 //     threshold; Covers/Matches answer live rule queries in O(1), making
 //     the index itself a RuleView.
 //
-// A PairIndex is not safe for concurrent use.
+// Both count tables sit in the struct by value, so an index is one object
+// and a Learner that holds its index by value adds none. A PairIndex
+// is not safe for concurrent use.
 type PairIndex struct {
-	counts *stream.CountTable[PairKey]
+	counts stream.CountTable[PairKey]
 
 	// Decay-mode bookkeeping: threshold > 0 enables it. activeBySrc
 	// tracks, per antecedent, how many consequents are at or above the
@@ -60,14 +62,14 @@ type PairIndex struct {
 	// detect "the rule set itself changed" with one comparison
 	// (PublishOnChange).
 	threshold   float64
-	activeBySrc *stream.CountTable[trace.HostID]
+	activeBySrc stream.CountTable[trace.HostID]
 	active      int
 	crossings   uint64
 }
 
 // NewPairIndex returns a windowed-mode engine (exact delta counting).
 func NewPairIndex() *PairIndex {
-	return &PairIndex{counts: stream.NewCountTable[PairKey]()}
+	return &PairIndex{}
 }
 
 // NewDecayIndex returns a decay-mode engine: pairs with count >= threshold
@@ -76,11 +78,7 @@ func NewDecayIndex(threshold float64) *PairIndex {
 	if threshold <= 0 {
 		panic("core: NewDecayIndex requires threshold > 0")
 	}
-	return &PairIndex{
-		counts:      stream.NewCountTable[PairKey](),
-		threshold:   threshold,
-		activeBySrc: stream.NewCountTable[trace.HostID](),
-	}
+	return &PairIndex{threshold: threshold}
 }
 
 // track maintains the threshold-crossing bookkeeping for one entry's count

@@ -46,11 +46,23 @@ type RuleEntry struct {
 // tiebreak), found by binary search. A snapshot is immutable once
 // published and implements RuleView, so the block evaluator and the
 // online router read rules through one contract.
+//
+// The publish time is kept twice, both from one clock reading and only by
+// a publisher with an age bound (PublisherConfig.StaleAge); zero is "not
+// recorded". at is wall-clock and is what the codec persists; mono is the
+// same instant on the process's monotonic clock and is what Stale
+// subtracts, so a stepped wall clock neither hides a stale snapshot nor
+// condemns a fresh one. mono means nothing in a decoded snapshot, which
+// is never served.
 type RuleSnapshot struct {
-	version uint64
-	at      int64 // publish wall-clock, ns since epoch (0 = never published)
 	rules   []RuleEntry
+	version uint64
+	at      int64 // ns since the Unix epoch
+	mono    int64 // ns since clockBase
 }
+
+// clockBase is the origin of RuleSnapshot.mono.
+var clockBase = time.Now()
 
 // emptySnapshot is what a Publisher serves before its first publish.
 var emptySnapshot = &RuleSnapshot{}
@@ -90,15 +102,6 @@ func runBounds(rules []RuleEntry, src trace.HostID) (lo, hi int) {
 // Version returns the snapshot's publication sequence number (0 for the
 // pre-first-publish empty snapshot).
 func (s *RuleSnapshot) Version() uint64 { return s.version }
-
-// PublishedAt returns the snapshot's publication time (zero for the
-// pre-first-publish empty snapshot).
-func (s *RuleSnapshot) PublishedAt() time.Time {
-	if s.at == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, s.at)
-}
 
 // Len returns the number of rules in the snapshot.
 func (s *RuleSnapshot) Len() int { return len(s.rules) }
@@ -237,45 +240,58 @@ type PublisherConfig struct {
 	// Epoch is the observations-per-publish budget for PublishEpoch
 	// (default 64; ignored by the other policies).
 	Epoch int
-	// MinSupport is the support a pair needs to enter a snapshot. 0 uses
-	// the index's own activation threshold (decay-mode indexes).
+	// MinSupport is the support a pair needs to enter a snapshot
+	// (required; a Learner defaults it to its Threshold).
 	MinSupport float64
+	// StaleObs and StaleAge bound how far the served snapshot may fall
+	// behind before Stale reports it: that many observations absorbed
+	// since the last publish, or that long since it. Zero disables a
+	// bound. Only a publisher with an age bound reads the clock when it
+	// publishes.
+	StaleObs int64
+	StaleAge time.Duration
 }
 
-// Publisher ties a learn-plane index to a lock-free stream of
+// Publisher turns a learn-plane index into a lock-free stream of
 // RuleSnapshots. View, Version, Lag and Stale may be called from any
 // number of goroutines concurrently and never block. Everything else
 // (Observe, ObservePair, Publish, Restore) reads the index and belongs to
 // the index's single writer; a Learner is that writer and holds the
-// mutex for it.
+// mutex for it. A Publisher keeps no pointer to its index: the writer
+// hands the same one to every call that reads it, so a Learner holds
+// index and publisher side by side, by value, and neither points at the
+// other. The served snapshot comes first because every routing decision
+// loads it.
 type Publisher struct {
-	src *PairIndex
-	cfg PublisherConfig
-	cur atomic.Pointer[RuleSnapshot]
-
-	version  uint64
-	crossAt  uint64
+	cur      atomic.Pointer[RuleSnapshot]
 	obsSince atomic.Int64 // read by Lag and Stale
+	cfg      *PublisherConfig
+
+	version uint64
+	crossAt uint64
 }
 
-// NewPublisher wraps idx. The publisher starts serving the empty
-// version-0 snapshot; nothing is read from idx until the first publish.
-func NewPublisher(idx *PairIndex, cfg PublisherConfig) *Publisher {
-	if idx == nil {
-		panic("core: NewPublisher requires an index")
-	}
+// NewPublisher returns a publisher serving the empty version-0 snapshot.
+// cfg.MinSupport is required: a publisher is bound to no index, its writer
+// hands the one index it publishes to every Observe, ObservePair, Publish
+// and Restore (a Learner fills MinSupport from its threshold).
+func NewPublisher(cfg PublisherConfig) *Publisher {
+	p := new(Publisher)
+	p.init(&cfg)
+	return p
+}
+
+// init makes the zero Publisher serve under cfg, which it keeps and does
+// not copy.
+func (p *Publisher) init(cfg *PublisherConfig) {
 	if cfg.MinSupport <= 0 {
-		cfg.MinSupport = idx.threshold
-	}
-	if cfg.MinSupport <= 0 {
-		panic("core: NewPublisher requires MinSupport (or a decay-mode index)")
+		panic("core: a Publisher requires MinSupport > 0")
 	}
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = 64
 	}
-	p := &Publisher{src: idx, cfg: cfg}
+	p.cfg = cfg
 	p.cur.Store(emptySnapshot)
-	return p
 }
 
 // View returns the current published snapshot: one atomic pointer load,
@@ -297,14 +313,18 @@ func (p *Publisher) Lag() int64 {
 }
 
 // Stale reports whether the served snapshot has fallen behind the learn
-// plane: more than maxLag observations absorbed since the last publish
-// (maxLag > 0), or published longer than maxAge ago (maxAge > 0). Either
-// bound at zero is disabled. The pre-first-publish empty snapshot is
-// never stale — nothing has been learned worth waiting for, and callers
-// already treat an empty snapshot as "no rules". Degradation logic
-// (routing.Assoc, the vantage rule server) polls this to decide when
-// decayed rules should yield to flooding.
-func (p *Publisher) Stale(maxLag int64, maxAge time.Duration) bool {
+// plane by a configured bound: StaleObs observations absorbed since the
+// last publish, or published StaleAge ago on the monotonic clock. With
+// neither bound set nothing is ever stale. The pre-first-publish empty
+// snapshot is never stale — nothing has been learned worth waiting for,
+// and callers already treat an empty snapshot as "no rules". Degradation
+// logic (routing.Assoc, the vantage rule server) polls this to decide
+// when decayed rules should yield to flooding.
+func (p *Publisher) Stale() bool {
+	maxLag, maxAge := p.cfg.StaleObs, p.cfg.StaleAge
+	if maxLag <= 0 && maxAge <= 0 {
+		return false
+	}
 	s := p.cur.Load()
 	if s.version == 0 {
 		return false
@@ -312,17 +332,14 @@ func (p *Publisher) Stale(maxLag int64, maxAge time.Duration) bool {
 	if maxLag > 0 && p.obsSince.Load() >= maxLag {
 		return true
 	}
-	if maxAge > 0 && time.Since(time.Unix(0, s.at)) >= maxAge {
-		return true
-	}
-	return false
+	return maxAge > 0 && time.Since(clockBase)-time.Duration(s.mono) >= maxAge
 }
 
-// Observe records that the index absorbed one observation and publishes
-// if the policy calls for it.
-func (p *Publisher) Observe() {
-	if total := p.obsSince.Add(1); p.due(total) {
-		p.Publish()
+// Observe records that idx absorbed one observation and publishes if the
+// policy calls for it.
+func (p *Publisher) Observe(idx *PairIndex) {
+	if total := p.obsSince.Add(1); p.due(idx, total) {
+		p.Publish(idx)
 	} else {
 		gPublishLag.Set(total)
 	}
@@ -339,60 +356,59 @@ func (p *Publisher) Observe() {
 // Either way version, publish time, lag and the instruments advance
 // exactly as under Observe. Every index change must reach the publisher
 // through Observe, ObservePair or Publish for this to hold.
-func (p *Publisher) ObservePair(k PairKey, now float64) {
+func (p *Publisher) ObservePair(idx *PairIndex, k PairKey, now float64) {
 	total := p.obsSince.Add(1)
-	if !p.due(total) {
+	if !p.due(idx, total) {
 		gPublishLag.Set(total)
 		return
 	}
 	if base := p.cur.Load(); total == 1 && base.version > 0 {
-		p.swap(upsertRule(base.rules, k, now, p.cfg.MinSupport))
+		p.swap(idx, upsertRule(base.rules, k, now, p.cfg.MinSupport))
 	} else {
-		p.swap(p.rebuild())
+		p.Publish(idx)
 	}
 }
 
 // due applies the publication policy to the observations absorbed since
 // the last publish.
-func (p *Publisher) due(total int64) bool {
+func (p *Publisher) due(idx *PairIndex, total int64) bool {
 	switch p.cfg.Policy {
 	case PublishSync:
 		return true
 	case PublishOnChange:
-		return p.src.Crossings() != p.crossAt
+		return idx.Crossings() != p.crossAt
 	case PublishEpoch:
 		return total >= int64(p.cfg.Epoch)
 	}
 	return false
 }
 
-// Publish materializes the index's current rules as a new immutable
-// snapshot and swaps it in, returning the new snapshot.
-func (p *Publisher) Publish() *RuleSnapshot {
-	return p.swap(p.rebuild())
-}
-
-// rebuild collects the index's pairs at or above MinSupport in canonical
-// snapshot order.
-func (p *Publisher) rebuild() []RuleEntry {
+// Publish materializes idx's current rules — its pairs at or above
+// MinSupport, in canonical snapshot order — as a new immutable snapshot
+// and swaps it in, returning the new snapshot.
+func (p *Publisher) Publish(idx *PairIndex) *RuleSnapshot {
 	var rules []RuleEntry
-	p.src.Range(func(k PairKey, v float64) bool {
+	idx.Range(func(k PairKey, v float64) bool {
 		if v >= p.cfg.MinSupport {
 			rules = append(rules, RuleEntry{Key: k, Support: v})
 		}
 		return true
 	})
 	sortRules(rules)
-	return rules
+	return p.swap(idx, rules)
 }
 
-// swap publishes rules as the next version.
-func (p *Publisher) swap(rules []RuleEntry) *RuleSnapshot {
+// swap publishes rules, built from idx as it stands, as the next version.
+func (p *Publisher) swap(idx *PairIndex, rules []RuleEntry) *RuleSnapshot {
 	p.version++
-	s := &RuleSnapshot{version: p.version, at: time.Now().UnixNano(), rules: rules}
+	s := &RuleSnapshot{rules: rules, version: p.version}
+	if p.cfg.StaleAge > 0 {
+		now := time.Now()
+		s.at, s.mono = now.UnixNano(), int64(now.Sub(clockBase))
+	}
 	p.cur.Store(s)
 	p.obsSince.Store(0)
-	p.crossAt = p.src.Crossings()
+	p.crossAt = idx.Crossings()
 	mPublishes.Inc()
 	gPublishVer.Set(int64(s.version))
 	gPublishSize.Set(int64(len(rules)))

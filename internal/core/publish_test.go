@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"arq/internal/trace"
 )
@@ -12,12 +14,22 @@ import (
 // publisher apply its policy.
 func observe(idx *PairIndex, p *Publisher, src, rep trace.HostID) {
 	idx.AddPair(src, rep)
-	p.Observe()
+	p.Observe(idx)
+}
+
+// publisherOver returns a publisher for a test that plays the learner
+// over idx: like a Learner's, its MinSupport defaults to the index's
+// activation threshold.
+func publisherOver(idx *PairIndex, cfg PublisherConfig) *Publisher {
+	if cfg.MinSupport <= 0 {
+		cfg.MinSupport = idx.threshold
+	}
+	return NewPublisher(cfg)
 }
 
 func TestPublishSyncTracksEveryObservation(t *testing.T) {
 	idx := NewDecayIndex(2)
-	p := NewPublisher(idx, PublisherConfig{Policy: PublishSync})
+	p := publisherOver(idx, PublisherConfig{Policy: PublishSync})
 	if v := p.View(); v.Version() != 0 || v.Len() != 0 {
 		t.Fatalf("initial view = v%d len %d", v.Version(), v.Len())
 	}
@@ -40,7 +52,7 @@ func TestPublishSyncTracksEveryObservation(t *testing.T) {
 
 func TestPublishedSnapshotIsImmutable(t *testing.T) {
 	idx := NewDecayIndex(2)
-	p := NewPublisher(idx, PublisherConfig{Policy: PublishSync})
+	p := publisherOver(idx, PublisherConfig{Policy: PublishSync})
 	observe(idx, p, 1, 2)
 	observe(idx, p, 1, 2)
 	old := p.View()
@@ -58,7 +70,7 @@ func TestPublishedSnapshotIsImmutable(t *testing.T) {
 
 func TestPublishOnChangePublishesOnlyOnCrossings(t *testing.T) {
 	idx := NewDecayIndex(2)
-	p := NewPublisher(idx, PublisherConfig{Policy: PublishOnChange})
+	p := publisherOver(idx, PublisherConfig{Policy: PublishOnChange})
 	observe(idx, p, 1, 2) // support 1: no rule yet, no crossing
 	if got := p.Version(); got != 0 {
 		t.Fatalf("version after sub-threshold obs = %d", got)
@@ -75,7 +87,7 @@ func TestPublishOnChangePublishesOnlyOnCrossings(t *testing.T) {
 	}
 	// Decay below the threshold is a crossing too.
 	idx.Decay(0.1, 0.05)
-	p.Observe()
+	p.Observe(idx)
 	if got, v := p.Version(), p.View(); got != 2 || v.Len() != 0 {
 		t.Fatalf("after decay crossing: version %d, len %d", got, v.Len())
 	}
@@ -83,7 +95,7 @@ func TestPublishOnChangePublishesOnlyOnCrossings(t *testing.T) {
 
 func TestPublishEpochBoundsStaleness(t *testing.T) {
 	idx := NewDecayIndex(1)
-	p := NewPublisher(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 4})
+	p := publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 4})
 	for i := 0; i < 3; i++ {
 		observe(idx, p, 1, trace.HostID(10+i))
 	}
@@ -104,12 +116,12 @@ func TestPublishEpochBoundsStaleness(t *testing.T) {
 
 func TestSnapshotConsequentOrdering(t *testing.T) {
 	idx := NewDecayIndex(1)
-	p := NewPublisher(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
+	p := publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
 	idx.Set(1, 7, 5)
 	idx.Set(1, 3, 5) // ties break on ascending HostID
 	idx.Set(1, 9, 8)
 	idx.Set(1, 4, 0.5) // below MinSupport: excluded
-	p.Publish()
+	p.Publish(idx)
 	got := p.View().Consequents(1, 0)
 	want := []trace.HostID{9, 3, 7}
 	if len(got) != len(want) {
@@ -127,12 +139,12 @@ func TestSnapshotConsequentOrdering(t *testing.T) {
 
 func TestPublisherExplicitMinSupport(t *testing.T) {
 	idx := NewPairIndex() // windowed mode: no intrinsic threshold
-	p := NewPublisher(idx, PublisherConfig{MinSupport: 3})
+	p := publisherOver(idx, PublisherConfig{MinSupport: 3})
 	idx.AddBlock(trace.Block{
 		{Source: 1, Replier: 2}, {Source: 1, Replier: 2}, {Source: 1, Replier: 2},
 		{Source: 1, Replier: 5},
 	})
-	v := p.Publish()
+	v := p.Publish(idx)
 	if v.Len() != 1 || v.Support(1, 2) != 3 || v.Matches(1, 5) {
 		t.Fatalf("snapshot = len %d, support(1,2)=%v", v.Len(), v.Support(1, 2))
 	}
@@ -143,7 +155,7 @@ func TestPublisherExplicitMinSupport(t *testing.T) {
 // write-plane/read-plane memory contract.
 func TestPublisherConcurrentReaders(t *testing.T) {
 	idx := NewDecayIndex(2)
-	p := NewPublisher(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 8})
+	p := publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 8})
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -179,7 +191,7 @@ func TestPublisherConcurrentReaders(t *testing.T) {
 		observe(idx, p, trace.HostID(1+i%5), trace.HostID(1+(i*7)%11))
 		if i%97 == 0 {
 			idx.Decay(0.5, 0.25)
-			p.Observe()
+			p.Observe(idx)
 		}
 	}
 	close(done)
@@ -200,30 +212,30 @@ func TestSinglePairPublicationEqualsRebuild(t *testing.T) {
 	values := []float64{0, 1, 1.5, 2, 3, 4}
 	f := func(ops []uint32) bool {
 		idx := NewDecayIndex(threshold)
-		p := NewPublisher(idx, PublisherConfig{Policy: PublishSync})
-		ref := NewPublisher(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
-		p.Publish() // ObservePair needs a base that was built from the index
+		p := publisherOver(idx, PublisherConfig{Policy: PublishSync})
+		ref := publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
+		p.Publish(idx) // ObservePair needs a base that was built from the index
 		for step, op := range ops {
 			src, rep := trace.HostID(1+op>>4%3), trace.HostID(1+op>>6%4)
 			k, pick := PackPair(src, rep), int(op>>8)%len(weights)
 			before := p.View()
 			switch kind := op % 16; {
 			case kind < 7:
-				p.ObservePair(k, idx.AddPair(src, rep))
+				p.ObservePair(idx, k, idx.AddPair(src, rep))
 			case kind < 10:
 				idx.Add(src, rep, weights[pick])
-				p.ObservePair(k, idx.Support(src, rep))
+				p.ObservePair(idx, k, idx.Support(src, rep))
 			case kind < 13:
 				idx.Set(src, rep, values[pick])
-				p.ObservePair(k, values[pick])
+				p.ObservePair(idx, k, values[pick])
 			case kind < 15:
 				idx.Decay(0.5, 0.25)
-				p.Observe()
+				p.Observe(idx)
 			default:
 				idx.Reset()
-				p.Observe()
+				p.Observe(idx)
 			}
-			got, want := p.View(), ref.Publish()
+			got, want := p.View(), ref.Publish(idx)
 			if got.Version() != before.Version()+1 {
 				t.Errorf("step %d: version %d after %d", step, got.Version(), before.Version())
 				return false
@@ -259,21 +271,55 @@ func TestSinglePairPublicationEqualsRebuild(t *testing.T) {
 func TestObservePairRebuildsWhenSnapshotIsBehind(t *testing.T) {
 	idx := NewDecayIndex(2)
 	idx.Set(1, 2, 5) // in the index before any publish
-	p := NewPublisher(idx, PublisherConfig{Policy: PublishSync})
-	p.ObservePair(PackPair(3, 4), idx.AddPair(3, 4))
+	p := publisherOver(idx, PublisherConfig{Policy: PublishSync})
+	p.ObservePair(idx, PackPair(3, 4), idx.AddPair(3, 4))
 	if v := p.View(); v.Version() != 1 || v.Support(1, 2) != 5 {
 		t.Fatalf("first publish: v%d support(1,2)=%v, want the full rebuild", v.Version(), v.Support(1, 2))
 	}
 
 	idx = NewDecayIndex(1)
-	p = NewPublisher(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 2})
-	p.Publish()
-	p.ObservePair(PackPair(1, 2), idx.AddPair(1, 2)) // unpublished: epoch not full
+	p = publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 2})
+	p.Publish(idx)
+	p.ObservePair(idx, PackPair(1, 2), idx.AddPair(1, 2)) // unpublished: epoch not full
 	if p.Version() != 1 || p.Lag() != 1 {
 		t.Fatalf("epoch policy: v%d lag %d after one observation, want v1 lag 1", p.Version(), p.Lag())
 	}
-	p.ObservePair(PackPair(1, 3), idx.AddPair(1, 3))
+	p.ObservePair(idx, PackPair(1, 3), idx.AddPair(1, 3))
 	if v := p.View(); v.Version() != 2 || v.Len() != 2 || p.Lag() != 0 {
 		t.Fatalf("epoch policy: v%d with %d rules, lag %d; want v2 with both pairs, lag 0", v.Version(), v.Len(), p.Lag())
+	}
+}
+
+// Stale ages a snapshot on the monotonic clock. A wall clock that steps
+// after the publish is played here by moving the snapshot's wall stamp
+// the other way: two hours back for a step forwards, which must not make
+// a fresh snapshot stale, and with the monotonic stamp two hours old a
+// wall stamp from the future (a step backwards) must not keep it served.
+// A publisher with no age bound reads no clock at all, and the codec
+// writes its snapshots' publish time as 0.
+func TestStaleAgeIsMonotonic(t *testing.T) {
+	idx := NewDecayIndex(1)
+	idx.Set(1, 2, 3)
+	p := publisherOver(idx, PublisherConfig{StaleAge: time.Hour})
+	if p.Stale() {
+		t.Fatal("stale before the first publish")
+	}
+	s := p.Publish(idx)
+	if s.at == 0 || p.Stale() {
+		t.Fatalf("just published: wall stamp %d, stale %v", s.at, p.Stale())
+	}
+	const step = int64(2 * time.Hour)
+	p.cur.Store(&RuleSnapshot{rules: s.rules, version: s.version, at: s.at - step, mono: s.mono})
+	if p.Stale() {
+		t.Fatal("a wall clock stepped forwards made a fresh snapshot stale")
+	}
+	p.cur.Store(&RuleSnapshot{rules: s.rules, version: s.version, at: s.at + step, mono: s.mono - step})
+	if !p.Stale() {
+		t.Fatal("a wall clock stepped backwards keeps a two-hour-old snapshot served")
+	}
+
+	unbounded := publisherOver(idx, PublisherConfig{StaleObs: 3})
+	if s := unbounded.Publish(idx); s.at != 0 || binary.LittleEndian.Uint64(s.Marshal()[14:]) != 0 {
+		t.Fatalf("no age bound: publish time %d recorded, header carries %d", s.at, binary.LittleEndian.Uint64(s.Marshal()[14:]))
 	}
 }

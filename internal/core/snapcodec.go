@@ -37,7 +37,10 @@ const snapshotHeaderLen = 4 + 2 + 8 + 8 + 4
 // (magic, codec version, snapshot version, publish time, rule count)
 // followed by (PairKey, support) records sorted by PairKey. Equal
 // snapshots always produce identical bytes, so checkpoints can be
-// compared and deduplicated byte-wise.
+// compared and deduplicated byte-wise. The publish time is wall-clock
+// nanoseconds, or 0 for "not recorded": a learner with no age bound never
+// reads the clock. Nothing reads the field back but the decoder, which
+// carries it over.
 func (s *RuleSnapshot) Marshal() []byte {
 	rules := s.byKey()
 	out := make([]byte, 0, snapshotHeaderLen+16*len(rules))
@@ -128,7 +131,7 @@ func RemapSnapshot(s *RuleSnapshot, f func(trace.HostID) (trace.HostID, bool)) *
 	return out
 }
 
-// Restore seeds the publisher's index from a persisted snapshot at
+// Restore seeds idx, the publisher's index, from a persisted snapshot at
 // discounted support and publishes the result. Each rule's support is
 // added (not overwritten) at s.Support * discount, so restoring into a
 // live index merges rather than clobbers — the same primitive a
@@ -141,7 +144,7 @@ func RemapSnapshot(s *RuleSnapshot, f func(trace.HostID) (trace.HostID, bool)) *
 // the post-restore publish is strictly newer than both the restored
 // snapshot and anything published before — version monotonicity holds
 // across restarts.
-func (p *Publisher) Restore(s *RuleSnapshot, discount float64) *RuleSnapshot {
+func (p *Publisher) Restore(idx *PairIndex, s *RuleSnapshot, discount float64) *RuleSnapshot {
 	if s == nil {
 		s = emptySnapshot
 	}
@@ -150,10 +153,10 @@ func (p *Publisher) Restore(s *RuleSnapshot, discount float64) *RuleSnapshot {
 	}
 	// Seed in sorted key order so restore is deterministic.
 	for _, e := range s.byKey() {
-		p.src.Add(e.Key.Source(), e.Key.Replier(), e.Support*discount)
+		idx.Add(e.Key.Source(), e.Key.Replier(), e.Support*discount)
 	}
 	if s.version > p.version {
 		p.version = s.version
 	}
-	return p.Publish()
+	return p.Publish(idx)
 }

@@ -5,18 +5,25 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+	"time"
 
 	"arq/internal/trace"
 )
 
 // publishedSnapshot builds a decay index with the given weighted pairs
-// and publishes once, returning the publisher and its snapshot.
+// and publishes once, returning the publisher and its snapshot. The age
+// bound is there so that the snapshot carries a publish time for the
+// codec to round-trip.
 func publishedSnapshot(t *testing.T, threshold float64, add func(idx *PairIndex)) (*Publisher, *RuleSnapshot) {
 	t.Helper()
 	idx := NewDecayIndex(threshold)
 	add(idx)
-	p := NewPublisher(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
-	return p, p.Publish()
+	p := publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30, StaleAge: time.Hour})
+	s := p.Publish(idx)
+	if s.at == 0 {
+		t.Fatal("a publisher with an age bound published without a publish time")
+	}
+	return p, s
 }
 
 func TestSnapshotRoundtrip(t *testing.T) {
@@ -147,8 +154,8 @@ func TestRestoreSeedsDiscounted(t *testing.T) {
 	})
 
 	idx2 := NewDecayIndex(1)
-	p2 := NewPublisher(idx2, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
-	out := p2.Restore(s, 0.5)
+	p2 := publisherOver(idx2, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
+	out := p2.Restore(idx2, s, 0.5)
 	if got := out.Support(1, 2); got != 4 {
 		t.Fatalf("restored support(1,2) = %v, want 4 (8 discounted by 0.5)", got)
 	}
@@ -165,8 +172,8 @@ func TestRestoreMergesIntoLiveIndex(t *testing.T) {
 
 	idx2 := NewDecayIndex(1)
 	idx2.Add(1, 2, 4) // live state the restore must merge with, not clobber
-	p2 := NewPublisher(idx2, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
-	out := p2.Restore(s, 1)
+	p2 := publisherOver(idx2, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
+	out := p2.Restore(idx2, s, 1)
 	if got := out.Support(1, 2); got != 10 {
 		t.Fatalf("merged support(1,2) = %v, want 10 (4 live + 6 restored)", got)
 	}
@@ -175,19 +182,20 @@ func TestRestoreMergesIntoLiveIndex(t *testing.T) {
 func TestRestoreVersionMonotone(t *testing.T) {
 	// Restoring an old snapshot into a newer publisher must not roll the
 	// version back; restoring a newer snapshot must advance past it.
-	pHigh, _ := publishedSnapshot(t, 1, func(idx *PairIndex) { idx.Add(1, 2, 5) })
+	var idxHigh, idxFresh *PairIndex
+	pHigh, _ := publishedSnapshot(t, 1, func(idx *PairIndex) { idxHigh = idx; idx.Add(1, 2, 5) })
 	for i := 0; i < 9; i++ {
-		pHigh.Publish() // version now 10
+		pHigh.Publish(idxHigh) // version now 10
 	}
 	_, sLow := publishedSnapshot(t, 1, func(idx *PairIndex) { idx.Add(5, 6, 5) }) // version 1
-	out := pHigh.Restore(sLow, 1)
+	out := pHigh.Restore(idxHigh, sLow, 1)
 	if out.Version() != 11 {
 		t.Fatalf("restore of old snapshot published v%d, want v11", out.Version())
 	}
 
-	pFresh, _ := publishedSnapshot(t, 1, func(idx *PairIndex) { idx.Add(7, 8, 5) })
+	pFresh, _ := publishedSnapshot(t, 1, func(idx *PairIndex) { idxFresh = idx; idx.Add(7, 8, 5) })
 	sHigh := pHigh.View() // version 11
-	out = pFresh.Restore(sHigh, 1)
+	out = pFresh.Restore(idxFresh, sHigh, 1)
 	if out.Version() <= sHigh.Version() {
 		t.Fatalf("restore published v%d, not newer than restored v%d", out.Version(), sHigh.Version())
 	}
@@ -223,8 +231,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 	idx.Add(1, 2, 5)
 	idx.Add(1, 3, 2.5)
 	idx.Add(9, 1, 7)
-	p := NewPublisher(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
-	f.Add(p.Publish().Marshal())
+	p := publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
+	f.Add(p.Publish(idx).Marshal())
 	// Several antecedents whose consequents tie on support, some with each
 	// other and some across antecedents: key order (what the bytes carry)
 	// and canonical order (what the decoder must restore) differ most here.
@@ -235,7 +243,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 				tied.Set(src, trace.HostID(10*(j+1)+i), sup)
 			}
 		}
-		f.Add(NewPublisher(tied, PublisherConfig{}).Publish().Marshal())
+		f.Add(publisherOver(tied, PublisherConfig{}).Publish(tied).Marshal())
 	}
 	f.Add(emptySnapshot.Marshal())
 	f.Add([]byte("ARQS"))

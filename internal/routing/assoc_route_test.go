@@ -2,6 +2,7 @@ package routing
 
 import (
 	"testing"
+	"unsafe"
 
 	"arq/internal/obsv"
 	"arq/internal/peer"
@@ -78,8 +79,10 @@ func TestAssocSkipsDepartedAndSenderConsequents(t *testing.T) {
 }
 
 // The serve plane allocates nothing once the caller's buffer has room —
-// covered, uncovered and flood-phase alike — and a learn step that leaves
-// the rule set unchanged allocates only the new snapshot's header.
+// covered, uncovered and flood-phase alike — and Route, which brings its
+// own buffer, allocates exactly that. A learn step allocates the next
+// snapshot and nothing else: its header alone when the rule set is
+// unchanged, header and rule slice when a served rule moved.
 func TestAssocHotPathAllocations(t *testing.T) {
 	a := NewAssoc(AssocConfig{TopK: 2, Threshold: 2, Decay: 0.5, DecayEvery: 1 << 30})
 	nbrs := []int32{10, 11, 12, 13, 14, 15}
@@ -107,6 +110,19 @@ func TestAssocHotPathAllocations(t *testing.T) {
 		if len(buf) != tc.want {
 			t.Errorf("%s RouteAppend chose %v, want %d next hops", tc.name, buf, tc.want)
 		}
+		if n := testing.AllocsPerRun(100, func() {
+			benchRoute = a.Route(0, tc.from, tc.q, nbrs)
+		}); n != 1 {
+			t.Errorf("%s Route: %v allocs per call, want 1", tc.name, n)
+		}
+		if len(benchRoute) != tc.want {
+			t.Errorf("%s Route chose %v, want %d next hops", tc.name, benchRoute, tc.want)
+		}
+	}
+
+	// Each hit moves the support of a served rule.
+	if n := testing.AllocsPerRun(100, func() { a.ObserveHit(0, 5, q, 12) }); n != 2 || a.RuleCount() != 2 {
+		t.Errorf("rule-moving ObserveHit, %d rules: %v allocs per call, want 2 with 2 rules", a.RuleCount(), n)
 	}
 
 	// Threshold out of reach: the pair is tracked but never becomes a rule.
@@ -118,6 +134,25 @@ func TestAssocHotPathAllocations(t *testing.T) {
 	}
 	if got := sub.SnapshotVersion() - v0; got != 101 || sub.RuleCount() != 0 {
 		t.Errorf("sub-threshold ObserveHit: version advanced by %d with %d rules, want 101 and 0", got, sub.RuleCount())
+	}
+}
+
+// TestAssocLayout pins the slab entry of one node: at most 224 bytes (three
+// and a half cache lines, so a field added to Assoc or core.Learner shows
+// up here), with everything RouteAppend reads before it reaches the
+// snapshot inside the first line: the shared config's pointer, then the
+// learner, which core's TestLearnerLayout holds to keep the served
+// snapshot's pointer and the staleness bounds' in its first 32 bytes.
+func TestAssocLayout(t *testing.T) {
+	var a Assoc
+	if off := unsafe.Offsetof(a.cfg); off != 0 {
+		t.Errorf("the config pointer is at offset %d, want 0", off)
+	}
+	if off := unsafe.Offsetof(a.learn); off+32 > 64 {
+		t.Errorf("the learner starts at offset %d: its first 32 bytes leave the router's first cache line", off)
+	}
+	if size := unsafe.Sizeof(a); size > 224 {
+		t.Errorf("an Assoc is %d bytes, ceiling 224", size)
 	}
 }
 

@@ -139,7 +139,7 @@ type AssocConfig struct {
 	DecayEvery int
 	// Floor is the decayed support below which a pair is evicted from the
 	// learner's table entirely, bounding each node's rule memory. It must
-	// stay below Threshold; 0 selects the default 0.25.
+	// stay below Threshold; 0 selects the learner's default, 0.25.
 	Floor float64
 	// Strict selects the paper's deployment: a node with no rule for the
 	// query's upstream drops it, and the *origin* reverts the whole query
@@ -164,8 +164,10 @@ type AssocConfig struct {
 	// plane up. 0 disables the bound — rules are served no matter how
 	// stale, the historical behaviour.
 	StaleObs int
-	// StaleAge is the wall-clock analogue of StaleObs: a snapshot older
-	// than this also degrades to flooding. 0 disables it.
+	// StaleAge is the elapsed-time analogue of StaleObs: a snapshot
+	// published longer ago than this also degrades to flooding. The age
+	// is measured on the monotonic clock, so a stepped wall clock does
+	// not move it. 0 disables it.
 	StaleAge time.Duration
 }
 
@@ -173,11 +175,8 @@ type AssocConfig struct {
 // experiments: synchronous publication (exact sequential semantics) with
 // the default memory floor.
 func DefaultAssocConfig() AssocConfig {
-	return AssocConfig{TopK: 2, Threshold: 2, Decay: 0.5, DecayEvery: 64, Floor: defaultAssocFloor}
+	return AssocConfig{TopK: 2, Threshold: 2, Decay: 0.5, DecayEvery: 64, Floor: 0.25}
 }
-
-// defaultAssocFloor is the default AssocConfig.Floor.
-const defaultAssocFloor = 0.25
 
 // Assoc is the paper's contribution deployed as an online router: the node
 // mines {upstream neighbor} -> {neighbor that returned hits} rules from
@@ -192,9 +191,23 @@ const defaultAssocFloor = 0.25
 // is Route/Consequents/RuleCount serving lock-free from the immutable
 // snapshots the learner publishes, so any number of goroutines can route
 // concurrently while learning proceeds — reads never contend with writes.
+//
+// The learner sits in the router by value and an overlay's routers sit in
+// one slice (NewAssocs), so a node's whole learn/serve plane is a stretch
+// of that slab and costs no heap object of its own. What a routing
+// decision reads, the shared config and the served snapshot's pointer,
+// comes first and shares a cache line. An Assoc must not be copied:
+// index the slab, never range over it by value.
 type Assoc struct {
-	cfg   AssocConfig
-	learn *core.Learner
+	cfg   *assocShared
+	learn core.Learner
+}
+
+// assocShared is what the routers of one slab have in common: their own
+// parameters, defaults filled in, and the config their learners keep.
+type assocShared struct {
+	AssocConfig
+	learn core.LearnerConfig
 }
 
 // assocHost maps a simulator node id into the engine's HostID key space.
@@ -210,36 +223,53 @@ func assocNode(h trace.HostID) int32 {
 	return int32(uint32(h) - 1)
 }
 
-// NewAssoc returns an association-rule router for one node.
-func NewAssoc(cfg AssocConfig) *Assoc {
+// NewAssocs returns n association-rule routers, one per node of an
+// overlay, in one allocation and over one shared config: hand node u
+// &as[u]. Decay and Floor outside their ranges are repaired by the
+// learner (core.LearnerConfig).
+func NewAssocs(n int, cfg AssocConfig) []Assoc {
 	if cfg.TopK <= 0 {
 		cfg.TopK = 2
 	}
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 2
 	}
-	if cfg.Decay <= 0 || cfg.Decay > 1 {
-		cfg.Decay = 0.5
-	}
 	if cfg.DecayEvery <= 0 {
 		cfg.DecayEvery = 64
 	}
-	if cfg.Floor <= 0 || cfg.Floor >= cfg.Threshold {
-		cfg.Floor = defaultAssocFloor
-		if cfg.Floor >= cfg.Threshold {
-			cfg.Floor = cfg.Threshold / 8
-		}
-	}
-	if cfg.PublishEvery <= 0 {
-		cfg.PublishEvery = 64
-	}
-	return &Assoc{cfg: cfg, learn: core.NewLearner(core.LearnerConfig{
+	shared := &assocShared{AssocConfig: cfg, learn: core.LearnerConfig{
 		Threshold:  cfg.Threshold,
 		Decay:      cfg.Decay,
 		DecayEvery: cfg.DecayEvery,
 		Floor:      cfg.Floor,
-		Publish:    core.PublisherConfig{Policy: cfg.Publish, Epoch: cfg.PublishEvery},
-	})}
+		Publish: core.PublisherConfig{
+			Policy:   cfg.Publish,
+			Epoch:    cfg.PublishEvery,
+			StaleObs: int64(cfg.StaleObs),
+			StaleAge: cfg.StaleAge,
+		},
+	}}
+	as := make([]Assoc, n)
+	for u := range as {
+		as[u].cfg = shared
+		as[u].learn.Init(&shared.learn)
+	}
+	return as
+}
+
+// NewAssoc returns an association-rule router for one node: a slab of one.
+func NewAssoc(cfg AssocConfig) *Assoc {
+	return &NewAssocs(1, cfg)[0]
+}
+
+// Reset empties the router in place, back to what NewAssocs made: a node
+// that leaves the overlay and rejoins starts over from no rules in its own
+// slot of the slab, and what it had learned is garbage. Nothing may be
+// using the router meanwhile.
+func (a *Assoc) Reset() {
+	cfg := a.cfg
+	*a = Assoc{cfg: cfg}
+	a.learn.Init(&cfg.learn)
 }
 
 // Name implements peer.Router.
@@ -248,9 +278,14 @@ func (a *Assoc) Name() string { return "assoc" }
 // Walk implements peer.Router.
 func (a *Assoc) Walk() bool { return false }
 
-// Route implements peer.Router: RouteAppend into a fresh slice.
+// Route implements peer.Router: RouteAppend into a fresh slice, sized for
+// the flood fallback so that no branch allocates twice. A strict drop
+// returns nil.
 func (a *Assoc) Route(u, from int, q peer.Meta, nbrs []int32) []int32 {
-	return a.RouteAppend(nil, u, from, q, nbrs)
+	if out := a.RouteAppend(make([]int32, 0, len(nbrs)), u, from, q, nbrs); len(out) > 0 {
+		return out
+	}
+	return nil
 }
 
 // RouteAppend implements peer.RouteAppender. It is the serve plane:
@@ -269,8 +304,7 @@ func (a *Assoc) RouteAppend(dst []int32, u, from int, q peer.Meta, nbrs []int32)
 		mAssocFloodPhase.Inc()
 		return Flood{}.RouteAppend(dst, u, from, q, nbrs)
 	}
-	if (a.cfg.StaleObs > 0 || a.cfg.StaleAge > 0) &&
-		a.learn.Stale(int64(a.cfg.StaleObs), a.cfg.StaleAge) {
+	if a.learn.Stale() {
 		// The served snapshot has fallen behind the learn plane
 		// (publication stalled or overloaded): decayed rules are more
 		// dangerous than expensive flooding, so degrade gracefully.

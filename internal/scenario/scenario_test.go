@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"arq/internal/overlay"
 	"arq/internal/peer"
 	"arq/internal/peer/flat"
+	"arq/internal/routing"
 	"arq/internal/scenario"
 	"arq/internal/stats"
 )
@@ -91,6 +93,67 @@ func TestRunnerDeterministicAcrossEngines(t *testing.T) {
 	for i := range a {
 		if got, want := toRec(b[i]), toRec(a[i]); !recEqual(got, want) {
 			t.Fatalf("churn query %d: flat %+v != seq %+v", i, got, want)
+		}
+	}
+}
+
+// An overlay whose association routers are one routing.NewAssocs slab
+// answers every query exactly as one built from a standalone
+// routing.NewAssoc per node, and leaves every node serving the same
+// snapshot, version included. Under churn a departed node's slot of the
+// slab is emptied in place (Assoc.Reset) where the per-node side swaps in
+// a new router: a reset router is a new one.
+func TestAssocSlabMatchesPerNodeRouters(t *testing.T) {
+	const n, q = 300, 400
+	cfg := routing.DefaultAssocConfig()
+	// run returns the per-query stats, the router each node ends up with,
+	// and how many routers churn replaced.
+	run := func(preset string, slab bool) ([]peer.Stats, []*routing.Assoc, int) {
+		sc, err := scenario.ByName(preset, n, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, m := sc.Build()
+		cur, rejoined := make([]*routing.Assoc, g.N()), 0
+		if slab {
+			as := routing.NewAssocs(g.N(), cfg)
+			for u := range as {
+				cur[u] = &as[u]
+			}
+		} else {
+			for u := range cur {
+				cur[u] = routing.NewAssoc(cfg)
+			}
+		}
+		eng := flat.NewEngine(g, m, func(u int) peer.Router { return cur[u] })
+		search := &routing.OneShot{Label: "assoc", E: eng, TTL: sc.Query.TTL, TopK: sc.Query.TopK, Stop: sc.Query.Stop}
+		r := scenario.NewRunner(sc, g, m, eng, search, func(u int) peer.Router {
+			if slab {
+				cur[u].Reset()
+			} else {
+				cur[u] = routing.NewAssoc(cfg)
+			}
+			rejoined++
+			return cur[u]
+		})
+		return r.Block(q), cur, rejoined
+	}
+	for _, preset := range []string{"baseline", "churn"} {
+		got, slab, rejoined := run(preset, true)
+		want, single, _ := run(preset, false)
+		if (rejoined > 0) != (preset == "churn") {
+			t.Fatalf("%s: %d routers replaced mid-run", preset, rejoined)
+		}
+		for i := range want {
+			if !recEqual(toRec(got[i]), toRec(want[i])) {
+				t.Fatalf("%s query %d: slab %+v, per-node routers %+v", preset, i, toRec(got[i]), toRec(want[i]))
+			}
+		}
+		for u := range single {
+			if a, b := slab[u].Snapshot(), single[u].Snapshot(); !bytes.Equal(a.Marshal(), b.Marshal()) {
+				t.Fatalf("%s node %d: slab serves v%d with %d rules, per-node router v%d with %d",
+					preset, u, a.Version(), a.Len(), b.Version(), b.Len())
+			}
 		}
 	}
 }

@@ -57,16 +57,27 @@ func Strategies(g *overlay.Graph, m *content.Model, spec peer.QuerySpec, seed ui
 			return s, e, flood
 		}},
 		{Name: "assoc", Warm: true, Build: func(mk EngineFactory) (routing.Searcher, peer.QueryEngine, func(u int) peer.Router) {
-			assoc := func(u int) peer.Router { return routing.NewAssoc(routing.DefaultAssocConfig()) }
-			e := mk(assoc)
-			return &routing.OneShot{Label: "assoc", E: e, TTL: spec.TTL, TopK: spec.TopK, Stop: spec.Stop}, e, assoc
+			e, rejoin := assocEngine(g, mk, routing.DefaultAssocConfig())
+			return &routing.OneShot{Label: "assoc", E: e, TTL: spec.TTL, TopK: spec.TopK, Stop: spec.Stop}, e, rejoin
 		}},
 		{Name: "assoc-two-phase", Warm: true, Build: func(mk EngineFactory) (routing.Searcher, peer.QueryEngine, func(u int) peer.Router) {
 			cfg := routing.DefaultAssocConfig()
 			cfg.Strict = true
-			strict := func(u int) peer.Router { return routing.NewAssoc(cfg) }
-			e := mk(strict)
-			return &routing.AssocTwoPhase{E: e, TTL: spec.TTL, TopK: spec.TopK, Stop: spec.Stop}, e, strict
+			e, rejoin := assocEngine(g, mk, cfg)
+			return &routing.AssocTwoPhase{E: e, TTL: spec.TTL, TopK: spec.TopK, Stop: spec.Stop}, e, rejoin
 		}},
+	}
+}
+
+// assocEngine builds an engine over one slab of association routers, node
+// u on the u-th, and returns it with the factory a churned node rejoins
+// through: the same slot, emptied in place, so the router starts from no
+// rules and the slab stays the only home of learn state.
+func assocEngine(g *overlay.Graph, mk EngineFactory, cfg routing.AssocConfig) (peer.QueryEngine, func(u int) peer.Router) {
+	as := routing.NewAssocs(g.N(), cfg)
+	e := mk(func(u int) peer.Router { return &as[u] })
+	return e, func(u int) peer.Router {
+		as[u].Reset()
+		return &as[u]
 	}
 }

@@ -29,9 +29,10 @@ import (
 // and may fill completely: a per-node learner that tracks three pairs
 // holds two 4-slot arrays. Larger tables are open-addressed with linear
 // probing at load <= 1/2 and backward-shift deletion. The zero value is
-// an empty table and nothing is allocated before the first insert. Keys
-// are integers (the packed pair keys and host ids of core.PairIndex), so
-// the hash is one multiply.
+// an empty table, which is how core.PairIndex holds its two by value, and
+// nothing is allocated before the first insert. Keys are integers (the
+// packed pair keys and host ids of core.PairIndex), so the hash is one
+// multiply.
 type CountTable[K ~int | ~uint32 | ~uint64] struct {
 	keys  []K
 	vals  []float64
@@ -48,11 +49,6 @@ const (
 // per process. It decides only where a key sits, never what a lookup
 // answers.
 var hashMul = rand.Uint64() | 1
-
-// NewCountTable returns an empty table.
-func NewCountTable[K ~int | ~uint32 | ~uint64]() *CountTable[K] {
-	return &CountTable[K]{}
-}
 
 // home is the slot a hashed table probes first for k.
 func (t *CountTable[K]) home(k K) int { return int(uint64(k) * hashMul >> t.shift) }

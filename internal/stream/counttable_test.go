@@ -10,7 +10,7 @@ import (
 )
 
 func TestCountTableAddAndDeleteAtZero(t *testing.T) {
-	tab := NewCountTable[int]()
+	tab := new(CountTable[int])
 	if old, now := tab.Add(7, 2); old != 0 || now != 2 {
 		t.Fatalf("Add = (%v, %v)", old, now)
 	}
@@ -31,7 +31,7 @@ func TestCountTableAddAndDeleteAtZero(t *testing.T) {
 }
 
 func TestCountTableSet(t *testing.T) {
-	tab := NewCountTable[int]()
+	tab := new(CountTable[int])
 	if old := tab.Set(7, 1.5); old != 0 {
 		t.Fatalf("old = %v", old)
 	}
@@ -50,7 +50,7 @@ func TestCountTableSet(t *testing.T) {
 }
 
 func TestCountTableDecayFloorAndCallback(t *testing.T) {
-	tab := NewCountTable[int]()
+	tab := new(CountTable[int])
 	tab.Add(1, 4) // -> 2, survives, stays at or above the threshold
 	tab.Add(2, 3) // -> 1.5, survives, crosses the threshold downwards
 	tab.Add(3, 2) // -> 1, exactly the floor: kept
@@ -84,7 +84,7 @@ func TestCountTableDecayFloorAndCallback(t *testing.T) {
 }
 
 func TestCountTableResetAndRange(t *testing.T) {
-	tab := NewCountTable[int]()
+	tab := new(CountTable[int])
 	for i := 0; i < 5; i++ {
 		tab.Add(i, float64(i+1))
 	}
@@ -191,7 +191,7 @@ var (
 // on the map oracle and fails at the first answer, callback multiset or
 // table content that differs.
 func checkOps(t testing.TB, data []byte) {
-	tab, ref := NewCountTable[uint64](), mapTable{}
+	tab, ref := new(CountTable[uint64]), mapTable{}
 	for pc := 0; pc+2 < len(data); pc += 3 {
 		op, a, b := data[pc], data[pc+1], data[pc+2]
 		k := opKey(a)
@@ -311,7 +311,7 @@ func FuzzCountTable(f *testing.F) {
 // wrap, so survivors shift back across it while the sweep is under way.
 func TestCountTableDecayWrappedRun(t *testing.T) {
 	setHashMul(t, 1)
-	tab, ref := NewCountTable[uint64](), mapTable{}
+	tab, ref := new(CountTable[uint64]), mapTable{}
 	put := func(k uint64, v float64) { tab.Set(k, v); ref.set(k, v) }
 	for i := uint64(0); i < 9; i++ { // nine keys with homes 8..16: the table is hashed, 32 slots
 		put((8+i)<<59, 100)
@@ -350,7 +350,7 @@ func TestCountTableDecayWrappedRun(t *testing.T) {
 func TestCountTableAllocations(t *testing.T) {
 	var sink float64
 	n := testing.AllocsPerRun(100, func() {
-		tab := NewCountTable[uint64]()
+		tab := new(CountTable[uint64])
 		sink += tab.Get(3) + float64(tab.Len())
 		tab.Range(func(k uint64, v float64) bool { sink += v; return true })
 		tab.Decay(0.9, 0.05, 2, func(k uint64, old, now float64) { sink += now })
@@ -360,7 +360,7 @@ func TestCountTableAllocations(t *testing.T) {
 		t.Errorf("empty table: %v allocs, want 0", n)
 	}
 	n = testing.AllocsPerRun(100, func() {
-		tab := NewCountTable[uint64]()
+		tab := new(CountTable[uint64])
 		tab.Add(1, 1)
 		tab.Add(2, 1)
 		tab.Add(3, 1)
@@ -370,7 +370,7 @@ func TestCountTableAllocations(t *testing.T) {
 	if n != 2 {
 		t.Errorf("three keys: %v allocs, want 2 (keys and vals)", n)
 	}
-	tab := NewCountTable[uint64]()
+	tab := new(CountTable[uint64])
 	for i := uint64(0); i < 3; i++ {
 		tab.Add(i, 1)
 	}
@@ -388,7 +388,7 @@ var benchCrossings int
 // evicts are replaced off the clock, so every sweep sees the same table.
 func BenchmarkCountTableDecay(b *testing.B) {
 	const live = 21800
-	tab := NewCountTable[uint64]()
+	tab := new(CountTable[uint64])
 	next := uint64(0)
 	born := func() float64 {
 		next++

@@ -54,7 +54,8 @@ type RuleConfig struct {
 	Decay      float64
 	DecayEvery int
 	// Floor evicts pairs whose decayed support falls below it; must stay
-	// below Threshold (0 means the default).
+	// below Threshold. Decay and Floor outside their ranges are repaired
+	// by the learner (core.LearnerConfig).
 	Floor float64
 	// Publish selects the snapshot publication policy. The default
 	// (PublishSync) publishes on every observed hit; a live servent with
@@ -79,7 +80,9 @@ type RuleConfig struct {
 	// incomplete, so flooding is safer than narrowed forwarding until a
 	// fresh publish.
 	StaleObs int
-	// StaleAge is the wall-clock staleness bound (0 disables).
+	// StaleAge is the elapsed-time staleness bound: a snapshot published
+	// longer ago than this, by the monotonic clock (a stepped wall clock
+	// does not move it), degrades the same way. 0 disables.
 	StaleAge time.Duration
 }
 
@@ -93,12 +96,12 @@ func DefaultRuleConfig() RuleConfig {
 // upstreamConn was routed back via viaConn.
 type ruleObs struct{ up, via int }
 
-// ruleServer owns the learn plane (one core.Learner, optionally fed
-// through a bounded drop-oldest queue) and hands out lock-free routing
-// decisions from the published snapshot.
+// ruleServer owns the learn plane (one core.Learner, held by value and
+// optionally fed through a bounded drop-oldest queue) and hands out
+// lock-free routing decisions from the published snapshot.
 type ruleServer struct {
 	cfg     RuleConfig
-	learner *core.Learner
+	learner core.Learner
 
 	// Bounded intake (cfg.QueueCap > 0): observe pushes, one background
 	// goroutine drains. nil means learn on the hit path.
@@ -123,19 +126,19 @@ func newRuleServer(cfg RuleConfig) *ruleServer {
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 2
 	}
-	if cfg.Floor <= 0 || cfg.Floor >= cfg.Threshold {
-		cfg.Floor = cfg.Threshold / 8
-	}
-	if cfg.PublishEvery <= 0 {
-		cfg.PublishEvery = 64
-	}
-	r := &ruleServer{cfg: cfg, learner: core.NewLearner(core.LearnerConfig{
+	r := &ruleServer{cfg: cfg}
+	r.learner.Init(&core.LearnerConfig{
 		Threshold:  cfg.Threshold,
 		Decay:      cfg.Decay,
 		DecayEvery: cfg.DecayEvery,
 		Floor:      cfg.Floor,
-		Publish:    core.PublisherConfig{Policy: cfg.Publish, Epoch: cfg.PublishEvery},
-	})}
+		Publish: core.PublisherConfig{
+			Policy:   cfg.Publish,
+			Epoch:    cfg.PublishEvery,
+			StaleObs: int64(cfg.StaleObs),
+			StaleAge: cfg.StaleAge,
+		},
+	})
 	if cfg.QueueCap > 0 {
 		r.queue = stream.NewDropRing[ruleObs](cfg.QueueCap)
 	}
@@ -211,7 +214,7 @@ func (r *ruleServer) degraded() bool {
 	if r.drops.Load() != r.dropsAtVer.Load() {
 		return true
 	}
-	return r.learner.Stale(int64(r.cfg.StaleObs), r.cfg.StaleAge)
+	return r.learner.Stale()
 }
 
 // filter narrows a query's flood targets to the k strongest learned
