@@ -7,33 +7,23 @@
 package keyword
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
 
 // Tokenize splits text into lowercase alphanumeric tokens; everything else
 // separates. "Free_Software-2.0.tar" -> ["free", "software", "2", "0",
-// "tar"].
+// "tar"]. The tokens are slices of the one lowered string.
 func Tokenize(text string) []string {
-	var out []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			out = append(out, b.String())
-			b.Reset()
-		}
+	out := strings.FieldsFunc(strings.ToLower(text), isSeparator)
+	if len(out) == 0 {
+		return nil
 	}
-	for _, r := range strings.ToLower(text) {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			b.WriteRune(r)
-		default:
-			flush()
-		}
-	}
-	flush()
 	return out
 }
+
+func isSeparator(r rune) bool { return !(r >= 'a' && r <= 'z' || r >= '0' && r <= '9') }
 
 // Index is an inverted index from token to the sorted set of document ids
 // containing it. The zero value is unusable; construct with NewIndex.
@@ -72,52 +62,51 @@ func (ix *Index) Docs() int { return len(ix.docs) }
 // never answers empty searches).
 func (ix *Index) Query(text string) []int32 {
 	tokens := Tokenize(text)
-	if len(tokens) == 0 {
-		return nil
-	}
-	// Intersect postings smallest-first.
-	lists := make([][]int32, 0, len(tokens))
-	seen := map[string]bool{}
-	for _, tok := range tokens {
-		if seen[tok] {
+	// Distinct tokens' postings, shortest first: a search has a handful of
+	// tokens, so a scan finds a repeat and an insertion keeps the order.
+	var buf [8][]int32
+	lists := buf[:0]
+	for i, tok := range tokens {
+		if slices.Contains(tokens[:i], tok) {
 			continue
 		}
-		seen[tok] = true
 		lst, ok := ix.postings[tok]
 		if !ok {
 			return nil
 		}
-		lists = append(lists, lst)
+		at := len(lists)
+		for at > 0 && len(lists[at-1]) > len(lst) {
+			at--
+		}
+		lists = slices.Insert(lists, at, lst)
 	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	result := lists[0]
+	if len(lists) == 0 {
+		return nil
+	}
+	// A copy, so callers cannot mutate postings; the other lists then
+	// filter it in place.
+	out := slices.Clone(lists[0])
 	for _, lst := range lists[1:] {
-		result = intersect(result, lst)
-		if len(result) == 0 {
+		out = intersect(out, lst)
+		if len(out) == 0 {
 			return nil
 		}
 	}
-	// Copy so callers cannot mutate postings.
-	out := make([]int32, len(result))
-	copy(out, result)
 	return out
 }
 
-// intersect merges two ascending id lists.
+// intersect keeps in a the ids that ascending list b also holds, and
+// returns the shortened a.
 func intersect(a, b []int32) []int32 {
-	var out []int32
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
+	n, j := 0, 0
+	for _, id := range a {
+		for j < len(b) && b[j] < id {
 			j++
 		}
+		if j < len(b) && b[j] == id {
+			a[n] = id
+			n++
+		}
 	}
-	return out
+	return a[:n]
 }

@@ -1,6 +1,8 @@
 package keyword
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -21,6 +23,64 @@ func TestTokenize(t *testing.T) {
 	}
 	if Tokenize("") != nil {
 		t.Fatal("empty text produced tokens")
+	}
+}
+
+// tokenizeBuilder is Tokenize as it was before it sliced the lowered
+// string: one strings.Builder flush per token. Kept as the oracle.
+func tokenizeBuilder(text string) []string {
+	var out []string
+	var b strings.Builder
+	flush := func() {
+		if b.Len() > 0 {
+			out = append(out, b.String())
+			b.Reset()
+		}
+	}
+	for _, r := range strings.ToLower(text) {
+		switch {
+		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
+			b.WriteRune(r)
+		default:
+			flush()
+		}
+	}
+	flush()
+	return out
+}
+
+func TestTokenizeMatchesBuilderOracle(t *testing.T) {
+	same := func(text string) bool {
+		got, want := Tokenize(text), tokenizeBuilder(text)
+		return slices.Equal(got, want) && (got == nil) == (want == nil)
+	}
+	// quick draws arbitrary Unicode; the fixed cases are the ones where
+	// lowering changes a rune's width or class (Kelvin sign -> k, dotted
+	// capital I) and where the bytes are not UTF-8 at all.
+	for _, text := range []string{"", "\u212Aelvin 2\u212A", "\u0130stanbul", "caf\u00c9 OLÉ", "a\xffb\xc3", "\xe2\x84", "ǅ ǅx"} {
+		if !same(text) {
+			t.Fatalf("Tokenize(%q) = %q, oracle %q", text, Tokenize(text), tokenizeBuilder(text))
+		}
+	}
+	if err := quick.Check(same, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	// Bytes, so that invalid UTF-8 and ASCII-dense strings get drawn too.
+	if err := quick.Check(func(b []byte) bool { return same(string(b)) }, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestTokenizeAndQueryAllocations(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { Tokenize("Topic-007 Keywords") }); n > 2 {
+		t.Fatalf("Tokenize allocates %v times, want <= 2 (the lowered string and the token slice)", n)
+	}
+	ix := NewIndex()
+	for i := 0; i < 15; i++ {
+		ix.Add(int32(i), "topic-007 keywords file.dat")
+	}
+	if n := testing.AllocsPerRun(100, func() { ix.Query("topic-007 keywords topic") }); n > 2 {
+		t.Fatalf("Query allocates %v times on a lowercase search, want <= 2 (tokens and result)", n)
 	}
 }
 

@@ -159,11 +159,20 @@ func (r *DropRing[T]) PushDeadline(v T, d time.Duration) (accepted bool) {
 // returns ok=false only when the ring has been closed and fully drained
 // — queued items survive Close so a consumer can finish absorbing them.
 func (r *DropRing[T]) Pop() (v T, ok bool) {
+	v, _, ok = r.PopMore()
+	return v, ok
+}
+
+// PopMore is Pop that also reports whether anything was still queued
+// behind the item it took, read under the same lock: a consumer that
+// batches (a write loop deciding whether to flush) learns it without a
+// second call.
+func (r *DropRing[T]) PopMore() (v T, more, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for r.n == 0 {
 		if r.closed {
-			return v, false
+			return v, false, false
 		}
 		r.nempty.Wait()
 	}
@@ -173,7 +182,7 @@ func (r *DropRing[T]) Pop() (v T, ok bool) {
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 	r.nfull.Signal()
-	return v, true
+	return v, r.n > 0, true
 }
 
 // TryPop dequeues the oldest item without blocking; ok=false means the

@@ -26,6 +26,26 @@ func TestDropRingFIFO(t *testing.T) {
 	}
 }
 
+// TestDropRingPopMore pins what a batching consumer reads: more is true
+// exactly while something is queued behind the item taken, and a closed
+// ring still hands over what it holds before reporting the end.
+func TestDropRingPopMore(t *testing.T) {
+	r := NewDropRing[int](4)
+	for i := 1; i <= 3; i++ {
+		r.Push(i)
+	}
+	r.Close()
+	for i := 1; i <= 3; i++ {
+		v, more, ok := r.PopMore()
+		if !ok || v != i || more != (i < 3) {
+			t.Fatalf("pop %d: got %d more=%v ok=%v", i, v, more, ok)
+		}
+	}
+	if _, more, ok := r.PopMore(); ok || more {
+		t.Fatalf("drained closed ring: more=%v ok=%v", more, ok)
+	}
+}
+
 // TestDropRingDropsOldest pins the shedding semantics: pushing cap+k
 // items drops exactly the k oldest, and the survivors pop in order.
 func TestDropRingDropsOldest(t *testing.T) {

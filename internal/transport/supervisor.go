@@ -134,17 +134,23 @@ func (t *Transport) superviseLoop(addr string, sp *supervised, c *Conn) {
 	}
 }
 
-// heartbeatLoop probes an idle connection. Every HeartbeatEvery period
-// with no inbound frame sends a ping (transport.heartbeats); every
-// further silent period after a probe counts a miss
+// heartbeatLoop probes an idle connection. A tick that finds the inbound
+// frame count where the previous tick left it ends a silent period: the
+// connection gets a ping (transport.heartbeats), and if the period before
+// was silent too, the ping sent then went unanswered and counts a miss
 // (transport.probe_misses); at HeartbeatMisses misses the connection is
-// closed as dead, which is exactly what wakes its supervisor. Any
-// inbound frame — pong or application traffic — resets the budget.
+// closed as dead, which is exactly what wakes its supervisor. Any inbound
+// frame — pong or application traffic — resets the budget. The rule reads
+// no clock: an answer that lands anywhere between two ticks counts, so a
+// healthy link never sits at the edge of a time comparison. And each tick
+// is timed from when the one before was taken, not from a fixed schedule,
+// so ticks that a starved process would bunch cannot cut a period short.
 func (c *Conn) heartbeatLoop() {
 	defer c.t.wg.Done()
-	tick := time.NewTicker(c.t.opts.HeartbeatEvery)
+	tick := time.NewTimer(c.t.opts.HeartbeatEvery)
 	defer tick.Stop()
 	misses, probed := 0, false
+	seen := c.framesIn.Load()
 	for {
 		select {
 		case <-c.done:
@@ -153,9 +159,9 @@ func (c *Conn) heartbeatLoop() {
 			return
 		case <-tick.C:
 		}
-		idle := time.Since(time.Unix(0, c.lastIn.Load()))
-		if idle < c.t.opts.HeartbeatEvery {
-			misses, probed = 0, false
+		tick.Reset(c.t.opts.HeartbeatEvery)
+		if n := c.framesIn.Load(); n != seen {
+			seen, misses, probed = n, 0, false
 			continue
 		}
 		if probed {

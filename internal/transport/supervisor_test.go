@@ -151,3 +151,26 @@ func TestHeartbeatKeepsIdleConnAlive(t *testing.T) {
 		t.Fatalf("handler saw heartbeat frames: a=%d b=%d", ga.count(), gb.count())
 	}
 }
+
+// TestHeartbeatHealthyPairAccruesNoMisses holds the probe to its word: a
+// link whose peer answers every ping never counts a miss. The rule that
+// compared a timestamp with the period counted 7 to 28 of them in a
+// second here, one timer jitter from reaping the link.
+func TestHeartbeatHealthyPairAccruesNoMisses(t *testing.T) {
+	hb0, miss0 := mHeartbeats.Value(), mProbeMisses.Value()
+	opts := Options{Handler: func(*Conn, *wire.Message) {}, HeartbeatEvery: 25 * time.Millisecond}
+	a, b := listen(t, opts), listen(t, opts)
+	if _, err := a.Dial(b.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(time.Second)
+	if d := mProbeMisses.Value() - miss0; d != 0 {
+		t.Fatalf("transport.probe_misses = %d on a link that answers every ping, want 0", d)
+	}
+	if d := mHeartbeats.Value() - hb0; d < 10 {
+		t.Fatalf("transport.heartbeats = %d in 1 s at 25 ms, want >= 10", d)
+	}
+	if a.NumConns() != 1 || b.NumConns() != 1 {
+		t.Fatalf("healthy link reaped: a=%d b=%d conns", a.NumConns(), b.NumConns())
+	}
+}

@@ -137,3 +137,65 @@ func TestCloseDrainReturnsConnsOpenToZero(t *testing.T) {
 		t.Fatalf("transport.conns_open = %d after CloseDrain, want %d", v, open0)
 	}
 }
+
+// TestStalledPeerClosedWithinWriteWait pins the write deadline now that it
+// is not re-armed per frame: a peer that stops reading, with frames big
+// enough to fill both socket buffers, gets its connection closed no later
+// than WriteWait (plus slack) after the last frame was queued, and every
+// frame is still accounted for.
+func TestStalledPeerClosedWithinWriteWait(t *testing.T) {
+	out0, sheds0 := mMsgsOut.Value(), mSheds.Value()
+	disc0, werr0 := mDiscards.Value(), mWriteErrs.Value()
+	const writeWait = 400 * time.Millisecond
+	tr := listen(t, Options{
+		NodeID: 1, Handler: func(*Conn, *wire.Message) {},
+		WriteWait: writeWait, OutboxCap: 512, Shed: ShedNewest,
+	})
+	// A raw peer that says hello and then never reads again.
+	nc, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	_ = nc.(*net.TCPConn).SetReadBuffer(4096)
+	if err := wire.ClientHandshake(nc); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeHello(nc, 9, "127.0.0.1:1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readHello(nc); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return tr.NumConns() == 1 }, "conn registration")
+	c := tr.Conns()[0]
+	_ = c.nc.(*net.TCPConn).SetWriteBuffer(4096)
+
+	// 16 MB in 32 KB frames: more than loopback buffers hold at any size
+	// the kernel picks, queued in well under WriteWait/2.
+	big := &wire.Message{Type: wire.TypeQuery, TTL: 1, Payload: make([]byte, 32<<10)}
+	const attempted = 512
+	for i := 0; i < attempted; i++ {
+		c.Send(big)
+	}
+	stalled := time.Now()
+	select {
+	case <-c.done:
+	case <-time.After(writeWait + 2*time.Second):
+		t.Fatalf("stalled peer's connection still open %v after the last frame was queued (WriteWait %v)",
+			time.Since(stalled), writeWait)
+	}
+	if took := time.Since(stalled); took > writeWait+time.Second {
+		t.Fatalf("stalled peer closed after %v, want within WriteWait %v + slack", took, writeWait)
+	}
+	waitFor(t, 2*time.Second, func() bool { return tr.NumConns() == 0 }, "conn teardown")
+	out, sheds := mMsgsOut.Value()-out0, mSheds.Value()-sheds0
+	disc, werr := mDiscards.Value()-disc0, mWriteErrs.Value()-werr0
+	if out+sheds+disc+werr != attempted {
+		t.Fatalf("attempted %d != delivered %d + shed %d + discarded %d + write_errors %d",
+			attempted, out, sheds, disc, werr)
+	}
+	if werr == 0 {
+		t.Fatal("a write that timed out counted no transport.write_errors")
+	}
+}

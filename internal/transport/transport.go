@@ -6,8 +6,9 @@
 // Each Conn owns two goroutines. The read loop decodes frames under a
 // per-frame read deadline (a peer that dies mid-workload times out
 // instead of hanging us) and hands them to the Transport's handler. The
-// write loop drains a bounded stream.DropRing outbox under a per-frame
-// write deadline, batching flushes through one bufio.Writer; Send never
+// write loop drains a bounded stream.DropRing outbox, batching flushes
+// through one bufio.Writer under a write deadline that is re-armed only
+// when it has half run down; Send never
 // touches the socket, so a stalled peer costs the sender a shed, not a
 // blocked goroutine. Overflow policy is configurable: block-with-deadline
 // (default), drop-oldest, drop-newest.
@@ -119,9 +120,9 @@ type Options struct {
 	// connection with no inbound frame for that long is closed (counted
 	// by transport.read_timeouts). 0 reads forever.
 	ReadIdle time.Duration
-	// WriteWait is the per-frame write deadline; a peer whose kernel
-	// buffer stays full that long gets its connection closed instead of
-	// wedging the write loop.
+	// WriteWait bounds a stalled write: a peer whose kernel buffer stays
+	// full for between half of it and all of it gets its connection
+	// closed instead of wedging the write loop.
 	WriteWait time.Duration
 	// HandshakeWait bounds the connect handshake + hello exchange.
 	HandshakeWait time.Duration
@@ -131,7 +132,7 @@ type Options struct {
 	Fault     fault.Injector
 	DelayUnit time.Duration
 	// HeartbeatEvery, when positive, enables liveness probing: a
-	// connection with no inbound frame for a full period gets a ping
+	// connection with no inbound frame between two ticks gets a ping
 	// (transport.heartbeats), and each further silent period counts a
 	// miss (transport.probe_misses); at HeartbeatMisses misses the
 	// connection is declared dead and closed. Heartbeat frames are
@@ -305,7 +306,6 @@ func (t *Transport) setupConn(nc net.Conn, initiator bool) (*Conn, error) {
 		out:      stream.NewDropRing[outFrame](t.opts.OutboxCap),
 		done:     make(chan struct{}),
 	}
-	c.lastIn.Store(time.Now().UnixNano())
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -408,9 +408,9 @@ type Conn struct {
 	done       chan struct{} // closed when the write loop exits
 	writerDead sync.Once
 
-	// lastIn is the wall-clock ns of the most recent inbound frame; the
-	// heartbeat loop reads it to decide whether the connection is idle.
-	lastIn atomic.Int64
+	// framesIn counts inbound frames; the heartbeat loop compares it
+	// between ticks to decide whether the connection was idle.
+	framesIn atomic.Uint64
 }
 
 // PeerID returns the node id the peer announced in its hello.
@@ -503,7 +503,7 @@ func (c *Conn) readLoop() {
 		}
 		mMsgsIn.Inc()
 		mBytesIn.Add(int64(m.WireSize()))
-		c.lastIn.Store(time.Now().UnixNano())
+		c.framesIn.Add(1)
 		if m.ID == heartbeatMagic {
 			// Transport-internal liveness traffic: answer pings, absorb
 			// pongs; the Handler never sees either.
@@ -516,10 +516,30 @@ func (c *Conn) readLoop() {
 	}
 }
 
+// deadlineWriter is the socket as the write loop's bufio.Writer sees it.
+// Each write(2) must finish within WriteWait or fail, but arming a
+// deadline re-arms a runtime timer, so it is armed a full WriteWait ahead
+// and left alone until less than half of that remains: a write on a
+// healthy link costs one clock read, and a stalled one fails between
+// WriteWait/2 and WriteWait after it began.
+type deadlineWriter struct {
+	nc       net.Conn
+	wait     time.Duration
+	deadline time.Time
+}
+
+func (w *deadlineWriter) Write(p []byte) (int, error) {
+	if now := time.Now(); w.deadline.Sub(now) < w.wait/2 {
+		w.deadline = now.Add(w.wait)
+		_ = w.nc.SetWriteDeadline(w.deadline)
+	}
+	return w.nc.Write(p)
+}
+
 func (c *Conn) writeLoop() {
 	defer c.t.wg.Done()
 	defer c.writerDead.Do(func() { close(c.done) })
-	bw := bufio.NewWriter(c.nc)
+	bw := bufio.NewWriter(&deadlineWriter{nc: c.nc, wait: c.t.opts.WriteWait})
 	// Frames encoded into bw but not yet flushed to the kernel:
 	// transport.msgs_out counts only flushed frames, and a failed flush
 	// charges every buffered frame to transport.write_errors, so
@@ -542,10 +562,9 @@ func (c *Conn) writeLoop() {
 		pending, pendingBytes = 0, 0
 	}
 	for {
-		f, ok := c.out.Pop()
+		f, more, ok := c.out.PopMore()
 		if !ok {
 			if !broken && pending > 0 {
-				_ = c.nc.SetWriteDeadline(time.Now().Add(c.t.opts.WriteWait))
 				flush()
 			}
 			return
@@ -557,14 +576,13 @@ func (c *Conn) writeLoop() {
 		if f.delay > 0 {
 			time.Sleep(f.delay)
 		}
-		_ = c.nc.SetWriteDeadline(time.Now().Add(c.t.opts.WriteWait))
 		if err := f.m.Encode(bw); err != nil {
 			fail(pending + 1)
 			continue
 		}
 		pending++
 		pendingBytes += int64(f.m.WireSize())
-		if c.out.Len() == 0 {
+		if !more {
 			flush()
 		}
 	}

@@ -11,11 +11,13 @@
 package vantage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"arq/internal/fault"
@@ -54,6 +56,7 @@ type SharedFile struct {
 // wedging the protocol goroutines.
 type Servent struct {
 	id    wire.GUID
+	guid  uint64 // first half of every GUID Search draws (see newGUID)
 	tr    *transport.Transport
 	cap   *Capture       // optional trace capture
 	rules *ruleServer    // optional association-rule routing
@@ -64,10 +67,48 @@ type Servent struct {
 	conns   map[int]*peerConn
 	nextCID int
 	library []SharedFile
-	index   *keyword.Index                   // token index over library file names
-	seen    map[wire.GUID]int                // query GUID -> conn id it arrived on (-1 = ours)
-	pending map[wire.GUID]chan wire.QueryHit // our own searches
+	index   *keyword.Index                    // token index over library file names
+	seen    seenTable                         // query GUID -> conn id it arrived on (-1 = ours)
+	pending map[wire.GUID]chan *wire.QueryHit // our own searches
 	closed  bool
+}
+
+// seenWindow is how many query GUIDs one generation of a seenTable holds.
+// A constant, not an option: 2 048 is two seconds of a 1 000 searches/s
+// mesh, far past the life of a flood or of Search's wait for a hit, and
+// two generations of it are ~100 KB a servent.
+const seenWindow = 2048
+
+// seenTable is the servent's routing table for queries in flight: which
+// connection a GUID first arrived on, for duplicate suppression and for
+// the reverse path of its hits. It is two generations: put inserts into
+// the current one, get looks in both, and when the current one is full the
+// older is cleared and takes its place. So it never holds more than
+// 2×seenWindow GUIDs and always remembers the last seenWindow; a query
+// older than that is relayed again if it turns up and its late hits are
+// dropped for want of a reverse path, which is what a real servent's
+// table does to them too.
+type seenTable struct {
+	cur, old map[wire.GUID]int
+}
+
+func newSeenTable() seenTable {
+	return seenTable{cur: make(map[wire.GUID]int), old: make(map[wire.GUID]int)}
+}
+
+func (t *seenTable) get(id wire.GUID) (conn int, ok bool) {
+	if conn, ok = t.cur[id]; !ok {
+		conn, ok = t.old[id]
+	}
+	return conn, ok
+}
+
+func (t *seenTable) put(id wire.GUID, conn int) {
+	if len(t.cur) >= seenWindow {
+		t.cur, t.old = t.old, t.cur
+		clear(t.cur)
+	}
+	t.cur[id] = conn
 }
 
 // errShed reports a message not accepted by the connection's outbox.
@@ -129,8 +170,8 @@ func Listen(addr string, opts Options) (*Servent, error) {
 		fault:   opts.Fault,
 		conns:   make(map[int]*peerConn),
 		index:   keyword.NewIndex(),
-		seen:    make(map[wire.GUID]int),
-		pending: make(map[wire.GUID]chan wire.QueryHit),
+		seen:    newSeenTable(),
+		pending: make(map[wire.GUID]chan *wire.QueryHit),
 	}
 	var topts transport.Options
 	if opts.Net != nil {
@@ -156,6 +197,9 @@ func Listen(addr string, opts Options) (*Servent, error) {
 		}
 	}
 	copy(s.id[:], tr.Addr())
+	h := fnv.New64a()
+	h.Write([]byte(tr.Addr()))
+	s.guid = h.Sum64() ^ guidProcSalt
 	return s, nil
 }
 
@@ -281,20 +325,23 @@ func (s *Servent) handlePing(from *peerConn, m *wire.Message) {
 }
 
 func (s *Servent) handleQuery(from *peerConn, m *wire.Message) {
-	q, err := wire.UnmarshalQuery(m.Payload)
+	text, err := wire.QuerySearch(m.Payload)
 	if err != nil {
 		return
 	}
 	s.mu.Lock()
-	if _, dup := s.seen[m.ID]; dup {
+	if _, dup := s.seen.get(m.ID); dup {
 		s.mu.Unlock()
 		mDupDrops.Inc()
 		return
 	}
 	mRelayed.Inc()
-	s.seen[m.ID] = from.id
-	matches := matchLibrary(s.index, s.library, q.Search)
-	targets := make([]*peerConn, 0, len(s.conns))
+	s.seen.put(m.ID, from.id)
+	// Only a query seen for the first time pays for its search string.
+	search := string(text)
+	results := matchLibrary(s.index, s.library, search)
+	var buf [16]*peerConn // a servent's handful of links, without a heap slice
+	targets := buf[:0]
 	if m.TTL > 1 {
 		for _, c := range s.conns {
 			if c.id != from.id {
@@ -305,16 +352,12 @@ func (s *Servent) handleQuery(from *peerConn, m *wire.Message) {
 	s.mu.Unlock()
 
 	if s.cap != nil {
-		s.cap.recordQuery(from.id, m.ID, q.Search)
+		s.cap.recordQuery(from.id, m.ID, search)
 	}
 
 	// Answer from the local library.
-	if len(matches) > 0 {
-		results := make([]wire.Result, len(matches))
-		for i, f := range matches {
-			results[i] = wire.Result{FileIndex: f.Index, FileSize: f.Size, FileName: f.Name}
-		}
-		hit := &wire.QueryHit{Results: results, ServentID: s.id}
+	if len(results) > 0 {
+		hit := wire.QueryHit{Results: results, ServentID: s.id}
 		payload, err := hit.Marshal()
 		if err == nil {
 			_ = from.send(&wire.Message{
@@ -334,15 +377,18 @@ func (s *Servent) handleQuery(from *peerConn, m *wire.Message) {
 	}
 }
 
+// handleQueryHit moves a hit one hop along its query's reverse path. A
+// hop that only forwards checks the payload's shape and sends the bytes
+// on as they came; the hit is parsed where something reads it, for the
+// local Search that asked or for a Capture.
 func (s *Servent) handleQueryHit(from *peerConn, m *wire.Message) {
-	hit, err := wire.UnmarshalQueryHit(m.Payload)
-	if err != nil {
+	if wire.CheckQueryHit(m.Payload) != nil {
 		return
 	}
 	s.mu.Lock()
-	upstream, known := s.seen[m.ID]
+	upstream, known := s.seen.get(m.ID)
 	var target *peerConn
-	var waiter chan wire.QueryHit
+	var waiter chan *wire.QueryHit
 	if known {
 		if upstream == -1 {
 			waiter = s.pending[m.ID]
@@ -356,6 +402,10 @@ func (s *Servent) handleQueryHit(from *peerConn, m *wire.Message) {
 		return
 	}
 	mHitsRouted.Inc()
+	var hit *wire.QueryHit
+	if waiter != nil || s.cap != nil {
+		hit, _ = wire.UnmarshalQueryHit(m.Payload) // CheckQueryHit passed it
+	}
 	if s.cap != nil {
 		s.cap.recordReply(from.id, m.ID, hit)
 	}
@@ -365,7 +415,7 @@ func (s *Servent) handleQueryHit(from *peerConn, m *wire.Message) {
 	}
 	if waiter != nil {
 		select {
-		case waiter <- *hit:
+		case waiter <- hit:
 		default:
 		}
 		return
@@ -378,46 +428,37 @@ func (s *Servent) handleQueryHit(from *peerConn, m *wire.Message) {
 	}
 }
 
-// guidCounter derives unique query GUIDs for Search. The first half of
-// each GUID is an FNV hash of the servent's address salted with
-// per-process entropy, NOT the address bytes themselves: servents in
+// A query GUID is sixteen bytes. The first eight are an FNV hash of the
+// servent's address salted with per-process entropy (Servent.guid, hashed
+// once at Listen), NOT the address bytes themselves: servents in
 // different processes share the "127.0.0." prefix and restart their
 // counters at zero, so raw-prefix GUIDs collide across an N-process
-// cluster and the nodes suppress each other's queries as duplicates.
-var guidCounter struct {
-	sync.Mutex
-	n uint64
-}
+// cluster and the nodes suppress each other's queries as duplicates. The
+// last eight are a count shared by the process's servents.
+var guidCounter atomic.Uint64
 
 var guidProcSalt = uint64(os.Getpid())*0x9e3779b97f4a7c15 ^ uint64(time.Now().UnixNano())
 
-func newGUID(seed string) wire.GUID {
-	guidCounter.Lock()
-	guidCounter.n++
-	n := guidCounter.n
-	guidCounter.Unlock()
-	h := fnv.New64a()
-	h.Write([]byte(seed))
-	salted := h.Sum64() ^ guidProcSalt
+func (s *Servent) newGUID() wire.GUID {
 	var g wire.GUID
-	for i := 0; i < 8; i++ {
-		g[i] = byte(salted >> (8 * i))
-		g[8+i] = byte(n >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(g[:8], s.guid)
+	binary.LittleEndian.PutUint64(g[8:], guidCounter.Add(1))
 	return g
 }
 
 // Search floods a query from this servent and waits up to timeout for the
 // first query-hit.
 func (s *Servent) Search(text string, ttl byte, timeout time.Duration) (*wire.QueryHit, error) {
-	id := newGUID(s.Addr())
-	ch := make(chan wire.QueryHit, 4)
+	id := s.newGUID()
+	// Room for the first few of the many hits a broad search draws; the
+	// rest are dropped at the send, and Search returns the first.
+	ch := make(chan *wire.QueryHit, 4)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, errors.New("vantage: servent closed")
 	}
-	s.seen[id] = -1
+	s.seen.put(id, -1)
 	s.pending[id] = ch
 	targets := make([]*peerConn, 0, len(s.conns))
 	for _, c := range s.conns {
@@ -435,22 +476,31 @@ func (s *Servent) Search(text string, ttl byte, timeout time.Duration) (*wire.Qu
 	for _, c := range targets {
 		_ = c.send(msg)
 	}
+	// A stopped timer is gone; time.After's would sit in the runtime's
+	// heap for the whole timeout after the hit came back.
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case hit := <-ch:
-		return &hit, nil
-	case <-time.After(timeout):
+		return hit, nil
+	case <-timer.C:
 		return nil, fmt.Errorf("vantage: no hit for %q within %v", text, timeout)
 	}
 }
 
-// matchLibrary returns files whose name contains every token of the
-// search string — the conjunctive keyword matching of classic servents,
-// answered from the inverted index.
-func matchLibrary(ix *keyword.Index, lib []SharedFile, search string) []SharedFile {
+// matchLibrary returns the library's files whose name contains every
+// token of the search string — the conjunctive keyword matching of classic
+// servents, answered from the inverted index — as the result set of the
+// hit that answers it.
+func matchLibrary(ix *keyword.Index, lib []SharedFile, search string) []wire.Result {
 	ids := ix.Query(search)
-	out := make([]SharedFile, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, lib[id])
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]wire.Result, len(ids))
+	for i, id := range ids {
+		f := &lib[id]
+		out[i] = wire.Result{FileIndex: f.Index, FileSize: f.Size, FileName: f.Name}
 	}
 	return out
 }

@@ -99,7 +99,7 @@ func TestMatchLibrarySemantics(t *testing.T) {
 	defer s.Close()
 	s.Share("Free Software Compilation.tar", 1)
 	s.Share("holiday photos.zip", 2)
-	if got := matchLibrary(s.index, s.library, "free software"); len(got) != 1 || got[0].Index != 1 {
+	if got := matchLibrary(s.index, s.library, "free software"); len(got) != 1 || got[0].FileIndex != 1 {
 		t.Fatalf("got %+v", got)
 	}
 	if got := matchLibrary(s.index, s.library, "software photos"); len(got) != 0 {

@@ -54,7 +54,8 @@ func FuzzUnmarshalQuery(f *testing.F) {
 	})
 }
 
-func FuzzUnmarshalQueryHit(f *testing.F) {
+// seedHits adds the query-hit corpus both hit fuzz targets start from.
+func seedHits(f *testing.F) {
 	f.Add([]byte{})
 	hit := &QueryHit{
 		Port: 6346, IPv4: [4]byte{10, 0, 0, 1}, Speed: 56,
@@ -64,6 +65,26 @@ func FuzzUnmarshalQueryHit(f *testing.F) {
 	if p, err := hit.Marshal(); err == nil {
 		f.Add(p)
 	}
+}
+
+// FuzzCheckQueryHit holds the check a forwarding hop runs to the parser
+// the endpoints run: one accepts exactly what the other does, so a hit no
+// servent could read is dropped at the first hop and never relayed.
+func FuzzCheckQueryHit(f *testing.F) {
+	seedHits(f)
+	for _, p := range malformedHits() {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, perr := UnmarshalQueryHit(data)
+		if cerr := CheckQueryHit(data); (cerr == nil) != (perr == nil) {
+			t.Fatalf("CheckQueryHit = %v, UnmarshalQueryHit = %v on %x", cerr, perr, data)
+		}
+	})
+}
+
+func FuzzUnmarshalQueryHit(f *testing.F) {
+	seedHits(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := UnmarshalQueryHit(data)
 		if err != nil {

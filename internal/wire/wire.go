@@ -8,6 +8,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -106,17 +107,28 @@ func (q *Query) Marshal() []byte {
 	return out
 }
 
-// UnmarshalQuery parses a 0x80 payload.
-func UnmarshalQuery(p []byte) (*Query, error) {
+// QuerySearch checks the shape of a 0x80 payload and returns the bytes of
+// its search string, a view into p: what a relaying servent needs before
+// it has decided whether the query is a duplicate.
+func QuerySearch(p []byte) ([]byte, error) {
 	if len(p) < 3 {
 		return nil, errors.New("wire: query payload too short")
 	}
 	if p[len(p)-1] != 0 {
 		return nil, errors.New("wire: query search string not terminated")
 	}
+	return p[2 : len(p)-1], nil
+}
+
+// UnmarshalQuery parses a 0x80 payload.
+func UnmarshalQuery(p []byte) (*Query, error) {
+	search, err := QuerySearch(p)
+	if err != nil {
+		return nil, err
+	}
 	return &Query{
 		MinSpeed: binary.LittleEndian.Uint16(p),
-		Search:   string(p[2 : len(p)-1]),
+		Search:   string(search),
 	}, nil
 }
 
@@ -136,24 +148,28 @@ type QueryHit struct {
 	ServentID GUID
 }
 
+// hitFixedLen is the part of a 0x81 payload outside the result set: count,
+// port, address and speed in front (11 bytes), the servent id behind.
+const hitFixedLen = 11 + 16
+
 // Marshal renders the payload bytes.
 func (h *QueryHit) Marshal() ([]byte, error) {
 	if len(h.Results) > 255 {
 		return nil, errors.New("wire: too many results for one query hit")
 	}
-	var out []byte
+	size := hitFixedLen
+	for i := range h.Results {
+		size += 8 + len(h.Results[i].FileName) + 2
+	}
+	out := make([]byte, 0, size)
 	out = append(out, byte(len(h.Results)))
-	var tmp [4]byte
-	binary.LittleEndian.PutUint16(tmp[:2], h.Port)
-	out = append(out, tmp[:2]...)
+	out = binary.LittleEndian.AppendUint16(out, h.Port)
 	out = append(out, h.IPv4[:]...)
-	binary.LittleEndian.PutUint32(tmp[:], h.Speed)
-	out = append(out, tmp[:]...)
-	for _, r := range h.Results {
-		binary.LittleEndian.PutUint32(tmp[:], r.FileIndex)
-		out = append(out, tmp[:]...)
-		binary.LittleEndian.PutUint32(tmp[:], r.FileSize)
-		out = append(out, tmp[:]...)
+	out = binary.LittleEndian.AppendUint32(out, h.Speed)
+	for i := range h.Results {
+		r := &h.Results[i]
+		out = binary.LittleEndian.AppendUint32(out, r.FileIndex)
+		out = binary.LittleEndian.AppendUint32(out, r.FileSize)
 		out = append(out, r.FileName...)
 		out = append(out, 0, 0) // terminator + empty extension block
 	}
@@ -161,43 +177,63 @@ func (h *QueryHit) Marshal() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalQueryHit parses a 0x81 payload.
-func UnmarshalQueryHit(p []byte) (*QueryHit, error) {
-	if len(p) < 11+16 {
-		return nil, errors.New("wire: query hit payload too short")
+// nextResult splits result i off the front of a result set: its two fixed
+// fields, its name (a view into rest), and what follows its double-zero
+// end. It is the one statement of what a well-formed result is.
+func nextResult(rest []byte, i int) (index, size uint32, name, tail []byte, err error) {
+	if len(rest) < 10 {
+		return 0, 0, nil, nil, fmt.Errorf("wire: truncated result %d", i)
 	}
-	h := &QueryHit{}
-	n := int(p[0])
-	h.Port = binary.LittleEndian.Uint16(p[1:])
-	copy(h.IPv4[:], p[3:7])
-	h.Speed = binary.LittleEndian.Uint32(p[7:11])
+	n := bytes.IndexByte(rest[8:], 0)
+	if n < 0 || 8+n+1 >= len(rest) || rest[8+n+1] != 0 {
+		return 0, 0, nil, nil, fmt.Errorf("wire: unterminated result name %d", i)
+	}
+	return binary.LittleEndian.Uint32(rest), binary.LittleEndian.Uint32(rest[4:]), rest[8 : 8+n], rest[8+n+2:], nil
+}
+
+// CheckQueryHit reports whether p is a well-formed 0x81 payload, which is
+// all UnmarshalQueryHit asks of one, and allocates nothing when it is. A
+// servent that only forwards a hit along the reverse path checks it with
+// this and sends the bytes on.
+func CheckQueryHit(p []byte) error {
+	if len(p) < hitFixedLen {
+		return errors.New("wire: query hit payload too short")
+	}
 	rest := p[11 : len(p)-16]
-	for i := 0; i < n; i++ {
-		if len(rest) < 10 {
-			return nil, fmt.Errorf("wire: truncated result %d", i)
+	for i, n := 0, int(p[0]); i < n; i++ {
+		var err error
+		if _, _, _, rest, err = nextResult(rest, i); err != nil {
+			return err
 		}
-		var r Result
-		r.FileIndex = binary.LittleEndian.Uint32(rest)
-		r.FileSize = binary.LittleEndian.Uint32(rest[4:])
-		rest = rest[8:]
-		end := -1
-		for j, b := range rest {
-			if b == 0 {
-				end = j
-				break
-			}
-		}
-		if end < 0 || end+1 >= len(rest) || rest[end+1] != 0 {
-			return nil, fmt.Errorf("wire: unterminated result name %d", i)
-		}
-		r.FileName = string(rest[:end])
-		rest = rest[end+2:]
-		h.Results = append(h.Results, r)
 	}
 	if len(rest) != 0 {
-		return nil, errors.New("wire: trailing bytes in query hit")
+		return errors.New("wire: trailing bytes in query hit")
 	}
+	return nil
+}
+
+// UnmarshalQueryHit parses a 0x81 payload: whatever CheckQueryHit passes.
+func UnmarshalQueryHit(p []byte) (*QueryHit, error) {
+	if err := CheckQueryHit(p); err != nil {
+		return nil, err
+	}
+	h := &QueryHit{
+		Port:    binary.LittleEndian.Uint16(p[1:]),
+		Speed:   binary.LittleEndian.Uint32(p[7:11]),
+		Results: make([]Result, p[0]),
+	}
+	copy(h.IPv4[:], p[3:7])
 	copy(h.ServentID[:], p[len(p)-16:])
+	// One string holds the whole result set; each FileName is a slice of it.
+	rest := p[11 : len(p)-16]
+	set := string(rest)
+	for i := range h.Results {
+		r := &h.Results[i]
+		at := len(set) - len(rest) + 8
+		var name []byte
+		r.FileIndex, r.FileSize, name, rest, _ = nextResult(rest, i)
+		r.FileName = set[at : at+len(name)]
+	}
 	return h, nil
 }
 

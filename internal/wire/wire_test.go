@@ -134,6 +134,59 @@ func TestQueryHitRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// malformedHits is one payload for each way UnmarshalQueryHit refuses a
+// hit, each a well-formed two-result hit with one thing wrong.
+func malformedHits() [][]byte {
+	h := &QueryHit{Port: 1, Results: []Result{{FileIndex: 1, FileName: "a.dat"}, {FileIndex: 2, FileName: "b.dat"}}}
+	good, _ := h.Marshal()
+	edit := func(f func(p []byte) []byte) []byte { return f(bytes.Clone(good)) }
+	nameEnd := 11 + 8 + len("a.dat") // the first name's terminator
+	return [][]byte{
+		good[:hitFixedLen-1], // shorter than the fixed fields
+		edit(func(p []byte) []byte { p[0] = 3; return p }),                             // a result more than the bytes hold
+		edit(func(p []byte) []byte { p[0] = 200; return p }),                           // a count no payload this short can hold
+		edit(func(p []byte) []byte { p[0] = 1; return p }),                             // a result fewer: trailing bytes
+		edit(func(p []byte) []byte { p[nameEnd+1] = 'x'; return p }),                   // no extension-block terminator
+		edit(func(p []byte) []byte { return append(p[:len(p)-16], p[len(p)-15:]...) }), // one byte short at the end
+		edit(func(p []byte) []byte {
+			for i := 11; i < len(p)-16; i++ {
+				if p[i] == 0 {
+					p[i] = 'z'
+				}
+			}
+			return p
+		}), // names that never end
+		append(good, 0xFF), // trailing junk
+	}
+}
+
+func TestCheckQueryHitAgreesAndAllocatesNothing(t *testing.T) {
+	h := &QueryHit{Port: 1}
+	for i := 0; i < 15; i++ {
+		h.Results = append(h.Results, Result{FileIndex: uint32(i), FileSize: 7, FileName: "topic-001 keywords file.dat"})
+	}
+	good, _ := h.Marshal()
+	if err := CheckQueryHit(good); err != nil {
+		t.Fatalf("well-formed hit refused: %v", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = CheckQueryHit(good) }); n != 0 {
+		t.Fatalf("CheckQueryHit allocates %v times on a well-formed hit, want 0", n)
+	}
+	for i, p := range malformedHits() {
+		_, perr := UnmarshalQueryHit(p)
+		if cerr := CheckQueryHit(p); cerr == nil || perr == nil {
+			t.Fatalf("malformed hit %d accepted: check %v, unmarshal %v", i, cerr, perr)
+		}
+	}
+	// Marshal and Unmarshal size what they build once.
+	if n := testing.AllocsPerRun(100, func() { _, _ = h.Marshal() }); n != 1 {
+		t.Fatalf("Marshal allocates %v times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = UnmarshalQueryHit(good) }); n > 3 {
+		t.Fatalf("UnmarshalQueryHit allocates %v times for 15 results, want <= 3", n)
+	}
+}
+
 func TestPongRoundTrip(t *testing.T) {
 	p := &Pong{Port: 6346, IPv4: [4]byte{192, 168, 0, 1}, Files: 120, Kbytes: 4096}
 	got, err := UnmarshalPong(p.Marshal())
