@@ -758,12 +758,8 @@ func ablations() {
 		add(fmt.Sprintf("window width=%d", w), func() core.Policy { return &core.Sliding{Prune: 10, Width: w} })
 	}
 	add("rules: plain", func() core.Policy { return &core.Sliding{Prune: 10} })
-	add("rules: confidence >= 0.2", func() core.Policy {
-		return &core.SlidingExt{Opts: core.GenOptions{Prune: 10, MinConfidence: 0.2}}
-	})
-	add("rules: interest dimension", func() core.Policy {
-		return &core.SlidingExt{Opts: core.GenOptions{Prune: 10, UseInterest: true}}
-	})
+	add("rules: confidence >= 0.2", func() core.Policy { return &core.Sliding{Prune: 10, MinConfidence: 0.2} })
+	add("rules: interest dimension", func() core.Policy { return &core.Sliding{Prune: 10, UseInterest: true} })
 	t := metrics.NewTable(fmt.Sprintf("Ablations — rule generation, %d tested blocks", blocks),
 		"configuration", "avg coverage", "avg success", "regens", "avg rules")
 	for _, r := range sim.Sweep(specs, 0) {

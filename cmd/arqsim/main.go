@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"arq/internal/content"
 	"arq/internal/core"
@@ -35,7 +36,7 @@ import (
 )
 
 var (
-	policy    = flag.String("policy", "sliding", "static | sliding | wide | lazy | adaptive | incremental")
+	policy    = flag.String("policy", "sliding", strings.Join(core.PolicyNames(), " | "))
 	threshold = flag.Int("threshold", 10, "support-pruning threshold")
 	blockSize = flag.Int("block", 10000, "query-reply pairs per block")
 	trials    = flag.Int("trials", 365, "tested blocks")
@@ -52,7 +53,7 @@ var (
 	netRouter = flag.String("router", "flood", "net: flood | assoc per-node router")
 	netNodes  = flag.Int("nodes", 2000, "net: overlay size")
 	netTTL    = flag.Int("ttl", 7, "net: query TTL")
-	scenName  = flag.String("scenario", "", "run a preset scenario (see internal/scenario): policy mode projects it onto the trace generator, -net drives the full dynamic workload")
+	scenName  = flag.String("scenario", "", "run a preset scenario ("+strings.Join(scenario.Names(), ", ")+"): policy mode projects it onto the trace generator, -net drives the full dynamic workload")
 )
 
 func main() {
@@ -208,7 +209,7 @@ func buildPolicy() (core.Policy, error) {
 	case "incremental":
 		return &core.Incremental{}, nil
 	default:
-		return nil, fmt.Errorf("arqsim: unknown policy %q (valid: static, sliding, wide, lazy, adaptive, incremental)", *policy)
+		return nil, fmt.Errorf("arqsim: unknown policy %q (valid: %s)", *policy, strings.Join(core.PolicyNames(), ", "))
 	}
 }
 

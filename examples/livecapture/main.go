@@ -85,9 +85,10 @@ func main() {
 	pairs := cap.Pairs()
 	rules := core.GenerateRuleSet(pairs, 5)
 	fmt.Printf("rules mined from the live capture (support >= 5):\n")
-	for _, r := range rules.Rules() {
-		fmt.Printf("  %v\n", r)
-	}
+	rules.Range(func(k core.PairKey, support float64) bool {
+		fmt.Printf("  {%s} -> {%s} (support %.0f)\n", k.Source(), k.Replier(), support)
+		return true
+	})
 	res := rules.Test(pairs)
 	fmt.Printf("\nself-test on the capture: coverage %.2f success %.2f\n",
 		res.Coverage(), res.Success())

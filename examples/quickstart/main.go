@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"arq/internal/core"
+	"arq/internal/trace"
 	"arq/internal/tracegen"
 )
 
@@ -25,15 +26,18 @@ func main() {
 	// support 10 (the paper's default threshold).
 	rules := core.GenerateRuleSet(genBlock, 10)
 	fmt.Printf("mined %d rules from %d pairs; examples:\n", rules.Len(), len(genBlock))
-	for i, r := range rules.Rules() {
-		if i == 5 {
-			break
+	var src trace.HostID // the first rule's antecedent
+	shown := 0
+	rules.Range(func(k core.PairKey, support float64) bool {
+		if shown == 0 {
+			src = k.Source()
 		}
-		fmt.Println("  ", r)
-	}
+		fmt.Printf("   {%s} -> {%s} (support %.0f)\n", k.Source(), k.Replier(), support)
+		shown++
+		return shown < 5
+	})
 
 	// Routing decision: where would we forward a query from this host?
-	src := rules.Antecedents()[0]
 	fmt.Printf("\nquery from %s would be forwarded to: %v (instead of flooding)\n",
 		src, rules.Consequents(src, 2))
 

@@ -116,10 +116,8 @@ func TestExtensionsImproveSuccess(t *testing.T) {
 		return tracegen.New(cfg)
 	}
 	plain := sim.Run("plain", &core.Sliding{Prune: 10}, mkSrc(), 0)
-	interest := sim.Run("interest",
-		&core.SlidingExt{Opts: core.GenOptions{Prune: 10, UseInterest: true}}, mkSrc(), 0)
-	conf := sim.Run("conf",
-		&core.SlidingExt{Opts: core.GenOptions{Prune: 10, MinConfidence: 0.2}}, mkSrc(), 0)
+	interest := sim.Run("interest", &core.Sliding{Prune: 10, UseInterest: true}, mkSrc(), 0)
+	conf := sim.Run("conf", &core.Sliding{Prune: 10, MinConfidence: 0.2}, mkSrc(), 0)
 
 	if interest.MeanSuccess() <= plain.MeanSuccess() {
 		t.Fatalf("interest dimension did not raise success: %.3f vs %.3f",

@@ -7,7 +7,7 @@
 // of every fault and degradation counter.
 //
 // Everything is sequential and seeded, so a soak is a pure function of
-// its Config: the same seed yields a byte-identical Result.Format()
+// its Config: the same seed yields a byte-identical Result.format()
 // string. CI runs the soak twice, diffs the output, and compares it with
 // testdata/soak_golden.txt (the chaos-smoke job); TestSoakDeterministic
 // and TestSoakGolden pin the same contract in-process.
@@ -208,16 +208,6 @@ func runArm(prefix string, cfg Config, staleObs int) []Phase {
 	return phases
 }
 
-// PhaseByName returns the named phase, or nil.
-func (r *Result) PhaseByName(name string) *Phase {
-	for i := range r.Phases {
-		if r.Phases[i].Name == name {
-			return &r.Phases[i]
-		}
-	}
-	return nil
-}
-
 // CounterDelta returns the named counter's delta in the phase (0 if the
 // counter did not move).
 func (p *Phase) CounterDelta(name string) int64 {
@@ -229,10 +219,10 @@ func (p *Phase) CounterDelta(name string) int64 {
 	return 0
 }
 
-// Format renders the soak deterministically: no timings, no map
+// format renders the soak deterministically: no timings, no map
 // iteration, floats at fixed precision. Identical seeds must yield
 // byte-identical output.
-func (r *Result) Format() string {
+func (r *Result) format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos soak: seed=%d nodes=%d warm=%d queries=%d ttl=%d staleobs=%d drop=%.2f crash=%.2f slow=%.2f\n",
 		r.Cfg.Seed, r.Cfg.Nodes, r.Cfg.Warm, r.Cfg.Queries, r.Cfg.TTL, r.Cfg.StaleObs,
@@ -253,15 +243,15 @@ func (r *Result) Format() string {
 // them for one config.
 func Report(w io.Writer, cfg Config) error {
 	res := Soak(cfg)
-	fmt.Fprint(w, res.Format())
+	fmt.Fprint(w, res.format())
 	fmt.Fprintln(w, "shed drill:")
-	for _, d := range ShedDrill(cfg.Seed, 4096) {
+	for _, d := range shedDrill(cfg.Seed, 4096) {
 		fmt.Fprintf(w, "  %-40s %+d\n", d.Name, d.Delta)
 	}
 	rec, err := RunRecovery(RecoveryConfig{Seed: cfg.Seed, Nodes: cfg.Nodes, Warm: cfg.Warm, TTL: cfg.TTL})
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprint(w, rec.Format())
+	_, err = fmt.Fprint(w, rec.format())
 	return err
 }

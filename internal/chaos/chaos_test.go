@@ -19,7 +19,7 @@ func testConfig() Config {
 func TestSoakDeterministic(t *testing.T) {
 	a := Soak(testConfig())
 	b := Soak(testConfig())
-	if af, bf := a.Format(), b.Format(); af != bf {
+	if af, bf := a.format(), b.format(); af != bf {
 		t.Fatalf("identical seeds produced different soaks:\n--- a ---\n%s--- b ---\n%s", af, bf)
 	}
 }
@@ -78,8 +78,8 @@ func TestSoakFallbackRecoversSuccess(t *testing.T) {
 // The shed drill is deterministic and actually exercises every shedding
 // policy.
 func TestShedDrillDeterministic(t *testing.T) {
-	a := ShedDrill(7, 4096)
-	b := ShedDrill(7, 4096)
+	a := shedDrill(7, 4096)
+	b := shedDrill(7, 4096)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("drill diverged:\n%v\n%v", a, b)
 	}
@@ -99,4 +99,14 @@ func TestShedDrillDeterministic(t *testing.T) {
 			t.Fatalf("drill never exercised %s", name)
 		}
 	}
+}
+
+// PhaseByName returns the named phase, or nil.
+func (r *Result) PhaseByName(name string) *Phase {
+	for i := range r.Phases {
+		if r.Phases[i].Name == name {
+			return &r.Phases[i]
+		}
+	}
+	return nil
 }

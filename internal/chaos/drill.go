@@ -21,11 +21,11 @@ var (
 	mDrillPops            = obsv.GetCounter("chaos.drill.pops")
 )
 
-// ShedDrill drives a seeded op mix (drop-oldest pushes, drop-newest
+// shedDrill drives a seeded op mix (drop-oldest pushes, drop-newest
 // pushes, zero-deadline pushes, pops) through one small DropRing on a
 // single goroutine and returns the sorted chaos.drill.* counter deltas.
 // Same seed and ops, same deltas — byte for byte.
-func ShedDrill(seed uint64, ops int) []CounterDelta {
+func shedDrill(seed uint64, ops int) []CounterDelta {
 	if ops <= 0 {
 		ops = 4096
 	}

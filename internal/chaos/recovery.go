@@ -21,7 +21,7 @@
 // subsystem buys.
 //
 // Everything is sequential and seeded: the same RecoveryConfig yields a
-// byte-identical Format() string (the chaos-smoke CI job diffs two
+// byte-identical format() string (the chaos-smoke CI job diffs two
 // runs).
 package chaos
 
@@ -210,19 +210,9 @@ func recoveryArm(name string, cfg RecoveryConfig) (RecoveryArm, error) {
 	return arm, nil
 }
 
-// ArmByName returns the named arm, or nil.
-func (r *RecoveryResult) ArmByName(name string) *RecoveryArm {
-	for i := range r.Arms {
-		if r.Arms[i].Name == name {
-			return &r.Arms[i]
-		}
-	}
-	return nil
-}
-
-// Format renders the A/B deterministically: no timings, floats at fixed
+// format renders the A/B deterministically: no timings, floats at fixed
 // precision. Identical configs must yield byte-identical output.
-func (r *RecoveryResult) Format() string {
+func (r *RecoveryResult) format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "recovery drill: seed=%d nodes=%d warm=%d ttl=%d crash=%.2f window=%d maxwin=%d eps=%.2f discount=%.2f\n",
 		r.Cfg.Seed, r.Cfg.Nodes, r.Cfg.Warm, r.Cfg.TTL, r.Cfg.CrashFrac,

@@ -57,7 +57,17 @@ func TestRecoveryDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Format() != b.Format() {
-		t.Fatalf("recovery drill not deterministic:\n%s\nvs\n%s", a.Format(), b.Format())
+	if a.format() != b.format() {
+		t.Fatalf("recovery drill not deterministic:\n%s\nvs\n%s", a.format(), b.format())
 	}
+}
+
+// ArmByName returns the named arm, or nil.
+func (r *RecoveryResult) ArmByName(name string) *RecoveryArm {
+	for i := range r.Arms {
+		if r.Arms[i].Name == name {
+			return &r.Arms[i]
+		}
+	}
+	return nil
 }

@@ -46,9 +46,9 @@ import (
 	"arq/internal/vantage"
 )
 
-// ChildEnv is the environment variable carrying a child node's JSON
+// childEnv is the environment variable carrying a child node's JSON
 // config; its presence turns a process into a cluster node.
-const ChildEnv = "ARQ_CLUSTER_NODE"
+const childEnv = "ARQ_CLUSTER_NODE"
 
 // mQueryNS records measured-phase query latencies (hit queries only).
 var mQueryNS = obsv.GetHistogram("cluster.query_ns", obsv.DurationBuckets())
@@ -191,9 +191,6 @@ type Result struct {
 // Universe returns the topic-universe size for an N-node cluster.
 func Universe(n int) int { return scenario.ClusterPlan{N: n}.Universe() }
 
-// Owners returns the two nodes holding topic t.
-func Owners(t, n int) (int, int) { return scenario.ClusterPlan{N: n}.Owners(t) }
-
 // SearchString is the query text for a topic; its tokens conjunctively
 // match exactly that topic's files.
 func SearchString(t int) string { return scenario.ClusterPlan{}.SearchString(t) }
@@ -204,15 +201,11 @@ func Library(id, n int) []vantage.SharedFile {
 	return scenario.ClusterPlan{N: n}.Library(id)
 }
 
-// Neighbours returns the ring+chord dial set for node id: (id+1)%n and
-// (id+2)%n, deduplicated and never self.
-func Neighbours(id, n int) []int { return scenario.ClusterPlan{N: n}.Neighbours(id) }
-
-// ChildMain turns this process into a cluster node when ChildEnv is set
+// ChildMain turns this process into a cluster node when childEnv is set
 // and never returns in that case; in the parent it is a no-op. Hosting
 // commands call it before flag parsing.
 func ChildMain() {
-	raw := os.Getenv(ChildEnv)
+	raw := os.Getenv(childEnv)
 	if raw == "" {
 		return
 	}
@@ -503,7 +496,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, nil, err
 		}
 		c := exec.Command(bin)
-		c.Env = append(os.Environ(), ChildEnv+"="+string(raw))
+		c.Env = append(os.Environ(), childEnv+"="+string(raw))
 		c.Stdout, c.Stderr = lf, lf
 		if err := c.Start(); err != nil {
 			lf.Close()

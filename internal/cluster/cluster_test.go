@@ -4,10 +4,12 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"arq/internal/scenario"
 )
 
 // TestMain lets the test binary serve as the cluster's child binary:
-// when cluster.Run re-execs it with ChildEnv set, ChildMain runs the
+// when cluster.Run re-execs it with childEnv set, ChildMain runs the
 // node and exits before any test executes.
 func TestMain(m *testing.M) {
 	ChildMain()
@@ -23,7 +25,7 @@ func TestContentPlan(t *testing.T) {
 		// Every topic has two owners and every node a non-empty library.
 		perNode := make([]int, n)
 		for topic := 0; topic < u; topic++ {
-			a, b := Owners(topic, n)
+			a, b := scenario.ClusterPlan{N: n}.Owners(topic)
 			if a < 0 || a >= n || b < 0 || b >= n {
 				t.Fatalf("owners(%d, %d) = %d, %d out of range", topic, n, a, b)
 			}
@@ -42,7 +44,7 @@ func TestContentPlan(t *testing.T) {
 		}
 		// Ring+chord neighbours: never self, no duplicates, 1-2 peers.
 		for id := 0; id < n; id++ {
-			nb := Neighbours(id, n)
+			nb := scenario.ClusterPlan{N: n}.Neighbours(id)
 			if len(nb) == 0 || len(nb) > 2 {
 				t.Fatalf("n=%d node %d: %d neighbours", n, id, len(nb))
 			}

@@ -72,11 +72,8 @@ const (
 	RoleBystander
 )
 
-// SharesContent reports whether the role hosts files at all.
-func (r Role) SharesContent() bool { return r == RoleProvider || r == RoleHub }
-
-// IssuesQueries reports whether the role originates queries.
-func (r Role) IssuesQueries() bool { return r != RoleBystander }
+// issuesQueries reports whether the role originates queries.
+func (r Role) issuesQueries() bool { return r != RoleBystander }
 
 // String names the role for tables and logs.
 func (r Role) String() string {
@@ -111,18 +108,9 @@ type Model struct {
 	pop      *stats.Zipf
 	hosts    [][]trace.InterestID // node -> categories it hosts (sorted sets not needed; small)
 	profiles [][]trace.InterestID // node -> categories it queries
-	replicas []int                // category -> number of hosting nodes
 	comm     []int                // node -> community label (nil when unclustered)
 	roles    []Role               // node -> workload role (nil when the split is disabled)
 	origins  []int32              // query-issuing nodes (nil = all nodes)
-}
-
-// Community returns node u's community label, or 0 for unclustered models.
-func (m *Model) Community(u int) int {
-	if m.comm == nil {
-		return 0
-	}
-	return m.comm[u]
 }
 
 // Build places content on n nodes without topology awareness. Placement
@@ -225,7 +213,6 @@ func build(rng *stats.RNG, n int, cfg Config, comm []int) *Model {
 		pop:      stats.NewZipf(cfg.Categories, cfg.PopularityZipf),
 		hosts:    make([][]trace.InterestID, n),
 		profiles: make([][]trace.InterestID, n),
-		replicas: make([]int, cfg.Categories),
 		comm:     comm,
 	}
 	if cfg.ClientFrac > 0 || cfg.BystanderFrac > 0 || cfg.HubFrac > 0 {
@@ -239,7 +226,7 @@ func build(rng *stats.RNG, n int, cfg Config, comm []int) *Model {
 	}
 	if m.roles != nil {
 		for u := 0; u < n; u++ {
-			if m.roles[u].IssuesQueries() {
+			if m.roles[u].issuesQueries() {
 				m.origins = append(m.origins, int32(u))
 			}
 		}
@@ -286,9 +273,6 @@ func (m *Model) draw(rng *stats.RNG, u int) trace.InterestID {
 // content side of a peer leaving and a fresh one taking its place (churn).
 // Not safe concurrently with readers; pause queries while churning.
 func (m *Model) Reassign(rng *stats.RNG, u int) {
-	for _, c := range m.hosts[u] {
-		m.replicas[c]--
-	}
 	m.hosts[u] = nil
 	role := m.Role(u)
 	share := false
@@ -309,7 +293,6 @@ func (m *Model) Reassign(rng *stats.RNG, u int) {
 			if !seen[c] {
 				seen[c] = true
 				m.hosts[u] = append(m.hosts[u], c)
-				m.replicas[c]++
 			}
 		}
 	}
@@ -318,30 +301,6 @@ func (m *Model) Reassign(rng *stats.RNG, u int) {
 		prof[i] = m.draw(rng, u)
 	}
 	m.profiles[u] = prof
-}
-
-// AddHosted installs category c at node u (a replica arriving). No-op if
-// u already hosts c. Not safe concurrently with readers.
-func (m *Model) AddHosted(u int, c trace.InterestID) {
-	if m.Hosts(u, c) {
-		return
-	}
-	m.hosts[u] = append(m.hosts[u], c)
-	m.replicas[c]++
-}
-
-// RemoveHosted evicts category c from node u, reporting whether it was
-// present. Not safe concurrently with readers.
-func (m *Model) RemoveHosted(u int, c trace.InterestID) bool {
-	for i, h := range m.hosts[u] {
-		if h == c {
-			m.hosts[u][i] = m.hosts[u][len(m.hosts[u])-1]
-			m.hosts[u] = m.hosts[u][:len(m.hosts[u])-1]
-			m.replicas[c]--
-			return true
-		}
-	}
-	return false
 }
 
 // Explicit builds a model with exactly the given hosted categories per
@@ -355,13 +314,9 @@ func Explicit(n, categories int, hosts map[int][]trace.InterestID) *Model {
 		pop:      stats.NewZipf(categories, 0),
 		hosts:    make([][]trace.InterestID, n),
 		profiles: make([][]trace.InterestID, n),
-		replicas: make([]int, categories),
 	}
 	for u := 0; u < n; u++ {
-		for _, c := range hosts[u] {
-			m.hosts[u] = append(m.hosts[u], c)
-			m.replicas[c]++
-		}
+		m.hosts[u] = append(m.hosts[u], hosts[u]...)
 		m.profiles[u] = []trace.InterestID{trace.InterestID(u % categories)}
 	}
 	return m
@@ -383,14 +338,6 @@ func (m *Model) Hosts(u int, c trace.InterestID) bool {
 // HostedCategories returns the categories node u shares. The returned
 // slice is owned by the model.
 func (m *Model) HostedCategories(u int) []trace.InterestID { return m.hosts[u] }
-
-// Replicas returns how many nodes host category c.
-func (m *Model) Replicas(c trace.InterestID) int {
-	if c < 0 || int(c) >= len(m.replicas) {
-		return 0
-	}
-	return m.replicas[c]
-}
 
 func (m *Model) hubBoost() int {
 	if m.cfg.HubBoost > 0 {
@@ -423,12 +370,6 @@ func (m *Model) DrawOrigin(rng *stats.RNG, n int) int {
 func (m *Model) DrawQuery(rng *stats.RNG, u int) trace.InterestID {
 	prof := m.profiles[u]
 	return prof[rng.Intn(len(prof))]
-}
-
-// DrawPopular draws a category directly from global popularity, for
-// workloads without per-node profiles.
-func (m *Model) DrawPopular(rng *stats.RNG) trace.InterestID {
-	return trace.InterestID(m.pop.Sample(rng))
 }
 
 // FileName renders a stable display name for a category's content.

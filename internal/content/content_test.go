@@ -38,36 +38,19 @@ func TestBuildBasics(t *testing.T) {
 	}
 }
 
-func TestReplicasConsistent(t *testing.T) {
-	rng := stats.NewRNG(2)
-	m := Build(rng, 300, DefaultConfig())
-	counts := make([]int, m.Categories())
-	for u := 0; u < 300; u++ {
-		for _, c := range m.HostedCategories(u) {
-			counts[c]++
-		}
-	}
-	for c := range counts {
-		if counts[c] != m.Replicas(trace.InterestID(c)) {
-			t.Fatalf("replica count mismatch for category %d", c)
-		}
-	}
-	if m.Replicas(-1) != 0 || m.Replicas(trace.InterestID(m.Categories())) != 0 {
-		t.Fatal("out-of-range replicas not zero")
-	}
-}
-
 func TestPopularityskew(t *testing.T) {
 	rng := stats.NewRNG(3)
 	m := Build(rng, 2000, DefaultConfig())
 	// Head categories should be much more replicated than tail ones.
-	head := 0
-	for c := 0; c < 10; c++ {
-		head += m.Replicas(trace.InterestID(c))
-	}
-	tail := 0
-	for c := m.Categories() - 10; c < m.Categories(); c++ {
-		tail += m.Replicas(trace.InterestID(c))
+	head, tail := 0, 0
+	for u := 0; u < 2000; u++ {
+		for _, c := range m.HostedCategories(u) {
+			if c < 10 {
+				head++
+			} else if int(c) >= m.Categories()-10 {
+				tail++
+			}
+		}
 	}
 	if head <= 3*tail {
 		t.Fatalf("head replicas %d vs tail %d: no skew", head, tail)
@@ -167,13 +150,10 @@ func TestFileNameStable(t *testing.T) {
 	}
 }
 
-func TestDrawPopularInRange(t *testing.T) {
-	rng := stats.NewRNG(9)
-	m := Build(rng, 10, DefaultConfig())
-	for i := 0; i < 1000; i++ {
-		c := m.DrawPopular(rng)
-		if c < 0 || int(c) >= m.Categories() {
-			t.Fatalf("category out of range: %d", c)
-		}
+// Community returns node u's community label, or 0 for unclustered models.
+func (m *Model) Community(u int) int {
+	if m.comm == nil {
+		return 0
 	}
+	return m.comm[u]
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"arq/internal/stats"
-	"arq/internal/trace"
 )
 
 // Property tests for the model invariants the scenario layer leans on:
@@ -120,7 +119,7 @@ func TestDrawOriginRespectsRoles(t *testing.T) {
 	wl := stats.NewRNG(8)
 	for q := 0; q < 5000; q++ {
 		u := m.DrawOrigin(wl, n)
-		if !m.Role(u).IssuesQueries() {
+		if !m.Role(u).issuesQueries() {
 			t.Fatalf("DrawOrigin returned bystander %d", u)
 		}
 	}
@@ -138,39 +137,5 @@ func TestDrawOriginRespectsRoles(t *testing.T) {
 	}
 }
 
-// Replica counters must stay consistent with the hosts table through
-// Reassign / AddHosted / RemoveHosted cycles — the churn path.
-func TestReplicaConsistencyUnderChurn(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Categories = 40
-	const n = 200
-	rng := stats.NewRNG(11)
-	m := Build(rng, n, cfg)
-	check := func(when string) {
-		t.Helper()
-		want := make([]int, m.Categories())
-		for u := 0; u < n; u++ {
-			for _, c := range m.HostedCategories(u) {
-				want[c]++
-			}
-		}
-		for c := range want {
-			if got := m.Replicas(trace.InterestID(c)); got != want[c] {
-				t.Fatalf("%s: replicas[%d] = %d, want %d", when, c, got, want[c])
-			}
-		}
-	}
-	check("after build")
-	for i := 0; i < 500; i++ {
-		u := rng.Intn(n)
-		switch i % 3 {
-		case 0:
-			m.Reassign(rng, u)
-		case 1:
-			m.AddHosted(u, trace.InterestID(rng.Intn(m.Categories())))
-		case 2:
-			m.RemoveHosted(u, trace.InterestID(rng.Intn(m.Categories())))
-		}
-	}
-	check("after churn")
-}
+// SharesContent reports whether the role hosts files at all.
+func (r Role) SharesContent() bool { return r == RoleProvider || r == RoleHub }

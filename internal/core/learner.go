@@ -72,13 +72,6 @@ type Learner struct {
 	idx  PairIndex
 }
 
-// NewLearner returns a learner serving the empty version-0 snapshot.
-func NewLearner(cfg LearnerConfig) *Learner {
-	l := new(Learner)
-	l.Init(&cfg)
-	return l
-}
-
 // Init makes l, the zero Learner, serve the empty version-0 snapshot
 // under cfg. The config is kept, not copied, so that a slab of learners
 // shares one: Init repairs it in place (see LearnerConfig) and it must not
@@ -98,14 +91,14 @@ func (l *Learner) Init(cfg *LearnerConfig) {
 func (l *Learner) Observe(src, rep trace.HostID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := l.idx.AddPair(src, rep)
+	_, now := l.idx.addPair(src, rep)
 	l.seen++
 	if l.cfg.DecayEvery > 0 && l.seen%l.cfg.DecayEvery == 0 {
-		l.idx.Decay(l.cfg.Decay, l.cfg.Floor)
-		l.pub.Observe(&l.idx)
+		l.idx.decay(l.cfg.Decay, l.cfg.Floor)
+		l.pub.observe(&l.idx)
 		return
 	}
-	l.pub.ObservePair(&l.idx, PackPair(src, rep), now)
+	l.pub.observePair(&l.idx, packPair(src, rep), now)
 }
 
 // Update applies a structural edit to the index (anything other than one
@@ -115,7 +108,7 @@ func (l *Learner) Update(edit func(*PairIndex)) *RuleSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	edit(&l.idx)
-	return l.pub.Publish(&l.idx)
+	return l.pub.publish(&l.idx)
 }
 
 // Publish forces a snapshot of the index's current rules regardless of
@@ -123,26 +116,26 @@ func (l *Learner) Update(edit func(*PairIndex)) *RuleSnapshot {
 func (l *Learner) Publish() *RuleSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.pub.Publish(&l.idx)
+	return l.pub.publish(&l.idx)
 }
 
 // Restore seeds the index from a persisted snapshot at discounted
-// support and publishes; see Publisher.Restore.
+// support and publishes; see Publisher.restore.
 func (l *Learner) Restore(s *RuleSnapshot, discount float64) *RuleSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.pub.Restore(&l.idx, s, discount)
+	return l.pub.restore(&l.idx, s, discount)
 }
 
 // View returns the currently served snapshot: one atomic load, never nil.
-func (l *Learner) View() *RuleSnapshot { return l.pub.View() }
+func (l *Learner) View() *RuleSnapshot { return l.pub.view() }
 
 // Version returns the served snapshot's sequence number.
-func (l *Learner) Version() uint64 { return l.pub.Version() }
+func (l *Learner) Version() uint64 { return l.pub.view().version }
 
 // Lag returns the observations absorbed since the last publish.
-func (l *Learner) Lag() int64 { return l.pub.Lag() }
+func (l *Learner) Lag() int64 { return l.pub.lag() }
 
 // Stale reports whether the served snapshot breaches a staleness bound
-// of LearnerConfig.Publish; see Publisher.Stale.
-func (l *Learner) Stale() bool { return l.pub.Stale() }
+// of LearnerConfig.Publish; see Publisher.stale.
+func (l *Learner) Stale() bool { return l.pub.stale() }

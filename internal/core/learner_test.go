@@ -19,6 +19,15 @@ import (
 // publish, the decay cadence and the policy triggers all agree with the
 // rebuild. Update and Restore must then each publish a strictly newer
 // version whatever the policy.
+// NewLearner returns a learner serving the empty version-0 snapshot;
+// outside tests learners sit by value in a slab and are initialised in
+// place.
+func NewLearner(cfg LearnerConfig) *Learner {
+	l := new(Learner)
+	l.Init(&cfg)
+	return l
+}
+
 func TestLearnerMatchesRebuild(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -37,26 +46,26 @@ func TestLearnerMatchesRebuild(t *testing.T) {
 				Publish: PublisherConfig{Policy: tc.policy, Epoch: 16},
 			}
 			l := NewLearner(cfg)
-			refIdx := NewDecayIndex(cfg.Threshold)
+			refIdx := newDecayIndex(cfg.Threshold)
 			ref := publisherOver(refIdx, cfg.Publish)
 
 			rng := stats.NewRNG(7)
 			for step := 1; step <= 8000; step++ {
 				src, rep := trace.HostID(rng.Intn(6)), trace.HostID(1+rng.Intn(8))
 				l.Observe(src, rep)
-				refIdx.AddPair(src, rep)
+				refIdx.addPair(src, rep)
 				if tc.decayEvery > 0 && step%tc.decayEvery == 0 {
-					refIdx.Decay(cfg.Decay, cfg.Floor)
+					refIdx.decay(cfg.Decay, cfg.Floor)
 				}
-				ref.Observe(refIdx)
+				ref.observe(refIdx)
 
-				got, want := l.View(), ref.View()
+				got, want := l.View(), ref.view()
 				if got.version != want.version || !slices.Equal(got.rules, want.rules) {
 					t.Fatalf("step %d: learner serves v%d %v, rebuild gives v%d %v",
 						step, got.version, got.rules, want.version, want.rules)
 				}
-				if l.Lag() != ref.Lag() {
-					t.Fatalf("step %d: lag %d, reference %d", step, l.Lag(), ref.Lag())
+				if l.Lag() != ref.lag() {
+					t.Fatalf("step %d: lag %d, reference %d", step, l.Lag(), ref.lag())
 				}
 			}
 			if l.Version() == 0 {
@@ -142,7 +151,7 @@ func FuzzLearnerServe(f *testing.F) {
 			Publish: PublisherConfig{Policy: PublishPolicy(policy % 3), Epoch: 1 + int(epoch%8)},
 		}
 		l := NewLearner(cfg)
-		refIdx := NewDecayIndex(cfg.Threshold)
+		refIdx := newDecayIndex(cfg.Threshold)
 		ref := publisherOver(refIdx, cfg.Publish)
 
 		type served struct {
@@ -157,31 +166,31 @@ func FuzzLearnerServe(f *testing.F) {
 			switch {
 			case kind < 13:
 				l.Observe(src, rep)
-				refIdx.AddPair(src, rep)
+				refIdx.addPair(src, rep)
 				if seen++; cfg.DecayEvery > 0 && seen%cfg.DecayEvery == 0 {
-					refIdx.Decay(cfg.Decay, cfg.Floor)
+					refIdx.decay(cfg.Decay, cfg.Floor)
 				}
-				ref.Observe(refIdx)
+				ref.observe(refIdx)
 			case kind == 13:
 				edit := func(idx *PairIndex) { idx.Set(src, rep, float64(arg>>6)) }
 				l.Update(edit)
 				edit(refIdx)
-				ref.Publish(refIdx)
+				ref.publish(refIdx)
 			case kind == 14 && len(kept) > 0:
 				old := kept[int(arg)%len(kept)].snap
 				l.Restore(old, 0.5)
-				ref.Restore(refIdx, old, 0.5)
+				ref.restore(refIdx, old, 0.5)
 			default:
 				l.Publish()
-				ref.Publish(refIdx)
+				ref.publish(refIdx)
 			}
-			got, want := l.View(), ref.View()
+			got, want := l.View(), ref.view()
 			if got.version != want.version || !slices.Equal(got.rules, want.rules) {
 				t.Fatalf("step %d (op %#x %#x): learner serves v%d %v, rebuild gives v%d %v",
 					step/2, ops[step], arg, got.version, got.rules, want.version, want.rules)
 			}
-			if l.Version() != ref.Version() || l.Lag() != ref.Lag() {
-				t.Fatalf("step %d: version %d lag %d, reference %d and %d", step/2, l.Version(), l.Lag(), ref.Version(), ref.Lag())
+			if l.Version() != ref.Version() || l.Lag() != ref.lag() {
+				t.Fatalf("step %d: version %d lag %d, reference %d and %d", step/2, l.Version(), l.Lag(), ref.Version(), ref.lag())
 			}
 			if len(kept) == 0 || kept[len(kept)-1].snap != got {
 				then := *got

@@ -14,14 +14,17 @@ import (
 // exponential decay (the §VI incremental policy and routing.Assoc), and
 // materializes the immutable RuleSet of the moment on demand.
 
-// PairKey packs a (source, replier) pair into one 64-bit table key:
-// Source<<32 | Replier. A single flat table keyed by PairKey replaces the
-// nested map[HostID]map[HostID] tables the policies used to rebuild per
-// block: one hash per update instead of two, and no inner-map churn.
+// PairKey packs one rule's two halves into a 64-bit table key:
+// antecedent<<32 | replier. The antecedent is an opaque 32-bit id to
+// everything that holds keys (the index, the rule table, the snapshot
+// codec): the forwarding neighbor's host id everywhere but under
+// Sliding.UseInterest, where the policy assigns one id per (source,
+// interest) pair it has in its window. One flat table keyed by PairKey
+// costs one hash per update and has no inner maps to churn.
 type PairKey uint64
 
-// PackPair builds the key for a (source, replier) pair.
-func PackPair(src, rep trace.HostID) PairKey {
+// packPair builds the key for an (antecedent, replier) pair.
+func packPair(src, rep trace.HostID) PairKey {
 	return PairKey(uint64(src)<<32 | uint64(rep))
 }
 
@@ -43,10 +46,10 @@ type BlockDelta map[PairKey]int32
 //   - windowed (NewPairIndex): counts are exact integers maintained by
 //     AddBlock/RemoveBlock deltas; Snapshot materializes a RuleSet at a
 //     prune threshold.
-//   - decay (NewDecayIndex): counts age by Decay at boundaries and a pair
+//   - decay (newDecayIndex): counts age by decay at boundaries and a pair
 //     is an active rule while its count is at least the activation
-//     threshold; Covers/Matches answer live rule queries in O(1), making
-//     the index itself a RuleView.
+//     threshold; covers answers "is src an antecedent" in O(1), so the
+//     index is itself the rule set of the moment.
 //
 // Both count tables sit in the struct by value, so an index is one object
 // and a Learner that holds its index by value adds none. A PairIndex
@@ -56,7 +59,7 @@ type PairIndex struct {
 
 	// Decay-mode bookkeeping: threshold > 0 enables it. activeBySrc
 	// tracks, per antecedent, how many consequents are at or above the
-	// threshold, so Covers is a single lookup instead of an inner-map
+	// threshold, so covers is a single lookup instead of an inner-map
 	// scan. active is the total active-rule count. crossings counts every
 	// activation-set change monotonically, so a snapshot publisher can
 	// detect "the rule set itself changed" with one comparison
@@ -72,11 +75,11 @@ func NewPairIndex() *PairIndex {
 	return &PairIndex{}
 }
 
-// NewDecayIndex returns a decay-mode engine: pairs with count >= threshold
+// newDecayIndex returns a decay-mode engine: pairs with count >= threshold
 // are active rules, tracked incrementally. threshold must be positive.
-func NewDecayIndex(threshold float64) *PairIndex {
+func newDecayIndex(threshold float64) *PairIndex {
 	if threshold <= 0 {
-		panic("core: NewDecayIndex requires threshold > 0")
+		panic("core: newDecayIndex requires threshold > 0")
 	}
 	return &PairIndex{threshold: threshold}
 }
@@ -102,41 +105,34 @@ func (x *PairIndex) track(k PairKey, old, now float64) {
 	}
 }
 
-// AddPair records one (source, replier) observation and returns the
-// pair's new support.
-func (x *PairIndex) AddPair(src, rep trace.HostID) float64 {
-	_, now := x.addPair(src, rep)
-	return now
-}
-
-// addPair is AddPair that also returns the support before the
-// observation: old >= threshold is what Matches would have answered, read
-// by the probe that adds.
+// addPair records one (source, replier) observation and returns the
+// pair's support before and after it: old >= threshold is whether the
+// pair was a rule, read by the probe that adds.
 func (x *PairIndex) addPair(src, rep trace.HostID) (old, now float64) {
-	k := PackPair(src, rep)
+	k := packPair(src, rep)
 	old, now = x.counts.Add(k, 1)
 	x.track(k, old, now)
 	return old, now
 }
 
-// Add adjusts the pair's count by w (decay-mode Set/Add callers use
+// add adjusts the pair's count by w (decay-mode Set/Add callers use
 // weighted support).
-func (x *PairIndex) Add(src, rep trace.HostID, w float64) {
-	k := PackPair(src, rep)
+func (x *PairIndex) add(src, rep trace.HostID, w float64) {
+	k := packPair(src, rep)
 	old, now := x.counts.Add(k, w)
 	x.track(k, old, now)
 }
 
 // Set overwrites the pair's count exactly.
 func (x *PairIndex) Set(src, rep trace.HostID, v float64) {
-	k := PackPair(src, rep)
+	k := packPair(src, rep)
 	old := x.counts.Set(k, v)
 	x.track(k, old, v)
 }
 
 // Support returns the pair's current count (0 when untracked).
 func (x *PairIndex) Support(src, rep trace.HostID) float64 {
-	return x.counts.Get(PackPair(src, rep))
+	return x.counts.Get(packPair(src, rep))
 }
 
 // AddBlock folds one block into the index and returns the block's own
@@ -144,7 +140,7 @@ func (x *PairIndex) Support(src, rep trace.HostID) float64 {
 // that delta subtracts the block's exact contribution later. The block
 // itself is not retained — sources may reuse its buffer.
 func (x *PairIndex) AddBlock(b trace.Block) BlockDelta {
-	return x.addBlock(b, nil)
+	return x.addBlock(b, nil, nil)
 }
 
 // pairsPerDistinct sizes a fresh BlockDelta: a block of the paper's trace
@@ -152,27 +148,33 @@ func (x *PairIndex) AddBlock(b trace.Block) BlockDelta {
 const pairsPerDistinct = 8
 
 // addBlock is AddBlock counting into delta, a retired BlockDelta the
-// caller no longer needs (nil allocates one). In windowed mode the block
-// is counted once into the delta and the delta's distinct pairs are then
-// folded into the index — one hash operation per pair plus two per
-// distinct pair, against three per pair; integer adds are exact in
-// float64, so the order of folding cannot show. A decay-mode index adds
-// pair by pair: its counts are not integers and its crossings are
-// observable between pairs.
-func (x *PairIndex) addBlock(b trace.Block, delta BlockDelta) BlockDelta {
+// caller no longer needs (nil allocates one), under the antecedent ante
+// gives each pair (nil: its source). In windowed mode the block is counted
+// once into the delta and the delta's distinct pairs are then folded into
+// the index — one hash operation per pair plus two per distinct pair,
+// against three per pair; integer adds are exact in float64, so the order
+// of folding cannot show. A decay-mode index adds pair by pair: its counts
+// are not integers and its crossings are observable between pairs.
+func (x *PairIndex) addBlock(b trace.Block, delta BlockDelta, ante func(*trace.Pair) trace.HostID) BlockDelta {
 	if delta == nil {
 		delta = make(BlockDelta, len(b)/pairsPerDistinct)
 	}
 	clear(delta)
-	if x.threshold > 0 {
+	switch {
+	case x.threshold > 0:
 		for _, p := range b {
-			x.AddPair(p.Source, p.Replier)
-			delta[PackPair(p.Source, p.Replier)]++
+			x.addPair(p.Source, p.Replier)
+			delta[packPair(p.Source, p.Replier)]++
 		}
 		return delta
-	}
-	for _, p := range b {
-		delta[PackPair(p.Source, p.Replier)]++
+	case ante == nil:
+		for _, p := range b {
+			delta[packPair(p.Source, p.Replier)]++
+		}
+	default:
+		for i := range b {
+			delta[packPair(ante(&b[i]), b[i].Replier)]++
+		}
 	}
 	for k, n := range delta {
 		x.counts.Add(k, float64(n))
@@ -188,18 +190,18 @@ func (x *PairIndex) RemoveBlock(d BlockDelta) {
 	}
 }
 
-// Decay multiplies every count by factor and drops entries that fall below
+// decay multiplies every count by factor and drops entries that fall below
 // floor — the per-boundary aging of the §VI incremental policy and of the
 // online router: one linear sweep of the count table, which calls back
 // only for the entries that cross the activation threshold (none in
 // windowed mode, where the threshold is zero).
-func (x *PairIndex) Decay(factor, floor float64) {
+func (x *PairIndex) decay(factor, floor float64) {
 	x.counts.Decay(factor, floor, x.threshold, x.track)
 }
 
-// Reset drops all counts (retaining table capacity), so one index can be
+// reset drops all counts (retaining table capacity), so one index can be
 // rebuilt per window without reallocating.
-func (x *PairIndex) Reset() {
+func (x *PairIndex) reset() {
 	x.counts.Reset()
 	if x.threshold > 0 {
 		if x.active > 0 {
@@ -210,28 +212,10 @@ func (x *PairIndex) Reset() {
 	}
 }
 
-// Pairs returns the number of tracked (source, replier) pairs.
-func (x *PairIndex) Pairs() int { return x.counts.Len() }
-
-// ActiveRules returns the number of pairs at or above the activation
-// threshold (decay mode only; 0 in windowed mode).
-func (x *PairIndex) ActiveRules() int { return x.active }
-
-// Crossings returns the monotone count of activation-threshold crossings
-// (in either direction) the index has seen. Two equal readings bracket a
-// span in which the active-rule set did not change.
-func (x *PairIndex) Crossings() uint64 { return x.crossings }
-
-// Covers implements RuleView in decay mode: some consequent for src is at
+// covers reports, in decay mode, whether some consequent for src is at
 // or above the activation threshold.
-func (x *PairIndex) Covers(src trace.HostID) bool {
+func (x *PairIndex) covers(src trace.HostID) bool {
 	return x.threshold > 0 && x.activeBySrc.Get(src) > 0
-}
-
-// Matches implements RuleView in decay mode: the pair's count is at or
-// above the activation threshold.
-func (x *PairIndex) Matches(src, rep trace.HostID) bool {
-	return x.threshold > 0 && x.counts.Get(PackPair(src, rep)) >= x.threshold
 }
 
 // Range calls f for every tracked pair until f returns false. Iteration
@@ -240,20 +224,56 @@ func (x *PairIndex) Range(f func(k PairKey, count float64) bool) {
 	x.counts.Range(f)
 }
 
-// snapshot materializes the current counts as an immutable RuleSet at the
-// given prune threshold, without instrumentation.
-func (x *PairIndex) snapshot(prune int) *RuleSet {
-	if prune < 1 {
-		prune = 1
+// snapshot materializes the current counts as an immutable RuleSet:
+// pairs with count >= prune (below 1 is 1) whose confidence, the count
+// over the total of every pair that shares its antecedent, is at least
+// minConf (§VI: "reducing the size of rule sets while retaining high
+// coverage and success"; 0 keeps all). Without instrumentation.
+func (x *PairIndex) snapshot(prune int, minConf float64) *RuleSet {
+	prune = max(prune, 1)
+	keep := prune
+	if minConf > 0 {
+		keep = 1 // an antecedent's total needs its pruned pairs too
 	}
-	support := make(map[PairKey]int)
+	var t rules
 	x.counts.Range(func(k PairKey, v float64) bool {
-		if c := int(v); c >= prune {
-			support[k] = c
+		if c := int(v); c >= keep {
+			t = append(t, RuleEntry{Key: k, Support: float64(c)})
 		}
 		return true
 	})
-	return newRuleSet(support)
+	sortRules(t)
+	if minConf > 0 {
+		t = pruneRuns(t, float64(prune), minConf)
+	}
+	return newRuleSet(t)
+}
+
+// pruneRuns filters t, every pair of a window in canonical order, down to
+// its rules in place: a run is one antecedent's pairs, so its supports sum
+// to the antecedent's total.
+func pruneRuns(t rules, prune, minConf float64) rules {
+	out := t[:0]
+	for lo, hi := 0, 0; lo < len(t); lo = hi {
+		total := 0.0
+		for hi = lo; hi < len(t) && t[hi].Key.Source() == t[lo].Key.Source(); hi++ {
+			total += t[hi].Support
+		}
+		for _, e := range t[lo:hi] {
+			if e.Support >= prune && e.Support/total >= minConf {
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
+
+// observeRegen records one rule-set build in the obsv instruments.
+func observeRegen(start time.Time, rs *RuleSet) *RuleSet {
+	mRegens.Inc()
+	mRegenNs.Observe(time.Since(start).Nanoseconds())
+	mRegenRules.Observe(int64(rs.Len()))
+	return rs
 }
 
 // Snapshot materializes the current counts as an immutable RuleSet,
@@ -262,28 +282,19 @@ func (x *PairIndex) snapshot(prune int) *RuleSet {
 // instruments; for delta-maintained windows this is the whole recurring
 // cost — counting already happened incrementally.
 func (x *PairIndex) Snapshot(prune int) *RuleSet {
-	start := time.Now()
-	rs := x.snapshot(prune)
-	mRegens.Inc()
-	mRegenNs.Observe(time.Since(start).Nanoseconds())
-	mRegenRules.Observe(int64(rs.Len()))
-	return rs
+	return observeRegen(time.Now(), x.snapshot(prune, 0))
 }
 
-// Rebuild resets the index to exactly one block and snapshots it — the
+// rebuild resets the index to exactly one block and snapshots it — the
 // GENERATE-RULESET(b) of the single-block policies, instrumented as one
 // regeneration. Reusing an index across Rebuild calls reuses its storage.
-func (x *PairIndex) Rebuild(block trace.Block, prune int) *RuleSet {
+func (x *PairIndex) rebuild(block trace.Block, prune int) *RuleSet {
 	start := time.Now()
-	x.Reset()
+	x.reset()
 	for _, p := range block {
-		k := PackPair(p.Source, p.Replier)
+		k := packPair(p.Source, p.Replier)
 		old, now := x.counts.Add(k, 1)
 		x.track(k, old, now)
 	}
-	rs := x.snapshot(prune)
-	mRegens.Inc()
-	mRegenNs.Observe(time.Since(start).Nanoseconds())
-	mRegenRules.Observe(int64(rs.Len()))
-	return rs
+	return observeRegen(start, x.snapshot(prune, 0))
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +12,7 @@ import (
 
 func TestPairKeyRoundTrip(t *testing.T) {
 	f := func(src, rep uint32) bool {
-		k := PackPair(trace.HostID(src), trace.HostID(rep))
+		k := packPair(trace.HostID(src), trace.HostID(rep))
 		return k.Source() == trace.HostID(src) && k.Replier() == trace.HostID(rep)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -33,18 +34,14 @@ func randomBlock(rng *stats.RNG, size int) trace.Block {
 	return b
 }
 
-func rulesEqual(a, b *RuleSet) bool {
-	ra, rb := a.Rules(), b.Rules()
-	if len(ra) != len(rb) {
-		return false
-	}
-	for i := range ra {
-		if ra[i] != rb[i] {
-			return false
-		}
-	}
-	return true
+// matches reports, in decay mode, whether the pair's count is at or above
+// the activation threshold: with covers, what makes a live index a
+// ruleView for the evaluator's oracle tests.
+func (x *PairIndex) matches(src, rep trace.HostID) bool {
+	return x.threshold > 0 && x.counts.Get(packPair(src, rep)) >= x.threshold
 }
+
+func rulesEqual(a, b *RuleSet) bool { return slices.Equal(a.rules, b.rules) }
 
 // TestWindowedSnapshotsEqualFromScratch is the engine-equivalence property:
 // maintaining a delta window with AddBlock/RemoveBlock and snapshotting
@@ -71,7 +68,7 @@ func TestWindowedSnapshotsEqualFromScratch(t *testing.T) {
 			for _, b := range window {
 				joined = append(joined, b...)
 			}
-			if !rulesEqual(idx.snapshot(prune), GenerateRuleSet(joined, prune)) {
+			if !rulesEqual(idx.snapshot(prune, 0), GenerateRuleSet(joined, prune)) {
 				return false
 			}
 		}
@@ -79,7 +76,7 @@ func TestWindowedSnapshotsEqualFromScratch(t *testing.T) {
 		for _, d := range ring {
 			idx.RemoveBlock(d)
 		}
-		return idx.Pairs() == 0
+		return idx.counts.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -181,7 +178,7 @@ func TestDecayModeMatchesOldIncremental(t *testing.T) {
 			if step > 0 && got.Result != want {
 				return false
 			}
-			if in.RuleCount() != ref.ruleCount() {
+			if in.idx.active != ref.ruleCount() {
 				return false
 			}
 		}
@@ -193,34 +190,34 @@ func TestDecayModeMatchesOldIncremental(t *testing.T) {
 }
 
 func TestDecayIndexBookkeeping(t *testing.T) {
-	x := NewDecayIndex(2)
-	if x.Covers(1) || x.ActiveRules() != 0 {
+	x := newDecayIndex(2)
+	if x.covers(1) || x.active != 0 {
 		t.Fatal("fresh index has active rules")
 	}
-	x.AddPair(1, 10)
-	if x.Covers(1) {
+	x.addPair(1, 10)
+	if x.covers(1) {
 		t.Fatal("count 1 crossed threshold 2")
 	}
-	x.AddPair(1, 10)
-	if !x.Covers(1) || !x.Matches(1, 10) || x.ActiveRules() != 1 {
+	x.addPair(1, 10)
+	if !x.covers(1) || !x.matches(1, 10) || x.active != 1 {
 		t.Fatalf("activation missed: covers=%v matches=%v active=%d",
-			x.Covers(1), x.Matches(1, 10), x.ActiveRules())
+			x.covers(1), x.matches(1, 10), x.active)
 	}
-	x.Decay(0.5, 0.05) // 2 -> 1: below threshold, retained
-	if x.Covers(1) || x.ActiveRules() != 0 || x.Pairs() != 1 {
+	x.decay(0.5, 0.05) // 2 -> 1: below threshold, retained
+	if x.covers(1) || x.active != 0 || x.counts.Len() != 1 {
 		t.Fatalf("deactivation missed: covers=%v active=%d pairs=%d",
-			x.Covers(1), x.ActiveRules(), x.Pairs())
+			x.covers(1), x.active, x.counts.Len())
 	}
 	x.Set(1, 10, 3.5)
-	if !x.Covers(1) || x.Support(1, 10) != 3.5 {
-		t.Fatalf("Set: covers=%v support=%v", x.Covers(1), x.Support(1, 10))
+	if !x.covers(1) || x.Support(1, 10) != 3.5 {
+		t.Fatalf("Set: covers=%v support=%v", x.covers(1), x.Support(1, 10))
 	}
-	x.Decay(0.001, 0.05) // drops the entry entirely
-	if x.Pairs() != 0 || x.ActiveRules() != 0 || x.Covers(1) {
+	x.decay(0.001, 0.05) // drops the entry entirely
+	if x.counts.Len() != 0 || x.active != 0 || x.covers(1) {
 		t.Fatal("floor eviction left residue")
 	}
-	x.Reset()
-	if x.Pairs() != 0 || x.ActiveRules() != 0 {
+	x.reset()
+	if x.counts.Len() != 0 || x.active != 0 {
 		t.Fatal("reset left residue")
 	}
 }
@@ -230,17 +227,17 @@ func TestSnapshotPruneFloorAndRebuildReuse(t *testing.T) {
 		pair(1, 1, 10), pair(2, 1, 10), pair(3, 2, 20),
 	}
 	idx := NewPairIndex()
-	rs := idx.Rebuild(blk, 0) // prune < 1 behaves as 1
-	if rs.Len() != 2 || rs.SupportOf(1, 10) != 2 || rs.SupportOf(2, 20) != 1 {
-		t.Fatalf("rules = %v", rs.Rules())
+	rs := idx.rebuild(blk, 0) // prune < 1 behaves as 1
+	if rs.Len() != 2 || rs.Support(1, 10) != 2 || rs.Support(2, 20) != 1 {
+		t.Fatalf("rules = %v", rs.rules)
 	}
 	// Rebuild replaces, not accumulates.
-	rs = idx.Rebuild(blk, 2)
-	if rs.Len() != 1 || rs.SupportOf(1, 10) != 2 {
-		t.Fatalf("rules after rebuild = %v", rs.Rules())
+	rs = idx.rebuild(blk, 2)
+	if rs.Len() != 1 || rs.Support(1, 10) != 2 {
+		t.Fatalf("rules after rebuild = %v", rs.rules)
 	}
-	if idx.Pairs() != 2 {
-		t.Fatalf("index pairs = %d, want 2", idx.Pairs())
+	if idx.counts.Len() != 2 {
+		t.Fatalf("index pairs = %d, want 2", idx.counts.Len())
 	}
 }
 
@@ -249,7 +246,7 @@ func TestSnapshotPruneFloorAndRebuildReuse(t *testing.T) {
 func addBlockOracle(x *PairIndex, b trace.Block) BlockDelta {
 	delta := make(BlockDelta)
 	for _, p := range b {
-		k := PackPair(p.Source, p.Replier)
+		k := packPair(p.Source, p.Replier)
 		old, now := x.counts.Add(k, 1)
 		x.track(k, old, now)
 		delta[k]++
@@ -267,21 +264,21 @@ func TestAddBlockMatchesPairAtATime(t *testing.T) {
 		rng := stats.NewRNG(seed)
 		got, want := NewPairIndex(), NewPairIndex()
 		if decayMode {
-			got, want = NewDecayIndex(3), NewDecayIndex(3)
+			got, want = newDecayIndex(3), newDecayIndex(3)
 		}
 		var prevGot, prevWant BlockDelta
 		for step := 0; step < 8; step++ {
 			block := randomBlock(rng, rng.Intn(120))
 			if decayMode {
-				got.Decay(0.8, 0.05)
-				want.Decay(0.8, 0.05)
+				got.decay(0.8, 0.05)
+				want.decay(0.8, 0.05)
 			} else if prevGot != nil && rng.Bool(0.7) {
 				got.RemoveBlock(prevGot)
 				want.RemoveBlock(prevWant)
 			} else {
 				prevGot = nil // keep the block in the window: no delta to reuse
 			}
-			prevGot, prevWant = got.addBlock(block, prevGot), addBlockOracle(want, block)
+			prevGot, prevWant = got.addBlock(block, prevGot, nil), addBlockOracle(want, block)
 			if len(prevGot) != len(prevWant) || (len(prevWant) > 0 && !reflect.DeepEqual(prevGot, prevWant)) {
 				return false
 			}
@@ -306,7 +303,7 @@ func BenchmarkAddBlock(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx.Reset() // a map clear, ~1% of the add: cheaper than pausing the timer
+		idx.reset() // a map clear, ~1% of the add: cheaper than pausing the timer
 		benchDelta = idx.AddBlock(blocks[i%2])
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"arq/internal/stats"
 	"arq/internal/trace"
@@ -63,20 +64,43 @@ func (s *Static) Step(block trace.Block) StepResult {
 // more hosts ... meaning some rules may be stale"). The index carries the
 // pooled counts across steps — add the newest block's delta, retire the
 // oldest — so a step costs O(block) regardless of Width.
+//
+// MinConfidence and UseInterest are the two refinements §VI proposes, on
+// the same maintenance schedule, so a run against plain Sliding isolates
+// each (the §VI ablations).
 type Sliding struct {
 	Prune int
 	Width int
+	// MinConfidence drops rules whose confidence — the pair's count over
+	// the count of all pairs with its antecedent in the window — falls
+	// below it ("one way of reducing the size of rule sets while retaining
+	// high coverage and success"). 0 disables.
+	MinConfidence float64
+	// UseInterest makes the antecedent (source, interest) instead of the
+	// source alone ("adding dimensions such as the query strings during
+	// rule generation"), so different topics from one neighbor can route
+	// to different consequents.
+	UseInterest bool
+
 	idx   *PairIndex
 	ring  []BlockDelta
+	antes anteIDs // UseInterest only
 }
 
 // Name implements Policy: "sliding" for the paper's one-block window,
-// "wide" for the ablation.
+// "wide" for the width ablation, "sliding+..." for the §VI refinements.
 func (s *Sliding) Name() string {
+	name := "sliding"
 	if s.Width > 1 {
-		return "wide"
+		name = "wide"
 	}
-	return "sliding"
+	if s.UseInterest {
+		name += "+interest"
+	}
+	if s.MinConfidence > 0 {
+		name += "+conf"
+	}
+	return name
 }
 
 // Step implements Policy.
@@ -84,20 +108,90 @@ func (s *Sliding) Step(block trace.Block) StepResult {
 	if s.idx == nil {
 		s.idx = NewPairIndex()
 	}
+	var intern func(*trace.Pair) trace.HostID
+	if s.UseInterest {
+		intern = s.antes.intern
+	}
 	if len(s.ring) == 0 {
-		s.ring = append(s.ring, s.idx.AddBlock(block))
+		s.ring = append(s.ring, s.idx.addBlock(block, nil, intern))
 		return StepResult{}
 	}
-	rs := s.idx.Snapshot(s.Prune)
-	res := rs.Test(block)
+	rs := observeRegen(time.Now(), s.idx.snapshot(s.Prune, s.MinConfidence))
+	var res TestResult
+	if s.UseInterest {
+		// An antecedent the window never saw reads id 0, which no pair is
+		// ever counted under: uncovered.
+		ids := s.antes.ids
+		res = evalBlock(block,
+			func(p *trace.Pair) bool { return rs.covers(ids[anteOf(p)]) },
+			func(p *trace.Pair) bool { return rs.matches(ids[anteOf(p)], p.Replier) }, nil)
+	} else {
+		res = rs.Test(block)
+	}
 	var retired BlockDelta
 	for len(s.ring) >= max(s.Width, 1) {
 		retired = s.ring[0]
 		s.idx.RemoveBlock(retired)
+		if s.UseInterest {
+			s.antes.release(retired)
+		}
 		s.ring = append(s.ring[:0], s.ring[1:]...)
 	}
-	s.ring = append(s.ring, s.idx.addBlock(block, retired))
+	s.ring = append(s.ring, s.idx.addBlock(block, retired, intern))
 	return StepResult{Tested: true, Result: res, Regenerated: true, Rules: rs.Len()}
+}
+
+// anteIDs interns the (source, interest) antecedents of a Sliding window
+// as the 32-bit antecedent ids of its PairKeys. An id lives as long as
+// some delta of the ring counts a pair under it and is handed out again
+// afterwards, so the table is bounded by the window, not by the trace.
+// The zero value is an empty table.
+type anteIDs struct {
+	ids  map[uint64]trace.HostID // source<<32 | interest -> id
+	refs []anteRef               // by id; refs[0] is never assigned: id 0 is "no antecedent"
+	free []trace.HostID
+}
+
+// anteRef is one live id: its antecedent and how many pairs of the window
+// carry it.
+type anteRef struct {
+	ante  uint64
+	pairs int32
+}
+
+func anteOf(p *trace.Pair) uint64 { return uint64(p.Source)<<32 | uint64(uint32(p.Interest)) }
+
+// intern counts p under its antecedent's id, assigning one at first
+// sight.
+func (a *anteIDs) intern(p *trace.Pair) trace.HostID {
+	ante := anteOf(p)
+	id, ok := a.ids[ante]
+	if !ok {
+		if n := len(a.free); n > 0 {
+			id, a.free = a.free[n-1], a.free[:n-1]
+		} else {
+			if a.ids == nil {
+				a.ids, a.refs = make(map[uint64]trace.HostID), make([]anteRef, 1)
+			}
+			id = trace.HostID(len(a.refs))
+			a.refs = append(a.refs, anteRef{})
+		}
+		a.ids[ante], a.refs[id].ante = id, ante
+	}
+	a.refs[id].pairs++
+	return id
+}
+
+// release takes a retired delta's pairs off their antecedents and drops
+// the ids nothing in the window counts under any more.
+func (a *anteIDs) release(retired BlockDelta) {
+	for k, n := range retired {
+		ref := &a.refs[k.Source()]
+		if ref.pairs -= n; ref.pairs == 0 {
+			delete(a.ids, ref.ante)
+			a.free = append(a.free, k.Source())
+		}
+	}
 }
 
 // Lazy implements LAZY-SLIDING-WINDOW (§III-B.5): a generated rule set is
@@ -123,7 +217,7 @@ func (l *Lazy) regen(block trace.Block) *RuleSet {
 	if l.idx == nil {
 		l.idx = NewPairIndex()
 	}
-	return l.idx.Rebuild(block, l.Prune)
+	return l.idx.rebuild(block, l.Prune)
 }
 
 // Step implements Policy.
@@ -169,7 +263,7 @@ func (a *Adaptive) regen(block trace.Block) *RuleSet {
 	if a.idx == nil {
 		a.idx = NewPairIndex()
 	}
-	return a.idx.Rebuild(block, a.Prune)
+	return a.idx.rebuild(block, a.Prune)
 }
 
 // Step implements Policy.
@@ -240,25 +334,17 @@ func (in *Incremental) params() (decay, threshold float64) {
 	return decay, threshold
 }
 
-// RuleCount returns the number of active rules at the current state.
-func (in *Incremental) RuleCount() int {
-	if in.idx == nil {
-		return 0
-	}
-	return in.idx.ActiveRules()
-}
-
 // Step implements Policy.
 func (in *Incremental) Step(block trace.Block) StepResult {
 	decay, threshold := in.params()
 	if in.idx == nil {
-		in.idx = NewDecayIndex(threshold)
+		in.idx = newDecayIndex(threshold)
 	}
 	warmup := !in.started
 	in.started = true
 
 	// Age out old observations at the block boundary.
-	in.idx.Decay(decay, incrementalFloor)
+	in.idx.decay(decay, incrementalFloor)
 
 	// evalBlock trains on a pair right after it asked whether the pair
 	// matches, with nothing read in between, so when it asks, the one
@@ -266,7 +352,7 @@ func (in *Incremental) Step(block trace.Block) StepResult {
 	idx := in.idx
 	trained := false
 	res := evalBlock(block,
-		func(p *trace.Pair) bool { return idx.Covers(p.Source) },
+		func(p *trace.Pair) bool { return idx.covers(p.Source) },
 		func(p *trace.Pair) bool {
 			old, _ := idx.addPair(p.Source, p.Replier)
 			trained = true
@@ -279,9 +365,9 @@ func (in *Incremental) Step(block trace.Block) StepResult {
 			trained = false
 		})
 	if warmup {
-		return StepResult{Rules: in.idx.ActiveRules()}
+		return StepResult{Rules: in.idx.active}
 	}
-	return StepResult{Tested: true, Result: res, Rules: in.idx.ActiveRules()}
+	return StepResult{Tested: true, Result: res, Rules: in.idx.active}
 }
 
 // NewPolicy constructs a policy by name with the given prune threshold and

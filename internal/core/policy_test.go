@@ -1,9 +1,13 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"arq/internal/trace"
+	"arq/internal/tracegen"
 )
 
 // stableBlocks builds a drift-free stream: sources 1..3 always answered by
@@ -248,14 +252,14 @@ func TestIncrementalTestThenTrain(t *testing.T) {
 func TestIncrementalDecayExpiresRules(t *testing.T) {
 	in := &Incremental{Decay: 0.5, Threshold: 2}
 	in.Step(trace.Block{pair(1, 1, 10), pair(2, 1, 10), pair(3, 1, 10), pair(4, 1, 10)})
-	if in.RuleCount() != 1 {
-		t.Fatalf("rule count after training = %d", in.RuleCount())
+	if in.idx.active != 1 {
+		t.Fatalf("rule count after training = %d", in.idx.active)
 	}
 	// Several empty blocks decay the count 4 -> 2 -> 1 -> 0.5 ...
 	in.Step(trace.Block{})
 	in.Step(trace.Block{})
-	if in.RuleCount() != 0 {
-		t.Fatalf("rule survived decay: count = %d", in.RuleCount())
+	if in.idx.active != 0 {
+		t.Fatalf("rule survived decay: count = %d", in.idx.active)
 	}
 }
 
@@ -299,8 +303,8 @@ func TestWideKeepsBoundedHistory(t *testing.T) {
 	}
 	// The pooled index must hold exactly the pairs of the retained window:
 	// 3 blocks x 3 distinct pairs.
-	if w.idx.Pairs() != 3 {
-		t.Fatalf("index tracks %d pairs, want 3", w.idx.Pairs())
+	if w.idx.counts.Len() != 3 {
+		t.Fatalf("index tracks %d pairs, want 3", w.idx.counts.Len())
 	}
 	if got := w.idx.Support(1, 11); got != 15 {
 		t.Fatalf("pooled support = %v, want 15 (3 blocks x 5)", got)
@@ -333,6 +337,229 @@ func TestWideAggregatesSupportAcrossBlocks(t *testing.T) {
 	}
 }
 
+func ipair(guid int, src, rep trace.HostID, in trace.InterestID) trace.Pair {
+	return trace.Pair{GUID: trace.GUID(guid), Source: src, Replier: rep, Interest: in}
+}
+
+// mined is what the policy s, not yet stepped, mines from gen and scores
+// on probe: Rules is the size of the rule set from gen alone.
+func mined(s Sliding, gen, probe trace.Block) StepResult {
+	s.Step(gen)
+	return s.Step(probe)
+}
+
+// With no refinement that bites, Sliding is GENERATE-RULESET then
+// RULESET-TEST, whichever code path it takes: no refinement set, a
+// confidence floor every rule clears, and an interest dimension over a
+// block with one interest.
+func TestExtMatchesPlainWithoutOptions(t *testing.T) {
+	f := func(raw []uint16, thRaw uint8) bool {
+		th := int(thRaw%5) + 1
+		gen, probe := make(trace.Block, len(raw)), make(trace.Block, len(raw))
+		for i, r := range raw {
+			gen[i] = ipair(i, trace.HostID(r%6+1), trace.HostID(r%4+10), 3)
+			probe[i] = ipair(i/2, trace.HostID(r/5%7+1), trace.HostID(r/3%4+10), 3)
+		}
+		rs := GenerateRuleSet(gen, th)
+		want := StepResult{Tested: true, Result: rs.Test(probe), Regenerated: true, Rules: rs.Len()}
+		for _, s := range []Sliding{
+			{Prune: th},
+			{Prune: th, MinConfidence: math.SmallestNonzeroFloat64},
+			{Prune: th, UseInterest: true},
+		} {
+			if mined(s, gen, probe) != want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestConfidencePruningShrinksRuleSet(t *testing.T) {
+	var block trace.Block
+	g := 0
+	add := func(n int, src, rep trace.HostID) {
+		for i := 0; i < n; i++ {
+			g++
+			block = append(block, ipair(g, src, rep, 0))
+		}
+	}
+	// Source 1: 80% to 10, 20% to 11. Both clear support 10.
+	add(40, 1, 10)
+	add(10, 1, 11)
+	probe := trace.Block{ipair(998, 1, 11, 0), ipair(999, 1, 10, 0)}
+	if base := mined(Sliding{Prune: 10}, block, probe); base.Rules != 2 || base.Result.Successful != 2 {
+		t.Fatalf("base = %+v", base)
+	}
+	// The surviving rule is the high-confidence one.
+	if conf := mined(Sliding{Prune: 10, MinConfidence: 0.5}, block, probe); conf.Rules != 1 || conf.Result.Successful != 1 {
+		t.Fatalf("confidence-pruned = %+v", conf)
+	}
+	// Confidence is over every pair of the antecedent, the ones below the
+	// support threshold included: 40 of 50 is 0.8 at any Prune.
+	if conf := mined(Sliding{Prune: 20, MinConfidence: 0.81}, block, probe); conf.Rules != 0 {
+		t.Fatalf("pruned pairs left out of the antecedent's total: %+v", conf)
+	}
+}
+
+func TestConfidencePruningMonotone(t *testing.T) {
+	f := func(raw []uint16, useInterest bool) bool {
+		block := make(trace.Block, len(raw))
+		for i, r := range raw {
+			block[i] = ipair(i, trace.HostID(r%4+1), trace.HostID(r%5+10), trace.InterestID(r%2))
+		}
+		prev := -1
+		for _, mc := range []float64{0, 0.2, 0.4, 0.6, 0.8} {
+			n := mined(Sliding{Prune: 2, MinConfidence: mc, UseInterest: useInterest}, block, nil).Rules
+			if prev >= 0 && n > prev {
+				return false
+			}
+			prev = n
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestInterestDimensionSeparatesTopics(t *testing.T) {
+	var block trace.Block
+	g := 0
+	add := func(n int, src, rep trace.HostID, in trace.InterestID) {
+		for i := 0; i < n; i++ {
+			g++
+			block = append(block, ipair(g, src, rep, in))
+		}
+	}
+	// Source 1 asks two topics answered by different neighbors.
+	add(20, 1, 10, 0)
+	add(20, 1, 11, 1)
+	plain, byTopic := Sliding{Prune: 10}, Sliding{Prune: 10, UseInterest: true}
+
+	// A topic-0 query answered via 11 (the topic-1 provider): the plain
+	// rule set counts it successful (it has a {1}->{11} rule), the
+	// interest-aware one correctly does not.
+	probe := trace.Block{ipair(900, 1, 11, 0)}
+	if mined(plain, block, probe).Result.Successful != 1 {
+		t.Fatal("plain rules should match any learned consequent")
+	}
+	if res := mined(byTopic, block, probe).Result; res.Covered != 1 || res.Successful != 0 {
+		t.Fatalf("interest rules must separate topics: %+v", res)
+	}
+	// The right consequent for topic 0 still succeeds.
+	if mined(byTopic, block, trace.Block{ipair(901, 1, 10, 0)}).Result.Successful != 1 {
+		t.Fatal("interest rule for topic 0 missing")
+	}
+	// A topic or a source the window never saw is uncovered: it has no
+	// antecedent id, and the id 0 its lookup reads belongs to no antecedent
+	// (the first one interned must not get it).
+	unseen := trace.Block{ipair(902, 1, 10, 7), ipair(903, 2, 10, 0), ipair(904, 0, 10, 0)}
+	if res := mined(byTopic, block, unseen).Result; res.N != 3 || res.Covered != 0 {
+		t.Fatalf("unseen antecedents: %+v", res)
+	}
+}
+
+func TestSlidingExtPolicyRuns(t *testing.T) {
+	p := &Sliding{Prune: 2, UseInterest: true, MinConfidence: 0.1}
+	blocks := stableBlocks(5, 10)
+	var tested int
+	for _, b := range blocks {
+		if p.Step(b).Tested {
+			tested++
+		}
+	}
+	if tested != 4 {
+		t.Fatalf("tested = %d", tested)
+	}
+	// Stable trace: perfect quality.
+	res := p.Step(stableBlocks(1, 10)[0])
+	if res.Result.Coverage() != 1 || res.Result.Success() != 1 {
+		t.Fatalf("stable refined result = %+v", res.Result)
+	}
+}
+
+func TestSlidingExtNames(t *testing.T) {
+	for want, s := range map[string]Sliding{
+		"sliding":               {Prune: 1},
+		"sliding+conf":          {Prune: 1, MinConfidence: 0.1},
+		"sliding+interest":      {Prune: 1, UseInterest: true},
+		"sliding+interest+conf": {Prune: 1, UseInterest: true, MinConfidence: 0.1},
+		"wide+interest":         {Prune: 1, UseInterest: true, Width: 2},
+	} {
+		if got := s.Name(); got != want {
+			t.Fatalf("name for %+v = %q, want %q", s, got, want)
+		}
+	}
+}
+
+// interestBlocks draws n paper-profile blocks; their (source, interest)
+// antecedents come and go as neighbors churn.
+func interestBlocks(n, size int) []trace.Block {
+	cfg := tracegen.PaperProfile()
+	cfg.Seed = 5
+	cfg.BlockSize = size
+	cfg.TotalBlocks = n
+	src := tracegen.New(cfg)
+	var blocks []trace.Block
+	for b, ok := src.Next(); ok; b, ok = src.Next() {
+		blocks = append(blocks, slices.Clone(b))
+	}
+	return blocks
+}
+
+// TestSlidingInterestEqualsRekeyedRegeneration: Sliding{Width: 3,
+// UseInterest} is, block by block, GENERATE-RULESET over the three pooled
+// previous blocks with every (source, interest) re-keyed as a host of its
+// own by a table that never forgets, then RULESET-TEST on the next. And
+// its own table does forget: at every step it holds exactly the
+// antecedents of the window's blocks, so over a churning source it is
+// bounded by the largest window, not by the trace.
+func TestSlidingInterestEqualsRekeyedRegeneration(t *testing.T) {
+	const width = 3
+	blocks := interestBlocks(200, 1500)
+	ids := map[[2]int64]trace.HostID{}
+	rekeyed := make([]trace.Block, len(blocks))
+	for i, b := range blocks {
+		rekeyed[i] = slices.Clone(b)
+		for j, p := range b {
+			k := [2]int64{int64(p.Source), int64(p.Interest)}
+			if ids[k] == 0 {
+				ids[k] = trace.HostID(len(ids) + 1)
+			}
+			rekeyed[i][j].Source = ids[k]
+		}
+	}
+	s := &Sliding{Prune: 3, Width: width, UseInterest: true}
+	largest := 0
+	for i, b := range blocks {
+		got := s.Step(b)
+		lo := max(0, i+1-width)
+		live := map[trace.HostID]bool{}
+		for _, p := range slices.Concat(rekeyed[lo : i+1]...) {
+			live[p.Source] = true
+		}
+		largest = max(largest, len(live))
+		if len(s.antes.ids) != len(live) || len(s.antes.refs)-1-len(s.antes.free) != len(live) {
+			t.Fatalf("block %d: %d ids (%d slots, %d free) for a window of %d antecedents",
+				i, len(s.antes.ids), len(s.antes.refs)-1, len(s.antes.free), len(live))
+		}
+		if i == 0 {
+			continue
+		}
+		rs := GenerateRuleSet(slices.Concat(rekeyed[max(0, i-width):i]...), 3)
+		if want := (StepResult{Tested: true, Result: rs.Test(rekeyed[i]), Regenerated: true, Rules: rs.Len()}); got != want {
+			t.Fatalf("block %d: %+v, regenerated from the re-keyed window %+v", i, got, want)
+		}
+	}
+	if len(s.antes.refs)-1 > largest || len(ids) < 2*largest {
+		t.Fatalf("%d id slots after %d antecedents in all, largest window %d", len(s.antes.refs)-1, len(ids), largest)
+	}
+}
+
 // A steady Sliding.Step allocates what the snapshot it builds needs — a
 // few objects per rule — and nothing per pair or per GUID of the
 // 10 000-pair block it tests and folds in.
@@ -359,7 +586,7 @@ func TestIncrementalStepAllocations(t *testing.T) {
 		in.Step(blocks[i%len(blocks)])
 	}
 	i := 0
-	if n := testing.AllocsPerRun(8, func() { in.Step(blocks[i%len(blocks)]); i++ }); n != 0 {
+	if n := pooledAllocs(func() { in.Step(blocks[i%len(blocks)]); i++ }); n != 0 {
 		t.Errorf("Incremental.Step on a %d-pair block: %v allocs per call, want 0", len(blocks[0]), n)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"arq/internal/obsv"
-	"arq/internal/trace"
 )
 
 // This file is the serve plane of the rule lifecycle: a single-writer
@@ -30,32 +29,22 @@ var (
 	gPublishLag  = obsv.GetGauge("core.publish.lag_obs")
 )
 
-// RuleEntry is one rule of a snapshot: the packed {source} -> {replier}
-// pair and its support at publish time.
-type RuleEntry struct {
-	Key     PairKey
-	Support float64
-}
-
 // RuleSnapshot is one published generation of a node's routing knowledge:
-// the pairs at or above the activation threshold at publish time with
-// their decayed supports, held as one flat slice sorted by antecedent
-// ascending, then support descending, then replier ascending. Every
-// antecedent's consequents are therefore one contiguous run, already in
-// forwarding order (highest support first, HostID as the deterministic
-// tiebreak), found by binary search. A snapshot is immutable once
-// published and implements RuleView, so the block evaluator and the
-// online router read rules through one contract.
+// the rule table (Len, Run, Support, Consequents, Range) of the pairs at
+// or above the activation threshold at publish time, with their decayed
+// supports. A snapshot is immutable once published. Its readers ask for
+// an antecedent's whole run, never "is this pair a rule" a block at a
+// time, so unlike a RuleSet it carries no membership sets.
 //
 // The publish time is kept twice, both from one clock reading and only by
 // a publisher with an age bound (PublisherConfig.StaleAge); zero is "not
 // recorded". at is wall-clock and is what the codec persists; mono is the
-// same instant on the process's monotonic clock and is what Stale
+// same instant on the process's monotonic clock and is what stale
 // subtracts, so a stepped wall clock neither hides a stale snapshot nor
 // condemns a fresh one. mono means nothing in a decoded snapshot, which
 // is never served.
 type RuleSnapshot struct {
-	rules   []RuleEntry
+	rules
 	version uint64
 	at      int64 // ns since the Unix epoch
 	mono    int64 // ns since clockBase
@@ -67,103 +56,9 @@ var clockBase = time.Now()
 // emptySnapshot is what a Publisher serves before its first publish.
 var emptySnapshot = &RuleSnapshot{}
 
-// ruleLess is the canonical snapshot order every producer (Publish, the
-// single-pair upsert, the codec decoder, RemapSnapshot) shares.
-func ruleLess(a, b RuleEntry) bool {
-	if sa, sb := a.Key.Source(), b.Key.Source(); sa != sb {
-		return sa < sb
-	}
-	if a.Support != b.Support {
-		return a.Support > b.Support
-	}
-	return a.Key < b.Key
-}
-
-// sortRules puts rules into the canonical snapshot order.
-func sortRules(rules []RuleEntry) {
-	sort.Slice(rules, func(i, j int) bool { return ruleLess(rules[i], rules[j]) })
-}
-
-// runBounds returns the half-open index range of src's run in rules.
-func runBounds(rules []RuleEntry, src trace.HostID) (lo, hi int) {
-	hi = len(rules)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); rules[m].Key.Source() < src {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	for hi = lo; hi < len(rules) && rules[hi].Key.Source() == src; hi++ {
-	}
-	return lo, hi
-}
-
 // Version returns the snapshot's publication sequence number (0 for the
 // pre-first-publish empty snapshot).
 func (s *RuleSnapshot) Version() uint64 { return s.version }
-
-// Len returns the number of rules in the snapshot.
-func (s *RuleSnapshot) Len() int { return len(s.rules) }
-
-// Run returns the rules whose antecedent is src, ordered by descending
-// support with HostID as the tiebreak. The slice aliases the snapshot's
-// immutable storage: callers must not modify it.
-func (s *RuleSnapshot) Run(src trace.HostID) []RuleEntry {
-	lo, hi := runBounds(s.rules, src)
-	return s.rules[lo:hi:hi]
-}
-
-// Support returns the rule's support at publish time, or 0 if the pair was
-// below the activation threshold.
-func (s *RuleSnapshot) Support(src, rep trace.HostID) float64 {
-	k := PackPair(src, rep)
-	for _, e := range s.Run(src) {
-		if e.Key == k {
-			return e.Support
-		}
-	}
-	return 0
-}
-
-// Covers implements RuleView: some rule has src as its antecedent.
-func (s *RuleSnapshot) Covers(src trace.HostID) bool {
-	return len(s.Run(src)) > 0
-}
-
-// Matches implements RuleView: {src} -> {rep} was an active rule at
-// publish time.
-func (s *RuleSnapshot) Matches(src, rep trace.HostID) bool {
-	return s.Support(src, rep) > 0
-}
-
-// Consequents returns up to k consequent hosts for queries arriving from
-// src, ordered by descending support with HostID as the tiebreak. k <= 0
-// returns all of them.
-func (s *RuleSnapshot) Consequents(src trace.HostID, k int) []trace.HostID {
-	run := s.Run(src)
-	if len(run) == 0 {
-		return nil
-	}
-	if k > 0 && k < len(run) {
-		run = run[:k]
-	}
-	out := make([]trace.HostID, len(run))
-	for i, e := range run {
-		out[i] = e.Key.Replier()
-	}
-	return out
-}
-
-// Range calls f for every rule in the snapshot, in the snapshot's
-// canonical order, until f returns false.
-func (s *RuleSnapshot) Range(f func(k PairKey, support float64) bool) {
-	for _, e := range s.rules {
-		if !f(e.Key, e.Support) {
-			return
-		}
-	}
-}
 
 // byKey returns a copy of the rules in ascending PairKey order: the
 // codec's record order and the order Restore seeds a learn plane in.
@@ -253,9 +148,9 @@ type PublisherConfig struct {
 }
 
 // Publisher turns a learn-plane index into a lock-free stream of
-// RuleSnapshots. View, Version, Lag and Stale may be called from any
-// number of goroutines concurrently and never block. Everything else
-// (Observe, ObservePair, Publish, Restore) reads the index and belongs to
+// RuleSnapshots. view, lag and stale may be called from any number of
+// goroutines concurrently and never block. Everything else (observe,
+// observePair, publish, restore) reads the index and belongs to
 // the index's single writer; a Learner is that writer and holds the
 // mutex for it. A Publisher keeps no pointer to its index: the writer
 // hands the same one to every call that reads it, so a Learner holds
@@ -264,21 +159,11 @@ type PublisherConfig struct {
 // loads it.
 type Publisher struct {
 	cur      atomic.Pointer[RuleSnapshot]
-	obsSince atomic.Int64 // read by Lag and Stale
+	obsSince atomic.Int64 // read by lag and stale
 	cfg      *PublisherConfig
 
 	version uint64
 	crossAt uint64
-}
-
-// NewPublisher returns a publisher serving the empty version-0 snapshot.
-// cfg.MinSupport is required: a publisher is bound to no index, its writer
-// hands the one index it publishes to every Observe, ObservePair, Publish
-// and Restore (a Learner fills MinSupport from its threshold).
-func NewPublisher(cfg PublisherConfig) *Publisher {
-	p := new(Publisher)
-	p.init(&cfg)
-	return p
 }
 
 // init makes the zero Publisher serve under cfg, which it keeps and does
@@ -294,25 +179,20 @@ func (p *Publisher) init(cfg *PublisherConfig) {
 	p.cur.Store(emptySnapshot)
 }
 
-// View returns the current published snapshot: one atomic pointer load,
+// view returns the current published snapshot: one atomic pointer load,
 // safe from any goroutine, never nil.
-func (p *Publisher) View() *RuleSnapshot {
+func (p *Publisher) view() *RuleSnapshot {
 	return p.cur.Load()
 }
 
-// Version returns the sequence number of the current published snapshot.
-func (p *Publisher) Version() uint64 {
-	return p.cur.Load().version
-}
-
-// Lag returns the number of observations the learn plane has absorbed
+// lag returns the number of observations the learn plane has absorbed
 // since the last publish — the serve plane's staleness in observation
 // units.
-func (p *Publisher) Lag() int64 {
+func (p *Publisher) lag() int64 {
 	return p.obsSince.Load()
 }
 
-// Stale reports whether the served snapshot has fallen behind the learn
+// stale reports whether the served snapshot has fallen behind the learn
 // plane by a configured bound: StaleObs observations absorbed since the
 // last publish, or published StaleAge ago on the monotonic clock. With
 // neither bound set nothing is ever stale. The pre-first-publish empty
@@ -320,7 +200,7 @@ func (p *Publisher) Lag() int64 {
 // and callers already treat an empty snapshot as "no rules". Degradation
 // logic (routing.Assoc, the vantage rule server) polls this to decide
 // when decayed rules should yield to flooding.
-func (p *Publisher) Stale() bool {
+func (p *Publisher) stale() bool {
 	maxLag, maxAge := p.cfg.StaleObs, p.cfg.StaleAge
 	if maxLag <= 0 && maxAge <= 0 {
 		return false
@@ -335,17 +215,17 @@ func (p *Publisher) Stale() bool {
 	return maxAge > 0 && time.Since(clockBase)-time.Duration(s.mono) >= maxAge
 }
 
-// Observe records that idx absorbed one observation and publishes if the
+// observe records that idx absorbed one observation and publishes if the
 // policy calls for it.
-func (p *Publisher) Observe(idx *PairIndex) {
+func (p *Publisher) observe(idx *PairIndex) {
 	if total := p.obsSince.Add(1); p.due(idx, total) {
-		p.Publish(idx)
+		p.publish(idx)
 	} else {
 		gPublishLag.Set(total)
 	}
 }
 
-// ObservePair is Observe for an observation that did nothing to the
+// observePair is observe for an observation that did nothing to the
 // index but move pair k to support now (no decay, no reset, no other
 // pair). When the policy publishes and this is the only
 // observation since the served snapshot was built, the next snapshot is
@@ -354,9 +234,9 @@ func (p *Publisher) Observe(idx *PairIndex) {
 // Otherwise the served snapshot is missing more than this pair (or was
 // never built from the index at all) and the publish is a full rebuild.
 // Either way version, publish time, lag and the instruments advance
-// exactly as under Observe. Every index change must reach the publisher
-// through Observe, ObservePair or Publish for this to hold.
-func (p *Publisher) ObservePair(idx *PairIndex, k PairKey, now float64) {
+// exactly as under observe. Every index change must reach the publisher
+// through observe, observePair or publish for this to hold.
+func (p *Publisher) observePair(idx *PairIndex, k PairKey, now float64) {
 	total := p.obsSince.Add(1)
 	if !p.due(idx, total) {
 		gPublishLag.Set(total)
@@ -365,7 +245,7 @@ func (p *Publisher) ObservePair(idx *PairIndex, k PairKey, now float64) {
 	if base := p.cur.Load(); total == 1 && base.version > 0 {
 		p.swap(idx, upsertRule(base.rules, k, now, p.cfg.MinSupport))
 	} else {
-		p.Publish(idx)
+		p.publish(idx)
 	}
 }
 
@@ -376,17 +256,17 @@ func (p *Publisher) due(idx *PairIndex, total int64) bool {
 	case PublishSync:
 		return true
 	case PublishOnChange:
-		return idx.Crossings() != p.crossAt
+		return idx.crossings != p.crossAt
 	case PublishEpoch:
 		return total >= int64(p.cfg.Epoch)
 	}
 	return false
 }
 
-// Publish materializes idx's current rules — its pairs at or above
+// publish materializes idx's current rules — its pairs at or above
 // MinSupport, in canonical snapshot order — as a new immutable snapshot
 // and swaps it in, returning the new snapshot.
-func (p *Publisher) Publish(idx *PairIndex) *RuleSnapshot {
+func (p *Publisher) publish(idx *PairIndex) *RuleSnapshot {
 	var rules []RuleEntry
 	idx.Range(func(k PairKey, v float64) bool {
 		if v >= p.cfg.MinSupport {
@@ -408,7 +288,7 @@ func (p *Publisher) swap(idx *PairIndex, rules []RuleEntry) *RuleSnapshot {
 	}
 	p.cur.Store(s)
 	p.obsSince.Store(0)
-	p.crossAt = idx.Crossings()
+	p.crossAt = idx.crossings
 	mPublishes.Inc()
 	gPublishVer.Set(int64(s.version))
 	gPublishSize.Set(int64(len(rules)))

@@ -12,9 +12,31 @@ import (
 
 // observe mimics one learner step: fold the pair in, then let the
 // publisher apply its policy.
+// NewPublisher returns a publisher serving the empty version-0 snapshot;
+// outside tests a Publisher is a field of a Learner, initialised in place.
+func NewPublisher(cfg PublisherConfig) *Publisher {
+	p := new(Publisher)
+	p.init(&cfg)
+	return p
+}
+
+// Version returns the sequence number of the served snapshot.
+func (p *Publisher) Version() uint64 { return p.view().version }
+
+// hit adds one observation of the pair and returns its new support.
+func hit(idx *PairIndex, src, rep trace.HostID) float64 {
+	_, now := idx.addPair(src, rep)
+	return now
+}
+
+// covers and matches make a snapshot a ruleView.
+func (s *RuleSnapshot) covers(src trace.HostID) bool { return len(s.Run(src)) > 0 }
+
+func (s *RuleSnapshot) matches(src, rep trace.HostID) bool { return s.Support(src, rep) > 0 }
+
 func observe(idx *PairIndex, p *Publisher, src, rep trace.HostID) {
-	idx.AddPair(src, rep)
-	p.Observe(idx)
+	idx.addPair(src, rep)
+	p.observe(idx)
 }
 
 // publisherOver returns a publisher for a test that plays the learner
@@ -28,48 +50,48 @@ func publisherOver(idx *PairIndex, cfg PublisherConfig) *Publisher {
 }
 
 func TestPublishSyncTracksEveryObservation(t *testing.T) {
-	idx := NewDecayIndex(2)
+	idx := newDecayIndex(2)
 	p := publisherOver(idx, PublisherConfig{Policy: PublishSync})
-	if v := p.View(); v.Version() != 0 || v.Len() != 0 {
+	if v := p.view(); v.Version() != 0 || v.Len() != 0 {
 		t.Fatalf("initial view = v%d len %d", v.Version(), v.Len())
 	}
 	observe(idx, p, 1, 2)
-	if v := p.View(); v.Version() != 1 || v.Len() != 0 {
+	if v := p.view(); v.Version() != 1 || v.Len() != 0 {
 		t.Fatalf("after 1 obs: v%d len %d (support below threshold)", v.Version(), v.Len())
 	}
 	observe(idx, p, 1, 2)
-	v := p.View()
+	v := p.view()
 	if v.Version() != 2 || v.Len() != 1 {
 		t.Fatalf("after 2 obs: v%d len %d", v.Version(), v.Len())
 	}
-	if !v.Covers(1) || !v.Matches(1, 2) || v.Support(1, 2) != 2 {
+	if !v.covers(1) || !v.matches(1, 2) || v.Support(1, 2) != 2 {
 		t.Fatalf("snapshot misses the {1}->{2} rule: %+v", v)
 	}
-	if v.Covers(2) || v.Matches(2, 1) || v.Support(1, 3) != 0 {
+	if v.covers(2) || v.matches(2, 1) || v.Support(1, 3) != 0 {
 		t.Fatal("snapshot reports rules that were never mined")
 	}
 }
 
 func TestPublishedSnapshotIsImmutable(t *testing.T) {
-	idx := NewDecayIndex(2)
+	idx := newDecayIndex(2)
 	p := publisherOver(idx, PublisherConfig{Policy: PublishSync})
 	observe(idx, p, 1, 2)
 	observe(idx, p, 1, 2)
-	old := p.View()
+	old := p.view()
 	for i := 0; i < 5; i++ {
 		observe(idx, p, 1, 3)
 		observe(idx, p, 4, 5)
 	}
-	if old.Len() != 1 || old.Support(1, 2) != 2 || old.Covers(4) {
+	if old.Len() != 1 || old.Support(1, 2) != 2 || old.covers(4) {
 		t.Fatalf("earlier snapshot changed under later publishes: %+v", old)
 	}
-	if now := p.View(); now.Len() != 3 {
+	if now := p.view(); now.Len() != 3 {
 		t.Fatalf("current snapshot len = %d, want 3", now.Len())
 	}
 }
 
 func TestPublishOnChangePublishesOnlyOnCrossings(t *testing.T) {
-	idx := NewDecayIndex(2)
+	idx := newDecayIndex(2)
 	p := publisherOver(idx, PublisherConfig{Policy: PublishOnChange})
 	observe(idx, p, 1, 2) // support 1: no rule yet, no crossing
 	if got := p.Version(); got != 0 {
@@ -86,15 +108,15 @@ func TestPublishOnChangePublishesOnlyOnCrossings(t *testing.T) {
 		t.Fatalf("version after non-crossing obs = %d", got)
 	}
 	// Decay below the threshold is a crossing too.
-	idx.Decay(0.1, 0.05)
-	p.Observe(idx)
-	if got, v := p.Version(), p.View(); got != 2 || v.Len() != 0 {
+	idx.decay(0.1, 0.05)
+	p.observe(idx)
+	if got, v := p.Version(), p.view(); got != 2 || v.Len() != 0 {
 		t.Fatalf("after decay crossing: version %d, len %d", got, v.Len())
 	}
 }
 
 func TestPublishEpochBoundsStaleness(t *testing.T) {
-	idx := NewDecayIndex(1)
+	idx := newDecayIndex(1)
 	p := publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 4})
 	for i := 0; i < 3; i++ {
 		observe(idx, p, 1, trace.HostID(10+i))
@@ -103,7 +125,7 @@ func TestPublishEpochBoundsStaleness(t *testing.T) {
 		t.Fatalf("published before the epoch filled: v%d", got)
 	}
 	observe(idx, p, 1, 13)
-	v := p.View()
+	v := p.view()
 	if v.Version() != 1 || v.Len() != 4 {
 		t.Fatalf("after epoch: v%d len %d", v.Version(), v.Len())
 	}
@@ -115,14 +137,14 @@ func TestPublishEpochBoundsStaleness(t *testing.T) {
 }
 
 func TestSnapshotConsequentOrdering(t *testing.T) {
-	idx := NewDecayIndex(1)
+	idx := newDecayIndex(1)
 	p := publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
 	idx.Set(1, 7, 5)
 	idx.Set(1, 3, 5) // ties break on ascending HostID
 	idx.Set(1, 9, 8)
 	idx.Set(1, 4, 0.5) // below MinSupport: excluded
-	p.Publish(idx)
-	got := p.View().Consequents(1, 0)
+	p.publish(idx)
+	got := p.view().Consequents(1, 0)
 	want := []trace.HostID{9, 3, 7}
 	if len(got) != len(want) {
 		t.Fatalf("Consequents = %v, want %v", got, want)
@@ -132,7 +154,7 @@ func TestSnapshotConsequentOrdering(t *testing.T) {
 			t.Fatalf("Consequents = %v, want %v", got, want)
 		}
 	}
-	if top := p.View().Consequents(1, 2); len(top) != 2 || top[0] != 9 || top[1] != 3 {
+	if top := p.view().Consequents(1, 2); len(top) != 2 || top[0] != 9 || top[1] != 3 {
 		t.Fatalf("Consequents(k=2) = %v", top)
 	}
 }
@@ -144,8 +166,8 @@ func TestPublisherExplicitMinSupport(t *testing.T) {
 		{Source: 1, Replier: 2}, {Source: 1, Replier: 2}, {Source: 1, Replier: 2},
 		{Source: 1, Replier: 5},
 	})
-	v := p.Publish(idx)
-	if v.Len() != 1 || v.Support(1, 2) != 3 || v.Matches(1, 5) {
+	v := p.publish(idx)
+	if v.Len() != 1 || v.Support(1, 2) != 3 || v.matches(1, 5) {
 		t.Fatalf("snapshot = len %d, support(1,2)=%v", v.Len(), v.Support(1, 2))
 	}
 }
@@ -154,7 +176,7 @@ func TestPublisherExplicitMinSupport(t *testing.T) {
 // against many lock-free readers; run under -race this pins the
 // write-plane/read-plane memory contract.
 func TestPublisherConcurrentReaders(t *testing.T) {
-	idx := NewDecayIndex(2)
+	idx := newDecayIndex(2)
 	p := publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 8})
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -169,7 +191,7 @@ func TestPublisherConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				v := p.View()
+				v := p.view()
 				if v.Version() < last {
 					t.Error("snapshot version went backwards")
 					return
@@ -183,15 +205,15 @@ func TestPublisherConcurrentReaders(t *testing.T) {
 					return true
 				})
 				v.Consequents(1, 2)
-				v.Covers(3)
+				v.covers(3)
 			}
 		}()
 	}
 	for i := 0; i < 5000; i++ {
 		observe(idx, p, trace.HostID(1+i%5), trace.HostID(1+(i*7)%11))
 		if i%97 == 0 {
-			idx.Decay(0.5, 0.25)
-			p.Observe(idx)
+			idx.decay(0.5, 0.25)
+			p.observe(idx)
 		}
 	}
 	close(done)
@@ -211,31 +233,31 @@ func TestSinglePairPublicationEqualsRebuild(t *testing.T) {
 	weights := []float64{-2, -1, -0.5, 0.5, 1, 2}
 	values := []float64{0, 1, 1.5, 2, 3, 4}
 	f := func(ops []uint32) bool {
-		idx := NewDecayIndex(threshold)
+		idx := newDecayIndex(threshold)
 		p := publisherOver(idx, PublisherConfig{Policy: PublishSync})
 		ref := publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
-		p.Publish(idx) // ObservePair needs a base that was built from the index
+		p.publish(idx) // ObservePair needs a base that was built from the index
 		for step, op := range ops {
 			src, rep := trace.HostID(1+op>>4%3), trace.HostID(1+op>>6%4)
-			k, pick := PackPair(src, rep), int(op>>8)%len(weights)
-			before := p.View()
+			k, pick := packPair(src, rep), int(op>>8)%len(weights)
+			before := p.view()
 			switch kind := op % 16; {
 			case kind < 7:
-				p.ObservePair(idx, k, idx.AddPair(src, rep))
+				p.observePair(idx, k, hit(idx, src, rep))
 			case kind < 10:
-				idx.Add(src, rep, weights[pick])
-				p.ObservePair(idx, k, idx.Support(src, rep))
+				idx.add(src, rep, weights[pick])
+				p.observePair(idx, k, idx.Support(src, rep))
 			case kind < 13:
 				idx.Set(src, rep, values[pick])
-				p.ObservePair(idx, k, values[pick])
+				p.observePair(idx, k, values[pick])
 			case kind < 15:
-				idx.Decay(0.5, 0.25)
-				p.Observe(idx)
+				idx.decay(0.5, 0.25)
+				p.observe(idx)
 			default:
-				idx.Reset()
-				p.Observe(idx)
+				idx.reset()
+				p.observe(idx)
 			}
-			got, want := p.View(), ref.Publish(idx)
+			got, want := p.view(), ref.publish(idx)
 			if got.Version() != before.Version()+1 {
 				t.Errorf("step %d: version %d after %d", step, got.Version(), before.Version())
 				return false
@@ -252,7 +274,7 @@ func TestSinglePairPublicationEqualsRebuild(t *testing.T) {
 			}
 			// A pair that was not a rule and still is not leaves the rule
 			// slice shared, not copied.
-			if op%16 < 13 && !before.Matches(src, rep) && !got.Matches(src, rep) && len(got.rules) > 0 &&
+			if op%16 < 13 && !before.matches(src, rep) && !got.matches(src, rep) && len(got.rules) > 0 &&
 				&got.rules[0] != &before.rules[0] {
 				t.Errorf("step %d (op %#x): sub-threshold pair copied the rule slice", step, op)
 				return false
@@ -269,24 +291,24 @@ func TestSinglePairPublicationEqualsRebuild(t *testing.T) {
 // is missing more than the reported pair: before the first publish, and
 // under a policy that let earlier observations go unpublished.
 func TestObservePairRebuildsWhenSnapshotIsBehind(t *testing.T) {
-	idx := NewDecayIndex(2)
+	idx := newDecayIndex(2)
 	idx.Set(1, 2, 5) // in the index before any publish
 	p := publisherOver(idx, PublisherConfig{Policy: PublishSync})
-	p.ObservePair(idx, PackPair(3, 4), idx.AddPair(3, 4))
-	if v := p.View(); v.Version() != 1 || v.Support(1, 2) != 5 {
+	p.observePair(idx, packPair(3, 4), hit(idx, 3, 4))
+	if v := p.view(); v.Version() != 1 || v.Support(1, 2) != 5 {
 		t.Fatalf("first publish: v%d support(1,2)=%v, want the full rebuild", v.Version(), v.Support(1, 2))
 	}
 
-	idx = NewDecayIndex(1)
+	idx = newDecayIndex(1)
 	p = publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 2})
-	p.Publish(idx)
-	p.ObservePair(idx, PackPair(1, 2), idx.AddPair(1, 2)) // unpublished: epoch not full
-	if p.Version() != 1 || p.Lag() != 1 {
-		t.Fatalf("epoch policy: v%d lag %d after one observation, want v1 lag 1", p.Version(), p.Lag())
+	p.publish(idx)
+	p.observePair(idx, packPair(1, 2), hit(idx, 1, 2)) // unpublished: epoch not full
+	if p.Version() != 1 || p.lag() != 1 {
+		t.Fatalf("epoch policy: v%d lag %d after one observation, want v1 lag 1", p.Version(), p.lag())
 	}
-	p.ObservePair(idx, PackPair(1, 3), idx.AddPair(1, 3))
-	if v := p.View(); v.Version() != 2 || v.Len() != 2 || p.Lag() != 0 {
-		t.Fatalf("epoch policy: v%d with %d rules, lag %d; want v2 with both pairs, lag 0", v.Version(), v.Len(), p.Lag())
+	p.observePair(idx, packPair(1, 3), hit(idx, 1, 3))
+	if v := p.view(); v.Version() != 2 || v.Len() != 2 || p.lag() != 0 {
+		t.Fatalf("epoch policy: v%d with %d rules, lag %d; want v2 with both pairs, lag 0", v.Version(), v.Len(), p.lag())
 	}
 }
 
@@ -298,28 +320,28 @@ func TestObservePairRebuildsWhenSnapshotIsBehind(t *testing.T) {
 // A publisher with no age bound reads no clock at all, and the codec
 // writes its snapshots' publish time as 0.
 func TestStaleAgeIsMonotonic(t *testing.T) {
-	idx := NewDecayIndex(1)
+	idx := newDecayIndex(1)
 	idx.Set(1, 2, 3)
 	p := publisherOver(idx, PublisherConfig{StaleAge: time.Hour})
-	if p.Stale() {
+	if p.stale() {
 		t.Fatal("stale before the first publish")
 	}
-	s := p.Publish(idx)
-	if s.at == 0 || p.Stale() {
-		t.Fatalf("just published: wall stamp %d, stale %v", s.at, p.Stale())
+	s := p.publish(idx)
+	if s.at == 0 || p.stale() {
+		t.Fatalf("just published: wall stamp %d, stale %v", s.at, p.stale())
 	}
 	const step = int64(2 * time.Hour)
 	p.cur.Store(&RuleSnapshot{rules: s.rules, version: s.version, at: s.at - step, mono: s.mono})
-	if p.Stale() {
+	if p.stale() {
 		t.Fatal("a wall clock stepped forwards made a fresh snapshot stale")
 	}
 	p.cur.Store(&RuleSnapshot{rules: s.rules, version: s.version, at: s.at + step, mono: s.mono - step})
-	if !p.Stale() {
+	if !p.stale() {
 		t.Fatal("a wall clock stepped backwards keeps a two-hour-old snapshot served")
 	}
 
 	unbounded := publisherOver(idx, PublisherConfig{StaleObs: 3})
-	if s := unbounded.Publish(idx); s.at != 0 || binary.LittleEndian.Uint64(s.Marshal()[14:]) != 0 {
+	if s := unbounded.publish(idx); s.at != 0 || binary.LittleEndian.Uint64(s.Marshal()[14:]) != 0 {
 		t.Fatalf("no age bound: publish time %d recorded, header carries %d", s.at, binary.LittleEndian.Uint64(s.Marshal()[14:]))
 	}
 }

@@ -15,7 +15,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"math/rand/v2"
 	"sort"
@@ -38,20 +37,6 @@ var (
 	mTests      = obsv.GetCounter("core.ruleset.tests")
 	mTestNs     = obsv.GetHistogram("core.ruleset.test_ns", obsv.DurationBuckets())
 )
-
-// Rule is one routing rule {Antecedent} -> {Consequent}: forwarding a query
-// received from Antecedent on to Consequent has previously led to hits
-// Support times within the generation block.
-type Rule struct {
-	Antecedent trace.HostID
-	Consequent trace.HostID
-	Support    int
-}
-
-// String renders the rule in the paper's notation.
-func (r Rule) String() string {
-	return fmt.Sprintf("{%s} -> {%s} (support %d)", r.Antecedent, r.Consequent, r.Support)
-}
 
 // flatTable is an open-addressed uint64 -> uint8 table with linear probing
 // at load <= 1/2: the per-query state of a block test and the membership
@@ -106,40 +91,124 @@ func (t *flatTable) has(k uint64) bool {
 	return ok
 }
 
+// RuleEntry is one rule of the table: the packed {antecedent} ->
+// {replier} pair and its support.
+type RuleEntry struct {
+	Key     PairKey
+	Support float64
+}
+
+// rules is the one rule table (§III-B.1), embedded by RuleSet and
+// RuleSnapshot alike: one flat slice sorted by antecedent ascending, then
+// support descending, then replier ascending. Every antecedent's
+// consequents are therefore one contiguous run, already in forwarding
+// order (highest support first, HostID as the deterministic tiebreak),
+// found by binary search. A table is immutable once its holder is built.
+type rules []RuleEntry
+
+// ruleLess is the canonical table order every producer (the index
+// snapshot, the publisher's rebuild and its single-pair upsert, the codec
+// decoder, RemapSnapshot) shares.
+func ruleLess(a, b RuleEntry) bool {
+	if sa, sb := a.Key.Source(), b.Key.Source(); sa != sb {
+		return sa < sb
+	}
+	if a.Support != b.Support {
+		return a.Support > b.Support
+	}
+	return a.Key < b.Key
+}
+
+// sortRules puts rules into the canonical table order.
+func sortRules(rules []RuleEntry) {
+	sort.Slice(rules, func(i, j int) bool { return ruleLess(rules[i], rules[j]) })
+}
+
+// runBounds returns the half-open index range of src's run in rules.
+func runBounds(rules []RuleEntry, src trace.HostID) (lo, hi int) {
+	hi = len(rules)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); rules[m].Key.Source() < src {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for hi = lo; hi < len(rules) && rules[hi].Key.Source() == src; hi++ {
+	}
+	return lo, hi
+}
+
+// Len returns the number of rules in the table.
+func (t rules) Len() int { return len(t) }
+
+// Run returns the rules whose antecedent is src, ordered by descending
+// support with HostID as the tiebreak. The slice aliases the table's
+// immutable storage: callers must not modify it.
+func (t rules) Run(src trace.HostID) []RuleEntry {
+	lo, hi := runBounds(t, src)
+	return t[lo:hi:hi]
+}
+
+// Support returns the support of {src} -> {rep}, or 0 if it is not a rule.
+func (t rules) Support(src, rep trace.HostID) float64 {
+	k := packPair(src, rep)
+	for _, e := range t.Run(src) {
+		if e.Key == k {
+			return e.Support
+		}
+	}
+	return 0
+}
+
+// Consequents returns up to k consequent hosts for queries arriving from
+// src, ordered by descending support with HostID as the tiebreak: "sent
+// to the k neighbors with the highest support" (§III-B.1). k <= 0 returns
+// all of them.
+func (t rules) Consequents(src trace.HostID, k int) []trace.HostID {
+	run := t.Run(src)
+	if len(run) == 0 {
+		return nil
+	}
+	if k > 0 && k < len(run) {
+		run = run[:k]
+	}
+	out := make([]trace.HostID, len(run))
+	for i, e := range run {
+		out[i] = e.Key.Replier()
+	}
+	return out
+}
+
+// Range calls f for every rule in canonical order until f returns false.
+func (t rules) Range(f func(k PairKey, support float64) bool) {
+	for _, e := range t {
+		if !f(e.Key, e.Support) {
+			return
+		}
+	}
+}
+
 // RuleSet is the set of routing rules a node derives from one generation
-// window. The block test asks only "is src an antecedent" and "is this
-// pair a rule", so those two sets are flat tables (antes, pairs); the
-// support map and the per-antecedent consequent lists, pre-sorted by
-// descending support (HostID ascending as the deterministic tiebreak),
-// serve the accessors that are not on that path. RuleSets are immutable
-// once built and safe for concurrent readers.
+// window: the rule table (Len, Run, Support, Consequents, Range) plus the
+// two membership sets the block test asks of it, "is src an antecedent"
+// and "is this pair a rule", as flat tables, because a block test asks
+// them once or twice per pair and must not binary-search. RuleSets are
+// immutable once built and safe for concurrent readers.
 type RuleSet struct {
-	support      map[PairKey]int
-	conseq       map[trace.HostID][]trace.HostID
+	rules
 	pairs, antes flatTable
 }
 
-// newRuleSet builds the immutable query structures over a pruned support
-// table. The table is owned by the rule set afterwards.
-func newRuleSet(support map[PairKey]int) *RuleSet {
-	rs := &RuleSet{support: support, conseq: make(map[trace.HostID][]trace.HostID)}
-	rs.pairs.reset(len(support))
-	for k := range support {
-		src := k.Source()
-		rs.conseq[src] = append(rs.conseq[src], k.Replier())
-		rs.pairs.add(uint64(k))
-	}
-	rs.antes.reset(len(rs.conseq))
-	for src, list := range rs.conseq {
-		src := src
-		rs.antes.add(uint64(src))
-		sort.Slice(list, func(i, j int) bool {
-			si, sj := support[PackPair(src, list[i])], support[PackPair(src, list[j])]
-			if si != sj {
-				return si > sj
-			}
-			return list[i] < list[j]
-		})
+// newRuleSet builds the membership sets over t, which is in canonical
+// order and owned by the rule set afterwards.
+func newRuleSet(t rules) *RuleSet {
+	rs := &RuleSet{rules: t}
+	rs.pairs.reset(len(t))
+	rs.antes.reset(len(t))
+	for _, e := range t {
+		rs.pairs.add(uint64(e.Key))
+		rs.antes.add(uint64(e.Key.Source()))
 	}
 	return rs
 }
@@ -150,71 +219,18 @@ func newRuleSet(support map[PairKey]int) *RuleSet {
 // is 10. A threshold below 1 is treated as 1. This is the one-shot form of
 // the engine; policies that keep a window alive hold a PairIndex instead.
 func GenerateRuleSet(block trace.Block, pruneThreshold int) *RuleSet {
-	return NewPairIndex().Rebuild(block, pruneThreshold)
+	return NewPairIndex().rebuild(block, pruneThreshold)
 }
 
-// Len returns the number of rules in the set.
-func (rs *RuleSet) Len() int { return len(rs.support) }
-
-// Covers reports whether any rule has src as its antecedent — i.e. the
+// covers reports whether any rule has src as its antecedent — i.e. the
 // rule set can route queries arriving from src.
-func (rs *RuleSet) Covers(src trace.HostID) bool {
+func (rs *RuleSet) covers(src trace.HostID) bool {
 	return rs.antes.has(uint64(src))
 }
 
-// Matches reports whether {src} -> {replier} is a rule in the set.
-func (rs *RuleSet) Matches(src, replier trace.HostID) bool {
-	return rs.pairs.has(uint64(PackPair(src, replier)))
-}
-
-// SupportOf returns the support count of {src} -> {replier}, or 0 if the
-// rule is absent.
-func (rs *RuleSet) SupportOf(src, replier trace.HostID) int {
-	return rs.support[PackPair(src, replier)]
-}
-
-// Consequents returns up to k consequent hosts for queries arriving from
-// src, ordered by descending support with HostID as a deterministic
-// tiebreak — "sent to the k neighbors with the highest support"
-// (§III-B.1). k <= 0 returns all consequents for src. The ordering is
-// precomputed at build time, so this is a slice copy.
-func (rs *RuleSet) Consequents(src trace.HostID, k int) []trace.HostID {
-	list := rs.conseq[src]
-	if len(list) == 0 {
-		return nil
-	}
-	if k > 0 && k < len(list) {
-		list = list[:k]
-	}
-	out := make([]trace.HostID, len(list))
-	copy(out, list)
-	return out
-}
-
-// Antecedents returns the sorted antecedent hosts of the rule set.
-func (rs *RuleSet) Antecedents() []trace.HostID {
-	out := make([]trace.HostID, 0, len(rs.conseq))
-	for h := range rs.conseq {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Rules returns every rule, sorted by antecedent then consequent, for
-// inspection and serialization.
-func (rs *RuleSet) Rules() []Rule {
-	out := make([]Rule, 0, len(rs.support))
-	for k, c := range rs.support {
-		out = append(out, Rule{Antecedent: k.Source(), Consequent: k.Replier(), Support: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Antecedent != out[j].Antecedent {
-			return out[i].Antecedent < out[j].Antecedent
-		}
-		return out[i].Consequent < out[j].Consequent
-	})
-	return out
+// matches reports whether {src} -> {replier} is a rule in the set.
+func (rs *RuleSet) matches(src, replier trace.HostID) bool {
+	return rs.pairs.has(uint64(packPair(src, replier)))
 }
 
 // TestResult is the outcome of RULESET-TEST over one block (§III-B.2).
@@ -245,25 +261,6 @@ func (t TestResult) Success() float64 {
 	return float64(t.Successful) / float64(t.Covered)
 }
 
-// RuleView is the read interface rule evaluation needs: whether queries
-// from src are covered at all, and whether a specific (source, replier)
-// pair is a rule. Both the immutable RuleSet and the live decay-mode
-// PairIndex implement it, so the simulator's block tests and the online
-// incremental policy share one evaluator — and therefore one set of rule
-// semantics.
-type RuleView interface {
-	Covers(src trace.HostID) bool
-	Matches(src, replier trace.HostID) bool
-}
-
-// EvaluateBlock runs RULESET-TEST (§III-B.2) over a block against any rule
-// view.
-func EvaluateBlock(v RuleView, block trace.Block) TestResult {
-	return evalBlock(block,
-		func(p *trace.Pair) bool { return v.Covers(p.Source) },
-		func(p *trace.Pair) bool { return v.Matches(p.Source, p.Replier) }, nil)
-}
-
 // Per-query state of a block test, one byte per GUID in a flatTable.
 const (
 	qSeen uint8 = 1 << iota
@@ -281,10 +278,10 @@ var guidTables = sync.Pool{New: func() any { return new(flatTable) }}
 // covered status is fixed at first sighting, and it is successful if any
 // of its replies matches a rule for its antecedent. covers and matches
 // take the whole pair because the antecedent need not be the source alone
-// (ExtRuleSet). The optional train hook is invoked after each pair has
-// been scored — the test-then-train discipline of the incremental policy,
-// which folds each pair in only after it was evaluated against the rule
-// state as of its arrival.
+// (Sliding.UseInterest). The optional train hook is invoked after each
+// pair has been scored — the test-then-train discipline of the incremental
+// policy, which folds each pair in only after it was evaluated against the
+// rule state as of its arrival.
 func evalBlock(block trace.Block, covers, matches func(*trace.Pair) bool, train func(trace.Pair)) TestResult {
 	seen := guidTables.Get().(*flatTable)
 	seen.reset(len(block))
@@ -319,8 +316,8 @@ func evalBlock(block trace.Block, covers, matches func(*trace.Pair) bool, train 
 func (rs *RuleSet) Test(block trace.Block) TestResult {
 	start := time.Now()
 	res := evalBlock(block,
-		func(p *trace.Pair) bool { return rs.Covers(p.Source) },
-		func(p *trace.Pair) bool { return rs.Matches(p.Source, p.Replier) }, nil)
+		func(p *trace.Pair) bool { return rs.covers(p.Source) },
+		func(p *trace.Pair) bool { return rs.matches(p.Source, p.Replier) }, nil)
 	mTests.Inc()
 	mTestNs.Observe(time.Since(start).Nanoseconds())
 	return res

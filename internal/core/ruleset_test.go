@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 
-	"arq/internal/assoc"
 	"arq/internal/stats"
 	"arq/internal/trace"
 	"arq/internal/tracegen"
@@ -35,14 +36,14 @@ func TestGenerateRuleSetPrunes(t *testing.T) {
 	if rs.Len() != 2 {
 		t.Fatalf("rules = %d, want 2", rs.Len())
 	}
-	if !rs.Matches(1, 10) || !rs.Matches(2, 10) {
+	if !rs.matches(1, 10) || !rs.matches(2, 10) {
 		t.Fatal("expected rules missing")
 	}
-	if rs.Matches(1, 11) {
+	if rs.matches(1, 11) {
 		t.Fatal("pruned rule present")
 	}
-	if rs.SupportOf(1, 10) != 5 {
-		t.Fatalf("support = %d", rs.SupportOf(1, 10))
+	if rs.Support(1, 10) != 5 || rs.Support(1, 11) != 0 {
+		t.Fatalf("support = %v, pruned %v", rs.Support(1, 10), rs.Support(1, 11))
 	}
 }
 
@@ -68,50 +69,95 @@ func TestGenerateRuleSetThresholdMonotone(t *testing.T) {
 	}
 }
 
+// ruleOracle is GENERATE-RULESET recounted independently of the engine:
+// nested maps, one increment per pair, pruned at th. Rules here are
+// 1 -> 1, so this is all of Apriori that can apply (frequent 2-itemsets
+// of one source item and one replier item).
+func ruleOracle(block trace.Block, th int) map[trace.HostID]map[trace.HostID]int {
+	counts := map[trace.HostID]map[trace.HostID]int{}
+	for _, p := range block {
+		if counts[p.Source] == nil {
+			counts[p.Source] = map[trace.HostID]int{}
+		}
+		counts[p.Source][p.Replier]++
+	}
+	for src, m := range counts {
+		for rep, c := range m {
+			if c < max(th, 1) {
+				delete(m, rep)
+			}
+		}
+		if len(m) == 0 {
+			delete(counts, src)
+		}
+	}
+	return counts
+}
+
 func TestGenerateRuleSetMatchesApriori(t *testing.T) {
-	// The 1-antecedent/1-consequent special case must agree exactly with
-	// the general Apriori miner run over role-tagged transactions.
-	const repOffset = 1 << 16
 	f := func(raw []uint16, thRaw uint8) bool {
 		th := int(thRaw%5) + 1
 		block := make(trace.Block, len(raw))
-		txs := make([]assoc.Transaction, len(raw))
 		for i, r := range raw {
-			src := trace.HostID(r%6 + 1)
-			rep := trace.HostID(r/7%4 + 1)
-			block[i] = pair(i, src, rep)
-			txs[i] = assoc.NewItemset(assoc.Item(src), assoc.Item(int32(rep)+repOffset))
+			block[i] = pair(i, trace.HostID(r%6+1), trace.HostID(r/7%4+1))
 		}
-		rs := GenerateRuleSet(block, th)
-		want := map[[2]trace.HostID]int{}
-		for _, fi := range assoc.Apriori(txs, th, 2) {
-			if len(fi.Items) != 2 {
-				continue
-			}
-			// One item must be a source tag, the other a replier tag.
-			if fi.Items[0] >= repOffset || fi.Items[1] < repOffset {
-				continue
-			}
-			want[[2]trace.HostID{
-				trace.HostID(fi.Items[0]),
-				trace.HostID(fi.Items[1] - repOffset),
-			}] = fi.Count
+		want, n := ruleOracle(block, th), 0
+		GenerateRuleSet(block, th).Range(func(k PairKey, support float64) bool {
+			n++
+			return float64(want[k.Source()][k.Replier()]) == support
+		})
+		for _, m := range want {
+			n -= len(m)
 		}
-		got := map[[2]trace.HostID]int{}
-		for _, r := range rs.Rules() {
-			got[[2]trace.HostID{r.Antecedent, r.Consequent}] = r.Support
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for k, v := range want {
-			if got[k] != v {
-				return false
-			}
-		}
-		return true
+		return n == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRuleSetMatchesMapOracle holds every read of the runs-backed RuleSet
+// equal to the map-count oracle on random blocks and thresholds: Len,
+// every Support (a pruned and an unseen pair included), Consequents in
+// order with ties (few repliers, so equal supports are common) and at
+// every k, Covers, Matches.
+func TestRuleSetMatchesMapOracle(t *testing.T) {
+	f := func(raw []uint16, thRaw uint8) bool {
+		th := int(thRaw % 6) // 0 is treated as 1
+		block := make(trace.Block, len(raw))
+		for i, r := range raw {
+			block[i] = pair(i, trace.HostID(r%7+1), trace.HostID(r/7%5+1))
+		}
+		rs, want, n := GenerateRuleSet(block, th), ruleOracle(block, th), 0
+		for src := trace.HostID(0); src <= 8; src++ {
+			m := want[src]
+			n += len(m)
+			var order []trace.HostID
+			for rep := trace.HostID(0); rep <= 6; rep++ {
+				if rs.Support(src, rep) != float64(m[rep]) || rs.matches(src, rep) != (m[rep] > 0) {
+					return false
+				}
+				if m[rep] > 0 {
+					order = append(order, rep)
+				}
+			}
+			sort.SliceStable(order, func(i, j int) bool { return m[order[i]] > m[order[j]] })
+			if rs.covers(src) != (len(m) > 0) || len(rs.Run(src)) != len(m) {
+				return false
+			}
+			for k := 0; k <= len(order)+1; k++ {
+				top := order
+				if k > 0 && k < len(order) {
+					top = order[:k]
+				}
+				if !slices.Equal(rs.Consequents(src, k), top) {
+					return false
+				}
+			}
+		}
+		return rs.Len() == n
+	}
+	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -144,8 +190,11 @@ func TestConsequentsTopK(t *testing.T) {
 
 func TestAntecedentsSorted(t *testing.T) {
 	block := trace.Block{pair(1, 5, 10), pair(2, 2, 10), pair(3, 9, 11)}
-	rs := GenerateRuleSet(block, 1)
-	a := rs.Antecedents()
+	var a []trace.HostID
+	GenerateRuleSet(block, 1).Range(func(k PairKey, _ float64) bool {
+		a = append(a, k.Source())
+		return true
+	})
 	if len(a) != 3 || a[0] != 2 || a[1] != 5 || a[2] != 9 {
 		t.Fatalf("antecedents = %v", a)
 	}
@@ -223,22 +272,31 @@ func TestEmptyBlockTest(t *testing.T) {
 
 func TestRulesSortedAndComplete(t *testing.T) {
 	block := trace.Block{
-		pair(1, 2, 11), pair(2, 2, 10), pair(3, 1, 12),
+		pair(1, 2, 11), pair(2, 2, 10), pair(3, 1, 12), pair(4, 2, 11),
 	}
-	rs := GenerateRuleSet(block, 1)
-	rules := rs.Rules()
-	if len(rules) != 3 {
-		t.Fatalf("rules = %v", rules)
+	var got []RuleEntry
+	GenerateRuleSet(block, 1).Range(func(k PairKey, support float64) bool {
+		got = append(got, RuleEntry{k, support})
+		return true
+	})
+	// Antecedent ascending, then support descending.
+	want := []RuleEntry{{packPair(1, 12), 1}, {packPair(2, 11), 2}, {packPair(2, 10), 1}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("rules = %v, want %v", got, want)
 	}
-	if rules[0].Antecedent != 1 || rules[1].Consequent != 10 || rules[2].Consequent != 11 {
-		t.Fatalf("order = %v", rules)
-	}
+}
+
+// ruleView is what the oracle below and the flat evaluator are both driven
+// through: an immutable RuleSet, or a live decay-mode PairIndex.
+type ruleView interface {
+	covers(src trace.HostID) bool
+	matches(src, replier trace.HostID) bool
 }
 
 // evalBlockOracle is the map-based RULESET-TEST loop the flat evaluator
 // replaced, kept verbatim as the reference every test below holds
 // evalBlock equal to.
-func evalBlockOracle(v RuleView, block trace.Block, train func(trace.Pair)) TestResult {
+func evalBlockOracle(v ruleView, block trace.Block, train func(trace.Pair)) TestResult {
 	type state struct {
 		covered, successful bool
 	}
@@ -247,14 +305,14 @@ func evalBlockOracle(v RuleView, block trace.Block, train func(trace.Pair)) Test
 	for _, p := range block {
 		st := seen[p.GUID]
 		if st == nil {
-			st = &state{covered: v.Covers(p.Source)}
+			st = &state{covered: v.covers(p.Source)}
 			seen[p.GUID] = st
 			res.N++
 			if st.covered {
 				res.Covered++
 			}
 		}
-		if st.covered && !st.successful && v.Matches(p.Source, p.Replier) {
+		if st.covered && !st.successful && v.matches(p.Source, p.Replier) {
 			st.successful = true
 			res.Successful++
 		}
@@ -265,12 +323,11 @@ func evalBlockOracle(v RuleView, block trace.Block, train func(trace.Pair)) Test
 	return res
 }
 
-// evalView runs the flat evaluator against a RuleView with a train hook,
-// the way EvaluateBlock does without one.
-func evalView(v RuleView, block trace.Block, train func(trace.Pair)) TestResult {
+// evalView runs the flat evaluator against a ruleView.
+func evalView(v ruleView, block trace.Block, train func(trace.Pair)) TestResult {
 	return evalBlock(block,
-		func(p *trace.Pair) bool { return v.Covers(p.Source) },
-		func(p *trace.Pair) bool { return v.Matches(p.Source, p.Replier) }, train)
+		func(p *trace.Pair) bool { return v.covers(p.Source) },
+		func(p *trace.Pair) bool { return v.matches(p.Source, p.Replier) }, train)
 }
 
 // setHashMul fixes the flat tables' multiplier for one test. Tables built
@@ -315,7 +372,7 @@ func indexState(x *PairIndex) map[PairKey]float64 {
 
 func indexesEqual(a, b *PairIndex) bool {
 	return reflect.DeepEqual(indexState(a), indexState(b)) &&
-		a.Crossings() == b.Crossings() && a.ActiveRules() == b.ActiveRules()
+		a.crossings == b.crossings && a.active == b.active
 }
 
 // checkEvalAgainstOracle holds the flat evaluator equal to the oracle on
@@ -328,13 +385,13 @@ func checkEvalAgainstOracle(t testing.TB, label string, rs *RuleSet, block trace
 	if got := rs.Test(block); got != want {
 		t.Fatalf("%s: RuleSet.Test = %+v, oracle %+v", label, got, want)
 	}
-	if got := EvaluateBlock(rs, block); got != want {
-		t.Fatalf("%s: EvaluateBlock = %+v, oracle %+v", label, got, want)
+	if got := evalView(rs, block, nil); got != want {
+		t.Fatalf("%s: evalBlock = %+v, oracle %+v", label, got, want)
 	}
-	a, b := NewDecayIndex(2), NewDecayIndex(2)
+	a, b := newDecayIndex(2), newDecayIndex(2)
 	var ta, tb []trace.Pair
-	got := evalView(a, block, func(p trace.Pair) { ta = append(ta, p); a.AddPair(p.Source, p.Replier) })
-	want = evalBlockOracle(b, block, func(p trace.Pair) { tb = append(tb, p); b.AddPair(p.Source, p.Replier) })
+	got := evalView(a, block, func(p trace.Pair) { ta = append(ta, p); a.addPair(p.Source, p.Replier) })
+	want = evalBlockOracle(b, block, func(p trace.Pair) { tb = append(tb, p); b.addPair(p.Source, p.Replier) })
 	if got != want {
 		t.Fatalf("%s: test-then-train = %+v, oracle %+v", label, got, want)
 	}
@@ -425,13 +482,13 @@ func TestEvalBlockAdversarialGUIDs(t *testing.T) {
 		}
 	}
 	fastest := func(block trace.Block) time.Duration {
-		if got, want := EvaluateBlock(rs, block), evalBlockOracle(rs, block, nil); got != want {
+		if got, want := evalView(rs, block, nil), evalBlockOracle(rs, block, nil); got != want {
 			t.Fatalf("adversarial block: %+v, oracle %+v", got, want)
 		}
 		best := time.Duration(math.MaxInt64)
 		for i := 0; i < 5; i++ {
 			start := time.Now()
-			EvaluateBlock(rs, block)
+			evalView(rs, block, nil)
 			if d := time.Since(start); d < best {
 				best = d
 			}
@@ -467,13 +524,26 @@ func paperBlocks(n int) []trace.Block {
 	}
 }
 
+// pooledAllocs is what one call of f allocates when sync.Pool returns what
+// was last put: zero, for a block test on a warmed table. Under the race
+// detector a Pool drops a quarter of its Puts at random, so one measured
+// call in four builds a table of its own; the measurement is retried until
+// one does not. A call that allocates by itself never reads zero.
+func pooledAllocs(f func()) float64 {
+	n := testing.AllocsPerRun(1, f)
+	for try := 0; n != 0 && try < 40; try++ {
+		n = testing.AllocsPerRun(1, f)
+	}
+	return n
+}
+
 // A block test on a warmed table allocates nothing: no per-GUID state, no
 // per-call map.
 func TestRuleSetTestAllocations(t *testing.T) {
 	blocks := paperBlocks(2)
 	rs := GenerateRuleSet(blocks[0], 10)
 	rs.Test(blocks[1])
-	if n := testing.AllocsPerRun(20, func() { rs.Test(blocks[1]) }); n != 0 {
+	if n := pooledAllocs(func() { rs.Test(blocks[1]) }); n != 0 {
 		t.Errorf("RuleSet.Test on a %d-pair block: %v allocs per call, want 0", len(blocks[1]), n)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the persistence half of the snapshot lifecycle: a
-// versioned binary codec over RuleSnapshot plus Publisher.Restore, which
+// versioned binary codec over RuleSnapshot plus Publisher.restore, which
 // seeds a learn plane from a decoded snapshot at discounted support. A
 // servent that checkpoints its published snapshot to disk can warm-start
 // after a crash instead of re-learning from zero, and the same
@@ -21,13 +21,13 @@ import (
 // snapshotMagic prefixes every encoded snapshot.
 const snapshotMagic = "ARQS"
 
-// SnapshotCodecVersion is the current wire version of the snapshot
+// snapshotCodecVersion is the current wire version of the snapshot
 // encoding. Decoders reject anything newer.
-const SnapshotCodecVersion = 1
+const snapshotCodecVersion = 1
 
-// MaxSnapshotRules bounds how many rules UnmarshalSnapshot will accept —
+// maxSnapshotRules bounds how many rules UnmarshalSnapshot will accept —
 // a corrupt or hostile length field fails fast instead of allocating.
-const MaxSnapshotRules = 1 << 22
+const maxSnapshotRules = 1 << 22
 
 // snapshotHeaderLen is magic + codec version + snapshot version +
 // publish time + rule count.
@@ -45,7 +45,7 @@ func (s *RuleSnapshot) Marshal() []byte {
 	rules := s.byKey()
 	out := make([]byte, 0, snapshotHeaderLen+16*len(rules))
 	out = append(out, snapshotMagic...)
-	out = binary.LittleEndian.AppendUint16(out, SnapshotCodecVersion)
+	out = binary.LittleEndian.AppendUint16(out, snapshotCodecVersion)
 	out = binary.LittleEndian.AppendUint64(out, s.version)
 	out = binary.LittleEndian.AppendUint64(out, uint64(s.at))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(rules)))
@@ -68,13 +68,13 @@ func UnmarshalSnapshot(p []byte) (*RuleSnapshot, error) {
 	if string(p[:4]) != snapshotMagic {
 		return nil, errors.New("core: snapshot magic mismatch")
 	}
-	if v := binary.LittleEndian.Uint16(p[4:]); v != SnapshotCodecVersion {
+	if v := binary.LittleEndian.Uint16(p[4:]); v != snapshotCodecVersion {
 		return nil, fmt.Errorf("core: snapshot codec version %d unsupported", v)
 	}
 	version := binary.LittleEndian.Uint64(p[6:])
 	at := int64(binary.LittleEndian.Uint64(p[14:]))
 	n := binary.LittleEndian.Uint32(p[22:])
-	if n > MaxSnapshotRules {
+	if n > maxSnapshotRules {
 		return nil, fmt.Errorf("core: snapshot claims %d rules", n)
 	}
 	if len(p) != snapshotHeaderLen+16*int(n) {
@@ -121,7 +121,7 @@ func RemapSnapshot(s *RuleSnapshot, f func(trace.HostID) (trace.HostID, bool)) *
 		if !ok {
 			continue
 		}
-		sum[PackPair(src, rep)] += e.Support
+		sum[packPair(src, rep)] += e.Support
 	}
 	out := &RuleSnapshot{version: s.version, at: s.at, rules: make([]RuleEntry, 0, len(sum))}
 	for k, sup := range sum {
@@ -131,7 +131,7 @@ func RemapSnapshot(s *RuleSnapshot, f func(trace.HostID) (trace.HostID, bool)) *
 	return out
 }
 
-// Restore seeds idx, the publisher's index, from a persisted snapshot at
+// restore seeds idx, the publisher's index, from a persisted snapshot at
 // discounted support and publishes the result. Each rule's support is
 // added (not overwritten) at s.Support * discount, so restoring into a
 // live index merges rather than clobbers — the same primitive a
@@ -144,7 +144,7 @@ func RemapSnapshot(s *RuleSnapshot, f func(trace.HostID) (trace.HostID, bool)) *
 // the post-restore publish is strictly newer than both the restored
 // snapshot and anything published before — version monotonicity holds
 // across restarts.
-func (p *Publisher) Restore(idx *PairIndex, s *RuleSnapshot, discount float64) *RuleSnapshot {
+func (p *Publisher) restore(idx *PairIndex, s *RuleSnapshot, discount float64) *RuleSnapshot {
 	if s == nil {
 		s = emptySnapshot
 	}
@@ -153,10 +153,10 @@ func (p *Publisher) Restore(idx *PairIndex, s *RuleSnapshot, discount float64) *
 	}
 	// Seed in sorted key order so restore is deterministic.
 	for _, e := range s.byKey() {
-		idx.Add(e.Key.Source(), e.Key.Replier(), e.Support*discount)
+		idx.add(e.Key.Source(), e.Key.Replier(), e.Support*discount)
 	}
 	if s.version > p.version {
 		p.version = s.version
 	}
-	return p.Publish(idx)
+	return p.publish(idx)
 }

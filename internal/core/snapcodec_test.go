@@ -16,10 +16,10 @@ import (
 // codec to round-trip.
 func publishedSnapshot(t *testing.T, threshold float64, add func(idx *PairIndex)) (*Publisher, *RuleSnapshot) {
 	t.Helper()
-	idx := NewDecayIndex(threshold)
+	idx := newDecayIndex(threshold)
 	add(idx)
 	p := publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30, StaleAge: time.Hour})
-	s := p.Publish(idx)
+	s := p.publish(idx)
 	if s.at == 0 {
 		t.Fatal("a publisher with an age bound published without a publish time")
 	}
@@ -28,11 +28,11 @@ func publishedSnapshot(t *testing.T, threshold float64, add func(idx *PairIndex)
 
 func TestSnapshotRoundtrip(t *testing.T) {
 	_, s := publishedSnapshot(t, 1, func(idx *PairIndex) {
-		idx.Add(1, 2, 5)
-		idx.Add(1, 3, 3)
-		idx.Add(1, 4, 3) // ties with 1->3: HostID tiebreak must survive decode
-		idx.Add(7, 2, 9)
-		idx.Add(2, 7, 1.5)
+		idx.add(1, 2, 5)
+		idx.add(1, 3, 3)
+		idx.add(1, 4, 3) // ties with 1->3: HostID tiebreak must survive decode
+		idx.add(7, 2, 9)
+		idx.add(2, 7, 1.5)
 	})
 	b := s.Marshal()
 	got, err := UnmarshalSnapshot(b)
@@ -66,7 +66,7 @@ func TestSnapshotRoundtrip(t *testing.T) {
 func TestSnapshotMarshalDeterministic(t *testing.T) {
 	_, s := publishedSnapshot(t, 1, func(idx *PairIndex) {
 		for i := 0; i < 64; i++ {
-			idx.Add(trace.HostID(i%8+1), trace.HostID(i%5+10), float64(i%7)+1)
+			idx.add(trace.HostID(i%8+1), trace.HostID(i%5+10), float64(i%7)+1)
 		}
 	})
 	a, b := s.Marshal(), s.Marshal()
@@ -85,12 +85,12 @@ func TestSnapshotEmptyRoundtrip(t *testing.T) {
 	if got.Version() != 0 || got.Len() != 0 {
 		t.Fatalf("decoded empty snapshot: v%d n%d", got.Version(), got.Len())
 	}
-	if got.Covers(1) || got.Matches(1, 2) {
+	if got.covers(1) || got.matches(1, 2) {
 		t.Fatal("decoded empty snapshot claims rules")
 	}
 
 	// A published-but-empty snapshot keeps its nonzero version.
-	_, s := publishedSnapshot(t, 100, func(idx *PairIndex) { idx.Add(1, 2, 1) })
+	_, s := publishedSnapshot(t, 100, func(idx *PairIndex) { idx.add(1, 2, 1) })
 	got, err = UnmarshalSnapshot(s.Marshal())
 	if err != nil {
 		t.Fatalf("UnmarshalSnapshot(published empty): %v", err)
@@ -102,8 +102,8 @@ func TestSnapshotEmptyRoundtrip(t *testing.T) {
 
 func TestUnmarshalSnapshotRejectsCorrupt(t *testing.T) {
 	_, s := publishedSnapshot(t, 1, func(idx *PairIndex) {
-		idx.Add(1, 2, 5)
-		idx.Add(3, 4, 2)
+		idx.add(1, 2, 5)
+		idx.add(3, 4, 2)
 	})
 	good := s.Marshal()
 
@@ -118,11 +118,11 @@ func TestUnmarshalSnapshotRejectsCorrupt(t *testing.T) {
 	corrupt("trailing bytes", func(b []byte) []byte { return append(b, 0) })
 	corrupt("bad magic", func(b []byte) []byte { b[0] = 'X'; return b })
 	corrupt("future codec version", func(b []byte) []byte {
-		binary.LittleEndian.PutUint16(b[4:], SnapshotCodecVersion+1)
+		binary.LittleEndian.PutUint16(b[4:], snapshotCodecVersion+1)
 		return b
 	})
 	corrupt("hostile count", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[22:], MaxSnapshotRules+1)
+		binary.LittleEndian.PutUint32(b[22:], maxSnapshotRules+1)
 		return b
 	})
 	corrupt("duplicate key", func(b []byte) []byte {
@@ -149,31 +149,31 @@ func TestUnmarshalSnapshotRejectsCorrupt(t *testing.T) {
 
 func TestRestoreSeedsDiscounted(t *testing.T) {
 	_, s := publishedSnapshot(t, 1, func(idx *PairIndex) {
-		idx.Add(1, 2, 8)
-		idx.Add(3, 4, 1.5) // marginal: 1.5 * 0.5 < threshold, must not survive
+		idx.add(1, 2, 8)
+		idx.add(3, 4, 1.5) // marginal: 1.5 * 0.5 < threshold, must not survive
 	})
 
-	idx2 := NewDecayIndex(1)
+	idx2 := newDecayIndex(1)
 	p2 := publisherOver(idx2, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
-	out := p2.Restore(idx2, s, 0.5)
+	out := p2.restore(idx2, s, 0.5)
 	if got := out.Support(1, 2); got != 4 {
 		t.Fatalf("restored support(1,2) = %v, want 4 (8 discounted by 0.5)", got)
 	}
-	if out.Matches(3, 4) {
+	if out.matches(3, 4) {
 		t.Fatal("marginal rule survived restore below threshold")
 	}
-	if p2.View() != out {
+	if p2.view() != out {
 		t.Fatal("Restore did not publish the restored snapshot")
 	}
 }
 
 func TestRestoreMergesIntoLiveIndex(t *testing.T) {
-	_, s := publishedSnapshot(t, 1, func(idx *PairIndex) { idx.Add(1, 2, 6) })
+	_, s := publishedSnapshot(t, 1, func(idx *PairIndex) { idx.add(1, 2, 6) })
 
-	idx2 := NewDecayIndex(1)
-	idx2.Add(1, 2, 4) // live state the restore must merge with, not clobber
+	idx2 := newDecayIndex(1)
+	idx2.add(1, 2, 4) // live state the restore must merge with, not clobber
 	p2 := publisherOver(idx2, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
-	out := p2.Restore(idx2, s, 1)
+	out := p2.restore(idx2, s, 1)
 	if got := out.Support(1, 2); got != 10 {
 		t.Fatalf("merged support(1,2) = %v, want 10 (4 live + 6 restored)", got)
 	}
@@ -183,19 +183,19 @@ func TestRestoreVersionMonotone(t *testing.T) {
 	// Restoring an old snapshot into a newer publisher must not roll the
 	// version back; restoring a newer snapshot must advance past it.
 	var idxHigh, idxFresh *PairIndex
-	pHigh, _ := publishedSnapshot(t, 1, func(idx *PairIndex) { idxHigh = idx; idx.Add(1, 2, 5) })
+	pHigh, _ := publishedSnapshot(t, 1, func(idx *PairIndex) { idxHigh = idx; idx.add(1, 2, 5) })
 	for i := 0; i < 9; i++ {
-		pHigh.Publish(idxHigh) // version now 10
+		pHigh.publish(idxHigh) // version now 10
 	}
-	_, sLow := publishedSnapshot(t, 1, func(idx *PairIndex) { idx.Add(5, 6, 5) }) // version 1
-	out := pHigh.Restore(idxHigh, sLow, 1)
+	_, sLow := publishedSnapshot(t, 1, func(idx *PairIndex) { idx.add(5, 6, 5) }) // version 1
+	out := pHigh.restore(idxHigh, sLow, 1)
 	if out.Version() != 11 {
 		t.Fatalf("restore of old snapshot published v%d, want v11", out.Version())
 	}
 
-	pFresh, _ := publishedSnapshot(t, 1, func(idx *PairIndex) { idxFresh = idx; idx.Add(7, 8, 5) })
-	sHigh := pHigh.View() // version 11
-	out = pFresh.Restore(idxFresh, sHigh, 1)
+	pFresh, _ := publishedSnapshot(t, 1, func(idx *PairIndex) { idxFresh = idx; idx.add(7, 8, 5) })
+	sHigh := pHigh.view() // version 11
+	out = pFresh.restore(idxFresh, sHigh, 1)
 	if out.Version() <= sHigh.Version() {
 		t.Fatalf("restore published v%d, not newer than restored v%d", out.Version(), sHigh.Version())
 	}
@@ -203,9 +203,9 @@ func TestRestoreVersionMonotone(t *testing.T) {
 
 func TestRemapSnapshot(t *testing.T) {
 	_, s := publishedSnapshot(t, 1, func(idx *PairIndex) {
-		idx.Add(1, 2, 5)
-		idx.Add(3, 4, 2) // 3 unmapped: dropped
-		idx.Add(5, 6, 3) // collides with 1->2 after mapping: summed
+		idx.add(1, 2, 5)
+		idx.add(3, 4, 2) // 3 unmapped: dropped
+		idx.add(5, 6, 3) // collides with 1->2 after mapping: summed
 	})
 	m := map[trace.HostID]trace.HostID{1: 10, 2: 20, 4: 40, 5: 10, 6: 20}
 	out := RemapSnapshot(s, func(h trace.HostID) (trace.HostID, bool) {
@@ -221,29 +221,29 @@ func TestRemapSnapshot(t *testing.T) {
 	if out.Len() != 1 {
 		t.Fatalf("remapped snapshot has %d rules, want 1", out.Len())
 	}
-	if out.Covers(3) || out.Covers(1) {
+	if out.covers(3) || out.covers(1) {
 		t.Fatal("remapped snapshot still covers pre-map ids")
 	}
 }
 
 func FuzzSnapshotDecode(f *testing.F) {
-	idx := NewDecayIndex(1)
-	idx.Add(1, 2, 5)
-	idx.Add(1, 3, 2.5)
-	idx.Add(9, 1, 7)
+	idx := newDecayIndex(1)
+	idx.add(1, 2, 5)
+	idx.add(1, 3, 2.5)
+	idx.add(9, 1, 7)
 	p := publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
-	f.Add(p.Publish(idx).Marshal())
+	f.Add(p.publish(idx).Marshal())
 	// Several antecedents whose consequents tie on support, some with each
 	// other and some across antecedents: key order (what the bytes carry)
 	// and canonical order (what the decoder must restore) differ most here.
 	for _, sups := range [][]float64{{4, 4, 4}, {2, 6, 2}, {5, 3, 5}} {
-		tied := NewDecayIndex(1)
+		tied := newDecayIndex(1)
 		for i, src := range []trace.HostID{9, 2, 5} {
 			for j, sup := range sups {
 				tied.Set(src, trace.HostID(10*(j+1)+i), sup)
 			}
 		}
-		f.Add(publisherOver(tied, PublisherConfig{}).Publish(tied).Marshal())
+		f.Add(publisherOver(tied, PublisherConfig{}).publish(tied).Marshal())
 	}
 	f.Add(emptySnapshot.Marshal())
 	f.Add([]byte("ARQS"))
@@ -273,7 +273,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			if sup <= 0 || math.IsNaN(sup) || math.IsInf(sup, 0) {
 				t.Fatalf("decoded support out of range: %v", sup)
 			}
-			if !s.Matches(k.Source(), k.Replier()) {
+			if !s.matches(k.Source(), k.Replier()) {
 				t.Fatal("Range pair not in Matches")
 			}
 			return true

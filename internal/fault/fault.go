@@ -236,6 +236,3 @@ func (f *Seeded) Tick() {
 		mEpochs.Inc()
 	}
 }
-
-// Epoch reports the current churn epoch (for tests and diagnostics).
-func (f *Seeded) Epoch() uint64 { return f.epoch.Load() }

@@ -54,9 +54,6 @@ func (ix *Index) Add(id int32, text string) {
 	}
 }
 
-// Docs returns the number of indexed documents.
-func (ix *Index) Docs() int { return len(ix.docs) }
-
 // Query returns the ids of documents containing every token of text, in
 // ascending order. An empty or tokenless query matches nothing (a servent
 // never answers empty searches).

@@ -104,8 +104,8 @@ func TestIndexConjunctiveQuery(t *testing.T) {
 	if got := ix.Query("nonexistent"); got != nil {
 		t.Fatalf("unknown token matched: %v", got)
 	}
-	if ix.Docs() != 3 {
-		t.Fatalf("docs = %d", ix.Docs())
+	if len(ix.docs) != 3 {
+		t.Fatalf("docs = %d", len(ix.docs))
 	}
 }
 

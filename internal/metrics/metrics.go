@@ -37,9 +37,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// Len returns the number of rows.
-func (t *Table) Len() int { return len(t.rows) }
-
 func (t *Table) widths() []int {
 	w := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
@@ -93,29 +90,6 @@ func (t *Table) Markdown() string {
 	b.WriteString("|" + strings.Repeat("---|", len(t.Headers)) + "\n")
 	for _, row := range t.rows {
 		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	return b.String()
-}
-
-// CSV renders comma-separated rows with a header line. Cells containing
-// commas or quotes are quoted.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	for _, row := range t.rows {
-		writeRow(row)
 	}
 	return b.String()
 }

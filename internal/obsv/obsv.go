@@ -78,21 +78,6 @@ func (h *Histogram) Observe(v int64) {
 	h.n.Add(1)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.n.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Mean returns the mean observed value (0 before any observation).
-func (h *Histogram) Mean() float64 {
-	n := h.n.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
 // Quantile estimates the q-quantile (q in [0,1]) of the observed values
 // by linear interpolation within the bucket holding the target rank. The
 // overflow bucket has no upper bound, so ranks landing there return the
@@ -169,9 +154,9 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// ExpBuckets returns n exponentially spaced upper bounds starting at start
+// expBuckets returns n exponentially spaced upper bounds starting at start
 // and growing by factor, for histograms over long-tailed quantities.
-func ExpBuckets(start int64, factor float64, n int) []int64 {
+func expBuckets(start int64, factor float64, n int) []int64 {
 	out := make([]int64, n)
 	v := float64(start)
 	for i := 0; i < n; i++ {
@@ -184,8 +169,8 @@ func ExpBuckets(start int64, factor float64, n int) []int64 {
 // DurationBuckets covers 1µs..~17s in nanoseconds — the range of every
 // timed operation in this repository (rule generation, block tests,
 // whole simulation runs).
-func DurationBuckets() []int64 { return ExpBuckets(1_000, 4, 13) }
+func DurationBuckets() []int64 { return expBuckets(1_000, 4, 13) }
 
 // SizeBuckets covers 1..~260k — rule-table sizes, message counts, block
 // sizes.
-func SizeBuckets() []int64 { return ExpBuckets(1, 4, 10) }
+func SizeBuckets() []int64 { return expBuckets(1, 4, 10) }

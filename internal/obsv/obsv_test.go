@@ -8,17 +8,17 @@ import (
 )
 
 func TestCounterGauge(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("a.count")
+	r := newRegistry()
+	c := r.counter("a.count")
 	c.Inc()
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	if r.Counter("a.count") != c {
+	if r.counter("a.count") != c {
 		t.Fatal("get-or-create returned a different counter for the same name")
 	}
-	g := r.Gauge("a.gauge")
+	g := r.gauge("a.gauge")
 	g.Set(7)
 	g.Add(-2)
 	if g.Value() != 5 {
@@ -27,8 +27,8 @@ func TestCounterGauge(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", []int64{10, 100})
+	r := newRegistry()
+	h := r.histogram("h", []int64{10, 100})
 	for _, v := range []int64{1, 10, 11, 100, 101, 5000} {
 		h.Observe(v)
 	}
@@ -54,9 +54,9 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestHistogramKeepsOriginalBounds(t *testing.T) {
-	r := NewRegistry()
-	h1 := r.Histogram("h", []int64{1, 2})
-	h2 := r.Histogram("h", []int64{99})
+	r := newRegistry()
+	h1 := r.histogram("h", []int64{1, 2})
+	h2 := r.histogram("h", []int64{99})
 	if h1 != h2 {
 		t.Fatal("histogram not shared by name")
 	}
@@ -66,10 +66,10 @@ func TestHistogramKeepsOriginalBounds(t *testing.T) {
 }
 
 func TestSnapshotAndReset(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Add(3)
-	r.Gauge("g").Set(9)
-	r.Histogram("h", ExpBuckets(1, 10, 3)).Observe(50)
+	r := newRegistry()
+	r.counter("c").Add(3)
+	r.gauge("g").Set(9)
+	r.histogram("h", expBuckets(1, 10, 3)).Observe(50)
 	s := r.Snapshot()
 	if s.Counters["c"] != 3 || s.Gauges["g"] != 9 || s.Histograms["h"].Count != 1 {
 		t.Fatalf("snapshot = %+v", s)
@@ -82,13 +82,13 @@ func TestSnapshotAndReset(t *testing.T) {
 	if s.Counters["c"] != 0 || s.Gauges["g"] != 0 || s.Histograms["h"].Count != 0 {
 		t.Fatalf("reset left state: %+v", s)
 	}
-	if r.Counter("c").Value() != 0 {
+	if r.counter("c").Value() != 0 {
 		t.Fatal("instrument identity lost across Reset")
 	}
 }
 
 func TestExpBuckets(t *testing.T) {
-	b := ExpBuckets(1000, 4, 4)
+	b := expBuckets(1000, 4, 4)
 	want := []int64{1000, 4000, 16000, 64000}
 	for i := range want {
 		if b[i] != want[i] {
@@ -103,9 +103,9 @@ func TestExpBuckets(t *testing.T) {
 // TestConcurrentRecording hammers one registry from many goroutines; run
 // with -race this guards the lock-free recording paths.
 func TestConcurrentRecording(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c")
-	h := r.Histogram("h", ExpBuckets(1, 4, 8))
+	r := newRegistry()
+	c := r.counter("c")
+	h := r.histogram("h", expBuckets(1, 4, 8))
 	var wg sync.WaitGroup
 	const workers, per = 8, 5000
 	for w := 0; w < workers; w++ {
@@ -116,7 +116,7 @@ func TestConcurrentRecording(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c.Inc()
 				h.Observe(int64(w*per + i))
-				r.Gauge("g").Set(int64(i))
+				r.gauge("g").Set(int64(i))
 				if i%1000 == 0 {
 					r.Snapshot()
 				}
@@ -148,8 +148,8 @@ func TestDefaultRegistryHelpers(t *testing.T) {
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q", []int64{10, 20, 40})
+	r := newRegistry()
+	h := r.histogram("q", []int64{10, 20, 40})
 	if got := h.Quantile(0.5); got != 0 {
 		t.Fatalf("quantile before observations = %v, want 0", got)
 	}
@@ -175,11 +175,26 @@ func TestHistogramQuantile(t *testing.T) {
 		t.Fatalf("clamping: q=-1 -> %v (want %v), q=2 -> %v (want %v)", lo, h.Quantile(0), hi, h.Quantile(1))
 	}
 	// An empty middle bucket interpolates within the buckets that hold data.
-	r2 := NewRegistry()
-	h2 := r2.Histogram("q2", []int64{1, 2, 3})
+	r2 := newRegistry()
+	h2 := r2.histogram("q2", []int64{1, 2, 3})
 	h2.Observe(1)
 	h2.Observe(3)
 	if got := h2.Quantile(1); got != 3 {
 		t.Fatalf("p100 with gap = %v, want 3", got)
 	}
+}
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 { return h.n.Load() }
+
+// Sum returns the sum of all observed values.
+func (h *Histogram) Sum() int64 { return h.sum.Load() }
+
+// Mean returns the mean observed value (0 before any observation).
+func (h *Histogram) Mean() float64 {
+	n := h.n.Load()
+	if n == 0 {
+		return 0
+	}
+	return float64(h.sum.Load()) / float64(n)
 }

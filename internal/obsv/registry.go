@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"sort"
 	"sync"
 )
 
@@ -16,8 +15,8 @@ type Registry struct {
 	hists  map[string]*Histogram
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry.
+func newRegistry() *Registry {
 	return &Registry{
 		counts: make(map[string]*Counter),
 		gauges: make(map[string]*Gauge),
@@ -25,9 +24,9 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns the counter registered under name, creating it if
+// counter returns the counter registered under name, creating it if
 // needed.
-func (r *Registry) Counter(name string) *Counter {
+func (r *Registry) counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c := r.counts[name]
@@ -38,8 +37,8 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the gauge registered under name, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
+// gauge returns the gauge registered under name, creating it if needed.
+func (r *Registry) gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g := r.gauges[name]
@@ -50,10 +49,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram registered under name, creating it with
+// histogram returns the histogram registered under name, creating it with
 // the given bucket bounds if needed (an existing histogram keeps its
 // original bounds).
-func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
+func (r *Registry) histogram(name string, bounds []int64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := r.hists[name]
@@ -126,36 +125,17 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Names returns the sorted names of all registered instruments (for tests
-// and debugging).
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.counts)+len(r.gauges)+len(r.hists))
-	for n := range r.counts {
-		out = append(out, n)
-	}
-	for n := range r.gauges {
-		out = append(out, n)
-	}
-	for n := range r.hists {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Default is the process-wide registry every internal package records
 // into; cmd/arqbench snapshots it into the benchmark artifact.
-var Default = NewRegistry()
+var Default = newRegistry()
 
 // GetCounter returns the named counter from the Default registry.
-func GetCounter(name string) *Counter { return Default.Counter(name) }
+func GetCounter(name string) *Counter { return Default.counter(name) }
 
 // GetGauge returns the named gauge from the Default registry.
-func GetGauge(name string) *Gauge { return Default.Gauge(name) }
+func GetGauge(name string) *Gauge { return Default.gauge(name) }
 
 // GetHistogram returns the named histogram from the Default registry.
 func GetHistogram(name string, bounds []int64) *Histogram {
-	return Default.Histogram(name, bounds)
+	return Default.histogram(name, bounds)
 }

@@ -45,13 +45,6 @@ func NewCSR(g *Graph) *CSR {
 // N returns the number of nodes.
 func (c *CSR) N() int { return len(c.rowPtr) - 1 }
 
-// Edges returns the number of stored adjacency entries (twice the edge
-// count of the undirected source graph).
-func (c *CSR) Edges() int64 { return int64(c.rowPtr[len(c.rowPtr)-1]) }
-
-// Degree returns the degree of node u.
-func (c *CSR) Degree(u int) int { return int(c.rowPtr[u+1] - c.rowPtr[u]) }
-
 // Neighbors returns u's neighbor list as a subslice of the shared column
 // array. The returned slice is owned by the CSR and must not be modified.
 func (c *CSR) Neighbors(u int) []int32 { return c.col[c.rowPtr[u]:c.rowPtr[u+1]] }
@@ -77,15 +70,4 @@ func (c *CSR) TouchCol(u int32) int32 {
 		return c.col[p]
 	}
 	return 0
-}
-
-// MaxDegree returns the largest degree in the graph (0 on an empty one).
-func (c *CSR) MaxDegree() int {
-	max := 0
-	for u, n := 0, c.N(); u < n; u++ {
-		if d := c.Degree(u); d > max {
-			max = d
-		}
-	}
-	return max
 }

@@ -132,3 +132,21 @@ func FuzzCSRBuilder(f *testing.F) {
 		}
 	})
 }
+
+// Edges returns the number of stored adjacency entries (twice the edge
+// count of the undirected source graph).
+func (c *CSR) Edges() int64 { return int64(c.rowPtr[len(c.rowPtr)-1]) }
+
+// Degree returns the degree of node u.
+func (c *CSR) Degree(u int) int { return int(c.rowPtr[u+1] - c.rowPtr[u]) }
+
+// MaxDegree returns the largest degree in the graph (0 on an empty one).
+func (c *CSR) MaxDegree() int {
+	max := 0
+	for u, n := 0, c.N(); u < n; u++ {
+		if d := c.Degree(u); d > max {
+			max = d
+		}
+	}
+	return max
+}

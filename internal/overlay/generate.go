@@ -21,20 +21,20 @@ func Random(rng *stats.RNG, n int, avgDeg float64) *Graph {
 		v := rng.Intn(n)
 		g.AddEdge(u, v)
 	}
-	g.EnsureConnected(rng)
+	g.ensureConnected(rng)
 	return g
 }
 
-// BarabasiAlbert builds a connected preferential-attachment graph: each new
+// barabasiAlbert builds a connected preferential-attachment graph: each new
 // node attaches to m existing nodes chosen proportionally to degree,
 // producing the power-law degree distribution measured in Gnutella
 // topologies. n must be > m >= 1.
-func BarabasiAlbert(rng *stats.RNG, n, m int) *Graph {
+func barabasiAlbert(rng *stats.RNG, n, m int) *Graph {
 	if m < 1 {
-		panic("overlay: BarabasiAlbert requires m >= 1")
+		panic("overlay: barabasiAlbert requires m >= 1")
 	}
 	if n <= m {
-		panic("overlay: BarabasiAlbert requires n > m")
+		panic("overlay: barabasiAlbert requires n > m")
 	}
 	g := NewGraph(n)
 	// Seed clique of m+1 nodes.
@@ -100,7 +100,7 @@ func WattsStrogatz(rng *stats.RNG, n, k int, beta float64) *Graph {
 			}
 		}
 	}
-	g.EnsureConnected(rng)
+	g.ensureConnected(rng)
 	return g
 }
 
@@ -110,7 +110,7 @@ func WattsStrogatz(rng *stats.RNG, n, k int, beta float64) *Graph {
 // low diameter.
 func GnutellaLike(rng *stats.RNG, n int) *Graph {
 	m := 2
-	g := BarabasiAlbert(rng, n, m)
+	g := barabasiAlbert(rng, n, m)
 	extra := n / 10
 	for i := 0; i < extra; i++ {
 		g.AddEdge(rng.Intn(n), rng.Intn(n))

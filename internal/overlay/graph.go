@@ -88,15 +88,6 @@ func removeVal(s []int32, v int32) []int32 {
 	return s
 }
 
-// Connected reports whether the graph is a single connected component
-// (vacuously true for n <= 1).
-func (g *Graph) Connected() bool {
-	if g.N() <= 1 {
-		return true
-	}
-	return g.reach(0) == g.N()
-}
-
 // reach returns the number of nodes reachable from start.
 func (g *Graph) reach(start int) int {
 	seen := make([]bool, g.N())
@@ -117,8 +108,8 @@ func (g *Graph) reach(start int) int {
 	return count
 }
 
-// Components returns the connected components as node lists.
-func (g *Graph) Components() [][]int {
+// components returns the connected components as node lists.
+func (g *Graph) components() [][]int {
 	seen := make([]bool, g.N())
 	var comps [][]int
 	for s := 0; s < g.N(); s++ {
@@ -144,10 +135,10 @@ func (g *Graph) Components() [][]int {
 	return comps
 }
 
-// EnsureConnected links all components into one by adding one edge between
+// ensureConnected links all components into one by adding one edge between
 // consecutive components, returning the number of edges added.
-func (g *Graph) EnsureConnected(rng *stats.RNG) int {
-	comps := g.Components()
+func (g *Graph) ensureConnected(rng *stats.RNG) int {
+	comps := g.components()
 	added := 0
 	for i := 1; i < len(comps); i++ {
 		a := comps[i-1][rng.Intn(len(comps[i-1]))]
@@ -159,28 +150,6 @@ func (g *Graph) EnsureConnected(rng *stats.RNG) int {
 	return added
 }
 
-// BFSDepths returns each node's hop distance from start (-1 when
-// unreachable).
-func (g *Graph) BFSDepths(start int) []int {
-	depth := make([]int, g.N())
-	for i := range depth {
-		depth[i] = -1
-	}
-	depth[start] = 0
-	queue := []int{start}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, w := range g.adj[u] {
-			if depth[w] < 0 {
-				depth[w] = depth[u] + 1
-				queue = append(queue, int(w))
-			}
-		}
-	}
-	return depth
-}
-
 // DegreeStats summarizes the degree distribution.
 func (g *Graph) DegreeStats() stats.Summary {
 	var s stats.Summary
@@ -188,16 +157,6 @@ func (g *Graph) DegreeStats() stats.Summary {
 		s.Add(float64(g.Degree(u)))
 	}
 	return s
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.N())
-	c.m = g.m
-	for u := range g.adj {
-		c.adj[u] = append([]int32(nil), g.adj[u]...)
-	}
-	return c
 }
 
 // String renders a short description.

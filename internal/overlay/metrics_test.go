@@ -85,3 +85,100 @@ func TestTinyGraphMetrics(t *testing.T) {
 		t.Fatal("singleton clustering")
 	}
 }
+
+// AvgPathLength estimates the mean shortest-path hop count by running BFS
+// from samples random sources (samples <= 0 uses every node). Unreachable
+// pairs are skipped. Returns 0 for graphs with fewer than 2 nodes.
+func (g *Graph) AvgPathLength(rng *stats.RNG, samples int) float64 {
+	n := g.N()
+	if n < 2 {
+		return 0
+	}
+	var sources []int
+	if samples <= 0 || samples >= n {
+		sources = make([]int, n)
+		for i := range sources {
+			sources[i] = i
+		}
+	} else {
+		sources = stats.SampleWithoutReplacement(rng, n, samples)
+	}
+	total, count := 0.0, 0
+	for _, s := range sources {
+		for v, d := range g.BFSDepths(s) {
+			if d > 0 && v != s {
+				total += float64(d)
+				count++
+			}
+		}
+	}
+	if count == 0 {
+		return 0
+	}
+	return total / float64(count)
+}
+
+// ClusteringCoefficient returns the mean local clustering coefficient:
+// for each node with degree >= 2, the fraction of its neighbor pairs that
+// are themselves connected, averaged over such nodes. Watts–Strogatz
+// small worlds score high, uniform random graphs near avgDeg/n.
+func (g *Graph) ClusteringCoefficient() float64 {
+	total, count := 0.0, 0
+	for u := 0; u < g.N(); u++ {
+		nbrs := g.Neighbors(u)
+		if len(nbrs) < 2 {
+			continue
+		}
+		links := 0
+		for i := 0; i < len(nbrs); i++ {
+			for j := i + 1; j < len(nbrs); j++ {
+				if g.HasEdge(int(nbrs[i]), int(nbrs[j])) {
+					links++
+				}
+			}
+		}
+		possible := len(nbrs) * (len(nbrs) - 1) / 2
+		total += float64(links) / float64(possible)
+		count++
+	}
+	if count == 0 {
+		return 0
+	}
+	return total / float64(count)
+}
+
+// Diameter returns the exact longest shortest path (hop count) between any
+// connected pair; O(N·M), intended for experiment-scale graphs.
+func (g *Graph) Diameter() int {
+	max := 0
+	for s := 0; s < g.N(); s++ {
+		for _, d := range g.BFSDepths(s) {
+			if d > max {
+				max = d
+			}
+		}
+	}
+	return max
+}
+
+// BFSDepths returns each node's hop distance from start (-1 when
+// unreachable).
+func (g *Graph) BFSDepths(start int) []int {
+	depth := make([]int, g.N())
+	for i := range depth {
+		depth[i] = -1
+	}
+	depth[start] = 0
+	queue := []int{start}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, w := range g.adj[u] {
+			if depth[w] < 0 {
+				depth[w] = depth[u] + 1
+				queue = append(queue, int(w))
+			}
+		}
+	}
+	return depth
+}

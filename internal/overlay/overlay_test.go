@@ -42,11 +42,11 @@ func TestConnectivity(t *testing.T) {
 	if g.Connected() {
 		t.Fatal("disconnected graph reported connected")
 	}
-	comps := g.Components()
+	comps := g.components()
 	if len(comps) != 3 { // {0,1} {2,3} {4}
 		t.Fatalf("components = %d", len(comps))
 	}
-	added := g.EnsureConnected(stats.NewRNG(1))
+	added := g.ensureConnected(stats.NewRNG(1))
 	if added != 2 {
 		t.Fatalf("added = %d", added)
 	}
@@ -96,7 +96,7 @@ func TestRandomGraphProperties(t *testing.T) {
 
 func TestBarabasiAlbertPowerLaw(t *testing.T) {
 	rng := stats.NewRNG(3)
-	g := BarabasiAlbert(rng, 2000, 2)
+	g := barabasiAlbert(rng, 2000, 2)
 	if !g.Connected() {
 		t.Fatal("BA graph not connected")
 	}
@@ -195,4 +195,23 @@ func TestGeneratorsDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Connected reports whether the graph is a single connected component
+// (vacuously true for n <= 1).
+func (g *Graph) Connected() bool {
+	if g.N() <= 1 {
+		return true
+	}
+	return g.reach(0) == g.N()
+}
+
+// Clone returns a deep copy of the graph.
+func (g *Graph) Clone() *Graph {
+	c := NewGraph(g.N())
+	c.m = g.m
+	for u := range g.adj {
+		c.adj[u] = append([]int32(nil), g.adj[u]...)
+	}
+	return c
 }

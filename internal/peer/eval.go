@@ -71,29 +71,15 @@ type DeliveryOutcome struct {
 	Absorbed bool
 }
 
-// EvalDelivery applies the shared query-lifecycle rules to one delivery:
-// node u receives a copy of a query for cat that originated at origin,
-// with ttl forwards still allowed after u. visited reports whether u has
-// processed this query before (per the engine's dedup state); walk
-// selects walker semantics (no duplicate suppression, terminate on
-// matching content). Matches at the origin itself never count — a user
-// searches for content they lack.
-func EvalDelivery(m *content.Model, origin, u int, cat trace.InterestID, walk, visited bool, ttl int) DeliveryOutcome {
-	if !walk && visited {
-		return DeliveryOutcome{Duplicate: true}
-	}
-	return EvalHostedDelivery(u != origin && m.Hosts(u, cat), walk, visited, ttl)
-}
-
-// EvalHostedDelivery is EvalDelivery for engines that resolve content
-// hosting themselves — the flat engine answers most lookups from a
-// precomputed per-node category bitmap instead of chasing the content
-// model's slice-of-slices on every first receipt. hosts reports whether
-// u shares content in the queried category; the caller must already have
-// excluded the origin. Suppressed duplicates never reach the hosting
-// check (EvalDelivery short-circuits them), so the semantics are
-// identical.
-func EvalHostedDelivery(hosts, walk, visited bool, ttl int) DeliveryOutcome {
+// evalHostedDelivery applies the shared query-lifecycle rules to one
+// delivery: a node receives a copy of a query with ttl forwards still
+// allowed after it. hosts reports whether the node shares content in the
+// queried category; matches at the origin itself never count (a user
+// searches for content they lack), so the caller must already have
+// excluded the origin. visited reports whether the node has processed
+// this query before (per the engine's dedup state); walk selects walker
+// semantics (no duplicate suppression, terminate on matching content).
+func evalHostedDelivery(hosts, walk, visited bool, ttl int) DeliveryOutcome {
 	var o DeliveryOutcome
 	o.First = !visited
 	if !walk && !o.First {
@@ -109,12 +95,9 @@ func EvalHostedDelivery(hosts, walk, visited bool, ttl int) DeliveryOutcome {
 	return o
 }
 
-// EvalSpec is the spec-aware delivery evaluation: EvalDelivery extended
-// with the query's top-k budget. hits is how many hits the query has
-// collected so far (the engine's counter). With spec.TopK == 0 it is
-// exactly EvalDelivery — the budget logic lives here, in one place, so
-// no engine carries its own copy of the termination rules.
-func EvalSpec(m *content.Model, origin, u int, cat trace.InterestID, walk, visited bool, ttl, hits int, spec QuerySpec) DeliveryOutcome {
+// evalSpec is EvalHostedSpec for the oracle engine, which resolves
+// hosting through the content model.
+func evalSpec(m *content.Model, origin, u int, cat trace.InterestID, walk, visited bool, ttl, hits int, spec QuerySpec) DeliveryOutcome {
 	if spec.TopK > 0 && hits >= spec.TopK {
 		return DeliveryOutcome{Absorbed: true}
 	}
@@ -124,14 +107,18 @@ func EvalSpec(m *content.Model, origin, u int, cat trace.InterestID, walk, visit
 	return EvalHostedSpec(u != origin && m.Hosts(u, cat), walk, visited, ttl, hits, spec)
 }
 
-// EvalHostedSpec is EvalSpec for engines that resolve content hosting
-// themselves (the flat engine's bitset rows); the caller must already
-// have excluded the origin from hosts.
+// EvalHostedSpec is the spec-aware delivery evaluation: the lifecycle
+// rules extended with the query's top-k budget. hits is how many hits the
+// query has collected so far (the engine's counter). The budget logic
+// lives here, in one place, so no engine carries its own copy of the
+// termination rules. Engines resolve content hosting themselves (the flat
+// engine's bitset rows); the caller must already have excluded the origin
+// from hosts.
 func EvalHostedSpec(hosts, walk, visited bool, ttl, hits int, spec QuerySpec) DeliveryOutcome {
 	if spec.TopK > 0 && hits >= spec.TopK {
 		return DeliveryOutcome{Absorbed: true}
 	}
-	o := EvalHostedDelivery(hosts, walk, visited, ttl)
+	o := evalHostedDelivery(hosts, walk, visited, ttl)
 	if o.Hit && spec.TopK > 0 && (spec.Stop == StopAtHit || hits+1 >= spec.TopK) {
 		// This hit prunes its subtree: either the rule stops at every
 		// hit, or this is the hit that fills the budget.

@@ -14,7 +14,7 @@
 // the hot path).
 //
 // Behavior is pinned, not approximated: every per-delivery decision
-// goes through peer.EvalDelivery, frontier-swap order equals
+// goes through peer.EvalHostedSpec, frontier-swap order equals
 // peer.Engine's FIFO order (FIFO from a single depth-0 injection IS
 // strict BFS depth order — processing depth d only appends depth d+1),
 // and router construction order matches the oracle's constructor. The
@@ -84,11 +84,8 @@ type Engine struct {
 	// dynRows is the overlay delta on top of the immutable CSR: per-node
 	// adjacency overrides installed by NeighborsChanged when churn
 	// rewires the graph. nil until the first patch, so static runs pay
-	// only a nil check per fan-out; dynEpoch counts applied patches
-	// (adjacency, hosting, router) and versions the engine's view of the
-	// world for tests and debugging.
-	dynRows  map[int32][]int32
-	dynEpoch uint64
+	// only a nil check per fan-out.
+	dynRows map[int32][]int32
 
 	// Frontier buffers, swapped each TTL step; fwd holds the frontier
 	// survivors between the two passes of the flood fast path.
@@ -202,7 +199,6 @@ func (e *Engine) NeighborsChanged(u int, row []int32) {
 		e.dynRows = make(map[int32][]int32)
 	}
 	e.dynRows[int32(u)] = append([]int32(nil), row...)
-	e.dynEpoch++
 }
 
 // HostedChanged implements peer.DynamicEngine: patches the inverted
@@ -221,7 +217,6 @@ func (e *Engine) HostedChanged(u int, old, now []trace.InterestID) {
 			e.hostBits[ci*e.hostWords+w] |= bit
 		}
 	}
-	e.dynEpoch++
 }
 
 // RouterReset implements peer.DynamicEngine: swaps in a fresh router for
@@ -243,22 +238,13 @@ func (e *Engine) RouterReset(u int, r peer.Router) {
 		e.nBcast++
 	}
 	e.allBcast = e.Nodes() > 0 && e.nBcast == e.Nodes()
-	e.dynEpoch++
 }
-
-// DynEpoch returns how many dynamics patches (adjacency, hosting,
-// router) have been applied — 0 means the construction-time snapshots
-// are still exact.
-func (e *Engine) DynEpoch() uint64 { return e.dynEpoch }
 
 // Nodes implements peer.QueryEngine.
 func (e *Engine) Nodes() int { return e.csr.N() }
 
 // ContentModel implements peer.QueryEngine.
 func (e *Engine) ContentModel() *content.Model { return e.content }
-
-// CSR returns the engine's adjacency snapshot.
-func (e *Engine) CSR() *overlay.CSR { return e.csr }
 
 // RunQuery injects a query at origin for category with the given TTL
 // and simulates it to quiescence, returning its stats.

@@ -253,7 +253,7 @@ func (e *Engine) RunQuerySpec(origin int, category trace.InterestID, spec QueryS
 			continue
 		}
 
-		o := EvalSpec(e.Content, origin, u, category, walk, visited[u], d.ttl, st.Hits, spec)
+		o := evalSpec(e.Content, origin, u, category, walk, visited[u], d.ttl, st.Hits, spec)
 		if o.Absorbed {
 			continue
 		}

@@ -110,13 +110,13 @@ func TestAssocEpochPublishStaleness(t *testing.T) {
 	if got := a.Route(9, 0, peer.Meta{}, nbrs); len(got) != 2 {
 		t.Fatalf("pre-publish Route = %v, want flood to [1 2]", got)
 	}
-	if a.RuleCount() != 0 || a.SnapshotVersion() != 0 {
-		t.Fatalf("pre-publish rules=%d version=%d", a.RuleCount(), a.SnapshotVersion())
+	if a.RuleCount() != 0 || a.learn.Version() != 0 {
+		t.Fatalf("pre-publish rules=%d version=%d", a.RuleCount(), a.learn.Version())
 	}
 	a.ObserveHit(9, 0, peer.Meta{}, 1)
 	a.ObserveHit(9, 0, peer.Meta{}, 1) // 4th observation fills the epoch
-	if a.SnapshotVersion() != 1 || a.RuleCount() != 1 {
-		t.Fatalf("post-epoch rules=%d version=%d", a.RuleCount(), a.SnapshotVersion())
+	if a.learn.Version() != 1 || a.RuleCount() != 1 {
+		t.Fatalf("post-epoch rules=%d version=%d", a.RuleCount(), a.learn.Version())
 	}
 	if got := a.Route(9, 0, peer.Meta{}, nbrs); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("post-publish Route = %v, want [1]", got)
@@ -203,7 +203,7 @@ func TestAssocLearnerCallsSerialize(t *testing.T) {
 	run(restores, func(int) { a.Restore(a.Snapshot(), 0.5) })
 	wg.Wait()
 	// PublishSync: each of the three calls publishes exactly once.
-	if got := a.SnapshotVersion(); got != observes+publishes+restores {
+	if got := a.learn.Version(); got != observes+publishes+restores {
 		t.Fatalf("snapshot version %d after %d serialized publishes", got, observes+publishes+restores)
 	}
 }

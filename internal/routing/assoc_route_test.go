@@ -128,11 +128,11 @@ func TestAssocHotPathAllocations(t *testing.T) {
 	// Threshold out of reach: the pair is tracked but never becomes a rule.
 	sub := NewAssoc(AssocConfig{TopK: 2, Threshold: 1 << 40, Decay: 0.5, DecayEvery: 1 << 30})
 	sub.ObserveHit(0, 5, q, 12)
-	v0 := sub.SnapshotVersion()
+	v0 := sub.learn.Version()
 	if n := testing.AllocsPerRun(100, func() { sub.ObserveHit(0, 5, q, 12) }); n != 1 {
 		t.Errorf("sub-threshold ObserveHit: %v allocs per call, want 1 (the snapshot header)", n)
 	}
-	if got := sub.SnapshotVersion() - v0; got != 101 || sub.RuleCount() != 0 {
+	if got := sub.learn.Version() - v0; got != 101 || sub.RuleCount() != 0 {
 		t.Errorf("sub-threshold ObserveHit: version advanced by %d with %d rules, want 101 and 0", got, sub.RuleCount())
 	}
 }

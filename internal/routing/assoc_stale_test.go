@@ -34,7 +34,7 @@ func TestAssocStaleObsFallsBackToFlood(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.ObserveHit(0, 1, q, 2)
 	}
-	if lag := a.SnapshotLag(); lag < 10 {
+	if lag := a.learn.Lag(); lag < 10 {
 		t.Fatalf("snapshot lag = %d, want >= 10", lag)
 	}
 	if got := a.Route(0, 1, q, nbrs); len(got) != 3 {

@@ -407,22 +407,10 @@ func (a *Assoc) PublishNow() {
 	a.learn.Publish()
 }
 
-// SnapshotLag reports how many observations the learn plane has
-// absorbed since the snapshot being served was published.
-func (a *Assoc) SnapshotLag() int64 {
-	return a.learn.Lag()
-}
-
 // RuleCount reports the number of rules in the published snapshot (for
 // instrumentation).
 func (a *Assoc) RuleCount() int {
 	return a.learn.View().Len()
-}
-
-// SnapshotVersion reports the version of the currently served snapshot
-// (0 until the first publish).
-func (a *Assoc) SnapshotVersion() uint64 {
-	return a.learn.Version()
 }
 
 // Snapshot returns the currently served rule snapshot — the immutable

@@ -132,6 +132,3 @@ func (sp *SuperPeerNetwork) Search(origin int, category trace.InterestID) peer.S
 	}
 	return st
 }
-
-// Supers returns the number of super-peers (for tests).
-func (sp *SuperPeerNetwork) Supers() int { return len(sp.supers) }

@@ -61,19 +61,10 @@ func (r *Runner) Block(nQueries int) []peer.Stats {
 	return out
 }
 
-// Run is the standard two-phase drive: warm queries (learning routers
-// accumulate state), then measure queries whose stats are returned.
-func (r *Runner) Run(warm, measure int) []peer.Stats {
-	if warm > 0 {
-		r.Block(warm)
-	}
-	return r.Block(measure)
-}
-
 // advance fires every dynamics epoch due before the next query. Events
 // fire strictly between queries — the DynamicEngine contract.
 func (r *Runner) advance() {
-	if !r.S.Dynamics.Active() {
+	if !r.S.Dynamics.active() {
 		return
 	}
 	for target := r.issued / r.S.Dynamics.QueriesPerEpoch; r.epoch < target; {

@@ -67,8 +67,8 @@ type Schedule struct {
 	Events []Event
 }
 
-// Active reports whether the schedule ever fires an event.
-func (s Schedule) Active() bool {
+// active reports whether the schedule ever fires an event.
+func (s Schedule) active() bool {
 	return s.QueriesPerEpoch > 0 && len(s.Events) > 0
 }
 

@@ -44,7 +44,10 @@ func runPreset(t *testing.T, preset, stratName string, n, warm, nQueries int, mk
 			return mk(g, m, f)
 		})
 		r := scenario.NewRunner(sc, g, m, eng, search, newRouter)
-		return r.Run(warm, nQueries)
+		if warm > 0 {
+			r.Block(warm) // learning routers accumulate state
+		}
+		return r.Block(nQueries)
 	}
 	t.Fatalf("strategy %q not in Strategies", stratName)
 	return nil
@@ -221,11 +224,6 @@ func TestClusterPlanCompat(t *testing.T) {
 			t.Fatalf("n=%d universe mismatch", n)
 		}
 		for tpc := 0; tpc < p.Universe(); tpc++ {
-			pa, pb := p.Owners(tpc)
-			ca, cb := cluster.Owners(tpc, n)
-			if pa != ca || pb != cb {
-				t.Fatalf("n=%d owners(%d) mismatch", n, tpc)
-			}
 			if p.SearchString(tpc) != cluster.SearchString(tpc) {
 				t.Fatalf("n=%d search string mismatch", n)
 			}
@@ -238,15 +236,6 @@ func TestClusterPlanCompat(t *testing.T) {
 			for i := range pl {
 				if pl[i] != cl[i] {
 					t.Fatalf("n=%d id=%d library[%d] mismatch", n, id, i)
-				}
-			}
-			pn, cn := p.Neighbours(id), cluster.Neighbours(id, n)
-			if len(pn) != len(cn) {
-				t.Fatalf("n=%d id=%d neighbours mismatch", n, id)
-			}
-			for i := range pn {
-				if pn[i] != cn[i] {
-					t.Fatalf("n=%d id=%d neighbours[%d] mismatch", n, id, i)
 				}
 			}
 		}

@@ -23,7 +23,7 @@ func (s Scenario) TraceConfig(blockSize, totalBlocks int) tracegen.Config {
 	if s.Content.ProfileSize > 0 {
 		cfg.ProfileSize = s.Content.ProfileSize
 	}
-	if s.Dynamics.Active() && totalBlocks > 0 {
+	if s.Dynamics.active() && totalBlocks > 0 {
 		// Project the first event's epoch onto the block axis, clamped
 		// inside the stream.
 		ev := s.Dynamics.Events[0]

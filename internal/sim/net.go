@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"runtime"
-	"sync"
 	"time"
 
 	"arq/internal/peer"
@@ -17,9 +15,7 @@ type NetEngine interface {
 	Workload(rng *stats.RNG, nQueries, ttl int) []peer.Stats
 }
 
-// NetSpec describes one engine-backed network simulation. Engine is a
-// factory invoked inside the worker goroutine — engines are
-// single-goroutine objects, so a NetSpec is safe to fan out.
+// NetSpec describes one engine-backed network simulation.
 type NetSpec struct {
 	Name string
 	// Engine constructs the network engine (graph, content, routers).
@@ -91,34 +87,4 @@ func RunBlocks(name string, src BlockSource, blocks, blockSize int) *Result {
 func RunNet(spec NetSpec) *Result {
 	src := &engineSource{e: spec.Engine(), rng: stats.NewRNG(spec.Seed), ttl: spec.TTL}
 	return RunBlocks(spec.Name, src, spec.Blocks, spec.BlockSize)
-}
-
-// SweepNet runs every network spec across workers goroutines
-// (workers <= 0 selects GOMAXPROCS), returning results in spec order.
-// Deterministic for deterministic engines: each spec owns its seeds.
-func SweepNet(specs []NetSpec, workers int) []*Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	results := make([]*Result, len(specs))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = RunNet(specs[i])
-			}
-		}()
-	}
-	for i := range specs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return results
 }

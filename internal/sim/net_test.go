@@ -65,17 +65,3 @@ func TestRunNetDeterministicAcrossEngines(t *testing.T) {
 		t.Fatalf("degenerate run: success=%v coverage=%v", seq.MeanSuccess(), seq.MeanCoverage())
 	}
 }
-
-// TestSweepNetOrder: results come back in spec order whatever the
-// worker count.
-func TestSweepNetOrder(t *testing.T) {
-	specs := []NetSpec{netSpec("a", false), netSpec("b", true), netSpec("c", false)}
-	for _, workers := range []int{1, 3} {
-		res := SweepNet(specs, workers)
-		for i, want := range []string{"a", "b", "c"} {
-			if res[i].Name != want {
-				t.Fatalf("workers=%d: result %d is %q, want %q", workers, i, res[i].Name, want)
-			}
-		}
-	}
-}

@@ -73,15 +73,6 @@ func (r *Result) BlocksPerRegen() float64 {
 	return float64(r.Trials) / float64(r.Regens)
 }
 
-// NsPerBlock returns wall nanoseconds per consumed block (0 if the run
-// consumed none).
-func (r *Result) NsPerBlock() float64 {
-	if r.Blocks == 0 {
-		return 0
-	}
-	return float64(r.WallNanos) / float64(r.Blocks)
-}
-
 // String renders the headline numbers.
 func (r *Result) String() string {
 	return fmt.Sprintf("%-28s trials=%-4d coverage=%.3f success=%.3f regens=%d",

@@ -43,8 +43,8 @@ func TestRunCollectsSeries(t *testing.T) {
 	if r.Trials != 5 { // first block is warm-up
 		t.Fatalf("trials = %d, want 5", r.Trials)
 	}
-	if r.Coverage.Len() != 5 || r.Success.Len() != 5 {
-		t.Fatalf("series lengths = %d/%d", r.Coverage.Len(), r.Success.Len())
+	if len(r.Coverage.Values) != 5 || len(r.Success.Values) != 5 {
+		t.Fatalf("series lengths = %d/%d", len(r.Coverage.Values), len(r.Success.Values))
 	}
 	if r.MeanCoverage() != 1 || r.MeanSuccess() != 1 {
 		t.Fatalf("stable source should be perfect: %v/%v", r.MeanCoverage(), r.MeanSuccess())
@@ -81,12 +81,6 @@ func TestRunRecordsBlocksAndWallTime(t *testing.T) {
 	}
 	if r.WallNanos <= 0 {
 		t.Fatalf("wall nanos = %d", r.WallNanos)
-	}
-	if r.NsPerBlock() != float64(r.WallNanos)/6 {
-		t.Fatalf("ns/block = %v", r.NsPerBlock())
-	}
-	if (&Result{}).NsPerBlock() != 0 {
-		t.Fatal("empty run should report 0 ns/block")
 	}
 }
 

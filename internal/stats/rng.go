@@ -75,28 +75,13 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
+// shuffle pseudo-randomizes the order of n elements using swap.
+func (r *RNG) shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
@@ -111,21 +96,4 @@ func (r *RNG) ExpFloat64() float64 {
 		u = math.SmallestNonzeroFloat64
 	}
 	return -math.Log(1 - u)
-}
-
-// Geometric returns the number of Bernoulli(p) trials up to and including
-// the first success, i.e. a geometric variate with mean 1/p. p must be in
-// (0, 1].
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("stats: Geometric requires p in (0,1]")
-	}
-	if p == 1 {
-		return 1
-	}
-	u := r.Float64()
-	if u <= 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return int(math.Ceil(math.Log(1-u) / math.Log(1-p)))
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -89,47 +88,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	NewRNG(1).Intn(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(13)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(p) == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := NewRNG(17)
-	p := 0.2
-	var s Summary
-	for i := 0; i < 50000; i++ {
-		s.Add(float64(r.Geometric(p)))
-	}
-	want := 1 / p
-	if math.Abs(s.Mean()-want) > 0.15 {
-		t.Fatalf("geometric mean = %v, want ~%v", s.Mean(), want)
-	}
-}
-
-func TestGeometricAlwaysPositive(t *testing.T) {
-	r := NewRNG(19)
-	for i := 0; i < 1000; i++ {
-		if g := r.Geometric(0.5); g < 1 {
-			t.Fatalf("geometric variate %d < 1", g)
-		}
-	}
 }
 
 func TestExpFloat64Mean(t *testing.T) {

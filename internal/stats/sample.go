@@ -36,24 +36,10 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Sample draws a rank in [0, N).
 func (z *Zipf) Sample(r *RNG) int {
 	u := r.Float64()
 	return sort.SearchFloat64s(z.cdf, u)
-}
-
-// Prob returns the probability mass of rank i.
-func (z *Zipf) Prob(i int) float64 {
-	if i < 0 || i >= len(z.cdf) {
-		return 0
-	}
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
 }
 
 // BoundedPareto samples from a Pareto distribution with shape Alpha
@@ -179,6 +165,6 @@ func SampleWithoutReplacement(r *RNG, n, k int) []int {
 		chosen[t] = struct{}{}
 		out = append(out, t)
 	}
-	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	r.shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }

@@ -171,3 +171,14 @@ func TestSampleWithoutReplacementFull(t *testing.T) {
 		}
 	}
 }
+
+// Prob returns the probability mass of rank i.
+func (z *Zipf) Prob(i int) float64 {
+	if i < 0 || i >= len(z.cdf) {
+		return 0
+	}
+	if i == 0 {
+		return z.cdf[0]
+	}
+	return z.cdf[i] - z.cdf[i-1]
+}

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"strings"
 )
@@ -20,9 +19,6 @@ func NewSeries(name string) *Series { return &Series{Name: name} }
 // Add appends an observation.
 func (s *Series) Add(v float64) { s.Values = append(s.Values, v) }
 
-// Len returns the number of observations.
-func (s *Series) Len() int { return len(s.Values) }
-
 // Mean returns the mean of the series, or 0 if empty.
 func (s *Series) Mean() float64 { return Mean(s.Values) }
 
@@ -36,9 +32,9 @@ func (s *Series) Tail(n int) float64 {
 	return Mean(s.Values[len(s.Values)-n:])
 }
 
-// Downsample returns at most n points, averaging each bucket, for compact
+// downsample returns at most n points, averaging each bucket, for compact
 // terminal plots of long series.
-func (s *Series) Downsample(n int) []float64 {
+func (s *Series) downsample(n int) []float64 {
 	if n <= 0 || len(s.Values) == 0 {
 		return nil
 	}
@@ -64,7 +60,7 @@ func (s *Series) Downsample(n int) []float64 {
 // downsampled buckets.
 func (s *Series) Sparkline(width int) string {
 	bars := []rune("▁▂▃▄▅▆▇█")
-	pts := s.Downsample(width)
+	pts := s.downsample(width)
 	var b strings.Builder
 	for _, v := range pts {
 		if math.IsNaN(v) {
@@ -81,55 +77,4 @@ func (s *Series) Sparkline(width int) string {
 		b.WriteRune(bars[idx])
 	}
 	return b.String()
-}
-
-// CSV renders "index,value" lines with the series name as header comment.
-func (s *Series) CSV() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s\n", s.Name)
-	for i, v := range s.Values {
-		fmt.Fprintf(&b, "%d,%.6f\n", i, v)
-	}
-	return b.String()
-}
-
-// Histogram counts observations into equal-width bins over [Lo, Hi).
-// Out-of-range values clamp into the first/last bin so totals are
-// preserved.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram builds a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: NewHistogram requires bins > 0 and hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Frac returns the fraction of observations in bin i.
-func (h *Histogram) Frac(i int) float64 {
-	if h.total == 0 || i < 0 || i >= len(h.Counts) {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
 }

@@ -40,15 +40,15 @@ func (s *Summary) N() int { return s.n }
 func (s *Summary) Mean() float64 { return s.mean }
 
 // Var returns the sample variance, or 0 with fewer than two observations.
-func (s *Summary) Var() float64 {
+func (s *Summary) variance() float64 {
 	if s.n < 2 {
 		return 0
 	}
 	return s.m2 / float64(s.n-1)
 }
 
-// Stddev returns the sample standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Var()) }
+// stddev returns the sample standard deviation.
+func (s *Summary) stddev() float64 { return math.Sqrt(s.variance()) }
 
 // Min returns the smallest observation, or 0 if empty.
 func (s *Summary) Min() float64 { return s.min }
@@ -56,34 +56,10 @@ func (s *Summary) Min() float64 { return s.min }
 // Max returns the largest observation, or 0 if empty.
 func (s *Summary) Max() float64 { return s.max }
 
-// Merge folds another summary into s, as if every observation added to o
-// had been added to s. Useful for combining per-worker summaries after a
-// parallel sweep.
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	s.mean += d * float64(o.n) / float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n = n
-}
-
 // String renders the summary compactly for logs and bench output.
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4f sd=%.4f min=%.4f max=%.4f",
-		s.n, s.Mean(), s.Stddev(), s.Min(), s.Max())
+		s.n, s.Mean(), s.stddev(), s.Min(), s.Max())
 }
 
 // MovingMean maintains the mean of the most recent Window values. The

@@ -14,50 +14,15 @@ func TestSummaryBasics(t *testing.T) {
 	if s.N() != 5 || s.Mean() != 3 || s.Min() != 1 || s.Max() != 5 {
 		t.Fatalf("got %s", s.String())
 	}
-	if math.Abs(s.Var()-2.5) > 1e-12 {
-		t.Fatalf("variance = %v, want 2.5", s.Var())
+	if math.Abs(s.variance()-2.5) > 1e-12 {
+		t.Fatalf("variance = %v, want 2.5", s.variance())
 	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Var() != 0 || s.N() != 0 {
+	if s.Mean() != 0 || s.variance() != 0 || s.N() != 0 {
 		t.Fatal("empty summary should be all zeros")
-	}
-}
-
-func TestSummaryMergeEqualsSequential(t *testing.T) {
-	f := func(xsRaw []float64, split uint8) bool {
-		xs := make([]float64, 0, len(xsRaw))
-		for _, x := range xsRaw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		cut := int(split) % (len(xs) + 1)
-		var whole, a, b Summary
-		for _, x := range xs {
-			whole.Add(x)
-		}
-		for _, x := range xs[:cut] {
-			a.Add(x)
-		}
-		for _, x := range xs[cut:] {
-			b.Add(x)
-		}
-		a.Merge(&b)
-		if a.N() != whole.N() {
-			return false
-		}
-		return math.Abs(a.Mean()-whole.Mean()) < 1e-6 &&
-			math.Abs(a.Var()-whole.Var()) < 1e-4 &&
-			a.Min() == whole.Min() && a.Max() == whole.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -145,7 +110,7 @@ func TestSeriesDownsample(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Add(1)
 	}
-	pts := s.Downsample(10)
+	pts := s.downsample(10)
 	if len(pts) != 10 {
 		t.Fatalf("want 10 points, got %d", len(pts))
 	}
@@ -154,7 +119,7 @@ func TestSeriesDownsample(t *testing.T) {
 			t.Fatalf("constant series downsampled to %v", p)
 		}
 	}
-	if got := len(s.Downsample(1000)); got != 100 {
+	if got := len(s.downsample(1000)); got != 100 {
 		t.Fatalf("oversampling should return original length, got %d", got)
 	}
 }
@@ -167,24 +132,5 @@ func TestSparklineLength(t *testing.T) {
 	line := s.Sparkline(20)
 	if got := len([]rune(line)); got != 20 {
 		t.Fatalf("sparkline rune length = %d, want 20", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	for _, x := range []float64{0.1, 0.1, 0.6, 0.9, -5, 7} {
-		h.Add(x)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Counts[0] != 3 { // 0.1, 0.1 and clamped -5
-		t.Fatalf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[3] != 2 { // 0.9 and clamped 7
-		t.Fatalf("bin3 = %d", h.Counts[3])
-	}
-	if math.Abs(h.Frac(0)-0.5) > 1e-12 {
-		t.Fatalf("frac0 = %v", h.Frac(0))
 	}
 }

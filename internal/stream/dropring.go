@@ -45,9 +45,6 @@ func NewDropRing[T any](cap int) *DropRing[T] {
 	return r
 }
 
-// Cap returns the fixed capacity.
-func (r *DropRing[T]) Cap() int { return len(r.buf) }
-
 // Len returns the number of queued items.
 func (r *DropRing[T]) Len() int {
 	r.mu.Lock()

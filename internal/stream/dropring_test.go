@@ -12,8 +12,8 @@ func TestDropRingFIFO(t *testing.T) {
 			t.Fatalf("push %d dropped below capacity", i)
 		}
 	}
-	if r.Len() != 3 || r.Cap() != 4 {
-		t.Fatalf("len=%d cap=%d", r.Len(), r.Cap())
+	if r.Len() != 3 || len(r.buf) != 4 {
+		t.Fatalf("len=%d cap=%d", r.Len(), len(r.buf))
 	}
 	for i := 1; i <= 3; i++ {
 		v, ok := r.Pop()

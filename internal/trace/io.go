@@ -54,16 +54,16 @@ type Reader struct {
 	line int
 }
 
-// NewReader returns a Reader on r.
-func NewReader(r io.Reader) *Reader {
+// newReader returns a Reader on r.
+func newReader(r io.Reader) *Reader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	return &Reader{sc: sc}
 }
 
-// Next decodes the next record, returning exactly one non-nil pointer among
+// next decodes the next record, returning exactly one non-nil pointer among
 // the three, or io.EOF at end of input.
-func (r *Reader) Next() (*Query, *Reply, *Pair, error) {
+func (r *Reader) next() (*Query, *Reply, *Pair, error) {
 	for r.sc.Scan() {
 		r.line++
 		raw := r.sc.Bytes()
@@ -102,9 +102,9 @@ func (r *Reader) Next() (*Query, *Reply, *Pair, error) {
 
 // ReadAll decodes an entire stream into its queries, replies, and pairs.
 func ReadAll(rd io.Reader) (qs []Query, rs []Reply, ps []Pair, err error) {
-	r := NewReader(rd)
+	r := newReader(rd)
 	for {
-		q, rp, p, err := r.Next()
+		q, rp, p, err := r.next()
 		if err == io.EOF {
 			return qs, rs, ps, nil
 		}

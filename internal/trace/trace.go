@@ -79,8 +79,7 @@ type Block []Pair
 // the returned block must not be retained across calls unless copied.
 // Consumers honor this by folding each block into derived state before the
 // next call: the core policies reduce blocks to pair-count deltas in
-// core.PairIndex rather than keeping the slices (only the extended
-// SlidingExt, whose interest-dimension rules need the raw pairs, copies).
+// core.PairIndex rather than keeping the slices.
 type Source interface {
 	// Next returns the next block and true, or nil and false at end.
 	Next() (Block, bool)

@@ -269,9 +269,6 @@ func New(cfg Config) *Generator {
 	return g
 }
 
-// Config returns the effective (defaulted) configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // sessionLength draws a fresh session: transient bounded-Pareto, or with
 // probability StableProb a long uniform "stable link" session.
 func (g *Generator) sessionLength() int64 {
@@ -373,7 +370,7 @@ func (g *Generator) emitQuery() (srcSlot int, q trace.Query) {
 		Time:     g.pairCounter,
 		Source:   n.id,
 		Interest: interest,
-		Text:     QueryText(interest),
+		Text:     queryText(interest),
 	}
 	g.nextGUID++
 	return srcSlot, q
@@ -412,9 +409,9 @@ func (g *Generator) NextPair() trace.Pair {
 	}
 }
 
-// Shock forcibly replaces frac of the neighbor slots and rotates every
+// shock forcibly replaces frac of the neighbor slots and rotates every
 // active provider — the mass-reorganization event ShockAtBlock schedules.
-func (g *Generator) Shock(frac float64) {
+func (g *Generator) shock(frac float64) {
 	n := int(frac * float64(len(g.neighbors)))
 	for _, slot := range stats.SampleWithoutReplacement(g.rng, len(g.neighbors), n) {
 		g.spawn(slot)
@@ -437,7 +434,7 @@ func (g *Generator) Next() (trace.Block, bool) {
 		if frac <= 0 {
 			frac = 0.8
 		}
-		g.Shock(frac)
+		g.shock(frac)
 	}
 	start := time.Now()
 	block := make(trace.Block, g.cfg.BlockSize)
@@ -479,8 +476,8 @@ func (g *Generator) GenerateRaw(nQueries int) ([]trace.Query, []trace.Reply) {
 	return queries, replies
 }
 
-// QueryText renders a deterministic keyword string for an interest
+// queryText renders a deterministic keyword string for an interest
 // category, standing in for the free-text query strings of the capture.
-func QueryText(interest trace.InterestID) string {
+func queryText(interest trace.InterestID) string {
 	return fmt.Sprintf("topic-%03d keywords", interest)
 }

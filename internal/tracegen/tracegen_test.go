@@ -99,7 +99,7 @@ func TestPairsWellFormed(t *testing.T) {
 		if p.Source == trace.NoHost || p.Replier == trace.NoHost {
 			t.Fatalf("pair with empty host: %+v", p)
 		}
-		if p.Interest < 0 || int(p.Interest) >= g.Config().Interests {
+		if p.Interest < 0 || int(p.Interest) >= g.cfg.Interests {
 			t.Fatalf("interest out of range: %+v", p)
 		}
 		if p.ReplyTime <= p.QueryTime {
@@ -237,7 +237,7 @@ func TestGenerateRawJoinable(t *testing.T) {
 
 func TestWithDefaultsFillsZeroes(t *testing.T) {
 	g := New(Config{Seed: 12, BlockSize: 100, TotalBlocks: 1})
-	cfg := g.Config()
+	cfg := g.cfg
 	if cfg.Neighbors == 0 || cfg.Interests == 0 || cfg.ProviderFidelity == 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
@@ -250,10 +250,10 @@ func TestWithDefaultsFillsZeroes(t *testing.T) {
 }
 
 func TestQueryTextStable(t *testing.T) {
-	if QueryText(3) != QueryText(3) {
+	if queryText(3) != queryText(3) {
 		t.Fatal("query text not deterministic")
 	}
-	if QueryText(3) == QueryText(4) {
+	if queryText(3) == queryText(4) {
 		t.Fatal("distinct interests share query text")
 	}
 }

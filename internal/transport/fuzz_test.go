@@ -16,21 +16,21 @@ import (
 
 func FuzzHello(f *testing.F) {
 	f.Add([]byte{})
-	if p, err := MarshalHello(3, "127.0.0.1:6346"); err == nil {
+	if p, err := marshalHello(3, "127.0.0.1:6346"); err == nil {
 		f.Add(p)
 	}
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 0, 'x'})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		id, addr, err := UnmarshalHello(data)
+		id, addr, err := unmarshalHello(data)
 		if err != nil {
 			return
 		}
-		out, err := MarshalHello(id, addr)
+		out, err := marshalHello(id, addr)
 		if err != nil {
 			t.Fatalf("re-marshal of parsed hello (%d, %q) failed: %v", id, addr, err)
 		}
-		id2, addr2, err := UnmarshalHello(out)
+		id2, addr2, err := unmarshalHello(out)
 		if err != nil || id2 != id || addr2 != addr {
 			t.Fatalf("hello roundtrip: (%d, %q, %v), want (%d, %q)", id2, addr2, err, id, addr)
 		}
@@ -59,7 +59,7 @@ func FuzzHandshake(f *testing.F) {
 			}
 		}()
 		_, _ = cli.Write([]byte("GNUTELLA CONNECT/0.4\n\n"))
-		p, _ := MarshalHello(id, addr)
+		p, _ := marshalHello(id, addr)
 		m := &wire.Message{ID: helloMagic, Type: wire.TypePing, TTL: 1, Payload: p}
 		_ = m.Encode(cli)
 		cli.Close()

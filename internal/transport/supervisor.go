@@ -26,11 +26,6 @@ import (
 // absorbs pongs without ever involving the Handler.
 var heartbeatMagic = wire.GUID{'A', 'R', 'Q', '-', 'T', 'R', 'A', 'N', 'S', 'P', 'O', 'R', 'T', '-', 'H', 'B'}
 
-// supervised is one desired-peer entry; closing stop retires it.
-type supervised struct {
-	stop chan struct{}
-}
-
 // Supervise dials addr and keeps it dialed: when the connection dies —
 // read timeout, write error, heartbeat miss budget, remote crash — the
 // supervisor redials with capped jittered exponential backoff
@@ -42,9 +37,8 @@ type supervised struct {
 // The initial dial is synchronous and NOT counted as a reconnect: its
 // error is returned and nothing is supervised, so a misconfigured addr
 // fails loudly instead of retrying forever. Supervising the same addr
-// twice is an error; use Unsupervise first.
+// twice is an error.
 func (t *Transport) Supervise(addr string) (*Conn, error) {
-	sp := &supervised{stop: make(chan struct{})}
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -54,7 +48,7 @@ func (t *Transport) Supervise(addr string) (*Conn, error) {
 		t.mu.Unlock()
 		return nil, fmt.Errorf("transport: %s already supervised", addr)
 	}
-	t.sup[addr] = sp
+	t.sup[addr] = struct{}{}
 	// Register with the WaitGroup while closed is known false: shutdown
 	// cannot be between its wg.Wait and a later Add.
 	t.wg.Add(1)
@@ -68,43 +62,16 @@ func (t *Transport) Supervise(addr string) (*Conn, error) {
 		t.wg.Done()
 		return nil, err
 	}
-	go t.superviseLoop(addr, sp, c)
+	go t.superviseLoop(addr, c)
 	return c, nil
 }
 
-// Unsupervise stops redialing addr. The current connection, if one is
-// up, stays open — this retires the intent, not the link.
-func (t *Transport) Unsupervise(addr string) {
-	t.mu.Lock()
-	sp, ok := t.sup[addr]
-	if ok {
-		delete(t.sup, addr)
-	}
-	t.mu.Unlock()
-	if ok {
-		close(sp.stop)
-	}
-}
-
-// Supervised returns the currently supervised peer addresses.
-func (t *Transport) Supervised() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.sup))
-	for a := range t.sup {
-		out = append(out, a)
-	}
-	return out
-}
-
-func (t *Transport) superviseLoop(addr string, sp *supervised, c *Conn) {
+func (t *Transport) superviseLoop(addr string, c *Conn) {
 	defer t.wg.Done()
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	for {
 		select {
 		case <-c.done:
-		case <-sp.stop:
-			return
 		case <-t.stop:
 			return
 		}
@@ -122,8 +89,6 @@ func (t *Transport) superviseLoop(addr string, sp *supervised, c *Conn) {
 			// restarted peer spreads out instead of thundering.
 			select {
 			case <-time.After(time.Duration(rng.Int63n(int64(backoff) + 1))):
-			case <-sp.stop:
-				return
 			case <-t.stop:
 				return
 			}
@@ -168,7 +133,7 @@ func (c *Conn) heartbeatLoop() {
 			misses++
 			mProbeMisses.Inc()
 			if misses >= c.t.opts.HeartbeatMisses {
-				c.Close()
+				c.close()
 				return
 			}
 		}

@@ -84,13 +84,13 @@ const (
 // Defaults applied by Listen for zero-valued Options fields.
 const (
 	DefaultOutboxCap       = 1024
-	DefaultSendWait        = 1 * time.Second
-	DefaultWriteWait       = 10 * time.Second
-	DefaultHandshakeWait   = 5 * time.Second
-	DefaultFaultDelayUnit  = 1 * time.Millisecond
-	DefaultHeartbeatMisses = 3
-	DefaultRedialBase      = 50 * time.Millisecond
-	DefaultRedialMax       = 2 * time.Second
+	defaultSendWait        = 1 * time.Second
+	defaultWriteWait       = 10 * time.Second
+	defaultHandshakeWait   = 5 * time.Second
+	defaultFaultDelayUnit  = 1 * time.Millisecond
+	defaultHeartbeatMisses = 3
+	defaultRedialBase      = 50 * time.Millisecond
+	defaultRedialMax       = 2 * time.Second
 )
 
 // Options configures a Transport. Handler is required; everything else
@@ -140,11 +140,11 @@ type Options struct {
 	// probing (dead peers are then caught by ReadIdle alone).
 	HeartbeatEvery time.Duration
 	// HeartbeatMisses is the unanswered-probe budget before a probed
-	// connection is closed (default DefaultHeartbeatMisses).
+	// connection is closed (default defaultHeartbeatMisses).
 	HeartbeatMisses int
 	// RedialBase and RedialMax bound the supervisor's capped jittered
 	// exponential backoff between redial attempts (defaults
-	// DefaultRedialBase / DefaultRedialMax). See Supervise.
+	// defaultRedialBase / defaultRedialMax). See Supervise.
 	RedialBase time.Duration
 	RedialMax  time.Duration
 }
@@ -155,25 +155,25 @@ func (o *Options) withDefaults() Options {
 		out.OutboxCap = DefaultOutboxCap
 	}
 	if out.SendWait <= 0 {
-		out.SendWait = DefaultSendWait
+		out.SendWait = defaultSendWait
 	}
 	if out.WriteWait <= 0 {
-		out.WriteWait = DefaultWriteWait
+		out.WriteWait = defaultWriteWait
 	}
 	if out.HandshakeWait <= 0 {
-		out.HandshakeWait = DefaultHandshakeWait
+		out.HandshakeWait = defaultHandshakeWait
 	}
 	if out.DelayUnit <= 0 {
-		out.DelayUnit = DefaultFaultDelayUnit
+		out.DelayUnit = defaultFaultDelayUnit
 	}
 	if out.HeartbeatMisses <= 0 {
-		out.HeartbeatMisses = DefaultHeartbeatMisses
+		out.HeartbeatMisses = defaultHeartbeatMisses
 	}
 	if out.RedialBase <= 0 {
-		out.RedialBase = DefaultRedialBase
+		out.RedialBase = defaultRedialBase
 	}
 	if out.RedialMax < out.RedialBase {
-		out.RedialMax = DefaultRedialMax
+		out.RedialMax = defaultRedialMax
 	}
 	return out
 }
@@ -188,7 +188,7 @@ type Transport struct {
 
 	mu     sync.Mutex
 	conns  map[*Conn]struct{}
-	sup    map[string]*supervised // desired peers by advertised listen addr
+	sup    map[string]struct{} // desired peers by advertised listen addr
 	closed bool
 }
 
@@ -207,7 +207,7 @@ func Listen(addr string, opts Options) (*Transport, error) {
 		ln:    ln,
 		stop:  make(chan struct{}),
 		conns: make(map[*Conn]struct{}),
-		sup:   make(map[string]*supervised),
+		sup:   make(map[string]struct{}),
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -216,9 +216,6 @@ func Listen(addr string, opts Options) (*Transport, error) {
 
 // Addr returns the listening address.
 func (t *Transport) Addr() string { return t.ln.Addr().String() }
-
-// NodeID returns the local node id.
-func (t *Transport) NodeID() int { return t.opts.NodeID }
 
 func (t *Transport) acceptLoop() {
 	defer t.wg.Done()
@@ -327,24 +324,6 @@ func (t *Transport) setupConn(nc net.Conn, initiator bool) (*Conn, error) {
 	return c, nil
 }
 
-// Conns returns a snapshot of the live connections.
-func (t *Transport) Conns() []*Conn {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Conn, 0, len(t.conns))
-	for c := range t.conns {
-		out = append(out, c)
-	}
-	return out
-}
-
-// NumConns reports the live connection count.
-func (t *Transport) NumConns() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.conns)
-}
-
 // Close tears the transport down abruptly: the listener closes, every
 // connection's queued frames are discarded, sockets close, and Close
 // waits for every loop goroutine to exit.
@@ -380,7 +359,7 @@ func (t *Transport) shutdown(drain time.Duration) {
 		}
 	}
 	for _, c := range conns {
-		c.Close()
+		c.close()
 	}
 	t.wg.Wait()
 }
@@ -415,14 +394,6 @@ type Conn struct {
 
 // PeerID returns the node id the peer announced in its hello.
 func (c *Conn) PeerID() int { return c.peerID }
-
-// PeerListenAddr returns the listen address the peer announced, i.e.
-// the address a third process could dial to reach it (the socket's own
-// remote address is an ephemeral port).
-func (c *Conn) PeerListenAddr() string { return c.peerAddr }
-
-// RemoteAddr returns the socket's remote address.
-func (c *Conn) RemoteAddr() string { return c.nc.RemoteAddr().String() }
 
 // Send queues m for transmission and reports whether it was accepted.
 // It never touches the socket: a full outbox resolves by the configured
@@ -487,7 +458,7 @@ func (c *Conn) enqueue(f outFrame) bool {
 
 func (c *Conn) readLoop() {
 	defer c.t.wg.Done()
-	defer c.Close()
+	defer c.close()
 	br := bufio.NewReader(c.nc)
 	for {
 		if idle := c.t.opts.ReadIdle; idle > 0 {
@@ -550,7 +521,7 @@ func (c *Conn) writeLoop() {
 		mWriteErrs.Add(n)
 		broken = true
 		pending, pendingBytes = 0, 0
-		c.Close()
+		c.close()
 	}
 	flush := func() {
 		if err := bw.Flush(); err != nil {
@@ -604,18 +575,10 @@ func (c *Conn) awaitWriter(deadline time.Time) {
 	}
 }
 
-// CloseDrain gives the write loop up to d to flush queued frames, then
-// closes.
-func (c *Conn) CloseDrain(d time.Duration) {
-	c.beginDrain()
-	c.awaitWriter(time.Now().Add(d))
-	c.Close()
-}
-
-// Close tears the connection down abruptly: queued frames are
+// close tears the connection down abruptly: queued frames are
 // discarded (counted by transport.close_discards), the socket closes,
 // and both loops exit. Safe to call from any goroutine, repeatedly.
-func (c *Conn) Close() {
+func (c *Conn) close() {
 	c.closeOnce.Do(func() {
 		if n := c.out.CloseDiscard(); n > 0 {
 			mDiscards.Add(int64(n))
@@ -638,13 +601,13 @@ func (c *Conn) Close() {
 // the wire handshake but not the transport hello is rejected here.
 var helloMagic = wire.GUID{'A', 'R', 'Q', '-', 'T', 'R', 'A', 'N', 'S', 'P', 'O', 'R', 'T', '-', 'H', 'I'}
 
-// MaxHelloAddr bounds the advertised listen address in a hello frame.
-const MaxHelloAddr = 256
+// maxHelloAddr bounds the advertised listen address in a hello frame.
+const maxHelloAddr = 256
 
-// MarshalHello renders a hello payload: node id plus advertised listen
+// marshalHello renders a hello payload: node id plus advertised listen
 // address.
-func MarshalHello(nodeID int, addr string) ([]byte, error) {
-	if len(addr) > MaxHelloAddr {
+func marshalHello(nodeID int, addr string) ([]byte, error) {
+	if len(addr) > maxHelloAddr {
 		return nil, fmt.Errorf("transport: hello addr %d bytes long", len(addr))
 	}
 	out := make([]byte, 6+len(addr))
@@ -658,13 +621,13 @@ func MarshalHello(nodeID int, addr string) ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalHello parses a hello payload.
-func UnmarshalHello(p []byte) (nodeID int, addr string, err error) {
+// unmarshalHello parses a hello payload.
+func unmarshalHello(p []byte) (nodeID int, addr string, err error) {
 	if len(p) < 6 {
 		return 0, "", errors.New("transport: hello payload too short")
 	}
 	n := int(p[4]) | int(p[5])<<8
-	if n > MaxHelloAddr {
+	if n > maxHelloAddr {
 		return 0, "", errors.New("transport: hello addr too long")
 	}
 	if len(p) != 6+n {
@@ -675,7 +638,7 @@ func UnmarshalHello(p []byte) (nodeID int, addr string, err error) {
 }
 
 func writeHello(nc net.Conn, nodeID int, addr string) error {
-	payload, err := MarshalHello(nodeID, addr)
+	payload, err := marshalHello(nodeID, addr)
 	if err != nil {
 		return err
 	}
@@ -693,5 +656,5 @@ func readHello(nc net.Conn) (int, string, error) {
 	if m.ID != helloMagic || m.Type != wire.TypePing {
 		return 0, "", errors.New("transport: peer did not send hello")
 	}
-	return UnmarshalHello(m.Payload)
+	return unmarshalHello(m.Payload)
 }

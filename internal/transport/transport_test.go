@@ -72,13 +72,13 @@ func TestDialHelloAndFrames(t *testing.T) {
 	if c.PeerID() != 2 {
 		t.Fatalf("peer id = %d, want 2", c.PeerID())
 	}
-	if c.PeerListenAddr() != b.Addr() {
-		t.Fatalf("peer listen addr = %q, want %q", c.PeerListenAddr(), b.Addr())
+	if c.peerAddr != b.Addr() {
+		t.Fatalf("peer listen addr = %q, want %q", c.peerAddr, b.Addr())
 	}
 	waitFor(t, 2*time.Second, func() bool { return b.NumConns() == 1 }, "accept registration")
 	bc := b.Conns()[0]
-	if bc.PeerID() != 1 || bc.PeerListenAddr() != a.Addr() {
-		t.Fatalf("acceptor saw peer %d @ %q", bc.PeerID(), bc.PeerListenAddr())
+	if bc.PeerID() != 1 || bc.peerAddr != a.Addr() {
+		t.Fatalf("acceptor saw peer %d @ %q", bc.PeerID(), bc.peerAddr)
 	}
 	for i := 0; i < 20; i++ {
 		if !c.Send(queryMsg(byte(i))) {
@@ -234,19 +234,45 @@ func TestHelloRoundtrip(t *testing.T) {
 		id   int
 		addr string
 	}{{0, ""}, {7, "127.0.0.1:6346"}, {-3, "x"}, {1 << 20, "host:1"}} {
-		p, err := MarshalHello(tc.id, tc.addr)
+		p, err := marshalHello(tc.id, tc.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, addr, err := UnmarshalHello(p)
+		id, addr, err := unmarshalHello(p)
 		if err != nil || id != tc.id || addr != tc.addr {
 			t.Fatalf("roundtrip(%d, %q) = %d, %q, %v", tc.id, tc.addr, id, addr, err)
 		}
 	}
-	if _, _, err := UnmarshalHello([]byte{1, 2, 3}); err == nil {
+	if _, _, err := unmarshalHello([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short hello parsed")
 	}
-	if _, _, err := UnmarshalHello(append([]byte{0, 0, 0, 0, 5, 0}, 'a')); err == nil {
+	if _, _, err := unmarshalHello(append([]byte{0, 0, 0, 0, 5, 0}, 'a')); err == nil {
 		t.Fatal("length mismatch parsed")
 	}
+}
+
+// Conns returns a snapshot of the live connections.
+func (t *Transport) Conns() []*Conn {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]*Conn, 0, len(t.conns))
+	for c := range t.conns {
+		out = append(out, c)
+	}
+	return out
+}
+
+// NumConns reports the live connection count.
+func (t *Transport) NumConns() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.conns)
+}
+
+// CloseDrain gives the write loop up to d to flush queued frames, then
+// closes.
+func (c *Conn) CloseDrain(d time.Duration) {
+	c.beginDrain()
+	c.awaitWriter(time.Now().Add(d))
+	c.close()
 }

@@ -28,8 +28,8 @@ var (
 
 // Defaults for zero-valued CheckpointConfig fields.
 const (
-	DefaultCheckpointEvery    = 16
-	DefaultCheckpointDiscount = 0.5
+	defaultCheckpointEvery    = 16
+	defaultCheckpointDiscount = 0.5
 )
 
 // checkpointFile is the snapshot file name inside CheckpointConfig.Dir.
@@ -43,19 +43,19 @@ type CheckpointConfig struct {
 	// EveryVersions is the publish cadence: a checkpoint is written in
 	// the background whenever the published snapshot version has
 	// advanced by at least this much since the last one (default
-	// DefaultCheckpointEvery). Close always writes a final checkpoint.
+	// defaultCheckpointEvery). Close always writes a final checkpoint.
 	EveryVersions uint64
 	// Discount scales restored supports on WarmStart (default
-	// DefaultCheckpointDiscount; see core.Publisher.Restore).
+	// defaultCheckpointDiscount; see core.Learner.Restore).
 	Discount float64
 }
 
 func (c CheckpointConfig) withDefaults() CheckpointConfig {
 	if c.EveryVersions == 0 {
-		c.EveryVersions = DefaultCheckpointEvery
+		c.EveryVersions = defaultCheckpointEvery
 	}
 	if c.Discount <= 0 || c.Discount > 1 {
-		c.Discount = DefaultCheckpointDiscount
+		c.Discount = defaultCheckpointDiscount
 	}
 	return c
 }
@@ -104,18 +104,11 @@ func (s *Servent) maybeCheckpoint() {
 	}()
 }
 
-// WriteCheckpoint persists the current published rule snapshot, remapped
+// writeCheckpoint persists the current published rule snapshot, remapped
 // from connection ids to peer node ids, to Dir/rules.ckpt (written to a
 // temp file and renamed, so a crash mid-write never corrupts the
 // previous checkpoint). Rules whose connection is gone are dropped —
 // they could not be remapped onto a future incarnation anyway.
-func (s *Servent) WriteCheckpoint() error {
-	if s.ckpt == nil || s.rules == nil {
-		return errors.New("vantage: checkpointing not configured")
-	}
-	return s.writeCheckpoint()
-}
-
 func (s *Servent) writeCheckpoint() error {
 	view := s.rules.learner.View()
 	s.mu.Lock()

@@ -174,7 +174,7 @@ func TestWarmStartConcurrentWithObserve(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	if err := s.WriteCheckpoint(); err != nil {
+	if err := s.writeCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
 	const observes, restores = 4000, 100

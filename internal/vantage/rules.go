@@ -251,12 +251,3 @@ func (r *ruleServer) filter(upstreamConn int, targets []*peerConn) []*peerConn {
 	mRuleRouted.Inc()
 	return out
 }
-
-// RuleCount reports the number of rules in the current published
-// snapshot.
-func (s *Servent) RuleCount() int {
-	if s.rules == nil {
-		return 0
-	}
-	return s.rules.learner.View().Len()
-}

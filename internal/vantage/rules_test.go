@@ -134,3 +134,12 @@ func TestRulesConcurrentSearches(t *testing.T) {
 		t.Fatal("hub learned nothing from the concurrent workload")
 	}
 }
+
+// RuleCount reports the number of rules in the current published
+// snapshot.
+func (s *Servent) RuleCount() int {
+	if s.rules == nil {
+		return 0
+	}
+	return s.rules.learner.View().Len()
+}

@@ -142,10 +142,12 @@ func TestCaptureRecordsRelayedTraffic(t *testing.T) {
 	if rules.Len() != 1 {
 		t.Fatalf("rules mined from live capture = %d, want 1", rules.Len())
 	}
-	src := rules.Antecedents()[0]
-	if got := rules.Consequents(src, 1); len(got) != 1 {
-		t.Fatalf("consequents = %v", got)
-	}
+	rules.Range(func(k core.PairKey, support float64) bool {
+		if got := rules.Consequents(k.Source(), 1); support != 5 || len(got) != 1 || got[0] != k.Replier() {
+			t.Fatalf("support %v, consequents = %v", support, got)
+		}
+		return true
+	})
 }
 
 func TestDuplicateSuppressionInRelay(t *testing.T) {

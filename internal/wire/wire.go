@@ -7,7 +7,6 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -19,7 +18,6 @@ import (
 const (
 	TypePing     byte = 0x00
 	TypePong     byte = 0x01
-	TypePush     byte = 0x40
 	TypeQuery    byte = 0x80
 	TypeQueryHit byte = 0x81
 )
@@ -35,9 +33,9 @@ const headerLen = 23
 // transports that account wire bytes per frame.
 const HeaderLen = headerLen
 
-// MaxPayload bounds accepted payloads; real servents enforced similar
+// maxPayload bounds accepted payloads; real servents enforced similar
 // limits to survive malformed peers.
-const MaxPayload = 64 * 1024
+const maxPayload = 64 * 1024
 
 // Message is one Gnutella descriptor: header plus raw payload.
 type Message struct {
@@ -48,16 +46,16 @@ type Message struct {
 	Payload []byte
 }
 
-// ErrTooLarge reports a payload length beyond MaxPayload.
-var ErrTooLarge = errors.New("wire: payload too large")
+// errTooLarge reports a payload length beyond maxPayload.
+var errTooLarge = errors.New("wire: payload too large")
 
 // WireSize returns the encoded size of the descriptor in bytes.
 func (m *Message) WireSize() int { return headerLen + len(m.Payload) }
 
 // Encode writes the descriptor to w in wire format.
 func (m *Message) Encode(w io.Writer) error {
-	if len(m.Payload) > MaxPayload {
-		return ErrTooLarge
+	if len(m.Payload) > maxPayload {
+		return errTooLarge
 	}
 	var hdr [headerLen]byte
 	copy(hdr[:16], m.ID[:])
@@ -79,8 +77,8 @@ func Decode(r io.Reader) (*Message, error) {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[19:])
-	if n > MaxPayload {
-		return nil, ErrTooLarge
+	if n > maxPayload {
+		return nil, errTooLarge
 	}
 	m := &Message{Type: hdr[16], TTL: hdr[17], Hops: hdr[18]}
 	copy(m.ID[:], hdr[:16])
@@ -300,22 +298,4 @@ func expect(r io.Reader, want string) error {
 		return fmt.Errorf("wire: bad handshake %q", buf)
 	}
 	return nil
-}
-
-// ReadLoop decodes descriptors from r until error or EOF, invoking handle
-// for each. It returns nil on clean EOF.
-func ReadLoop(r io.Reader, handle func(*Message) error) error {
-	br := bufio.NewReader(r)
-	for {
-		m, err := Decode(br)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := handle(m); err != nil {
-			return err
-		}
-	}
 }

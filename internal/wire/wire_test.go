@@ -29,8 +29,8 @@ func TestMessageRoundTrip(t *testing.T) {
 
 func TestMessageRoundTripQuick(t *testing.T) {
 	f := func(id [16]byte, typ, ttl, hops byte, payload []byte) bool {
-		if len(payload) > MaxPayload {
-			payload = payload[:MaxPayload]
+		if len(payload) > maxPayload {
+			payload = payload[:maxPayload]
 		}
 		m := &Message{ID: GUID(id), Type: typ, TTL: ttl, Hops: hops, Payload: payload}
 		var buf bytes.Buffer
@@ -56,7 +56,7 @@ func TestDecodeRejectsOversizedPayload(t *testing.T) {
 	hdr[21] = 0xFF
 	hdr[22] = 0x7F
 	_, err := Decode(bytes.NewReader(hdr[:]))
-	if err != ErrTooLarge {
+	if err != errTooLarge {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -264,25 +264,5 @@ func TestHandshakeRejectsGarbage(t *testing.T) {
 	}{&client, &server}
 	if err := ServerHandshake(rw); err == nil {
 		t.Fatal("garbage handshake accepted")
-	}
-}
-
-func TestReadLoopCleanEOF(t *testing.T) {
-	var buf bytes.Buffer
-	for i := 0; i < 3; i++ {
-		m := &Message{Type: TypePing, TTL: 1}
-		m.ID[0] = byte(i)
-		_ = m.Encode(&buf)
-	}
-	var seen []byte
-	err := ReadLoop(&buf, func(m *Message) error {
-		seen = append(seen, m.ID[0])
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 3 || seen[0] != 0 || seen[2] != 2 {
-		t.Fatalf("seen = %v", seen)
 	}
 }
