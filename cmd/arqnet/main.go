@@ -102,9 +102,9 @@ func main() {
 
 // runChaos drives the seeded chaos soak (internal/chaos): clean /
 // faulted / republished phases on the association-routing overlay, with
-// and without the staleness fallback, plus the deterministic DropRing
-// shed drill and the process-recovery A/B (no restart vs cold vs warm
-// restart from codec-round-tripped rule snapshots). The output carries
+// and without the staleness fallback, plus the process-recovery A/B (no
+// restart vs cold vs warm restart from codec-round-tripped rule
+// snapshots). The output carries
 // no timings and no map-ordered iteration, so identical flags print
 // identical bytes — CI runs this twice and diffs (the chaos-smoke job).
 func runChaos() {

@@ -79,10 +79,9 @@ func runListen() {
 	if n < 2 {
 		n = 2
 	}
-	rules := vantage.DefaultRuleConfig()
 	s, err := vantage.Listen(*listenAddr, vantage.Options{
-		Rules: &rules,
-		Net:   &transport.Options{NodeID: *nodeID, Shed: transport.ShedDeadline},
+		Rules: true,
+		Net:   &transport.Options{NodeID: *nodeID},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arqnet:", err)

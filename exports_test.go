@@ -1,11 +1,12 @@
 package arq
 
 // The dead-weight guard (ROADMAP 13): internal/ exports nothing that only
-// its own tests call, except what testOnly lists with a reason, and what
-// earlier PRs deleted stays deleted. It type-checks every non-test file of
-// the module once (go/types; the standard library from GOROOT source, so
-// no network and no build cache is needed) and looks at who refers to
-// what.
+// its own tests call, and the option structs of optionStructs have no
+// field that only tests set, except what testOnly lists with a reason, and
+// what earlier PRs deleted stays deleted. It type-checks every non-test
+// file of the module once (go/types; the standard library from GOROOT
+// source, so no network and no build cache is needed) and looks at who
+// refers to what.
 
 import (
 	"fmt"
@@ -23,11 +24,12 @@ import (
 	"testing"
 )
 
-// testOnly is every exported name under internal/ that no non-test code
-// outside its package refers to, and why it is exported all the same. A
-// name listed here that such code does refer to fails the check too: the
-// list is also the promise that these stay out of the programs (the
-// oracle engine above all).
+// testOnly is every exported name under internal/ (dir.Func,
+// dir.Type.Method, dir.Type.Field) that no non-test code outside its
+// package refers to, and why it is exported all the same. A name listed
+// here that such code does refer to fails the check too: the list is also
+// the promise that these stay out of the programs (the oracle engine
+// above all).
 var testOnly = map[string]string{
 	// The oracle and the codecs only a fuzzer decodes.
 	"internal/peer.NewEngine":      "test oracle: the sequential engine that flat.Engine's goldens and the scenario, sim and chaos tests compare against; no program may build one",
@@ -43,8 +45,30 @@ var testOnly = map[string]string{
 	"internal/scenario.ClusterPlan.Owners":    "test observer: cluster's content-plan test checks every topic's two owners",
 	"internal/stats.Summary.N":                "test observer: sim's tests count a result's samples",
 	"internal/stream.CountTable.Len":          "test observer: core's window tests count an index's tracked pairs",
-	"internal/stream.DropRing.Len":            "test observer: vantage's queue tests read the learn queue's depth",
+	// Option fields and enum values no program sets. The timing and fault
+	// seams stay fields until ROADMAP 1's core takes a clock and a network
+	// as arguments; every program runs their defaults.
+	"internal/transport.Options.SendWait":        "timing seam: tests shorten the wait on a full outbox (1 ns never waits)",
+	"internal/transport.Options.WriteWait":       "timing seam: the stalled-peer and killed-peer tests shorten the write deadline",
+	"internal/transport.Options.HandshakeWait":   "timing seam: the stalled-handshake test gives up after 100 ms",
+	"internal/transport.Options.DelayUnit":       "timing seam: the delay-fault test states the step it times",
+	"internal/transport.Options.HeartbeatMisses": "timing seam: the heartbeat test declares a silent peer dead after two misses",
+	"internal/transport.Options.RedialBase":      "timing seam: the teardown test redials every 10 ms",
+	"internal/transport.Options.OutboxCap":       "test seam: outboxes of 4 to 512 frames make the shed, drain and stall tests fill one; programs run DefaultOutboxCap",
+	"internal/transport.Options.Fault":           "fault seam: transport's and vantage's tests install an injector at the socket boundary",
+	"internal/vantage.Options.Fault":             "fault seam: vantage's fault tests drop, duplicate and corrupt inbound frames",
+	"internal/vantage.CheckpointConfig.Discount": "test seam: the restart test states the discount its supports are checked against; programs run the default 0.5",
+	"internal/routing.AssocConfig.Floor":         "set by DefaultAssocConfig only; routing's eviction tests vary it",
+	"internal/core.PublisherConfig.MinSupport":   "a Learner fills it from its Threshold; core's publisher tests set it apart from the index threshold",
+	"internal/core.PublishSync":                  "the zero PublishPolicy, which every program runs and so none names",
 	// Tested, and nothing calls it yet: the next sweep's list (ROADMAP 13).
+	"internal/content.RoleBystander":   "no caller: the model assigns roles itself; content's and scenario's tests compare Model.Role with it",
+	"internal/content.RoleClient":      "no caller: as RoleBystander",
+	"internal/content.RoleHub":         "no caller: as RoleBystander",
+	"internal/content.RoleProvider":    "no caller: as RoleBystander",
+	"internal/peer.StopAbsorb":         "no caller: the zero StopRule; flat's golden test names it",
+	"internal/scenario.EventChurn":     "no caller: the zero EventKind; scenario's own catalogue and its golden test name it",
+	"internal/scenario.EventShock":     "no caller: no scenario in the catalogue schedules a shock",
 	"internal/content.FileName":        "no caller: display name of a category, kept with its test",
 	"internal/fault.NewPartition":      "no caller: the partition injector runs in fault's and transport's tests only",
 	"internal/obsv.Histogram.Quantile": "no caller: bucket-interpolated quantile; snapshots carry the buckets",
@@ -67,12 +91,27 @@ var staysDeleted = struct {
 		"internal/db":     {"NewTable", "MustTable", "EquiJoin"}, // PR 18
 		"internal/stream": {"FlatCountTable", "NewCountTable"},   // PR 14, 20, 21: one count store
 		"internal/core": {"Wide", "Merge", "Diff", "ShardedPairIndex", "ObsBatch", // PR 14, 18
-			"ExtRuleSet", "GenerateExtRuleSet", "SlidingExt", "GenOptions", "RuleView", "EvaluateBlock", "Rule"}, // PR 23: one rule table
+			"ExtRuleSet", "GenerateExtRuleSet", "SlidingExt", "GenOptions", "RuleView", "EvaluateBlock", "Rule", // PR 23: one rule table
+			"PublishOnChange"}, // PR 24: one servent configuration
+		"internal/vantage":   {"RuleConfig", "DefaultRuleConfig"},                        // PR 24
+		"internal/transport": {"ShedPolicy", "ShedOldest", "ShedNewest", "ShedDeadline"}, // PR 24
 	},
 	paths: []string{
 		"internal/report", "cmd/arqcheck", "BENCH_baseline.json", "BENCH_scale.json", // PR 16: one read-out per job
 		"internal/assoc", "internal/core/extend.go", // PR 23
+		"internal/chaos/drill.go", // PR 24
 	},
+}
+
+// optionStructs are the configuration structs whose exported fields are
+// held to the same rule as functions: a field no program sets or reads is
+// an option nothing runs with. The live stack's and the learn plane's so
+// far; the simulator-side structs are the next sweep (ROADMAP 13).
+var optionStructs = map[string][]string{
+	"internal/transport": {"Options"},
+	"internal/vantage":   {"Options", "CheckpointConfig"},
+	"internal/routing":   {"AssocConfig"},
+	"internal/core":      {"LearnerConfig", "PublisherConfig"},
 }
 
 // mapFree are the structs that stay on flat arrays (the measurements are
@@ -174,14 +213,16 @@ func (m *module) name(obj types.Object) string {
 	return s + obj.Name()
 }
 
-// exports returns, sorted, the exported funcs, methods, consts and
-// vars of the packages under internal/ that no non-test code outside their
+// exports returns, sorted, the exported funcs, methods, consts and vars of
+// the packages under internal/, and the exported fields of the structs
+// options names by package directory, that no non-test code outside their
 // own package refers to, and separately those it does refer to. A method
 // also counts as referred to when its type satisfies an interface that
 // asks for it (fmt.Stringer, peer.Router: calls through the interface name
-// the interface's method, not the type's). Types are not listed: a type is
-// used when any member of it is.
-func (m *module) exports() (unused, used []string) {
+// the interface's method, not the type's). A field is referred to by a
+// composite-literal key, an assignment or a read. Types are not listed: a
+// type is used when any member of it is.
+func (m *module) exports(options map[string][]string) (unused, used []string) {
 	referred := map[types.Object]bool{}
 	var ifaces []*types.Interface
 	seen := map[*types.Package]bool{}
@@ -236,35 +277,37 @@ func (m *module) exports() (unused, used []string) {
 		if !strings.HasPrefix(pkg.Path(), m.path+"/internal/") {
 			continue
 		}
-		var objs []types.Object
+		dir := strings.TrimPrefix(pkg.Path(), m.path+"/")
+		objs := map[string]types.Object{}
 		for _, n := range pkg.Scope().Names() {
 			switch obj := pkg.Scope().Lookup(n).(type) {
-			case *types.Func:
-				objs = append(objs, obj)
-			case *types.Const, *types.Var:
-				// A value of one of the package's own types (RoleHub,
-				// PublishSync) is a member of that type.
-				if named, ok := obj.Type().(*types.Named); !ok || named.Obj().Pkg() != pkg {
-					objs = append(objs, obj)
-				}
+			case *types.Func, *types.Const, *types.Var:
+				objs[m.name(obj)] = obj
 			case *types.TypeName:
-				if named, ok := obj.Type().(*types.Named); ok && !obj.IsAlias() {
-					for i := 0; i < named.NumMethods(); i++ {
-						if fn := named.Method(i); !viaInterface(named, fn.Name()) {
-							objs = append(objs, fn)
-						}
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() {
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					if fn := named.Method(i); !viaInterface(named, fn.Name()) {
+						objs[m.name(fn)] = fn
+					}
+				}
+				if st, ok := named.Underlying().(*types.Struct); ok && slices.Contains(options[dir], n) {
+					for i := 0; i < st.NumFields(); i++ {
+						objs[m.name(obj)+"."+st.Field(i).Name()] = st.Field(i)
 					}
 				}
 			}
 		}
-		for _, obj := range objs {
+		for name, obj := range objs {
 			if !obj.Exported() {
 				continue
 			}
 			if referred[obj] {
-				used = append(used, m.name(obj))
+				used = append(used, name)
 			} else {
-				unused = append(unused, m.name(obj))
+				unused = append(unused, name)
 			}
 		}
 	}
@@ -278,7 +321,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unused, used := m.exports()
+	unused, used := m.exports(optionStructs)
 	for _, name := range unused {
 		if testOnly[name] == "" {
 			t.Errorf("%s is exported, and nothing outside its package but tests refers to it: delete it, unexport it, move it into the _test.go that needs it, or list it in testOnly with the reason", name)
@@ -319,18 +362,19 @@ func TestNoTestOnlyExports(t *testing.T) {
 }
 
 // The check checks: a module with a dead func, a dead method, a dead
-// const and a dead var beside a live one of each, a method called only
-// through an interface, and a fmt.Stringer.
+// const, a dead var, a dead enum value and an unset option field beside a
+// live one of each, a method called only through an interface, and a
+// fmt.Stringer.
 func TestNoTestOnlyExportsFixture(t *testing.T) {
 	m, err := loadModule(filepath.Join("testdata", "exportsfixture"), "fix")
 	if err != nil {
 		t.Fatal(err)
 	}
-	unused, used := m.exports()
-	if want := []string{"internal/a.Dead", "internal/a.DeadConst", "internal/a.DeadVar", "internal/a.T.Dead", "internal/a.hidden.Gone"}; !slices.Equal(unused, want) {
+	unused, used := m.exports(map[string][]string{"internal/a": {"Config"}})
+	if want := []string{"internal/a.Config.Unset", "internal/a.Dead", "internal/a.DeadConst", "internal/a.DeadVar", "internal/a.ModeDead", "internal/a.T.Dead", "internal/a.hidden.Gone"}; !slices.Equal(unused, want) {
 		t.Errorf("unused exports of the fixture = %v, want %v", unused, want)
 	}
-	if want := []string{"internal/a.Live", "internal/a.LiveConst", "internal/a.LiveVar", "internal/a.New", "internal/a.T.Live", "internal/a.hidden.Shown"}; !slices.Equal(used, want) {
+	if want := []string{"internal/a.Config.Set", "internal/a.Live", "internal/a.LiveConst", "internal/a.LiveVar", "internal/a.ModeLive", "internal/a.New", "internal/a.T.Live", "internal/a.hidden.Shown"}; !slices.Equal(used, want) {
 		t.Errorf("used exports of the fixture = %v, want %v", used, want)
 	}
 }

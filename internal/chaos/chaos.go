@@ -236,18 +236,13 @@ func (r *Result) format() string {
 	return b.String()
 }
 
-// Report runs the whole drill `arqnet -chaos` prints — the soak, the
-// DropRing shed drill, and the process-recovery A/B at the soak's seed,
-// size, warm-up and TTL — writing each part to w as it completes. The
-// bytes are a pure function of cfg; testdata/soak_golden.txt freezes
-// them for one config.
+// Report runs the whole drill `arqnet -chaos` prints — the soak and the
+// process-recovery A/B at the soak's seed, size, warm-up and TTL —
+// writing each part to w as it completes. The bytes are a pure function
+// of cfg; testdata/soak_golden.txt freezes them for one config.
 func Report(w io.Writer, cfg Config) error {
 	res := Soak(cfg)
 	fmt.Fprint(w, res.format())
-	fmt.Fprintln(w, "shed drill:")
-	for _, d := range shedDrill(cfg.Seed, 4096) {
-		fmt.Fprintf(w, "  %-40s %+d\n", d.Name, d.Delta)
-	}
 	rec, err := RunRecovery(RecoveryConfig{Seed: cfg.Seed, Nodes: cfg.Nodes, Warm: cfg.Warm, TTL: cfg.TTL})
 	if err != nil {
 		return err

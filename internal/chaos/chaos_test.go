@@ -3,7 +3,6 @@ package chaos
 import (
 	"bytes"
 	"os"
-	"reflect"
 	"testing"
 )
 
@@ -72,32 +71,6 @@ func TestSoakFallbackRecoversSuccess(t *testing.T) {
 	if repub.RuleShare <= faulted.RuleShare {
 		t.Fatalf("republishing did not restore rule routing: α %.4f -> %.4f",
 			faulted.RuleShare, repub.RuleShare)
-	}
-}
-
-// The shed drill is deterministic and actually exercises every shedding
-// policy.
-func TestShedDrillDeterministic(t *testing.T) {
-	a := shedDrill(7, 4096)
-	b := shedDrill(7, 4096)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("drill diverged:\n%v\n%v", a, b)
-	}
-	want := map[string]bool{
-		"chaos.drill.evictions":        false,
-		"chaos.drill.rejects":          false,
-		"chaos.drill.deadline_rejects": false,
-		"chaos.drill.pops":             false,
-	}
-	for _, d := range a {
-		if _, tracked := want[d.Name]; tracked && d.Delta > 0 {
-			want[d.Name] = true
-		}
-	}
-	for name, hit := range want {
-		if !hit {
-			t.Fatalf("drill never exercised %s", name)
-		}
 	}
 }
 

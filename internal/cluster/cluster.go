@@ -64,9 +64,6 @@ type NodeConfig struct {
 	Seed    int64  `json:"seed"`
 	// QueryTimeoutMS bounds one query's wait for its first hit.
 	QueryTimeoutMS int `json:"query_timeout_ms"`
-	// OutboxCap bounds each connection's outbound queue (0 = transport
-	// default).
-	OutboxCap int `json:"outbox_cap"`
 	// FreeRiderFrac marks that fraction of nodes as sharing nothing
 	// (scenario.ClusterPlan.FreeRider); 0 is the historical cluster.
 	FreeRiderFrac float64 `json:"free_rider_frac,omitempty"`
@@ -257,18 +254,15 @@ func runNode(cfg NodeConfig) error {
 	}
 	g0 := runtime.NumGoroutine()
 	deadline := time.Now().Add(90 * time.Second)
-	rules := vantage.DefaultRuleConfig()
 	listenAddr := "127.0.0.1:0"
 	if cfg.ListenAddr != "" {
 		listenAddr = cfg.ListenAddr
 	}
 	opts := vantage.Options{
-		Rules: &rules,
+		Rules: true,
 		Net: &transport.Options{
-			NodeID:    cfg.ID,
-			OutboxCap: cfg.OutboxCap,
-			Shed:      transport.ShedDeadline,
-			ReadIdle:  30 * time.Second,
+			NodeID:   cfg.ID,
+			ReadIdle: 30 * time.Second,
 			// Liveness probing catches a silently dead peer in ~2s —
 			// detection, not the 30s idle reap, wakes the supervisor.
 			HeartbeatEvery: 500 * time.Millisecond,

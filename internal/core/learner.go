@@ -32,6 +32,14 @@ type LearnerConfig struct {
 	Publish PublisherConfig
 }
 
+// DefaultLearnerConfig returns the learning constants every deployment
+// runs, the simulator's routers and the live servent alike: a pair is a
+// rule at decayed support 2, supports halve every 64 observations, a pair
+// below 0.25 is forgotten, and every observation publishes.
+func DefaultLearnerConfig() LearnerConfig {
+	return LearnerConfig{Threshold: 2, Decay: 0.5, DecayEvery: 64, Floor: 0.25}
+}
+
 // repair validates c and fills its defaults in place; a second call
 // changes nothing.
 func (c *LearnerConfig) repair() {
@@ -136,6 +144,6 @@ func (l *Learner) Version() uint64 { return l.pub.view().version }
 // Lag returns the observations absorbed since the last publish.
 func (l *Learner) Lag() int64 { return l.pub.lag() }
 
-// Stale reports whether the served snapshot breaches a staleness bound
+// Stale reports whether the served snapshot breaches the staleness bound
 // of LearnerConfig.Publish; see Publisher.stale.
 func (l *Learner) Stale() bool { return l.pub.stale() }

@@ -35,7 +35,6 @@ func TestLearnerMatchesRebuild(t *testing.T) {
 		decayEvery int
 	}{
 		{"sync", PublishSync, 64},
-		{"onchange", PublishOnChange, 64},
 		{"epoch", PublishEpoch, 64},
 		{"sync-nodecay", PublishSync, 0},
 	}
@@ -200,7 +199,7 @@ func FuzzLearnerServe(f *testing.F) {
 		}
 		for _, k := range kept {
 			now, then := k.snap, k.then
-			if now.version != then.version || now.at != then.at || now.mono != then.mono || !slices.Equal(now.rules, then.rules) {
+			if now.version != then.version || !slices.Equal(now.rules, then.rules) {
 				t.Fatalf("snapshot v%d changed after it was published: %v, held %v", then.version, now.rules, then.rules)
 			}
 		}

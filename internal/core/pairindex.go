@@ -60,14 +60,10 @@ type PairIndex struct {
 	// Decay-mode bookkeeping: threshold > 0 enables it. activeBySrc
 	// tracks, per antecedent, how many consequents are at or above the
 	// threshold, so covers is a single lookup instead of an inner-map
-	// scan. active is the total active-rule count. crossings counts every
-	// activation-set change monotonically, so a snapshot publisher can
-	// detect "the rule set itself changed" with one comparison
-	// (PublishOnChange).
+	// scan. active is the total active-rule count.
 	threshold   float64
 	activeBySrc stream.CountTable[trace.HostID]
 	active      int
-	crossings   uint64
 }
 
 // NewPairIndex returns a windowed-mode engine (exact delta counting).
@@ -95,7 +91,6 @@ func (x *PairIndex) track(k PairKey, old, now float64) {
 		return
 	}
 	src := k.Source()
-	x.crossings++
 	if is {
 		x.active++
 		x.activeBySrc.Add(src, 1)
@@ -154,7 +149,7 @@ const pairsPerDistinct = 8
 // the index — one hash operation per pair plus two per distinct pair,
 // against three per pair; integer adds are exact in float64, so the order
 // of folding cannot show. A decay-mode index adds pair by pair: its counts
-// are not integers and its crossings are observable between pairs.
+// are not integers, so the order of its adds can show.
 func (x *PairIndex) addBlock(b trace.Block, delta BlockDelta, ante func(*trace.Pair) trace.HostID) BlockDelta {
 	if delta == nil {
 		delta = make(BlockDelta, len(b)/pairsPerDistinct)
@@ -204,9 +199,6 @@ func (x *PairIndex) decay(factor, floor float64) {
 func (x *PairIndex) reset() {
 	x.counts.Reset()
 	if x.threshold > 0 {
-		if x.active > 0 {
-			x.crossings++ // the active-rule set changed (to empty)
-		}
 		x.activeBySrc.Reset()
 		x.active = 0
 	}

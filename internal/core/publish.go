@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"arq/internal/obsv"
 )
@@ -35,23 +34,10 @@ var (
 // supports. A snapshot is immutable once published. Its readers ask for
 // an antecedent's whole run, never "is this pair a rule" a block at a
 // time, so unlike a RuleSet it carries no membership sets.
-//
-// The publish time is kept twice, both from one clock reading and only by
-// a publisher with an age bound (PublisherConfig.StaleAge); zero is "not
-// recorded". at is wall-clock and is what the codec persists; mono is the
-// same instant on the process's monotonic clock and is what stale
-// subtracts, so a stepped wall clock neither hides a stale snapshot nor
-// condemns a fresh one. mono means nothing in a decoded snapshot, which
-// is never served.
 type RuleSnapshot struct {
 	rules
 	version uint64
-	at      int64 // ns since the Unix epoch
-	mono    int64 // ns since clockBase
 }
-
-// clockBase is the origin of RuleSnapshot.mono.
-var clockBase = time.Now()
 
 // emptySnapshot is what a Publisher serves before its first publish.
 var emptySnapshot = &RuleSnapshot{}
@@ -118,11 +104,6 @@ const (
 	// the learner reports the pair it moved (ObservePair), a rebuild
 	// otherwise.
 	PublishSync PublishPolicy = iota
-	// PublishOnChange publishes only when some pair crossed the
-	// activation threshold since the last publish — the rule *set*
-	// changed, not merely supports within it. Reordering among active
-	// rules stays unpublished until the next crossing, by design.
-	PublishOnChange
 	// PublishEpoch publishes every Epoch observations regardless of what
 	// changed, bounding staleness by a fixed observation budget.
 	PublishEpoch
@@ -133,18 +114,15 @@ type PublisherConfig struct {
 	// Policy selects the publication trigger (default PublishSync).
 	Policy PublishPolicy
 	// Epoch is the observations-per-publish budget for PublishEpoch
-	// (default 64; ignored by the other policies).
+	// (default 64; ignored by PublishSync).
 	Epoch int
 	// MinSupport is the support a pair needs to enter a snapshot
 	// (required; a Learner defaults it to its Threshold).
 	MinSupport float64
-	// StaleObs and StaleAge bound how far the served snapshot may fall
-	// behind before Stale reports it: that many observations absorbed
-	// since the last publish, or that long since it. Zero disables a
-	// bound. Only a publisher with an age bound reads the clock when it
-	// publishes.
+	// StaleObs bounds how far the served snapshot may fall behind before
+	// Stale reports it: that many observations absorbed since the last
+	// publish. Zero disables the bound.
 	StaleObs int64
-	StaleAge time.Duration
 }
 
 // Publisher turns a learn-plane index into a lock-free stream of
@@ -163,7 +141,6 @@ type Publisher struct {
 	cfg      *PublisherConfig
 
 	version uint64
-	crossAt uint64
 }
 
 // init makes the zero Publisher serve under cfg, which it keeps and does
@@ -193,32 +170,21 @@ func (p *Publisher) lag() int64 {
 }
 
 // stale reports whether the served snapshot has fallen behind the learn
-// plane by a configured bound: StaleObs observations absorbed since the
-// last publish, or published StaleAge ago on the monotonic clock. With
-// neither bound set nothing is ever stale. The pre-first-publish empty
-// snapshot is never stale — nothing has been learned worth waiting for,
-// and callers already treat an empty snapshot as "no rules". Degradation
-// logic (routing.Assoc, the vantage rule server) polls this to decide
-// when decayed rules should yield to flooding.
+// plane by the configured bound: StaleObs observations absorbed since the
+// last publish. With no bound set nothing is ever stale. The
+// pre-first-publish empty snapshot is never stale — nothing has been
+// learned worth waiting for, and callers already treat an empty snapshot
+// as "no rules". routing.Assoc polls this to decide when decayed rules
+// should yield to flooding.
 func (p *Publisher) stale() bool {
-	maxLag, maxAge := p.cfg.StaleObs, p.cfg.StaleAge
-	if maxLag <= 0 && maxAge <= 0 {
-		return false
-	}
-	s := p.cur.Load()
-	if s.version == 0 {
-		return false
-	}
-	if maxLag > 0 && p.obsSince.Load() >= maxLag {
-		return true
-	}
-	return maxAge > 0 && time.Since(clockBase)-time.Duration(s.mono) >= maxAge
+	maxLag := p.cfg.StaleObs
+	return maxLag > 0 && p.obsSince.Load() >= maxLag && p.cur.Load().version > 0
 }
 
 // observe records that idx absorbed one observation and publishes if the
 // policy calls for it.
 func (p *Publisher) observe(idx *PairIndex) {
-	if total := p.obsSince.Add(1); p.due(idx, total) {
+	if total := p.obsSince.Add(1); p.due(total) {
 		p.publish(idx)
 	} else {
 		gPublishLag.Set(total)
@@ -233,17 +199,17 @@ func (p *Publisher) observe(idx *PairIndex) {
 // sort — and shares its storage outright when k stays below MinSupport.
 // Otherwise the served snapshot is missing more than this pair (or was
 // never built from the index at all) and the publish is a full rebuild.
-// Either way version, publish time, lag and the instruments advance
+// Either way version, lag and the instruments advance
 // exactly as under observe. Every index change must reach the publisher
 // through observe, observePair or publish for this to hold.
 func (p *Publisher) observePair(idx *PairIndex, k PairKey, now float64) {
 	total := p.obsSince.Add(1)
-	if !p.due(idx, total) {
+	if !p.due(total) {
 		gPublishLag.Set(total)
 		return
 	}
 	if base := p.cur.Load(); total == 1 && base.version > 0 {
-		p.swap(idx, upsertRule(base.rules, k, now, p.cfg.MinSupport))
+		p.swap(upsertRule(base.rules, k, now, p.cfg.MinSupport))
 	} else {
 		p.publish(idx)
 	}
@@ -251,16 +217,8 @@ func (p *Publisher) observePair(idx *PairIndex, k PairKey, now float64) {
 
 // due applies the publication policy to the observations absorbed since
 // the last publish.
-func (p *Publisher) due(idx *PairIndex, total int64) bool {
-	switch p.cfg.Policy {
-	case PublishSync:
-		return true
-	case PublishOnChange:
-		return idx.crossings != p.crossAt
-	case PublishEpoch:
-		return total >= int64(p.cfg.Epoch)
-	}
-	return false
+func (p *Publisher) due(total int64) bool {
+	return p.cfg.Policy == PublishSync || total >= int64(p.cfg.Epoch)
 }
 
 // publish materializes idx's current rules — its pairs at or above
@@ -275,20 +233,15 @@ func (p *Publisher) publish(idx *PairIndex) *RuleSnapshot {
 		return true
 	})
 	sortRules(rules)
-	return p.swap(idx, rules)
+	return p.swap(rules)
 }
 
-// swap publishes rules, built from idx as it stands, as the next version.
-func (p *Publisher) swap(idx *PairIndex, rules []RuleEntry) *RuleSnapshot {
+// swap publishes rules as the next version.
+func (p *Publisher) swap(rules []RuleEntry) *RuleSnapshot {
 	p.version++
 	s := &RuleSnapshot{rules: rules, version: p.version}
-	if p.cfg.StaleAge > 0 {
-		now := time.Now()
-		s.at, s.mono = now.UnixNano(), int64(now.Sub(clockBase))
-	}
 	p.cur.Store(s)
 	p.obsSince.Store(0)
-	p.crossAt = idx.crossings
 	mPublishes.Inc()
 	gPublishVer.Set(int64(s.version))
 	gPublishSize.Set(int64(len(rules)))

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"arq/internal/trace"
 )
@@ -87,31 +85,6 @@ func TestPublishedSnapshotIsImmutable(t *testing.T) {
 	}
 	if now := p.view(); now.Len() != 3 {
 		t.Fatalf("current snapshot len = %d, want 3", now.Len())
-	}
-}
-
-func TestPublishOnChangePublishesOnlyOnCrossings(t *testing.T) {
-	idx := newDecayIndex(2)
-	p := publisherOver(idx, PublisherConfig{Policy: PublishOnChange})
-	observe(idx, p, 1, 2) // support 1: no rule yet, no crossing
-	if got := p.Version(); got != 0 {
-		t.Fatalf("version after sub-threshold obs = %d", got)
-	}
-	observe(idx, p, 1, 2) // crosses the threshold
-	if got := p.Version(); got != 1 {
-		t.Fatalf("version after crossing = %d", got)
-	}
-	// Supports move but the active set does not: no publish.
-	observe(idx, p, 1, 2)
-	observe(idx, p, 1, 2)
-	if got := p.Version(); got != 1 {
-		t.Fatalf("version after non-crossing obs = %d", got)
-	}
-	// Decay below the threshold is a crossing too.
-	idx.decay(0.1, 0.05)
-	p.observe(idx)
-	if got, v := p.Version(), p.view(); got != 2 || v.Len() != 0 {
-		t.Fatalf("after decay crossing: version %d, len %d", got, v.Len())
 	}
 }
 
@@ -309,39 +282,5 @@ func TestObservePairRebuildsWhenSnapshotIsBehind(t *testing.T) {
 	p.observePair(idx, packPair(1, 3), hit(idx, 1, 3))
 	if v := p.view(); v.Version() != 2 || v.Len() != 2 || p.lag() != 0 {
 		t.Fatalf("epoch policy: v%d with %d rules, lag %d; want v2 with both pairs, lag 0", v.Version(), v.Len(), p.lag())
-	}
-}
-
-// Stale ages a snapshot on the monotonic clock. A wall clock that steps
-// after the publish is played here by moving the snapshot's wall stamp
-// the other way: two hours back for a step forwards, which must not make
-// a fresh snapshot stale, and with the monotonic stamp two hours old a
-// wall stamp from the future (a step backwards) must not keep it served.
-// A publisher with no age bound reads no clock at all, and the codec
-// writes its snapshots' publish time as 0.
-func TestStaleAgeIsMonotonic(t *testing.T) {
-	idx := newDecayIndex(1)
-	idx.Set(1, 2, 3)
-	p := publisherOver(idx, PublisherConfig{StaleAge: time.Hour})
-	if p.stale() {
-		t.Fatal("stale before the first publish")
-	}
-	s := p.publish(idx)
-	if s.at == 0 || p.stale() {
-		t.Fatalf("just published: wall stamp %d, stale %v", s.at, p.stale())
-	}
-	const step = int64(2 * time.Hour)
-	p.cur.Store(&RuleSnapshot{rules: s.rules, version: s.version, at: s.at - step, mono: s.mono})
-	if p.stale() {
-		t.Fatal("a wall clock stepped forwards made a fresh snapshot stale")
-	}
-	p.cur.Store(&RuleSnapshot{rules: s.rules, version: s.version, at: s.at + step, mono: s.mono - step})
-	if !p.stale() {
-		t.Fatal("a wall clock stepped backwards keeps a two-hour-old snapshot served")
-	}
-
-	unbounded := publisherOver(idx, PublisherConfig{StaleObs: 3})
-	if s := unbounded.publish(idx); s.at != 0 || binary.LittleEndian.Uint64(s.Marshal()[14:]) != 0 {
-		t.Fatalf("no age bound: publish time %d recorded, header carries %d", s.at, binary.LittleEndian.Uint64(s.Marshal()[14:]))
 	}
 }

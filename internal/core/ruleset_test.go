@@ -371,8 +371,7 @@ func indexState(x *PairIndex) map[PairKey]float64 {
 }
 
 func indexesEqual(a, b *PairIndex) bool {
-	return reflect.DeepEqual(indexState(a), indexState(b)) &&
-		a.crossings == b.crossings && a.active == b.active
+	return reflect.DeepEqual(indexState(a), indexState(b)) && a.active == b.active
 }
 
 // checkEvalAgainstOracle holds the flat evaluator equal to the oracle on

@@ -29,25 +29,24 @@ const snapshotCodecVersion = 1
 // a corrupt or hostile length field fails fast instead of allocating.
 const maxSnapshotRules = 1 << 22
 
-// snapshotHeaderLen is magic + codec version + snapshot version +
-// publish time + rule count.
+// snapshotHeaderLen is magic + codec version + snapshot version + eight
+// reserved bytes + rule count.
 const snapshotHeaderLen = 4 + 2 + 8 + 8 + 4
 
 // Marshal encodes the snapshot deterministically: a fixed header
-// (magic, codec version, snapshot version, publish time, rule count)
+// (magic, codec version, snapshot version, reserved, rule count)
 // followed by (PairKey, support) records sorted by PairKey. Equal
 // snapshots always produce identical bytes, so checkpoints can be
-// compared and deduplicated byte-wise. The publish time is wall-clock
-// nanoseconds, or 0 for "not recorded": a learner with no age bound never
-// reads the clock. Nothing reads the field back but the decoder, which
-// carries it over.
+// compared and deduplicated byte-wise. The reserved field once held a
+// publish time that no program recorded; it is written as zero and
+// ignored on decode, so every version-1 checkpoint still restores.
 func (s *RuleSnapshot) Marshal() []byte {
 	rules := s.byKey()
 	out := make([]byte, 0, snapshotHeaderLen+16*len(rules))
 	out = append(out, snapshotMagic...)
 	out = binary.LittleEndian.AppendUint16(out, snapshotCodecVersion)
 	out = binary.LittleEndian.AppendUint64(out, s.version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(s.at))
+	out = binary.LittleEndian.AppendUint64(out, 0)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(rules)))
 	for _, e := range rules {
 		out = binary.LittleEndian.AppendUint64(out, uint64(e.Key))
@@ -72,7 +71,6 @@ func UnmarshalSnapshot(p []byte) (*RuleSnapshot, error) {
 		return nil, fmt.Errorf("core: snapshot codec version %d unsupported", v)
 	}
 	version := binary.LittleEndian.Uint64(p[6:])
-	at := int64(binary.LittleEndian.Uint64(p[14:]))
 	n := binary.LittleEndian.Uint32(p[22:])
 	if n > maxSnapshotRules {
 		return nil, fmt.Errorf("core: snapshot claims %d rules", n)
@@ -80,11 +78,7 @@ func UnmarshalSnapshot(p []byte) (*RuleSnapshot, error) {
 	if len(p) != snapshotHeaderLen+16*int(n) {
 		return nil, errors.New("core: snapshot length mismatch")
 	}
-	s := &RuleSnapshot{
-		version: version,
-		at:      at,
-		rules:   make([]RuleEntry, 0, n),
-	}
+	s := &RuleSnapshot{version: version, rules: make([]RuleEntry, 0, n)}
 	prev, first := PairKey(0), true
 	for i := 0; i < int(n); i++ {
 		rec := p[snapshotHeaderLen+16*i:]
@@ -106,7 +100,7 @@ func UnmarshalSnapshot(p []byte) (*RuleSnapshot, error) {
 // RemapSnapshot rebuilds a snapshot under a host-id translation: every
 // pair has both ends mapped through f, pairs with an unmapped end are
 // dropped, and pairs that collide after mapping merge by summing their
-// supports. Version and publish time carry over. This is how conn-keyed
+// supports. The version carries over. This is how conn-keyed
 // rules persist across a restart (conn ids -> node ids on checkpoint,
 // node ids -> re-established conn ids on warm start) and how federated
 // snapshots translate between id universes.
@@ -123,7 +117,7 @@ func RemapSnapshot(s *RuleSnapshot, f func(trace.HostID) (trace.HostID, bool)) *
 		}
 		sum[packPair(src, rep)] += e.Support
 	}
-	out := &RuleSnapshot{version: s.version, at: s.at, rules: make([]RuleEntry, 0, len(sum))}
+	out := &RuleSnapshot{version: s.version, rules: make([]RuleEntry, 0, len(sum))}
 	for k, sup := range sum {
 		out.rules = append(out.rules, RuleEntry{Key: k, Support: sup})
 	}

@@ -4,26 +4,22 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
-	"time"
 
 	"arq/internal/trace"
 )
 
 // publishedSnapshot builds a decay index with the given weighted pairs
-// and publishes once, returning the publisher and its snapshot. The age
-// bound is there so that the snapshot carries a publish time for the
-// codec to round-trip.
+// and publishes once, returning the publisher and its snapshot.
 func publishedSnapshot(t *testing.T, threshold float64, add func(idx *PairIndex)) (*Publisher, *RuleSnapshot) {
 	t.Helper()
 	idx := newDecayIndex(threshold)
 	add(idx)
-	p := publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30, StaleAge: time.Hour})
-	s := p.publish(idx)
-	if s.at == 0 {
-		t.Fatal("a publisher with an age bound published without a publish time")
-	}
-	return p, s
+	p := publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
+	return p, p.publish(idx)
 }
 
 func TestSnapshotRoundtrip(t *testing.T) {
@@ -39,9 +35,8 @@ func TestSnapshotRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("UnmarshalSnapshot: %v", err)
 	}
-	if got.Version() != s.Version() || got.at != s.at || got.Len() != s.Len() {
-		t.Fatalf("header mismatch: got (v%d at%d n%d) want (v%d at%d n%d)",
-			got.Version(), got.at, got.Len(), s.Version(), s.at, s.Len())
+	if got.Version() != s.Version() || got.Len() != s.Len() {
+		t.Fatalf("header mismatch: got (v%d n%d) want (v%d n%d)", got.Version(), got.Len(), s.Version(), s.Len())
 	}
 	// Byte-identical views: re-encoding the decoded snapshot must
 	// reproduce the original bytes exactly.
@@ -60,6 +55,39 @@ func TestSnapshotRoundtrip(t *testing.T) {
 				t.Fatalf("conseq[%d]: got %v want %v", src, have, want)
 			}
 		}
+	}
+}
+
+// A checkpoint written by a tree that still stamped a publish time into
+// the header's reserved field restores as if the field were zero, and is
+// written back with it zero. The fixture is TestSnapshotRoundtrip's five
+// rules as PR 23's Marshal encoded them under an age bound.
+func TestSnapshotDecodeIgnoresReservedField(t *testing.T) {
+	stamped, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1_stamped.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stamped) != snapshotHeaderLen+16*5 || binary.LittleEndian.Uint64(stamped[14:]) == 0 {
+		t.Fatalf("fixture is %d bytes with reserved field %#x, want a stamped five-rule snapshot", len(stamped), stamped[14:22])
+	}
+	zeroed := bytes.Clone(stamped)
+	clear(zeroed[14:22])
+	a, err := UnmarshalSnapshot(stamped)
+	if err != nil {
+		t.Fatalf("UnmarshalSnapshot(stamped): %v", err)
+	}
+	b, err := UnmarshalSnapshot(zeroed)
+	if err != nil {
+		t.Fatalf("UnmarshalSnapshot(zeroed): %v", err)
+	}
+	if a.Version() != 1 || a.Version() != b.Version() || !slices.Equal(a.rules, b.rules) {
+		t.Fatalf("stamped decodes to v%d %v, zeroed to v%d %v", a.Version(), a.rules, b.Version(), b.rules)
+	}
+	if a.Support(7, 2) != 9 || a.Support(2, 7) != 1.5 {
+		t.Fatalf("decoded rules %v, want 7->2 at 9 and 2->7 at 1.5 among them", a.rules)
+	}
+	if !bytes.Equal(a.Marshal(), zeroed) || !bytes.Equal(b.Marshal(), zeroed) {
+		t.Fatal("Marshal of a decoded snapshot does not write the reserved field as zero")
 	}
 }
 
@@ -212,8 +240,8 @@ func TestRemapSnapshot(t *testing.T) {
 		v, ok := m[h]
 		return v, ok
 	})
-	if out.Version() != s.Version() || out.at != s.at {
-		t.Fatal("remap lost version/time")
+	if out.Version() != s.Version() {
+		t.Fatal("remap lost the version")
 	}
 	if got := out.Support(10, 20); got != 8 {
 		t.Fatalf("remapped support(10,20) = %v, want 8 (5 + 3 merged)", got)
@@ -255,8 +283,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 			return
 		}
 		// Accepted input must be exactly the canonical encoding: decode
-		// then re-encode is the identity on bytes.
-		if !bytes.Equal(s.Marshal(), data) {
+		// then re-encode is the identity on bytes, but for the reserved
+		// field, which is read as anything and written as zero.
+		canonical := bytes.Clone(data)
+		clear(canonical[14:22])
+		if !bytes.Equal(s.Marshal(), canonical) {
 			t.Fatalf("accepted non-canonical snapshot: %d bytes re-encode to %d", len(data), len(s.Marshal()))
 		}
 		// The decoder must hand back the canonical snapshot order, the

@@ -13,13 +13,12 @@ import (
 // TestAssocConcurrentReaders drives the write plane (ObserveHit,
 // AdoptShortcut) from one goroutine while several readers hammer the
 // serve plane (Route, Consequents, RuleCount). Under -race this pins the
-// learn/serve split's memory contract for both deferred publish
-// policies; the assertions check that every routing decision is
+// learn/serve split's memory contract for the deferred publish
+// policy; the assertions check that every routing decision is
 // internally consistent regardless of which snapshot it was served from.
 func TestAssocConcurrentReaders(t *testing.T) {
 	policies := map[string]core.PublishPolicy{
-		"onchange": core.PublishOnChange,
-		"epoch":    core.PublishEpoch,
+		"epoch": core.PublishEpoch,
 	}
 	for name, policy := range policies {
 		t.Run(name, func(t *testing.T) {

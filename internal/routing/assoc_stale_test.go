@@ -2,7 +2,6 @@ package routing
 
 import (
 	"testing"
-	"time"
 
 	"arq/internal/core"
 	"arq/internal/obsv"
@@ -45,32 +44,6 @@ func TestAssocStaleObsFallsBackToFlood(t *testing.T) {
 	}
 
 	// A republish catches the serve plane up; rule routing resumes.
-	a.PublishNow()
-	if got := a.Route(0, 1, q, nbrs); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("post-republish route = %v, want [2]", got)
-	}
-}
-
-// The wall-clock bound works the same way: a snapshot older than
-// StaleAge floods until the next publish refreshes its timestamp.
-func TestAssocStaleAgeFallsBackToFlood(t *testing.T) {
-	a := NewAssoc(AssocConfig{TopK: 1, Threshold: 2, Decay: 0.5, DecayEvery: 1000,
-		Publish: core.PublishEpoch, PublishEvery: 1 << 30, StaleAge: 50 * time.Millisecond})
-	nbrs := []int32{2, 3, 4}
-	q := peer.Meta{Category: 1}
-
-	for i := 0; i < 2; i++ {
-		a.ObserveHit(0, 1, q, 2)
-	}
-	a.PublishNow()
-	if got := a.Route(0, 1, q, nbrs); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("fresh snapshot route = %v, want [2]", got)
-	}
-
-	time.Sleep(60 * time.Millisecond)
-	if got := a.Route(0, 1, q, nbrs); len(got) != 3 {
-		t.Fatalf("aged route = %v, want the full flood", got)
-	}
 	a.PublishNow()
 	if got := a.Route(0, 1, q, nbrs); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("post-republish route = %v, want [2]", got)

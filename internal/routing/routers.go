@@ -10,7 +10,6 @@ package routing
 import (
 	"slices"
 	"sort"
-	"time"
 
 	"arq/internal/core"
 	"arq/internal/obsv"
@@ -150,9 +149,8 @@ type AssocConfig struct {
 	// snapshot for the serve plane (see core.PublishPolicy). The zero
 	// value is core.PublishSync: every observation publishes, so a
 	// sequential deployment routes on fully current rules — the exact
-	// pre-split behaviour. Concurrent deployments typically choose
-	// core.PublishOnChange or core.PublishEpoch to amortize snapshot
-	// builds over many observations.
+	// pre-split behaviour. core.PublishEpoch publishes every PublishEvery
+	// observations instead.
 	Publish core.PublishPolicy
 	// PublishEvery is the epoch length for core.PublishEpoch (default 64).
 	PublishEvery int
@@ -164,18 +162,15 @@ type AssocConfig struct {
 	// plane up. 0 disables the bound — rules are served no matter how
 	// stale, the historical behaviour.
 	StaleObs int
-	// StaleAge is the elapsed-time analogue of StaleObs: a snapshot
-	// published longer ago than this also degrades to flooding. The age
-	// is measured on the monotonic clock, so a stepped wall clock does
-	// not move it. 0 disables it.
-	StaleAge time.Duration
 }
 
 // DefaultAssocConfig returns the deployment parameters used by the network
-// experiments: synchronous publication (exact sequential semantics) with
-// the default memory floor.
+// experiments: the two strongest consequents, under the learning constants
+// and synchronous publication (exact sequential semantics) of
+// core.DefaultLearnerConfig.
 func DefaultAssocConfig() AssocConfig {
-	return AssocConfig{TopK: 2, Threshold: 2, Decay: 0.5, DecayEvery: 64, Floor: 0.25}
+	l := core.DefaultLearnerConfig()
+	return AssocConfig{TopK: 2, Threshold: l.Threshold, Decay: l.Decay, DecayEvery: l.DecayEvery, Floor: l.Floor}
 }
 
 // Assoc is the paper's contribution deployed as an online router: the node
@@ -246,7 +241,6 @@ func NewAssocs(n int, cfg AssocConfig) []Assoc {
 			Policy:   cfg.Publish,
 			Epoch:    cfg.PublishEvery,
 			StaleObs: int64(cfg.StaleObs),
-			StaleAge: cfg.StaleAge,
 		},
 	}}
 	as := make([]Assoc, n)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"arq/internal/content"
+	"arq/internal/core"
 	"arq/internal/overlay"
 	"arq/internal/peer"
 	"arq/internal/peer/flat"
@@ -126,6 +127,28 @@ func TestAssocStrictDropsUncovered(t *testing.T) {
 	got := a.Route(0, 5, peer.Meta{FloodPhase: true}, []int32{1, 2})
 	if len(got) != 2 {
 		t.Fatalf("flood-phase route = %v", got)
+	}
+}
+
+// The simulator's routers and the live servent learn under the same
+// constants, written once in core.
+func TestDefaultAssocConfigLearnsAsCoreDoes(t *testing.T) {
+	got, want := DefaultAssocConfig(), core.DefaultLearnerConfig()
+	for _, f := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"Threshold", got.Threshold, want.Threshold},
+		{"Decay", got.Decay, want.Decay},
+		{"DecayEvery", float64(got.DecayEvery), float64(want.DecayEvery)},
+		{"Floor", got.Floor, want.Floor},
+	} {
+		if f.got != f.want {
+			t.Errorf("DefaultAssocConfig().%s = %v, core.DefaultLearnerConfig() has %v", f.name, f.got, f.want)
+		}
+	}
+	if got.Publish != want.Publish.Policy {
+		t.Errorf("DefaultAssocConfig().Publish = %v, core.DefaultLearnerConfig() has %v", got.Publish, want.Publish.Policy)
 	}
 }
 

@@ -5,21 +5,11 @@ import (
 	"time"
 )
 
-// DropRing is a fixed-capacity FIFO with drop-oldest overflow: when a
-// Push arrives with the ring full, the oldest queued item is discarded
-// to make room and Push reports the shedding. It decouples a producer
-// that must never block (a servent's wire loop observing routed hits)
-// from a consumer that may fall behind (the learn plane), bounding both
-// memory and staleness — under sustained overload the queue holds the
-// newest Cap observations and sheds the oldest, which for decayed rule
-// mining is exactly the data that mattered least.
-//
-// Beyond the original drop-oldest Push, the ring offers the three
-// overload policies a bounded outbox needs (internal/transport's
-// per-connection send queue): PushEvict
-// (drop-oldest, handing the evicted item back so the caller can account
-// for it), PushReject (drop-newest), and PushDeadline (block until
-// space frees or a deadline passes).
+// DropRing is a fixed-capacity FIFO between producers and consumers that
+// may run at different speeds, with two answers to a full ring: Push never
+// blocks and drops the oldest queued item to make room, and PushDeadline
+// (internal/transport's per-connection send queue) blocks until space
+// frees or a deadline passes and then gives the new item back.
 //
 // All methods are safe for concurrent use by any number of producers and
 // consumers. The zero value is not usable; call NewDropRing.
@@ -45,13 +35,6 @@ func NewDropRing[T any](cap int) *DropRing[T] {
 	return r
 }
 
-// Len returns the number of queued items.
-func (r *DropRing[T]) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
 // Push enqueues v without ever blocking. If the ring is full the oldest
 // queued item is dropped to make room and Push returns true; it returns
 // false when v was accepted without shedding, or after Close (the item
@@ -74,51 +57,10 @@ func (r *DropRing[T]) Push(v T) (dropped bool) {
 	return dropped
 }
 
-// PushEvict enqueues v without ever blocking, evicting the oldest
-// queued item when the ring is full. The displaced item is returned so
-// the caller can account for it (a shed message may carry obligations —
-// an in-flight count, a waiting flush). On a closed ring v itself is
-// the casualty: it is handed straight back as the eviction.
-func (r *DropRing[T]) PushEvict(v T) (evicted T, wasEvicted bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return v, true
-	}
-	if r.n == len(r.buf) {
-		evicted = r.buf[r.head]
-		wasEvicted = true
-		var zero T
-		r.buf[r.head] = zero
-		r.head = (r.head + 1) % len(r.buf)
-		r.n--
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = v
-	r.n++
-	r.nempty.Signal()
-	return evicted, wasEvicted
-}
-
-// PushReject enqueues v unless the ring is full or closed — drop-newest
-// shedding: items already queued are never displaced, so the first Cap
-// survivors keep their order. Reports whether v was accepted.
-func (r *DropRing[T]) PushReject(v T) (accepted bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed || r.n == len(r.buf) {
-		return false
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = v
-	r.n++
-	r.nempty.Signal()
-	return true
-}
-
 // PushDeadline enqueues v, blocking while the ring is full until a
-// consumer frees a slot or d elapses; d <= 0 degenerates to PushReject.
-// Reports whether v was accepted — false means the deadline expired (or
-// the ring closed) with the ring still full, and the caller owns the
-// rejected item. Bounding the wait keeps cyclic producer/consumer
+// consumer frees a slot or d elapses; d <= 0 never waits. Reports whether
+// v was accepted — false means the deadline expired (or the ring closed)
+// with the ring still full, and the caller owns the rejected item. Bounding the wait keeps cyclic producer/consumer
 // meshes (node goroutines sending to each other) deadlock-free: a
 // mutual stall resolves into sheds after d instead of hanging.
 func (r *DropRing[T]) PushDeadline(v T, d time.Duration) (accepted bool) {
@@ -152,18 +94,12 @@ func (r *DropRing[T]) PushDeadline(v T, d time.Duration) (accepted bool) {
 	return true
 }
 
-// Pop dequeues the oldest item, blocking while the ring is empty. It
-// returns ok=false only when the ring has been closed and fully drained
-// — queued items survive Close so a consumer can finish absorbing them.
-func (r *DropRing[T]) Pop() (v T, ok bool) {
-	v, _, ok = r.PopMore()
-	return v, ok
-}
-
-// PopMore is Pop that also reports whether anything was still queued
-// behind the item it took, read under the same lock: a consumer that
-// batches (a write loop deciding whether to flush) learns it without a
-// second call.
+// PopMore dequeues the oldest item, blocking while the ring is empty,
+// and reports whether anything was still queued behind it, read under the
+// same lock: a consumer that batches (a write loop deciding whether to
+// flush) learns it without a second call. It returns ok=false only when
+// the ring has been closed and fully drained — queued items survive Close
+// so a consumer can finish absorbing them.
 func (r *DropRing[T]) PopMore() (v T, more, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -199,8 +135,8 @@ func (r *DropRing[T]) TryPop() (v T, ok bool) {
 	return v, true
 }
 
-// Close stops the ring accepting new items and wakes every blocked Pop
-// and PushDeadline. Items already queued remain poppable; Close is
+// Close stops the ring accepting new items and wakes every blocked
+// PopMore and PushDeadline. Items already queued remain poppable; Close is
 // idempotent.
 func (r *DropRing[T]) Close() {
 	r.mu.Lock()
@@ -214,7 +150,7 @@ func (r *DropRing[T]) Close() {
 // returning the discard count so the caller can settle its accounting
 // (attempted == delivered + shed + discarded). Where Close hands queued
 // items to the consumer for a graceful drain, CloseDiscard is the abrupt
-// teardown: the consumer's next Pop reports closed immediately instead
+// teardown: the consumer's next PopMore reports closed immediately instead
 // of flushing frames to a socket that is about to disappear.
 func (r *DropRing[T]) CloseDiscard() (discarded int) {
 	r.mu.Lock()

@@ -3,118 +3,8 @@ package stream
 import (
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-// Drop-oldest (PushEvict) must keep exactly the newest cap items in push
-// order, and hand back the evicted items — the oldest ones — in order.
-func TestDropRingPushEvictKeepsNewest(t *testing.T) {
-	prop := func(capRaw uint8, nRaw uint16) bool {
-		capN := int(capRaw%16) + 1
-		n := int(nRaw % 200)
-		r := NewDropRing[int](capN)
-		var evicted []int
-		for i := 0; i < n; i++ {
-			if old, ok := r.PushEvict(i); ok {
-				evicted = append(evicted, old)
-			}
-		}
-		keep := n
-		if keep > capN {
-			keep = capN
-		}
-		// Survivors: the last keep pushes, in order.
-		for want := n - keep; ; want++ {
-			v, ok := r.TryPop()
-			if !ok {
-				return want == n
-			}
-			if v != want {
-				return false
-			}
-		}
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-
-	// And the evictions are exactly the first n-cap items in order.
-	r := NewDropRing[int](3)
-	var evicted []int
-	for i := 0; i < 10; i++ {
-		if old, ok := r.PushEvict(i); ok {
-			evicted = append(evicted, old)
-		}
-	}
-	if len(evicted) != 7 {
-		t.Fatalf("evicted %d items, want 7", len(evicted))
-	}
-	for i, v := range evicted {
-		if v != i {
-			t.Fatalf("evicted[%d] = %d, want %d", i, v, i)
-		}
-	}
-}
-
-// Drop-newest (PushReject) must keep exactly the first cap items in push
-// order and reject everything after.
-func TestDropRingPushRejectKeepsOldest(t *testing.T) {
-	prop := func(capRaw uint8, nRaw uint16) bool {
-		capN := int(capRaw%16) + 1
-		n := int(nRaw % 200)
-		r := NewDropRing[int](capN)
-		rejected := 0
-		for i := 0; i < n; i++ {
-			if !r.PushReject(i) {
-				rejected = rejected + 1
-			}
-		}
-		keep := n
-		if keep > capN {
-			keep = capN
-		}
-		if rejected != n-keep {
-			return false
-		}
-		for want := 0; ; want++ {
-			v, ok := r.TryPop()
-			if !ok {
-				return want == keep
-			}
-			if v != want {
-				return false
-			}
-		}
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Interleaving pops must free slots for PushReject: the accepted items
-// are a prefix-preserving subsequence (no reordering ever happens).
-func TestDropRingPushRejectAfterPops(t *testing.T) {
-	r := NewDropRing[int](2)
-	if !r.PushReject(1) || !r.PushReject(2) {
-		t.Fatal("pushes into empty ring rejected")
-	}
-	if r.PushReject(3) {
-		t.Fatal("push into full ring accepted")
-	}
-	if v, _ := r.TryPop(); v != 1 {
-		t.Fatalf("popped %d, want 1", v)
-	}
-	if !r.PushReject(4) {
-		t.Fatal("push after pop rejected")
-	}
-	if v, _ := r.TryPop(); v != 2 {
-		t.Fatalf("popped %d, want 2", v)
-	}
-	if v, _ := r.TryPop(); v != 4 {
-		t.Fatalf("popped %d, want 4", v)
-	}
-}
 
 // PushDeadline must accept immediately when the ring has room, reject a
 // full ring once the deadline passes, and succeed when a consumer frees
@@ -149,27 +39,22 @@ func TestDropRingPushDeadline(t *testing.T) {
 	}
 }
 
-// All push variants must refuse a closed ring, and PushEvict must hand
-// the new item back as the casualty so the caller can settle its
-// obligations.
+// Both pushes must refuse a closed ring.
 func TestDropRingPushPoliciesAfterClose(t *testing.T) {
 	r := NewDropRing[int](4)
 	r.Push(1)
 	r.Close()
-	if ev, ok := r.PushEvict(9); !ok || ev != 9 {
-		t.Fatalf("PushEvict on closed ring = (%d, %v), want (9, true)", ev, ok)
-	}
-	if r.PushReject(9) {
-		t.Fatal("PushReject accepted on closed ring")
+	if !r.Push(9) {
+		t.Fatal("Push accepted on closed ring")
 	}
 	if r.PushDeadline(9, time.Second) {
 		t.Fatal("PushDeadline accepted on closed ring")
 	}
 	// Queued items still drain.
-	if v, ok := r.Pop(); !ok || v != 1 {
+	if v, ok := pop(r); !ok || v != 1 {
 		t.Fatalf("Pop after close = (%d, %v), want (1, true)", v, ok)
 	}
-	if _, ok := r.Pop(); ok {
+	if _, ok := pop(r); ok {
 		t.Fatal("Pop on drained closed ring reported ok")
 	}
 }
@@ -204,14 +89,14 @@ func TestDropRingCloseDiscard(t *testing.T) {
 	if n := r.CloseDiscard(); n != 5 {
 		t.Fatalf("CloseDiscard discarded %d, want 5", n)
 	}
-	if _, ok := r.Pop(); ok {
+	if _, ok := pop(r); ok {
 		t.Fatal("Pop returned an item after CloseDiscard")
 	}
 	if !r.Push(9) {
 		t.Fatal("Push accepted on a discarded ring")
 	}
-	if ok := r.PushReject(9); ok {
-		t.Fatal("PushReject accepted on a discarded ring")
+	if r.PushDeadline(9, time.Second) {
+		t.Fatal("PushDeadline accepted on a discarded ring")
 	}
 	if n := r.CloseDiscard(); n != 0 {
 		t.Fatalf("second CloseDiscard discarded %d, want 0", n)
@@ -223,7 +108,7 @@ func TestDropRingCloseDiscardWakesPop(t *testing.T) {
 	r := NewDropRing[int](4)
 	done := make(chan bool, 1)
 	go func() {
-		_, ok := r.Pop()
+		_, ok := pop(r)
 		done <- ok
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -244,7 +129,7 @@ func TestDropRingCloseVsCloseDiscard(t *testing.T) {
 	g := NewDropRing[int](4)
 	g.Push(1)
 	g.Close()
-	if v, ok := g.Pop(); !ok || v != 1 {
+	if v, ok := pop(g); !ok || v != 1 {
 		t.Fatalf("graceful Close lost a queued item: %d, %v", v, ok)
 	}
 	d := NewDropRing[int](4)

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// pop is the blocking read without PopMore's look behind.
+func pop[T any](r *DropRing[T]) (T, bool) {
+	v, _, ok := r.PopMore()
+	return v, ok
+}
+
 func TestDropRingFIFO(t *testing.T) {
 	r := NewDropRing[int](4)
 	for i := 1; i <= 3; i++ {
@@ -12,11 +18,11 @@ func TestDropRingFIFO(t *testing.T) {
 			t.Fatalf("push %d dropped below capacity", i)
 		}
 	}
-	if r.Len() != 3 || len(r.buf) != 4 {
-		t.Fatalf("len=%d cap=%d", r.Len(), len(r.buf))
+	if r.n != 3 || len(r.buf) != 4 {
+		t.Fatalf("len=%d cap=%d", r.n, len(r.buf))
 	}
 	for i := 1; i <= 3; i++ {
-		v, ok := r.Pop()
+		v, ok := pop(r)
 		if !ok || v != i {
 			t.Fatalf("pop %d: got %d ok=%v", i, v, ok)
 		}
@@ -60,13 +66,13 @@ func TestDropRingDropsOldest(t *testing.T) {
 		t.Fatalf("pushed cap+2, dropped %d", drops)
 	}
 	for want := 3; want <= 5; want++ {
-		v, ok := r.Pop()
+		v, ok := pop(r)
 		if !ok || v != want {
 			t.Fatalf("want %d, got %d ok=%v", want, v, ok)
 		}
 	}
-	if r.Len() != 0 {
-		t.Fatalf("len=%d after draining", r.Len())
+	if r.n != 0 {
+		t.Fatalf("len=%d after draining", r.n)
 	}
 }
 
@@ -80,8 +86,8 @@ func TestDropRingWrapAround(t *testing.T) {
 		next++
 		r.Push(next)
 		next++
-		a, _ := r.Pop()
-		b, _ := r.Pop()
+		a, _ := pop(r)
+		b, _ := pop(r)
 		if b != a+1 {
 			t.Fatalf("round %d: popped %d then %d", round, a, b)
 		}
@@ -96,13 +102,13 @@ func TestDropRingCloseDrainsThenEnds(t *testing.T) {
 	if !r.Push("c") {
 		t.Fatal("push after close must report dropped")
 	}
-	if v, ok := r.Pop(); !ok || v != "a" {
+	if v, ok := pop(r); !ok || v != "a" {
 		t.Fatalf("queued items must survive close: %q ok=%v", v, ok)
 	}
-	if v, ok := r.Pop(); !ok || v != "b" {
+	if v, ok := pop(r); !ok || v != "b" {
 		t.Fatalf("queued items must survive close: %q ok=%v", v, ok)
 	}
-	if _, ok := r.Pop(); ok {
+	if _, ok := pop(r); ok {
 		t.Fatal("drained closed ring must end Pop")
 	}
 }
@@ -113,7 +119,7 @@ func TestDropRingCloseWakesBlockedPop(t *testing.T) {
 	r := NewDropRing[int](1)
 	done := make(chan bool)
 	go func() {
-		_, ok := r.Pop()
+		_, ok := pop(r)
 		done <- ok
 	}()
 	r.Close()
@@ -137,7 +143,7 @@ func TestDropRingConcurrent(t *testing.T) {
 		go func() {
 			defer consumed.Done()
 			for {
-				if _, ok := r.Pop(); !ok {
+				if _, ok := pop(r); !ok {
 					return
 				}
 				mu.Lock()

@@ -240,7 +240,7 @@ func TestKilledNodeDoesNotHangPeers(t *testing.T) {
 
 	a := listen(t, Options{
 		NodeID: 1, Handler: func(*Conn, *wire.Message) {},
-		OutboxCap: 16, Shed: ShedNewest,
+		OutboxCap: 16, SendWait: time.Nanosecond,
 		ReadIdle: 200 * time.Millisecond, WriteWait: time.Second,
 	})
 	c, err := a.Dial(addr)

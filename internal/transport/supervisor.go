@@ -29,7 +29,7 @@ var heartbeatMagic = wire.GUID{'A', 'R', 'Q', '-', 'T', 'R', 'A', 'N', 'S', 'P',
 // Supervise dials addr and keeps it dialed: when the connection dies —
 // read timeout, write error, heartbeat miss budget, remote crash — the
 // supervisor redials with capped jittered exponential backoff
-// (Options.RedialBase doubling to RedialMax, full jitter) until the
+// (Options.RedialBase doubling to redialMax, full jitter) until the
 // peer answers or the transport closes. Each successful redial counts
 // transport.reconnects and runs OnConn like any dialed connection;
 // failed attempts count transport.reconnect_failures.
@@ -92,9 +92,7 @@ func (t *Transport) superviseLoop(addr string, c *Conn) {
 			case <-t.stop:
 				return
 			}
-			if backoff *= 2; backoff > t.opts.RedialMax {
-				backoff = t.opts.RedialMax
-			}
+			backoff = min(2*backoff, redialMax)
 		}
 	}
 }

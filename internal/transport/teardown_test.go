@@ -149,7 +149,7 @@ func TestStalledPeerClosedWithinWriteWait(t *testing.T) {
 	const writeWait = 400 * time.Millisecond
 	tr := listen(t, Options{
 		NodeID: 1, Handler: func(*Conn, *wire.Message) {},
-		WriteWait: writeWait, OutboxCap: 512, Shed: ShedNewest,
+		WriteWait: writeWait, OutboxCap: 512, SendWait: time.Nanosecond,
 	})
 	// A raw peer that says hello and then never reads again.
 	nc, err := net.Dial("tcp", tr.Addr())

@@ -10,8 +10,8 @@
 // through one bufio.Writer under a write deadline that is re-armed only
 // when it has half run down; Send never
 // touches the socket, so a stalled peer costs the sender a shed, not a
-// blocked goroutine. Overflow policy is configurable: block-with-deadline
-// (default), drop-oldest, drop-newest.
+// blocked goroutine: a full outbox makes Send wait up to Options.SendWait
+// for a slot and then shed the new frame.
 //
 // A fault.Injector can be installed at the socket boundary: every
 // outbound frame rolls OnSend(localNode, peerNode) and may be dropped,
@@ -67,20 +67,6 @@ var (
 	mProbeMisses    = obsv.GetCounter("transport.probe_misses")
 )
 
-// ShedPolicy selects what Send does when a connection's outbox is full.
-type ShedPolicy int
-
-const (
-	// ShedDeadline blocks the sender up to Options.SendWait for the
-	// write loop to free a slot, then sheds the new frame. The default:
-	// short bursts get backpressure, a dead peer costs at most SendWait.
-	ShedDeadline ShedPolicy = iota
-	// ShedOldest evicts the oldest queued frame to admit the new one.
-	ShedOldest
-	// ShedNewest rejects the new frame, preserving what is queued.
-	ShedNewest
-)
-
 // Defaults applied by Listen for zero-valued Options fields.
 const (
 	DefaultOutboxCap       = 1024
@@ -90,8 +76,10 @@ const (
 	defaultFaultDelayUnit  = 1 * time.Millisecond
 	defaultHeartbeatMisses = 3
 	defaultRedialBase      = 50 * time.Millisecond
-	defaultRedialMax       = 2 * time.Second
 )
+
+// redialMax caps the supervisor's backoff between redial attempts.
+const redialMax = 2 * time.Second
 
 // Options configures a Transport. Handler is required; everything else
 // has a usable zero value.
@@ -112,9 +100,9 @@ type Options struct {
 	OnClose func(c *Conn)
 	// OutboxCap bounds each connection's outbound queue (frames).
 	OutboxCap int
-	// Shed selects the overflow policy; SendWait is the ShedDeadline
-	// patience.
-	Shed     ShedPolicy
+	// SendWait is how long Send waits for the write loop to free a slot
+	// in a full outbox before it sheds the new frame: short bursts get
+	// backpressure, a dead peer costs at most SendWait.
 	SendWait time.Duration
 	// ReadIdle, when positive, is the per-frame read deadline: a
 	// connection with no inbound frame for that long is closed (counted
@@ -142,11 +130,10 @@ type Options struct {
 	// HeartbeatMisses is the unanswered-probe budget before a probed
 	// connection is closed (default defaultHeartbeatMisses).
 	HeartbeatMisses int
-	// RedialBase and RedialMax bound the supervisor's capped jittered
-	// exponential backoff between redial attempts (defaults
-	// defaultRedialBase / defaultRedialMax). See Supervise.
+	// RedialBase is where the supervisor's jittered exponential backoff
+	// between redial attempts starts (default defaultRedialBase); it
+	// doubles up to redialMax. See Supervise.
 	RedialBase time.Duration
-	RedialMax  time.Duration
 }
 
 func (o *Options) withDefaults() Options {
@@ -171,9 +158,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.RedialBase <= 0 {
 		out.RedialBase = defaultRedialBase
-	}
-	if out.RedialMax < out.RedialBase {
-		out.RedialMax = defaultRedialMax
 	}
 	return out
 }
@@ -396,9 +380,9 @@ type Conn struct {
 func (c *Conn) PeerID() int { return c.peerID }
 
 // Send queues m for transmission and reports whether it was accepted.
-// It never touches the socket: a full outbox resolves by the configured
-// shed policy, and false means the frame (or, under ShedOldest, an
-// older one) was shed — counted by transport.queue_sheds either way.
+// It never touches the socket: a full outbox waits up to SendWait for a
+// slot, and false means the frame was shed, counted by
+// transport.queue_sheds.
 // The socket-boundary fault injector is consulted here; an injected
 // drop reports true (the frame was "sent", the network lost it).
 func (c *Conn) Send(m *wire.Message) bool {
@@ -434,26 +418,11 @@ func (c *Conn) Send(m *wire.Message) bool {
 }
 
 func (c *Conn) enqueue(f outFrame) bool {
-	switch c.t.opts.Shed {
-	case ShedOldest:
-		if _, evicted := c.out.PushEvict(f); evicted {
-			mSheds.Inc()
-			return false
-		}
-		return true
-	case ShedNewest:
-		if !c.out.PushReject(f) {
-			mSheds.Inc()
-			return false
-		}
-		return true
-	default:
-		if !c.out.PushDeadline(f, c.t.opts.SendWait) {
-			mSheds.Inc()
-			return false
-		}
-		return true
+	if !c.out.PushDeadline(f, c.t.opts.SendWait) {
+		mSheds.Inc()
+		return false
 	}
+	return true
 }
 
 func (c *Conn) readLoop() {

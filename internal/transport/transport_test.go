@@ -102,14 +102,14 @@ func TestDialHelloAndFrames(t *testing.T) {
 
 // Shed accounting settles: every attempted frame is either received,
 // shed by the bounded outbox, discarded at close, or failed on write —
-// regardless of timing.
+// whether a full outbox sheds at once or gives the write loop time.
 func TestShedAccountingSettles(t *testing.T) {
-	for _, policy := range []ShedPolicy{ShedOldest, ShedNewest, ShedDeadline} {
+	for _, sendWait := range []time.Duration{time.Nanosecond, 5 * time.Millisecond} {
 		slow := &collect{sleep: 2 * time.Millisecond}
 		b := listen(t, Options{NodeID: 2, Handler: slow.handle})
 		a := listen(t, Options{
 			NodeID: 1, Handler: func(*Conn, *wire.Message) {},
-			OutboxCap: 4, Shed: policy, SendWait: 5 * time.Millisecond,
+			OutboxCap: 4, SendWait: sendWait,
 		})
 		c, err := a.Dial(b.Addr())
 		if err != nil {
@@ -139,11 +139,11 @@ func TestShedAccountingSettles(t *testing.T) {
 		werr := obsv.GetCounter("transport.write_errors").Value() - werr0
 		total := int64(slow.count()) + sheds + disc + werr
 		if total != attempts {
-			t.Fatalf("policy %d: received %d + sheds %d + discards %d + write errors %d = %d, want %d",
-				policy, slow.count(), sheds, disc, werr, total, attempts)
+			t.Fatalf("SendWait %v: received %d + sheds %d + discards %d + write errors %d = %d, want %d",
+				sendWait, slow.count(), sheds, disc, werr, total, attempts)
 		}
-		if policy != ShedDeadline && sheds == 0 {
-			t.Fatalf("policy %d: outbox of 4 absorbed %d frames without shedding", policy, attempts)
+		if sendWait == time.Nanosecond && sheds == 0 {
+			t.Fatalf("SendWait %v: outbox of 4 absorbed %d frames without shedding", sendWait, attempts)
 		}
 		a.Close()
 		b.Close()

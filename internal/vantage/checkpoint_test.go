@@ -18,11 +18,9 @@ import (
 // restart.
 func TestCheckpointWarmStartAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	rules := DefaultRuleConfig() // PublishSync: every observed hit publishes
 	hubOpts := func() Options {
-		cfg := rules
 		return Options{
-			Rules:      &cfg,
+			Rules:      true,
 			Checkpoint: &CheckpointConfig{Dir: dir, EveryVersions: 1, Discount: 0.5},
 			Net:        &transport.Options{NodeID: 100},
 		}
@@ -118,9 +116,8 @@ func TestCheckpointWarmStartAcrossRestart(t *testing.T) {
 // TestWarmStartWithoutCheckpointIsColdStart pins the missing-file
 // contract: zero rules restored, no error.
 func TestWarmStartWithoutCheckpointIsColdStart(t *testing.T) {
-	cfg := DefaultRuleConfig()
 	s, err := Listen("127.0.0.1:0", Options{
-		Rules:      &cfg,
+		Rules:      true,
 		Checkpoint: &CheckpointConfig{Dir: t.TempDir()},
 	})
 	if err != nil {
@@ -165,9 +162,8 @@ func waitConns(t *testing.T, s *Servent, n int) {
 // must hold its mutex: under -race an unguarded restore is reported, and
 // the version count shows a lost publish.
 func TestWarmStartConcurrentWithObserve(t *testing.T) {
-	cfg := DefaultRuleConfig() // PublishSync: every observation publishes
 	s, err := Listen("127.0.0.1:0", Options{
-		Rules:      &cfg,
+		Rules:      true,
 		Checkpoint: &CheckpointConfig{Dir: t.TempDir()},
 	})
 	if err != nil {

@@ -133,6 +133,69 @@ func TestMalformedHitDroppedAtFirstHop(t *testing.T) {
 	}
 }
 
+// TestHitWithoutTTLIsNotRelayed runs a search down a three-servent chain
+// and answers it from the far end with hits no honest responder sends: TTL
+// 0 and 1 with a relay hop still to go. The relay must drop both (TTL-1 on
+// a byte would send the first on with 255) and forward the third, with TTL
+// 2, which the origin delivers to its Search whatever TTL it arrives with.
+func TestHitWithoutTTLIsNotRelayed(t *testing.T) {
+	var chain [3]*Servent
+	for i := range chain {
+		s, err := Listen("127.0.0.1:0", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		chain[i] = s
+		if i > 0 {
+			if err := s.ConnectTo(chain[i-1].Addr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	origin, relay, far := chain[0], chain[1], chain[2]
+	waitUntil(t, func() bool { return origin.NumConns() == 1 && relay.NumConns() == 2 }, "the chain to link up")
+
+	found := make(chan *wire.QueryHit, 1)
+	go func() {
+		hit, _ := origin.Search("nobody shares this", 4, 5*time.Second)
+		found <- hit
+	}()
+	var id wire.GUID
+	waitUntil(t, func() bool {
+		far.mu.Lock()
+		defer far.mu.Unlock()
+		for id = range far.seen.cur {
+			return true
+		}
+		return false
+	}, "the query to reach the far end")
+	far.mu.Lock()
+	back := far.conns[0]
+	far.mu.Unlock()
+
+	routed0, dropped0 := mHitsRouted.Value(), mHitsDropped.Value()
+	for ttl := byte(0); ttl <= 2; ttl++ {
+		h := &wire.QueryHit{Results: []wire.Result{{FileIndex: uint32(ttl), FileName: "sent with this ttl"}}}
+		p, err := h.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := back.send(&wire.Message{ID: id, Type: wire.TypeQueryHit, TTL: ttl, Hops: 1, Payload: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Frames on one connection are handled in order: the hit that arrives
+	// was judged after the two before it.
+	hit := <-found
+	if hit == nil || hit.Results[0].FileIndex != 2 {
+		t.Fatalf("Search returned %+v, want the hit sent with TTL 2 and no other", hit)
+	}
+	if r, d := mHitsRouted.Value()-routed0, mHitsDropped.Value()-dropped0; r != 2 || d != 2 {
+		t.Fatalf("hits routed %d dropped %d, want 2 (relay, origin) and 2 (TTL 0 and 1 at the relay)", r, d)
+	}
+}
+
 // TestSeenWindowBoundsTheTable floods a servent with three windows of
 // distinct queries: its GUID table stays within two, a query inside the
 // window is still suppressed as a duplicate, and its hit still finds the

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"arq/internal/core"
 )
 
 // star builds a hub servent with opts and n leaves connected to it.
@@ -47,9 +45,8 @@ func star(t *testing.T, n int, opts Options, leafOpts func(i int) Options) (*Ser
 // are answered via the sharing leaf, it stops forwarding them to the
 // empty leaf — observable as the empty leaf's capture going quiet.
 func TestRulesStopFloodingLearnedUpstreams(t *testing.T) {
-	cfg := DefaultRuleConfig() // PublishSync: every observed hit publishes
 	quietCap := NewCapture()
-	center, leaves := star(t, 3, Options{Rules: &cfg}, func(i int) Options {
+	center, leaves := star(t, 3, Options{Rules: true}, func(i int) Options {
 		if i == 2 {
 			return Options{Capture: quietCap}
 		}
@@ -99,9 +96,7 @@ func TestRulesStopFloodingLearnedUpstreams(t *testing.T) {
 // forwarded query while the learn plane absorbs the returning hits. Run
 // under -race this pins the servent-level memory contract.
 func TestRulesConcurrentSearches(t *testing.T) {
-	cfg := DefaultRuleConfig()
-	cfg.Publish = core.PublishOnChange
-	center, leaves := star(t, 4, Options{Rules: &cfg}, nil)
+	center, leaves := star(t, 4, Options{Rules: true}, nil)
 	// Every sharer holds every topic: connection-level rules are
 	// content-blind, so this keeps each search answerable no matter which
 	// learned consequents the hub narrows it to.
@@ -132,6 +127,28 @@ func TestRulesConcurrentSearches(t *testing.T) {
 	}
 	if center.RuleCount() == 0 {
 		t.Fatal("hub learned nothing from the concurrent workload")
+	}
+}
+
+// Top-k is taken among the connections still open: a learned consequent
+// absent from targets (closed since it was learned) does not use up a
+// slot, so the query still goes to ruleTopK peers.
+func TestRuleServerFilterSkipsClosedConsequents(t *testing.T) {
+	r := newRuleServer()
+	for via, hits := range map[int]int{1: 6, 2: 4, 3: 2} {
+		for i := 0; i < hits; i++ {
+			r.observe(0, via)
+		}
+	}
+	// Connection 1, the strongest consequent, has closed.
+	targets := []*peerConn{{id: 4}, {id: 3}, {id: 2}}
+	got := r.filter(0, targets)
+	if len(got) != 2 || got[0].id != 2 || got[1].id != 3 {
+		ids := make([]int, len(got))
+		for i, c := range got {
+			ids[i] = c.id
+		}
+		t.Fatalf("filter = conns %v, want the 2nd and 3rd strongest [2 3]", ids)
 	}
 }
 

@@ -131,13 +131,11 @@ func (p *peerConn) send(m *wire.Message) error {
 type Options struct {
 	// Capture, when non-nil, records relayed queries and returning hits.
 	Capture *Capture
-	// Rules, when non-nil, enables association-rule routing: the servent
-	// learns {upstream connection} -> {replying connection} rules from
-	// hits it routes back and forwards covered queries to the learned
-	// top-k connections instead of flooding (see rules.go).
-	Rules *RuleConfig
-	// ServentID defaults to a listener-address-derived id.
-	ServentID wire.GUID
+	// Rules enables association-rule routing: the servent learns
+	// {upstream connection} -> {replying connection} rules from hits it
+	// routes back and forwards covered queries to the learned top-k
+	// connections instead of flooding (see rules.go).
+	Rules bool
 	// Fault, when non-nil, injects faults on the inbound wire path: each
 	// decoded message rolls OnSend(connID, fault.Local) and may be
 	// dropped, delivered twice, or have its GUID corrupted before
@@ -150,7 +148,7 @@ type Options struct {
 	// the crash-recovery path (see checkpoint.go).
 	Checkpoint *CheckpointConfig
 	// Net, when non-nil, overrides the socket-layer parameters: node id,
-	// outbox capacity and shed policy, read/write deadlines, and a
+	// outbox capacity and send wait, read/write deadlines, and a
 	// second fault.Injector applied at the socket boundary (keyed by
 	// node ids, so drop/delay/partition apply between processes rather
 	// than between this servent's connections). The Handler, OnConn,
@@ -165,7 +163,6 @@ const drainTimeout = time.Second
 // Listen starts a servent on addr (use "127.0.0.1:0" in tests).
 func Listen(addr string, opts Options) (*Servent, error) {
 	s := &Servent{
-		id:      opts.ServentID,
 		cap:     opts.Capture,
 		fault:   opts.Fault,
 		conns:   make(map[int]*peerConn),
@@ -189,9 +186,8 @@ func Listen(addr string, opts Options) (*Servent, error) {
 		return nil, err
 	}
 	s.tr = tr
-	if opts.Rules != nil {
-		s.rules = newRuleServer(*opts.Rules)
-		s.rules.start()
+	if opts.Rules {
+		s.rules = newRuleServer()
 		if opts.Checkpoint != nil {
 			s.ckpt = &checkpointer{cfg: opts.Checkpoint.withDefaults()}
 		}
@@ -230,8 +226,7 @@ func (s *Servent) unregister(c *transport.Conn) {
 func (s *Servent) Addr() string { return s.tr.Addr() }
 
 // Close shuts the servent down and waits for its goroutines: queued
-// outbound frames get a bounded drain, sockets close, and the rule
-// learn queue is absorbed before its workers stop.
+// outbound frames get a bounded drain, then sockets close.
 func (s *Servent) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -244,11 +239,6 @@ func (s *Servent) Close() {
 	// remap needs the live connection set.
 	s.closeCheckpointer()
 	s.tr.CloseDrain(drainTimeout)
-	if s.rules != nil {
-		// Connection goroutines are done, so no more observations can
-		// arrive; drain the learn queue and stop its workers.
-		s.rules.close()
-	}
 }
 
 // Share adds a file to the servent's library and indexes its name.
@@ -397,7 +387,10 @@ func (s *Servent) handleQueryHit(from *peerConn, m *wire.Message) {
 		}
 	}
 	s.mu.Unlock()
-	if !known {
+	// A hit with a hop still to go and no TTL left for it is dropped, not
+	// sent on with the byte wrapped round to 255. An honest responder
+	// sends Hops+1, so only a broken or hostile peer gets here.
+	if !known || (upstream != -1 && m.TTL <= 1) {
 		mHitsDropped.Inc()
 		return
 	}

@@ -13,5 +13,5 @@ func main() {
 	var w worker = t
 	w.Work()
 	t.Shown()
-	fmt.Println(a.Live(), a.LiveConst, a.LiveVar, t.Live(), t)
+	fmt.Println(a.Live(), a.LiveConst, a.LiveVar, t.Live(), t, a.Config{Set: 1}, a.ModeLive)
 }

@@ -2,6 +2,20 @@
 // one live and one dead export of every kind the check lists.
 package a
 
+// Config is an option struct: the caller sets Set, nobody sets Unset.
+type Config struct {
+	Set   int
+	Unset int
+}
+
+// Mode is an enum with one value nobody selects.
+type Mode int
+
+const (
+	ModeLive Mode = iota
+	ModeDead
+)
+
 const (
 	LiveConst = 1
 	DeadConst = 2
