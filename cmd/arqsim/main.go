@@ -10,8 +10,9 @@
 //	arqsim -policy lazy -interval 10 -trace pairs.jsonl -block 10000
 //	arqsim -policy sliding -csv > sliding.csv
 //
-// With -net it instead drives a message-level network simulation on the
-// flat engine through the same block/series harness (sim.RunNet):
+// With -net it instead drives a preset scenario (-scenario, default
+// baseline) through scenario.Runner on the flat engine and the same
+// block/series harness (sim.RunBlocks):
 //
 //	arqsim -net -nodes 100000 -trials 5 -block 200
 package main
@@ -22,15 +23,12 @@ import (
 	"os"
 	"strings"
 
-	"arq/internal/content"
 	"arq/internal/core"
-	"arq/internal/overlay"
 	"arq/internal/peer"
 	"arq/internal/peer/flat"
 	"arq/internal/routing"
 	"arq/internal/scenario"
 	"arq/internal/sim"
-	"arq/internal/stats"
 	"arq/internal/trace"
 	"arq/internal/tracegen"
 )
@@ -53,11 +51,15 @@ var (
 	netRouter = flag.String("router", "flood", "net: flood | assoc per-node router")
 	netNodes  = flag.Int("nodes", 2000, "net: overlay size")
 	netTTL    = flag.Int("ttl", 7, "net: query TTL")
-	scenName  = flag.String("scenario", "", "run a preset scenario ("+strings.Join(scenario.Names(), ", ")+"): policy mode projects it onto the trace generator, -net drives the full dynamic workload")
+	scenName  = flag.String("scenario", "", "run a preset scenario ("+strings.Join(scenario.Names(), ", ")+"): policy mode projects it onto the trace generator, -net drives the full dynamic workload (default baseline)")
 )
 
 func main() {
 	flag.Parse()
+	if err := checkSizes(*blockSize, *trials, *everyN); err != nil {
+		fmt.Fprintln(os.Stderr, "arqsim:", err)
+		os.Exit(2)
+	}
 	if *netMode {
 		runNet()
 		return
@@ -103,25 +105,47 @@ func main() {
 		res.RuleCount.Mean(), res.RuleCount.Min(), res.RuleCount.Max())
 }
 
-// runNet drives -trials blocks of -block queries each through the
-// flat engine and prints the per-block series — the
-// network-level analogue of the policy report, produced by the same
+// checkSizes rejects a block size, trial count or report stride below 1:
+// a run is made of whole blocks, and the report walks the series in
+// steps of -every.
+func checkSizes(block, trials, every int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"block", block}, {"trials", trials}, {"every", every}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// runNet drives a preset scenario — dynamics, roles, top-k and all —
+// through the flat engine and the selected router via scenario.Runner,
+// -trials blocks of -block queries each, and prints the per-block series:
+// the network-level analogue of the policy report, produced by the same
 // sim harness.
 func runNet() {
-	// routers gives the routers an engine of n nodes is built over,
-	// rejoin the router a churned node comes back with.
-	var routers func(n int) func(u int) peer.Router
-	var rejoin func(u int) peer.Router
+	name := *scenName
+	if name == "" {
+		name = "baseline"
+	}
+	sc, err := scenario.ByName(name, *netNodes, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "arqsim:", err)
+		os.Exit(2)
+	}
+	sc.Query.TTL = *netTTL
+	// routers gives the router each node starts with, rejoin the one a
+	// churned node comes back with.
+	var routers, rejoin func(u int) peer.Router
 	switch *netRouter {
 	case "flood":
-		rejoin = func(u int) peer.Router { return routing.Flood{} }
-		routers = func(int) func(u int) peer.Router { return rejoin }
+		routers = func(u int) peer.Router { return routing.Flood{} }
+		rejoin = routers
 	case "assoc":
-		var as []routing.Assoc
-		routers = func(n int) func(u int) peer.Router {
-			as = routing.NewAssocs(n, routing.DefaultAssocConfig())
-			return func(u int) peer.Router { return &as[u] }
-		}
+		as := routing.NewAssocs(sc.Nodes, routing.DefaultAssocConfig())
+		routers = func(u int) peer.Router { return &as[u] }
 		rejoin = func(u int) peer.Router {
 			as[u].Reset()
 			return &as[u]
@@ -130,51 +154,8 @@ func runNet() {
 		fmt.Fprintf(os.Stderr, "arqsim: unknown net router %q (valid: flood, assoc)\n", *netRouter)
 		os.Exit(2)
 	}
-	if *scenName != "" {
-		runNetScenario(routers, rejoin)
-		return
-	}
-	spec := sim.NetSpec{
-		Name: *netRouter,
-		Engine: func() sim.NetEngine {
-			rng := stats.NewRNG(*seed)
-			g := overlay.GnutellaLike(rng, *netNodes)
-			m := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
-			return flat.NewEngine(g, m, routers(g.N()))
-		},
-		Seed:   *seed + 1,
-		Blocks: *trials, BlockSize: *blockSize,
-		TTL: *netTTL,
-	}
-	res := sim.RunNet(spec)
-
-	if *csvOut {
-		fmt.Print("block,coverage,success\n")
-		for i := range res.Coverage.Values {
-			fmt.Printf("%d,%.6f,%.6f\n", i+1, res.Coverage.Values[i], res.Success.Values[i])
-		}
-		return
-	}
-	fmt.Printf("net router=%s nodes=%d ttl=%d block=%d trials=%d\n",
-		*netRouter, *netNodes, *netTTL, *blockSize, res.Trials)
-	fmt.Printf("coverage  %s  avg=%.3f\n", res.Coverage.Sparkline(60), res.MeanCoverage())
-	fmt.Printf("success   %s  avg=%.3f\n", res.Success.Sparkline(60), res.MeanSuccess())
-	fmt.Printf("wall: %.2fs (%.0f queries/sec)\n", float64(res.WallNanos)/1e9,
-		float64(res.Trials**blockSize)/(float64(res.WallNanos)/1e9))
-}
-
-// runNetScenario drives a preset scenario — dynamics, roles, top-k and
-// all — through the flat engine and the selected router, via
-// scenario.Runner and the shared block harness.
-func runNetScenario(routers func(n int) func(u int) peer.Router, rejoin func(u int) peer.Router) {
-	sc, err := scenario.ByName(*scenName, *netNodes, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "arqsim:", err)
-		os.Exit(2)
-	}
-	sc.Query.TTL = *netTTL
 	g, m := sc.Build()
-	eng := flat.NewEngine(g, m, routers(g.N()))
+	eng := flat.NewEngine(g, m, routers)
 	search := &routing.OneShot{Label: *netRouter, E: eng, TTL: sc.Query.TTL, TopK: sc.Query.TopK, Stop: sc.Query.Stop}
 	r := scenario.NewRunner(sc, g, m, eng, search, rejoin)
 	res := sim.RunBlocks(sc.Name+"/"+*netRouter, r, *trials, *blockSize)

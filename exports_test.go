@@ -2,11 +2,12 @@ package arq
 
 // The dead-weight guard (ROADMAP 13): internal/ exports nothing that only
 // its own tests call, and the option structs of optionStructs have no
-// field that only tests set, except what testOnly lists with a reason, and
-// what earlier PRs deleted stays deleted. It type-checks every non-test
-// file of the module once (go/types; the standard library from GOROOT
-// source, so no network and no build cache is needed) and looks at who
-// refers to what.
+// field that only tests set, except what testOnly lists with a reason;
+// the catalogue structs have no field that nothing writes; no program
+// imports a test-only package; and what earlier PRs deleted stays
+// deleted. It type-checks every non-test file of the module once
+// (go/types; the standard library from GOROOT source, so no network and
+// no build cache is needed) and looks at who refers to what.
 
 import (
 	"fmt"
@@ -20,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -28,11 +30,9 @@ import (
 // dir.Type.Method, dir.Type.Field) that no non-test code outside its
 // package refers to, and why it is exported all the same. A name listed
 // here that such code does refer to fails the check too: the list is also
-// the promise that these stay out of the programs (the oracle engine
-// above all).
+// the promise that these stay out of the programs.
 var testOnly = map[string]string{
-	// The oracle and the codecs only a fuzzer decodes.
-	"internal/peer.NewEngine":      "test oracle: the sequential engine that flat.Engine's goldens and the scenario, sim and chaos tests compare against; no program may build one",
+	// The codecs only a fuzzer decodes.
 	"internal/wire.UnmarshalPong":  "fuzzed codec: the servent only sends pongs; FuzzUnmarshalPong holds the decoder to the encoder",
 	"internal/wire.UnmarshalQuery": "fuzzed codec: the servent reads a query's fields in place; FuzzUnmarshalQuery and transport's tests decode whole payloads",
 	// Observers: what another package's tests read off a live object.
@@ -61,14 +61,19 @@ var testOnly = map[string]string{
 	"internal/routing.AssocConfig.Floor":         "set by DefaultAssocConfig only; routing's eviction tests vary it",
 	"internal/core.PublisherConfig.MinSupport":   "a Learner fills it from its Threshold; core's publisher tests set it apart from the index threshold",
 	"internal/core.PublishSync":                  "the zero PublishPolicy, which every program runs and so none names",
+	"internal/fault.Config.Corrupt":              "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
+	"internal/fault.Config.Delay":                "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
+	"internal/fault.Config.Duplicate":            "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
+	"internal/fault.Config.MaxDelay":             "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
+	"internal/fault.Config.SlowDelay":            "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
+	"internal/chaos.Config.StaleObs":             "ROADMAP 3 decides the bound; the soak and its golden run the default 50",
+	"internal/chaos.RecoveryConfig.TTL":          "set by chaos.Report from Config.TTL, which arqnet -ttl sets",
 	// Tested, and nothing calls it yet: the next sweep's list (ROADMAP 13).
 	"internal/content.RoleBystander":   "no caller: the model assigns roles itself; content's and scenario's tests compare Model.Role with it",
 	"internal/content.RoleClient":      "no caller: as RoleBystander",
 	"internal/content.RoleHub":         "no caller: as RoleBystander",
 	"internal/content.RoleProvider":    "no caller: as RoleBystander",
 	"internal/peer.StopAbsorb":         "no caller: the zero StopRule; flat's golden test names it",
-	"internal/scenario.EventChurn":     "no caller: the zero EventKind; scenario's own catalogue and its golden test name it",
-	"internal/scenario.EventShock":     "no caller: no scenario in the catalogue schedules a shock",
 	"internal/content.FileName":        "no caller: display name of a category, kept with its test",
 	"internal/fault.NewPartition":      "no caller: the partition injector runs in fault's and transport's tests only",
 	"internal/obsv.Histogram.Quantile": "no caller: bucket-interpolated quantile; snapshots carry the buckets",
@@ -86,32 +91,56 @@ var staysDeleted = struct {
 	paths []string
 }{
 	names: map[string][]string{
-		"internal/peer":   {"NewActorNet"},                       // PR 15: one production engine
-		"internal/trace":  {"Dedup", "Join"},                     // PR 18: one import pipeline
-		"internal/db":     {"NewTable", "MustTable", "EquiJoin"}, // PR 18
-		"internal/stream": {"FlatCountTable", "NewCountTable"},   // PR 14, 20, 21: one count store
+		"internal/peer":   {"NewActorNet", "Engine", "NewEngine"}, // PR 15: one production engine; PR 25: the oracle is peer/oracle
+		"internal/trace":  {"Dedup", "Join"},                      // PR 18: one import pipeline
+		"internal/db":     {"NewTable", "MustTable", "EquiJoin"},  // PR 18
+		"internal/stream": {"FlatCountTable", "NewCountTable"},    // PR 14, 20, 21: one count store
 		"internal/core": {"Wide", "Merge", "Diff", "ShardedPairIndex", "ObsBatch", // PR 14, 18
 			"ExtRuleSet", "GenerateExtRuleSet", "SlidingExt", "GenOptions", "RuleView", "EvaluateBlock", "Rule", // PR 23: one rule table
 			"PublishOnChange"}, // PR 24: one servent configuration
 		"internal/vantage":   {"RuleConfig", "DefaultRuleConfig"},                        // PR 24
 		"internal/transport": {"ShedPolicy", "ShedOldest", "ShedNewest", "ShedDeadline"}, // PR 24
+		"internal/content":   {"Build"},                                                  // PR 25: one simulator configuration
+		"internal/sim":       {"RunNet", "NetSpec", "NetEngine"},                         // PR 25
+		"internal/scenario":  {"EventKind", "EventShock"},                                // PR 25
 	},
 	paths: []string{
 		"internal/report", "cmd/arqcheck", "BENCH_baseline.json", "BENCH_scale.json", // PR 16: one read-out per job
 		"internal/assoc", "internal/core/extend.go", // PR 23
-		"internal/chaos/drill.go", // PR 24
+		"internal/chaos/drill.go",  // PR 24
+		"internal/sim/net_test.go", // PR 25
 	},
 }
 
 // optionStructs are the configuration structs whose exported fields are
 // held to the same rule as functions: a field no program sets or reads is
-// an option nothing runs with. The live stack's and the learn plane's so
-// far; the simulator-side structs are the next sweep (ROADMAP 13).
+// an option nothing runs with. The live stack's, the learn plane's and the
+// simulator's.
 var optionStructs = map[string][]string{
 	"internal/transport": {"Options"},
 	"internal/vantage":   {"Options", "CheckpointConfig"},
 	"internal/routing":   {"AssocConfig"},
 	"internal/core":      {"LearnerConfig", "PublisherConfig"},
+	"internal/tracegen":  {"Config"},
+	"internal/content":   {"Config"},
+	"internal/cluster":   {"Config"},
+	"internal/chaos":     {"Config", "RecoveryConfig"},
+	"internal/fault":     {"Config"},
+	"internal/adapt":     {"Options"},
+	"internal/sim":       {"Spec"},
+}
+
+// catalogueStructs are the structs a package's own catalogue fills in (the
+// scenario presets): a field that no non-test code writes anywhere, by a
+// composite-literal key or an assignment, is a setting no experiment has.
+var catalogueStructs = map[string][]string{
+	"internal/scenario": {"Scenario", "Event", "Schedule"},
+}
+
+// testOnlyPackages may be imported by _test.go files only: a non-test
+// importer fails, and their exports are exempt from the unused rule.
+var testOnlyPackages = []string{
+	"internal/peer/oracle", // the reference the flat engine's goldens compare against
 }
 
 // mapFree are the structs that stay on flat arrays (the measurements are
@@ -174,7 +203,7 @@ func loadModule(root, path string) (*module, error) {
 	build.Default.CgoEnabled = false
 	m := &module{root: root, path: path, fset: token.NewFileSet(),
 		pkgs: map[string]*types.Package{}, files: map[*types.Package][]*ast.File{},
-		info: &types.Info{Uses: map[*ast.Ident]types.Object{}}}
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}}
 	m.std = importer.ForCompiler(m.fset, "source", nil)
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -214,15 +243,16 @@ func (m *module) name(obj types.Object) string {
 }
 
 // exports returns, sorted, the exported funcs, methods, consts and vars of
-// the packages under internal/, and the exported fields of the structs
-// options names by package directory, that no non-test code outside their
-// own package refers to, and separately those it does refer to. A method
-// also counts as referred to when its type satisfies an interface that
-// asks for it (fmt.Stringer, peer.Router: calls through the interface name
-// the interface's method, not the type's). A field is referred to by a
+// the packages under internal/ but the exempt ones, and the exported
+// fields of the structs options names by package directory, that no
+// non-test code outside their own package refers to, and separately those
+// it does refer to. A method also counts as referred to when its type
+// satisfies an interface that asks for it (fmt.Stringer, peer.Router:
+// calls through the interface name the interface's method, not the
+// type's). A field is referred to by a
 // composite-literal key, an assignment or a read. Types are not listed: a
 // type is used when any member of it is.
-func (m *module) exports(options map[string][]string) (unused, used []string) {
+func (m *module) exports(options map[string][]string, exempt []string) (unused, used []string) {
 	referred := map[types.Object]bool{}
 	var ifaces []*types.Interface
 	seen := map[*types.Package]bool{}
@@ -274,10 +304,10 @@ func (m *module) exports(options map[string][]string) (unused, used []string) {
 		return false
 	}
 	for _, pkg := range m.pkgs {
-		if !strings.HasPrefix(pkg.Path(), m.path+"/internal/") {
+		dir := strings.TrimPrefix(pkg.Path(), m.path+"/")
+		if !strings.HasPrefix(dir, "internal/") || slices.Contains(exempt, dir) {
 			continue
 		}
-		dir := strings.TrimPrefix(pkg.Path(), m.path+"/")
 		objs := map[string]types.Object{}
 		for _, n := range pkg.Scope().Names() {
 			switch obj := pkg.Scope().Lookup(n).(type) {
@@ -316,12 +346,92 @@ func (m *module) exports(options map[string][]string) (unused, used []string) {
 	return unused, used
 }
 
+// unwritten returns, sorted, the fields of the structs catalogue names by
+// package directory that no non-test code writes: no composite-literal
+// key names one, no positional literal fills it, and no assignment has it
+// on its left.
+func (m *module) unwritten(catalogue map[string][]string) []string {
+	written := map[types.Object]bool{}
+	mark := func(e ast.Expr) {
+		var id *ast.Ident
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			id = e
+		case *ast.SelectorExpr:
+			id = e.Sel
+		}
+		if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+			written[v] = true
+		}
+	}
+	for _, files := range m.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := m.info.TypeOf(n).Underlying().(*types.Struct)
+					if !ok || len(n.Elts) == 0 {
+						break
+					}
+					if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+						for i := 0; i < st.NumFields(); i++ {
+							written[st.Field(i)] = true
+						}
+					}
+				case *ast.KeyValueExpr:
+					mark(n.Key)
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						mark(lhs)
+					}
+				case *ast.IncDecStmt:
+					mark(n.X)
+				}
+				return true
+			})
+		}
+	}
+	var out []string
+	for dir, names := range catalogue {
+		for _, name := range names {
+			obj := m.pkgs[m.path+"/"+dir].Scope().Lookup(name)
+			st := obj.Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if !written[st.Field(i)] {
+					out = append(out, m.name(obj)+"."+st.Field(i).Name())
+				}
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// importers returns, sorted, "file imports dir" for every non-test file
+// of the module that imports one of the package directories listed.
+func (m *module) importers(dirs []string) []string {
+	var out []string
+	for _, files := range m.files {
+		for _, f := range files {
+			for _, imp := range f.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				if dir, ok := strings.CutPrefix(path, m.path+"/"); ok && slices.Contains(dirs, dir) {
+					file, _ := filepath.Rel(m.root, m.fset.Position(f.Pos()).Filename)
+					out = append(out, filepath.ToSlash(file)+" imports "+dir)
+				}
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 func TestNoTestOnlyExports(t *testing.T) {
 	m, err := loadModule(".", "arq")
 	if err != nil {
 		t.Fatal(err)
 	}
-	unused, used := m.exports(optionStructs)
+	unused, used := m.exports(optionStructs, testOnlyPackages)
 	for _, name := range unused {
 		if testOnly[name] == "" {
 			t.Errorf("%s is exported, and nothing outside its package but tests refers to it: delete it, unexport it, move it into the _test.go that needs it, or list it in testOnly with the reason", name)
@@ -336,6 +446,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 		case !slices.Contains(unused, name):
 			t.Errorf("testOnly lists %s, which does not exist", name)
 		}
+	}
+	for _, name := range m.unwritten(catalogueStructs) {
+		t.Errorf("%s is a field of a catalogue struct that no non-test code writes: delete it, or give a preset that sets it", name)
+	}
+	for _, imp := range m.importers(testOnlyPackages) {
+		t.Errorf("%s, which only _test.go files may import (testOnlyPackages)", imp)
 	}
 	for dir, names := range staysDeleted.names {
 		for _, name := range names {
@@ -363,14 +479,21 @@ func TestNoTestOnlyExports(t *testing.T) {
 
 // The check checks: a module with a dead func, a dead method, a dead
 // const, a dead var, a dead enum value and an unset option field beside a
-// live one of each, a method called only through an interface, and a
-// fmt.Stringer.
+// live one of each, a method called only through an interface, a
+// fmt.Stringer, a catalogue field nothing writes beside one a program
+// writes, and a test-only package with a program importing it.
 func TestNoTestOnlyExportsFixture(t *testing.T) {
 	m, err := loadModule(filepath.Join("testdata", "exportsfixture"), "fix")
 	if err != nil {
 		t.Fatal(err)
 	}
-	unused, used := m.exports(map[string][]string{"internal/a": {"Config"}})
+	if got, want := m.unwritten(map[string][]string{"internal/a": {"Preset"}}), []string{"internal/a.Preset.Never"}; !slices.Equal(got, want) {
+		t.Errorf("unwritten catalogue fields of the fixture = %v, want %v", got, want)
+	}
+	if got, want := m.importers([]string{"internal/o"}), []string{"cmd/c/c.go imports internal/o"}; !slices.Equal(got, want) {
+		t.Errorf("importers of the fixture's test-only package = %v, want %v", got, want)
+	}
+	unused, used := m.exports(map[string][]string{"internal/a": {"Config"}}, []string{"internal/o"})
 	if want := []string{"internal/a.Config.Unset", "internal/a.Dead", "internal/a.DeadConst", "internal/a.DeadVar", "internal/a.ModeDead", "internal/a.T.Dead", "internal/a.hidden.Gone"}; !slices.Equal(unused, want) {
 		t.Errorf("unused exports of the fixture = %v, want %v", unused, want)
 	}

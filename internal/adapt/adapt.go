@@ -9,8 +9,8 @@
 // Rewire runs that protocol over a learned overlay: for each node u and
 // each neighbor v, it asks v's association-rule state for the top
 // consequents of antecedent u and connects u directly to them, subject to
-// per-node and global budgets. The rewire example and ablation bench show
-// the resulting drop in first-hit hop counts.
+// a per-node budget and a degree cap. The rewire example and ablation
+// bench show the resulting drop in first-hit hop counts.
 package adapt
 
 import "arq/internal/overlay"
@@ -25,8 +25,6 @@ type Options struct {
 	// MaxNewPerNode caps shortcut edges added at any one node (as both
 	// endpoints), keeping degree growth bounded. Default 2.
 	MaxNewPerNode int
-	// Budget caps total edges added in the pass. Default unlimited.
-	Budget int
 	// MaxDegree refuses to attach new edges to nodes at or above this
 	// degree. Default unlimited.
 	MaxDegree int
@@ -48,16 +46,10 @@ func Rewire(g *overlay.Graph, consequents ConsequentFunc, opt Options) [][2]int 
 	added := make([]int, g.N())
 	var out [][2]int
 	for u := 0; u < g.N(); u++ {
-		if opt.Budget > 0 && len(out) >= opt.Budget {
-			break
-		}
 		// Snapshot u's neighbors: we mutate adjacency while iterating.
 		nbrs := append([]int32(nil), g.Neighbors(u)...)
 		for _, v := range nbrs {
 			if added[u] >= opt.MaxNewPerNode {
-				break
-			}
-			if opt.Budget > 0 && len(out) >= opt.Budget {
 				break
 			}
 			for _, w32 := range consequents(int(v), u) {

@@ -46,18 +46,6 @@ func TestRewireSkipsExistingAndSelf(t *testing.T) {
 	}
 }
 
-func TestRewireRespectsBudget(t *testing.T) {
-	g := line(6)
-	m := map[[2]int][]int32{}
-	for v := 1; v < 5; v++ {
-		m[[2]int{v, v - 1}] = []int32{int32(v + 1)}
-	}
-	added := Rewire(g, tableConsequents(m), Options{Budget: 2})
-	if len(added) != 2 {
-		t.Fatalf("added = %v", added)
-	}
-}
-
 func TestRewireRespectsPerNodeCap(t *testing.T) {
 	// Star around node 0; every leaf's consequent for antecedent 0 points
 	// at another leaf, so node 0's additions are capped.

@@ -24,7 +24,7 @@ func TestSoakDeterministic(t *testing.T) {
 }
 
 // The whole `arqnet -chaos` report for one config, frozen. The file was
-// written by the map-based peer.Engine (the commit before the harness
+// written by the map-based oracle engine (the commit before the harness
 // moved to flat.Engine), so equality here is the end-to-end form of the
 // faulted engine golden: same faults, same learning, same counters. The
 // CI chaos-smoke job compares the CLI's output against the same file.

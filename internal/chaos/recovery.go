@@ -38,6 +38,16 @@ import (
 	"arq/internal/stats"
 )
 
+// The recovery bounds every A/B runs at: the post-crash loop measures at
+// most maxWindows windows, an arm has recovered once ρ ≥ pre·(1−epsilon),
+// and the warm arm restores supports scaled by discount (matching
+// vantage.DefaultCheckpointDiscount).
+const (
+	maxWindows = 30
+	epsilon    = 0.1
+	discount   = 0.5
+)
+
 // RecoveryConfig parameterizes one recovery A/B run. The zero value of
 // any field takes the default noted on it.
 type RecoveryConfig struct {
@@ -55,14 +65,6 @@ type RecoveryConfig struct {
 	// Window is the per-window query count over which ρ is measured
 	// (default 100).
 	Window int
-	// MaxWindows bounds the post-crash recovery loop (default 30).
-	MaxWindows int
-	// Epsilon is the recovery band: recovered means ρ ≥ pre·(1−ε)
-	// (default 0.1).
-	Epsilon float64
-	// Discount scales restored supports in the warm arm (default 0.5,
-	// matching vantage.DefaultCheckpointDiscount).
-	Discount float64
 }
 
 func (c RecoveryConfig) withDefaults() RecoveryConfig {
@@ -81,15 +83,6 @@ func (c RecoveryConfig) withDefaults() RecoveryConfig {
 	if c.Window <= 0 {
 		c.Window = 100
 	}
-	if c.MaxWindows <= 0 {
-		c.MaxWindows = 30
-	}
-	if c.Epsilon <= 0 || c.Epsilon >= 1 {
-		c.Epsilon = 0.1
-	}
-	if c.Discount <= 0 || c.Discount > 1 {
-		c.Discount = 0.5
-	}
 	return c
 }
 
@@ -103,7 +96,7 @@ type RecoveryArm struct {
 	// including the recovery window.
 	WindowSuccess []float64
 	// QueriesToRecover is the headline: queries issued until ρ re-entered
-	// the pre·(1−ε) band, or −1 if it never did within MaxWindows.
+	// the pre·(1−ε) band, or −1 if it never did within maxWindows.
 	QueriesToRecover int
 	// FinalSuccess is ρ of the last measured window.
 	FinalSuccess float64
@@ -191,14 +184,14 @@ func recoveryArm(name string, cfg RecoveryConfig) (RecoveryArm, error) {
 				if err != nil {
 					return arm, err
 				}
-				arm.RestoredRules += assocs[u].Restore(snap, cfg.Discount)
+				arm.RestoredRules += assocs[u].Restore(snap, discount)
 			}
 			e.RouterReset(u, &assocs[u])
 		}
 	}
 
-	target := arm.PreSuccess * (1 - cfg.Epsilon)
-	for w := 0; w < cfg.MaxWindows; w++ {
+	target := arm.PreSuccess * (1 - epsilon)
+	for w := 0; w < maxWindows; w++ {
 		rho := window(cfg.Seed + 10 + uint64(w))
 		arm.WindowSuccess = append(arm.WindowSuccess, rho)
 		arm.FinalSuccess = rho
@@ -216,7 +209,7 @@ func (r *RecoveryResult) format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "recovery drill: seed=%d nodes=%d warm=%d ttl=%d crash=%.2f window=%d maxwin=%d eps=%.2f discount=%.2f\n",
 		r.Cfg.Seed, r.Cfg.Nodes, r.Cfg.Warm, r.Cfg.TTL, r.Cfg.CrashFrac,
-		r.Cfg.Window, r.Cfg.MaxWindows, r.Cfg.Epsilon, r.Cfg.Discount)
+		r.Cfg.Window, maxWindows, epsilon, discount)
 	for _, a := range r.Arms {
 		fmt.Fprintf(&b, "arm %-5s pre=%.4f recover_q=%d final=%.4f crashed=%d restored=%d windows=",
 			a.Name, a.PreSuccess, a.QueriesToRecover, a.FinalSuccess, a.Crashed, a.RestoredRules)

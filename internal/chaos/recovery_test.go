@@ -3,7 +3,7 @@ package chaos
 import "testing"
 
 func smallRecovery() RecoveryConfig {
-	return RecoveryConfig{Seed: 11, Nodes: 200, Warm: 2000, Window: 100, MaxWindows: 20}
+	return RecoveryConfig{Seed: 11, Nodes: 200, Warm: 2000, Window: 100}
 }
 
 // The A/B's reason to exist: a warm restart from codec-round-tripped

@@ -53,6 +53,16 @@ const childEnv = "ARQ_CLUSTER_NODE"
 // mQueryNS records measured-phase query latencies (hit queries only).
 var mQueryNS = obsv.GetHistogram("cluster.query_ns", obsv.DurationBuckets())
 
+// The cluster's timings. runTimeout bounds a whole run: on expiry the
+// children are killed and Run fails. queryTimeout bounds one query's wait
+// for its first hit. restartDelay is how long after the measurement
+// barrier the restart drill's kill lands, placing it mid-workload.
+const (
+	runTimeout   = 2 * time.Minute
+	queryTimeout = 2 * time.Second
+	restartDelay = 150 * time.Millisecond
+)
+
 // NodeConfig is one child process's share of the cluster plan.
 type NodeConfig struct {
 	ID      int    `json:"id"`
@@ -62,8 +72,6 @@ type NodeConfig struct {
 	Queries int    `json:"queries"`
 	TTL     int    `json:"ttl"`
 	Seed    int64  `json:"seed"`
-	// QueryTimeoutMS bounds one query's wait for its first hit.
-	QueryTimeoutMS int `json:"query_timeout_ms"`
 	// FreeRiderFrac marks that fraction of nodes as sharing nothing
 	// (scenario.ClusterPlan.FreeRider); 0 is the historical cluster.
 	FreeRiderFrac float64 `json:"free_rider_frac,omitempty"`
@@ -119,8 +127,6 @@ type NodeResult struct {
 
 // Config drives a whole cluster run from the parent.
 type Config struct {
-	// Bin is the executable to re-exec per node ("" = this binary).
-	Bin string
 	// N is the process count (min 2).
 	N int
 	// Warm and Queries are per-node query counts for the two phases.
@@ -133,11 +139,6 @@ type Config struct {
 	// afterwards (child logs land there as node.<id>.log); "" uses a
 	// temp dir removed on success.
 	Dir string
-	// Timeout bounds the whole run; on expiry children are killed and
-	// Run fails (0 = 2 minutes).
-	Timeout time.Duration
-	// QueryTimeout bounds each query's wait for a hit (0 = 2s).
-	QueryTimeout time.Duration
 	// FreeRiderFrac marks that fraction of nodes as sharing nothing
 	// (scenario.ClusterPlan.FreeRider); 0 is the historical cluster.
 	FreeRiderFrac float64
@@ -148,9 +149,6 @@ type Config struct {
 	// with zero manual intervention.
 	Restart     bool
 	RestartNode int
-	// RestartDelay is how long after the measurement barrier the kill
-	// lands (0 = 150ms), placing it mid-workload.
-	RestartDelay time.Duration
 	// Checkpoint gives every node a checkpoint dir under the rendezvous
 	// dir, so a restarted node warm-starts instead of re-learning.
 	Checkpoint bool
@@ -249,9 +247,6 @@ func runNode(cfg NodeConfig) error {
 	if cfg.TTL <= 0 {
 		cfg.TTL = 7
 	}
-	if cfg.QueryTimeoutMS <= 0 {
-		cfg.QueryTimeoutMS = 2000
-	}
 	g0 := runtime.NumGoroutine()
 	deadline := time.Now().Add(90 * time.Second)
 	listenAddr := "127.0.0.1:0"
@@ -305,7 +300,6 @@ func runNode(cfg NodeConfig) error {
 	}
 
 	r := rand.New(rand.NewSource(cfg.Seed + int64(cfg.ID)*7919))
-	qt := time.Duration(cfg.QueryTimeoutMS) * time.Millisecond
 	restored := 0
 	if cfg.Restarted {
 		// A re-execed incarnation skips the warm phase (its barriers are
@@ -334,7 +328,7 @@ func runNode(cfg NodeConfig) error {
 		}
 	} else {
 		for i := 0; i < cfg.Warm; i++ {
-			_, _ = s.Search(plan.SearchString(plan.PickTopic(r, cfg.ID)), byte(cfg.TTL), qt)
+			_, _ = s.Search(plan.SearchString(plan.PickTopic(r, cfg.ID)), byte(cfg.TTL), queryTimeout)
 		}
 	}
 	if err := writeMark(cfg.Dir, "warm", cfg.ID, nil); err != nil {
@@ -358,7 +352,7 @@ func runNode(cfg NodeConfig) error {
 	start := time.Now()
 	for i := 0; i < cfg.Queries; i++ {
 		t0 := time.Now()
-		if _, err := s.Search(plan.SearchString(plan.PickTopic(r, cfg.ID)), byte(cfg.TTL), qt); err == nil {
+		if _, err := s.Search(plan.SearchString(plan.PickTopic(r, cfg.ID)), byte(cfg.TTL), queryTimeout); err == nil {
 			ns := time.Since(t0).Nanoseconds()
 			res.Hits++
 			res.LatenciesNS = append(res.LatenciesNS, ns)
@@ -412,22 +406,15 @@ func runNode(cfg NodeConfig) error {
 	return nil
 }
 
-// Run launches the cluster, waits for every child, and aggregates their
-// results.
+// Run launches the cluster by re-execing this binary once per node,
+// waits for every child, and aggregates their results.
 func Run(cfg Config) (*Result, error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("cluster: need at least 2 processes, got %d", cfg.N)
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Minute
-	}
-	bin := cfg.Bin
-	if bin == "" {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, err
-		}
-		bin = exe
+	bin, err := os.Executable()
+	if err != nil {
+		return nil, err
 	}
 	dir := cfg.Dir
 	keep := dir != ""
@@ -436,7 +423,6 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	} else {
-		var err error
 		dir, err = os.MkdirTemp("", "arqcluster")
 		if err != nil {
 			return nil, err
@@ -461,8 +447,7 @@ func Run(cfg Config) (*Result, error) {
 		nc := NodeConfig{
 			ID: i, N: cfg.N, Dir: dir,
 			Warm: cfg.Warm, Queries: cfg.Queries, TTL: cfg.TTL, Seed: cfg.Seed,
-			QueryTimeoutMS: int(cfg.QueryTimeout / time.Millisecond),
-			FreeRiderFrac:  cfg.FreeRiderFrac,
+			FreeRiderFrac: cfg.FreeRiderFrac,
 		}
 		if cfg.Checkpoint {
 			nc.CheckpointDir = filepath.Join(dir, fmt.Sprintf("ckpt.%d", i))
@@ -513,15 +498,11 @@ func Run(cfg Config) (*Result, error) {
 		}
 		// Kill mid-workload: once every node is measuring, give the
 		// cluster a moment of load, then take node k down hard.
-		deadline := time.Now().Add(cfg.Timeout)
+		deadline := time.Now().Add(runTimeout)
 		if err := awaitFiles(dir, "meas", cfg.N, deadline); err != nil {
 			return nil, err
 		}
-		delay := cfg.RestartDelay
-		if delay <= 0 {
-			delay = 150 * time.Millisecond
-		}
-		time.Sleep(delay)
+		time.Sleep(restartDelay)
 		_ = cmds[k].Process.Kill()
 		_ = cmds[k].Wait()
 		// A stale result from a too-fast measurement phase must not
@@ -561,8 +542,8 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-	case <-time.After(cfg.Timeout):
-		return nil, fmt.Errorf("cluster: run exceeded %v (logs under %s)", cfg.Timeout, dir)
+	case <-time.After(runTimeout):
+		return nil, fmt.Errorf("cluster: run exceeded %v (logs under %s)", runTimeout, dir)
 	}
 
 	res := &Result{Procs: cfg.N}

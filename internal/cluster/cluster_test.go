@@ -3,7 +3,6 @@ package cluster
 import (
 	"os"
 	"testing"
-	"time"
 
 	"arq/internal/scenario"
 )
@@ -65,7 +64,7 @@ func TestClusterRunThreeProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
 	}
-	res, err := Run(Config{N: 3, Warm: 10, Queries: 10, Seed: 7, Timeout: 90 * time.Second})
+	res, err := Run(Config{N: 3, Warm: 10, Queries: 10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +98,7 @@ func TestClusterKillRestartRecovers(t *testing.T) {
 		t.Skip("spawns processes")
 	}
 	res, err := Run(Config{
-		N: 3, Warm: 30, Queries: 60, Seed: 7, Timeout: 90 * time.Second,
+		N: 3, Warm: 30, Queries: 60, Seed: 7,
 		Restart: true, RestartNode: 1, Checkpoint: true,
 	})
 	if err != nil {

@@ -25,21 +25,16 @@ type Config struct {
 	Categories int
 	// PopularityZipf skews which categories are replicated and queried.
 	PopularityZipf float64
-	// FilesPerNode is the mean number of files a peer shares.
-	FilesPerNode int
 	// FreeRiderFrac is the fraction of peers sharing nothing — a
 	// well-measured property of deployed file-sharing networks.
 	FreeRiderFrac float64
 	// ProfileSize is how many categories a peer's queries come from.
 	ProfileSize int
-	// Communities and CommunityBias control interest-based locality for
-	// BuildClustered: the overlay is partitioned into Communities regions
-	// (BFS Voronoi around random seeds), each with its own slice of
-	// categories, and a node draws each profile/hosted category from its
-	// community's slice with probability CommunityBias (else globally).
-	// Interest-based locality — nearby peers sharing interests — is the
-	// premise the paper's rules exploit (§III-B, [7][8][9]).
-	Communities   int
+	// CommunityBias controls interest-based locality: a node draws each
+	// profile/hosted category from its community's slice of the category
+	// space with probability CommunityBias (else globally). Interest-based
+	// locality — nearby peers sharing interests — is the premise the
+	// paper's rules exploit (§III-B, [7][8][9]); 0 is uniform placement.
 	CommunityBias float64
 	// ClientFrac, BystanderFrac, and HubFrac split nodes into workload
 	// roles (the group model of go-hop-exchange's testplans): clients
@@ -88,15 +83,22 @@ func (r Role) String() string {
 	return "provider"
 }
 
+// The placement shape every experiment runs: a sharing peer draws 1 to
+// 2·filesPerNode files (about filesPerNode), and the overlay is partitioned
+// into communityCount BFS-Voronoi regions, each with its own slice of the
+// category space.
+const (
+	filesPerNode   = 8
+	communityCount = 25
+)
+
 // DefaultConfig returns the placement used by the network experiments.
 func DefaultConfig() Config {
 	return Config{
 		Categories:     200,
 		PopularityZipf: 0.9,
-		FilesPerNode:   8,
 		FreeRiderFrac:  0.25,
 		ProfileSize:    4,
-		Communities:    25,
 		CommunityBias:  0.8,
 	}
 }
@@ -108,28 +110,23 @@ type Model struct {
 	pop      *stats.Zipf
 	hosts    [][]trace.InterestID // node -> categories it hosts (sorted sets not needed; small)
 	profiles [][]trace.InterestID // node -> categories it queries
-	comm     []int                // node -> community label (nil when unclustered)
+	comm     []int                // node -> community label
 	roles    []Role               // node -> workload role (nil when the split is disabled)
 	origins  []int32              // query-issuing nodes (nil = all nodes)
 }
 
-// Build places content on n nodes without topology awareness. Placement
-// draws each node's files' categories from the Zipf popularity, so popular
-// categories end up widely replicated and the tail is rare — the regime
-// where blind flooding is expensive and locality-aware routing pays.
-func Build(rng *stats.RNG, n int, cfg Config) *Model {
-	return build(rng, n, cfg, nil)
-}
-
 // BuildClustered places content with interest-based locality over graph g:
-// nodes are partitioned into cfg.Communities BFS-Voronoi regions, each
+// nodes are partitioned into communityCount BFS-Voronoi regions, each
 // community holds a contiguous slice of the category space, and each
 // node's hosted and queried categories come from its community's slice
-// with probability cfg.CommunityBias. Queries from one direction of the
-// overlay therefore tend to want — and find — the same content, which is
-// the locality the association-rule router exploits.
+// with probability cfg.CommunityBias, else from the global Zipf
+// popularity — so popular categories end up widely replicated and the
+// tail is rare, the regime where blind flooding is expensive and
+// locality-aware routing pays. Queries from one direction of the overlay
+// therefore tend to want — and find — the same content, which is the
+// locality the association-rule router exploits.
 func BuildClustered(rng *stats.RNG, g NeighborGraph, cfg Config) *Model {
-	comm := communities(rng, g, cfg.Communities)
+	comm := communities(rng, g, communityCount)
 	return build(rng, g.N(), cfg, comm)
 }
 
@@ -144,9 +141,6 @@ type NeighborGraph interface {
 // communities BFS-grows regions from k random seeds, labeling every node.
 func communities(rng *stats.RNG, g NeighborGraph, k int) []int {
 	n := g.N()
-	if k <= 0 {
-		k = 1
-	}
 	if k > n {
 		k = n
 	}
@@ -180,14 +174,11 @@ func communities(rng *stats.RNG, g NeighborGraph, k int) []int {
 
 // clampConfig repairs out-of-range knobs so any config builds a usable
 // model: probability fields land in [0,1] (they feed rng.Bool draws)
-// and the count fields stay positive (a zero ProfileSize would leave
-// DrawQuery with nothing to draw from). Defaults pass through untouched.
+// and ProfileSize stays positive (zero would leave DrawQuery with nothing
+// to draw from). Defaults pass through untouched.
 func clampConfig(cfg Config) Config {
 	if cfg.Categories <= 0 {
 		return DefaultConfig()
-	}
-	if cfg.FilesPerNode <= 0 {
-		cfg.FilesPerNode = 1
 	}
 	if cfg.ProfileSize <= 0 {
 		cfg.ProfileSize = 1
@@ -255,14 +246,10 @@ func drawRole(rng *stats.RNG, cfg Config) Role {
 // popular head.
 func (m *Model) draw(rng *stats.RNG, u int) trace.InterestID {
 	rank := m.pop.Sample(rng)
-	if m.comm == nil || !rng.Bool(m.cfg.CommunityBias) {
+	if !rng.Bool(m.cfg.CommunityBias) {
 		return trace.InterestID(rank)
 	}
-	nComm := m.cfg.Communities
-	if nComm <= 0 {
-		nComm = 1
-	}
-	per := m.cfg.Categories / nComm
+	per := m.cfg.Categories / communityCount
 	if per == 0 {
 		per = 1
 	}
@@ -283,7 +270,7 @@ func (m *Model) Reassign(rng *stats.RNG, u int) {
 		share = !rng.Bool(m.cfg.FreeRiderFrac)
 	}
 	if share {
-		nf := 1 + rng.Intn(2*m.cfg.FilesPerNode)
+		nf := 1 + rng.Intn(2*filesPerNode)
 		if role == RoleHub {
 			nf *= m.hubBoost()
 		}
@@ -304,8 +291,8 @@ func (m *Model) Reassign(rng *stats.RNG, u int) {
 }
 
 // Explicit builds a model with exactly the given hosted categories per
-// node and uniform single-category profiles — for tests and examples that
-// need full control over placement.
+// node, uniform single-category profiles and every node in community 0 —
+// for tests and examples that need full control over placement.
 func Explicit(n, categories int, hosts map[int][]trace.InterestID) *Model {
 	cfg := DefaultConfig()
 	cfg.Categories = categories
@@ -314,6 +301,7 @@ func Explicit(n, categories int, hosts map[int][]trace.InterestID) *Model {
 		pop:      stats.NewZipf(categories, 0),
 		hosts:    make([][]trace.InterestID, n),
 		profiles: make([][]trace.InterestID, n),
+		comm:     make([]int, n),
 	}
 	for u := 0; u < n; u++ {
 		m.hosts[u] = append(m.hosts[u], hosts[u]...)

@@ -10,7 +10,7 @@ import (
 
 func TestBuildBasics(t *testing.T) {
 	rng := stats.NewRNG(1)
-	m := Build(rng, 500, DefaultConfig())
+	m := BuildClustered(rng, ring(500), uniformConfig())
 	if m.Categories() != 200 {
 		t.Fatalf("categories = %d", m.Categories())
 	}
@@ -40,7 +40,7 @@ func TestBuildBasics(t *testing.T) {
 
 func TestPopularityskew(t *testing.T) {
 	rng := stats.NewRNG(3)
-	m := Build(rng, 2000, DefaultConfig())
+	m := BuildClustered(rng, ring(2000), uniformConfig())
 	// Head categories should be much more replicated than tail ones.
 	head, tail := 0, 0
 	for u := 0; u < 2000; u++ {
@@ -59,7 +59,7 @@ func TestPopularityskew(t *testing.T) {
 
 func TestDrawQueryFromProfile(t *testing.T) {
 	rng := stats.NewRNG(4)
-	m := Build(rng, 50, DefaultConfig())
+	m := BuildClustered(rng, ring(50), uniformConfig())
 	for u := 0; u < 50; u++ {
 		seen := map[trace.InterestID]bool{}
 		for i := 0; i < 100; i++ {
@@ -130,15 +130,8 @@ func TestBuildClusteredLocality(t *testing.T) {
 	}
 }
 
-func TestUnclusteredCommunityIsZero(t *testing.T) {
-	m := Build(stats.NewRNG(7), 10, DefaultConfig())
-	if m.Community(3) != 0 {
-		t.Fatal("unclustered model should report community 0")
-	}
-}
-
 func TestZeroConfigDefaults(t *testing.T) {
-	m := Build(stats.NewRNG(8), 10, Config{})
+	m := BuildClustered(stats.NewRNG(8), ring(10), Config{})
 	if m.Categories() != DefaultConfig().Categories {
 		t.Fatalf("defaults not applied: %d", m.Categories())
 	}
@@ -150,10 +143,24 @@ func TestFileNameStable(t *testing.T) {
 	}
 }
 
-// Community returns node u's community label, or 0 for unclustered models.
-func (m *Model) Community(u int) int {
-	if m.comm == nil {
-		return 0
-	}
-	return m.comm[u]
+// Community returns node u's community label.
+func (m *Model) Community(u int) int { return m.comm[u] }
+
+// ring is an n-node cycle: the tests that want topology-free placement
+// build over it with uniformConfig.
+type ring int
+
+func (r ring) N() int { return int(r) }
+
+func (r ring) Neighbors(u int) []int32 {
+	n := int(r)
+	return []int32{int32((u + n - 1) % n), int32((u + 1) % n)}
+}
+
+// uniformConfig is DefaultConfig with the community bias off: every
+// category comes from the global Zipf popularity.
+func uniformConfig() Config {
+	cfg := DefaultConfig()
+	cfg.CommunityBias = 0
+	return cfg
 }

@@ -13,13 +13,13 @@ import (
 // Free-riders, clients, and bystanders must host zero files; hubs must
 // always host at least one (they never free-ride, even at frac 1).
 func TestRolesGateHosting(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := uniformConfig()
 	cfg.FreeRiderFrac = 1 // every provider free-rides
 	cfg.ClientFrac = 0.3
 	cfg.BystanderFrac = 0.2
 	cfg.HubFrac = 0.1
 	const n = 2000
-	m := Build(stats.NewRNG(5), n, cfg)
+	m := BuildClustered(stats.NewRNG(5), ring(n), cfg)
 	counts := map[Role]int{}
 	for u := 0; u < n; u++ {
 		role := m.Role(u)
@@ -47,13 +47,13 @@ func TestRolesGateHosting(t *testing.T) {
 // Hubs draw boosted file counts: across many nodes, mean hub hosting
 // must clearly exceed mean provider hosting.
 func TestHubBoost(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := uniformConfig()
 	cfg.FreeRiderFrac = 0
 	cfg.HubFrac = 0.2
 	cfg.HubBoost = 4
 	cfg.Categories = 10000 // wide space so dedup doesn't mask the boost
 	const n = 3000
-	m := Build(stats.NewRNG(6), n, cfg)
+	m := BuildClustered(stats.NewRNG(6), ring(n), cfg)
 	var hubFiles, hubN, provFiles, provN int
 	for u := 0; u < n; u++ {
 		switch m.Role(u) {
@@ -75,19 +75,19 @@ func TestHubBoost(t *testing.T) {
 	}
 }
 
-// Any config — negative fractions, over-1 probabilities, zero counts —
+// Any config — negative fractions, over-1 probabilities, a zero profile —
 // must build a usable model whose draws stay in range.
 func TestHostileConfigsClamped(t *testing.T) {
 	hostile := []Config{
-		{Categories: 50, FreeRiderFrac: -3, CommunityBias: 7, ProfileSize: -1, FilesPerNode: -9},
-		{Categories: 1, PopularityZipf: 2, ProfileSize: 0, FilesPerNode: 0, ClientFrac: 5, HubFrac: -1},
+		{Categories: 50, FreeRiderFrac: -3, CommunityBias: 7, ProfileSize: -1},
+		{Categories: 1, PopularityZipf: 2, ProfileSize: 0, ClientFrac: 5, HubFrac: -1},
 		{Categories: 0}, // falls back to DefaultConfig entirely
 		{Categories: 3, BystanderFrac: 1.5, HubFrac: 1.5, ClientFrac: 1.5},
 	}
 	for i, cfg := range hostile {
 		rng := stats.NewRNG(uint64(100 + i))
 		const n = 300
-		m := Build(rng, n, cfg)
+		m := BuildClustered(rng, ring(n), cfg)
 		wl := stats.NewRNG(uint64(200 + i))
 		for q := 0; q < 1000; q++ {
 			u := m.DrawOrigin(wl, n)
@@ -112,10 +112,10 @@ func TestHostileConfigsClamped(t *testing.T) {
 // DrawOrigin never returns a bystander, and with the split disabled it
 // is the plain uniform draw covering every node.
 func TestDrawOriginRespectsRoles(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := uniformConfig()
 	cfg.BystanderFrac = 0.4
 	const n = 500
-	m := Build(stats.NewRNG(7), n, cfg)
+	m := BuildClustered(stats.NewRNG(7), ring(n), cfg)
 	wl := stats.NewRNG(8)
 	for q := 0; q < 5000; q++ {
 		u := m.DrawOrigin(wl, n)
@@ -124,7 +124,7 @@ func TestDrawOriginRespectsRoles(t *testing.T) {
 		}
 	}
 
-	uniform := Build(stats.NewRNG(9), 64, DefaultConfig())
+	uniform := BuildClustered(stats.NewRNG(9), ring(64), uniformConfig())
 	seen := make([]bool, 64)
 	wl2 := stats.NewRNG(10)
 	for q := 0; q < 20000; q++ {

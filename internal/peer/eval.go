@@ -8,9 +8,10 @@ import (
 
 // This file is the engine-independent query lifecycle: the per-delivery
 // evaluation rules and the workload draw order that the engine in
-// peer/flat and the map-based oracle Engine must agree on. Each used to
-// carry its own copy of these decisions inline; extracting them here is
-// what lets the golden tests pin them to identical per-query stats.
+// peer/flat and the map-based oracle in peer/oracle must agree on. Each
+// used to carry its own copy of these decisions inline; extracting them
+// here is what lets the golden tests pin them to identical per-query
+// stats.
 
 // StopRule selects how a top-k query stops propagating once its result
 // budget fills (Akbarinia et al.: stop after the best k answers instead
@@ -93,18 +94,6 @@ func evalHostedDelivery(hosts, walk, visited bool, ttl int) DeliveryOutcome {
 	}
 	o.Forward = ttl > 0
 	return o
-}
-
-// evalSpec is EvalHostedSpec for the oracle engine, which resolves
-// hosting through the content model.
-func evalSpec(m *content.Model, origin, u int, cat trace.InterestID, walk, visited bool, ttl, hits int, spec QuerySpec) DeliveryOutcome {
-	if spec.TopK > 0 && hits >= spec.TopK {
-		return DeliveryOutcome{Absorbed: true}
-	}
-	if !walk && visited {
-		return DeliveryOutcome{Duplicate: true}
-	}
-	return EvalHostedSpec(u != origin && m.Hosts(u, cat), walk, visited, ttl, hits, spec)
 }
 
 // EvalHostedSpec is the spec-aware delivery evaluation: the lifecycle

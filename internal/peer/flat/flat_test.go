@@ -7,6 +7,7 @@ import (
 	"arq/internal/overlay"
 	"arq/internal/peer"
 	"arq/internal/peer/flat"
+	"arq/internal/peer/oracle"
 	"arq/internal/routing"
 	"arq/internal/stats"
 	"arq/internal/trace"
@@ -20,7 +21,7 @@ import (
 func TestFlatFloodInvariant(t *testing.T) {
 	rng := stats.NewRNG(9)
 	g := overlay.Random(rng, 400, 5)
-	m := content.Build(rng.Split(), 400, content.DefaultConfig())
+	m := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
 	e := flat.NewEngine(g, m, func(u int) peer.Router { return routing.Flood{} })
 
 	want := 2*g.M() - g.N() + 1
@@ -39,13 +40,13 @@ func TestFlatFloodInvariant(t *testing.T) {
 }
 
 // TestFlatMatchesEngineSmall cross-checks per-query stats against
-// peer.Engine on a tiny overlay — the cheap always-on version of the
+// the oracle on a tiny overlay — the cheap always-on version of the
 // golden equivalence test.
 func TestFlatMatchesEngineSmall(t *testing.T) {
 	rng := stats.NewRNG(21)
 	g := overlay.GnutellaLike(rng, 120)
 	m := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
-	seq := peer.NewEngine(g, m, func(u int) peer.Router { return routing.Flood{} })
+	seq := oracle.NewEngine(g, m, func(u int) peer.Router { return routing.Flood{} })
 	fl := flat.NewEngine(g, m, func(u int) peer.Router { return routing.Flood{} })
 
 	wrk := stats.NewRNG(3)
@@ -55,7 +56,7 @@ func TestFlatMatchesEngineSmall(t *testing.T) {
 		if a.Found != b.Found || a.Hits != b.Hits || a.FirstHitHops != b.FirstHitHops ||
 			a.QueryMessages != b.QueryMessages || a.HitMessages != b.HitMessages ||
 			a.Duplicates != b.Duplicates || a.NodesReached != b.NodesReached {
-			t.Fatalf("origin %d cat %d: peer.Engine %+v != flat.Engine %+v", j.Origin, j.Category, a, b)
+			t.Fatalf("origin %d cat %d: oracle %+v != flat.Engine %+v", j.Origin, j.Category, a, b)
 		}
 	}
 }
@@ -77,7 +78,7 @@ func TestFlatAssocChurnedConsequent(t *testing.T) {
 		return routing.NewAssoc(routing.AssocConfig{TopK: 1, Threshold: 2, Decay: 0.5, DecayEvery: 1 << 20})
 	}
 	fl := flat.NewEngine(g, m, newAssoc)
-	seq := peer.NewEngine(g, m, newAssoc)
+	seq := oracle.NewEngine(g, m, newAssoc)
 	const ttl = 2 // 0 -> 1 -> leaf; leaves never route
 	query := func(step string, wantMsgs, wantHits int) {
 		t.Helper()

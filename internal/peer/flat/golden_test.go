@@ -16,6 +16,7 @@ import (
 	"arq/internal/overlay"
 	"arq/internal/peer"
 	"arq/internal/peer/flat"
+	"arq/internal/peer/oracle"
 	"arq/internal/routing"
 	"arq/internal/stats"
 )
@@ -23,7 +24,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the engine equivalence golden files")
 
 // The golden pins per-query stats for all seven strategies at N=500:
-// the flat engine must match peer.Engine exactly, query by query, and
+// the flat engine must match the oracle (peer/oracle) exactly, query by query, and
 // the committed bytes must be identical across runs and across worker
 // counts (strategies processed sequentially or fanned out). Regenerate
 // with: go test ./internal/peer/flat -run TestEngineGolden -update
@@ -125,12 +126,12 @@ type pairing struct {
 	ref, got mkEngine
 }
 
-// oracleWith builds peer.Engine (the oracle) and flatWith flat.Engine,
+// oracleWith builds oracle.Engine and flatWith flat.Engine,
 // each engine under its own fault.NewSeeded(*cfg) — or on a perfect
 // network when cfg is nil.
 func oracleWith(g *overlay.Graph, model *content.Model, cfg *fault.Config) mkEngine {
 	return func(f func(u int) peer.Router) peer.QueryEngine {
-		e := peer.NewEngine(g, model, f)
+		e := oracle.NewEngine(g, model, f)
 		if cfg != nil {
 			e.Fault = fault.NewSeeded(*cfg)
 		}

@@ -1,4 +1,4 @@
-package peer_test
+package oracle_test
 
 import (
 	"reflect"
@@ -9,6 +9,7 @@ import (
 	"arq/internal/overlay"
 	"arq/internal/peer"
 	"arq/internal/peer/flat"
+	"arq/internal/peer/oracle"
 	"arq/internal/routing"
 	"arq/internal/stats"
 	"arq/internal/trace"
@@ -36,7 +37,7 @@ var faultEngines = []struct {
 		return e
 	}},
 	{"oracle", func(g *overlay.Graph, m *content.Model, inj fault.Injector) faultEngine {
-		e := peer.NewEngine(g, m, func(u int) peer.Router { return routing.Flood{} })
+		e := oracle.NewEngine(g, m, func(u int) peer.Router { return routing.Flood{} })
 		e.Fault = inj
 		return e
 	}},

@@ -10,6 +10,7 @@ import (
 
 	"arq/internal/peer"
 	"arq/internal/peer/flat"
+	"arq/internal/peer/oracle"
 	"arq/internal/routing"
 	"arq/internal/scenario"
 )
@@ -17,7 +18,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the churn scenario golden file")
 
 // The churn golden pins the flat engine to the oracle on one dynamic
-// scenario: peer.Engine, which reads the live graph and content model,
+// scenario: the oracle (peer/oracle), which reads the live graph and content model,
 // and flat.Engine, which patches its snapshots, must agree on every
 // Stats field query by query while peers churn. Regenerate with:
 // go test ./internal/scenario -run TestChurnGolden -update
@@ -37,7 +38,7 @@ func churnScenario() scenario.Scenario {
 	sc.Query.TTL = churnN
 	sc.Dynamics.QueriesPerEpoch = 25
 	sc.Dynamics.Period = 1
-	sc.Dynamics.Events = []scenario.Event{{Epoch: 0, Kind: scenario.EventChurn, Frac: 0.03, Degree: 3}}
+	sc.Dynamics.Events = []scenario.Event{{Epoch: 0, Frac: 0.03, Degree: 3}}
 	return sc
 }
 
@@ -72,7 +73,7 @@ func TestChurnGolden(t *testing.T) {
 
 	mkSeq := func(sc scenario.Scenario) (peer.QueryEngine, *scenario.Runner) {
 		g, m := sc.Build()
-		e := peer.NewEngine(g, m, flood)
+		e := oracle.NewEngine(g, m, flood)
 		s := &routing.OneShot{Label: "flood", E: e, TTL: sc.Query.TTL, TopK: sc.Query.TopK, Stop: sc.Query.Stop}
 		return e, scenario.NewRunner(sc, g, m, e, s, flood)
 	}
@@ -89,7 +90,7 @@ func TestChurnGolden(t *testing.T) {
 	for i := range seq {
 		recs[i] = toRec(seq[i])
 		if got := toRec(fl[i]); !recEqual(recs[i], got) {
-			t.Fatalf("query %d: peer.Engine %+v != flat.Engine %+v", i, recs[i], got)
+			t.Fatalf("query %d: oracle %+v != flat.Engine %+v", i, recs[i], got)
 		}
 	}
 

@@ -83,13 +83,7 @@ func (r *Runner) apply(ev Event) {
 		count = 1
 	}
 	for i := 0; i < count; i++ {
-		u := r.dyn.Intn(r.G.N())
-		switch ev.Kind {
-		case EventChurn:
-			r.churnNode(u, ev.Degree)
-		case EventShock:
-			r.shockNode(u)
-		}
+		r.churnNode(r.dyn.Intn(r.G.N()), ev.Degree)
 	}
 }
 
@@ -126,15 +120,5 @@ func (r *Runner) churnNode(u, deg int) {
 	de.HostedChanged(u, oldHosts, r.M.HostedCategories(u))
 	if r.NewRouter != nil {
 		de.RouterReset(u, r.NewRouter(u))
-	}
-}
-
-// shockNode redraws node u's content and profile in place — topology and
-// router survive, only the placement moves.
-func (r *Runner) shockNode(u int) {
-	oldHosts := append([]trace.InterestID(nil), r.M.HostedCategories(u)...)
-	r.M.Reassign(r.dyn, u)
-	if de, ok := r.Eng.(peer.DynamicEngine); ok {
-		de.HostedChanged(u, oldHosts, r.M.HostedCategories(u))
 	}
 }

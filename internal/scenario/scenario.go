@@ -1,11 +1,11 @@
 // Package scenario composes a whole network experiment into one value: a
-// topology, a content placement (communities, super-peer hubs, free
-// riders, workload roles), the per-query semantics (TTL-exhaust or top-k
-// early termination), and a deterministic dynamics schedule of churn and
-// content shocks. The engine (peer/flat.Engine) and its oracle
-// (peer.Engine) consume the same Scenario through the shared
-// peer.QueryEngine / peer.DynamicEngine lifecycle, so one description
-// drives both to identical results.
+// Gnutella-like power-law overlay, a clustered content placement
+// (communities, super-peer hubs, free riders, workload roles), the
+// per-query semantics (TTL-exhaust or top-k early termination), and a
+// deterministic churn schedule. The engine (peer/flat.Engine) and its
+// test oracle (peer/oracle.Engine) consume the same Scenario through the
+// shared peer.QueryEngine / peer.DynamicEngine lifecycle, so one
+// description drives both to identical results.
 package scenario
 
 import (
@@ -18,38 +18,18 @@ import (
 	"arq/internal/stats"
 )
 
-// EventKind selects what a scheduled dynamics event does to the network.
-type EventKind int
-
-const (
-	// EventChurn replaces a fraction of peers: each victim drops its
-	// edges, rejoins with fresh random ones, redraws its content and
-	// profile, and gets a fresh router (learned state is lost).
-	EventChurn EventKind = iota
-	// EventShock redraws the content and profile of a fraction of peers
-	// in place — the mass content reorganization of the trace
-	// generator's regime shock, at message level.
-	EventShock
-)
-
-// String names the kind for tables and logs.
-func (k EventKind) String() string {
-	if k == EventShock {
-		return "shock"
-	}
-	return "churn"
-}
-
-// Event is one epoch-stamped dynamics event.
+// Event is one epoch-stamped churn event: a fraction of peers is
+// replaced, each victim dropping its edges, rejoining with fresh random
+// ones, redrawing its content and profile, and getting a fresh router
+// (learned state is lost).
 type Event struct {
 	// Epoch is when the event fires: with Schedule.Period == 0 it fires
 	// once, on entering exactly this epoch; with Period > 0 it fires on
 	// every epoch e where e % Period == Epoch % Period.
 	Epoch int
-	Kind  EventKind
-	// Frac is the fraction of nodes affected (at least one node).
+	// Frac is the fraction of nodes churned (at least one node).
 	Frac float64
-	// Degree is the rejoin degree for churned nodes (EventChurn only).
+	// Degree is the rejoin degree of a churned node.
 	Degree int
 }
 
@@ -87,40 +67,22 @@ type Scenario struct {
 	// placement (Seed+100), workload draws (Seed+7), dynamics (Seed+13).
 	Seed  uint64
 	Nodes int
-	// Topology selects the overlay generator: "gnutella" (default),
-	// "random", or "smallworld".
-	Topology string
-	// Content parameterizes placement: communities, hubs, free riders,
+	// Content parameterizes placement: community bias, hubs, free riders,
 	// and the client/provider/bystander role split.
 	Content content.Config
-	// Unclustered skips community (BFS-Voronoi) placement.
-	Unclustered bool
 	// Query is the per-query semantics (TTL, optional top-k budget).
 	Query peer.QuerySpec
-	// Dynamics schedules churn and content shocks between queries.
+	// Dynamics schedules churn between queries.
 	Dynamics Schedule
 }
 
-// Build materializes the scenario's static substrate: the overlay graph
-// and the content model, fully determined by the scenario value.
+// Build materializes the scenario's static substrate, fully determined by
+// the scenario value: a Gnutella-like overlay and the content clustered
+// over it.
 func (s Scenario) Build() (*overlay.Graph, *content.Model) {
 	rng := stats.NewRNG(s.Seed + 100)
-	var g *overlay.Graph
-	switch s.Topology {
-	case "random":
-		g = overlay.Random(rng, s.Nodes, 4)
-	case "smallworld":
-		g = overlay.WattsStrogatz(rng, s.Nodes, 4, 0.1)
-	default:
-		g = overlay.GnutellaLike(rng, s.Nodes)
-	}
-	var m *content.Model
-	if s.Unclustered {
-		m = content.Build(rng.Split(), s.Nodes, s.Content)
-	} else {
-		m = content.BuildClustered(rng.Split(), g, s.Content)
-	}
-	return g, m
+	g := overlay.GnutellaLike(rng, s.Nodes)
+	return g, content.BuildClustered(rng.Split(), g, s.Content)
 }
 
 // Presets returns the scenario grid the arqbench "scenarios" section
@@ -167,7 +129,7 @@ func Presets(n int, seed uint64) []Scenario {
 			Dynamics: Schedule{
 				QueriesPerEpoch: 200,
 				Period:          2,
-				Events:          []Event{{Epoch: 1, Kind: EventChurn, Frac: 0.02, Degree: 3}},
+				Events:          []Event{{Epoch: 1, Frac: 0.02, Degree: 3}},
 			},
 		},
 	}

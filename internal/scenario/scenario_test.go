@@ -11,6 +11,7 @@ import (
 	"arq/internal/overlay"
 	"arq/internal/peer"
 	"arq/internal/peer/flat"
+	"arq/internal/peer/oracle"
 	"arq/internal/routing"
 	"arq/internal/scenario"
 	"arq/internal/stats"
@@ -20,7 +21,7 @@ import (
 type engineMaker func(g *overlay.Graph, m *content.Model, f func(u int) peer.Router) peer.QueryEngine
 
 func seqMaker(g *overlay.Graph, m *content.Model, f func(u int) peer.Router) peer.QueryEngine {
-	return peer.NewEngine(g, m, f)
+	return oracle.NewEngine(g, m, f)
 }
 
 func flatMaker(g *overlay.Graph, m *content.Model, f func(u int) peer.Router) peer.QueryEngine {

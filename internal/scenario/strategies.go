@@ -10,7 +10,7 @@ import (
 
 // EngineFactory constructs a query engine over the scenario's substrate
 // from a per-node router factory — the hook that lets one strategy list
-// run against flat.Engine or, in the equivalence tests, peer.Engine.
+// run against flat.Engine or, in the equivalence tests, the oracle.
 type EngineFactory func(factory func(u int) peer.Router) peer.QueryEngine
 
 // Strategy is one named search strategy over a scenario: Build wires a

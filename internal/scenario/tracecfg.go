@@ -6,8 +6,8 @@ import "arq/internal/tracegen"
 // generator, so the policy harness (sim.Run over tracegen streams) and
 // the message-level engines draw from one experiment description: the
 // category space, popularity skew, and profile size come from the
-// scenario's content config, and the first shock-like dynamics event
-// becomes the generator's regime shock. blockSize and totalBlocks pick
+// scenario's content config, and the first churn event becomes the
+// generator's regime shock. blockSize and totalBlocks pick
 // the stream's granularity.
 func (s Scenario) TraceConfig(blockSize, totalBlocks int) tracegen.Config {
 	cfg := tracegen.PaperProfile()

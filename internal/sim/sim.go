@@ -124,10 +124,9 @@ func Run(name string, policy core.Policy, src trace.Source, maxTrials int) *Resu
 // the worker goroutine, so a Spec is safe to fan out even though policies
 // and sources themselves are single-goroutine objects.
 type Spec struct {
-	Name      string
-	Policy    func() core.Policy
-	Source    func() trace.Source
-	MaxTrials int
+	Name   string
+	Policy func() core.Policy
+	Source func() trace.Source
 }
 
 // Sweep runs every spec, fanning out across workers goroutines
@@ -153,7 +152,7 @@ func Sweep(specs []Spec, workers int) []*Result {
 			defer wg.Done()
 			for i := range next {
 				s := specs[i]
-				results[i] = Run(s.Name, s.Policy(), s.Source(), s.MaxTrials)
+				results[i] = Run(s.Name, s.Policy(), s.Source(), 0)
 				busy[w] += results[i].WallNanos
 			}
 		}()

@@ -5,7 +5,7 @@
 // The generator models exactly the statistical structure the paper's
 // results depend on:
 //
-//   - Neighbor churn. The vantage node keeps Config.Neighbors concurrent
+//   - Neighbor churn. The vantage node keeps neighborSlots concurrent
 //     neighbor slots. Session lengths are bounded-Pareto — most neighbors
 //     are short-lived, a minority persist for many blocks — which is what
 //     makes the Static policy's coverage linger around 0.4 before decaying
@@ -15,8 +15,8 @@
 //     that profile.
 //   - Reply-path concentration and drift. Each interest has a primary
 //     provider neighbor; a reply arrives through the primary with
-//     probability ProviderFidelity, else through a random neighbor.
-//     Primaries rotate every RotatePeriodPairs observed pairs (staggered
+//     probability providerFidelity, else through a random neighbor.
+//     Primaries rotate every rotatePeriodPairs observed pairs (staggered
 //     with uniform random phase per interest, modeling the overlay
 //     reorganizing over hours) and rotate immediately when the provider
 //     neighbor departs.
@@ -49,12 +49,56 @@ var (
 	mRawQueries = obsv.GetCounter("tracegen.raw_queries")
 )
 
+// The calibrated model: every §V result's shape comes from these numbers,
+// and the calibration tests in this package assert the bands. They are
+// constants because every program runs them; Config holds what a program
+// or a test varies.
+const (
+	// neighborSlots is the number of concurrent neighbor slots.
+	neighborSlots = 120
+
+	// sessionAlpha/sessionMinPairs/sessionMaxPairs shape the bounded-
+	// Pareto session length of transient neighbors, measured in observed
+	// pairs. A small fraction stableProb of sessions are instead drawn
+	// uniformly from [stableMinPairs, stableMaxPairs], modeling the
+	// long-lived ultrapeer links real vantage measurements show; these are
+	// what keeps Static Ruleset coverage lingering long after its success
+	// has died (§V-A).
+	sessionAlpha    = 1.0
+	sessionMinPairs = 14_000
+	sessionMaxPairs = 800_000
+	stableProb      = 0.001
+	stableMinPairs  = 1_500_000
+	stableMaxPairs  = 12_000_000
+
+	// activityAlpha/activityMin/activityMax shape the Pareto activity
+	// weight of each neighbor (its relative query rate). Weights near
+	// activityMin model leaf peers whose handful of queries per block
+	// never clears the support-pruning threshold — an age-independent
+	// coverage loss every policy pays equally.
+	activityAlpha = 0.75
+	activityMin   = 0.05
+	activityMax   = 12
+
+	// providerFidelity is the probability a reply arrives through the
+	// interest's primary provider rather than a random neighbor.
+	providerFidelity = 0.90
+	// rotatePeriodPairs is the per-interest primary rotation period.
+	rotatePeriodPairs = 560_000
+
+	// answerProb and duplicateGUIDFrac only affect raw-capture
+	// generation: the fraction of queries that receive a reply (the
+	// paper's capture answers 3,254,274 of 10,514,090 queries) and the
+	// fraction of queries issued with an already-used GUID (the paper's
+	// misbehaving clients).
+	answerProb        = 3_254_274.0 / 10_514_090.0
+	duplicateGUIDFrac = 0.002
+)
+
 // Config parameterizes the synthetic vantage trace.
 type Config struct {
 	Seed uint64
 
-	// Neighbors is the number of concurrent neighbor slots.
-	Neighbors int
 	// Interests is the number of interest categories.
 	Interests int
 	// InterestZipf is the skew of global interest popularity.
@@ -62,46 +106,10 @@ type Config struct {
 	// ProfileSize is how many interests each neighbor queries for.
 	ProfileSize int
 
-	// SessionAlpha/SessionMinPairs/SessionMaxPairs shape the bounded-
-	// Pareto session length of transient neighbors, measured in observed
-	// pairs. A small fraction StableProb of sessions are instead drawn
-	// uniformly from [StableMinPairs, StableMaxPairs], modeling the
-	// long-lived ultrapeer links real vantage measurements show; these are
-	// what keeps Static Ruleset coverage lingering long after its success
-	// has died (§V-A).
-	SessionAlpha    float64
-	SessionMinPairs float64
-	SessionMaxPairs float64
-	StableProb      float64
-	StableMinPairs  float64
-	StableMaxPairs  float64
-
-	// ActivityAlpha/ActivityMin/ActivityMax shape the Pareto activity
-	// weight of each neighbor (its relative query rate). Weights near
-	// ActivityMin model leaf peers whose handful of queries per block
-	// never clears the support-pruning threshold — an age-independent
-	// coverage loss every policy pays equally.
-	ActivityAlpha float64
-	ActivityMin   float64
-	ActivityMax   float64
-
-	// ProviderFidelity is the probability a reply arrives through the
-	// interest's primary provider rather than a random neighbor.
-	ProviderFidelity float64
-	// RotatePeriodPairs is the per-interest primary rotation period.
-	RotatePeriodPairs int64
-
 	// BlockSize is the pairs-per-block served by Next (paper default
 	// 10,000) and TotalBlocks bounds the stream (<= 0 means unbounded).
 	BlockSize   int
 	TotalBlocks int
-
-	// AnswerProb and DuplicateGUIDFrac only affect raw-capture
-	// generation: the fraction of queries that receive a reply and the
-	// fraction of queries issued with an already-used GUID (the paper's
-	// misbehaving clients).
-	AnswerProb        float64
-	DuplicateGUIDFrac float64
 
 	// ShockAtBlock, when positive, injects a regime shock at that block
 	// boundary: ShockFraction (default 0.8) of the neighbor slots are
@@ -112,90 +120,17 @@ type Config struct {
 	ShockFraction float64
 }
 
-// PaperProfile returns the calibrated configuration whose block stream
-// reproduces the shape of every §V result; the calibration tests in this
-// package assert the bands. The paper's capture answers 3,254,274 of
-// 10,514,090 queries (AnswerProb ≈ 0.3095).
+// PaperProfile returns the configuration whose block stream reproduces
+// the shape of every §V result over the calibrated model above.
 func PaperProfile() Config {
 	return Config{
-		Seed:              1,
-		Neighbors:         120,
-		Interests:         400,
-		InterestZipf:      0.85,
-		ProfileSize:       3,
-		SessionAlpha:      1.0,
-		SessionMinPairs:   14_000,
-		SessionMaxPairs:   800_000,
-		StableProb:        0.001,
-		StableMinPairs:    1_500_000,
-		StableMaxPairs:    12_000_000,
-		ActivityAlpha:     0.75,
-		ActivityMin:       0.05,
-		ActivityMax:       12,
-		ProviderFidelity:  0.90,
-		RotatePeriodPairs: 560_000,
-		BlockSize:         10_000,
-		TotalBlocks:       366, // one warm-up + the paper's 365 trials
-		AnswerProb:        3_254_274.0 / 10_514_090.0,
-		DuplicateGUIDFrac: 0.002,
+		Seed:         1,
+		Interests:    400,
+		InterestZipf: 0.85,
+		ProfileSize:  3,
+		BlockSize:    10_000,
+		TotalBlocks:  366, // one warm-up + the paper's 365 trials
 	}
-}
-
-// withDefaults fills zero fields from PaperProfile.
-func (c Config) withDefaults() Config {
-	d := PaperProfile()
-	if c.Neighbors <= 0 {
-		c.Neighbors = d.Neighbors
-	}
-	if c.Interests <= 0 {
-		c.Interests = d.Interests
-	}
-	if c.InterestZipf <= 0 {
-		c.InterestZipf = d.InterestZipf
-	}
-	if c.ProfileSize <= 0 {
-		c.ProfileSize = d.ProfileSize
-	}
-	if c.SessionAlpha <= 0 {
-		c.SessionAlpha = d.SessionAlpha
-	}
-	if c.SessionMinPairs <= 0 {
-		c.SessionMinPairs = d.SessionMinPairs
-	}
-	if c.SessionMaxPairs <= c.SessionMinPairs {
-		c.SessionMaxPairs = d.SessionMaxPairs
-	}
-	if c.StableProb <= 0 {
-		c.StableProb = d.StableProb
-	}
-	if c.StableMinPairs <= 0 {
-		c.StableMinPairs = d.StableMinPairs
-	}
-	if c.StableMaxPairs <= c.StableMinPairs {
-		c.StableMaxPairs = d.StableMaxPairs
-	}
-	if c.ActivityAlpha <= 0 {
-		c.ActivityAlpha = d.ActivityAlpha
-	}
-	if c.ActivityMin <= 0 {
-		c.ActivityMin = d.ActivityMin
-	}
-	if c.ActivityMax <= c.ActivityMin {
-		c.ActivityMax = d.ActivityMax
-	}
-	if c.ProviderFidelity <= 0 {
-		c.ProviderFidelity = d.ProviderFidelity
-	}
-	if c.RotatePeriodPairs <= 0 {
-		c.RotatePeriodPairs = d.RotatePeriodPairs
-	}
-	if c.BlockSize <= 0 {
-		c.BlockSize = d.BlockSize
-	}
-	if c.AnswerProb <= 0 || c.AnswerProb > 1 {
-		c.AnswerProb = d.AnswerProb
-	}
-	return c
 }
 
 type neighbor struct {
@@ -228,18 +163,18 @@ type Generator struct {
 	blocksOut   int
 }
 
-// New constructs a generator; zero Config fields take PaperProfile values.
+// New constructs a generator over cfg, used as given: start from
+// PaperProfile() and change what the run varies.
 func New(cfg Config) *Generator {
-	cfg = cfg.withDefaults()
 	g := &Generator{
 		cfg:         cfg,
 		rng:         stats.NewRNG(cfg.Seed),
 		interestPop: stats.NewZipf(cfg.Interests, cfg.InterestZipf),
-		session:     stats.NewBoundedPareto(cfg.SessionAlpha, cfg.SessionMinPairs, cfg.SessionMaxPairs),
-		activity:    stats.NewBoundedPareto(cfg.ActivityAlpha, cfg.ActivityMin, cfg.ActivityMax),
-		neighbors:   make([]neighbor, cfg.Neighbors),
-		weights:     make([]float64, cfg.Neighbors),
-		alive:       make(map[trace.HostID]int, cfg.Neighbors),
+		session:     stats.NewBoundedPareto(sessionAlpha, sessionMinPairs, sessionMaxPairs),
+		activity:    stats.NewBoundedPareto(activityAlpha, activityMin, activityMax),
+		neighbors:   make([]neighbor, neighborSlots),
+		weights:     make([]float64, neighborSlots),
+		alive:       make(map[trace.HostID]int, neighborSlots),
 		providers:   make([]trace.HostID, cfg.Interests),
 		nextRotate:  make([]int64, cfg.Interests),
 		nextID:      1,
@@ -264,17 +199,17 @@ func New(cfg Config) *Generator {
 	}
 	for i := range g.nextRotate {
 		// Stagger rotation phases uniformly.
-		g.nextRotate[i] = int64(g.rng.Float64() * float64(cfg.RotatePeriodPairs))
+		g.nextRotate[i] = int64(g.rng.Float64() * rotatePeriodPairs)
 	}
 	return g
 }
 
 // sessionLength draws a fresh session: transient bounded-Pareto, or with
-// probability StableProb a long uniform "stable link" session.
+// probability stableProb a long uniform "stable link" session.
 func (g *Generator) sessionLength() int64 {
-	if g.rng.Bool(g.cfg.StableProb) {
-		return int64(g.cfg.StableMinPairs +
-			g.rng.Float64()*(g.cfg.StableMaxPairs-g.cfg.StableMinPairs))
+	if g.rng.Bool(stableProb) {
+		return int64(stableMinPairs +
+			g.rng.Float64()*(stableMaxPairs-stableMinPairs))
 	}
 	return int64(g.session.Sample(g.rng))
 }
@@ -284,12 +219,11 @@ func (g *Generator) sessionLength() int64 {
 // probability × mean duration, and each component is sampled
 // length-biased.
 func (g *Generator) stationarySessionLength() int64 {
-	p := g.cfg.StableProb
-	stableMean := (g.cfg.StableMinPairs + g.cfg.StableMaxPairs) / 2
-	wStable := p * stableMean
+	p := float64(stableProb)
+	wStable := p * ((stableMinPairs + stableMaxPairs) / 2)
 	wTransient := (1 - p) * g.session.Mean()
 	if g.rng.Float64()*(wStable+wTransient) < wStable {
-		return int64(stats.UniformLengthBiased(g.rng, g.cfg.StableMinPairs, g.cfg.StableMaxPairs))
+		return int64(stats.UniformLengthBiased(g.rng, stableMinPairs, stableMaxPairs))
 	}
 	return int64(g.session.SampleLengthBiased(g.rng))
 }
@@ -343,10 +277,9 @@ func (g *Generator) rotateProvider(interest trace.InterestID) {
 // provider returns the current primary for interest, applying any due
 // phase rotations and replacing departed providers.
 func (g *Generator) provider(interest trace.InterestID) trace.HostID {
-	period := g.cfg.RotatePeriodPairs
 	for g.nextRotate[interest] <= g.pairCounter {
 		g.rotateProvider(interest)
-		g.nextRotate[interest] += period
+		g.nextRotate[interest] += rotatePeriodPairs
 	}
 	p := g.providers[interest]
 	if p == trace.NoHost {
@@ -379,7 +312,7 @@ func (g *Generator) emitQuery() (srcSlot int, q trace.Query) {
 // emitReply draws the replying neighbor for a query.
 func (g *Generator) emitReply(q trace.Query) trace.Reply {
 	var replier trace.HostID
-	if g.rng.Bool(g.cfg.ProviderFidelity) {
+	if g.rng.Bool(providerFidelity) {
 		replier = g.provider(q.Interest)
 	} else {
 		slot := g.liveSlot(g.rng.Intn(len(g.neighbors)))
@@ -452,23 +385,23 @@ func (g *Generator) Next() (trace.Block, bool) {
 func (g *Generator) BlockSize() int { return g.cfg.BlockSize }
 
 // GenerateRaw produces a raw capture of nQueries queries with replies for
-// roughly AnswerProb of them, including a DuplicateGUIDFrac fraction of
+// roughly answerProb of them, including a duplicateGUIDFrac fraction of
 // queries that illegally reuse an earlier GUID — the §IV-A import
 // workload. Unanswered queries advance the interleaving but not the pair
 // clock, mirroring the capture where only replied queries became pairs.
 func (g *Generator) GenerateRaw(nQueries int) ([]trace.Query, []trace.Reply) {
 	queries := make([]trace.Query, 0, nQueries)
-	expReplies := int(float64(nQueries)*g.cfg.AnswerProb) + 1
+	expReplies := int(float64(nQueries)*answerProb) + 1
 	replies := make([]trace.Reply, 0, expReplies)
 	mRawQueries.Add(int64(nQueries))
 	for i := 0; i < nQueries; i++ {
 		_, q := g.emitQuery()
-		if len(queries) > 0 && g.rng.Bool(g.cfg.DuplicateGUIDFrac) {
+		if len(queries) > 0 && g.rng.Bool(duplicateGUIDFrac) {
 			// A misbehaving client reuses an old GUID for a new query.
 			q.GUID = queries[g.rng.Intn(len(queries))].GUID
 		}
 		queries = append(queries, q)
-		if g.rng.Bool(g.cfg.AnswerProb) {
+		if g.rng.Bool(answerProb) {
 			replies = append(replies, g.emitReply(q))
 			g.pairCounter++
 		}

@@ -209,14 +209,14 @@ func TestGenerateRawRatios(t *testing.T) {
 		t.Fatalf("queries = %d", len(qs))
 	}
 	ratio := float64(len(rs)) / float64(len(qs))
-	want := c.AnswerProb
+	want := answerProb
 	if ratio < want-0.02 || ratio > want+0.02 {
 		t.Fatalf("reply ratio = %.4f, want ~%.4f", ratio, want)
 	}
 	imp, _ := db.Import(qs, rs)
 	dupFrac := float64(imp.Stats.DuplicateGUIDs) / float64(n)
-	if dupFrac < c.DuplicateGUIDFrac/3 || dupFrac > c.DuplicateGUIDFrac*3 {
-		t.Fatalf("duplicate GUID fraction = %.5f, want ~%.5f", dupFrac, c.DuplicateGUIDFrac)
+	if dupFrac < duplicateGUIDFrac/3 || dupFrac > duplicateGUIDFrac*3 {
+		t.Fatalf("duplicate GUID fraction = %.5f, want ~%.5f", dupFrac, duplicateGUIDFrac)
 	}
 }
 
@@ -232,20 +232,6 @@ func TestGenerateRawJoinable(t *testing.T) {
 	}
 	if imp.Stats.Pairs == 0 {
 		t.Fatal("no pairs after join")
-	}
-}
-
-func TestWithDefaultsFillsZeroes(t *testing.T) {
-	g := New(Config{Seed: 12, BlockSize: 100, TotalBlocks: 1})
-	cfg := g.cfg
-	if cfg.Neighbors == 0 || cfg.Interests == 0 || cfg.ProviderFidelity == 0 {
-		t.Fatalf("defaults not applied: %+v", cfg)
-	}
-	if cfg.BlockSize != 100 {
-		t.Fatal("explicit field overridden")
-	}
-	if _, ok := g.Next(); !ok {
-		t.Fatal("generator unusable with defaulted config")
 	}
 }
 

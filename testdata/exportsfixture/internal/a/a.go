@@ -51,3 +51,10 @@ type hidden struct{}
 
 func (hidden) Shown() {}
 func (hidden) Gone()  {}
+
+// Preset is a catalogue struct: the caller writes Written and only reads
+// Never.
+type Preset struct {
+	Written int
+	Never   int
+}
