@@ -79,30 +79,30 @@ var testOnly = map[string]string{
 	"internal/obsv.Histogram.Quantile": "no caller: bucket-interpolated quantile; snapshots carry the buckets",
 	"internal/obsv.Registry.Reset":     "no caller: zeroes every instrument between measurements",
 	"internal/stats.RNG.ExpFloat64":    "no caller: exponential variate",
-	"internal/trace.SliceSource.Reset": "no caller: rewinds a slice source",
-	"internal/trace.WritePairs":        "no caller: writes pairs as the JSONL that ReadAll reads, round-tripped by its test",
 }
 
 // staysDeleted is what simplicity PRs removed and a later PR must not
-// bring back under the same name: declarations by package, and whole
-// paths.
+// bring back under the same name: declarations by package (a type's
+// method or field as Type.Name), and whole paths.
 var staysDeleted = struct {
 	names map[string][]string
 	paths []string
 }{
 	names: map[string][]string{
 		"internal/peer":   {"NewActorNet", "Engine", "NewEngine"}, // PR 15: one production engine; PR 25: the oracle is peer/oracle
-		"internal/trace":  {"Dedup", "Join"},                      // PR 18: one import pipeline
 		"internal/db":     {"NewTable", "MustTable", "EquiJoin"},  // PR 18
 		"internal/stream": {"FlatCountTable", "NewCountTable"},    // PR 14, 20, 21: one count store
 		"internal/core": {"Wide", "Merge", "Diff", "ShardedPairIndex", "ObsBatch", // PR 14, 18
 			"ExtRuleSet", "GenerateExtRuleSet", "SlidingExt", "GenOptions", "RuleView", "EvaluateBlock", "Rule", // PR 23: one rule table
 			"PublishOnChange"}, // PR 24: one servent configuration
+		"internal/trace": {"Dedup", "Join", // one import pipeline
+			"WritePairs", "SliceSource.Reset"}, // no caller left
 		"internal/vantage":   {"RuleConfig", "DefaultRuleConfig"},                        // PR 24
 		"internal/transport": {"ShedPolicy", "ShedOldest", "ShedNewest", "ShedDeadline"}, // PR 24
 		"internal/content":   {"Build"},                                                  // PR 25: one simulator configuration
 		"internal/sim":       {"RunNet", "NetSpec", "NetEngine"},                         // PR 25
-		"internal/scenario":  {"EventKind", "EventShock"},                                // PR 25
+		"internal/scenario": {"EventKind", "EventShock", // one simulator configuration
+			"ClusterPlan.HotFrac"}, // a constant
 	},
 	paths: []string{
 		"internal/report", "cmd/arqcheck", "BENCH_baseline.json", "BENCH_scale.json", // PR 16: one read-out per job
@@ -426,6 +426,18 @@ func (m *module) importers(dirs []string) []string {
 	return out
 }
 
+// declares reports whether pkg declares name at package level, or, for
+// Type.Name, whether one of its types has that method or field.
+func declares(pkg *types.Package, name string) bool {
+	typ, member, isMember := strings.Cut(name, ".")
+	obj := pkg.Scope().Lookup(typ)
+	if obj == nil || !isMember {
+		return obj != nil
+	}
+	found, _, _ := types.LookupFieldOrMethod(obj.Type(), true, pkg, member)
+	return found != nil
+}
+
 func TestNoTestOnlyExports(t *testing.T) {
 	m, err := loadModule(".", "arq")
 	if err != nil {
@@ -455,7 +467,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	for dir, names := range staysDeleted.names {
 		for _, name := range names {
-			if pkg := m.pkgs[m.path+"/"+dir]; pkg != nil && pkg.Scope().Lookup(name) != nil {
+			if pkg := m.pkgs[m.path+"/"+dir]; pkg != nil && declares(pkg, name) {
 				t.Errorf("%s.%s was deleted on purpose (see staysDeleted) and is back", dir, name)
 			}
 		}
@@ -481,7 +493,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 // const, a dead var, a dead enum value and an unset option field beside a
 // live one of each, a method called only through an interface, a
 // fmt.Stringer, a catalogue field nothing writes beside one a program
-// writes, and a test-only package with a program importing it.
+// writes, a test-only package with a program importing it, and names the
+// stays-deleted check finds at package level, as methods and as fields.
 func TestNoTestOnlyExportsFixture(t *testing.T) {
 	m, err := loadModule(filepath.Join("testdata", "exportsfixture"), "fix")
 	if err != nil {
@@ -492,6 +505,11 @@ func TestNoTestOnlyExportsFixture(t *testing.T) {
 	}
 	if got, want := m.importers([]string{"internal/o"}), []string{"cmd/c/c.go imports internal/o"}; !slices.Equal(got, want) {
 		t.Errorf("importers of the fixture's test-only package = %v, want %v", got, want)
+	}
+	for name, want := range map[string]bool{"Live": true, "Gone": false, "T.Live": true, "T.Shown": true, "T.Gone2": false, "Config.Set": true, "Config.Gone": false} {
+		if got := declares(m.pkgs["fix/internal/a"], name); got != want {
+			t.Errorf("declares(fixture, %s) = %v, want %v", name, got, want)
+		}
 	}
 	unused, used := m.exports(map[string][]string{"internal/a": {"Config"}}, []string{"internal/o"})
 	if want := []string{"internal/a.Config.Unset", "internal/a.Dead", "internal/a.DeadConst", "internal/a.DeadVar", "internal/a.ModeDead", "internal/a.T.Dead", "internal/a.hidden.Gone"}; !slices.Equal(unused, want) {

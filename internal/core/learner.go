@@ -35,7 +35,8 @@ type LearnerConfig struct {
 // DefaultLearnerConfig returns the learning constants every deployment
 // runs, the simulator's routers and the live servent alike: a pair is a
 // rule at decayed support 2, supports halve every 64 observations, a pair
-// below 0.25 is forgotten, and every observation publishes.
+// below 0.25 is forgotten, and every observation publishes what routing
+// reads (PublishSync).
 func DefaultLearnerConfig() LearnerConfig {
 	return LearnerConfig{Threshold: 2, Decay: 0.5, DecayEvery: 64, Floor: 0.25}
 }
@@ -93,9 +94,12 @@ func (l *Learner) Init(cfg *LearnerConfig) {
 
 // Observe folds one {src} -> {rep} observation into the index, decaying
 // at the configured cadence, and lets the publisher apply its policy.
-// Between decay steps the observation moved exactly one pair, so the
-// publisher is told which and can derive the next snapshot from the
-// served one; a decay step touches every pair and takes the full rebuild.
+// Between decay steps the observation raised exactly one pair, so the
+// publisher is told which: it keeps the served snapshot when the pair
+// moves no rule's rank or membership, and otherwise rebuilds that pair's
+// run alone. A decay step touches every pair and takes the full rebuild.
+// The served supports may therefore trail the index, by up to DecayEvery
+// observations when the learner decays; Publish returns exact ones.
 func (l *Learner) Observe(src, rep trace.HostID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -120,7 +124,8 @@ func (l *Learner) Update(edit func(*PairIndex)) *RuleSnapshot {
 }
 
 // Publish forces a snapshot of the index's current rules regardless of
-// the publication policy.
+// the publication policy: the rules and supports as of this moment, which
+// is what a checkpoint persists.
 func (l *Learner) Publish() *RuleSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()

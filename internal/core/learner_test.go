@@ -9,16 +9,6 @@ import (
 	"arq/internal/trace"
 )
 
-// TestLearnerMatchesRebuild pins the one write plane against the
-// mechanism it is built from. An 8000-step observation stream goes
-// through Learner.Observe; beside it a bare PairIndex absorbs the same
-// stream with the same decay cadence, and a Publisher over that index is
-// driven through Observe only, so every publish it makes is the full
-// rebuild. At every step the learner's served snapshot must equal the
-// reference's rule for rule and version for version: the single-pair
-// publish, the decay cadence and the policy triggers all agree with the
-// rebuild. Update and Restore must then each publish a strictly newer
-// version whatever the policy.
 // NewLearner returns a learner serving the empty version-0 snapshot;
 // outside tests learners sit by value in a slab and are initialised in
 // place.
@@ -28,6 +18,24 @@ func NewLearner(cfg LearnerConfig) *Learner {
 	return l
 }
 
+// sameOrder reports whether two snapshots hold the same rules in the same
+// order, whatever their supports: all a routing decision reads of one.
+func sameOrder(a, b *RuleSnapshot) bool {
+	return slices.EqualFunc(a.rules, b.rules, func(x, y RuleEntry) bool { return x.Key == y.Key })
+}
+
+// TestLearnerMatchesRebuild pins the one write plane against the
+// mechanism it is built from. An 8000-step observation stream goes
+// through Learner.Observe; beside it a bare PairIndex absorbs the same
+// stream with the same decay cadence, and a Publisher over that index is
+// driven through observe only, so every publish it makes is the full
+// rebuild. At every step the learner's served snapshot must hold the
+// reference's rules in the reference's order, at a version that never
+// goes back, and with the same lag; after every decay step, and always
+// under the epoch policy, whose publishes are all full ones, the supports
+// must be equal too. Publish must then return exactly the rebuild, and
+// Update and Restore must each publish a strictly newer version whatever
+// the policy.
 func TestLearnerMatchesRebuild(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -49,29 +57,39 @@ func TestLearnerMatchesRebuild(t *testing.T) {
 			ref := publisherOver(refIdx, cfg.Publish)
 
 			rng := stats.NewRNG(7)
+			var last uint64
 			for step := 1; step <= 8000; step++ {
 				src, rep := trace.HostID(rng.Intn(6)), trace.HostID(1+rng.Intn(8))
 				l.Observe(src, rep)
 				refIdx.addPair(src, rep)
-				if tc.decayEvery > 0 && step%tc.decayEvery == 0 {
+				decayed := tc.decayEvery > 0 && step%tc.decayEvery == 0
+				if decayed {
 					refIdx.decay(cfg.Decay, cfg.Floor)
 				}
 				ref.observe(refIdx)
 
 				got, want := l.View(), ref.view()
-				if got.version != want.version || !slices.Equal(got.rules, want.rules) {
-					t.Fatalf("step %d: learner serves v%d %v, rebuild gives v%d %v",
-						step, got.version, got.rules, want.version, want.rules)
+				if !sameOrder(got, want) || got.version < last {
+					t.Fatalf("step %d: learner serves v%d %v after v%d, rebuild gives %v",
+						step, got.version, got.rules, last, want.rules)
+				}
+				if (decayed || tc.policy == PublishEpoch) && !slices.Equal(got.rules, want.rules) {
+					t.Fatalf("step %d: full publish serves %v, rebuild gives %v", step, got.rules, want.rules)
 				}
 				if l.Lag() != ref.lag() {
 					t.Fatalf("step %d: lag %d, reference %d", step, l.Lag(), ref.lag())
 				}
+				last = got.version
 			}
 			if l.Version() == 0 {
 				t.Fatal("stream never published")
 			}
 
-			before := l.Version()
+			p := l.Publish()
+			if p.version <= last || l.View() != p || !slices.Equal(p.rules, ref.publish(refIdx).rules) {
+				t.Fatalf("Publish gave v%d (was v%d) %v, rebuild gives %v", p.version, last, p.rules, ref.view().rules)
+			}
+			before := p.Version()
 			s := l.Update(func(idx *PairIndex) { idx.Set(100, 200, 9) })
 			if s.Version() <= before || l.View() != s || s.Support(100, 200) != 9 {
 				t.Fatalf("Update published v%d (was v%d), support %v", s.Version(), before, s.Support(100, 200))
@@ -135,11 +153,14 @@ func TestLearnerRepairsDecayAndFloor(t *testing.T) {
 // never told which pair moved) through the same stream of observations,
 // structural Updates, forced Publishes and Restores of snapshots served
 // earlier, under every publish policy and with decay boundaries every few
-// observations. After each step both must serve the same rules at the same
-// version and lag. Every snapshot the learner served along the way is
-// kept with a copy of what it held then, and at the end each must still
-// hold exactly that: a published snapshot is never written again, however
-// many later ones were derived from it or share its rule storage.
+// observations. After each step both must serve the same rules in the same
+// order at the same lag, and the learner's version must not go back; after
+// a decay step, an Update, a Restore or a Publish the supports must be
+// equal too, and the last three must each publish a newer version. Every
+// snapshot the learner served along the way is kept with a copy of what it
+// held then, and at the end each must still hold exactly that: a published
+// snapshot is never written again, however many later ones were derived
+// from it or share its rule storage.
 func FuzzLearnerServe(f *testing.F) {
 	f.Add(uint8(0), uint8(4), uint8(0), []byte("\x00\x11\x00\x11\x00\x12\x00\x13\x00\x11\x0d\x25\x00\x11\x0e\x02\x00\x35\x0f\x00"))
 	f.Add(uint8(1), uint8(3), uint8(0), []byte("\x00\x11\x00\x11\x00\x21\x00\x21\x00\x11\x00\x31\x00\x31\x0e\x01\x00\x11"))
@@ -162,12 +183,15 @@ func FuzzLearnerServe(f *testing.F) {
 		for step := 0; step+1 < len(ops); step += 2 {
 			kind, arg := ops[step]%16, ops[step+1]
 			src, rep := trace.HostID(arg>>4%4), trace.HostID(1+arg%6)
+			before, full := l.Version(), true
 			switch {
 			case kind < 13:
 				l.Observe(src, rep)
 				refIdx.addPair(src, rep)
 				if seen++; cfg.DecayEvery > 0 && seen%cfg.DecayEvery == 0 {
 					refIdx.decay(cfg.Decay, cfg.Floor)
+				} else {
+					full = false
 				}
 				ref.observe(refIdx)
 			case kind == 13:
@@ -184,12 +208,12 @@ func FuzzLearnerServe(f *testing.F) {
 				ref.publish(refIdx)
 			}
 			got, want := l.View(), ref.view()
-			if got.version != want.version || !slices.Equal(got.rules, want.rules) {
-				t.Fatalf("step %d (op %#x %#x): learner serves v%d %v, rebuild gives v%d %v",
-					step/2, ops[step], arg, got.version, got.rules, want.version, want.rules)
+			if !sameOrder(got, want) || full && !slices.Equal(got.rules, want.rules) {
+				t.Fatalf("step %d (op %#x %#x): learner serves v%d %v, rebuild gives %v",
+					step/2, ops[step], arg, got.version, got.rules, want.rules)
 			}
-			if l.Version() != ref.Version() || l.Lag() != ref.lag() {
-				t.Fatalf("step %d: version %d lag %d, reference %d and %d", step/2, l.Version(), l.Lag(), ref.Version(), ref.lag())
+			if got.version < before || kind >= 13 && got.version == before || l.Lag() != ref.lag() {
+				t.Fatalf("step %d (op %#x): version %d after %d, lag %d against %d", step/2, ops[step], got.version, before, l.Lag(), ref.lag())
 			}
 			if len(kept) == 0 || kept[len(kept)-1].snap != got {
 				then := *got

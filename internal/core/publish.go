@@ -55,40 +55,23 @@ func (s *RuleSnapshot) byKey() []RuleEntry {
 	return out
 }
 
-// upsertRule returns rules with k's entry brought to support now: dropped
-// when now is below minSupport, otherwise placed at its canonical position
-// within its antecedent's run. The input is never modified; it is returned
-// as is when k is absent and stays absent.
-func upsertRule(rules []RuleEntry, k PairKey, now, minSupport float64) []RuleEntry {
-	lo, hi := runBounds(rules, k.Source())
-	at := lo
-	for at < hi && rules[at].Key != k {
-		at++
-	}
-	size, pending := len(rules), now >= minSupport
-	if at == hi && !pending {
-		return rules
-	}
-	if at < hi {
-		size--
-	}
-	if pending {
+// rerun returns rules with the run rules[lo:hi], k's antecedent run,
+// rebuilt from idx: every entry's support re-read, k appended at support
+// now when the run lacks it, and the run sorted again. The input is never
+// modified.
+func rerun(rules []RuleEntry, lo, hi int, idx *PairIndex, k PairKey, now float64, absent bool) []RuleEntry {
+	size := len(rules)
+	if absent {
 		size++
 	}
-	e := RuleEntry{Key: k, Support: now}
 	out := append(make([]RuleEntry, 0, size), rules[:lo]...)
-	for i := lo; i < hi; i++ {
-		if i == at {
-			continue
-		}
-		if pending && ruleLess(e, rules[i]) {
-			out, pending = append(out, e), false
-		}
-		out = append(out, rules[i])
+	for _, e := range rules[lo:hi] {
+		out = append(out, RuleEntry{Key: e.Key, Support: idx.counts.Get(e.Key)})
 	}
-	if pending {
-		out = append(out, e)
+	if absent {
+		out = append(out, RuleEntry{Key: k, Support: now})
 	}
+	sortRules(out[lo:])
 	return append(out, rules[hi:]...)
 }
 
@@ -97,12 +80,16 @@ func upsertRule(rules []RuleEntry, k PairKey, now, minSupport float64) []RuleEnt
 type PublishPolicy int
 
 const (
-	// PublishSync publishes after every observation. Readers always see
-	// the newest rule state, so a single-goroutine deployment (the
-	// sequential peer.Engine) reproduces direct-index routing decisions
-	// exactly. Each observation pays a publish: a single-pair upsert when
-	// the learner reports the pair it moved (ObservePair), a rebuild
-	// otherwise.
+	// PublishSync publishes after every observation what a routing
+	// decision can see. Readers always see the newest rule order and
+	// membership, so a single-goroutine deployment (the sequential
+	// oracle.Engine) reproduces direct-index routing decisions exactly. An
+	// observation that moves no rule's rank or membership keeps the
+	// served snapshot (see observePair); one that does swaps in a snapshot
+	// with its run rebuilt, and a decay step the full rebuild. Served
+	// supports are exact as of their run's last rebuild, at most one decay
+	// period old under a decaying Learner; Learner.Publish gives exact
+	// ones.
 	PublishSync PublishPolicy = iota
 	// PublishEpoch publishes every Epoch observations regardless of what
 	// changed, bounding staleness by a fixed observation budget.
@@ -191,28 +178,59 @@ func (p *Publisher) observe(idx *PairIndex) {
 	}
 }
 
-// observePair is observe for an observation that did nothing to the
-// index but move pair k to support now (no decay, no reset, no other
-// pair). When the policy publishes and this is the only
-// observation since the served snapshot was built, the next snapshot is
-// that one with k upserted — O(active rules), no walk of the index, no
-// sort — and shares its storage outright when k stays below MinSupport.
-// Otherwise the served snapshot is missing more than this pair (or was
-// never built from the index at all) and the publish is a full rebuild.
-// Either way version, lag and the instruments advance
-// exactly as under observe. Every index change must reach the publisher
-// through observe, observePair or publish for this to hold.
+// observePair is observe for an observation that did nothing to the index
+// but raise pair k to support now (no decay, no reset, no other pair).
+// Routing reads a snapshot's run order and membership, never its supports.
+// So when the policy publishes and the served snapshot was built from the
+// index one observation ago, that snapshot stays served, at its version
+// and with lag 0, if k changes neither:
+//   - k is absent and still below MinSupport, or
+//   - k is present and still ranks below its run predecessor, read at the
+//     predecessor's index support.
+//
+// Otherwise the next snapshot is the served one with k's run alone rebuilt
+// from the index (rerun): no walk of the index, one allocation for the
+// rules. This holds because between full publishes only observePair
+// touches the index, by raising one key, so the served order is always
+// the rebuild's. The served supports are as of each run's last rebuild;
+// a reader that persists them takes Learner.Publish. If the served
+// snapshot is missing more than this pair (or was never built from the
+// index at all), the publish is a full rebuild. Every index change must
+// reach the publisher through observe, observePair or publish.
 func (p *Publisher) observePair(idx *PairIndex, k PairKey, now float64) {
-	total := p.obsSince.Add(1)
+	// Only the writer stores obsSince, so a load and a store replace the
+	// add, and a kept snapshot writes nothing at all.
+	total := p.obsSince.Load() + 1
 	if !p.due(total) {
+		p.obsSince.Store(total)
 		gPublishLag.Set(total)
 		return
 	}
-	if base := p.cur.Load(); total == 1 && base.version > 0 {
-		p.swap(upsertRule(base.rules, k, now, p.cfg.MinSupport))
-	} else {
+	base := p.cur.Load()
+	if total > 1 || base.version == 0 {
 		p.publish(idx)
+		return
 	}
+	lo, hi := runBounds(base.rules, k.Source())
+	at := lo
+	for at < hi && base.rules[at].Key != k {
+		at++
+	}
+	absent := at == hi
+	switch {
+	case absent:
+		if now < p.cfg.MinSupport {
+			return // not a rule, and still not one
+		}
+	case at == lo:
+		return // heads its run, and still does
+	default:
+		pred := base.rules[at-1].Key
+		if ruleCmp(RuleEntry{Key: pred, Support: idx.counts.Get(pred)}, RuleEntry{Key: k, Support: now}) < 0 {
+			return // still behind its run predecessor
+		}
+	}
+	p.swap(rerun(base.rules, lo, hi, idx, k, now, absent))
 }
 
 // due applies the publication policy to the observations absorbed since

@@ -15,9 +15,10 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -106,22 +107,23 @@ type RuleEntry struct {
 // found by binary search. A table is immutable once its holder is built.
 type rules []RuleEntry
 
-// ruleLess is the canonical table order every producer (the index
-// snapshot, the publisher's rebuild and its single-pair upsert, the codec
-// decoder, RemapSnapshot) shares.
-func ruleLess(a, b RuleEntry) bool {
+// ruleCmp is the canonical table order every producer (the index
+// snapshot, the publisher's rebuild and its one-run rebuild, the codec
+// decoder, RemapSnapshot) shares. Keys are unique within a table, so the
+// order is total and any sort reaches the same table.
+func ruleCmp(a, b RuleEntry) int {
 	if sa, sb := a.Key.Source(), b.Key.Source(); sa != sb {
-		return sa < sb
+		return cmp.Compare(sa, sb)
 	}
 	if a.Support != b.Support {
-		return a.Support > b.Support
+		return cmp.Compare(b.Support, a.Support)
 	}
-	return a.Key < b.Key
+	return cmp.Compare(a.Key, b.Key)
 }
 
-// sortRules puts rules into the canonical table order.
+// sortRules puts rules into the canonical table order without allocating.
 func sortRules(rules []RuleEntry) {
-	sort.Slice(rules, func(i, j int) bool { return ruleLess(rules[i], rules[j]) })
+	slices.SortFunc(rules, ruleCmp)
 }
 
 // runBounds returns the half-open index range of src's run in rules.

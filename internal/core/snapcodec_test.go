@@ -291,9 +291,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("accepted non-canonical snapshot: %d bytes re-encode to %d", len(data), len(s.Marshal()))
 		}
 		// The decoder must hand back the canonical snapshot order, the
-		// one Publish and the single-pair upsert maintain.
+		// one Publish and the one-run rebuild maintain.
 		for i := 1; i < len(s.rules); i++ {
-			if !ruleLess(s.rules[i-1], s.rules[i]) {
+			if ruleCmp(s.rules[i-1], s.rules[i]) >= 0 {
 				t.Fatalf("decoded rules %d and %d out of canonical order: %+v, %+v", i-1, i, s.rules[i-1], s.rules[i])
 			}
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the engine's faulted query loop, taken whenever
-// Engine.Fault is set. It is peer.Engine's loop on the flat layout — the
+// Engine.Fault is set. It is oracle.Engine's loop on the flat layout — the
 // same FIFO, the same step-stamped delay heap, the injector consulted at
 // the same points in the same order — so a seeded injector yields the
 // oracle's stats record for record (TestEngineFaultedGolden). It lives

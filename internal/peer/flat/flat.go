@@ -1,7 +1,7 @@
 // Package flat is the query engine: the struct-of-arrays simulator over
 // the peer node/router model that every command, example, drill and
 // benchmark runs on, from 150-node chaos soaks to million-node floods.
-// The map-based peer.Engine it grew out of survives only as the oracle
+// The map-based oracle.Engine it grew out of survives only as the oracle
 // its goldens compare against.
 //
 // Layout over behavior: peers are indices into dense slices, adjacency
@@ -15,11 +15,11 @@
 //
 // Behavior is pinned, not approximated: every per-delivery decision
 // goes through peer.EvalHostedSpec, frontier-swap order equals
-// peer.Engine's FIFO order (FIFO from a single depth-0 injection IS
+// oracle.Engine's FIFO order (FIFO from a single depth-0 injection IS
 // strict BFS depth order — processing depth d only appends depth d+1),
 // and router construction order matches the oracle's constructor. The
 // golden tests in this package hold per-query stats byte-identical to
-// peer.Engine for all strategies under the same seed, on a perfect
+// oracle.Engine for all strategies under the same seed, on a perfect
 // network (TestEngineGolden) and under a full fault mix
 // (TestEngineFaultedGolden). Fault injection is Engine.Fault: when set,
 // queries leave the frontier loops for the step-counter loop in
@@ -123,7 +123,7 @@ type Engine struct {
 	// (delivered out of BFS order), crashed nodes discard deliveries,
 	// and a hit only counts as Found if it survives the reverse path to
 	// the origin. Queries then run the step-counter loop in faulted.go,
-	// record for record equal to peer.Engine under the same injector.
+	// record for record equal to oracle.Engine under the same injector.
 	// nil is a perfect network: the frontier loops below, untouched.
 	Fault fault.Injector
 	// fqueue and fdelayed are the faulted loop's FIFO and delay heap,
@@ -145,7 +145,7 @@ const prefetchDist = 16
 
 // NewEngine snapshots g into a CSR and builds one router per node via
 // factory, in node order — the same construction order as the oracle
-// (peer.Engine), so stateful factories (split RNGs, shared tables)
+// (oracle.Engine), so stateful factories (split RNGs, shared tables)
 // produce identical routers on either.
 func NewEngine(g *overlay.Graph, m *content.Model, factory func(u int) peer.Router) *Engine {
 	n := g.N()
@@ -302,7 +302,7 @@ func (e *Engine) RunQuerySpec(origin int, category trace.InterestID, spec peer.Q
 
 	// One frontier per depth: messages in cur are all at the same hop
 	// count, with remaining TTL implied by depth. Within a depth,
-	// processing order is append order — exactly peer.Engine's FIFO.
+	// processing order is append order — exactly oracle.Engine's FIFO.
 	for depth := 0; len(cur) > 0; depth++ {
 		rem := ttl - depth // forwards still allowed after this node
 		for i, m := range cur {
@@ -469,7 +469,7 @@ func (e *Engine) runFlood(org int32, hb []uint64, ttl int, meta peer.Meta, st *p
 // propagateHit routes a query-hit from node u back to the origin along
 // the reverse path in the parent array, letting each node on the way
 // observe which neighbor produced the hit — the exact accounting of
-// peer.Engine.propagateHit on a perfect network.
+// oracle.Engine.propagateHit on a perfect network.
 func (e *Engine) propagateHit(meta peer.Meta, u, upstreamAtU int32, st *peer.Stats) {
 	e.routers[u].ObserveHit(int(u), int(upstreamAtU), meta, int(u))
 	via := u

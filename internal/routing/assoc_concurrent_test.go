@@ -2,7 +2,10 @@ package routing
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"arq/internal/core"
@@ -180,10 +183,13 @@ func TestAssocAdoptShortcutVisibleToConcurrentReaders(t *testing.T) {
 }
 
 // TestAssocLearnerCallsSerialize drives every call that reads or writes
-// the learner's index — ObserveHit, PublishNow, Restore — from separate
-// goroutines on one default-config router. All of them must go through
-// the core.Learner mutex: under -race a path that reaches the index
-// without it is reported, and the version count shows a lost publish.
+// the learner's index — ObserveHit, PublishNow, Snapshot, Restore — from
+// separate goroutines on one default-config router. All of them must go
+// through the core.Learner mutex: under -race a path that reaches the
+// index without it is reported, a lost publish leaves the version short of
+// the publishes the forced calls alone make, and a publish that interleaved
+// with an observation leaves the served rules out of the order a rebuild
+// gives.
 func TestAssocLearnerCallsSerialize(t *testing.T) {
 	a := NewAssoc(DefaultAssocConfig())
 	const observes, publishes, restores = 4000, 500, 100
@@ -201,8 +207,106 @@ func TestAssocLearnerCallsSerialize(t *testing.T) {
 	run(publishes, func(int) { a.PublishNow() })
 	run(restores, func(int) { a.Restore(a.Snapshot(), 0.5) })
 	wg.Wait()
-	// PublishSync: each of the three calls publishes exactly once.
-	if got := a.learn.Version(); got != observes+publishes+restores {
-		t.Fatalf("snapshot version %d after %d serialized publishes", got, observes+publishes+restores)
+	// PublishNow publishes once, Snapshot and Restore once each; an
+	// observation publishes only when it moves a rule.
+	if got := a.learn.Version(); got < publishes+2*restores {
+		t.Fatalf("snapshot version %d after %d forced publishes", got, publishes+2*restores)
 	}
+	served := a.learn.View()
+	if got, want := ruleKeys(served), ruleKeys(a.Snapshot()); !slices.Equal(got, want) {
+		t.Fatalf("served rules %v, a rebuild gives %v", got, want)
+	}
+}
+
+// ruleKeys lists a snapshot's rules in table order, without supports.
+func ruleKeys(s *core.RuleSnapshot) []core.PairKey {
+	var keys []core.PairKey
+	s.Range(func(k core.PairKey, _ float64) bool {
+		keys = append(keys, k)
+		return true
+	})
+	return keys
+}
+
+// TestAssocRoutesInRebuildOrderUnderLearning runs RouteAppend on several
+// goroutines against one writer feeding ObserveHit and another forcing
+// Snapshot and PublishNow, all on one router; under -race it pins the
+// serve plane's memory contract for the default publish policy. The
+// writer steps refAssoc, the pre-engine reference that sorts every
+// decision from its own counts, beside the router and records, for every
+// antecedent, the decision a rebuild gives after each step. A reader's
+// decision must equal one of those recorded for the steps its call
+// overlapped: no reader may see a run out of the order a rebuild gives.
+func TestAssocRoutesInRebuildOrderUnderLearning(t *testing.T) {
+	const nodes, steps = 8, 3000
+	cfg := DefaultAssocConfig()
+	a, ref := NewAssoc(cfg), newRefAssoc(cfg)
+	nbrs := make([]int32, nodes)
+	for i := range nbrs {
+		nbrs[i] = int32(i)
+	}
+	// want[s][from+1] is the decision after step s; step is the last s
+	// whose row is written.
+	want := make([][nodes + 1][]int32, steps+1)
+	record := func(s int) {
+		for from := -1; from < nodes; from++ {
+			d := ref.route(from, nbrs)
+			if d == nil {
+				d = Flood{}.Route(0, from, peer.Meta{}, nbrs)
+			}
+			want[s][from+1] = d
+		}
+	}
+	record(0)
+	var step atomic.Int64
+	var done atomic.Bool
+
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			buf := make([]int32, 0, nodes)
+			for i := r; !done.Load(); i++ {
+				from := i%(nodes+1) - 1
+				s0 := int(step.Load())
+				buf = a.RouteAppend(buf[:0], 0, from, peer.Meta{}, nbrs)
+				// The snapshot read may be one step ahead of the row count:
+				// wait for that row, or for the writer to finish.
+				s1 := int(step.Load())
+				for int(step.Load()) == s1 && !done.Load() {
+					runtime.Gosched()
+				}
+				s2 := min(s1+1, int(step.Load()))
+				if !slices.ContainsFunc(want[s0:s2+1], func(row [nodes + 1][]int32) bool {
+					return slices.Equal(row[from+1], buf)
+				}) {
+					t.Errorf("RouteAppend(from=%d) = %v, which no rebuild in steps %d..%d gives", from, buf, s0, s2)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !done.Load() {
+			a.Snapshot()
+			a.PublishNow()
+			runtime.Gosched()
+		}
+	}()
+
+	rng := stats.NewRNG(11)
+	for s := 1; s <= steps; s++ {
+		// Three antecedents over eight consequents: long runs whose order
+		// changes often between decay steps.
+		u, from, via := rng.Intn(nodes), rng.Intn(3)-1, rng.Intn(nodes)
+		ref.observeHit(u, from, via)
+		record(s)
+		a.ObserveHit(u, from, peer.Meta{}, via)
+		step.Store(int64(s))
+	}
+	done.Store(true)
+	wg.Wait()
 }

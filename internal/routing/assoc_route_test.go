@@ -80,9 +80,10 @@ func TestAssocSkipsDepartedAndSenderConsequents(t *testing.T) {
 
 // The serve plane allocates nothing once the caller's buffer has room —
 // covered, uncovered and flood-phase alike — and Route, which brings its
-// own buffer, allocates exactly that. A learn step allocates the next
-// snapshot and nothing else: its header alone when the rule set is
-// unchanged, header and rule slice when a served rule moved.
+// own buffer, allocates exactly that. A learn step that moves no rule's
+// rank or membership allocates nothing and keeps serving the same
+// snapshot; one that moves a rule allocates the next snapshot, header and
+// rule slice, and nothing else.
 func TestAssocHotPathAllocations(t *testing.T) {
 	a := NewAssoc(AssocConfig{TopK: 2, Threshold: 2, Decay: 0.5, DecayEvery: 1 << 30})
 	nbrs := []int32{10, 11, 12, 13, 14, 15}
@@ -120,20 +121,40 @@ func TestAssocHotPathAllocations(t *testing.T) {
 		}
 	}
 
-	// Each hit moves the support of a served rule.
-	if n := testing.AllocsPerRun(100, func() { a.ObserveHit(0, 5, q, 12) }); n != 2 || a.RuleCount() != 2 {
-		t.Errorf("rule-moving ObserveHit, %d rules: %v allocs per call, want 2 with 2 rules", a.RuleCount(), n)
+	// Hits on the head of a run, or on a pair that stays below the
+	// threshold, move supports only.
+	for _, tc := range []struct {
+		name      string
+		threshold float64
+		via       int
+	}{
+		{"run-head", 2, 12},
+		{"sub-threshold", 1 << 40, 12},
+	} {
+		r := NewAssoc(AssocConfig{TopK: 2, Threshold: tc.threshold, Decay: 0.5, DecayEvery: 1 << 30})
+		for i := 0; i < 3; i++ {
+			r.ObserveHit(0, 5, q, 12)
+			r.ObserveHit(0, 5, q, 14)
+		}
+		served, rules := r.learn.View(), r.RuleCount()
+		if n := testing.AllocsPerRun(100, func() { r.ObserveHit(0, 5, q, tc.via) }); n != 0 {
+			t.Errorf("%s ObserveHit: %v allocs per call, want 0", tc.name, n)
+		}
+		if r.learn.View() != served || r.RuleCount() != rules {
+			t.Errorf("%s ObserveHit: served snapshot replaced (%d rules, had %d)", tc.name, r.RuleCount(), rules)
+		}
 	}
 
-	// Threshold out of reach: the pair is tracked but never becomes a rule.
-	sub := NewAssoc(AssocConfig{TopK: 2, Threshold: 1 << 40, Decay: 0.5, DecayEvery: 1 << 30})
-	sub.ObserveHit(0, 5, q, 12)
-	v0 := sub.learn.Version()
-	if n := testing.AllocsPerRun(100, func() { sub.ObserveHit(0, 5, q, 12) }); n != 1 {
-		t.Errorf("sub-threshold ObserveHit: %v allocs per call, want 1 (the snapshot header)", n)
+	// Two hits a call, each overtaking the other pair of a two-rule run.
+	served := a.learn.View()
+	if n := testing.AllocsPerRun(100, func() {
+		a.ObserveHit(0, 5, q, 14)
+		a.ObserveHit(0, 5, q, 12)
+	}); n != 4 || a.RuleCount() != 2 {
+		t.Errorf("order-moving ObserveHit, %d rules: %v allocs per two calls, want 4 with 2 rules", a.RuleCount(), n)
 	}
-	if got := sub.learn.Version() - v0; got != 101 || sub.RuleCount() != 0 {
-		t.Errorf("sub-threshold ObserveHit: version advanced by %d with %d rules, want 101 and 0", got, sub.RuleCount())
+	if a.learn.View() == served {
+		t.Error("order-moving ObserveHit kept the served snapshot")
 	}
 }
 
@@ -182,10 +203,10 @@ func BenchmarkAssocRouteAppend(b *testing.B) {
 }
 
 func BenchmarkAssocObserveHit(b *testing.B) {
-	// "visible" moves one of four published rules; "sub-threshold" puts
-	// the threshold out of reach, so every publish between decay steps
-	// shares the (empty) rule slice. Both pay the full rebuild every
-	// DecayEvery-th call.
+	// "visible" raises one of four published rules, which heads its run
+	// from its first hit on; "sub-threshold" puts the threshold out of
+	// reach. Between decay steps both keep the served snapshot, and both
+	// pay the full rebuild every DecayEvery-th call.
 	for _, bc := range []struct {
 		name      string
 		threshold float64

@@ -147,10 +147,11 @@ type AssocConfig struct {
 	Strict bool
 	// Publish selects when the learn plane publishes a fresh routing
 	// snapshot for the serve plane (see core.PublishPolicy). The zero
-	// value is core.PublishSync: every observation publishes, so a
-	// sequential deployment routes on fully current rules — the exact
-	// pre-split behaviour. core.PublishEpoch publishes every PublishEvery
-	// observations instead.
+	// value is core.PublishSync: every observation that moves a rule's
+	// rank or membership publishes, so a sequential deployment routes on
+	// fully current rule order, the exact pre-split behaviour, while the
+	// served supports may trail the learner's by up to DecayEvery hits.
+	// core.PublishEpoch publishes every PublishEvery observations instead.
 	Publish core.PublishPolicy
 	// PublishEvery is the epoch length for core.PublishEpoch (default 64).
 	PublishEvery int
@@ -338,8 +339,10 @@ func (a *Assoc) RouteAppend(dst []int32, u, from int, q peer.Meta, nbrs []int32)
 // ObserveHit implements peer.Router: support for {from} -> {via} grows by
 // one per returned hit, with periodic exponential decay. This is the
 // write plane — the observation is consumed by the learner and surfaces
-// in routing decisions when the publisher's policy next publishes
-// (immediately under core.PublishSync).
+// in routing decisions when the publisher's policy next publishes. Under
+// core.PublishSync that is immediately when the hit moves a rule's rank or
+// membership; a hit that moves neither keeps the served snapshot and
+// allocates nothing.
 func (a *Assoc) ObserveHit(u, from int, _ peer.Meta, via int) {
 	mAssocHits.Inc()
 	if via == u {
@@ -407,11 +410,12 @@ func (a *Assoc) RuleCount() int {
 	return a.learn.View().Len()
 }
 
-// Snapshot returns the currently served rule snapshot — the immutable
-// state a checkpoint persists (core.RuleSnapshot.Marshal) and a warm
-// restart feeds back through Restore.
+// Snapshot publishes the learner's current rules and returns them — the
+// immutable state a checkpoint persists (core.RuleSnapshot.Marshal) and a
+// warm restart feeds back through Restore. It publishes rather than
+// returning the served snapshot, whose supports may trail the learner's.
 func (a *Assoc) Snapshot() *core.RuleSnapshot {
-	return a.learn.View()
+	return a.learn.Publish()
 }
 
 // Restore seeds the learn plane from a persisted snapshot at discounted

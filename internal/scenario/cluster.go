@@ -11,18 +11,17 @@ import (
 // (internal/cluster): content placement, topology, and the query mix,
 // all deterministic in (N, Seed) so every child process derives the
 // identical plan from its own config with no coordination. The zero
-// FreeRiderFrac and HotFrac reproduce the historical cluster byte for
-// byte.
+// FreeRiderFrac reproduces the historical cluster byte for byte.
 type ClusterPlan struct {
 	N    int
 	Seed int64
 	// FreeRiderFrac marks that fraction of nodes as sharing nothing;
 	// their owned topics survive only on the other replica.
 	FreeRiderFrac float64
-	// HotFrac is the probability a query targets a successor-owned
-	// topic (0 = the historical 0.7).
-	HotFrac float64
 }
+
+// hotFrac is the probability a query targets a successor-owned topic.
+const hotFrac = 0.7
 
 // Universe returns the topic-universe size: 4 topics per node.
 func (p ClusterPlan) Universe() int { return 4 * p.N }
@@ -101,14 +100,6 @@ func (p ClusterPlan) Neighbours(id int) []int {
 	return out
 }
 
-// hotFrac returns the effective hot-query probability.
-func (p ClusterPlan) hotFrac() float64 {
-	if p.HotFrac > 0 {
-		return p.HotFrac
-	}
-	return 0.7
-}
-
 // PickTopic draws one query topic for node id: hotFrac of the time from
 // topics owned by a ring successor but not by id (paths the rule
 // learner warms), otherwise uniform over topics id does not own. When
@@ -135,7 +126,7 @@ func (p ClusterPlan) PickTopic(r *rand.Rand, id int) int {
 		}
 	}
 	pool := cold
-	if len(hot) > 0 && r.Float64() < p.hotFrac() {
+	if len(hot) > 0 && r.Float64() < hotFrac {
 		pool = hot
 	}
 	if len(pool) == 0 {

@@ -121,14 +121,3 @@ func ReadAll(rd io.Reader) (qs []Query, rs []Reply, ps []Pair, err error) {
 		}
 	}
 }
-
-// WritePairs encodes pairs as JSON Lines to w.
-func WritePairs(w io.Writer, pairs []Pair) error {
-	tw := NewWriter(w)
-	for _, p := range pairs {
-		if err := tw.WritePair(p); err != nil {
-			return err
-		}
-	}
-	return tw.Flush()
-}

@@ -120,6 +120,3 @@ func (s *SliceSource) Next() (Block, bool) {
 
 // BlockSize implements Source.
 func (s *SliceSource) BlockSize() int { return s.size }
-
-// Reset rewinds the source to the first block.
-func (s *SliceSource) Reset() { s.off = 0 }

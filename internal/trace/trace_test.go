@@ -37,21 +37,6 @@ func TestSliceSourceBlocks(t *testing.T) {
 	}
 }
 
-func TestSliceSourceReset(t *testing.T) {
-	src := NewSliceSource(mkPairs(5), 5)
-	if _, ok := src.Next(); !ok {
-		t.Fatal("expected a block")
-	}
-	if _, ok := src.Next(); ok {
-		t.Fatal("expected exhaustion")
-	}
-	src.Reset()
-	b, ok := src.Next()
-	if !ok || len(b) != 5 {
-		t.Fatal("reset did not rewind")
-	}
-}
-
 func TestSliceSourcePreservesOrder(t *testing.T) {
 	pairs := mkPairs(30)
 	src := NewSliceSource(pairs, 7)
@@ -135,25 +120,5 @@ func TestReaderSkipsBlankLines(t *testing.T) {
 	}
 	if len(qs) != 1 || qs[0].Source != 9 {
 		t.Fatalf("got %+v", qs)
-	}
-}
-
-func TestWritePairsRoundTrip(t *testing.T) {
-	pairs := mkPairs(12)
-	var buf bytes.Buffer
-	if err := WritePairs(&buf, pairs); err != nil {
-		t.Fatal(err)
-	}
-	_, _, ps, err := ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != len(pairs) {
-		t.Fatalf("round trip lost pairs: %d vs %d", len(ps), len(pairs))
-	}
-	for i := range ps {
-		if ps[i] != pairs[i] {
-			t.Fatalf("pair %d mismatch", i)
-		}
 	}
 }

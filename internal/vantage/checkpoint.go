@@ -43,7 +43,9 @@ type CheckpointConfig struct {
 	// EveryVersions is the publish cadence: a checkpoint is written in
 	// the background whenever the published snapshot version has
 	// advanced by at least this much since the last one (default
-	// defaultCheckpointEvery). Close always writes a final checkpoint.
+	// defaultCheckpointEvery). A version is a change in some rule's rank
+	// or membership, or a decay step. Close always writes a final
+	// checkpoint.
 	EveryVersions uint64
 	// Discount scales restored supports on WarmStart (default
 	// defaultCheckpointDiscount; see core.Learner.Restore).
@@ -104,13 +106,15 @@ func (s *Servent) maybeCheckpoint() {
 	}()
 }
 
-// writeCheckpoint persists the current published rule snapshot, remapped
-// from connection ids to peer node ids, to Dir/rules.ckpt (written to a
-// temp file and renamed, so a crash mid-write never corrupts the
-// previous checkpoint). Rules whose connection is gone are dropped —
-// they could not be remapped onto a future incarnation anyway.
+// writeCheckpoint publishes the learner's current rules and persists
+// them, remapped from connection ids to peer node ids, to Dir/rules.ckpt
+// (written to a temp file and renamed, so a crash mid-write never
+// corrupts the previous checkpoint). It publishes rather than reading the
+// served snapshot, whose supports may trail the learner's. Rules whose
+// connection is gone are dropped — they could not be remapped onto a
+// future incarnation anyway.
 func (s *Servent) writeCheckpoint() error {
-	view := s.rules.learner.View()
+	view := s.rules.learner.Publish()
 	s.mu.Lock()
 	toNode := make(map[trace.HostID]trace.HostID, len(s.conns))
 	for id, pc := range s.conns {

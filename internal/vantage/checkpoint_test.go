@@ -3,9 +3,11 @@ package vantage
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
+	"arq/internal/core"
 	"arq/internal/transport"
 )
 
@@ -159,8 +161,10 @@ func waitConns(t *testing.T, s *Servent, n int) {
 
 // TestWarmStartConcurrentWithObserve restores a checkpoint while routed
 // hits are still arriving. Both sides reach the learner's index, so both
-// must hold its mutex: under -race an unguarded restore is reported, and
-// the version count shows a lost publish.
+// must hold its mutex: under -race an unguarded restore is reported, a
+// lost publish leaves the version short of one per restore, and a restore
+// that interleaved with an observation leaves the served rules out of the
+// order a rebuild gives.
 func TestWarmStartConcurrentWithObserve(t *testing.T) {
 	s, err := Listen("127.0.0.1:0", Options{
 		Rules:      true,
@@ -187,7 +191,23 @@ func TestWarmStartConcurrentWithObserve(t *testing.T) {
 		}
 	}
 	<-done
-	if got := s.rules.learner.Version(); got != observes+restores {
-		t.Fatalf("snapshot version %d after %d serialized publishes", got, observes+restores)
+	// The checkpoint published once and every restore once more; an
+	// observation publishes only when it moves a rule.
+	if got := s.rules.learner.Version(); got < 1+restores {
+		t.Fatalf("snapshot version %d after %d restores", got, restores)
 	}
+	served := s.rules.learner.View()
+	if got, want := ruleKeys(served), ruleKeys(s.rules.learner.Publish()); !slices.Equal(got, want) {
+		t.Fatalf("served rules %v, a rebuild gives %v", got, want)
+	}
+}
+
+// ruleKeys lists a snapshot's rules in table order, without supports.
+func ruleKeys(s *core.RuleSnapshot) []core.PairKey {
+	var keys []core.PairKey
+	s.Range(func(k core.PairKey, _ float64) bool {
+		keys = append(keys, k)
+		return true
+	})
+	return keys
 }

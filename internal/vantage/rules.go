@@ -20,9 +20,12 @@ import (
 // mutex lives there. Serving never touches it: the forwarding decision
 // reads the latest published core.RuleSnapshot — one atomic load — so
 // concurrent connection goroutines route without contending with
-// learning or with each other. Every observation publishes, so the served
-// rules are never behind the learned ones and a servent has no staleness
-// fallback to take.
+// learning or with each other. Every observation publishes what filter
+// reads, each run's order and membership, so the served rules never route
+// behind the learned ones and a servent has no staleness fallback to take.
+// A hit that moves no rule's rank or membership keeps the served snapshot,
+// so its supports may trail the learner's by up to one decay period; the
+// checkpoint publishes exact ones (writeCheckpoint).
 
 // Rule-serving instruments: queries forwarded on learned rules vs flooded
 // (no coverage, or no learned consequent currently connected).
