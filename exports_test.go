@@ -78,7 +78,6 @@ var testOnly = map[string]string{
 	"internal/fault.NewPartition":      "no caller: the partition injector runs in fault's and transport's tests only",
 	"internal/obsv.Histogram.Quantile": "no caller: bucket-interpolated quantile; snapshots carry the buckets",
 	"internal/obsv.Registry.Reset":     "no caller: zeroes every instrument between measurements",
-	"internal/stats.RNG.ExpFloat64":    "no caller: exponential variate",
 }
 
 // staysDeleted is what simplicity PRs removed and a later PR must not
@@ -103,6 +102,8 @@ var staysDeleted = struct {
 		"internal/sim":       {"RunNet", "NetSpec", "NetEngine"},                         // PR 25
 		"internal/scenario": {"EventKind", "EventShock", // one simulator configuration
 			"ClusterPlan.HotFrac"}, // a constant
+		"internal/stats": {"WeightedChoice", // tracegen picks a source from cached sums
+			"RNG.ExpFloat64"}, // no caller
 	},
 	paths: []string{
 		"internal/report", "cmd/arqcheck", "BENCH_baseline.json", "BENCH_scale.json", // PR 16: one read-out per job

@@ -8,8 +8,6 @@
 // independent, non-overlapping streams via Split.
 package stats
 
-import "math"
-
 // RNG is a deterministic pseudo-random number generator implementing
 // xoshiro256** seeded through splitmix64. The zero value is not usable;
 // construct with NewRNG.
@@ -86,14 +84,4 @@ func (r *RNG) shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// ExpFloat64 returns an exponentially distributed float64 with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	// Inverse-CDF; guard against log(0).
-	u := r.Float64()
-	if u <= 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return -math.Log(1 - u)
 }

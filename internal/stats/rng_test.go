@@ -90,17 +90,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := NewRNG(23)
-	var s Summary
-	for i := 0; i < 100000; i++ {
-		s.Add(r.ExpFloat64())
-	}
-	if math.Abs(s.Mean()-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want ~1", s.Mean())
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := NewRNG(29)
 	hits := 0

@@ -122,32 +122,6 @@ func (p *BoundedPareto) Mean() float64 {
 		(1/math.Pow(l, a-1) - 1/math.Pow(h, a-1))
 }
 
-// WeightedChoice selects an index from weights with probability
-// proportional to its weight. Weights must be non-negative with a positive
-// sum; otherwise it panics. O(n) per draw — intended for small n (e.g.
-// choosing among a node's neighbors); use Zipf for large rank spaces.
-func WeightedChoice(r *RNG, weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("stats: WeightedChoice requires non-negative weights")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("stats: WeightedChoice requires a positive weight sum")
-	}
-	u := r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
 // SampleWithoutReplacement returns k distinct values drawn uniformly from
 // [0, n). It panics if k > n or k < 0. The result is in random order.
 func SampleWithoutReplacement(r *RNG, n, k int) []int {

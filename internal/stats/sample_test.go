@@ -109,32 +109,6 @@ func TestBoundedParetoEmpiricalMean(t *testing.T) {
 	}
 }
 
-func TestWeightedChoiceDistribution(t *testing.T) {
-	r := NewRNG(6)
-	w := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[WeightedChoice(r, w)]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight index chosen %d times", counts[1])
-	}
-	frac0 := float64(counts[0]) / n
-	if math.Abs(frac0-0.25) > 0.01 {
-		t.Fatalf("weight-1 fraction = %v, want ~0.25", frac0)
-	}
-}
-
-func TestWeightedChoicePanicsOnAllZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero-sum weights")
-		}
-	}()
-	WeightedChoice(NewRNG(1), []float64{0, 0})
-}
-
 func TestSampleWithoutReplacementDistinct(t *testing.T) {
 	r := NewRNG(7)
 	f := func(nRaw, kRaw uint8) bool {

@@ -40,8 +40,9 @@ import (
 )
 
 // Observability instruments: generation throughput is recorded at block
-// granularity (one timing per Next call, never per pair) so the per-pair
-// path stays untouched.
+// granularity (one timing per Next call, never per pair). The per-pair path
+// draws numbers only: it touches no instrument and formats no string, since
+// the query texts and file names of a raw capture are built once in New.
 var (
 	mBlocks     = obsv.GetCounter("tracegen.blocks")
 	mPairs      = obsv.GetCounter("tracegen.pairs")
@@ -151,11 +152,15 @@ type Generator struct {
 	activity    *stats.BoundedPareto
 
 	neighbors []neighbor
-	weights   []float64
-	alive     map[trace.HostID]int // id -> slot
+	weights   []float64 // per slot: the occupant's activity weight
+	cum       []float64 // cum[i] = weights[0] + … + weights[i], added left to right
 
 	providers  []trace.HostID // per interest; NoHost until first use
+	provSlot   []int          // per interest: the slot providers[i] was seated from
 	nextRotate []int64        // per interest
+
+	texts []string // per interest: a raw query's Text
+	files []string // per interest: a raw reply's Filename
 
 	nextID      trace.HostID
 	nextGUID    trace.GUID
@@ -174,11 +179,18 @@ func New(cfg Config) *Generator {
 		activity:    stats.NewBoundedPareto(activityAlpha, activityMin, activityMax),
 		neighbors:   make([]neighbor, neighborSlots),
 		weights:     make([]float64, neighborSlots),
-		alive:       make(map[trace.HostID]int, neighborSlots),
+		cum:         make([]float64, neighborSlots),
 		providers:   make([]trace.HostID, cfg.Interests),
+		provSlot:    make([]int, cfg.Interests),
 		nextRotate:  make([]int64, cfg.Interests),
+		texts:       make([]string, cfg.Interests),
+		files:       make([]string, cfg.Interests),
 		nextID:      1,
 		nextGUID:    1,
+	}
+	for i := range g.texts {
+		g.texts[i] = queryText(trace.InterestID(i))
+		g.files[i] = fmt.Sprintf("file-%d.dat", i)
 	}
 	for slot := range g.neighbors {
 		g.spawn(slot)
@@ -228,12 +240,9 @@ func (g *Generator) stationarySessionLength() int64 {
 	return int64(g.session.SampleLengthBiased(g.rng))
 }
 
-// spawn replaces the neighbor in slot with a fresh peer.
+// spawn replaces the neighbor in slot with a fresh peer. It is the only
+// writer of weights, and it keeps cum in step.
 func (g *Generator) spawn(slot int) {
-	old := g.neighbors[slot].id
-	if old != trace.NoHost {
-		delete(g.alive, old)
-	}
 	id := g.nextID
 	g.nextID++
 	profile := make([]trace.InterestID, g.cfg.ProfileSize)
@@ -246,8 +255,42 @@ func (g *Generator) spawn(slot int) {
 		deathAt: g.pairCounter + g.sessionLength(),
 		profile: profile,
 	}
-	g.weights[slot] = g.activity.Sample(g.rng)
-	g.alive[id] = slot
+	w := g.activity.Sample(g.rng)
+	if !(w > 0) {
+		panic("tracegen: activity weight must be positive")
+	}
+	g.weights[slot] = w
+	resum(g.cum, g.weights, slot)
+}
+
+// resum recomputes cum[from:] from weights with the additions a left-to-right
+// scan over weights makes, so every sum is bit-identical to that scan's.
+func resum(cum, weights []float64, from int) {
+	acc := 0.0
+	if from > 0 {
+		acc = cum[from-1]
+	}
+	for i := from; i < len(weights); i++ {
+		acc += weights[i]
+		cum[i] = acc
+	}
+}
+
+// pickSource returns the first i with u < cum[i], or the last index when
+// there is none: the index a linear scan accumulating the weights returns,
+// found by binary search. A zero weight repeats its predecessor's sum, so
+// for u below the total it is never the first to exceed u.
+func pickSource(cum []float64, u float64) int {
+	lo, hi := 0, len(cum)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if u < cum[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // liveSlot returns slot after respawning it if its session has ended.
@@ -272,6 +315,7 @@ func (g *Generator) rotateProvider(interest trace.InterestID) {
 		a = b
 	}
 	g.providers[interest] = g.neighbors[a].id
+	g.provSlot[interest] = a
 }
 
 // provider returns the current primary for interest, applying any due
@@ -281,71 +325,57 @@ func (g *Generator) provider(interest trace.InterestID) trace.HostID {
 		g.rotateProvider(interest)
 		g.nextRotate[interest] += rotatePeriodPairs
 	}
+	// The provider is alive while the slot it was seated from still holds
+	// it: ids are never reused. A departed provider takes the path to that
+	// content with it; NoHost, an interest's first use, matches no
+	// occupant either.
 	p := g.providers[interest]
-	if p == trace.NoHost {
-		g.rotateProvider(interest)
-		p = g.providers[interest]
-	} else if _, ok := g.alive[p]; !ok {
-		// Provider departed: the path to that content is gone.
+	if g.neighbors[g.provSlot[interest]].id != p {
 		g.rotateProvider(interest)
 		p = g.providers[interest]
 	}
 	return p
 }
 
-// emitQuery draws the next query (source and interest) from the model.
-func (g *Generator) emitQuery() (srcSlot int, q trace.Query) {
-	srcSlot = g.liveSlot(stats.WeightedChoice(g.rng, g.weights))
-	n := &g.neighbors[srcSlot]
-	interest := n.profile[g.rng.Intn(len(n.profile))]
-	q = trace.Query{
-		GUID:     g.nextGUID,
-		Time:     g.pairCounter,
-		Source:   n.id,
-		Interest: interest,
-		Text:     queryText(interest),
-	}
-	g.nextGUID++
-	return srcSlot, q
+// drawQuery draws the next query's source and interest from the model.
+func (g *Generator) drawQuery() (trace.HostID, trace.InterestID) {
+	u := g.rng.Float64() * g.cum[len(g.cum)-1]
+	n := &g.neighbors[g.liveSlot(pickSource(g.cum, u))]
+	return n.id, n.profile[g.rng.Intn(len(n.profile))]
 }
 
-// emitReply draws the replying neighbor for a query.
-func (g *Generator) emitReply(q trace.Query) trace.Reply {
-	var replier trace.HostID
+// drawReplier draws the neighbor a reply to a query for interest arrives
+// through.
+func (g *Generator) drawReplier(interest trace.InterestID) trace.HostID {
 	if g.rng.Bool(providerFidelity) {
-		replier = g.provider(q.Interest)
-	} else {
-		slot := g.liveSlot(g.rng.Intn(len(g.neighbors)))
-		replier = g.neighbors[slot].id
+		return g.provider(interest)
 	}
-	return trace.Reply{
-		GUID:     q.GUID,
-		Time:     q.Time + 1,
-		From:     replier,
-		Host:     replier + 1<<20, // a peer beyond the neighbor, via replier
-		Filename: fmt.Sprintf("file-%d.dat", q.Interest),
-	}
+	return g.neighbors[g.liveSlot(g.rng.Intn(len(g.neighbors)))].id
 }
 
 // NextPair produces one query–reply pair and advances the model clock.
 func (g *Generator) NextPair() trace.Pair {
-	_, q := g.emitQuery()
-	r := g.emitReply(q)
+	src, interest := g.drawQuery()
+	guid := g.nextGUID
+	g.nextGUID++
+	replier := g.drawReplier(interest)
+	t := g.pairCounter
 	g.pairCounter++
 	return trace.Pair{
-		GUID:      q.GUID,
-		Source:    q.Source,
-		Replier:   r.From,
-		Interest:  q.Interest,
-		QueryTime: q.Time,
-		ReplyTime: r.Time,
+		GUID:      guid,
+		Source:    src,
+		Replier:   replier,
+		Interest:  interest,
+		QueryTime: t,
+		ReplyTime: t + 1,
 	}
 }
 
-// shock forcibly replaces frac of the neighbor slots and rotates every
-// active provider — the mass-reorganization event ShockAtBlock schedules.
+// shock forcibly replaces frac of the neighbor slots (all of them when
+// frac >= 1) and rotates every active provider — the mass-reorganization
+// event ShockAtBlock schedules.
 func (g *Generator) shock(frac float64) {
-	n := int(frac * float64(len(g.neighbors)))
+	n := min(int(frac*float64(len(g.neighbors))), len(g.neighbors))
 	for _, slot := range stats.SampleWithoutReplacement(g.rng, len(g.neighbors), n) {
 		g.spawn(slot)
 	}
@@ -395,14 +425,29 @@ func (g *Generator) GenerateRaw(nQueries int) ([]trace.Query, []trace.Reply) {
 	replies := make([]trace.Reply, 0, expReplies)
 	mRawQueries.Add(int64(nQueries))
 	for i := 0; i < nQueries; i++ {
-		_, q := g.emitQuery()
+		src, interest := g.drawQuery()
+		q := trace.Query{
+			GUID:     g.nextGUID,
+			Time:     g.pairCounter,
+			Source:   src,
+			Interest: interest,
+			Text:     g.texts[interest],
+		}
+		g.nextGUID++
 		if len(queries) > 0 && g.rng.Bool(duplicateGUIDFrac) {
 			// A misbehaving client reuses an old GUID for a new query.
 			q.GUID = queries[g.rng.Intn(len(queries))].GUID
 		}
 		queries = append(queries, q)
 		if g.rng.Bool(answerProb) {
-			replies = append(replies, g.emitReply(q))
+			from := g.drawReplier(interest)
+			replies = append(replies, trace.Reply{
+				GUID:     q.GUID,
+				Time:     q.Time + 1,
+				From:     from,
+				Host:     from + 1<<20, // a peer beyond the neighbor, via from
+				Filename: g.files[interest],
+			})
 			g.pairCounter++
 		}
 	}
