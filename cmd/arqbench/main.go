@@ -694,11 +694,10 @@ func rewire() {
 	emit(t)
 }
 
-// faults runs the seeded fault-injection soak (internal/chaos): clean /
-// faulted / republished phases with and without the staleness fallback
-// to flooding, on identically seeded networks. The rows record the
-// success rate ρ, the rule-routed decision share α, and the headline
-// fault/degradation counters per phase.
+// faults runs the seeded fault-injection soak (internal/chaos): clean and
+// faulted phases of the association-routing overlay as deployed. The rows
+// record the success rate ρ, the rule-routed decision share α, and the
+// headline fault counters per phase.
 func faults() {
 	cfg := chaos.Config{Seed: *seed + 900, Nodes: 300, Warm: 3000, Queries: 500, TTL: 6}
 	if *quick {
@@ -717,15 +716,14 @@ func soak(prefix string, cfg chaos.Config) {
 	start := time.Now()
 	res := chaos.Soak(cfg)
 	fmt.Fprintf(os.Stderr, "arqbench: soak at %d nodes: %.1fs wall\n", cfg.Nodes, time.Since(start).Seconds())
-	t := metrics.NewTable(fmt.Sprintf("Fault-injection soak — %d nodes, drop=%.2f crash=%.2f slow=%.2f, publication stalled (nofallback/* arm has the staleness fallback disabled)",
+	t := metrics.NewTable(fmt.Sprintf("Fault-injection soak — %d nodes, drop=%.2f crash=%.2f slow=%.2f",
 		cfg.Nodes, res.Cfg.Fault.Drop, res.Cfg.Fault.Crash, res.Cfg.Fault.Slow),
-		"phase", "success", "rule share", "stale fallbacks", "msg drops", "down drops")
+		"phase", "success", "rule share", "msg drops", "down drops")
 	for _, p := range res.Phases {
-		stale := p.CounterDelta("routing.assoc.stale_fallbacks")
 		drops := p.CounterDelta("fault.msg_drops")
 		down := p.CounterDelta("fault.down_drops")
 		t.AddRow(prefix+p.Name, p.Success, fmt.Sprintf("%.3f", p.RuleShare),
-			fmt.Sprintf("%d", stale), fmt.Sprintf("%d", drops), fmt.Sprintf("%d", down))
+			fmt.Sprintf("%d", drops), fmt.Sprintf("%d", down))
 	}
 	emit(t)
 }

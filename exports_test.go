@@ -37,7 +37,6 @@ var testOnly = map[string]string{
 	"internal/wire.UnmarshalQuery": "fuzzed codec: the servent reads a query's fields in place; FuzzUnmarshalQuery and transport's tests decode whole payloads",
 	// Observers: what another package's tests read off a live object.
 	"internal/content.Model.Role":             "test observer: scenario's role-split test reads every node's role",
-	"internal/core.Learner.Lag":               "test observer: routing's staleness tests read the serve plane's lag",
 	"internal/core.rules.Support":             "test observer: vantage's checkpoint tests read a restored rule's support",
 	"internal/obsv.Gauge.Value":               "test observer: transport, vantage, routing and fault tests read gauges",
 	"internal/routing.NewAssoc":               "test constructor: one router on its own; programs build a slab with NewAssocs",
@@ -59,14 +58,11 @@ var testOnly = map[string]string{
 	"internal/vantage.Options.Fault":             "fault seam: vantage's fault tests drop, duplicate and corrupt inbound frames",
 	"internal/vantage.CheckpointConfig.Discount": "test seam: the restart test states the discount its supports are checked against; programs run the default 0.5",
 	"internal/routing.AssocConfig.Floor":         "set by DefaultAssocConfig only; routing's eviction tests vary it",
-	"internal/core.PublisherConfig.MinSupport":   "a Learner fills it from its Threshold; core's publisher tests set it apart from the index threshold",
-	"internal/core.PublishSync":                  "the zero PublishPolicy, which every program runs and so none names",
 	"internal/fault.Config.Corrupt":              "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
 	"internal/fault.Config.Delay":                "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
 	"internal/fault.Config.Duplicate":            "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
 	"internal/fault.Config.MaxDelay":             "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
 	"internal/fault.Config.SlowDelay":            "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
-	"internal/chaos.Config.StaleObs":             "ROADMAP 3 decides the bound; the soak and its golden run the default 50",
 	"internal/chaos.RecoveryConfig.TTL":          "set by chaos.Report from Config.TTL, which arqnet -ttl sets",
 	// Tested, and nothing calls it yet: the next sweep's list (ROADMAP 13).
 	"internal/content.RoleBystander":   "no caller: the model assigns roles itself; content's and scenario's tests compare Model.Role with it",
@@ -74,7 +70,6 @@ var testOnly = map[string]string{
 	"internal/content.RoleHub":         "no caller: as RoleBystander",
 	"internal/content.RoleProvider":    "no caller: as RoleBystander",
 	"internal/peer.StopAbsorb":         "no caller: the zero StopRule; flat's golden test names it",
-	"internal/content.FileName":        "no caller: display name of a category, kept with its test",
 	"internal/fault.NewPartition":      "no caller: the partition injector runs in fault's and transport's tests only",
 	"internal/obsv.Histogram.Quantile": "no caller: bucket-interpolated quantile; snapshots carry the buckets",
 	"internal/obsv.Registry.Reset":     "no caller: zeroes every instrument between measurements",
@@ -93,23 +88,33 @@ var staysDeleted = struct {
 		"internal/stream": {"FlatCountTable", "NewCountTable"},    // PR 14, 20, 21: one count store
 		"internal/core": {"Wide", "Merge", "Diff", "ShardedPairIndex", "ObsBatch", // PR 14, 18
 			"ExtRuleSet", "GenerateExtRuleSet", "SlidingExt", "GenOptions", "RuleView", "EvaluateBlock", "Rule", // PR 23: one rule table
-			"PublishOnChange"}, // PR 24: one servent configuration
+			"PublishOnChange", // one servent configuration
+			// One publication path: a learner always serves what it learned.
+			"Publisher", "PublisherConfig", "PublishPolicy", "PublishSync", "PublishEpoch",
+			"LearnerConfig.Publish", "Learner.Lag", "Learner.Stale"},
 		"internal/trace": {"Dedup", "Join", // one import pipeline
-			"WritePairs", "SliceSource.Reset"}, // no caller left
+			"WritePairs", "SliceSource.Reset", // no caller left
+			"Reader"}, // unexported: ReadAll is its one user
 		"internal/vantage":   {"RuleConfig", "DefaultRuleConfig"},                        // PR 24
 		"internal/transport": {"ShedPolicy", "ShedOldest", "ShedNewest", "ShedDeadline"}, // PR 24
-		"internal/content":   {"Build"},                                                  // PR 25: one simulator configuration
+		"internal/content":   {"Build", "FileName"},                                      // one simulator configuration; no caller
 		"internal/sim":       {"RunNet", "NetSpec", "NetEngine"},                         // PR 25
 		"internal/scenario": {"EventKind", "EventShock", // one simulator configuration
 			"ClusterPlan.HotFrac"}, // a constant
 		"internal/stats": {"WeightedChoice", // tracegen picks a source from cached sums
 			"RNG.ExpFloat64"}, // no caller
+
+		// One publication path: a learner always serves what it learned.
+		"internal/routing": {"AssocConfig.Publish", "AssocConfig.PublishEvery", "AssocConfig.StaleObs", "Assoc.PublishNow"},
+		"internal/chaos":   {"Config.StaleObs"},
 	},
 	paths: []string{
 		"internal/report", "cmd/arqcheck", "BENCH_baseline.json", "BENCH_scale.json", // PR 16: one read-out per job
 		"internal/assoc", "internal/core/extend.go", // PR 23
 		"internal/chaos/drill.go",  // PR 24
 		"internal/sim/net_test.go", // PR 25
+
+		"internal/routing/assoc_stale_test.go", // one publication path: no staleness fallback
 	},
 }
 
@@ -121,7 +126,7 @@ var optionStructs = map[string][]string{
 	"internal/transport": {"Options"},
 	"internal/vantage":   {"Options", "CheckpointConfig"},
 	"internal/routing":   {"AssocConfig"},
-	"internal/core":      {"LearnerConfig", "PublisherConfig"},
+	"internal/core":      {"LearnerConfig"},
 	"internal/tracegen":  {"Config"},
 	"internal/content":   {"Config"},
 	"internal/cluster":   {"Config"},

@@ -3,11 +3,12 @@ package chaos
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 )
 
-// testConfig is small enough for CI but large enough that rules learn,
-// faults bite, and the staleness bound is crossed.
+// testConfig is small enough for CI but large enough that rules learn and
+// faults bite.
 func testConfig() Config {
 	return Config{Seed: 42, Nodes: 120, Warm: 1200, Queries: 250}
 }
@@ -42,35 +43,24 @@ func TestSoakGolden(t *testing.T) {
 	}
 }
 
-// The graceful-degradation claim, measured against its counterfactual:
-// with publication stalled under churn and loss, the fallback arm
-// actually reverts to flooding (stale_fallbacks fires) and recovers
-// more successes than the identically seeded arm that keeps trusting
-// its stale rules. A republish brings rule routing back.
-func TestSoakFallbackRecoversSuccess(t *testing.T) {
+// What the soak claims: faults fire only once they are switched on, and
+// under them the routers keep routing on rules and keep learning from the
+// hits that still come home.
+func TestSoakRulesServeUnderFaults(t *testing.T) {
 	res := Soak(testConfig())
-	faulted := res.PhaseByName("faulted")
-	control := res.PhaseByName("nofallback/faulted")
-	if faulted == nil || control == nil {
-		t.Fatal("missing faulted phases")
+	clean, faulted := res.PhaseByName("clean"), res.PhaseByName("faulted")
+	if clean == nil || faulted == nil {
+		t.Fatal("missing phases")
 	}
-	if faulted.CounterDelta("routing.assoc.stale_fallbacks") == 0 {
-		t.Fatal("fallback arm never degraded to flooding")
+	for _, c := range clean.Counters {
+		if strings.HasPrefix(c.Name, "fault.") {
+			t.Errorf("clean phase moved %s by %+d", c.Name, c.Delta)
+		}
 	}
-	if control.CounterDelta("routing.assoc.stale_fallbacks") != 0 {
-		t.Fatal("control arm used the staleness fallback")
-	}
-	if faulted.Success <= control.Success {
-		t.Fatalf("degrading to flooding did not recover success: fallback ρ=%.4f, control ρ=%.4f",
-			faulted.Success, control.Success)
-	}
-	repub := res.PhaseByName("republished")
-	if repub == nil {
-		t.Fatal("missing republished phase")
-	}
-	if repub.RuleShare <= faulted.RuleShare {
-		t.Fatalf("republishing did not restore rule routing: α %.4f -> %.4f",
-			faulted.RuleShare, repub.RuleShare)
+	for _, name := range []string{"fault.msg_drops", "fault.down_drops", "routing.assoc.rule_routed", "routing.assoc.hits_observed"} {
+		if d := faulted.CounterDelta(name); d <= 0 {
+			t.Errorf("faulted phase moved %s by %+d, want > 0", name, d)
+		}
 	}
 }
 

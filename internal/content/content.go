@@ -7,8 +7,6 @@
 package content
 
 import (
-	"fmt"
-
 	"arq/internal/stats"
 	"arq/internal/trace"
 )
@@ -358,9 +356,4 @@ func (m *Model) DrawOrigin(rng *stats.RNG, n int) int {
 func (m *Model) DrawQuery(rng *stats.RNG, u int) trace.InterestID {
 	prof := m.profiles[u]
 	return prof[rng.Intn(len(prof))]
-}
-
-// FileName renders a stable display name for a category's content.
-func FileName(c trace.InterestID) string {
-	return fmt.Sprintf("category-%03d/archive.dat", c)
 }

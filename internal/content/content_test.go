@@ -137,12 +137,6 @@ func TestZeroConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestFileNameStable(t *testing.T) {
-	if FileName(7) != FileName(7) || FileName(7) == FileName(8) {
-		t.Fatal("file names must be stable and distinct per category")
-	}
-}
-
 // Community returns node u's community label.
 func (m *Model) Community(u int) int { return m.comm[u] }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"arq/internal/trace"
 )
@@ -26,17 +27,12 @@ type LearnerConfig struct {
 	Decay      float64
 	DecayEvery int
 	Floor      float64
-	// Publish selects when observations surface in the served snapshot
-	// and when that snapshot counts as stale. Its MinSupport defaults to
-	// Threshold.
-	Publish PublisherConfig
 }
 
 // DefaultLearnerConfig returns the learning constants every deployment
 // runs, the simulator's routers and the live servent alike: a pair is a
 // rule at decayed support 2, supports halve every 64 observations, a pair
-// below 0.25 is forgotten, and every observation publishes what routing
-// reads (PublishSync).
+// below 0.25 is forgotten.
 func DefaultLearnerConfig() LearnerConfig {
 	return LearnerConfig{Threshold: 2, Decay: 0.5, DecayEvery: 64, Floor: 0.25}
 }
@@ -56,25 +52,25 @@ func (c *LearnerConfig) repair() {
 			c.Floor = c.Threshold / 8
 		}
 	}
-	if c.Publish.MinSupport <= 0 {
-		c.Publish.MinSupport = c.Threshold
-	}
 }
 
-// Learner owns a decay-mode PairIndex, the Publisher over it, and the
-// mutex that guards both: every read or write of the index (Observe,
-// Update, Publish, Restore) happens under that one mutex, so callers may
-// use a Learner from any number of goroutines. The serve-side accessors
-// (View, Version, Lag, Stale) take no lock.
+// Learner owns a decay-mode PairIndex, the snapshot it serves from it,
+// and the mutex that guards the index: every read or write of the index
+// (Observe, Update, Publish, Restore) happens under that one mutex, so
+// callers may use a Learner from any number of goroutines. The serve-side
+// accessors (View, Version) take no lock. A learner always serves what it
+// learned: every call that changes the index publishes what routing reads
+// of it before it returns (see observePair).
 //
-// Index, count tables and publisher are all held by value, so a learner
-// is one object, and one cache line of it (the publisher's served
-// snapshot, first) is all a routing decision reads. A Learner must not be
+// Index, count tables and served snapshot are all held by value, so a
+// learner is one object, and one word of it (the served snapshot's
+// pointer, first) is all a routing decision reads. A Learner must not be
 // copied once initialised; an overlay keeps its learners in one slice and
 // initialises each in place.
 type Learner struct {
-	pub Publisher
-	cfg *LearnerConfig
+	cur     atomic.Pointer[RuleSnapshot]
+	cfg     *LearnerConfig
+	version uint64 // of the last publish; only the index's writer touches it
 
 	mu   sync.Mutex
 	seen int
@@ -89,17 +85,17 @@ func (l *Learner) Init(cfg *LearnerConfig) {
 	cfg.repair()
 	l.cfg = cfg
 	l.idx.threshold = cfg.Threshold
-	l.pub.init(&cfg.Publish)
+	l.cur.Store(emptySnapshot)
 }
 
 // Observe folds one {src} -> {rep} observation into the index, decaying
-// at the configured cadence, and lets the publisher apply its policy.
-// Between decay steps the observation raised exactly one pair, so the
-// publisher is told which: it keeps the served snapshot when the pair
-// moves no rule's rank or membership, and otherwise rebuilds that pair's
-// run alone. A decay step touches every pair and takes the full rebuild.
-// The served supports may therefore trail the index, by up to DecayEvery
-// observations when the learner decays; Publish returns exact ones.
+// at the configured cadence, and publishes what routing reads. Between
+// decay steps the observation raised exactly one pair, so observePair
+// keeps the served snapshot when the pair moves no rule's rank or
+// membership, and otherwise rebuilds that pair's run alone. A decay step
+// touches every pair and takes the full rebuild. The served supports may
+// therefore trail the index, by up to DecayEvery observations when the
+// learner decays; Publish returns exact ones.
 func (l *Learner) Observe(src, rep trace.HostID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -107,48 +103,40 @@ func (l *Learner) Observe(src, rep trace.HostID) {
 	l.seen++
 	if l.cfg.DecayEvery > 0 && l.seen%l.cfg.DecayEvery == 0 {
 		l.idx.decay(l.cfg.Decay, l.cfg.Floor)
-		l.pub.observe(&l.idx)
+		l.publish()
 		return
 	}
-	l.pub.observePair(&l.idx, packPair(src, rep), now)
+	l.observePair(packPair(src, rep), now)
 }
 
 // Update applies a structural edit to the index (anything other than one
-// observation: grafting, seeding, resetting) and publishes the result
-// unconditionally. edit must not retain the index.
+// observation: grafting, seeding, resetting) and publishes the result.
+// edit must not retain the index.
 func (l *Learner) Update(edit func(*PairIndex)) *RuleSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	edit(&l.idx)
-	return l.pub.publish(&l.idx)
+	return l.publish()
 }
 
-// Publish forces a snapshot of the index's current rules regardless of
-// the publication policy: the rules and supports as of this moment, which
-// is what a checkpoint persists.
+// Publish forces a full snapshot of the index's current rules: the rules
+// and supports as of this moment, which is what a checkpoint persists.
 func (l *Learner) Publish() *RuleSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.pub.publish(&l.idx)
+	return l.publish()
 }
 
 // Restore seeds the index from a persisted snapshot at discounted
-// support and publishes; see Publisher.restore.
+// support and publishes; see restore.
 func (l *Learner) Restore(s *RuleSnapshot, discount float64) *RuleSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.pub.restore(&l.idx, s, discount)
+	return l.restore(s, discount)
 }
 
 // View returns the currently served snapshot: one atomic load, never nil.
-func (l *Learner) View() *RuleSnapshot { return l.pub.view() }
+func (l *Learner) View() *RuleSnapshot { return l.cur.Load() }
 
 // Version returns the served snapshot's sequence number.
-func (l *Learner) Version() uint64 { return l.pub.view().version }
-
-// Lag returns the observations absorbed since the last publish.
-func (l *Learner) Lag() int64 { return l.pub.lag() }
-
-// Stale reports whether the served snapshot breaches the staleness bound
-// of LearnerConfig.Publish; see Publisher.stale.
-func (l *Learner) Stale() bool { return l.pub.stale() }
+func (l *Learner) Version() uint64 { return l.cur.Load().version }

@@ -27,34 +27,25 @@ func sameOrder(a, b *RuleSnapshot) bool {
 // TestLearnerMatchesRebuild pins the one write plane against the
 // mechanism it is built from. An 8000-step observation stream goes
 // through Learner.Observe; beside it a bare PairIndex absorbs the same
-// stream with the same decay cadence, and a Publisher over that index is
-// driven through observe only, so every publish it makes is the full
-// rebuild. At every step the learner's served snapshot must hold the
-// reference's rules in the reference's order, at a version that never
-// goes back, and with the same lag; after every decay step, and always
-// under the epoch policy, whose publishes are all full ones, the supports
-// must be equal too. Publish must then return exactly the rebuild, and
-// Update and Restore must each publish a strictly newer version whatever
-// the policy.
+// stream with the same decay cadence, and the oracle is the full rebuild
+// of that index at every step. At every step the learner's served
+// snapshot must hold the rebuild's rules in the rebuild's order, at a
+// version that never goes back; after every decay step, which publishes
+// in full, the supports must be equal too. Publish must then return
+// exactly the rebuild, and Update and Restore must each publish a
+// strictly newer version.
 func TestLearnerMatchesRebuild(t *testing.T) {
-	cases := []struct {
+	for _, tc := range []struct {
 		name       string
-		policy     PublishPolicy
 		decayEvery int
 	}{
-		{"sync", PublishSync, 64},
-		{"epoch", PublishEpoch, 64},
-		{"sync-nodecay", PublishSync, 0},
-	}
-	for _, tc := range cases {
+		{"sync", 64},
+		{"sync-nodecay", 0},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := LearnerConfig{
-				Threshold: 2, Decay: 0.5, DecayEvery: tc.decayEvery, Floor: 0.25,
-				Publish: PublisherConfig{Policy: tc.policy, Epoch: 16},
-			}
+			cfg := LearnerConfig{Threshold: 2, Decay: 0.5, DecayEvery: tc.decayEvery, Floor: 0.25}
 			l := NewLearner(cfg)
 			refIdx := newDecayIndex(cfg.Threshold)
-			ref := publisherOver(refIdx, cfg.Publish)
 
 			rng := stats.NewRNG(7)
 			var last uint64
@@ -66,18 +57,14 @@ func TestLearnerMatchesRebuild(t *testing.T) {
 				if decayed {
 					refIdx.decay(cfg.Decay, cfg.Floor)
 				}
-				ref.observe(refIdx)
 
-				got, want := l.View(), ref.view()
+				got, want := l.View(), rebuild(refIdx)
 				if !sameOrder(got, want) || got.version < last {
 					t.Fatalf("step %d: learner serves v%d %v after v%d, rebuild gives %v",
 						step, got.version, got.rules, last, want.rules)
 				}
-				if (decayed || tc.policy == PublishEpoch) && !slices.Equal(got.rules, want.rules) {
+				if decayed && !slices.Equal(got.rules, want.rules) {
 					t.Fatalf("step %d: full publish serves %v, rebuild gives %v", step, got.rules, want.rules)
-				}
-				if l.Lag() != ref.lag() {
-					t.Fatalf("step %d: lag %d, reference %d", step, l.Lag(), ref.lag())
 				}
 				last = got.version
 			}
@@ -86,8 +73,8 @@ func TestLearnerMatchesRebuild(t *testing.T) {
 			}
 
 			p := l.Publish()
-			if p.version <= last || l.View() != p || !slices.Equal(p.rules, ref.publish(refIdx).rules) {
-				t.Fatalf("Publish gave v%d (was v%d) %v, rebuild gives %v", p.version, last, p.rules, ref.view().rules)
+			if want := rebuild(refIdx); p.version <= last || l.View() != p || !slices.Equal(p.rules, want.rules) {
+				t.Fatalf("Publish gave v%d (was v%d) %v, rebuild gives %v", p.version, last, p.rules, want.rules)
 			}
 			before := p.Version()
 			s := l.Update(func(idx *PairIndex) { idx.Set(100, 200, 9) })
@@ -106,19 +93,15 @@ func TestLearnerMatchesRebuild(t *testing.T) {
 // TestLearnerLayout pins what a Learner costs where thousands sit side by
 // side in one slab (routing.NewAssocs): its size, so that the next field
 // added shows up in review, and that what the serve plane reads on every
-// routing decision — the served snapshot's pointer and the publisher's
-// config, where Stale finds its bounds — comes first. routing's
-// TestAssocLayout puts the two inside the router's first cache line.
+// routing decision, the served snapshot's pointer, comes first. routing's
+// TestAssocLayout puts it inside the router's first cache line.
 func TestLearnerLayout(t *testing.T) {
 	var l Learner
-	if off := unsafe.Offsetof(l.pub) + unsafe.Offsetof(l.pub.cur); off != 0 {
+	if off := unsafe.Offsetof(l.cur); off != 0 {
 		t.Errorf("the served snapshot's pointer is at offset %d of a Learner, want 0", off)
 	}
-	if off := unsafe.Offsetof(l.pub) + unsafe.Offsetof(l.pub.cfg); off > 24 {
-		t.Errorf("the publisher's config pointer is at offset %d of a Learner, want at most 24", off)
-	}
-	if size := unsafe.Sizeof(l); size > 216 {
-		t.Errorf("a Learner is %d bytes, ceiling 216", size)
+	if size := unsafe.Sizeof(l); size > 184 {
+		t.Errorf("a Learner is %d bytes, ceiling 184", size)
 	}
 }
 
@@ -149,30 +132,25 @@ func TestLearnerRepairsDecayAndFloor(t *testing.T) {
 }
 
 // FuzzLearnerServe drives a Learner and the rebuild-only oracle of
-// TestLearnerMatchesRebuild (a bare PairIndex under a Publisher that is
-// never told which pair moved) through the same stream of observations,
-// structural Updates, forced Publishes and Restores of snapshots served
-// earlier, under every publish policy and with decay boundaries every few
-// observations. After each step both must serve the same rules in the same
-// order at the same lag, and the learner's version must not go back; after
-// a decay step, an Update, a Restore or a Publish the supports must be
-// equal too, and the last three must each publish a newer version. Every
-// snapshot the learner served along the way is kept with a copy of what it
-// held then, and at the end each must still hold exactly that: a published
-// snapshot is never written again, however many later ones were derived
-// from it or share its rule storage.
+// TestLearnerMatchesRebuild (a bare PairIndex, rebuilt in full at every
+// step) through the same stream of observations, structural Updates,
+// forced Publishes and Restores of snapshots served earlier, with decay
+// boundaries every few observations. After each step the learner must
+// serve the rebuild's rules in the rebuild's order, and its version must
+// not go back; after a decay step, an Update, a Restore or a Publish the
+// supports must be equal too, and the last three must each publish a newer
+// version. Every snapshot the learner served along the way is kept with a
+// copy of what it held then, and at the end each must still hold exactly
+// that: a published snapshot is never written again, however many later
+// ones were derived from it or share its rule storage.
 func FuzzLearnerServe(f *testing.F) {
-	f.Add(uint8(0), uint8(4), uint8(0), []byte("\x00\x11\x00\x11\x00\x12\x00\x13\x00\x11\x0d\x25\x00\x11\x0e\x02\x00\x35\x0f\x00"))
-	f.Add(uint8(1), uint8(3), uint8(0), []byte("\x00\x11\x00\x11\x00\x21\x00\x21\x00\x11\x00\x31\x00\x31\x0e\x01\x00\x11"))
-	f.Add(uint8(2), uint8(0), uint8(2), []byte("\x00\x11\x00\x12\x00\x13\x00\x14\x00\x15\x00\x11\x00\x12\x00\x13\x00\x14\x00\x15\x0f\x00"))
-	f.Fuzz(func(t *testing.T, policy, decayEvery, epoch uint8, ops []byte) {
-		cfg := LearnerConfig{
-			Threshold: 2, Decay: 0.5, DecayEvery: int(decayEvery % 8), Floor: 0.25,
-			Publish: PublisherConfig{Policy: PublishPolicy(policy % 3), Epoch: 1 + int(epoch%8)},
-		}
+	f.Add(uint8(4), []byte("\x00\x11\x00\x11\x00\x12\x00\x13\x00\x11\x0d\x25\x00\x11\x0e\x02\x00\x35\x0f\x00"))
+	f.Add(uint8(3), []byte("\x00\x11\x00\x11\x00\x21\x00\x21\x00\x11\x00\x31\x00\x31\x0e\x01\x00\x11"))
+	f.Add(uint8(0), []byte("\x00\x11\x00\x12\x00\x13\x00\x14\x00\x15\x00\x11\x00\x12\x00\x13\x00\x14\x00\x15\x0f\x00"))
+	f.Fuzz(func(t *testing.T, decayEvery uint8, ops []byte) {
+		cfg := LearnerConfig{Threshold: 2, Decay: 0.5, DecayEvery: int(decayEvery % 8), Floor: 0.25}
 		l := NewLearner(cfg)
 		refIdx := newDecayIndex(cfg.Threshold)
-		ref := publisherOver(refIdx, cfg.Publish)
 
 		type served struct {
 			snap *RuleSnapshot
@@ -193,27 +171,26 @@ func FuzzLearnerServe(f *testing.F) {
 				} else {
 					full = false
 				}
-				ref.observe(refIdx)
 			case kind == 13:
 				edit := func(idx *PairIndex) { idx.Set(src, rep, float64(arg>>6)) }
 				l.Update(edit)
 				edit(refIdx)
-				ref.publish(refIdx)
 			case kind == 14 && len(kept) > 0:
 				old := kept[int(arg)%len(kept)].snap
 				l.Restore(old, 0.5)
-				ref.restore(refIdx, old, 0.5)
+				for _, e := range old.byKey() {
+					refIdx.add(e.Key.Source(), e.Key.Replier(), e.Support*0.5)
+				}
 			default:
 				l.Publish()
-				ref.publish(refIdx)
 			}
-			got, want := l.View(), ref.view()
+			got, want := l.View(), rebuild(refIdx)
 			if !sameOrder(got, want) || full && !slices.Equal(got.rules, want.rules) {
 				t.Fatalf("step %d (op %#x %#x): learner serves v%d %v, rebuild gives %v",
 					step/2, ops[step], arg, got.version, got.rules, want.rules)
 			}
-			if got.version < before || kind >= 13 && got.version == before || l.Lag() != ref.lag() {
-				t.Fatalf("step %d (op %#x): version %d after %d, lag %d against %d", step/2, ops[step], got.version, before, l.Lag(), ref.lag())
+			if got.version < before || kind >= 13 && got.version == before {
+				t.Fatalf("step %d (op %#x): version %d after %d", step/2, ops[step], got.version, before)
 			}
 			if len(kept) == 0 || kept[len(kept)-1].snap != got {
 				then := *got

@@ -108,7 +108,7 @@ type RuleEntry struct {
 type rules []RuleEntry
 
 // ruleCmp is the canonical table order every producer (the index
-// snapshot, the publisher's rebuild and its one-run rebuild, the codec
+// snapshot, the learner's rebuild and its one-run rebuild, the codec
 // decoder, RemapSnapshot) shares. Keys are unique within a table, so the
 // order is total and any sort reaches the same table.
 func ruleCmp(a, b RuleEntry) int {

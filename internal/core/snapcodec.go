@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the persistence half of the snapshot lifecycle: a
-// versioned binary codec over RuleSnapshot plus Publisher.restore, which
+// versioned binary codec over RuleSnapshot plus Learner.restore, which
 // seeds a learn plane from a decoded snapshot at discounted support. A
 // servent that checkpoints its published snapshot to disk can warm-start
 // after a crash instead of re-learning from zero, and the same
@@ -28,6 +28,13 @@ const snapshotCodecVersion = 1
 // maxSnapshotRules bounds how many rules UnmarshalSnapshot will accept —
 // a corrupt or hostile length field fails fast instead of allocating.
 const maxSnapshotRules = 1 << 22
+
+// maxSnapshotVersion bounds the snapshot version UnmarshalSnapshot will
+// accept. A restore adopts the version it reads and publishes the next
+// one, so a header at the top of the uint64 range would wrap the served
+// version back to 0, the pre-first-publish sentinel. 2^63 leaves more
+// publishes than any learner makes.
+const maxSnapshotVersion = 1 << 63
 
 // snapshotHeaderLen is magic + codec version + snapshot version + eight
 // reserved bytes + rule count.
@@ -56,10 +63,11 @@ func (s *RuleSnapshot) Marshal() []byte {
 }
 
 // UnmarshalSnapshot decodes a snapshot produced by Marshal, validating
-// the header, the exact payload length, strictly increasing keys (the
-// canonical-encoding invariant), and finite positive supports. The
-// records are then put into the same canonical order Publish uses, so a
-// decoded snapshot serves routing decisions identical to the original.
+// the header (its version below maxSnapshotVersion), the exact payload
+// length, strictly increasing keys (the canonical-encoding invariant), and
+// finite positive supports. The records are then put into the same
+// canonical order Publish uses, so a decoded snapshot serves routing
+// decisions identical to the original.
 func UnmarshalSnapshot(p []byte) (*RuleSnapshot, error) {
 	if len(p) < snapshotHeaderLen {
 		return nil, errors.New("core: snapshot too short")
@@ -71,6 +79,9 @@ func UnmarshalSnapshot(p []byte) (*RuleSnapshot, error) {
 		return nil, fmt.Errorf("core: snapshot codec version %d unsupported", v)
 	}
 	version := binary.LittleEndian.Uint64(p[6:])
+	if version >= maxSnapshotVersion {
+		return nil, fmt.Errorf("core: snapshot version %d out of range", version)
+	}
 	n := binary.LittleEndian.Uint32(p[22:])
 	if n > maxSnapshotRules {
 		return nil, fmt.Errorf("core: snapshot claims %d rules", n)
@@ -125,7 +136,7 @@ func RemapSnapshot(s *RuleSnapshot, f func(trace.HostID) (trace.HostID, bool)) *
 	return out
 }
 
-// restore seeds idx, the publisher's index, from a persisted snapshot at
+// restore seeds the learner's index from a persisted snapshot at
 // discounted support and publishes the result. Each rule's support is
 // added (not overwritten) at s.Support * discount, so restoring into a
 // live index merges rather than clobbers — the same primitive a
@@ -134,11 +145,12 @@ func RemapSnapshot(s *RuleSnapshot, f func(trace.HostID) (trace.HostID, bool)) *
 // threshold land in the index but not in the published snapshot: a
 // marginal rule does not survive a restart, by design.
 //
-// The publisher's version is first raised to at least the snapshot's, so
+// The learner's version is first raised to at least the snapshot's, so
 // the post-restore publish is strictly newer than both the restored
 // snapshot and anything published before — version monotonicity holds
-// across restarts.
-func (p *Publisher) restore(idx *PairIndex, s *RuleSnapshot, discount float64) *RuleSnapshot {
+// across restarts. UnmarshalSnapshot admits no version at or above
+// maxSnapshotVersion, so the increment cannot wrap.
+func (l *Learner) restore(s *RuleSnapshot, discount float64) *RuleSnapshot {
 	if s == nil {
 		s = emptySnapshot
 	}
@@ -147,10 +159,10 @@ func (p *Publisher) restore(idx *PairIndex, s *RuleSnapshot, discount float64) *
 	}
 	// Seed in sorted key order so restore is deterministic.
 	for _, e := range s.byKey() {
-		idx.add(e.Key.Source(), e.Key.Replier(), e.Support*discount)
+		l.idx.add(e.Key.Source(), e.Key.Replier(), e.Support*discount)
 	}
-	if s.version > p.version {
-		p.version = s.version
+	if s.version > l.version {
+		l.version = s.version
 	}
-	return p.publish(idx)
+	return l.publish()
 }

@@ -12,14 +12,12 @@ import (
 	"arq/internal/trace"
 )
 
-// publishedSnapshot builds a decay index with the given weighted pairs
-// and publishes once, returning the publisher and its snapshot.
-func publishedSnapshot(t *testing.T, threshold float64, add func(idx *PairIndex)) (*Publisher, *RuleSnapshot) {
+// publishedSnapshot seeds a learner's index with the given weighted pairs
+// and publishes once, returning the learner and its snapshot.
+func publishedSnapshot(t *testing.T, threshold float64, add func(idx *PairIndex)) (*Learner, *RuleSnapshot) {
 	t.Helper()
-	idx := newDecayIndex(threshold)
-	add(idx)
-	p := publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
-	return p, p.publish(idx)
+	l := NewLearner(LearnerConfig{Threshold: threshold})
+	return l, l.Update(add)
 }
 
 func TestSnapshotRoundtrip(t *testing.T) {
@@ -149,6 +147,14 @@ func TestUnmarshalSnapshotRejectsCorrupt(t *testing.T) {
 		binary.LittleEndian.PutUint16(b[4:], snapshotCodecVersion+1)
 		return b
 	})
+	corrupt("version past 2^63", func(b []byte) []byte {
+		binary.LittleEndian.PutUint64(b[6:], maxSnapshotVersion)
+		return b
+	})
+	corrupt("version at the top of uint64", func(b []byte) []byte {
+		binary.LittleEndian.PutUint64(b[6:], math.MaxUint64)
+		return b
+	})
 	corrupt("hostile count", func(b []byte) []byte {
 		binary.LittleEndian.PutUint32(b[22:], maxSnapshotRules+1)
 		return b
@@ -181,16 +187,15 @@ func TestRestoreSeedsDiscounted(t *testing.T) {
 		idx.add(3, 4, 1.5) // marginal: 1.5 * 0.5 < threshold, must not survive
 	})
 
-	idx2 := newDecayIndex(1)
-	p2 := publisherOver(idx2, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
-	out := p2.restore(idx2, s, 0.5)
+	l2 := NewLearner(LearnerConfig{Threshold: 1})
+	out := l2.Restore(s, 0.5)
 	if got := out.Support(1, 2); got != 4 {
 		t.Fatalf("restored support(1,2) = %v, want 4 (8 discounted by 0.5)", got)
 	}
 	if out.matches(3, 4) {
 		t.Fatal("marginal rule survived restore below threshold")
 	}
-	if p2.view() != out {
+	if l2.View() != out {
 		t.Fatal("Restore did not publish the restored snapshot")
 	}
 }
@@ -198,34 +203,58 @@ func TestRestoreSeedsDiscounted(t *testing.T) {
 func TestRestoreMergesIntoLiveIndex(t *testing.T) {
 	_, s := publishedSnapshot(t, 1, func(idx *PairIndex) { idx.add(1, 2, 6) })
 
-	idx2 := newDecayIndex(1)
-	idx2.add(1, 2, 4) // live state the restore must merge with, not clobber
-	p2 := publisherOver(idx2, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
-	out := p2.restore(idx2, s, 1)
+	l2, _ := publishedSnapshot(t, 1, func(idx *PairIndex) {
+		idx.add(1, 2, 4) // live state the restore must merge with, not clobber
+	})
+	out := l2.Restore(s, 1)
 	if got := out.Support(1, 2); got != 10 {
 		t.Fatalf("merged support(1,2) = %v, want 10 (4 live + 6 restored)", got)
 	}
 }
 
 func TestRestoreVersionMonotone(t *testing.T) {
-	// Restoring an old snapshot into a newer publisher must not roll the
+	// Restoring an old snapshot into a newer learner must not roll the
 	// version back; restoring a newer snapshot must advance past it.
-	var idxHigh, idxFresh *PairIndex
-	pHigh, _ := publishedSnapshot(t, 1, func(idx *PairIndex) { idxHigh = idx; idx.add(1, 2, 5) })
+	lHigh, _ := publishedSnapshot(t, 1, func(idx *PairIndex) { idx.add(1, 2, 5) })
 	for i := 0; i < 9; i++ {
-		pHigh.publish(idxHigh) // version now 10
+		lHigh.Publish() // version now 10
 	}
 	_, sLow := publishedSnapshot(t, 1, func(idx *PairIndex) { idx.add(5, 6, 5) }) // version 1
-	out := pHigh.restore(idxHigh, sLow, 1)
+	out := lHigh.Restore(sLow, 1)
 	if out.Version() != 11 {
 		t.Fatalf("restore of old snapshot published v%d, want v11", out.Version())
 	}
 
-	pFresh, _ := publishedSnapshot(t, 1, func(idx *PairIndex) { idxFresh = idx; idx.add(7, 8, 5) })
-	sHigh := pHigh.view() // version 11
-	out = pFresh.restore(idxFresh, sHigh, 1)
+	lFresh, _ := publishedSnapshot(t, 1, func(idx *PairIndex) { idx.add(7, 8, 5) })
+	sHigh := lHigh.View() // version 11
+	out = lFresh.Restore(sHigh, 1)
 	if out.Version() <= sHigh.Version() {
 		t.Fatalf("restore published v%d, not newer than restored v%d", out.Version(), sHigh.Version())
+	}
+}
+
+// The highest version a checkpoint may carry still restores to a strictly
+// newer one, and so does every publish after it: the served version never
+// wraps back to 0, the pre-first-publish sentinel.
+func TestRestoreAtHighestVersionStaysMonotone(t *testing.T) {
+	l, s := publishedSnapshot(t, 1, func(idx *PairIndex) { idx.add(1, 2, 5) })
+	b := s.Marshal()
+	binary.LittleEndian.PutUint64(b[6:], maxSnapshotVersion-1)
+	top, err := UnmarshalSnapshot(b)
+	if err != nil {
+		t.Fatalf("UnmarshalSnapshot at version 2^63-1: %v", err)
+	}
+	last := l.Version()
+	for i, step := range []func() *RuleSnapshot{
+		func() *RuleSnapshot { return l.Restore(top, 1) },
+		l.Publish,
+		func() *RuleSnapshot { return l.Restore(top, 1) },
+	} {
+		got := step()
+		if got.Version() <= last || got.Version() <= top.Version() {
+			t.Fatalf("step %d published v%d after v%d, restored v%d", i, got.Version(), last, top.Version())
+		}
+		last = got.Version()
 	}
 }
 
@@ -255,23 +284,24 @@ func TestRemapSnapshot(t *testing.T) {
 }
 
 func FuzzSnapshotDecode(f *testing.F) {
-	idx := newDecayIndex(1)
-	idx.add(1, 2, 5)
-	idx.add(1, 3, 2.5)
-	idx.add(9, 1, 7)
-	p := publisherOver(idx, PublisherConfig{Policy: PublishEpoch, Epoch: 1 << 30})
-	f.Add(p.publish(idx).Marshal())
+	seed := NewLearner(LearnerConfig{Threshold: 1})
+	f.Add(seed.Update(func(idx *PairIndex) {
+		idx.add(1, 2, 5)
+		idx.add(1, 3, 2.5)
+		idx.add(9, 1, 7)
+	}).Marshal())
 	// Several antecedents whose consequents tie on support, some with each
 	// other and some across antecedents: key order (what the bytes carry)
 	// and canonical order (what the decoder must restore) differ most here.
 	for _, sups := range [][]float64{{4, 4, 4}, {2, 6, 2}, {5, 3, 5}} {
-		tied := newDecayIndex(1)
-		for i, src := range []trace.HostID{9, 2, 5} {
-			for j, sup := range sups {
-				tied.Set(src, trace.HostID(10*(j+1)+i), sup)
+		tied := NewLearner(LearnerConfig{Threshold: 1})
+		f.Add(tied.Update(func(idx *PairIndex) {
+			for i, src := range []trace.HostID{9, 2, 5} {
+				for j, sup := range sups {
+					idx.Set(src, trace.HostID(10*(j+1)+i), sup)
+				}
 			}
-		}
-		f.Add(publisherOver(tied, PublisherConfig{}).publish(tied).Marshal())
+		}).Marshal())
 	}
 	f.Add(emptySnapshot.Marshal())
 	f.Add([]byte("ARQS"))

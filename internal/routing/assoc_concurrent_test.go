@@ -16,113 +16,75 @@ import (
 // TestAssocConcurrentReaders drives the write plane (ObserveHit,
 // AdoptShortcut) from one goroutine while several readers hammer the
 // serve plane (Route, Consequents, RuleCount). Under -race this pins the
-// learn/serve split's memory contract for the deferred publish
-// policy; the assertions check that every routing decision is
-// internally consistent regardless of which snapshot it was served from.
+// learn/serve split's memory contract; the assertions check that every
+// routing decision is internally consistent regardless of which snapshot
+// it was served from.
 func TestAssocConcurrentReaders(t *testing.T) {
-	policies := map[string]core.PublishPolicy{
-		"epoch": core.PublishEpoch,
+	cfg := DefaultAssocConfig()
+	cfg.DecayEvery = 32
+	a := NewAssoc(cfg)
+
+	const nodes = 10
+	nbrs := make([]int32, nodes)
+	for i := range nbrs {
+		nbrs[i] = int32(i)
 	}
-	for name, policy := range policies {
-		t.Run(name, func(t *testing.T) {
-			cfg := DefaultAssocConfig()
-			cfg.Publish = policy
-			cfg.PublishEvery = 16
-			cfg.DecayEvery = 32
-			a := NewAssoc(cfg)
-
-			const nodes = 10
-			nbrs := make([]int32, nodes)
-			for i := range nbrs {
-				nbrs[i] = int32(i)
-			}
-			done := make(chan struct{})
-			var wg sync.WaitGroup
-			for r := 0; r < 4; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					for i := 0; ; i++ {
-						select {
-						case <-done:
-							return
-						default:
-						}
-						from := i%(nodes+1) - 1 // NoUpstream through nodes-1
-						out := a.Route(0, from, peer.Meta{}, nbrs)
-						if len(out) > len(nbrs) {
-							t.Errorf("Route returned %d of %d neighbors", len(out), len(nbrs))
-							return
-						}
-						seen := make(map[int32]bool, len(out))
-						for _, v := range out {
-							if v < 0 || int(v) >= nodes || int(v) == from || seen[v] {
-								t.Errorf("Route(from=%d) = %v: bad neighbor %d", from, out, v)
-								return
-							}
-							seen[v] = true
-						}
-						if cs := a.Consequents(from); len(cs) > 0 && a.RuleCount() == 0 {
-							// Consequents and RuleCount may come from
-							// different snapshots; both must be
-							// individually well-formed.
-							for _, c := range cs {
-								if c < 0 || int(c) >= nodes {
-									t.Errorf("Consequents(%d) = %v", from, cs)
-									return
-								}
-							}
-						}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				from := i%(nodes+1) - 1 // NoUpstream through nodes-1
+				out := a.Route(0, from, peer.Meta{}, nbrs)
+				if len(out) > len(nbrs) {
+					t.Errorf("Route returned %d of %d neighbors", len(out), len(nbrs))
+					return
+				}
+				seen := make(map[int32]bool, len(out))
+				for _, v := range out {
+					if v < 0 || int(v) >= nodes || int(v) == from || seen[v] {
+						t.Errorf("Route(from=%d) = %v: bad neighbor %d", from, out, v)
+						return
 					}
-				}(r)
-			}
-
-			rng := stats.NewRNG(7)
-			for i := 0; i < 30000; i++ {
-				u := rng.Intn(nodes)
-				from := rng.Intn(nodes+1) - 1
-				via := rng.Intn(nodes)
-				a.ObserveHit(u, from, peer.Meta{}, via)
-				if i%1024 == 1023 {
-					v, w := int32(rng.Intn(nodes)), int32(rng.Intn(nodes))
-					if v != w {
-						a.AdoptShortcut(v, w)
+					seen[v] = true
+				}
+				if cs := a.Consequents(from); len(cs) > 0 && a.RuleCount() == 0 {
+					// Consequents and RuleCount may come from
+					// different snapshots; both must be
+					// individually well-formed.
+					for _, c := range cs {
+						if c < 0 || int(c) >= nodes {
+							t.Errorf("Consequents(%d) = %v", from, cs)
+							return
+						}
 					}
 				}
 			}
-			close(done)
-			wg.Wait()
-		})
+		}(r)
 	}
-}
 
-// TestAssocEpochPublishStaleness pins the epoch policy's contract: the
-// serve plane keeps routing on the old snapshot until the observation
-// budget fills, then one publish makes the learned rules visible.
-func TestAssocEpochPublishStaleness(t *testing.T) {
-	cfg := AssocConfig{TopK: 2, Threshold: 2, Decay: 0.5, DecayEvery: 1 << 20,
-		Publish: core.PublishEpoch, PublishEvery: 4}
-	a := NewAssoc(cfg)
-	nbrs := []int32{0, 1, 2}
-
-	a.ObserveHit(9, 0, peer.Meta{}, 1)
-	a.ObserveHit(9, 0, peer.Meta{}, 1)
-	// The learner has a {0}->{1} rule at support 2, but nothing is
-	// published yet: the router still floods.
-	if got := a.Route(9, 0, peer.Meta{}, nbrs); len(got) != 2 {
-		t.Fatalf("pre-publish Route = %v, want flood to [1 2]", got)
+	rng := stats.NewRNG(7)
+	for i := 0; i < 30000; i++ {
+		u := rng.Intn(nodes)
+		from := rng.Intn(nodes+1) - 1
+		via := rng.Intn(nodes)
+		a.ObserveHit(u, from, peer.Meta{}, via)
+		if i%1024 == 1023 {
+			v, w := int32(rng.Intn(nodes)), int32(rng.Intn(nodes))
+			if v != w {
+				a.AdoptShortcut(v, w)
+			}
+		}
 	}
-	if a.RuleCount() != 0 || a.learn.Version() != 0 {
-		t.Fatalf("pre-publish rules=%d version=%d", a.RuleCount(), a.learn.Version())
-	}
-	a.ObserveHit(9, 0, peer.Meta{}, 1)
-	a.ObserveHit(9, 0, peer.Meta{}, 1) // 4th observation fills the epoch
-	if a.learn.Version() != 1 || a.RuleCount() != 1 {
-		t.Fatalf("post-epoch rules=%d version=%d", a.RuleCount(), a.learn.Version())
-	}
-	if got := a.Route(9, 0, peer.Meta{}, nbrs); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("post-publish Route = %v, want [1]", got)
-	}
+	close(done)
+	wg.Wait()
 }
 
 // TestAssocFloorBoundsMemory pins the configurable eviction floor: a
@@ -153,18 +115,15 @@ func TestAssocFloorBoundsMemory(t *testing.T) {
 }
 
 // TestAssocAdoptShortcutVisibleToConcurrentReaders checks that a shortcut
-// adoption publishes immediately even under a deferred policy: readers
-// see the adopted consequent without waiting for the next epoch.
+// adoption publishes before it returns, with readers running: afterwards
+// every reader sees the adopted consequent ahead of the one it shortcuts.
 func TestAssocAdoptShortcutVisibleToConcurrentReaders(t *testing.T) {
-	cfg := DefaultAssocConfig()
-	cfg.Publish = core.PublishEpoch
-	cfg.PublishEvery = 8
-	a := NewAssoc(cfg)
-	for i := 0; i < 8; i++ { // exactly one epoch: {0}->{1} published
+	a := NewAssoc(DefaultAssocConfig())
+	for i := 0; i < 8; i++ { // {0}->{1} published at support 8
 		a.ObserveHit(9, 0, peer.Meta{}, 1)
 	}
 	if a.RuleCount() != 1 {
-		t.Fatalf("rules after epoch = %d", a.RuleCount())
+		t.Fatalf("rules after eight hits = %d", a.RuleCount())
 	}
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -183,11 +142,11 @@ func TestAssocAdoptShortcutVisibleToConcurrentReaders(t *testing.T) {
 }
 
 // TestAssocLearnerCallsSerialize drives every call that reads or writes
-// the learner's index — ObserveHit, PublishNow, Snapshot, Restore — from
-// separate goroutines on one default-config router. All of them must go
-// through the core.Learner mutex: under -race a path that reaches the
-// index without it is reported, a lost publish leaves the version short of
-// the publishes the forced calls alone make, and a publish that interleaved
+// the learner's index — ObserveHit, Snapshot, Restore — from separate
+// goroutines on one default-config router. All of them must go through
+// the core.Learner mutex: under -race a path that reaches the index
+// without it is reported, a lost publish leaves the version short of the
+// publishes the forced calls alone make, and a publish that interleaved
 // with an observation leaves the served rules out of the order a rebuild
 // gives.
 func TestAssocLearnerCallsSerialize(t *testing.T) {
@@ -204,11 +163,11 @@ func TestAssocLearnerCallsSerialize(t *testing.T) {
 		}()
 	}
 	run(observes, func(i int) { a.ObserveHit(0, i%5-1, peer.Meta{}, 1+i%7) })
-	run(publishes, func(int) { a.PublishNow() })
+	run(publishes, func(int) { a.Snapshot() })
 	run(restores, func(int) { a.Restore(a.Snapshot(), 0.5) })
 	wg.Wait()
-	// PublishNow publishes once, Snapshot and Restore once each; an
-	// observation publishes only when it moves a rule.
+	// Snapshot publishes once, and Restore once more; an observation
+	// publishes only when it moves a rule.
 	if got := a.learn.Version(); got < publishes+2*restores {
 		t.Fatalf("snapshot version %d after %d forced publishes", got, publishes+2*restores)
 	}
@@ -230,8 +189,8 @@ func ruleKeys(s *core.RuleSnapshot) []core.PairKey {
 
 // TestAssocRoutesInRebuildOrderUnderLearning runs RouteAppend on several
 // goroutines against one writer feeding ObserveHit and another forcing
-// Snapshot and PublishNow, all on one router; under -race it pins the
-// serve plane's memory contract for the default publish policy. The
+// Snapshot, all on one router; under -race it pins the serve plane's
+// memory contract. The
 // writer steps refAssoc, the pre-engine reference that sorts every
 // decision from its own counts, beside the router and records, for every
 // antecedent, the decision a rebuild gives after each step. A reader's
@@ -292,7 +251,6 @@ func TestAssocRoutesInRebuildOrderUnderLearning(t *testing.T) {
 		defer wg.Done()
 		for !done.Load() {
 			a.Snapshot()
-			a.PublishNow()
 			runtime.Gosched()
 		}
 	}()

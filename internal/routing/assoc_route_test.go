@@ -158,22 +158,21 @@ func TestAssocHotPathAllocations(t *testing.T) {
 	}
 }
 
-// TestAssocLayout pins the slab entry of one node: at most 224 bytes (three
-// and a half cache lines, so a field added to Assoc or core.Learner shows
-// up here), with everything RouteAppend reads before it reaches the
+// TestAssocLayout pins the slab entry of one node: at most 192 bytes (three
+// cache lines, so a field added to Assoc or core.Learner shows up here), with everything RouteAppend reads before it reaches the
 // snapshot inside the first line: the shared config's pointer, then the
 // learner, which core's TestLearnerLayout holds to keep the served
-// snapshot's pointer and the staleness bounds' in its first 32 bytes.
+// snapshot's pointer first.
 func TestAssocLayout(t *testing.T) {
 	var a Assoc
 	if off := unsafe.Offsetof(a.cfg); off != 0 {
 		t.Errorf("the config pointer is at offset %d, want 0", off)
 	}
-	if off := unsafe.Offsetof(a.learn); off+32 > 64 {
-		t.Errorf("the learner starts at offset %d: its first 32 bytes leave the router's first cache line", off)
+	if off := unsafe.Offsetof(a.learn); off+8 > 64 {
+		t.Errorf("the learner starts at offset %d: its served snapshot's pointer leaves the router's first cache line", off)
 	}
-	if size := unsafe.Sizeof(a); size > 224 {
-		t.Errorf("an Assoc is %d bytes, ceiling 224", size)
+	if size := unsafe.Sizeof(a); size > 192 {
+		t.Errorf("an Assoc is %d bytes, ceiling 192", size)
 	}
 }
 

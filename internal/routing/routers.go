@@ -31,10 +31,6 @@ var (
 	mAssocDrops      = obsv.GetCounter("routing.assoc.strict_drops")
 	mAssocFloodPhase = obsv.GetCounter("routing.assoc.flood_phase")
 	mAssocHits       = obsv.GetCounter("routing.assoc.hits_observed")
-	// mAssocStale counts routing decisions that fell back to flooding
-	// because the served snapshot breached its staleness bound — the
-	// graceful-degradation transition under publication stalls.
-	mAssocStale = obsv.GetCounter("routing.assoc.stale_fallbacks")
 )
 
 // Flood forwards every query to all neighbors except the one it arrived
@@ -145,30 +141,11 @@ type AssocConfig struct {
 	// to flooding if no hits come back (use AssocTwoPhase). Non-strict
 	// nodes locally fall back to flooding instead.
 	Strict bool
-	// Publish selects when the learn plane publishes a fresh routing
-	// snapshot for the serve plane (see core.PublishPolicy). The zero
-	// value is core.PublishSync: every observation that moves a rule's
-	// rank or membership publishes, so a sequential deployment routes on
-	// fully current rule order, the exact pre-split behaviour, while the
-	// served supports may trail the learner's by up to DecayEvery hits.
-	// core.PublishEpoch publishes every PublishEvery observations instead.
-	Publish core.PublishPolicy
-	// PublishEvery is the epoch length for core.PublishEpoch (default 64).
-	PublishEvery int
-	// StaleObs, when positive, bounds how far the served snapshot may
-	// lag the learn plane: once that many observations have been
-	// absorbed since the last publish, Route stops trusting the decayed
-	// rules and falls back to flooding (counted by
-	// routing.assoc.stale_fallbacks) until a publish catches the serve
-	// plane up. 0 disables the bound — rules are served no matter how
-	// stale, the historical behaviour.
-	StaleObs int
 }
 
 // DefaultAssocConfig returns the deployment parameters used by the network
 // experiments: the two strongest consequents, under the learning constants
-// and synchronous publication (exact sequential semantics) of
-// core.DefaultLearnerConfig.
+// of core.DefaultLearnerConfig.
 func DefaultAssocConfig() AssocConfig {
 	l := core.DefaultLearnerConfig()
 	return AssocConfig{TopK: 2, Threshold: l.Threshold, Decay: l.Decay, DecayEvery: l.DecayEvery, Floor: l.Floor}
@@ -183,7 +160,9 @@ func DefaultAssocConfig() AssocConfig {
 //
 // The rule lifecycle is split into two planes. The write plane is one
 // core.Learner: the decay-mode core.PairIndex the simulator's maintenance
-// policies also run on, its publisher, and the only mutex. The read plane
+// policies also run on, the snapshot it serves, and the only mutex. Every
+// hit publishes what routing reads of it before ObserveHit returns, so a
+// sequential deployment routes on fully current rule order. The read plane
 // is Route/Consequents/RuleCount serving lock-free from the immutable
 // snapshots the learner publishes, so any number of goroutines can route
 // concurrently while learning proceeds — reads never contend with writes.
@@ -238,11 +217,6 @@ func NewAssocs(n int, cfg AssocConfig) []Assoc {
 		Decay:      cfg.Decay,
 		DecayEvery: cfg.DecayEvery,
 		Floor:      cfg.Floor,
-		Publish: core.PublisherConfig{
-			Policy:   cfg.Publish,
-			Epoch:    cfg.PublishEvery,
-			StaleObs: int64(cfg.StaleObs),
-		},
 	}}
 	as := make([]Assoc, n)
 	for u := range as {
@@ -299,15 +273,6 @@ func (a *Assoc) RouteAppend(dst []int32, u, from int, q peer.Meta, nbrs []int32)
 		mAssocFloodPhase.Inc()
 		return Flood{}.RouteAppend(dst, u, from, q, nbrs)
 	}
-	if a.learn.Stale() {
-		// The served snapshot has fallen behind the learn plane
-		// (publication stalled or overloaded): decayed rules are more
-		// dangerous than expensive flooding, so degrade gracefully.
-		// Deliberately overrides Strict — a strict drop on stale rules
-		// would compound the outage.
-		mAssocStale.Inc()
-		return Flood{}.RouteAppend(dst, u, from, q, nbrs)
-	}
 	base := len(dst)
 	// The snapshot holds exactly the pairs at or above the activation
 	// threshold, so presence is the rule test.
@@ -339,10 +304,9 @@ func (a *Assoc) RouteAppend(dst []int32, u, from int, q peer.Meta, nbrs []int32)
 // ObserveHit implements peer.Router: support for {from} -> {via} grows by
 // one per returned hit, with periodic exponential decay. This is the
 // write plane — the observation is consumed by the learner and surfaces
-// in routing decisions when the publisher's policy next publishes. Under
-// core.PublishSync that is immediately when the hit moves a rule's rank or
-// membership; a hit that moves neither keeps the served snapshot and
-// allocates nothing.
+// in routing decisions at once when it moves a rule's rank or membership;
+// a hit that moves neither keeps the served snapshot and allocates
+// nothing.
 func (a *Assoc) ObserveHit(u, from int, _ peer.Meta, via int) {
 	mAssocHits.Inc()
 	if via == u {
@@ -396,14 +360,6 @@ func (a *Assoc) AdoptShortcut(v, w int32) {
 	})
 }
 
-// PublishNow forces an immediate snapshot publication regardless of the
-// configured policy — the escape hatch that resumes serving fresh rules
-// after a publication stall (and the chaos harness's lever for staging
-// one).
-func (a *Assoc) PublishNow() {
-	a.learn.Publish()
-}
-
 // RuleCount reports the number of rules in the published snapshot (for
 // instrumentation).
 func (a *Assoc) RuleCount() int {
@@ -421,7 +377,7 @@ func (a *Assoc) Snapshot() *core.RuleSnapshot {
 // Restore seeds the learn plane from a persisted snapshot at discounted
 // support and publishes, returning the restored rule count. The restore
 // merges with what this router has already learned. See
-// core.Publisher.Restore for the discount and version semantics.
+// core.Learner.Restore for the discount and version semantics.
 func (a *Assoc) Restore(s *core.RuleSnapshot, discount float64) int {
 	return a.learn.Restore(s, discount).Len()
 }

@@ -147,9 +147,6 @@ func TestDefaultAssocConfigLearnsAsCoreDoes(t *testing.T) {
 			t.Errorf("DefaultAssocConfig().%s = %v, core.DefaultLearnerConfig() has %v", f.name, f.got, f.want)
 		}
 	}
-	if got.Publish != want.Publish.Policy {
-		t.Errorf("DefaultAssocConfig().Publish = %v, core.DefaultLearnerConfig() has %v", got.Publish, want.Publish.Policy)
-	}
 }
 
 func TestAssocDecayExpiresRules(t *testing.T) {

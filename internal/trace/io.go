@@ -48,22 +48,22 @@ func (w *Writer) WritePair(p Pair) error {
 // Flush writes any buffered records to the underlying writer.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// Reader decodes trace records written by Writer.
-type Reader struct {
+// reader decodes trace records written by Writer.
+type reader struct {
 	sc   *bufio.Scanner
 	line int
 }
 
-// newReader returns a Reader on r.
-func newReader(r io.Reader) *Reader {
+// newReader returns a reader on r.
+func newReader(r io.Reader) *reader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	return &Reader{sc: sc}
+	return &reader{sc: sc}
 }
 
 // next decodes the next record, returning exactly one non-nil pointer among
 // the three, or io.EOF at end of input.
-func (r *Reader) next() (*Query, *Reply, *Pair, error) {
+func (r *reader) next() (*Query, *Reply, *Pair, error) {
 	for r.sc.Scan() {
 		r.line++
 		raw := r.sc.Bytes()
