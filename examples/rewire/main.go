@@ -33,7 +33,7 @@ func mechanism() {
 		g.AddEdge(i-1, i)
 	}
 	model := content.Explicit(5, 2, map[int][]trace.InterestID{4: {0}})
-	assocs := routing.NewAssocs(5, routing.AssocConfig{TopK: 1, Threshold: 2, Decay: 0.9, DecayEvery: 1000})
+	assocs := routing.NewAssocs(5, routing.AssocConfig{TopK: 1})
 	e := flat.NewEngine(g, model, func(u int) peer.Router { return &assocs[u] })
 
 	// Node 0 queries repeatedly; rules form along the chain.

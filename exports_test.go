@@ -57,22 +57,22 @@ var testOnly = map[string]string{
 	"internal/transport.Options.Fault":           "fault seam: transport's and vantage's tests install an injector at the socket boundary",
 	"internal/vantage.Options.Fault":             "fault seam: vantage's fault tests drop, duplicate and corrupt inbound frames",
 	"internal/vantage.CheckpointConfig.Discount": "test seam: the restart test states the discount its supports are checked against; programs run the default 0.5",
-	"internal/routing.AssocConfig.Floor":         "set by DefaultAssocConfig only; routing's eviction tests vary it",
 	"internal/fault.Config.Corrupt":              "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
 	"internal/fault.Config.Delay":                "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
 	"internal/fault.Config.Duplicate":            "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
 	"internal/fault.Config.MaxDelay":             "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
 	"internal/fault.Config.SlowDelay":            "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
 	"internal/chaos.RecoveryConfig.TTL":          "set by chaos.Report from Config.TTL, which arqnet -ttl sets",
+	"internal/core.LearnerConfig.Decay":          "test seam: core's and routing's tests vary the learning constants; every program runs DefaultLearnerConfig (ROADMAP 15 fits and pins them)",
+	"internal/core.LearnerConfig.DecayEvery":     "test seam: core's and routing's tests vary the learning constants; every program runs DefaultLearnerConfig (ROADMAP 15 fits and pins them)",
+	"internal/core.LearnerConfig.Floor":          "test seam: core's and routing's tests vary the learning constants; every program runs DefaultLearnerConfig (ROADMAP 15 fits and pins them)",
 	// Tested, and nothing calls it yet: the next sweep's list (ROADMAP 13).
-	"internal/content.RoleBystander":   "no caller: the model assigns roles itself; content's and scenario's tests compare Model.Role with it",
-	"internal/content.RoleClient":      "no caller: as RoleBystander",
-	"internal/content.RoleHub":         "no caller: as RoleBystander",
-	"internal/content.RoleProvider":    "no caller: as RoleBystander",
-	"internal/peer.StopAbsorb":         "no caller: the zero StopRule; flat's golden test names it",
-	"internal/fault.NewPartition":      "no caller: the partition injector runs in fault's and transport's tests only",
-	"internal/obsv.Histogram.Quantile": "no caller: bucket-interpolated quantile; snapshots carry the buckets",
-	"internal/obsv.Registry.Reset":     "no caller: zeroes every instrument between measurements",
+	"internal/content.RoleBystander": "no caller: the model assigns roles itself; content's and scenario's tests compare Model.Role with it",
+	"internal/content.RoleClient":    "no caller: as RoleBystander",
+	"internal/content.RoleHub":       "no caller: as RoleBystander",
+	"internal/content.RoleProvider":  "no caller: as RoleBystander",
+	"internal/peer.StopAbsorb":       "no caller: the zero StopRule; flat's golden test names it",
+	"internal/fault.NewPartition":    "no caller: the partition injector runs in fault's and transport's tests only",
 }
 
 // staysDeleted is what simplicity PRs removed and a later PR must not
@@ -91,11 +91,13 @@ var staysDeleted = struct {
 			"PublishOnChange", // one servent configuration
 			// One publication path: a learner always serves what it learned.
 			"Publisher", "PublisherConfig", "PublishPolicy", "PublishSync", "PublishEpoch",
-			"LearnerConfig.Publish", "Learner.Lag", "Learner.Stale"},
+			"LearnerConfig.Publish", "Learner.Lag", "Learner.Stale",
+			"RuleSnapshot.Run"}, // one forwarding decision: runs are read through Forward
 		"internal/trace": {"Dedup", "Join", // one import pipeline
 			"WritePairs", "SliceSource.Reset", // no caller left
 			"Reader"}, // unexported: ReadAll is its one user
-		"internal/vantage":   {"RuleConfig", "DefaultRuleConfig"},                        // PR 24
+		"internal/vantage": {"RuleConfig", "DefaultRuleConfig", // one servent configuration
+			"ruleTopK", "connHost", "nodeHost"}, // one forwarding decision: core.DefaultTopK, trace.HostOf
 		"internal/transport": {"ShedPolicy", "ShedOldest", "ShedNewest", "ShedDeadline"}, // PR 24
 		"internal/content":   {"Build", "FileName"},                                      // one simulator configuration; no caller
 		"internal/sim":       {"RunNet", "NetSpec", "NetEngine"},                         // PR 25
@@ -105,8 +107,12 @@ var staysDeleted = struct {
 			"RNG.ExpFloat64"}, // no caller
 
 		// One publication path: a learner always serves what it learned.
-		"internal/routing": {"AssocConfig.Publish", "AssocConfig.PublishEvery", "AssocConfig.StaleObs", "Assoc.PublishNow"},
-		"internal/chaos":   {"Config.StaleObs"},
+		"internal/routing": {"AssocConfig.Publish", "AssocConfig.PublishEvery", "AssocConfig.StaleObs", "Assoc.PublishNow",
+			// One forwarding decision: every router learns under core.DefaultLearnerConfig.
+			"AssocConfig.Threshold", "AssocConfig.Decay", "AssocConfig.DecayEvery", "AssocConfig.Floor",
+			"assocHost", "assocNode"}, // trace.HostOf and trace.IDOf
+		"internal/obsv":  {"Histogram.Quantile", "Registry.Reset"}, // no caller; snapshots carry the buckets
+		"internal/chaos": {"Config.StaleObs"},
 	},
 	paths: []string{
 		"internal/report", "cmd/arqcheck", "BENCH_baseline.json", "BENCH_scale.json", // PR 16: one read-out per job

@@ -37,6 +37,12 @@ func DefaultLearnerConfig() LearnerConfig {
 	return LearnerConfig{Threshold: 2, Decay: 0.5, DecayEvery: 64, Floor: 0.25}
 }
 
+// DefaultTopK is how many consequents a covered query is forwarded to (the
+// paper's "k neighbors with the highest support") in every deployment
+// that does not sweep k: the simulator's routers by default and the live
+// servent always.
+const DefaultTopK = 2
+
 // repair validates c and fills its defaults in place; a second call
 // changes nothing.
 func (c *LearnerConfig) repair() {

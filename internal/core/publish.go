@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"arq/internal/obsv"
+	"arq/internal/trace"
 )
 
 // This file is the serve plane of the rule lifecycle: a Learner, the
@@ -28,7 +29,7 @@ var (
 )
 
 // RuleSnapshot is one published generation of a node's routing knowledge:
-// the rule table (Len, Run, Support, Consequents, Range) of the pairs at
+// the rule table (Len, Support, Consequents, Range) of the pairs at
 // or above the activation threshold at publish time, with their decayed
 // supports. A snapshot is immutable once published. Its readers ask for
 // an antecedent's whole run, never "is this pair a rule" a block at a
@@ -44,6 +45,47 @@ var emptySnapshot = &RuleSnapshot{}
 // Version returns the snapshot's publication sequence number (0 for the
 // pre-first-publish empty snapshot).
 func (s *RuleSnapshot) Version() uint64 { return s.version }
+
+// Reason says what Forward found for a query: the one forwarding decision's
+// outcome, which each caller turns into its own counters and fallback.
+type Reason uint8
+
+const (
+	// NoRule: the antecedent has no rule in the snapshot.
+	NoRule Reason = iota
+	// NoUsable: the antecedent has rules, but none names a usable next hop.
+	NoUsable
+	// RuleHit: at least one consequent was chosen.
+	RuleHit
+)
+
+// Forward is the paper's forwarding rule (§III-B), shared by the
+// simulator's routers and the live servent: it walks ante's run in s,
+// already in forwarding order, and appends to dst the first k consequents
+// that usable maps to a usable next hop of the caller's type T. A
+// consequent that is not usable (a departed neighbor, a closed
+// connection, the sender itself) is skipped and does not use up a slot.
+// k must be positive. Forward appends nothing unless it returns RuleHit;
+// what to do then, flood or drop, is the caller's choice.
+func Forward[T any](s *RuleSnapshot, ante trace.HostID, k int, dst []T, usable func(trace.HostID) (T, bool)) ([]T, Reason) {
+	lo, hi := runBounds(s.rules, ante) // s.run without the call: run is too big to inline
+	if lo == hi {
+		return dst, NoRule
+	}
+	base := len(dst)
+	for _, e := range s.rules[lo:hi] {
+		if t, ok := usable(e.Key.Replier()); ok {
+			dst = append(dst, t)
+			if len(dst)-base == k {
+				break
+			}
+		}
+	}
+	if len(dst) == base {
+		return dst, NoUsable
+	}
+	return dst, RuleHit
+}
 
 // byKey returns a copy of the rules in ascending PairKey order: the
 // codec's record order and the order Restore seeds a learn plane in.

@@ -15,7 +15,7 @@ func hit(idx *PairIndex, src, rep trace.HostID) float64 {
 }
 
 // covers and matches make a snapshot a ruleView.
-func (s *RuleSnapshot) covers(src trace.HostID) bool { return len(s.Run(src)) > 0 }
+func (s *RuleSnapshot) covers(src trace.HostID) bool { return len(s.run(src)) > 0 }
 
 func (s *RuleSnapshot) matches(src, rep trace.HostID) bool { return s.Support(src, rep) > 0 }
 
@@ -188,7 +188,7 @@ func TestSinglePairPublicationEqualsRebuild(t *testing.T) {
 			if !moved {
 				continue
 			}
-			check := want.Run(src)
+			check := want.run(src)
 			if full {
 				check = want.rules
 			}

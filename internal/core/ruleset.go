@@ -144,10 +144,10 @@ func runBounds(rules []RuleEntry, src trace.HostID) (lo, hi int) {
 // Len returns the number of rules in the table.
 func (t rules) Len() int { return len(t) }
 
-// Run returns the rules whose antecedent is src, ordered by descending
+// run returns the rules whose antecedent is src, ordered by descending
 // support with HostID as the tiebreak. The slice aliases the table's
 // immutable storage: callers must not modify it.
-func (t rules) Run(src trace.HostID) []RuleEntry {
+func (t rules) run(src trace.HostID) []RuleEntry {
 	lo, hi := runBounds(t, src)
 	return t[lo:hi:hi]
 }
@@ -155,7 +155,7 @@ func (t rules) Run(src trace.HostID) []RuleEntry {
 // Support returns the support of {src} -> {rep}, or 0 if it is not a rule.
 func (t rules) Support(src, rep trace.HostID) float64 {
 	k := packPair(src, rep)
-	for _, e := range t.Run(src) {
+	for _, e := range t.run(src) {
 		if e.Key == k {
 			return e.Support
 		}
@@ -168,7 +168,7 @@ func (t rules) Support(src, rep trace.HostID) float64 {
 // to the k neighbors with the highest support" (§III-B.1). k <= 0 returns
 // all of them.
 func (t rules) Consequents(src trace.HostID, k int) []trace.HostID {
-	run := t.Run(src)
+	run := t.run(src)
 	if len(run) == 0 {
 		return nil
 	}
@@ -192,7 +192,7 @@ func (t rules) Range(f func(k PairKey, support float64) bool) {
 }
 
 // RuleSet is the set of routing rules a node derives from one generation
-// window: the rule table (Len, Run, Support, Consequents, Range) plus the
+// window: the rule table (Len, Support, Consequents, Range) plus the
 // two membership sets the block test asks of it, "is src an antecedent"
 // and "is this pair a rule", as flat tables, because a block test asks
 // them once or twice per pair and must not binary-search. RuleSets are

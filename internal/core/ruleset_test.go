@@ -142,7 +142,7 @@ func TestRuleSetMatchesMapOracle(t *testing.T) {
 				}
 			}
 			sort.SliceStable(order, func(i, j int) bool { return m[order[i]] > m[order[j]] })
-			if rs.covers(src) != (len(m) > 0) || len(rs.Run(src)) != len(m) {
+			if rs.covers(src) != (len(m) > 0) || len(rs.run(src)) != len(m) {
 				return false
 			}
 			for k := 0; k <= len(order)+1; k++ {

@@ -30,10 +30,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// reset zeroes the counter (registry-internal; snapshots stay monotone
-// between explicit Reset calls).
-func (c *Counter) reset() { c.v.Store(0) }
-
 // Gauge is an atomic last-value instrument (set-or-adjust semantics).
 type Gauge struct {
 	v atomic.Int64
@@ -47,8 +43,6 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (g *Gauge) reset() { g.v.Store(0) }
 
 // Histogram is a fixed-bound histogram: len(bounds)+1 atomic buckets where
 // observation v lands in the first bucket with v <= bounds[i], or the
@@ -76,58 +70,6 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[i].Add(1)
 	h.sum.Add(v)
 	h.n.Add(1)
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) of the observed values
-// by linear interpolation within the bucket holding the target rank. The
-// overflow bucket has no upper bound, so ranks landing there return the
-// highest finite bound — an underestimate, flagged by callers choosing
-// bounds that cover their data. Returns 0 before any observation.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := h.n.Load()
-	if n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(n)
-	var seen float64
-	for i := range h.counts {
-		c := float64(h.counts[i].Load())
-		if c == 0 {
-			continue
-		}
-		if seen+c >= rank {
-			if i >= len(h.bounds) {
-				// Overflow bucket: no finite upper bound to interpolate to.
-				if len(h.bounds) == 0 {
-					return 0
-				}
-				return float64(h.bounds[len(h.bounds)-1])
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = float64(h.bounds[i-1])
-			}
-			hi := float64(h.bounds[i])
-			frac := (rank - seen) / c
-			return lo + (hi-lo)*frac
-		}
-		seen += c
-	}
-	return float64(h.bounds[len(h.bounds)-1])
-}
-
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.sum.Store(0)
-	h.n.Store(0)
 }
 
 // snapshot renders the histogram's current state.

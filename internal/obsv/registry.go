@@ -63,23 +63,6 @@ func (r *Registry) histogram(name string, bounds []int64) *Histogram {
 	return h
 }
 
-// Reset zeroes every registered instrument (instrument identities are
-// preserved, so pointers held by instrumented packages stay valid). Used
-// to scope a snapshot to one benchmark run.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counts {
-		c.reset()
-	}
-	for _, g := range r.gauges {
-		g.reset()
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
-}
-
 // Bucket is one histogram bucket in a snapshot: Count observations with
 // value <= Le (Le == math.MaxInt64 marks the overflow bucket).
 type Bucket struct {

@@ -75,7 +75,7 @@ func TestFlatAssocChurnedConsequent(t *testing.T) {
 	const cat = trace.InterestID(0)
 	m := content.Explicit(6, 1, map[int][]trace.InterestID{2: {cat}, 3: {cat}})
 	newAssoc := func(int) peer.Router {
-		return routing.NewAssoc(routing.AssocConfig{TopK: 1, Threshold: 2, Decay: 0.5, DecayEvery: 1 << 20})
+		return routing.NewAssoc(routing.AssocConfig{TopK: 1})
 	}
 	fl := flat.NewEngine(g, m, newAssoc)
 	seq := oracle.NewEngine(g, m, newAssoc)

@@ -20,9 +20,9 @@ import (
 // routing decision is internally consistent regardless of which snapshot
 // it was served from.
 func TestAssocConcurrentReaders(t *testing.T) {
-	cfg := DefaultAssocConfig()
-	cfg.DecayEvery = 32
-	a := NewAssoc(cfg)
+	learn := core.DefaultLearnerConfig()
+	learn.DecayEvery = 32
+	a := newAssocWith(DefaultAssocConfig(), learn)
 
 	const nodes = 10
 	nbrs := make([]int32, nodes)
@@ -92,7 +92,7 @@ func TestAssocConcurrentReaders(t *testing.T) {
 // accumulate rule-level support, while the default floor lets them build.
 func TestAssocFloorBoundsMemory(t *testing.T) {
 	route := func(floor float64) []int32 {
-		a := NewAssoc(AssocConfig{TopK: 1, Threshold: 2, Decay: 0.9, DecayEvery: 1, Floor: floor})
+		a := newAssocWith(AssocConfig{TopK: 1}, core.LearnerConfig{Threshold: 2, Decay: 0.9, DecayEvery: 1, Floor: floor})
 		for i := 0; i < 3; i++ {
 			a.ObserveHit(9, 0, peer.Meta{}, 1)
 		}
@@ -199,7 +199,7 @@ func ruleKeys(s *core.RuleSnapshot) []core.PairKey {
 func TestAssocRoutesInRebuildOrderUnderLearning(t *testing.T) {
 	const nodes, steps = 8, 3000
 	cfg := DefaultAssocConfig()
-	a, ref := NewAssoc(cfg), newRefAssoc(cfg)
+	a, ref := NewAssoc(cfg), newRefAssoc(cfg, core.DefaultLearnerConfig())
 	nbrs := make([]int32, nodes)
 	for i := range nbrs {
 		nbrs[i] = int32(i)

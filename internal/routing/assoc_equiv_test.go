@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"arq/internal/core"
 	"arq/internal/peer"
 	"arq/internal/stats"
 )
@@ -13,12 +14,13 @@ import (
 // the behavioural reference for the core.PairIndex-backed router.
 type refAssoc struct {
 	cfg    AssocConfig
+	learn  core.LearnerConfig
 	counts map[int]map[int32]float64
 	seen   int
 }
 
-func newRefAssoc(cfg AssocConfig) *refAssoc {
-	return &refAssoc{cfg: cfg, counts: make(map[int]map[int32]float64)}
+func newRefAssoc(cfg AssocConfig, learn core.LearnerConfig) *refAssoc {
+	return &refAssoc{cfg: cfg, learn: learn, counts: make(map[int]map[int32]float64)}
 }
 
 func (a *refAssoc) observeHit(u, from, via int) {
@@ -32,10 +34,10 @@ func (a *refAssoc) observeHit(u, from, via int) {
 	}
 	m[int32(via)]++
 	a.seen++
-	if a.seen%a.cfg.DecayEvery == 0 {
+	if a.seen%a.learn.DecayEvery == 0 {
 		for ante, rules := range a.counts {
 			for v, sup := range rules {
-				sup *= a.cfg.Decay
+				sup *= a.learn.Decay
 				if sup < 0.25 {
 					delete(rules, v)
 				} else {
@@ -60,7 +62,7 @@ func (a *refAssoc) route(from int, nbrs []int32) []int32 {
 		if int(v) == from {
 			continue
 		}
-		if sup := rules[v]; sup >= a.cfg.Threshold {
+		if sup := rules[v]; sup >= a.learn.Threshold {
 			cands = append(cands, cand{v, sup})
 		}
 	}
@@ -91,7 +93,7 @@ func (a *refAssoc) consequents(antecedent int) []int32 {
 	}
 	var cands []cand
 	for v, sup := range a.counts[antecedent] {
-		if sup >= a.cfg.Threshold {
+		if sup >= a.learn.Threshold {
 			cands = append(cands, cand{v, sup})
 		}
 	}
@@ -110,7 +112,7 @@ func (a *refAssoc) consequents(antecedent int) []int32 {
 
 func (a *refAssoc) adoptShortcut(v, w int32) {
 	for _, rules := range a.counts {
-		if sup, ok := rules[v]; ok && sup >= a.cfg.Threshold {
+		if sup, ok := rules[v]; ok && sup >= a.learn.Threshold {
 			if rules[w] < sup {
 				rules[w] = sup * 1.01
 			}
@@ -122,7 +124,7 @@ func (a *refAssoc) ruleCount() int {
 	n := 0
 	for _, rules := range a.counts {
 		for _, sup := range rules {
-			if sup >= a.cfg.Threshold {
+			if sup >= a.learn.Threshold {
 				n++
 			}
 		}
@@ -148,9 +150,9 @@ func int32sEqual(a, b []int32) bool {
 // equal decisions throughout — including the float decay residue, which is
 // the same op sequence in both.
 func TestAssocMatchesReferenceImplementation(t *testing.T) {
-	cfg := AssocConfig{TopK: 2, Threshold: 2, Decay: 0.5, DecayEvery: 16}
-	a := NewAssoc(cfg)
-	ref := newRefAssoc(cfg)
+	cfg, learn := AssocConfig{TopK: 2}, core.LearnerConfig{Threshold: 2, Decay: 0.5, DecayEvery: 16}
+	a := newAssocWith(cfg, learn)
+	ref := newRefAssoc(cfg, learn)
 	rng := stats.NewRNG(42)
 	const nodes = 12
 	nbrs := make([]int32, nodes)

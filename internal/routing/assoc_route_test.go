@@ -4,9 +4,15 @@ import (
 	"testing"
 	"unsafe"
 
+	"arq/internal/core"
 	"arq/internal/obsv"
 	"arq/internal/peer"
 )
+
+// newAssocWith is NewAssoc under learning constants of the test's choice.
+func newAssocWith(cfg AssocConfig, learn core.LearnerConfig) *Assoc {
+	return &newAssocs(1, cfg, learn)[0]
+}
 
 // assocCounters reads the three decision counters RouteAppend moves.
 func assocCounters() (routed, fallback, drops int64) {
@@ -20,7 +26,7 @@ func assocCounters() (routed, fallback, drops int64) {
 // consequent is skipped, the next one takes its top-k slot, and a run with
 // no usable consequent is handled exactly like an uncovered antecedent.
 func TestAssocSkipsDepartedAndSenderConsequents(t *testing.T) {
-	a := NewAssoc(AssocConfig{TopK: 2, Threshold: 1, Decay: 0.5, DecayEvery: 1000})
+	a := newAssocWith(AssocConfig{TopK: 2}, core.LearnerConfig{Threshold: 1, Decay: 0.5, DecayEvery: 1000})
 	q := peer.Meta{}
 	// Rules for antecedent 5, by support: 12 (4), 10 (3), 13 (2), 5 (2), 11 (1).
 	for v, n := range map[int]int{12: 4, 10: 3, 13: 2, 5: 2, 11: 1} {
@@ -67,7 +73,7 @@ func TestAssocSkipsDepartedAndSenderConsequents(t *testing.T) {
 	}
 
 	// Under strict deployment the same situation is a drop.
-	s := NewAssoc(AssocConfig{TopK: 2, Threshold: 1, Decay: 0.5, DecayEvery: 1000, Strict: true})
+	s := newAssocWith(AssocConfig{TopK: 2, Strict: true}, core.LearnerConfig{Threshold: 1, Decay: 0.5, DecayEvery: 1000})
 	s.ObserveHit(0, 5, q, 12)
 	_, _, d0 := assocCounters()
 	if got := s.RouteAppend([]int32{99}, 0, 5, q, nbrs); !int32sEqual(got, []int32{99}) {
@@ -85,7 +91,7 @@ func TestAssocSkipsDepartedAndSenderConsequents(t *testing.T) {
 // snapshot; one that moves a rule allocates the next snapshot, header and
 // rule slice, and nothing else.
 func TestAssocHotPathAllocations(t *testing.T) {
-	a := NewAssoc(AssocConfig{TopK: 2, Threshold: 2, Decay: 0.5, DecayEvery: 1 << 30})
+	a := newAssocWith(AssocConfig{TopK: 2}, core.LearnerConfig{Threshold: 2, Decay: 0.5, DecayEvery: 1 << 30})
 	nbrs := []int32{10, 11, 12, 13, 14, 15}
 	q := peer.Meta{}
 	for i := 0; i < 3; i++ {
@@ -131,7 +137,7 @@ func TestAssocHotPathAllocations(t *testing.T) {
 		{"run-head", 2, 12},
 		{"sub-threshold", 1 << 40, 12},
 	} {
-		r := NewAssoc(AssocConfig{TopK: 2, Threshold: tc.threshold, Decay: 0.5, DecayEvery: 1 << 30})
+		r := newAssocWith(AssocConfig{TopK: 2}, core.LearnerConfig{Threshold: tc.threshold, Decay: 0.5, DecayEvery: 1 << 30})
 		for i := 0; i < 3; i++ {
 			r.ObserveHit(0, 5, q, 12)
 			r.ObserveHit(0, 5, q, 14)
@@ -211,9 +217,9 @@ func BenchmarkAssocObserveHit(b *testing.B) {
 		threshold float64
 	}{{"visible", 2}, {"sub-threshold", 1 << 40}} {
 		b.Run(bc.name, func(b *testing.B) {
-			cfg := DefaultAssocConfig()
-			cfg.Threshold = bc.threshold
-			a := NewAssoc(cfg)
+			learn := core.DefaultLearnerConfig()
+			learn.Threshold = bc.threshold
+			a := newAssocWith(DefaultAssocConfig(), learn)
 			for _, v := range []int{11, 13, 14, 16} {
 				for i := 0; i < 4; i++ {
 					a.ObserveHit(0, 5, peer.Meta{}, v)

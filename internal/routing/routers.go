@@ -120,22 +120,13 @@ func (r *RandomWalk) Route(_, from int, _ peer.Meta, nbrs []int32) []int32 {
 // ObserveHit implements peer.Router.
 func (r *RandomWalk) ObserveHit(int, int, peer.Meta, int) {}
 
-// AssocConfig parameterizes the association-rule router.
+// AssocConfig parameterizes the association-rule router. What it learns
+// under is not a choice: every router runs core.DefaultLearnerConfig, the
+// live servent's learning constants.
 type AssocConfig struct {
 	// TopK is how many consequent neighbors a covered query is forwarded
 	// to (the paper's "k neighbors with the highest support").
 	TopK int
-	// Threshold is the decayed support a (antecedent, consequent) pair
-	// needs before it acts as a rule.
-	Threshold float64
-	// Decay ages rule support after every DecayEvery observed hits, so
-	// rules track the network's drift (the §VI incremental maintenance).
-	Decay      float64
-	DecayEvery int
-	// Floor is the decayed support below which a pair is evicted from the
-	// learner's table entirely, bounding each node's rule memory. It must
-	// stay below Threshold; 0 selects the learner's default, 0.25.
-	Floor float64
 	// Strict selects the paper's deployment: a node with no rule for the
 	// query's upstream drops it, and the *origin* reverts the whole query
 	// to flooding if no hits come back (use AssocTwoPhase). Non-strict
@@ -144,11 +135,10 @@ type AssocConfig struct {
 }
 
 // DefaultAssocConfig returns the deployment parameters used by the network
-// experiments: the two strongest consequents, under the learning constants
-// of core.DefaultLearnerConfig.
+// experiments: the live servent's core.DefaultTopK strongest consequents,
+// flooding what no rule covers.
 func DefaultAssocConfig() AssocConfig {
-	l := core.DefaultLearnerConfig()
-	return AssocConfig{TopK: 2, Threshold: l.Threshold, Decay: l.Decay, DecayEvery: l.DecayEvery, Floor: l.Floor}
+	return AssocConfig{TopK: core.DefaultTopK}
 }
 
 // Assoc is the paper's contribution deployed as an online router: the node
@@ -156,7 +146,9 @@ func DefaultAssocConfig() AssocConfig {
 // the query/hit traffic it relays, forwards covered queries to the top
 // consequents only, and falls back to flooding for uncovered queries
 // (§III-B: "if hits aren't found ... the node can still revert to
-// flooding"). Queries originated locally use a distinct antecedent slot.
+// flooding"). Queries originated locally use a distinct antecedent slot:
+// node ids reach the learner through trace.HostOf, which maps
+// peer.NoUpstream to trace.NoHost and never onto a real node.
 //
 // The rule lifecycle is split into two planes. The write plane is one
 // core.Learner: the decay-mode core.PairIndex the simulator's maintenance
@@ -185,39 +177,20 @@ type assocShared struct {
 	learn core.LearnerConfig
 }
 
-// assocHost maps a simulator node id into the engine's HostID key space.
-// Node ids are 0-based, so they shift up by one; peer.NoUpstream (-1), the
-// local-origin antecedent slot, lands on trace.NoHost — semantically "no
-// upstream host", and never a real node under this mapping.
-func assocHost(v int) trace.HostID {
-	return trace.HostID(uint32(v) + 1)
-}
-
-// assocNode inverts assocHost for consequent ids.
-func assocNode(h trace.HostID) int32 {
-	return int32(uint32(h) - 1)
-}
-
 // NewAssocs returns n association-rule routers, one per node of an
 // overlay, in one allocation and over one shared config: hand node u
-// &as[u]. Decay and Floor outside their ranges are repaired by the
-// learner (core.LearnerConfig).
+// &as[u].
 func NewAssocs(n int, cfg AssocConfig) []Assoc {
+	return newAssocs(n, cfg, core.DefaultLearnerConfig())
+}
+
+// newAssocs is NewAssocs under learning constants of the caller's choice:
+// the seam routing's own tests vary them through.
+func newAssocs(n int, cfg AssocConfig, learn core.LearnerConfig) []Assoc {
 	if cfg.TopK <= 0 {
-		cfg.TopK = 2
+		cfg.TopK = core.DefaultTopK
 	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 2
-	}
-	if cfg.DecayEvery <= 0 {
-		cfg.DecayEvery = 64
-	}
-	shared := &assocShared{AssocConfig: cfg, learn: core.LearnerConfig{
-		Threshold:  cfg.Threshold,
-		Decay:      cfg.Decay,
-		DecayEvery: cfg.DecayEvery,
-		Floor:      cfg.Floor,
-	}}
+	shared := &assocShared{AssocConfig: cfg, learn: learn}
 	as := make([]Assoc, n)
 	for u := range as {
 		as[u].cfg = shared
@@ -260,36 +233,26 @@ func (a *Assoc) Route(u, from int, q peer.Meta, nbrs []int32) []int32 {
 // RouteAppend implements peer.RouteAppender. It is the serve plane:
 // decisions come from the currently published snapshot via one atomic
 // load, so it is safe for any number of concurrent callers and never
-// contends with learning. The snapshot keeps the antecedent's rules as one
-// run already in forwarding order, so the decision walks that run and
-// keeps the first TopK consequents that are usable next hops. A rule may
-// name a node that is no longer a neighbor (churned away since the rule
-// was learned) or the sender itself; such a consequent is skipped and the
-// next one takes its top-k slot. A run with no usable consequent is
-// handled exactly like an antecedent with no rules.
+// contends with learning. The decision is core.Forward's: the first TopK
+// consequents of the antecedent's run that are current neighbors other
+// than the sender (a rule may name a node churned away since it was
+// learned). A run with no such consequent is handled exactly like an
+// antecedent with no rules.
 func (a *Assoc) RouteAppend(dst []int32, u, from int, q peer.Meta, nbrs []int32) []int32 {
 	if q.FloodPhase {
 		// Origin-level fallback reissue: behave as a flooder.
 		mAssocFloodPhase.Inc()
 		return Flood{}.RouteAppend(dst, u, from, q, nbrs)
 	}
-	base := len(dst)
-	// The snapshot holds exactly the pairs at or above the activation
-	// threshold, so presence is the rule test.
-	for _, e := range a.learn.View().Run(assocHost(from)) {
-		v := assocNode(e.Key.Replier())
-		if int(v) == from || !slices.Contains(nbrs, v) {
-			continue
-		}
-		dst = append(dst, v)
-		if len(dst)-base == a.cfg.TopK {
-			break
-		}
-	}
-	if len(dst) > base {
+	dst, why := core.Forward(a.learn.View(), trace.HostOf(from), a.cfg.TopK, dst, func(h trace.HostID) (int32, bool) {
+		v := int32(trace.IDOf(h))
+		return v, int(v) != from && slices.Contains(nbrs, v)
+	})
+	if why == core.RuleHit {
 		mAssocRuleRouted.Inc()
 		return dst
 	}
+	// No rule and no usable consequent alike: the query is uncovered.
 	if a.cfg.Strict {
 		// Uncovered under strict deployment: drop; the origin will
 		// revert the query to flooding if nothing is found.
@@ -314,7 +277,7 @@ func (a *Assoc) ObserveHit(u, from int, _ peer.Meta, via int) {
 		// consequent to learn.
 		return
 	}
-	a.learn.Observe(assocHost(from), assocHost(via))
+	a.learn.Observe(trace.HostOf(from), trace.HostOf(via))
 }
 
 // Consequents returns the published consequent neighbors for queries
@@ -323,10 +286,10 @@ func (a *Assoc) ObserveHit(u, from int, _ peer.Meta, via int) {
 // would you forward queries from me?" (§VI). Like Route, it reads the
 // current snapshot and is safe under concurrency.
 func (a *Assoc) Consequents(antecedent int) []int32 {
-	hosts := a.learn.View().Consequents(assocHost(antecedent), 0)
+	hosts := a.learn.View().Consequents(trace.HostOf(antecedent), 0)
 	out := make([]int32, len(hosts))
 	for i, h := range hosts {
-		out[i] = assocNode(h)
+		out[i] = int32(trace.IDOf(h))
 	}
 	return out
 }
@@ -338,7 +301,7 @@ func (a *Assoc) Consequents(antecedent int) []int32 {
 // the preference is reinforced only if it actually produces hits. A
 // structural change to the rule table, it publishes unconditionally.
 func (a *Assoc) AdoptShortcut(v, w int32) {
-	hv, hw := assocHost(int(v)), assocHost(int(w))
+	hv, hw := trace.HostOf(int(v)), trace.HostOf(int(w))
 	a.learn.Update(func(idx *core.PairIndex) {
 		// Collect first: Range must not see the index change under it.
 		type adoption struct {
@@ -347,7 +310,7 @@ func (a *Assoc) AdoptShortcut(v, w int32) {
 		}
 		var ups []adoption
 		idx.Range(func(k core.PairKey, sup float64) bool {
-			if k.Replier() == hv && sup >= a.cfg.Threshold {
+			if k.Replier() == hv && sup >= a.cfg.learn.Threshold {
 				ups = append(ups, adoption{k.Source(), sup})
 			}
 			return true

@@ -73,7 +73,7 @@ func TestRandomWalkKLargerThanDegree(t *testing.T) {
 }
 
 func TestAssocLearnsAndRoutes(t *testing.T) {
-	a := NewAssoc(AssocConfig{TopK: 1, Threshold: 2, Decay: 0.5, DecayEvery: 1000})
+	a := newAssocWith(AssocConfig{TopK: 1}, core.LearnerConfig{Threshold: 2, Decay: 0.5, DecayEvery: 1000})
 	nbrs := []int32{10, 11, 12}
 	q := peer.Meta{Category: 3}
 
@@ -101,7 +101,7 @@ func TestAssocLearnsAndRoutes(t *testing.T) {
 }
 
 func TestAssocTopKOrdering(t *testing.T) {
-	a := NewAssoc(AssocConfig{TopK: 2, Threshold: 1, Decay: 0.5, DecayEvery: 1000})
+	a := newAssocWith(AssocConfig{TopK: 2}, core.LearnerConfig{Threshold: 1, Decay: 0.5, DecayEvery: 1000})
 	nbrs := []int32{10, 11, 12, 13}
 	for i := 0; i < 5; i++ {
 		a.ObserveHit(0, 5, peer.Meta{}, 12)
@@ -130,27 +130,8 @@ func TestAssocStrictDropsUncovered(t *testing.T) {
 	}
 }
 
-// The simulator's routers and the live servent learn under the same
-// constants, written once in core.
-func TestDefaultAssocConfigLearnsAsCoreDoes(t *testing.T) {
-	got, want := DefaultAssocConfig(), core.DefaultLearnerConfig()
-	for _, f := range []struct {
-		name      string
-		got, want float64
-	}{
-		{"Threshold", got.Threshold, want.Threshold},
-		{"Decay", got.Decay, want.Decay},
-		{"DecayEvery", float64(got.DecayEvery), float64(want.DecayEvery)},
-		{"Floor", got.Floor, want.Floor},
-	} {
-		if f.got != f.want {
-			t.Errorf("DefaultAssocConfig().%s = %v, core.DefaultLearnerConfig() has %v", f.name, f.got, f.want)
-		}
-	}
-}
-
 func TestAssocDecayExpiresRules(t *testing.T) {
-	a := NewAssoc(AssocConfig{TopK: 1, Threshold: 2, Decay: 0.25, DecayEvery: 1})
+	a := newAssocWith(AssocConfig{TopK: 1}, core.LearnerConfig{Threshold: 2, Decay: 0.25, DecayEvery: 1})
 	a.ObserveHit(0, 5, peer.Meta{}, 11) // decays immediately to 0.25 -> deleted
 	if a.RuleCount() != 0 {
 		t.Fatalf("rules = %d", a.RuleCount())

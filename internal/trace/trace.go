@@ -20,6 +20,15 @@ type HostID uint32
 // NoHost is the reserved empty HostID.
 const NoHost HostID = 0
 
+// HostOf maps a 0-based id (a simulator node, a servent's connection or a
+// peer's node id) into the HostID space by shifting it up by one, so that
+// id 0 stays distinguishable from NoHost and id -1, "no upstream", lands
+// on NoHost itself.
+func HostOf(id int) HostID { return HostID(uint32(id) + 1) }
+
+// IDOf inverts HostOf: NoHost maps back to -1.
+func IDOf(h HostID) int { return int(h) - 1 }
+
 // String renders the host as a dotted quad, purely cosmetic, mirroring the
 // IP addresses the original trace recorded.
 func (h HostID) String() string {

@@ -38,10 +38,6 @@ func compactGUID(g wire.GUID) trace.GUID {
 	return trace.GUID(lo ^ (hi * 0x9e3779b97f4a7c15))
 }
 
-// connHost maps a connection id to a stable HostID (ids start at 1; 0 is
-// reserved as NoHost).
-func connHost(connID int) trace.HostID { return trace.HostID(connID + 1) }
-
 func (c *Capture) now() int64 {
 	return int64(time.Since(c.start) / time.Microsecond)
 }
@@ -52,7 +48,7 @@ func (c *Capture) recordQuery(connID int, id wire.GUID, search string) {
 	c.queries = append(c.queries, trace.Query{
 		GUID:     compactGUID(id),
 		Time:     c.now(),
-		Source:   connHost(connID),
+		Source:   trace.HostOf(connID),
 		Interest: interestOf(search),
 		Text:     search,
 	})
@@ -72,7 +68,7 @@ func (c *Capture) recordReply(connID int, id wire.GUID, hit *wire.QueryHit) {
 	c.replies = append(c.replies, trace.Reply{
 		GUID:     compactGUID(id),
 		Time:     c.now(),
-		From:     connHost(connID),
+		From:     trace.HostOf(connID),
 		Host:     host,
 		Filename: name,
 	})

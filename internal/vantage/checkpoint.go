@@ -74,11 +74,6 @@ type checkpointer struct {
 	wg      sync.WaitGroup
 }
 
-// nodeHost maps a peer's node id into the trace.HostID universe a
-// checkpointed snapshot is keyed by (the same +1 shift connHost uses, so
-// id 0 stays distinguishable from "no host").
-func nodeHost(nodeID int) trace.HostID { return trace.HostID(uint32(nodeID) + 1) }
-
 // maybeCheckpoint writes a checkpoint in the background when the
 // published version has advanced a full cadence past the last one.
 // Called on the query-hit path: the fast path is one version load and
@@ -118,7 +113,7 @@ func (s *Servent) writeCheckpoint() error {
 	s.mu.Lock()
 	toNode := make(map[trace.HostID]trace.HostID, len(s.conns))
 	for id, pc := range s.conns {
-		toNode[connHost(id)] = nodeHost(pc.c.PeerID())
+		toNode[trace.HostOf(id)] = trace.HostOf(pc.c.PeerID())
 	}
 	s.mu.Unlock()
 	snap := core.RemapSnapshot(view, func(h trace.HostID) (trace.HostID, bool) {
@@ -174,7 +169,7 @@ func (s *Servent) WarmStart() (int, error) {
 	s.mu.Lock()
 	toConn := make(map[trace.HostID]trace.HostID, len(s.conns))
 	for id, pc := range s.conns {
-		toConn[nodeHost(pc.c.PeerID())] = connHost(id)
+		toConn[trace.HostOf(pc.c.PeerID())] = trace.HostOf(id)
 	}
 	s.mu.Unlock()
 	remapped := core.RemapSnapshot(snap, func(h trace.HostID) (trace.HostID, bool) {

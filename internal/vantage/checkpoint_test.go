@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"arq/internal/core"
+	"arq/internal/trace"
 	"arq/internal/transport"
 )
 
@@ -97,7 +98,7 @@ func TestCheckpointWarmStartAcrossRestart(t *testing.T) {
 	if hub2.RuleCount() != 1 {
 		t.Fatalf("published rule count after warm start = %d, want 1", hub2.RuleCount())
 	}
-	if got := hub2.rules.learner.View().Support(connHost(1), connHost(2)); got != 3 {
+	if got := hub2.rules.learner.View().Support(trace.HostOf(1), trace.HostOf(2)); got != 3 {
 		t.Fatalf("restored support on remapped conns = %v, want 3 (6 discounted by 0.5)", got)
 	}
 

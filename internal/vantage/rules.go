@@ -5,6 +5,7 @@ import (
 
 	"arq/internal/core"
 	"arq/internal/obsv"
+	"arq/internal/trace"
 )
 
 // This file is the serve plane of the live servent: the same
@@ -14,7 +15,10 @@ import (
 // from each upstream connection ({upstream} -> {replier} pairs, §V of the
 // paper applied at connection granularity); once a pair's decayed support
 // crosses the activation threshold, queries from that upstream are
-// forwarded to the learned top-k connections instead of flooded.
+// forwarded to the core.DefaultTopK strongest learned connections instead
+// of flooded. Both the learning constants and the forwarding decision,
+// core.Forward, are the ones routing.Assoc runs; connection ids map into
+// the learner's HostID space through trace.HostOf.
 //
 // Learning goes through one core.Learner on the query-hit path, and the
 // mutex lives there. Serving never touches it: the forwarding decision
@@ -33,10 +37,6 @@ var (
 	mRuleRouted = obsv.GetCounter("vantage.rule_routed")
 	mRuleFlood  = obsv.GetCounter("vantage.rule_flood")
 )
-
-// ruleTopK is how many learned connections a covered query is forwarded
-// to: routing.DefaultAssocConfig's TopK at connection granularity.
-const ruleTopK = 2
 
 // ruleServer owns the learn plane, one core.Learner held by value under
 // core.DefaultLearnerConfig, and hands out lock-free routing decisions
@@ -59,12 +59,12 @@ func (r *ruleServer) observe(upstreamConn, viaConn int) {
 	if upstreamConn < 0 || upstreamConn == viaConn {
 		return // our own search, or a degenerate loop
 	}
-	r.learner.Observe(connHost(upstreamConn), connHost(viaConn))
+	r.learner.Observe(trace.HostOf(upstreamConn), trace.HostOf(viaConn))
 }
 
-// filter narrows a query's flood targets to the ruleTopK strongest learned
-// connections for its upstream that are among them (a rule naming a
-// connection that has since closed is skipped, it does not use up a
+// filter narrows a query's flood targets to the core.DefaultTopK strongest
+// learned connections for its upstream that are among them (a rule naming
+// a connection that has since closed is skipped, it does not use up a
 // slot), reading the published snapshot lock-free. Falls back to the full
 // target list when nothing is learned for this upstream or no learned
 // consequent is currently connected.
@@ -72,22 +72,21 @@ func (r *ruleServer) filter(upstreamConn int, targets []*peerConn) []*peerConn {
 	if upstreamConn < 0 || len(targets) <= 1 {
 		return targets
 	}
-	out := make([]*peerConn, 0, ruleTopK)
-	for _, e := range r.learner.View().Run(connHost(upstreamConn)) {
-		want := int(e.Key.Replier()) - 1 // invert connHost
-		i := slices.IndexFunc(targets, func(c *peerConn) bool { return c.id == want })
-		if i < 0 {
-			continue
-		}
-		out = append(out, targets[i])
-		if len(out) == ruleTopK {
-			break
-		}
-	}
-	if len(out) == 0 {
+	out, why := core.Forward(r.learner.View(), trace.HostOf(upstreamConn), core.DefaultTopK,
+		make([]*peerConn, 0, core.DefaultTopK), func(h trace.HostID) (*peerConn, bool) {
+			id := trace.IDOf(h)
+			i := slices.IndexFunc(targets, func(c *peerConn) bool { return c.id == id })
+			if i < 0 {
+				return nil, false
+			}
+			return targets[i], true
+		})
+	switch why {
+	case core.RuleHit:
+		mRuleRouted.Inc()
+		return out
+	case core.NoRule, core.NoUsable:
 		mRuleFlood.Inc()
-		return targets
 	}
-	mRuleRouted.Inc()
-	return out
+	return targets
 }

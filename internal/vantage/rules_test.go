@@ -2,9 +2,14 @@ package vantage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"arq/internal/peer"
+	"arq/internal/routing"
+	"arq/internal/stats"
 )
 
 // star builds a hub servent with opts and n leaves connected to it.
@@ -132,7 +137,7 @@ func TestRulesConcurrentSearches(t *testing.T) {
 
 // Top-k is taken among the connections still open: a learned consequent
 // absent from targets (closed since it was learned) does not use up a
-// slot, so the query still goes to ruleTopK peers.
+// slot, so the query still goes to core.DefaultTopK peers.
 func TestRuleServerFilterSkipsClosedConsequents(t *testing.T) {
 	r := newRuleServer()
 	for via, hits := range map[int]int{1: 6, 2: 4, 3: 2} {
@@ -159,4 +164,64 @@ func (s *Servent) RuleCount() int {
 		return 0
 	}
 	return s.rules.learner.View().Len()
+}
+
+// The live servent and the simulator's router make one forwarding
+// decision. Fed the same hits, connection id i standing for node id i, a
+// ruleServer and a routing.Assoc under DefaultAssocConfig pick the same
+// next hops in the same order: for every upstream and every subset of the
+// other connections as targets, whether rules narrow the query or it
+// floods.
+func TestRuleServerDecidesAsAssoc(t *testing.T) {
+	const conns = 6
+	const self = conns // the router's own node id, never a connection
+	r := newRuleServer()
+	a := routing.NewAssoc(routing.DefaultAssocConfig())
+	rng := stats.NewRNG(5)
+	var narrowed, flooded int
+	compare := func(step int) {
+		for up := 0; up < conns; up++ {
+			for mask := 0; mask < 1<<conns; mask++ {
+				if mask>>up&1 == 1 {
+					continue // the servent never targets the upstream
+				}
+				var targets []*peerConn
+				var nbrs []int32
+				for id := 0; id < conns; id++ {
+					if mask>>id&1 == 1 {
+						targets = append(targets, &peerConn{id: id})
+						nbrs = append(nbrs, int32(id))
+					}
+				}
+				var got []int32
+				for _, c := range r.filter(up, targets) {
+					got = append(got, int32(c.id))
+				}
+				want := a.Route(self, up, peer.Meta{}, nbrs)
+				if !slices.Equal(got, want) {
+					t.Fatalf("after %d hits, upstream %d, targets %v: servent picks %v, Assoc %v", step, up, nbrs, got, want)
+				}
+				switch {
+				case len(got) < len(nbrs):
+					narrowed++
+				case len(nbrs) > 1:
+					flooded++
+				}
+			}
+		}
+	}
+	compare(0)
+	for step := 1; step <= 400; step++ {
+		// Each upstream's hits lean towards the next few connection ids.
+		up := rng.Intn(conns)
+		via := (up + 1 + rng.Intn(1+rng.Intn(conns-1))) % conns
+		r.observe(up, via)
+		a.ObserveHit(self, up, peer.Meta{}, via)
+		if step%20 == 0 {
+			compare(step)
+		}
+	}
+	if narrowed == 0 || flooded == 0 {
+		t.Fatalf("%d narrowed and %d flooded decisions compared; the fixture must produce both", narrowed, flooded)
+	}
 }
