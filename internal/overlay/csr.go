@@ -66,7 +66,7 @@ func (c *CSR) TouchRow(u int32) uint32 {
 // single unchained load, because the pointer itself is already cached;
 // calling it cold would chain two misses and defeat the point.
 func (c *CSR) TouchCol(u int32) int32 {
-	if p := c.rowPtr[u]; p < uint32(len(c.col)) {
+	if p := c.rowPtr[u]; p < c.rowPtr[u+1] {
 		return c.col[p]
 	}
 	return 0

@@ -29,6 +29,13 @@ func csrMatchesGraph(t *testing.T, g *Graph, c *CSR) {
 				t.Fatalf("node %d neighbor %d: CSR %d, graph %d", u, i, got[i], want[i])
 			}
 		}
+		first := int32(0)
+		if len(want) > 0 {
+			first = want[0]
+		}
+		if col := c.TouchCol(int32(u)); col != first {
+			t.Fatalf("node %d: TouchCol = %d, want %d (first neighbor, 0 if isolated)", u, col, first)
+		}
 	}
 }
 
@@ -48,6 +55,11 @@ func TestCSREmptyAndIsolated(t *testing.T) {
 	if c.MaxDegree() != 2 {
 		t.Fatalf("max degree = %d, want 2", c.MaxDegree())
 	}
+	// Isolated nodes ahead of a row that starts with a nonzero column:
+	// TouchCol must not read into the next row.
+	g = NewGraph(4)
+	g.AddEdge(2, 3)
+	csrMatchesGraph(t, g, NewCSR(g))
 }
 
 // TestCSRQuickEquivalence is the property test: for random generated

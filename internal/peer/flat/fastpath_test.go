@@ -1,0 +1,115 @@
+package flat_test
+
+import (
+	"testing"
+
+	"arq/internal/content"
+	"arq/internal/overlay"
+	"arq/internal/peer"
+	"arq/internal/peer/flat"
+	"arq/internal/routing"
+	"arq/internal/stats"
+	"arq/internal/trace"
+)
+
+// arrivalFlood forwards to every neighbor but the sender, as
+// routing.Flood does, but is neither a peer.Broadcaster nor a
+// peer.RouteAppender: an engine of these takes the generic frontier
+// loop, which deduplicates a copy when it arrives.
+type arrivalFlood struct{}
+
+func (arrivalFlood) Name() string { return "arrival-flood" }
+func (arrivalFlood) Walk() bool   { return false }
+func (arrivalFlood) Route(_, from int, _ peer.Meta, nbrs []int32) []int32 {
+	out := make([]int32, 0, len(nbrs))
+	for _, v := range nbrs {
+		if int(v) != from {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+func (arrivalFlood) ObserveHit(int, int, peer.Meta, int) {}
+
+// FuzzFloodFastPath holds the flood loop, which deduplicates at the
+// sender, equal to the generic loop, which deduplicates on arrival, on
+// whatever overlay the bytes spell. patches is a list of operations:
+// [0, u, k, v1..vk] installs row v1..vk as node u's adjacency (rows are
+// not mirrored, so a copy can arrive from a sender outside the
+// receiver's row, and a row may list its own node, repeat a neighbor or
+// be empty); [1, u, masks] moves u's hosting from the categories in the
+// low nibble to those in the high one (category 3 is outside the
+// model). queries is a list of (origin, category, TTL 0-9) triples, the
+// category running from -1 to 3 so both ends fall outside the model.
+// Every peer.Stats field must agree, HitNodes in order.
+func FuzzFloodFastPath(f *testing.F) {
+	var sweep []byte
+	for o := byte(0); o < 8; o++ {
+		for ttl := byte(0); ttl < 10; ttl++ {
+			sweep = append(sweep, o, o+ttl, ttl)
+		}
+	}
+	f.Add(uint64(1), []byte{}, sweep)
+	f.Add(uint64(12), []byte{
+		0, 3, 2, 7, 9, // asymmetric: 3 -> 7, 9 only
+		0, 4, 3, 4, 1, 2, // lists itself
+		0, 5, 4, 6, 6, 1, 6, // repeats a neighbor, and its sender below
+		0, 6, 1, 5, // 6 -> 5 only
+		0, 7, 0, // empty
+		1, 2, 0x21, // node 2: category 0 out, category 1 in
+	}, sweep)
+	f.Add(uint64(33), []byte{0, 0, 7, 0, 0, 1, 1, 2, 2, 0, 1, 1, 0xff, 0, 1, 0}, sweep)
+	f.Fuzz(func(t *testing.T, seed uint64, patches, queries []byte) {
+		const cats = 3
+		n := 1 + int(seed%32)
+		rng := stats.NewRNG(seed)
+		g := overlay.Random(rng, n, 3)
+		hosts := map[int][]trace.InterestID{}
+		for u := 0; u < n; u++ {
+			if c := rng.Intn(cats + 1); c < cats {
+				hosts[u] = []trace.InterestID{trace.InterestID(c)}
+			}
+		}
+		m := content.Explicit(n, cats, hosts)
+		fast := flat.NewEngine(g, m, func(int) peer.Router { return routing.Flood{} })
+		slow := flat.NewEngine(g, m, func(int) peer.Router { return arrivalFlood{} })
+
+		for p := patches; len(p) >= 3; {
+			u := int(p[1]) % n
+			if p[0]%2 == 1 {
+				var old, now []trace.InterestID
+				for c := 0; c < 4; c++ {
+					if p[2]>>c&1 != 0 {
+						old = append(old, trace.InterestID(c))
+					}
+					if p[2]>>(4+c)&1 != 0 {
+						now = append(now, trace.InterestID(c))
+					}
+				}
+				fast.HostedChanged(u, old, now)
+				slow.HostedChanged(u, old, now)
+				p = p[3:]
+				continue
+			}
+			k := min(int(p[2])%8, len(p)-3)
+			row := make([]int32, k)
+			for i := range row {
+				row[i] = int32(int(p[3+i]) % n)
+			}
+			fast.NeighborsChanged(u, row)
+			slow.NeighborsChanged(u, row)
+			p = p[3+k:]
+		}
+
+		for i := 0; i+2 < len(queries); i += 3 {
+			origin := int(queries[i]) % n
+			cat := trace.InterestID(int(queries[i+1])%(cats+2) - 1)
+			ttl := int(queries[i+2]) % 10
+			a := fast.RunQuery(origin, cat, ttl)
+			b := slow.RunQuery(origin, cat, ttl)
+			if !sameStats(a, b) {
+				t.Fatalf("query %d (origin %d, category %d, TTL %d): flood loop %+v != generic loop %+v", i/3, origin, cat, ttl, a, b)
+			}
+		}
+	})
+}

@@ -7,11 +7,14 @@
 // Layout over behavior: peers are indices into dense slices, adjacency
 // is an overlay.CSR snapshot (one contiguous column array, sequential
 // neighbor scans), message delivery is a batched per-TTL-step frontier
-// swap (two append-only slices reused across queries — no per-message
-// heap, channel, or allocation), and GUID dedup is an epoch-stamped
-// visited array (a rotating window: bumping the epoch retires the whole
+// swap (two slices reused across queries — no per-message heap,
+// channel, or allocation), and GUID dedup is an epoch-stamped visited
+// array (a rotating window: bumping the epoch retires the whole
 // previous query's entries in O(1), so no per-node maps ever grow on
-// the hot path).
+// the hot path). A pure flood engine deduplicates at the sender, the
+// way a BFS marks a node when it discovers it: one pass per depth, and
+// a frontier that holds first copies only (runFlood); every other
+// strategy deduplicates a copy when it arrives.
 //
 // Behavior is pinned, not approximated: every per-delivery decision
 // goes through peer.EvalHostedSpec, frontier-swap order equals
@@ -54,15 +57,16 @@ type Engine struct {
 	routers []peer.Router
 
 	// Epoch-stamped per-node scratch, reused across queries:
-	// seen[u] == epoch means u processed the current query, and bumping
-	// the epoch retires every entry at once; parent[u] is only
-	// meaningful when seen[u] is current. Deliberately two arrays, not
-	// one record: the dedup pass touches only seen, and at 4 bytes per
-	// node sixteen nodes share a cache line — the denser this array,
-	// the more of the frontier's random-access traffic the caches
-	// absorb at million-node scale. The flood fast path never writes
-	// parent at all (it computes hit attribution from the frontier
-	// depth instead), so splitting costs its hot loop nothing.
+	// seen[u] == epoch means u has the current query (the generic loop
+	// marks u when it processes its first copy, the flood loop when a
+	// sender discovers it), and bumping the epoch retires every entry
+	// at once; parent[u] is only meaningful when seen[u] is current.
+	// Deliberately two arrays, not one record: dedup touches only seen,
+	// and at 4 bytes per node sixteen nodes share a cache line — the
+	// denser this array, the more of the frontier's random-access
+	// traffic the caches absorb at million-node scale. The flood loop
+	// never writes parent at all (it computes hit attribution from the
+	// frontier depth instead), so splitting costs its hot loop nothing.
 	epoch  uint32
 	seen   []uint32
 	parent []int32
@@ -87,19 +91,18 @@ type Engine struct {
 	// only a nil check per fan-out.
 	dynRows map[int32][]int32
 
-	// Frontier buffers, swapped each TTL step; fwd holds the frontier
-	// survivors between the two passes of the flood fast path.
-	cur, next, fwd []msg
+	// Frontier buffers, swapped each TTL step. The generic loop appends
+	// every copy it sends; the flood loop stores first copies only, so
+	// one of its depths never holds more than N entries plus one row.
+	cur, next []msg
 
 	// allBcast is set when every router is a broadcasting
-	// peer.Broadcaster (a pure flood engine). Queries then run a
-	// specialized two-pass frontier: pass one resolves dedup and hits,
-	// pass two fans out the survivors — splitting the loop gives each
-	// pass a single random-access stream its prefetch covers with no
-	// wasted touches. Legal only because flood routers are stateless;
-	// stateful strategies keep the interleaved single-pass loop.
-	// nBcast counts broadcasting routers so RouterReset can maintain
-	// allBcast incrementally.
+	// peer.Broadcaster (a pure flood engine). Non-top-k queries then
+	// run runFlood, which deduplicates at the sender in one pass per
+	// depth. Legal only because flood routers are stateless and a
+	// flood has no budget to fill on arrival; every other query keeps
+	// the generic loop. nBcast counts broadcasting routers so
+	// RouterReset can maintain allBcast incrementally.
 	allBcast bool
 	nBcast   int
 
@@ -259,8 +262,9 @@ func (e *Engine) RunQueryPhase(origin int, category trace.InterestID, ttl int, f
 }
 
 // RunQuerySpec is RunQuery under full QuerySpec semantics. Top-k queries
-// take the generic single-pass loop — the budget can fill mid-frontier,
-// so the two-pass flood split's batched fan-out would overshoot.
+// take the generic loop even on a pure flood engine: the budget can fill
+// mid-frontier, and a copy absorbed by a spent budget is decided when
+// it arrives, which the flood loop's sender-side dedup never sees.
 func (e *Engine) RunQuerySpec(origin int, category trace.InterestID, spec peer.QuerySpec) peer.Stats {
 	ttl := spec.TTL
 	id := e.nextID
@@ -293,7 +297,7 @@ func (e *Engine) RunQuerySpec(origin int, category trace.InterestID, spec peer.Q
 		return st
 	}
 	if e.allBcast && !walk && spec.TopK == 0 {
-		e.runFlood(org, hb, ttl, meta, &st)
+		e.runFlood(org, hb, ttl, &st)
 		peer.RecordQuery(&st)
 		return st
 	}
@@ -387,83 +391,92 @@ func (e *Engine) RunQuerySpec(origin int, category trace.InterestID, spec peer.Q
 	return st
 }
 
-// runFlood is the two-pass frontier loop for an all-broadcast engine —
-// the configuration the million-node scale runs use. The generic loop
-// resolves dedup and fans out in one interleaved pass, so its lookahead
-// prefetch covers the node records but not the CSR rows (which of the
-// upcoming entries will forward isn't known yet, and chaining both
-// loads per entry stalls the lookahead window). Splitting the depth
-// into a dedup/hit pass over the frontier and a fan-out pass over just
-// the survivors gives each pass one random-access stream its prefetch
-// covers with no wasted touches. Stats math and ordering are identical
-// to the generic loop (pinned by the flood rows of the golden test);
-// the split is only legal because flood routers are stateless — no
-// Route call can observe an ObserveHit from the same depth.
-func (e *Engine) runFlood(org int32, hb []uint64, ttl int, meta peer.Meta, st *peer.Stats) {
-	cur, next, fw := e.cur[:0], e.next[:0], e.fwd[:0]
+// runFlood is the frontier loop for an all-broadcast engine — the
+// configuration the million-node scale runs use. It deduplicates at the
+// sender, the way a BFS marks a node when it discovers it: scanning
+// frontier node u's row marks every neighbor seen and appends (v, u)
+// only for those that were unseen, so a frontier holds first copies only
+// and a duplicate is counted where it is sent, never stored. The hit
+// test runs over the entries each row appends, in append order, which is
+// the order the generic loop would receive them in.
+//
+// This is exact on a flood and only there: a copy is a duplicate in
+// either loop exactly when its target was reached at an earlier depth or
+// by an earlier copy in FIFO order, and which copy arrives first only
+// decides which sender that node skips. Top-k queries decide absorption
+// on arrival and walkers never deduplicate, so both keep the generic
+// loop; FuzzFloodFastPath holds the two loops equal on floods.
+// Broadcaster promises ObserveHit is a no-op, so hit attribution needs no
+// parent-chain walk: the reverse path from a node discovered at depth d
+// has exactly d hops, and the parent array is never written.
+func (e *Engine) runFlood(org int32, hb []uint64, ttl int, st *peer.Stats) {
+	// The origin is marked before any row is scanned, so it is never
+	// appended and its own content never counts as a hit.
+	ep, seen := e.epoch, e.seen
+	seen[org] = ep
+	st.NodesReached = 1
+	cur, next := e.cur[:0], e.next
 	cur = append(cur, msg{to: org, from: noUp})
 
-	for depth := 0; len(cur) > 0; depth++ {
-		rem := ttl - depth
-		fw = fw[:0]
-		// Pass 1: dedup, hit detection, survivor selection. The only
-		// random stream is the node records; the loop body is a few ns,
-		// so the lookahead runs four windows deep to buy a full DRAM
-		// latency of lead time.
+	for depth := 0; depth < ttl && len(cur) > 0; depth++ {
+		nx, n := next[:cap(next)], 0
 		for i, m := range cur {
-			if i+4*prefetchDist < len(cur) {
-				e.pfSink += uint64(e.seen[cur[i+4*prefetchDist].to])
+			// The random streams are u's row pointer and columns: touch
+			// the pointer a full lookahead window ahead and the columns
+			// half a window ahead (by then the pointer is cached, so the
+			// column touch is a single unchained load).
+			if i+prefetchDist < len(cur) {
+				e.pfSink += uint64(e.csr.TouchRow(cur[i+prefetchDist].to))
 			}
-			u := m.to
-			if e.seen[u] == e.epoch {
-				st.Duplicates++
-				continue
+			if i+prefetchDist/2 < len(cur) {
+				e.pfSink += uint64(uint32(e.csr.TouchCol(cur[i+prefetchDist/2].to)))
 			}
-			e.seen[u] = e.epoch
-			st.NodesReached++
-			if u != org && hb[uint(u)/64]>>(uint(u)%64)&1 != 0 {
-				// Hit attribution without the parent-chain walk: on a
-				// flood every ancestor is marked, so the reverse path
-				// from u's sender to the origin has exactly depth hops,
-				// and Broadcaster routers promise ObserveHit is a no-op
-				// — same HitMessages arithmetic as propagateHit, none
-				// of its random access. This is also why the flood path
-				// never writes the parent array.
-				st.Hits++
-				st.HitNodes = append(st.HitNodes, u)
-				st.HitMessages += depth
-				if !st.Found {
-					st.FirstHitHops = depth
-				}
-				st.Found = true
+			u, from := m.to, m.from
+			row := e.neighbors(u)
+			if n+len(row) > len(nx) {
+				nx = append(nx[:n], make([]msg, len(row))...)
+				nx = nx[:cap(nx)]
 			}
-			if rem > 0 {
-				fw = append(fw, m)
+			// Store-and-advance: every entry is written, only an unseen
+			// target keeps its slot. u's sender is seen already, so it
+			// never keeps one; back counts its entries, which are the
+			// row's only entries that are not messages.
+			before, back := n, 0
+			for _, v := range row {
+				fresh := seen[v] != ep
+				seen[v] = ep
+				nx[n] = msg{to: v, from: u}
+				n += b2i(fresh)
+				back += b2i(v == from)
 			}
-		}
-		// Pass 2: fan out the survivors. Every touch is useful now:
-		// the row pointer a full lookahead window ahead, the columns
-		// half a window ahead (by then the pointer is cached, so the
-		// column touch is a single unchained load).
-		for i, m := range fw {
-			if i+prefetchDist < len(fw) {
-				e.pfSink += uint64(e.csr.TouchRow(fw[i+prefetchDist].to))
-			}
-			if i+prefetchDist/2 < len(fw) {
-				e.pfSink += uint64(uint32(e.csr.TouchCol(fw[i+prefetchDist/2].to)))
-			}
-			u := m.to
-			before := len(next)
-			for _, v := range e.neighbors(u) {
-				if v != m.from {
-					next = append(next, msg{to: v, from: u})
+			sent, found := len(row)-back, n-before
+			st.QueryMessages += sent
+			st.NodesReached += found
+			st.Duplicates += sent - found
+			for _, d := range nx[before:n] {
+				if v := d.to; hb[uint(v)/64]>>(uint(v)%64)&1 != 0 {
+					st.Hits++
+					st.HitNodes = append(st.HitNodes, v)
+					st.HitMessages += depth + 1
+					if !st.Found {
+						st.FirstHitHops = depth + 1
+					}
+					st.Found = true
 				}
 			}
-			st.QueryMessages += len(next) - before
 		}
-		cur, next = next, cur[:0]
+		cur, next = nx[:n], cur
 	}
-	e.cur, e.next, e.fwd = cur, next, fw
+	e.cur, e.next = cur, next
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, so runFlood's store-and-advance has no branch on seen.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // propagateHit routes a query-hit from node u back to the origin along

@@ -1,6 +1,8 @@
 package flat_test
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"arq/internal/content"
@@ -41,7 +43,10 @@ func TestFlatFloodInvariant(t *testing.T) {
 
 // TestFlatMatchesEngineSmall cross-checks per-query stats against
 // the oracle on a tiny overlay — the cheap always-on version of the
-// golden equivalence test.
+// golden equivalence test. Every field is compared, HitNodes in order
+// (routing.Shortcuts learns from that order), at TTL 0 (the origin
+// alone), TTL 1 (one hop, where the flood loop's termination test and
+// the origin's own receipt meet) and TTL 5.
 func TestFlatMatchesEngineSmall(t *testing.T) {
 	rng := stats.NewRNG(21)
 	g := overlay.GnutellaLike(rng, 120)
@@ -51,13 +56,45 @@ func TestFlatMatchesEngineSmall(t *testing.T) {
 
 	wrk := stats.NewRNG(3)
 	for _, j := range peer.DrawWorkload(wrk, m, g.N(), 50) {
-		a := seq.RunQuery(j.Origin, j.Category, 5)
-		b := fl.RunQuery(j.Origin, j.Category, 5)
-		if a.Found != b.Found || a.Hits != b.Hits || a.FirstHitHops != b.FirstHitHops ||
-			a.QueryMessages != b.QueryMessages || a.HitMessages != b.HitMessages ||
-			a.Duplicates != b.Duplicates || a.NodesReached != b.NodesReached {
-			t.Fatalf("origin %d cat %d: oracle %+v != flat.Engine %+v", j.Origin, j.Category, a, b)
+		for _, ttl := range []int{0, 1, 5} {
+			a := seq.RunQuery(j.Origin, j.Category, ttl)
+			b := fl.RunQuery(j.Origin, j.Category, ttl)
+			if !sameStats(a, b) {
+				t.Fatalf("origin %d cat %d ttl %d: oracle %+v != flat.Engine %+v", j.Origin, j.Category, ttl, a, b)
+			}
 		}
+	}
+}
+
+// sameStats reports whether a and b agree on every peer.Stats field,
+// HitNodes element for element and in order.
+func sameStats(a, b peer.Stats) bool {
+	if !slices.Equal(a.HitNodes, b.HitNodes) {
+		return false
+	}
+	a.HitNodes, b.HitNodes = nil, nil
+	return reflect.DeepEqual(a, b)
+}
+
+// TestFloodNoPerMessageAllocation pins the package doc's claim: once a
+// query from an origin has sized the frontier buffers, flooding from
+// that origin again allocates nothing. The category is one no node
+// hosts, because growing HitNodes is the only allocation a flood may
+// make.
+func TestFloodNoPerMessageAllocation(t *testing.T) {
+	rng := stats.NewRNG(5)
+	g := overlay.GnutellaLike(rng, 2000)
+	m := content.Explicit(g.N(), 2, map[int][]trace.InterestID{7: {0}, 90: {0}})
+	e := flat.NewEngine(g, m, func(int) peer.Router { return routing.Flood{} })
+	const origin, none, ttl = 3, trace.InterestID(1), 7
+	for i := 0; i < 3; i++ {
+		e.RunQuery(origin, 0, ttl)
+	}
+	if st := e.RunQuery(origin, none, ttl); st.QueryMessages < g.N() || st.Hits != 0 {
+		t.Fatalf("warm-up flood sent %d messages with %d hits; want a flood of the whole overlay and none", st.QueryMessages, st.Hits)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { e.RunQuery(origin, none, ttl) }); allocs != 0 {
+		t.Fatalf("a warm hitless flood allocates %.1f times per query, want 0", allocs)
 	}
 }
 
