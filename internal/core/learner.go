@@ -66,7 +66,7 @@ func (c *LearnerConfig) repair() {
 // callers may use a Learner from any number of goroutines. The serve-side
 // accessors (View, Version) take no lock. A learner always serves what it
 // learned: every call that changes the index publishes what routing reads
-// of it before it returns (see observePair).
+// of it before it returns (see observeRun).
 //
 // Index, count tables and served snapshot are all held by value, so a
 // learner is one object, and one word of it (the served snapshot's
@@ -94,25 +94,43 @@ func (l *Learner) Init(cfg *LearnerConfig) {
 	l.cur.Store(emptySnapshot)
 }
 
-// Observe folds one {src} -> {rep} observation into the index, decaying
-// at the configured cadence, and publishes what routing reads. Between
-// decay steps the observation raised exactly one pair, so observePair
-// keeps the served snapshot when the pair moves no rule's rank or
-// membership, and otherwise rebuilds that pair's run alone. A decay step
-// touches every pair and takes the full rebuild. The served supports may
-// therefore trail the index, by up to DecayEvery observations when the
-// learner decays; Publish returns exact ones.
-func (l *Learner) Observe(src, rep trace.HostID) {
+// Observe folds a run of observations into the index, {src} -> {rep} for
+// every rep of reps in order, decaying at the configured cadence, and
+// publishes what routing reads once, at the end of the run. A run shares
+// one antecedent: the hits one query brought back through a relay, whose
+// upstream for that query is src, or the servent's single hit as a run of
+// one. Supports are
+// added and decayed pair by pair exactly as a call per rep would, so the
+// index is the same either way; what a run saves is the lock, the
+// publishes in between and the lookups of src's run.
+//
+// A run without a decay step raised pairs of src's run alone, so
+// observeRun keeps the served snapshot when no raised pair moved a rule's
+// rank or membership, and otherwise rebuilds that run alone. A run that
+// crossed a decay step touched every pair and takes the full rebuild. The
+// served supports may therefore trail the index, by up to DecayEvery
+// observations when the learner decays; Publish returns exact ones.
+func (l *Learner) Observe(src trace.HostID, reps []trace.HostID) {
+	if len(reps) == 0 {
+		return
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, now := l.idx.addPair(src, rep)
-	l.seen++
-	if l.cfg.DecayEvery > 0 && l.seen%l.cfg.DecayEvery == 0 {
-		l.idx.decay(l.cfg.Decay, l.cfg.Floor)
+	decayed := false
+	var now float64
+	for _, rep := range reps {
+		_, now = l.idx.addPair(src, rep)
+		l.seen++
+		if l.cfg.DecayEvery > 0 && l.seen%l.cfg.DecayEvery == 0 {
+			l.idx.decay(l.cfg.Decay, l.cfg.Floor)
+			decayed = true
+		}
+	}
+	if decayed {
 		l.publish()
 		return
 	}
-	l.observePair(packPair(src, rep), now)
+	l.observeRun(src, reps, now)
 }
 
 // Update applies a structural edit to the index (anything other than one

@@ -18,6 +18,9 @@ func NewLearner(cfg LearnerConfig) *Learner {
 	return l
 }
 
+// observe feeds l one observation: a run of one.
+func observe(l *Learner, src, rep trace.HostID) { l.Observe(src, []trace.HostID{rep}) }
+
 // sameOrder reports whether two snapshots hold the same rules in the same
 // order, whatever their supports: all a routing decision reads of one.
 func sameOrder(a, b *RuleSnapshot) bool {
@@ -51,7 +54,7 @@ func TestLearnerMatchesRebuild(t *testing.T) {
 			var last uint64
 			for step := 1; step <= 8000; step++ {
 				src, rep := trace.HostID(rng.Intn(6)), trace.HostID(1+rng.Intn(8))
-				l.Observe(src, rep)
+				observe(l, src, rep)
 				refIdx.addPair(src, rep)
 				decayed := tc.decayEvery > 0 && step%tc.decayEvery == 0
 				if decayed {
@@ -111,7 +114,7 @@ func TestLearnerLayout(t *testing.T) {
 func TestLearnerRepairsDecayAndFloor(t *testing.T) {
 	l := NewLearner(LearnerConfig{Threshold: 2, DecayEvery: 4})
 	for i := 0; i < 4; i++ {
-		l.Observe(1, 2)
+		observe(l, 1, 2)
 	}
 	if got := l.View().Support(1, 2); got != 2 {
 		t.Fatalf("support %v after the first decay boundary, want 2 (four hits at the default factor 0.5)", got)
@@ -164,7 +167,7 @@ func FuzzLearnerServe(f *testing.F) {
 			before, full := l.Version(), true
 			switch {
 			case kind < 13:
-				l.Observe(src, rep)
+				observe(l, src, rep)
 				refIdx.addPair(src, rep)
 				if seen++; cfg.DecayEvery > 0 && seen%cfg.DecayEvery == 0 {
 					refIdx.decay(cfg.Decay, cfg.Floor)
@@ -203,6 +206,68 @@ func FuzzLearnerServe(f *testing.F) {
 			if now.version != then.version || !slices.Equal(now.rules, then.rules) {
 				t.Fatalf("snapshot v%d changed after it was published: %v, held %v", then.version, now.rules, then.rules)
 			}
+		}
+	})
+}
+
+// FuzzLearnerRun holds a run to the learning of its singles. Twin learners
+// take the same observations: one a call per observation, the other in
+// runs the fuzzer cuts, each of one antecedent. After every run the two
+// indexes must hold the same pairs at bit-identical supports; the run
+// learner must serve the rules of a rebuild of that index in the
+// rebuild's order, and, when a decay step fell inside the run, the
+// rebuild's supports too; its version must not go back, and it must never
+// have published more often than the singles learner.
+//
+// ops is a stream of runs: a header byte (antecedent in its high bits, run
+// length 1–8 in its low three) followed by that many replier bytes.
+func FuzzLearnerRun(f *testing.F) {
+	f.Add(uint8(4), []byte("\x13\x01\x02\x01\x02\x11\x03\x27\x01\x01\x02\x03\x04\x05\x01\x01\x05\x02\x02\x03\x03\x04"))
+	f.Add(uint8(3), []byte("\x07\x01\x01\x01\x02\x02\x03\x03\x01\x11\x04\x04\x17\x05\x05\x05\x05\x01\x01\x01\x01"))
+	f.Add(uint8(0), []byte("\x03\x01\x02\x03\x04\x03\x04\x03\x02\x01\x13\x01\x02\x03\x04\x07\x05\x05\x05\x05\x01\x01\x01\x01"))
+	f.Add(uint8(0), []byte("\x03\x01\x01\x02\x02\x00\x02\x01\x01\x01"))
+	f.Fuzz(func(t *testing.T, decayEvery uint8, ops []byte) {
+		cfg := LearnerConfig{Threshold: 2, Decay: 0.5, DecayEvery: int(decayEvery % 8), Floor: 0.25}
+		single, batch := NewLearner(cfg), NewLearner(cfg)
+		seen := 0
+		var last uint64
+		for i := 0; i < len(ops); {
+			head := ops[i]
+			i++
+			src := trace.HostID(head >> 4 % 4)
+			n := min(1+int(head%8), len(ops)-i)
+			if n == 0 {
+				break
+			}
+			reps := make([]trace.HostID, n)
+			for j := range reps {
+				reps[j] = trace.HostID(1 + ops[i+j]%6)
+				observe(single, src, reps[j])
+			}
+			i += n
+			batch.Observe(src, reps)
+			decayed := cfg.DecayEvery > 0 && (seen+n)/cfg.DecayEvery > seen/cfg.DecayEvery
+			seen += n
+
+			if single.idx.counts.Len() != batch.idx.counts.Len() || single.idx.active != batch.idx.active {
+				t.Fatalf("run %v of %d: %d pairs (%d rules) after a run, %d (%d) one at a time", reps, src,
+					batch.idx.counts.Len(), batch.idx.active, single.idx.counts.Len(), single.idx.active)
+			}
+			single.idx.Range(func(k PairKey, v float64) bool {
+				if got := batch.idx.counts.Get(k); got != v {
+					t.Fatalf("run %v of %d: pair %x at %v after a run, %v one at a time", reps, src, uint64(k), got, v)
+				}
+				return true
+			})
+			got, want := batch.View(), rebuild(&single.idx)
+			if !sameOrder(got, want) || decayed && !slices.Equal(got.rules, want.rules) {
+				t.Fatalf("run %v of %d (decay inside: %v): serves v%d %v, rebuild gives %v",
+					reps, src, decayed, got.version, got.rules, want.rules)
+			}
+			if got.version < last || got.version > single.Version() {
+				t.Fatalf("run %v of %d: version %d after %d, singles at %d", reps, src, got.version, last, single.Version())
+			}
+			last = got.version
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"arq/internal/obsv"
@@ -96,21 +97,17 @@ func (s *RuleSnapshot) byKey() []RuleEntry {
 	return out
 }
 
-// rerun returns rules with the run rules[lo:hi], k's antecedent run,
-// rebuilt from idx: every entry's support re-read, k appended at support
-// now when the run lacks it, and the run sorted again. The input is never
-// modified.
-func rerun(rules []RuleEntry, lo, hi int, idx *PairIndex, k PairKey, now float64, absent bool) []RuleEntry {
-	size := len(rules)
-	if absent {
-		size++
-	}
-	out := append(make([]RuleEntry, 0, size), rules[:lo]...)
+// rerun returns rules with the run rules[lo:hi] rebuilt from idx: every
+// entry's support re-read, the keys of fresh (rules of the run's
+// antecedent the run lacks) appended at their index supports, and the run
+// sorted again. The input is never modified; the result is one allocation.
+func rerun(rules []RuleEntry, lo, hi int, idx *PairIndex, fresh []PairKey) []RuleEntry {
+	out := append(make([]RuleEntry, 0, len(rules)+len(fresh)), rules[:lo]...)
 	for _, e := range rules[lo:hi] {
 		out = append(out, RuleEntry{Key: e.Key, Support: idx.counts.Get(e.Key)})
 	}
-	if absent {
-		out = append(out, RuleEntry{Key: k, Support: now})
+	for _, k := range fresh {
+		out = append(out, RuleEntry{Key: k, Support: idx.counts.Get(k)})
 	}
 	sortRules(out[lo:])
 	return append(out, rules[hi:]...)
@@ -131,49 +128,62 @@ func (idx *PairIndex) ruleEntries() []RuleEntry {
 	return rules
 }
 
-// observePair publishes what routing reads after an observation that did
-// nothing to the index but raise pair k to support now (no decay, no
-// reset, no other pair). Routing reads a snapshot's run order and
+// observeRun publishes what routing reads after a run of observations
+// that did nothing to the index but raise the pairs {src} -> {rep}, one
+// per rep (no decay, no reset, no other pair); last is the support of the
+// last rep's pair now. Routing reads a snapshot's run order and
 // membership, never its supports. So the served snapshot stays served, at
-// its version, if k changes neither:
+// its version, if no raised pair k changes either:
 //   - k is absent and still below the threshold, or
-//   - k is present and still ranks below its run predecessor, read at the
-//     predecessor's index support.
+//   - k is present and still ranks below its run predecessor, both read at
+//     their index supports.
 //
-// Otherwise the next snapshot is the served one with k's run alone rebuilt
-// from the index (rerun): no walk of the index, one allocation for the
-// rules. This holds because between full publishes only observePair
-// touches the index, by raising one key, so the served order is always
-// the rebuild's. The served supports are as of each run's last rebuild;
-// a reader that persists them takes Publish. Before the first publish the
-// served snapshot was never built from the index, so the publish is a full
-// rebuild. Every other index change is followed by publish.
-func (l *Learner) observePair(k PairKey, now float64) {
+// A run whose every raised pair passes keeps the order: a pair that was
+// not raised kept its support while its predecessor's could only grow, so
+// it still ranks behind. Otherwise the next snapshot is the served one
+// with src's run alone rebuilt from the index (rerun): no walk of the
+// index, one allocation for the rules. This holds because between full
+// publishes only observeRun touches the index, by raising keys, so the
+// served order is always the rebuild's. The served supports are as of
+// each run's last rebuild; a reader that persists them takes Publish.
+// Before the first publish the served snapshot was never built from the
+// index, so the publish is a full rebuild. Every other index change is
+// followed by publish.
+func (l *Learner) observeRun(src trace.HostID, reps []trace.HostID, last float64) {
 	base := l.cur.Load()
 	if base.version == 0 {
 		l.publish()
 		return
 	}
-	lo, hi := runBounds(base.rules, k.Source())
-	at := lo
-	for at < hi && base.rules[at].Key != k {
-		at++
-	}
-	absent := at == hi
-	switch {
-	case absent:
-		if now < l.cfg.Threshold {
-			return // not a rule, and still not one
+	lo, hi := runBounds(base.rules, src)
+	run := base.rules[lo:hi]
+	var buf [8]PairKey // a run that makes more new rules spills to the heap
+	fresh, moved := buf[:0], false
+	for i, rep := range reps {
+		if i > 0 && rep == reps[i-1] {
+			continue // the same pair, and the same verdict
 		}
-	case at == lo:
-		return // heads its run, and still does
-	default:
-		pred := base.rules[at-1].Key
-		if ruleCmp(RuleEntry{Key: pred, Support: l.idx.counts.Get(pred)}, RuleEntry{Key: k, Support: now}) < 0 {
-			return // still behind its run predecessor
+		k, now := packPair(src, rep), last
+		if i < len(reps)-1 {
+			now = l.idx.counts.Get(k)
+		}
+		at := 0
+		for at < len(run) && run[at].Key != k {
+			at++
+		}
+		switch {
+		case at == len(run):
+			if now >= l.cfg.Threshold && !slices.Contains(fresh, k) {
+				fresh = append(fresh, k) // a rule now, and not served
+			}
+		case at > 0 && !moved:
+			pred := run[at-1].Key
+			moved = ruleCmp(RuleEntry{Key: pred, Support: l.idx.counts.Get(pred)}, RuleEntry{Key: k, Support: now}) >= 0
 		}
 	}
-	l.swap(rerun(base.rules, lo, hi, &l.idx, k, now, absent))
+	if moved || len(fresh) > 0 {
+		l.swap(rerun(base.rules, lo, hi, &l.idx, fresh))
+	}
 }
 
 // publish materializes the index's current rules as a new immutable

@@ -31,11 +31,11 @@ func TestPublishSyncTracksEveryObservation(t *testing.T) {
 	if v := l.View(); v.Version() != 0 || v.Len() != 0 {
 		t.Fatalf("initial view = v%d len %d", v.Version(), v.Len())
 	}
-	l.Observe(1, 2)
+	observe(l, 1, 2)
 	if v := l.View(); v.Version() != 1 || v.Len() != 0 {
 		t.Fatalf("after 1 obs: v%d len %d (support below threshold)", v.Version(), v.Len())
 	}
-	l.Observe(1, 2)
+	observe(l, 1, 2)
 	v := l.View()
 	if v.Version() != 2 || v.Len() != 1 {
 		t.Fatalf("after 2 obs: v%d len %d", v.Version(), v.Len())
@@ -50,12 +50,12 @@ func TestPublishSyncTracksEveryObservation(t *testing.T) {
 
 func TestPublishedSnapshotIsImmutable(t *testing.T) {
 	l := NewLearner(LearnerConfig{Threshold: 2})
-	l.Observe(1, 2)
-	l.Observe(1, 2)
+	observe(l, 1, 2)
+	observe(l, 1, 2)
 	old := l.View()
 	for i := 0; i < 5; i++ {
-		l.Observe(1, 3)
-		l.Observe(4, 5)
+		observe(l, 1, 3)
+		observe(l, 4, 5)
 	}
 	if old.Len() != 1 || old.Support(1, 2) != 2 || old.covers(4) {
 		t.Fatalf("earlier snapshot changed under later publishes: %+v", old)
@@ -126,7 +126,7 @@ func TestPublisherConcurrentReaders(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 5000; i++ {
-		l.Observe(trace.HostID(1+i%5), trace.HostID(1+(i*7)%11))
+		observe(l, trace.HostID(1+i%5), trace.HostID(1+(i*7)%11))
 		if i%256 == 255 {
 			l.Publish()
 		}
@@ -135,10 +135,11 @@ func TestPublisherConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSinglePairPublicationEqualsRebuild is the contract observePair rests
-// on: over random sequences of hits, weighted raises, decays and resets on
-// a learner's index, the learner told which pair each raise moved (with
-// the full publish wherever the step touched more than one pair) serves, at every step, the rules a rebuild from the index gives in the
+// TestSinglePairPublicationEqualsRebuild is the contract observeRun rests
+// on, for runs of one pair: over random sequences of hits, weighted
+// raises, decays and resets on a learner's index, the learner told which
+// pair each raise moved (with the full publish wherever the step touched
+// more than one pair) serves, at every step, the rules a rebuild from the index gives in the
 // rebuild's order. It publishes exactly when that order or membership
 // changed, and otherwise keeps serving the same snapshot at the same
 // version. A publish carries the index's supports for the run it rebuilt,
@@ -151,17 +152,17 @@ func TestSinglePairPublicationEqualsRebuild(t *testing.T) {
 	f := func(ops []uint32) bool {
 		l := NewLearner(LearnerConfig{Threshold: threshold})
 		idx := &l.idx
-		l.publish() // observePair needs a base that was built from the index
+		l.publish() // observeRun needs a base that was built from the index
 		for step, op := range ops {
 			src, rep := trace.HostID(1+op>>4%3), trace.HostID(1+op>>6%4)
-			k, full := packPair(src, rep), false
+			full := false
 			before := l.View()
 			switch kind := op % 16; {
 			case kind < 10:
-				l.observePair(k, hit(idx, src, rep))
+				l.observeRun(src, []trace.HostID{rep}, hit(idx, src, rep))
 			case kind < 14:
 				idx.add(src, rep, weights[int(op>>8)%len(weights)])
-				l.observePair(k, idx.Support(src, rep))
+				l.observeRun(src, []trace.HostID{rep}, idx.Support(src, rep))
 			case kind < 15:
 				idx.decay(0.5, 0.25)
 				l.publish()
@@ -206,12 +207,12 @@ func TestSinglePairPublicationEqualsRebuild(t *testing.T) {
 	}
 }
 
-// observePair falls back to the full rebuild when the served snapshot was
+// observeRun falls back to the full rebuild when the served snapshot was
 // never built from the index: before the first publish.
-func TestObservePairRebuildsWhenSnapshotIsBehind(t *testing.T) {
+func TestObserveRunRebuildsWhenSnapshotIsBehind(t *testing.T) {
 	l := NewLearner(LearnerConfig{Threshold: 2})
 	l.idx.Set(1, 2, 5) // in the index before any publish
-	l.observePair(packPair(3, 4), hit(&l.idx, 3, 4))
+	l.observeRun(3, []trace.HostID{4}, hit(&l.idx, 3, 4))
 	if v := l.View(); v.Version() != 1 || v.Support(1, 2) != 5 {
 		t.Fatalf("first publish: v%d support(1,2)=%v, want the full rebuild", v.Version(), v.Support(1, 2))
 	}

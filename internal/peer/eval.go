@@ -151,14 +151,27 @@ type RouteAppender interface {
 	RouteAppend(dst []int32, u, from int, q Meta, nbrs []int32) []int32
 }
 
+// HitsObserver is an optional Router fast path for engines that deliver a
+// query's hits at one node together: ObserveHits(u, from, q, vias) must
+// learn exactly what ObserveHit(u, from, q, via) for every via of vias, in
+// order, would. vias is only read during the call. The flat engine
+// (peer/flat) defers every hit observation to the end of its query and
+// then hands each observing node its hits in one call, through this
+// capability when the router has it and one ObserveHit per hit otherwise;
+// a learner then locks, counts and publishes once per node per query.
+type HitsObserver interface {
+	ObserveHits(u, from int, q Meta, vias []int32)
+}
+
 // Broadcaster is an optional Router marker for pure stateless flooding:
 // the router promises that Route always selects every neighbor except
 // the upstream sender, in neighbor order, and that ObserveHit is a
 // no-op. An engine that owns its message buffers can then fan out
 // directly without materializing the chosen-neighbor list — and skip
-// hit-observation dispatch entirely — which is what the flat engine's
-// million-node flood path does. Only routers meeting both promises may
-// return true.
+// hit-observation dispatch entirely: the flat engine's million-node
+// flood path records no hit observations at all, and its other loops
+// hand a broadcasting node none when they deliver a query's hits. Only
+// routers meeting both promises may return true.
 type Broadcaster interface {
 	Broadcasts() bool
 }

@@ -159,20 +159,21 @@ func (e *Engine) runFaulted(org int32, hb []uint64, walk bool, meta peer.Meta, s
 
 // propagateHitFaulted is propagateHit on a faulty network: the hit
 // crosses via -> node at each reverse hop, and a drop or a crashed relay
-// loses it (duplication and delay are irrelevant to a boolean arrival).
-// It reports whether the hit reached the origin.
+// loses it (duplication and delay are irrelevant to a boolean arrival);
+// the node it was lost at does not observe it. It reports whether the hit
+// reached the origin.
 func (e *Engine) propagateHitFaulted(meta peer.Meta, u, upstreamAtU int32, st *peer.Stats) bool {
 	f := e.Fault
-	e.routers[u].ObserveHit(int(u), int(upstreamAtU), meta, int(u))
-	via := u
-	node := upstreamAtU
+	via, node := u, upstreamAtU
 	for node != noUp {
 		st.HitMessages++
 		if int(node) != meta.Origin && f.Down(int(node)) {
 			fault.ReportDownDrop()
+			e.logTrail(u, node)
 			return false
 		}
 		if f.OnSend(int(via), int(node)).Drop {
+			e.logTrail(u, node)
 			return false
 		}
 		if e.seen[node] != e.epoch {
@@ -180,10 +181,8 @@ func (e *Engine) propagateHitFaulted(meta peer.Meta, u, upstreamAtU int32, st *p
 			// as delivered (the oracle's historical semantics).
 			break
 		}
-		up := e.parent[node]
-		e.routers[node].ObserveHit(int(node), int(up), meta, int(via))
-		via = node
-		node = up
+		via, node = node, e.parent[node]
 	}
+	e.logTrail(u, node)
 	return true
 }

@@ -16,6 +16,15 @@
 // a frontier that holds first copies only (runFlood); every other
 // strategy deduplicates a copy when it arrives.
 //
+// Learning is deferred to the end of each query: a returning hit is
+// logged as its reverse-path trail, and once the query is over each
+// observing node gets all of its hits in one call, in the order it would
+// have received them (flushHits, through peer.HitsObserver when the
+// router has it). That is exact, because a node observes a hit only after
+// it has routed the query, which outside walker queries it does once (see
+// peer.Router), and it lets a learner lock, count and publish once per
+// node per query instead of once per hit.
+//
 // Behavior is pinned, not approximated: every per-delivery decision
 // goes through peer.EvalHostedSpec, frontier-swap order equals
 // oracle.Engine's FIFO order (FIFO from a single depth-0 injection IS
@@ -30,6 +39,8 @@
 package flat
 
 import (
+	"slices"
+
 	"arq/internal/content"
 	"arq/internal/fault"
 	"arq/internal/overlay"
@@ -115,6 +126,13 @@ type Engine struct {
 	routeBuf  []int32
 	broadcast []bool
 
+	// trails logs the current query's hits for flushHits: per hit, the
+	// node it matched at and the node its reverse path stopped being
+	// observed at. obsVias is the flush's scatter buffer, one entry per
+	// observation. Both are reused across queries.
+	trails  []trail
+	obsVias []int32
+
 	// pfSink absorbs the prefetch reads in the delivery loop so the
 	// compiler cannot discard them; never read back.
 	pfSink uint64
@@ -133,6 +151,16 @@ type Engine struct {
 	// reused across queries.
 	fqueue   []fmsg
 	fdelayed delayHeap
+}
+
+// trail is one hit of the current query as its reverse path observed it:
+// every node from hit along the parent chain up to, not including, stop
+// observes the hit, each through the node before it (hit through itself).
+// stop is noUp when the hit reached the origin. The parent array of a
+// query never changes once a node is in it, so a trail stands for all of
+// the hit's observations until the query ends.
+type trail struct {
+	hit, stop int32
 }
 
 // prefetchDist is the base lookahead of the delivery loops: how many
@@ -291,16 +319,23 @@ func (e *Engine) RunQuerySpec(origin int, category trace.InterestID, spec peer.Q
 	org := int32(origin)
 
 	walk := e.routers[origin].Walk()
-	if e.Fault != nil {
+	switch {
+	case e.Fault != nil:
 		e.runFaulted(org, hb, walk, meta, spec, &st)
-		peer.RecordQuery(&st)
-		return st
-	}
-	if e.allBcast && !walk && spec.TopK == 0 {
+	case e.allBcast && !walk && spec.TopK == 0:
 		e.runFlood(org, hb, ttl, &st)
-		peer.RecordQuery(&st)
-		return st
+	default:
+		e.runFrontier(org, hb, walk, meta, spec, &st)
 	}
+	e.flushHits(meta)
+	peer.RecordQuery(&st)
+	return st
+}
+
+// runFrontier is the generic frontier loop: every strategy but a pure
+// flood on a perfect network, deduplicating each copy when it arrives.
+func (e *Engine) runFrontier(org int32, hb []uint64, walk bool, meta peer.Meta, spec peer.QuerySpec, st *peer.Stats) {
+	ttl := spec.TTL
 	cur, next := e.cur[:0], e.next[:0]
 	cur = append(cur, msg{to: org, from: noUp})
 
@@ -340,7 +375,7 @@ func (e *Engine) RunQuerySpec(origin int, category trace.InterestID, spec peer.Q
 			if o.Hit {
 				st.Hits++
 				st.HitNodes = append(st.HitNodes, u)
-				e.propagateHit(meta, u, m.from, &st)
+				e.propagateHit(u, m.from, st)
 				if !st.Found || depth < st.FirstHitHops {
 					st.FirstHitHops = depth
 				}
@@ -386,9 +421,6 @@ func (e *Engine) RunQuerySpec(origin int, category trace.InterestID, spec peer.Q
 	}
 	// Keep the (possibly grown) buffers for the next query.
 	e.cur, e.next = cur, next
-
-	peer.RecordQuery(&st)
-	return st
 }
 
 // runFlood is the frontier loop for an all-broadcast engine — the
@@ -480,12 +512,12 @@ func b2i(b bool) int {
 }
 
 // propagateHit routes a query-hit from node u back to the origin along
-// the reverse path in the parent array, letting each node on the way
-// observe which neighbor produced the hit — the exact accounting of
-// oracle.Engine.propagateHit on a perfect network.
-func (e *Engine) propagateHit(meta peer.Meta, u, upstreamAtU int32, st *peer.Stats) {
-	e.routers[u].ObserveHit(int(u), int(upstreamAtU), meta, int(u))
-	via := u
+// the reverse path in the parent array, counting its hop-by-hop messages —
+// the exact accounting of oracle.Engine.propagateHit on a perfect network.
+// Each node on the way observes which neighbor produced the hit; the
+// observations are logged as the hit's trail and delivered by flushHits
+// once the query is over.
+func (e *Engine) propagateHit(u, upstreamAtU int32, st *peer.Stats) {
 	node := upstreamAtU
 	for node != noUp {
 		st.HitMessages++
@@ -494,10 +526,96 @@ func (e *Engine) propagateHit(meta peer.Meta, u, upstreamAtU int32, st *peer.Sta
 			// first visited by a different walker; stop attribution there.
 			break
 		}
-		up := e.parent[node]
-		e.routers[node].ObserveHit(int(node), int(up), meta, int(via))
-		via = node
-		node = up
+		node = e.parent[node]
+	}
+	e.logTrail(u, node)
+}
+
+// logTrail records a hit's trail for flushHits. A pure flood engine
+// learns nothing (peer.Broadcaster), so it records none.
+func (e *Engine) logTrail(hit, stop int32) {
+	if !e.allBcast {
+		e.trails = append(e.trails, trail{hit: hit, stop: stop})
+	}
+}
+
+// flushHits delivers the finished query's hit observations: each
+// observing node gets all of its hits in one call, in the order the hits
+// reached it (observeHits). This is the only place the engine calls a
+// router's learning, and deferring it here is exact (peer.Router): a node
+// observes a hit only on the hit's reverse path, so it has already routed
+// the query, which outside walker queries it does at most once; and a
+// router's learning depends only on its own observations in their order,
+// so the order the nodes are served in does not matter. Nodes with a
+// broadcasting router are skipped, since their ObserveHit is a no-op by
+// contract.
+//
+// The grouping is a counting sort that borrows seen as its per-node
+// scratch. Every observer holds the current epoch stamp when the query is
+// over, since it processed the query, and d = seen[x]-epoch encodes
+// observer x's state through the passes: a count of its hits (d below
+// 1<<31), then an offset o into the via buffer (d = ^o, at or above
+// 1<<31). The delivery pass restores the stamp, so the next query's epoch
+// bump still retires it. Runs are laid out in order of first observation,
+// which every pass walks the trails in.
+func (e *Engine) flushHits(meta peer.Meta) {
+	if len(e.trails) == 0 {
+		return
+	}
+	seen, parent, bcast, ep := e.seen, e.parent, e.broadcast, e.epoch
+	n := uint32(0)
+	for _, t := range e.trails {
+		for x := t.hit; x != t.stop; x = parent[x] {
+			if !bcast[x] {
+				seen[x]++
+				n++
+			}
+		}
+	}
+	off := uint32(0)
+	for _, t := range e.trails {
+		for x := t.hit; x != t.stop; x = parent[x] {
+			if d := seen[x] - ep; !bcast[x] && d < 1<<31 {
+				seen[x] = ep + ^off // the run's start
+				off += d
+			}
+		}
+	}
+	vias := slices.Grow(e.obsVias[:0], int(n))[:n]
+	for _, t := range e.trails {
+		for via, x := t.hit, t.hit; x != t.stop; via, x = x, parent[x] {
+			if !bcast[x] {
+				o := ^(seen[x] - ep)
+				vias[o] = via
+				seen[x] = ep + ^(o + 1) // ends at the run's end
+			}
+		}
+	}
+	start := uint32(0)
+	for _, t := range e.trails {
+		for x := t.hit; x != t.stop && start < n; x = parent[x] {
+			if !bcast[x] && seen[x] != ep {
+				end := ^(seen[x] - ep)
+				seen[x] = ep
+				e.observeHits(x, meta, vias[start:end])
+				start = end
+			}
+		}
+	}
+	e.trails, e.obsVias = e.trails[:0], vias
+}
+
+// observeHits hands node x its run of the query's hits, with from =
+// parent[x]: through peer.HitsObserver when its router has it, one
+// ObserveHit per hit otherwise.
+func (e *Engine) observeHits(x int32, meta peer.Meta, vias []int32) {
+	from := int(e.parent[x])
+	if ho, ok := e.routers[x].(peer.HitsObserver); ok {
+		ho.ObserveHits(int(x), from, meta, vias)
+		return
+	}
+	for _, via := range vias {
+		e.routers[x].ObserveHit(int(x), from, meta, int(via))
 	}
 }
 

@@ -78,6 +78,11 @@ type Router interface {
 	// ObserveHit informs node u that a hit for q returned through
 	// neighbor via; from is the upstream the query had arrived from
 	// (NoUpstream at the origin). Learning routers update rules here.
+	// An engine may deliver a query's hits after the query has finished:
+	// every node observing a hit has already routed the query, and a
+	// non-walker query is routed at most once per node, so no decision
+	// of the same query can read what its hits teach. A node's hits
+	// arrive in the order it would have received them.
 	ObserveHit(u, from int, q Meta, via int)
 	// Walk reports walker semantics: duplicate suppression is disabled
 	// and each arriving copy is forwarded independently (k-random walks),

@@ -88,8 +88,10 @@ func TestAssocSkipsDepartedAndSenderConsequents(t *testing.T) {
 // covered, uncovered and flood-phase alike — and Route, which brings its
 // own buffer, allocates exactly that. A learn step that moves no rule's
 // rank or membership allocates nothing and keeps serving the same
-// snapshot; one that moves a rule allocates the next snapshot, header and
-// rule slice, and nothing else.
+// snapshot, whether it is one hit or a run of any length; one that moves a
+// rule allocates the next snapshot, header and rule slice, and nothing
+// else, again for one hit or a run. A run that crosses decay steps
+// publishes once.
 func TestAssocHotPathAllocations(t *testing.T) {
 	a := newAssocWith(AssocConfig{TopK: 2}, core.LearnerConfig{Threshold: 2, Decay: 0.5, DecayEvery: 1 << 30})
 	nbrs := []int32{10, 11, 12, 13, 14, 15}
@@ -146,6 +148,18 @@ func TestAssocHotPathAllocations(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { r.ObserveHit(0, 5, q, tc.via) }); n != 0 {
 			t.Errorf("%s ObserveHit: %v allocs per call, want 0", tc.name, n)
 		}
+		// Runs longer than the stack buffer reach the learner in pieces,
+		// and a self-hit (via 0) is counted but not learned.
+		for _, size := range []int{2, 7, observeChunk, 3*observeChunk + 5} {
+			vias := make([]int32, size)
+			for i := range vias {
+				vias[i] = int32(tc.via)
+			}
+			vias[size/2] = 0
+			if n := testing.AllocsPerRun(20, func() { r.ObserveHits(0, 5, q, vias) }); n != 0 {
+				t.Errorf("%s run of %d: %v allocs per call, want 0", tc.name, size, n)
+			}
+		}
 		if r.learn.View() != served || r.RuleCount() != rules {
 			t.Errorf("%s ObserveHit: served snapshot replaced (%d rules, had %d)", tc.name, r.RuleCount(), rules)
 		}
@@ -161,6 +175,35 @@ func TestAssocHotPathAllocations(t *testing.T) {
 	}
 	if a.learn.View() == served {
 		t.Error("order-moving ObserveHit kept the served snapshot")
+	}
+
+	// A run of four hits on the trailing rule of the run brings it level
+	// with the leader or ahead of it, so every call moves the order.
+	r := newAssocWith(AssocConfig{TopK: 2}, core.LearnerConfig{Threshold: 2, Decay: 0.5, DecayEvery: 1 << 30})
+	for i := 0; i < 3; i++ {
+		r.ObserveHit(0, 5, q, 12)
+		r.ObserveHit(0, 5, q, 14)
+	}
+	runs := [][]int32{{14, 14, 14, 14}, {12, 12, 12, 12}}
+	calls := 0
+	if n := testing.AllocsPerRun(100, func() {
+		served := r.learn.View()
+		r.ObserveHits(0, 5, q, runs[calls%2])
+		if r.learn.View() == served {
+			t.Fatalf("order-moving run %v kept the served snapshot", runs[calls%2])
+		}
+		calls++
+	}); n != 2 || r.RuleCount() != 2 {
+		t.Errorf("order-moving run, %d rules: %v allocs per call, want 2 with 2 rules", r.RuleCount(), n)
+	}
+
+	// Ten hits at a decay step every four observations: one full publish.
+	d := newAssocWith(AssocConfig{TopK: 2}, core.LearnerConfig{Threshold: 2, Decay: 0.5, DecayEvery: 4})
+	d.ObserveHit(0, 5, q, 12)
+	before := d.learn.Version()
+	d.ObserveHits(0, 5, q, []int32{12, 14, 12, 14, 12, 14, 12, 14, 12, 14})
+	if got := d.learn.Version(); got != before+1 {
+		t.Errorf("a run across two decay steps moved the version from %d to %d, want one publish", before, got)
 	}
 }
 
@@ -232,4 +275,22 @@ func BenchmarkAssocObserveHit(b *testing.B) {
 			}
 		})
 	}
+	// "visible-run" hands the same rules a relay's typical run of five
+	// hits, one of them its own, in one call; ns/hit is comparable with the
+	// rows above.
+	b.Run("visible-run", func(b *testing.B) {
+		a := NewAssoc(DefaultAssocConfig())
+		for _, v := range []int{11, 13, 14, 16} {
+			for i := 0; i < 4; i++ {
+				a.ObserveHit(0, 5, peer.Meta{}, v)
+			}
+		}
+		vias := []int32{13, 11, 13, 0, 16}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a.ObserveHits(0, 5, peer.Meta{}, vias)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vias)), "ns/hit")
+	})
 }

@@ -153,8 +153,14 @@ func DefaultAssocConfig() AssocConfig {
 // The rule lifecycle is split into two planes. The write plane is one
 // core.Learner: the decay-mode core.PairIndex the simulator's maintenance
 // policies also run on, the snapshot it serves, and the only mutex. Every
-// hit publishes what routing reads of it before ObserveHit returns, so a
-// sequential deployment routes on fully current rule order. The read plane
+// hit publishes what routing reads of it before ObserveHit (or the
+// ObserveHits call that carries it) returns, so the router routes on rule
+// order as current as the hits it has been handed. The flat engine hands
+// a node its hits when their query is over, all of them in one
+// ObserveHits call (one ObserveHit per hit through a wrapper that hides
+// ObserveHits); the oracle calls ObserveHit as each hit returns. Either
+// way no decision of a query could have read what that query's hits teach
+// (peer.Router). The read plane
 // is Route/Consequents/RuleCount serving lock-free from the immutable
 // snapshots the learner publishes, so any number of goroutines can route
 // concurrently while learning proceeds — reads never contend with writes.
@@ -265,19 +271,42 @@ func (a *Assoc) RouteAppend(dst []int32, u, from int, q peer.Meta, nbrs []int32)
 }
 
 // ObserveHit implements peer.Router: support for {from} -> {via} grows by
-// one per returned hit, with periodic exponential decay. This is the
-// write plane — the observation is consumed by the learner and surfaces
-// in routing decisions at once when it moves a rule's rank or membership;
-// a hit that moves neither keeps the served snapshot and allocates
-// nothing.
+// one per returned hit, with periodic exponential decay. It is ObserveHits
+// with a run of one, handed to the learner without the stack buffer.
 func (a *Assoc) ObserveHit(u, from int, _ peer.Meta, via int) {
 	mAssocHits.Inc()
-	if via == u {
-		// The hit matched at this node itself; there is no next-hop
-		// consequent to learn.
-		return
+	if via != u {
+		a.learn.Observe(trace.HostOf(from), []trace.HostID{trace.HostOf(via)})
 	}
-	a.learn.Observe(trace.HostOf(from), trace.HostOf(via))
+}
+
+// observeChunk bounds the stack buffer ObserveHits maps ids into; a longer
+// run reaches the learner as consecutive runs of at most this many.
+const observeChunk = 64
+
+// ObserveHits implements peer.HitsObserver: ObserveHit for every via, in
+// order, as one run of the learner. This is the write plane — the run is
+// consumed by the learner under one lock and surfaces in routing
+// decisions, before ObserveHits returns, when it moves a rule's rank or
+// membership; a run that moves neither keeps the served snapshot and
+// allocates nothing. A via equal to u is a hit that matched at this node
+// itself: it is counted, but there is no next-hop consequent to learn.
+func (a *Assoc) ObserveHits(u, from int, _ peer.Meta, vias []int32) {
+	mAssocHits.Add(int64(len(vias)))
+	src := trace.HostOf(from)
+	var buf [observeChunk]trace.HostID
+	reps := buf[:0]
+	for _, via := range vias {
+		if int(via) == u {
+			continue
+		}
+		if len(reps) == len(buf) {
+			a.learn.Observe(src, reps)
+			reps = reps[:0]
+		}
+		reps = append(reps, trace.HostOf(int(via)))
+	}
+	a.learn.Observe(src, reps)
 }
 
 // Consequents returns the published consequent neighbors for queries

@@ -59,7 +59,7 @@ func (r *ruleServer) observe(upstreamConn, viaConn int) {
 	if upstreamConn < 0 || upstreamConn == viaConn {
 		return // our own search, or a degenerate loop
 	}
-	r.learner.Observe(trace.HostOf(upstreamConn), trace.HostOf(viaConn))
+	r.learner.Observe(trace.HostOf(upstreamConn), []trace.HostID{trace.HostOf(viaConn)})
 }
 
 // filter narrows a query's flood targets to the core.DefaultTopK strongest
