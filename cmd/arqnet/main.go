@@ -49,24 +49,20 @@ func main() {
 		runListen()
 		return
 	}
+	topo := *topology
+	if *chaosRun {
+		topo = "gnutella" // the soak's overlay, whatever -topology says
+	}
+	if err := checkNodes(topo, *nodes); err != nil {
+		fmt.Fprintln(os.Stderr, "arqnet:", err)
+		os.Exit(2)
+	}
 	if *chaosRun {
 		runChaos()
 		return
 	}
 	rng := stats.NewRNG(*seed)
-
-	var g *overlay.Graph
-	switch *topology {
-	case "gnutella":
-		g = overlay.GnutellaLike(rng, *nodes)
-	case "random":
-		g = overlay.Random(rng, *nodes, 4)
-	case "smallworld":
-		g = overlay.WattsStrogatz(rng, *nodes, 4, 0.1)
-	default:
-		fmt.Fprintf(os.Stderr, "arqnet: unknown topology %q (valid: gnutella, random, smallworld)\n", *topology)
-		os.Exit(2)
-	}
+	g := buildOverlay(topo, rng, *nodes)
 	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
 
 	// Baseline flood for comparison.
@@ -98,6 +94,36 @@ func main() {
 	if floodAgg.AvgMessages > 0 {
 		fmt.Printf("traffic vs flooding: %.1f%%\n", 100*agg.AvgMessages/floodAgg.AvgMessages)
 	}
+}
+
+// minNodes is the smallest overlay each topology builds: the gnutella
+// core attaches every node to 2 earlier ones, and the small-world ring
+// links every node to its 4 nearest.
+var minNodes = map[string]int{"gnutella": 3, "random": 1, "smallworld": 5}
+
+// checkNodes rejects an unknown topology, and an overlay smaller than its
+// topology builds (-nodes 2 used to panic in the generator, and -chaos
+// -nodes 0 to run 300 nodes).
+func checkNodes(topology string, n int) error {
+	least, ok := minNodes[topology]
+	switch {
+	case !ok:
+		return fmt.Errorf("unknown topology %q (valid: gnutella, random, smallworld)", topology)
+	case n < least:
+		return fmt.Errorf("-nodes must be at least %d on the %s topology, got %d", least, topology, n)
+	}
+	return nil
+}
+
+// buildOverlay builds a topology checkNodes accepted.
+func buildOverlay(topology string, rng *stats.RNG, n int) *overlay.Graph {
+	switch topology {
+	case "random":
+		return overlay.Random(rng, n, 4)
+	case "smallworld":
+		return overlay.WattsStrogatz(rng, n, 4, 0.1)
+	}
+	return overlay.GnutellaLike(rng, n)
 }
 
 // runChaos drives the seeded chaos soak (internal/chaos): clean and

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"arq/internal/cluster"
+	"arq/internal/scenario"
 	"arq/internal/transport"
 	"arq/internal/vantage"
 )
@@ -88,11 +89,12 @@ func runListen() {
 		os.Exit(1)
 	}
 	defer s.Close()
-	for _, f := range cluster.Library(*nodeID, n) {
+	plan := scenario.ClusterPlan{N: n}
+	for _, f := range plan.Library(*nodeID) {
 		s.Share(f.Name, f.Size)
 	}
 	fmt.Printf("node %d listening on %s (%d-topic universe for %d nodes)\n",
-		*nodeID, s.Addr(), cluster.Universe(n), n)
+		*nodeID, s.Addr(), plan.Universe(), n)
 	for _, addr := range strings.Split(*bootstrap, ",") {
 		addr = strings.TrimSpace(addr)
 		if addr == "" {
@@ -111,7 +113,7 @@ func runListen() {
 	r := rand.New(rand.NewSource(int64(*seed) + int64(*nodeID)*7919))
 	hits := 0
 	for i := 0; i < *nq; i++ {
-		t := cluster.SearchString(r.Intn(cluster.Universe(n)))
+		t := plan.SearchString(r.Intn(plan.Universe()))
 		t0 := time.Now()
 		if hit, err := s.Search(t, byte(*ttl), 2*time.Second); err == nil {
 			hits++

@@ -60,6 +60,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "arqsim:", err)
 		os.Exit(2)
 	}
+	if err := checkNetNodes(*netMode, *netNodes); err != nil {
+		fmt.Fprintln(os.Stderr, "arqsim:", err)
+		os.Exit(2)
+	}
 	if *netMode {
 		runNet()
 		return
@@ -116,6 +120,19 @@ func checkSizes(block, trials, every int) error {
 		if f.v < 1 {
 			return fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v)
 		}
+	}
+	return nil
+}
+
+// minNetNodes is the smallest overlay a scenario builds: its gnutella
+// core attaches every node to 2 earlier ones.
+const minNetNodes = 3
+
+// checkNetNodes rejects, in -net mode, an overlay smaller than a scenario
+// builds (-nodes 2 used to panic in the generator).
+func checkNetNodes(net bool, n int) error {
+	if net && n < minNetNodes {
+		return fmt.Errorf("-nodes must be at least %d with -net, got %d", minNetNodes, n)
 	}
 	return nil
 }

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"arq/internal/scenario"
+)
 
 // A block, trial count or report stride below 1 is refused before any
 // run starts: -every 0 used to print block 1 forever, -every -1 to panic
@@ -22,5 +26,34 @@ func TestCheckSizes(t *testing.T) {
 		if err := checkSizes(c.block, c.trials, c.every); (err == nil) != c.ok {
 			t.Errorf("checkSizes(block %d, trials %d, every %d) = %v, want ok %v", c.block, c.trials, c.every, err, c.ok)
 		}
+	}
+}
+
+// A -net overlay smaller than a scenario builds is refused before any run
+// starts (-nodes 2 used to panic in the generator); the policy simulator
+// has no overlay and ignores -nodes.
+func TestCheckNetNodes(t *testing.T) {
+	for _, c := range []struct {
+		net bool
+		n   int
+		ok  bool
+	}{
+		{true, 2000, true},
+		{true, minNetNodes, true},
+		{true, 2, false},
+		{true, 0, false},
+		{true, -3, false},
+		{false, 0, true},
+	} {
+		if err := checkNetNodes(c.net, c.n); (err == nil) != c.ok {
+			t.Errorf("checkNetNodes(net %v, nodes %d) = %v, want ok %v", c.net, c.n, err, c.ok)
+		}
+	}
+	sc, err := scenario.ByName("baseline", minNetNodes, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, _ := sc.Build(); g.N() != minNetNodes {
+		t.Fatalf("the baseline scenario at %d nodes built %d", minNetNodes, g.N())
 	}
 }

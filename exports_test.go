@@ -4,8 +4,8 @@ package arq
 // its own tests call, and the option structs of optionStructs have no
 // field that only tests set, except what testOnly lists with a reason;
 // the catalogue structs have no field that nothing writes; no program
-// imports a test-only package; and what earlier PRs deleted stays
-// deleted. It type-checks every non-test file of the module once
+// imports a test-only package; every obsv instrument internal/ registers
+// has a reader; and what earlier PRs deleted stays deleted. It type-checks every non-test file of the module once
 // (go/types; the standard library from GOROOT source, so no network and
 // no build cache is needed) and looks at who refers to what.
 
@@ -18,8 +18,11 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"os"
+	"path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -55,7 +58,6 @@ var testOnly = map[string]string{
 	"internal/transport.Options.RedialBase":      "timing seam: the teardown test redials every 10 ms",
 	"internal/transport.Options.OutboxCap":       "test seam: outboxes of 4 to 512 frames make the shed, drain and stall tests fill one; programs run DefaultOutboxCap",
 	"internal/transport.Options.Fault":           "fault seam: transport's and vantage's tests install an injector at the socket boundary",
-	"internal/vantage.Options.Fault":             "fault seam: vantage's fault tests drop, duplicate and corrupt inbound frames",
 	"internal/vantage.CheckpointConfig.Discount": "test seam: the restart test states the discount its supports are checked against; programs run the default 0.5",
 	"internal/fault.Config.Corrupt":              "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
 	"internal/fault.Config.Delay":                "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
@@ -97,7 +99,8 @@ var staysDeleted = struct {
 			"WritePairs", "SliceSource.Reset", // no caller left
 			"Reader"}, // unexported: ReadAll is its one user
 		"internal/vantage": {"RuleConfig", "DefaultRuleConfig", // one servent configuration
-			"ruleTopK", "connHost", "nodeHost"}, // one forwarding decision: core.DefaultTopK, trace.HostOf
+			"ruleTopK", "connHost", "nodeHost", // one forwarding decision: core.DefaultTopK, trace.HostOf
+			"Options.Fault"}, // one fault hook: transport.Options.Fault, through Options.Net
 		"internal/transport": {"ShedPolicy", "ShedOldest", "ShedNewest", "ShedDeadline"}, // PR 24
 		"internal/content":   {"Build", "FileName"},                                      // one simulator configuration; no caller
 		"internal/sim":       {"RunNet", "NetSpec", "NetEngine"},                         // PR 25
@@ -111,8 +114,13 @@ var staysDeleted = struct {
 			// One forwarding decision: every router learns under core.DefaultLearnerConfig.
 			"AssocConfig.Threshold", "AssocConfig.Decay", "AssocConfig.DecayEvery", "AssocConfig.Floor",
 			"assocHost", "assocNode"}, // trace.HostOf and trace.IDOf
-		"internal/obsv":  {"Histogram.Quantile", "Registry.Reset"}, // no caller; snapshots carry the buckets
-		"internal/chaos": {"Config.StaleObs"},
+		"internal/obsv": {"Histogram.Quantile", "Registry.Reset", // no caller
+			// Instruments nobody reads: the last histogram went with them.
+			// A getter cannot come back without the type it returns.
+			"Histogram", "DurationBuckets", "SizeBuckets", "HistogramSnapshot", "Bucket", "Snapshot.Histograms"},
+		"internal/chaos":   {"Config.StaleObs"},
+		"internal/fault":   {"Local"},                               // one fault hook: nothing hands a frame to itself
+		"internal/cluster": {"Universe", "SearchString", "Library"}, // scenario.ClusterPlan{N: n} says it
 	},
 	paths: []string{
 		"internal/report", "cmd/arqcheck", "BENCH_baseline.json", "BENCH_scale.json", // PR 16: one read-out per job
@@ -450,6 +458,121 @@ func declares(pkg *types.Package, name string) bool {
 	return found != nil
 }
 
+// instrument is one obsv registration: a package-level var of non-test
+// code under internal/ initialised with obsv.GetCounter or GetGauge.
+type instrument struct {
+	name, v string // the name it is registered under, and its var
+	file    string // the registering file, slash-separated from the root
+}
+
+// instruments returns, sorted by name, every instrument the module
+// registers.
+func (m *module) instruments() []instrument {
+	var out []instrument
+	for pkg, files := range m.files {
+		if !strings.HasPrefix(pkg.Path(), m.path+"/internal/") {
+			continue
+		}
+		for _, f := range files {
+			file, _ := filepath.Rel(m.root, m.fset.Position(f.Pos()).Filename)
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok || gd.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					vs := spec.(*ast.ValueSpec)
+					for i, val := range vs.Values {
+						call, ok := val.(*ast.CallExpr)
+						if !ok || len(call.Args) != 1 || i >= len(vs.Names) {
+							continue
+						}
+						sel, ok := call.Fun.(*ast.SelectorExpr)
+						if !ok {
+							continue
+						}
+						fn, ok := m.info.Uses[sel.Sel].(*types.Func)
+						if !ok || fn.Pkg().Path() != m.path+"/internal/obsv" || (fn.Name() != "GetCounter" && fn.Name() != "GetGauge") {
+							continue
+						}
+						lit, ok := call.Args[0].(*ast.BasicLit)
+						if !ok || lit.Kind != token.STRING {
+							continue
+						}
+						name, _ := strconv.Unquote(lit.Value)
+						out = append(out, instrument{name: name, v: vs.Names[i].Name, file: filepath.ToSlash(file)})
+					}
+				}
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b instrument) int { return strings.Compare(a.name, b.name) })
+	return out
+}
+
+// readers returns where each instrument is read, "" where nowhere: a .go
+// file other than the registering one (a program, benchmark/ or a test)
+// that quotes its name, a golden under a testdata/ directory that names
+// it as a whole word, or a _test.go file of its own package that refers
+// to its var. The first reader in file order is the one reported.
+func (m *module) readers(ins []instrument) ([]string, error) {
+	out := make([]string, len(ins))
+	word := make([]*regexp.Regexp, len(ins))
+	for i, in := range ins {
+		word[i] = regexp.MustCompile(`(^|[^\w.])` + regexp.QuoteMeta(in.name) + `($|[^\w.])`)
+	}
+	err := filepath.WalkDir(m.root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(m.root, p)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if name := d.Name(); p != m.root && (name[0] == '.' || name[0] == '_') {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		golden := slices.Contains(strings.Split(rel, "/"), "testdata")
+		if golden == strings.HasSuffix(rel, ".go") {
+			return nil // a fixture's source, or a file that is neither source nor golden
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		var idents map[string]bool // of a _test.go file, parsed when first asked
+		for i, in := range ins {
+			switch {
+			case out[i] != "" || rel == in.file:
+			case golden && word[i].Match(src):
+				out[i] = rel
+			case !golden && strings.Contains(string(src), strconv.Quote(in.name)):
+				out[i] = rel
+			case strings.HasSuffix(rel, "_test.go") && path.Dir(rel) == path.Dir(in.file):
+				if idents == nil {
+					idents = map[string]bool{}
+					f, err := parser.ParseFile(token.NewFileSet(), p, src, parser.SkipObjectResolution)
+					if err != nil {
+						return err
+					}
+					ast.Inspect(f, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							idents[id.Name] = true
+						}
+						return true
+					})
+				}
+				if idents[in.v] {
+					out[i] = rel + " (" + in.v + ")"
+				}
+			}
+		}
+		return nil
+	})
+	return out, err
+}
+
 func TestNoTestOnlyExports(t *testing.T) {
 	m, err := loadModule(".", "arq")
 	if err != nil {
@@ -489,6 +612,18 @@ func TestNoTestOnlyExports(t *testing.T) {
 			t.Errorf("%s was deleted on purpose (see staysDeleted) and is back", path)
 		}
 	}
+	ins := m.instruments()
+	readers, err := m.readers(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range ins {
+		if readers[i] == "" {
+			t.Errorf("instrument %q (%s in %s) is registered and nothing reads it: no other .go file quotes its name, no golden under testdata/ prints it, and no test of its package refers to %s; delete it, or give it a reader", in.name, in.v, in.file, in.v)
+		} else {
+			t.Logf("instrument %-36s read by %s", in.name, readers[i])
+		}
+	}
 	for dir, names := range mapFree {
 		for _, name := range names {
 			st := m.pkgs[m.path+"/"+dir].Scope().Lookup(name).Type().Underlying().(*types.Struct)
@@ -505,8 +640,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 // const, a dead var, a dead enum value and an unset option field beside a
 // live one of each, a method called only through an interface, a
 // fmt.Stringer, a catalogue field nothing writes beside one a program
-// writes, a test-only package with a program importing it, and names the
-// stays-deleted check finds at package level, as methods and as fields.
+// writes, a test-only package with a program importing it, names the
+// stays-deleted check finds at package level, as methods and as fields,
+// and an instrument of every kind of reader beside two without one.
 func TestNoTestOnlyExportsFixture(t *testing.T) {
 	m, err := loadModule(filepath.Join("testdata", "exportsfixture"), "fix")
 	if err != nil {
@@ -523,7 +659,25 @@ func TestNoTestOnlyExportsFixture(t *testing.T) {
 			t.Errorf("declares(fixture, %s) = %v, want %v", name, got, want)
 		}
 	}
-	unused, used := m.exports(map[string][]string{"internal/a": {"Config"}}, []string{"internal/o"})
+	ins := m.instruments()
+	readers, err := m.readers(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for i, in := range ins {
+		got[in.name+" "+in.v+" "+in.file] = readers[i]
+	}
+	if want := map[string]string{
+		"a.by_golden mByGolden internal/a/instruments.go": "internal/a/testdata/golden.txt",
+		"a.by_name mByName internal/a/instruments.go":     "cmd/b/b.go",
+		"a.by_test mByTest internal/a/instruments.go":     "internal/a/a_test.go (mByTest)",
+		"a.elsewise mElsewise internal/a/instruments.go":  "",
+		"a.unread mUnread internal/a/instruments.go":      "",
+	}; !maps.Equal(got, want) {
+		t.Errorf("the fixture's instruments and their readers = %v, want %v", got, want)
+	}
+	unused, used := m.exports(map[string][]string{"internal/a": {"Config"}}, []string{"internal/o", "internal/obsv"})
 	if want := []string{"internal/a.Config.Unset", "internal/a.Dead", "internal/a.DeadConst", "internal/a.DeadVar", "internal/a.ModeDead", "internal/a.T.Dead", "internal/a.hidden.Gone"}; !slices.Equal(unused, want) {
 		t.Errorf("unused exports of the fixture = %v, want %v", unused, want)
 	}

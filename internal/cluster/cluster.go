@@ -50,9 +50,6 @@ import (
 // config; its presence turns a process into a cluster node.
 const childEnv = "ARQ_CLUSTER_NODE"
 
-// mQueryNS records measured-phase query latencies (hit queries only).
-var mQueryNS = obsv.GetHistogram("cluster.query_ns", obsv.DurationBuckets())
-
 // The cluster's timings. runTimeout bounds a whole run: on expiry the
 // children are killed and Run fails. queryTimeout bounds one query's wait
 // for its first hit. restartDelay is how long after the measurement
@@ -177,23 +174,6 @@ type Result struct {
 	Reconnects       int64
 	RestoredRules    int
 	PerNode          []NodeResult
-}
-
-// The cluster's content placement, topology, and query mix now live in
-// scenario.ClusterPlan; the package-level helpers delegate to a
-// zero-extras plan and stay byte-identical to the historical cluster.
-
-// Universe returns the topic-universe size for an N-node cluster.
-func Universe(n int) int { return scenario.ClusterPlan{N: n}.Universe() }
-
-// SearchString is the query text for a topic; its tokens conjunctively
-// match exactly that topic's files.
-func SearchString(t int) string { return scenario.ClusterPlan{}.SearchString(t) }
-
-// Library builds node id's deterministic shared library: one file per
-// owned topic per replica shard.
-func Library(id, n int) []vantage.SharedFile {
-	return scenario.ClusterPlan{N: n}.Library(id)
 }
 
 // ChildMain turns this process into a cluster node when childEnv is set
@@ -353,10 +333,8 @@ func runNode(cfg NodeConfig) error {
 	for i := 0; i < cfg.Queries; i++ {
 		t0 := time.Now()
 		if _, err := s.Search(plan.SearchString(plan.PickTopic(r, cfg.ID)), byte(cfg.TTL), queryTimeout); err == nil {
-			ns := time.Since(t0).Nanoseconds()
 			res.Hits++
-			res.LatenciesNS = append(res.LatenciesNS, ns)
-			mQueryNS.Observe(ns)
+			res.LatenciesNS = append(res.LatenciesNS, time.Since(t0).Nanoseconds())
 		}
 		if cfg.QueryGapMS > 0 {
 			time.Sleep(time.Duration(cfg.QueryGapMS) * time.Millisecond)

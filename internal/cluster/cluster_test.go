@@ -17,14 +17,15 @@ func TestMain(m *testing.M) {
 
 func TestContentPlan(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 8} {
-		u := Universe(n)
+		plan := scenario.ClusterPlan{N: n}
+		u := plan.Universe()
 		if u != 4*n {
 			t.Fatalf("universe(%d) = %d", n, u)
 		}
 		// Every topic has two owners and every node a non-empty library.
 		perNode := make([]int, n)
 		for topic := 0; topic < u; topic++ {
-			a, b := scenario.ClusterPlan{N: n}.Owners(topic)
+			a, b := plan.Owners(topic)
 			if a < 0 || a >= n || b < 0 || b >= n {
 				t.Fatalf("owners(%d, %d) = %d, %d out of range", topic, n, a, b)
 			}
@@ -37,13 +38,13 @@ func TestContentPlan(t *testing.T) {
 			if c == 0 {
 				t.Fatalf("n=%d: node %d owns nothing", n, id)
 			}
-			if got := len(Library(id, n)); got != c {
+			if got := len(plan.Library(id)); got != c {
 				t.Fatalf("n=%d node %d: library %d files, owns %d topics", n, id, got, c)
 			}
 		}
 		// Ring+chord neighbours: never self, no duplicates, 1-2 peers.
 		for id := 0; id < n; id++ {
-			nb := scenario.ClusterPlan{N: n}.Neighbours(id)
+			nb := plan.Neighbours(id)
 			if len(nb) == 0 || len(nb) > 2 {
 				t.Fatalf("n=%d node %d: %d neighbours", n, id, len(nb))
 			}

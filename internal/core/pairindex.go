@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"arq/internal/stream"
 	"arq/internal/trace"
 )
@@ -220,7 +218,7 @@ func (x *PairIndex) Range(f func(k PairKey, count float64) bool) {
 // pairs with count >= prune (below 1 is 1) whose confidence, the count
 // over the total of every pair that shares its antecedent, is at least
 // minConf (§VI: "reducing the size of rule sets while retaining high
-// coverage and success"; 0 keeps all). Without instrumentation.
+// coverage and success"; 0 keeps all).
 func (x *PairIndex) snapshot(prune int, minConf float64) *RuleSet {
 	prune = max(prune, 1)
 	keep := prune
@@ -260,33 +258,23 @@ func pruneRuns(t rules, prune, minConf float64) rules {
 	return out
 }
 
-// observeRegen records one rule-set build in the obsv instruments.
-func observeRegen(start time.Time, rs *RuleSet) *RuleSet {
-	mRegens.Inc()
-	mRegenNs.Observe(time.Since(start).Nanoseconds())
-	mRegenRules.Observe(int64(rs.Len()))
-	return rs
-}
-
 // Snapshot materializes the current counts as an immutable RuleSet,
 // keeping pairs with count >= prune (counts truncate toward zero in decay
-// mode). The build is recorded as a rule-set regeneration in the obsv
-// instruments; for delta-maintained windows this is the whole recurring
-// cost — counting already happened incrementally.
+// mode). For delta-maintained windows this is the whole recurring cost of
+// a regeneration: counting already happened incrementally.
 func (x *PairIndex) Snapshot(prune int) *RuleSet {
-	return observeRegen(time.Now(), x.snapshot(prune, 0))
+	return x.snapshot(prune, 0)
 }
 
 // rebuild resets the index to exactly one block and snapshots it — the
-// GENERATE-RULESET(b) of the single-block policies, instrumented as one
-// regeneration. Reusing an index across Rebuild calls reuses its storage.
+// GENERATE-RULESET(b) of the single-block policies. Reusing an index
+// across Rebuild calls reuses its storage.
 func (x *PairIndex) rebuild(block trace.Block, prune int) *RuleSet {
-	start := time.Now()
 	x.reset()
 	for _, p := range block {
 		k := packPair(p.Source, p.Replier)
 		old, now := x.counts.Add(k, 1)
 		x.track(k, old, now)
 	}
-	return observeRegen(start, x.snapshot(prune, 0))
+	return x.snapshot(prune, 0)
 }

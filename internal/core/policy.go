@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"arq/internal/stats"
 	"arq/internal/trace"
@@ -116,7 +115,7 @@ func (s *Sliding) Step(block trace.Block) StepResult {
 		s.ring = append(s.ring, s.idx.addBlock(block, nil, intern))
 		return StepResult{}
 	}
-	rs := observeRegen(time.Now(), s.idx.snapshot(s.Prune, s.MinConfidence))
+	rs := s.idx.snapshot(s.Prune, s.MinConfidence)
 	var res TestResult
 	if s.UseInterest {
 		// An antecedent the window never saw reads id 0, which no pair is

@@ -20,12 +20,10 @@ import (
 
 // Observability instruments for snapshot publication, aggregated across
 // every learner in the process (one per deployed node). The counter
-// accumulates; the gauges are last-writer-wins — a cheap liveness signal
-// (is anything publishing, at what version, how big), not a per-node
-// breakdown.
+// accumulates; the gauge is last-writer-wins — a cheap liveness signal
+// (is anything publishing, how big), not a per-node breakdown.
 var (
 	mPublishes   = obsv.GetCounter("core.publish.count")
-	gPublishVer  = obsv.GetGauge("core.publish.version")
 	gPublishSize = obsv.GetGauge("core.publish.rules")
 )
 
@@ -198,7 +196,6 @@ func (l *Learner) swap(rules []RuleEntry) *RuleSnapshot {
 	s := &RuleSnapshot{rules: rules, version: l.version}
 	l.cur.Store(s)
 	mPublishes.Inc()
-	gPublishVer.Set(int64(s.version))
 	gPublishSize.Set(int64(len(rules)))
 	return s
 }

@@ -20,23 +20,8 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sync"
-	"time"
 
-	"arq/internal/obsv"
 	"arq/internal/trace"
-)
-
-// Observability instruments: rule-set regeneration is the system's
-// dominant recurring cost (the paper reports "no more than a few seconds"
-// per generation), so count, duration, and resulting table size are
-// tracked for every build, and block tests likewise. Delta-window policies
-// record only the snapshot here — their counting happens incrementally.
-var (
-	mRegens     = obsv.GetCounter("core.ruleset.regens")
-	mRegenNs    = obsv.GetHistogram("core.ruleset.regen_ns", obsv.DurationBuckets())
-	mRegenRules = obsv.GetHistogram("core.ruleset.rules", obsv.SizeBuckets())
-	mTests      = obsv.GetCounter("core.ruleset.tests")
-	mTestNs     = obsv.GetHistogram("core.ruleset.test_ns", obsv.DurationBuckets())
 )
 
 // flatTable is an open-addressed uint64 -> uint8 table with linear probing
@@ -316,11 +301,7 @@ func evalBlock(block trace.Block, covers, matches func(*trace.Pair) bool, train 
 // Test implements RULESET-TEST: evaluate the rule set against a block of
 // query–reply pairs.
 func (rs *RuleSet) Test(block trace.Block) TestResult {
-	start := time.Now()
-	res := evalBlock(block,
+	return evalBlock(block,
 		func(p *trace.Pair) bool { return rs.covers(p.Source) },
 		func(p *trace.Pair) bool { return rs.matches(p.Source, p.Replier) }, nil)
-	mTests.Inc()
-	mTestNs.Observe(time.Since(start).Nanoseconds())
-	return res
 }

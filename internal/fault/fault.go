@@ -42,10 +42,6 @@ type Fate struct {
 	Delay int
 }
 
-// Local is the conventional `to` argument for wire-path handoffs, where
-// the receiver is the servent itself rather than an identified peer.
-const Local = -1
-
 // Injector decides the fate of messages and the liveness of nodes.
 // Implementations must be safe for concurrent use; decisions should be
 // deterministic per edge (see Seeded). A nil Injector everywhere means
@@ -70,17 +66,14 @@ type Injector interface {
 // process. Deterministic workloads produce deterministic counts, which
 // the chaos smoke test in CI byte-compares across identical seeds.
 var (
-	mDrops    = obsv.GetCounter("fault.msg_drops")
-	mDups     = obsv.GetCounter("fault.msg_dups")
-	mDelays   = obsv.GetCounter("fault.msg_delays")
-	mCorrupts = obsv.GetCounter("fault.guid_corrupts")
-	mDown     = obsv.GetCounter("fault.down_drops")
-	mEpochs   = obsv.GetCounter("fault.epochs")
+	mDrops  = obsv.GetCounter("fault.msg_drops")
+	mDown   = obsv.GetCounter("fault.down_drops")
+	mEpochs = obsv.GetCounter("fault.epochs")
 )
 
 // ReportDownDrop counts a delivery discarded because its receiver was
 // crashed. The engines own the delivery loop, so they report this one;
-// every other fault is counted by the injector that decided it.
+// the injector counts the drops it decides itself.
 func ReportDownDrop() { mDown.Inc() }
 
 // Config parameterizes a Seeded injector. All probabilities are per
@@ -195,15 +188,12 @@ func (f *Seeded) OnSend(from, to int) Fate {
 	}
 	if f.cfg.Duplicate > 0 && f.roll(tagDup, a, b, n) < f.cfg.Duplicate {
 		fate.Duplicate = true
-		mDups.Inc()
 	}
 	if f.cfg.Corrupt > 0 && f.roll(tagCorrupt, a, b, n) < f.cfg.Corrupt {
 		fate.Corrupt = true
-		mCorrupts.Inc()
 	}
 	if f.cfg.Delay > 0 && f.roll(tagDelay, a, b, n) < f.cfg.Delay {
 		fate.Delay = 1 + int(mix(f.cfg.Seed, tagDelayLen, a, b|n<<32)%uint64(f.cfg.MaxDelay))
-		mDelays.Inc()
 	}
 	if f.cfg.Slow > 0 && f.slow(from) {
 		fate.Delay += f.cfg.SlowDelay

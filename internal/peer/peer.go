@@ -20,12 +20,8 @@ import (
 // oracle). Counts are recorded once per completed query from its
 // final Stats — the per-delivery hot loops stay untouched.
 var (
-	mQueries    = obsv.GetCounter("peer.queries")
-	mFound      = obsv.GetCounter("peer.queries_found")
-	mQueryMsgs  = obsv.GetCounter("peer.query_msgs")
-	mHitMsgs    = obsv.GetCounter("peer.hit_msgs")
-	mDuplicates = obsv.GetCounter("peer.duplicates")
-	mReached    = obsv.GetHistogram("peer.nodes_reached", obsv.SizeBuckets())
+	mQueries = obsv.GetCounter("peer.queries")
+	mFound   = obsv.GetCounter("peer.queries_found")
 )
 
 // RecordQuery folds one completed query's stats into the shared
@@ -35,10 +31,6 @@ func RecordQuery(st *Stats) {
 	if st.Found {
 		mFound.Inc()
 	}
-	mQueryMsgs.Add(int64(st.QueryMessages))
-	mHitMsgs.Add(int64(st.HitMessages))
-	mDuplicates.Add(int64(st.Duplicates))
-	mReached.Observe(int64(st.NodesReached))
 }
 
 // QueryID identifies a query (the GUID of the Gnutella protocol).

@@ -29,7 +29,6 @@ var (
 	mAssocRuleRouted = obsv.GetCounter("routing.assoc.rule_routed")
 	mAssocFallbacks  = obsv.GetCounter("routing.assoc.fallback_flood")
 	mAssocDrops      = obsv.GetCounter("routing.assoc.strict_drops")
-	mAssocFloodPhase = obsv.GetCounter("routing.assoc.flood_phase")
 	mAssocHits       = obsv.GetCounter("routing.assoc.hits_observed")
 )
 
@@ -247,7 +246,6 @@ func (a *Assoc) Route(u, from int, q peer.Meta, nbrs []int32) []int32 {
 func (a *Assoc) RouteAppend(dst []int32, u, from int, q peer.Meta, nbrs []int32) []int32 {
 	if q.FloodPhase {
 		// Origin-level fallback reissue: behave as a flooder.
-		mAssocFloodPhase.Inc()
 		return Flood{}.RouteAppend(dst, u, from, q, nbrs)
 	}
 	dst, why := core.Forward(a.learn.View(), trace.HostOf(from), a.cfg.TopK, dst, func(h trace.HostID) (int32, bool) {

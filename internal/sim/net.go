@@ -38,9 +38,5 @@ func RunBlocks(name string, src BlockSource, blocks, blockSize int) *Result {
 		res.Coverage.Add(agg.AvgReached / n)
 	}
 	res.WallNanos = time.Since(start).Nanoseconds()
-	mRuns.Inc()
-	mBlocks.Add(int64(res.Blocks))
-	mTrials.Add(int64(res.Trials))
-	mRunNs.Observe(res.WallNanos)
 	return res
 }

@@ -13,24 +13,8 @@ import (
 	"time"
 
 	"arq/internal/core"
-	"arq/internal/obsv"
 	"arq/internal/stats"
 	"arq/internal/trace"
-)
-
-// Observability instruments (registered once; recording is atomic adds on
-// the run boundary, never inside the per-block loop).
-var (
-	mRuns      = obsv.GetCounter("sim.runs")
-	mBlocks    = obsv.GetCounter("sim.blocks")
-	mTrials    = obsv.GetCounter("sim.trials")
-	mRunNs     = obsv.GetHistogram("sim.run_ns", obsv.DurationBuckets())
-	mSweeps    = obsv.GetCounter("sim.sweep.sweeps")
-	mSpecs     = obsv.GetCounter("sim.sweep.specs")
-	mBusyNs    = obsv.GetCounter("sim.sweep.busy_ns")
-	mWallNs    = obsv.GetCounter("sim.sweep.wall_ns")
-	mWorkers   = obsv.GetGauge("sim.sweep.workers")
-	mUtilizPct = obsv.GetGauge("sim.sweep.utilization_pct")
 )
 
 // Result summarizes one simulation run.
@@ -113,10 +97,6 @@ func Run(name string, policy core.Policy, src trace.Source, maxTrials int) *Resu
 		}
 	}
 	res.WallNanos = time.Since(start).Nanoseconds()
-	mRuns.Inc()
-	mBlocks.Add(int64(res.Blocks))
-	mTrials.Add(int64(res.Trials))
-	mRunNs.Observe(res.WallNanos)
 	return res
 }
 
@@ -140,20 +120,16 @@ func Sweep(specs []Spec, workers int) []*Result {
 	if workers > len(specs) {
 		workers = len(specs)
 	}
-	start := time.Now()
 	results := make([]*Result, len(specs))
-	busy := make([]int64, workers) // per-worker busy ns, written only by its goroutine
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		w := w
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
 				s := specs[i]
 				results[i] = Run(s.Name, s.Policy(), s.Source(), 0)
-				busy[w] += results[i].WallNanos
 			}
 		}()
 	}
@@ -162,19 +138,5 @@ func Sweep(specs []Spec, workers int) []*Result {
 	}
 	close(next)
 	wg.Wait()
-
-	wall := time.Since(start).Nanoseconds()
-	var busyTotal int64
-	for _, b := range busy {
-		busyTotal += b
-	}
-	mSweeps.Inc()
-	mSpecs.Add(int64(len(specs)))
-	mBusyNs.Add(busyTotal)
-	mWallNs.Add(wall)
-	mWorkers.Set(int64(workers))
-	if wall > 0 && workers > 0 {
-		mUtilizPct.Set(100 * busyTotal / (wall * int64(workers)))
-	}
 	return results
 }

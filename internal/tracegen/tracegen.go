@@ -32,22 +32,9 @@ package tracegen
 
 import (
 	"fmt"
-	"time"
 
-	"arq/internal/obsv"
 	"arq/internal/stats"
 	"arq/internal/trace"
-)
-
-// Observability instruments: generation throughput is recorded at block
-// granularity (one timing per Next call, never per pair). The per-pair path
-// draws numbers only: it touches no instrument and formats no string, since
-// the query texts and file names of a raw capture are built once in New.
-var (
-	mBlocks     = obsv.GetCounter("tracegen.blocks")
-	mPairs      = obsv.GetCounter("tracegen.pairs")
-	mBlockNs    = obsv.GetHistogram("tracegen.block_ns", obsv.DurationBuckets())
-	mRawQueries = obsv.GetCounter("tracegen.raw_queries")
 )
 
 // The calibrated model: every §V result's shape comes from these numbers,
@@ -399,15 +386,11 @@ func (g *Generator) Next() (trace.Block, bool) {
 		}
 		g.shock(frac)
 	}
-	start := time.Now()
 	block := make(trace.Block, g.cfg.BlockSize)
 	for i := range block {
 		block[i] = g.NextPair()
 	}
 	g.blocksOut++
-	mBlocks.Inc()
-	mPairs.Add(int64(len(block)))
-	mBlockNs.Observe(time.Since(start).Nanoseconds())
 	return block, true
 }
 
@@ -423,7 +406,6 @@ func (g *Generator) GenerateRaw(nQueries int) ([]trace.Query, []trace.Reply) {
 	queries := make([]trace.Query, 0, nQueries)
 	expReplies := int(float64(nQueries)*answerProb) + 1
 	replies := make([]trace.Reply, 0, expReplies)
-	mRawQueries.Add(int64(nQueries))
 	for i := 0; i < nQueries; i++ {
 		src, interest := g.drawQuery()
 		q := trace.Query{

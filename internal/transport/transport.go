@@ -45,8 +45,6 @@ var (
 	mBytesIn    = obsv.GetCounter("transport.bytes_in")
 	mBytesOut   = obsv.GetCounter("transport.bytes_out")
 	mDials      = obsv.GetCounter("transport.dials")
-	mDialErrs   = obsv.GetCounter("transport.dial_errors")
-	mAccepts    = obsv.GetCounter("transport.accepts")
 	mAcceptErrs = obsv.GetCounter("transport.accept_errors")
 	mHandshakes = obsv.GetCounter("transport.handshake_errors")
 	mSheds      = obsv.GetCounter("transport.queue_sheds")
@@ -54,7 +52,6 @@ var (
 	mReadTOs    = obsv.GetCounter("transport.read_timeouts")
 	mWriteErrs  = obsv.GetCounter("transport.write_errors")
 	mFaultDrops = obsv.GetCounter("transport.fault_drops")
-	mFaultDups  = obsv.GetCounter("transport.fault_dups")
 	mFaultDelay = obsv.GetCounter("transport.fault_delays")
 	mConnsOpen  = obsv.GetGauge("transport.conns_open")
 
@@ -214,7 +211,6 @@ func (t *Transport) acceptLoop() {
 			}
 			return
 		}
-		mAccepts.Inc()
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
@@ -233,12 +229,10 @@ func (t *Transport) Dial(addr string) (*Conn, error) {
 	mDials.Inc()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
-		mDialErrs.Inc()
 		return nil, err
 	}
 	c, err := t.setupConn(nc, true)
 	if err != nil {
-		mDialErrs.Inc()
 		_ = nc.Close()
 		return nil, err
 	}
@@ -409,7 +403,6 @@ func (c *Conn) Send(m *wire.Message) bool {
 			m = &dup
 		}
 		if fate.Duplicate {
-			mFaultDups.Inc()
 			c.enqueue(outFrame{m, delay})
 		}
 		return c.enqueue(outFrame{m, delay})

@@ -17,13 +17,7 @@ import (
 	"sync"
 
 	"arq/internal/core"
-	"arq/internal/obsv"
 	"arq/internal/trace"
-)
-
-var (
-	mCheckpoints  = obsv.GetCounter("vantage.checkpoints")
-	mWarmRestores = obsv.GetCounter("vantage.warm_restores")
 )
 
 // Defaults for zero-valued CheckpointConfig fields.
@@ -141,7 +135,6 @@ func (s *Servent) writeCheckpoint() error {
 	ck.mu.Lock()
 	ck.lastVer = view.Version()
 	ck.mu.Unlock()
-	mCheckpoints.Inc()
 	return nil
 }
 
@@ -177,7 +170,6 @@ func (s *Servent) WarmStart() (int, error) {
 		return v, ok
 	})
 	s.rules.learner.Restore(remapped, s.ckpt.cfg.Discount)
-	mWarmRestores.Inc()
 	return remapped.Len(), nil
 }
 

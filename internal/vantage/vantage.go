@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"arq/internal/fault"
 	"arq/internal/keyword"
 	"arq/internal/obsv"
 	"arq/internal/transport"
@@ -28,13 +27,12 @@ import (
 )
 
 // Observability instruments aggregated across all servents in the
-// process: wire messages in/out, relayed queries, duplicate-GUID drops,
-// and query-hits routed back vs dropped for want of a reverse path. One
-// atomic add per TCP message — noise next to the syscall that carried it.
+// process: wire messages in/out, duplicate-GUID drops, and query-hits
+// routed back vs dropped for want of a reverse path. One atomic add per
+// TCP message — noise next to the syscall that carried it.
 var (
 	mMsgsIn      = obsv.GetCounter("vantage.msgs_in")
 	mMsgsOut     = obsv.GetCounter("vantage.msgs_out")
-	mRelayed     = obsv.GetCounter("vantage.queries_relayed")
 	mDupDrops    = obsv.GetCounter("vantage.dup_queries_dropped")
 	mHitsRouted  = obsv.GetCounter("vantage.hits_routed")
 	mHitsDropped = obsv.GetCounter("vantage.hits_dropped")
@@ -58,10 +56,9 @@ type Servent struct {
 	id    wire.GUID
 	guid  uint64 // first half of every GUID Search draws (see newGUID)
 	tr    *transport.Transport
-	cap   *Capture       // optional trace capture
-	rules *ruleServer    // optional association-rule routing
-	ckpt  *checkpointer  // optional rule-snapshot persistence
-	fault fault.Injector // optional inbound-wire fault injection
+	cap   *Capture      // optional trace capture
+	rules *ruleServer   // optional association-rule routing
+	ckpt  *checkpointer // optional rule-snapshot persistence
 
 	mu      sync.Mutex
 	conns   map[int]*peerConn
@@ -136,20 +133,13 @@ type Options struct {
 	// routes back and forwards covered queries to the learned top-k
 	// connections instead of flooding (see rules.go).
 	Rules bool
-	// Fault, when non-nil, injects faults on the inbound wire path: each
-	// decoded message rolls OnSend(connID, fault.Local) and may be
-	// dropped, delivered twice, or have its GUID corrupted before
-	// dispatch (exercising duplicate suppression and reverse-path loss).
-	// Fate.Delay is ignored here — TCP already reorders nothing, and
-	// stalling the read loop would just be Drop with extra steps.
-	Fault fault.Injector
 	// Checkpoint, when non-nil (and Rules is set), persists published
 	// rule snapshots to disk on a publish cadence and enables WarmStart —
 	// the crash-recovery path (see checkpoint.go).
 	Checkpoint *CheckpointConfig
 	// Net, when non-nil, overrides the socket-layer parameters: node id,
-	// outbox capacity and send wait, read/write deadlines, and a
-	// second fault.Injector applied at the socket boundary (keyed by
+	// outbox capacity and send wait, read/write deadlines, and the
+	// fault.Injector applied to every frame this servent sends (keyed by
 	// node ids, so drop/delay/partition apply between processes rather
 	// than between this servent's connections). The Handler, OnConn,
 	// and OnClose fields are owned by the servent and ignored.
@@ -164,7 +154,6 @@ const drainTimeout = time.Second
 func Listen(addr string, opts Options) (*Servent, error) {
 	s := &Servent{
 		cap:     opts.Capture,
-		fault:   opts.Fault,
 		conns:   make(map[int]*peerConn),
 		index:   keyword.NewIndex(),
 		seen:    newSeenTable(),
@@ -277,24 +266,6 @@ func (s *Servent) NumConns() int {
 
 func (s *Servent) handle(from *peerConn, m *wire.Message) {
 	mMsgsIn.Inc()
-	if f := s.fault; f != nil {
-		fate := f.OnSend(from.id, fault.Local)
-		if fate.Drop {
-			return
-		}
-		if fate.Corrupt {
-			// A corrupted GUID breaks duplicate suppression on queries
-			// and severs the reverse path on query-hits.
-			m.ID[0] ^= 0xff
-		}
-		if fate.Duplicate {
-			s.dispatch(from, m)
-		}
-	}
-	s.dispatch(from, m)
-}
-
-func (s *Servent) dispatch(from *peerConn, m *wire.Message) {
 	switch m.Type {
 	case wire.TypePing:
 		s.handlePing(from, m)
@@ -325,7 +296,6 @@ func (s *Servent) handleQuery(from *peerConn, m *wire.Message) {
 		mDupDrops.Inc()
 		return
 	}
-	mRelayed.Inc()
 	s.seen.put(m.ID, from.id)
 	// Only a query seen for the first time pays for its search string.
 	search := string(text)

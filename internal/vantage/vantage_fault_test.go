@@ -6,23 +6,25 @@ import (
 
 	"arq/internal/fault"
 	"arq/internal/obsv"
+	"arq/internal/transport"
 )
 
-// fateInjector applies one fixed Fate to every inbound message.
+// fateInjector applies one fixed Fate to every frame a servent sends.
 type fateInjector struct{ fate fault.Fate }
 
 func (f fateInjector) OnSend(int, int) fault.Fate { return f.fate }
 func (fateInjector) Down(int) bool                { return false }
 func (fateInjector) Tick()                        {}
 
-// faultChain is chain() with a fault injector installed at one servent.
+// faultChain is chain() with a fault injector installed at one servent's
+// socket boundary.
 func faultChain(t *testing.T, n, faultAt int, inj fault.Injector) []*Servent {
 	t.Helper()
 	servents := make([]*Servent, n)
 	for i := range servents {
 		opts := Options{}
 		if i == faultAt {
-			opts.Fault = inj
+			opts.Net = &transport.Options{Fault: inj}
 		}
 		s, err := Listen("127.0.0.1:0", opts)
 		if err != nil {
@@ -58,7 +60,7 @@ func faultChain(t *testing.T, n, faultAt int, inj fault.Injector) []*Servent {
 	}
 }
 
-// A relay that drops every inbound message severs the chain: content two
+// A relay that drops every frame it sends severs the chain: content two
 // hops away is unreachable, while the same topology without the injector
 // finds it (TestSearchAcrossChain).
 func TestServentWireDropSeversChain(t *testing.T) {
@@ -69,10 +71,10 @@ func TestServentWireDropSeversChain(t *testing.T) {
 	}
 }
 
-// A relay that corrupts every inbound GUID also severs the reverse path:
-// the query forwards under the corrupted id, so the returning hit (whose
-// id the relay corrupts back to the original) matches nothing in the
-// relay's reverse-route table and is dropped as unroutable.
+// A relay that corrupts every GUID it sends also severs the reverse path:
+// the query forwards under the corrupted id, so the returning hit carries
+// an id that matches nothing in the relay's reverse-route table and is
+// dropped there as unroutable.
 func TestServentWireCorruptSeversReversePath(t *testing.T) {
 	ss := faultChain(t, 3, 1, fateInjector{fault.Fate{Corrupt: true}})
 	ss[2].Share("topic-302 keywords far.dat", 1)
@@ -85,8 +87,8 @@ func TestServentWireCorruptSeversReversePath(t *testing.T) {
 	}
 }
 
-// A relay that duplicates every inbound message must not break search:
-// GUID duplicate suppression absorbs the copies (visibly, via
+// A relay that sends every frame twice must not break search: GUID
+// duplicate suppression downstream absorbs the copies (visibly, via
 // vantage.dup_queries_dropped) and the hit still routes home.
 func TestServentWireDuplicateIsSuppressed(t *testing.T) {
 	ss := faultChain(t, 3, 1, fateInjector{fault.Fate{Duplicate: true}})

@@ -13,5 +13,6 @@ func main() {
 	var w worker = t
 	w.Work()
 	t.Shown()
+	fmt.Println("a.by_name")
 	fmt.Println(a.Live(), a.LiveConst, a.LiveVar, t.Live(), t, a.Config{Set: 1}, a.ModeLive, a.Preset{Written: 1}.Never)
 }
