@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"arq/internal/stream"
 	"arq/internal/trace"
 )
@@ -35,8 +37,15 @@ func (k PairKey) Replier() trace.HostID { return trace.HostID(k) }
 // BlockDelta is one block's pair counts — what AddBlock contributed to the
 // index. Retiring the delta (RemoveBlock) subtracts exactly that
 // contribution, so windowed policies keep a ring of deltas instead of
-// copies of the blocks themselves.
-type BlockDelta map[PairKey]int32
+// copies of the blocks themselves. The counts are a flat count table.
+type BlockDelta struct {
+	counts stream.CountTable[PairKey]
+}
+
+// deltas recycles the deltas RemoveBlock retires, so a window in its
+// steady state counts each block into the arrays of the one it just
+// retired and allocates nothing.
+var deltas = sync.Pool{New: func() any { return new(BlockDelta) }}
 
 // PairIndex is the incremental pair-count engine. It runs in one of two
 // modes fixed at construction:
@@ -46,8 +55,10 @@ type BlockDelta map[PairKey]int32
 //     prune threshold.
 //   - decay (newDecayIndex): counts age by decay at boundaries and a pair
 //     is an active rule while its count is at least the activation
-//     threshold; covers answers "is src an antecedent" in O(1), so the
-//     index is itself the rule set of the moment.
+//     threshold; "is src an antecedent" is one lookup (activeBySrc), so the
+//     index is itself the rule set of the moment. Its pairs come one at a
+//     time (addPair, add, Set): block deltas are for windowed indexes
+//     only.
 //
 // Both count tables sit in the struct by value, so an index is one object
 // and a Learner that holds its index by value adds none. A PairIndex
@@ -57,8 +68,8 @@ type PairIndex struct {
 
 	// Decay-mode bookkeeping: threshold > 0 enables it. activeBySrc
 	// tracks, per antecedent, how many consequents are at or above the
-	// threshold, so covers is a single lookup instead of an inner-map
-	// scan. active is the total active-rule count.
+	// threshold, so "is src covered" is a single lookup instead of an
+	// inner-map scan. active is the total active-rule count.
 	threshold   float64
 	activeBySrc stream.CountTable[trace.HostID]
 	active      int
@@ -79,17 +90,19 @@ func newDecayIndex(threshold float64) *PairIndex {
 }
 
 // track maintains the threshold-crossing bookkeeping for one entry's count
-// transition.
+// transition. It is small enough to inline, so the transitions that cross
+// nothing, nearly all of them, cost no call.
 func (x *PairIndex) track(k PairKey, old, now float64) {
-	if x.threshold <= 0 {
-		return
+	if th := x.threshold; (now >= th) != (old >= th) && th > 0 {
+		x.cross(k, now)
 	}
-	was, is := old >= x.threshold, now >= x.threshold
-	if was == is {
-		return
-	}
+}
+
+// cross counts k's antecedent into the active rules when its count is
+// now at or above the threshold, and out of them otherwise.
+func (x *PairIndex) cross(k PairKey, now float64) {
 	src := k.Source()
-	if is {
+	if now >= x.threshold {
 		x.active++
 		x.activeBySrc.Add(src, 1)
 	} else {
@@ -99,8 +112,7 @@ func (x *PairIndex) track(k PairKey, old, now float64) {
 }
 
 // addPair records one (source, replier) observation and returns the
-// pair's support before and after it: old >= threshold is whether the
-// pair was a rule, read by the probe that adds.
+// pair's support before and after it.
 func (x *PairIndex) addPair(src, rep trace.HostID) (old, now float64) {
 	k := packPair(src, rep)
 	old, now = x.counts.Add(k, 1)
@@ -128,59 +140,46 @@ func (x *PairIndex) Support(src, rep trace.HostID) float64 {
 	return x.counts.Get(packPair(src, rep))
 }
 
-// AddBlock folds one block into the index and returns the block's own
-// delta, which the caller retains instead of the block; RemoveBlock with
-// that delta subtracts the block's exact contribution later. The block
-// itself is not retained — sources may reuse its buffer.
-func (x *PairIndex) AddBlock(b trace.Block) BlockDelta {
-	return x.addBlock(b, nil, nil)
+// AddBlock folds one block into a windowed index and returns the block's
+// own delta, which the caller retains instead of the block; RemoveBlock
+// with that delta subtracts the block's exact contribution later. The
+// block itself is not retained — sources may reuse its buffer.
+func (x *PairIndex) AddBlock(b trace.Block) *BlockDelta {
+	return x.addBlock(b, nil)
 }
 
-// pairsPerDistinct sizes a fresh BlockDelta: a block of the paper's trace
-// shape repeats each (source, replier) pair about nine times.
-const pairsPerDistinct = 8
-
-// addBlock is AddBlock counting into delta, a retired BlockDelta the
-// caller no longer needs (nil allocates one), under the antecedent ante
-// gives each pair (nil: its source). In windowed mode the block is counted
-// once into the delta and the delta's distinct pairs are then folded into
-// the index — one hash operation per pair plus two per distinct pair,
-// against three per pair; integer adds are exact in float64, so the order
-// of folding cannot show. A decay-mode index adds pair by pair: its counts
-// are not integers, so the order of its adds can show.
-func (x *PairIndex) addBlock(b trace.Block, delta BlockDelta, ante func(*trace.Pair) trace.HostID) BlockDelta {
-	if delta == nil {
-		delta = make(BlockDelta, len(b)/pairsPerDistinct)
-	}
-	clear(delta)
-	switch {
-	case x.threshold > 0:
-		for _, p := range b {
-			x.addPair(p.Source, p.Replier)
-			delta[packPair(p.Source, p.Replier)]++
+// addBlock is AddBlock under the antecedent id antes interns for each pair
+// (nil: its source). The block is counted once into the delta and the
+// delta's distinct pairs are then folded into the index — one hash
+// operation per pair plus two per distinct pair, against three per pair;
+// integer adds are exact in float64, so the order of folding cannot show.
+func (x *PairIndex) addBlock(b trace.Block, antes *anteIDs) *BlockDelta {
+	delta := deltas.Get().(*BlockDelta)
+	d := &delta.counts
+	d.Reset()
+	for i := range b {
+		src := b[i].Source
+		if antes != nil {
+			src = antes.intern(&b[i])
 		}
-		return delta
-	case ante == nil:
-		for _, p := range b {
-			delta[packPair(p.Source, p.Replier)]++
-		}
-	default:
-		for i := range b {
-			delta[packPair(ante(&b[i]), b[i].Replier)]++
-		}
+		d.Add(packPair(src, b[i].Replier), 1)
 	}
-	for k, n := range delta {
-		x.counts.Add(k, float64(n))
-	}
+	d.Range(func(k PairKey, n float64) bool {
+		x.counts.Add(k, n)
+		return true
+	})
 	return delta
 }
 
 // RemoveBlock retires a previously added block by subtracting its delta.
-func (x *PairIndex) RemoveBlock(d BlockDelta) {
-	for k, n := range d {
-		old, now := x.counts.Add(k, -float64(n))
-		x.track(k, old, now)
-	}
+// The delta goes back for a later AddBlock to count into, so the caller
+// must not read it afterwards.
+func (x *PairIndex) RemoveBlock(d *BlockDelta) {
+	d.counts.Range(func(k PairKey, n float64) bool {
+		x.counts.Add(k, -n)
+		return true
+	})
+	deltas.Put(d)
 }
 
 // decay multiplies every count by factor and drops entries that fall below
@@ -202,12 +201,6 @@ func (x *PairIndex) reset() {
 	}
 }
 
-// covers reports, in decay mode, whether some consequent for src is at
-// or above the activation threshold.
-func (x *PairIndex) covers(src trace.HostID) bool {
-	return x.threshold > 0 && x.activeBySrc.Get(src) > 0
-}
-
 // Range calls f for every tracked pair until f returns false. Iteration
 // order is unspecified; f must not mutate the index.
 func (x *PairIndex) Range(f func(k PairKey, count float64) bool) {
@@ -225,7 +218,8 @@ func (x *PairIndex) snapshot(prune int, minConf float64) *RuleSet {
 	if minConf > 0 {
 		keep = 1 // an antecedent's total needs its pruned pairs too
 	}
-	var t rules
+	buf := ruleScratch.Get().(*rules)
+	t := (*buf)[:0]
 	x.counts.Range(func(k PairKey, v float64) bool {
 		if c := int(v); c >= keep {
 			t = append(t, RuleEntry{Key: k, Support: float64(c)})
@@ -236,8 +230,17 @@ func (x *PairIndex) snapshot(prune int, minConf float64) *RuleSet {
 	if minConf > 0 {
 		t = pruneRuns(t, float64(prune), minConf)
 	}
-	return newRuleSet(t)
+	out := make(rules, len(t))
+	copy(out, t)
+	*buf = t
+	ruleScratch.Put(buf)
+	return newRuleSet(out)
 }
+
+// ruleScratch recycles the slice snapshot gathers and sorts a window's
+// rules in, so the table it keeps is one allocation of its exact size
+// rather than one per doubling of an append.
+var ruleScratch = sync.Pool{New: func() any { return new(rules) }}
 
 // pruneRuns filters t, every pair of a window in canonical order, down to
 // its rules in place: a run is one antecedent's pairs, so its supports sum
@@ -266,15 +269,13 @@ func (x *PairIndex) Snapshot(prune int) *RuleSet {
 	return x.snapshot(prune, 0)
 }
 
-// rebuild resets the index to exactly one block and snapshots it — the
-// GENERATE-RULESET(b) of the single-block policies. Reusing an index
-// across Rebuild calls reuses its storage.
+// rebuild resets a windowed index to exactly one block and snapshots it —
+// the GENERATE-RULESET(b) of the single-block policies. Reusing an index
+// across rebuild calls reuses its storage.
 func (x *PairIndex) rebuild(block trace.Block, prune int) *RuleSet {
 	x.reset()
 	for _, p := range block {
-		k := packPair(p.Source, p.Replier)
-		old, now := x.counts.Add(k, 1)
-		x.track(k, old, now)
+		x.counts.Add(packPair(p.Source, p.Replier), 1)
 	}
 	return x.snapshot(prune, 0)
 }

@@ -82,7 +82,7 @@ type Sliding struct {
 	UseInterest bool
 
 	idx   *PairIndex
-	ring  []BlockDelta
+	ring  []*BlockDelta
 	antes anteIDs // UseInterest only
 }
 
@@ -107,36 +107,24 @@ func (s *Sliding) Step(block trace.Block) StepResult {
 	if s.idx == nil {
 		s.idx = NewPairIndex()
 	}
-	var intern func(*trace.Pair) trace.HostID
+	var antes *anteIDs
 	if s.UseInterest {
-		intern = s.antes.intern
+		antes = &s.antes
 	}
 	if len(s.ring) == 0 {
-		s.ring = append(s.ring, s.idx.addBlock(block, nil, intern))
+		s.ring = append(s.ring, s.idx.addBlock(block, antes))
 		return StepResult{}
 	}
 	rs := s.idx.snapshot(s.Prune, s.MinConfidence)
-	var res TestResult
-	if s.UseInterest {
-		// An antecedent the window never saw reads id 0, which no pair is
-		// ever counted under: uncovered.
-		ids := s.antes.ids
-		res = evalBlock(block,
-			func(p *trace.Pair) bool { return rs.covers(ids[anteOf(p)]) },
-			func(p *trace.Pair) bool { return rs.matches(ids[anteOf(p)], p.Replier) }, nil)
-	} else {
-		res = rs.Test(block)
-	}
-	var retired BlockDelta
+	res := evalBlock(block, blockTest{rs: rs, antes: antes})
 	for len(s.ring) >= max(s.Width, 1) {
-		retired = s.ring[0]
-		s.idx.RemoveBlock(retired)
 		if s.UseInterest {
-			s.antes.release(retired)
+			s.antes.release(s.ring[0])
 		}
+		s.idx.RemoveBlock(s.ring[0]) // addBlock below reuses its arrays
 		s.ring = append(s.ring[:0], s.ring[1:]...)
 	}
-	s.ring = append(s.ring, s.idx.addBlock(block, retired, intern))
+	s.ring = append(s.ring, s.idx.addBlock(block, antes))
 	return StepResult{Tested: true, Result: res, Regenerated: true, Rules: rs.Len()}
 }
 
@@ -183,14 +171,15 @@ func (a *anteIDs) intern(p *trace.Pair) trace.HostID {
 
 // release takes a retired delta's pairs off their antecedents and drops
 // the ids nothing in the window counts under any more.
-func (a *anteIDs) release(retired BlockDelta) {
-	for k, n := range retired {
+func (a *anteIDs) release(retired *BlockDelta) {
+	retired.counts.Range(func(k PairKey, n float64) bool {
 		ref := &a.refs[k.Source()]
-		if ref.pairs -= n; ref.pairs == 0 {
+		if ref.pairs -= int32(n); ref.pairs == 0 {
 			delete(a.ids, ref.ante)
 			a.free = append(a.free, k.Source())
 		}
-	}
+		return true
+	})
 }
 
 // Lazy implements LAZY-SLIDING-WINDOW (§III-B.5): a generated rule set is
@@ -304,9 +293,9 @@ func (a *Adaptive) Step(block trace.Block) StepResult {
 // age by Decay at each block boundary so stale pairs drop out, and a
 // (source, replier) pair is a rule while its decayed count is at least
 // Threshold. Each query is tested against the rule state as of its arrival
-// and only then folded in (test-then-train, via the shared block
-// evaluator's train hook), so the reported coverage/success never peeks at
-// the pair being scored.
+// and only then folded in (test-then-train, in the shared block
+// evaluator), so the reported coverage/success never peeks at the pair
+// being scored.
 type Incremental struct {
 	Decay     float64 // per-block multiplicative decay, default 0.9
 	Threshold float64 // rule-activation count, default 2; fixed at first Step
@@ -345,24 +334,7 @@ func (in *Incremental) Step(block trace.Block) StepResult {
 	// Age out old observations at the block boundary.
 	in.idx.decay(decay, incrementalFloor)
 
-	// evalBlock trains on a pair right after it asked whether the pair
-	// matches, with nothing read in between, so when it asks, the one
-	// probe that adds the pair also answers from the support before.
-	idx := in.idx
-	trained := false
-	res := evalBlock(block,
-		func(p *trace.Pair) bool { return idx.covers(p.Source) },
-		func(p *trace.Pair) bool {
-			old, _ := idx.addPair(p.Source, p.Replier)
-			trained = true
-			return old >= idx.threshold
-		},
-		func(p trace.Pair) {
-			if !trained {
-				idx.addPair(p.Source, p.Replier)
-			}
-			trained = false
-		})
+	res := evalBlock(block, blockTest{idx: in.idx})
 	if warmup {
 		return StepResult{Rules: in.idx.active}
 	}

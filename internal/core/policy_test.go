@@ -560,20 +560,20 @@ func TestSlidingInterestEqualsRekeyedRegeneration(t *testing.T) {
 	}
 }
 
-// A steady Sliding.Step allocates what the snapshot it builds needs — a
-// few objects per rule — and nothing per pair or per GUID of the
-// 10 000-pair block it tests and folds in.
+// A steady Sliding.Step allocates what the snapshot it builds needs — the
+// rule table, the RuleSet, and the key and value arrays of its two
+// membership sets — and nothing per pair, per distinct pair or per GUID
+// of the 10 000-pair block it tests and folds in.
 func TestSlidingStepAllocations(t *testing.T) {
+	const snapshotAllocs = 6
 	blocks := paperBlocks(4)
 	s := &Sliding{Prune: 10}
-	rules := 0
 	for _, b := range blocks {
-		rules = s.Step(b).Rules
+		s.Step(b)
 	}
 	i := 0
-	n := testing.AllocsPerRun(8, func() { s.Step(blocks[i%len(blocks)]); i++ })
-	if limit := float64(4*rules + 64); n > limit {
-		t.Errorf("Sliding.Step: %v allocs per %d-pair block with %d rules, want at most %v", n, len(blocks[0]), rules, limit)
+	if n := pooledAllocs(snapshotAllocs, func() { s.Step(blocks[i%len(blocks)]); i++ }); n > snapshotAllocs {
+		t.Errorf("Sliding.Step: %v allocs per %d-pair block, want at most %v", n, len(blocks[0]), snapshotAllocs)
 	}
 }
 
@@ -586,7 +586,7 @@ func TestIncrementalStepAllocations(t *testing.T) {
 		in.Step(blocks[i%len(blocks)])
 	}
 	i := 0
-	if n := pooledAllocs(func() { in.Step(blocks[i%len(blocks)]); i++ }); n != 0 {
+	if n := pooledAllocs(0, func() { in.Step(blocks[i%len(blocks)]); i++ }); n != 0 {
 		t.Errorf("Incremental.Step on a %d-pair block: %v allocs per call, want 0", len(blocks[0]), n)
 	}
 }

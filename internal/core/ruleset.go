@@ -260,38 +260,62 @@ const (
 // shared between goroutines (sim.Sweep) need no lock.
 var guidTables = sync.Pool{New: func() any { return new(flatTable) }}
 
+// blockTest is what one RULESET-TEST asks its questions of, as data, so
+// the loop probes flat tables directly and makes no indirect call per
+// pair. Exactly one of rs and idx is set.
+type blockTest struct {
+	// rs answers from its antecedent set and its rule-pair set.
+	rs *RuleSet
+	// antes, when set, gives each pair the antecedent id its (source,
+	// interest) has in rs (Sliding.UseInterest); an antecedent it has no
+	// id for reads id 0, which no rule carries: uncovered.
+	antes *anteIDs
+	// idx is a decay index that trains on each pair right after scoring
+	// it, the test-then-train discipline of the incremental policy, so a
+	// pair is evaluated against the rule state as of its arrival. Its
+	// antecedent is covered while some pair of it is an active rule, and
+	// the one probe that adds the pair also answers, from the support
+	// before, whether it was a rule.
+	idx *PairIndex
+}
+
 // evalBlock is the one RULESET-TEST loop (§III-B.2): queries are
 // identified by GUID, a query with several replies counts once, its
 // covered status is fixed at first sighting, and it is successful if any
-// of its replies matches a rule for its antecedent. covers and matches
-// take the whole pair because the antecedent need not be the source alone
-// (Sliding.UseInterest). The optional train hook is invoked after each
-// pair has been scored — the test-then-train discipline of the incremental
-// policy, which folds each pair in only after it was evaluated against the
-// rule state as of its arrival.
-func evalBlock(block trace.Block, covers, matches func(*trace.Pair) bool, train func(trace.Pair)) TestResult {
+// of its replies matches a rule for its antecedent.
+func evalBlock(block trace.Block, on blockTest) TestResult {
 	seen := guidTables.Get().(*flatTable)
 	seen.reset(len(block))
 	var res TestResult
 	for i := range block {
 		p := &block[i]
+		src := p.Source
+		if on.antes != nil {
+			src = on.antes.ids[anteOf(p)]
+		}
 		slot, ok := seen.find(uint64(p.GUID))
 		st := seen.vals[slot]
 		if !ok {
 			st = qSeen
 			res.N++
-			if covers(p) {
+			if on.idx != nil && on.idx.activeBySrc.Get(src) > 0 || on.idx == nil && on.rs.covers(src) {
 				st |= qCovered
 				res.Covered++
 			}
 			seen.keys[slot], seen.vals[slot] = uint64(p.GUID), st
 		}
-		if st == qSeen|qCovered && matches(p) {
+		if x := on.idx; x != nil {
+			// addPair written out: it is too large to inline.
+			k := packPair(src, p.Replier)
+			old, now := x.counts.Add(k, 1)
+			x.track(k, old, now)
+			if old >= x.threshold && st == qSeen|qCovered {
+				seen.vals[slot] = st | qSuccessful
+				res.Successful++
+			}
+		} else if st == qSeen|qCovered && on.rs.matches(src, p.Replier) {
 			seen.vals[slot] = st | qSuccessful
 			res.Successful++
-		}
-		if train != nil {
-			train(*p)
 		}
 	}
 	guidTables.Put(seen)
@@ -301,7 +325,5 @@ func evalBlock(block trace.Block, covers, matches func(*trace.Pair) bool, train 
 // Test implements RULESET-TEST: evaluate the rule set against a block of
 // query–reply pairs.
 func (rs *RuleSet) Test(block trace.Block) TestResult {
-	return evalBlock(block,
-		func(p *trace.Pair) bool { return rs.covers(p.Source) },
-		func(p *trace.Pair) bool { return rs.matches(p.Source, p.Replier) }, nil)
+	return evalBlock(block, blockTest{rs: rs})
 }

@@ -286,8 +286,8 @@ func TestRulesSortedAndComplete(t *testing.T) {
 	}
 }
 
-// ruleView is what the oracle below and the flat evaluator are both driven
-// through: an immutable RuleSet, or a live decay-mode PairIndex.
+// ruleView is what the oracle below is driven through: an immutable
+// RuleSet, or a live decay-mode PairIndex.
 type ruleView interface {
 	covers(src trace.HostID) bool
 	matches(src, replier trace.HostID) bool
@@ -321,13 +321,6 @@ func evalBlockOracle(v ruleView, block trace.Block, train func(trace.Pair)) Test
 		}
 	}
 	return res
-}
-
-// evalView runs the flat evaluator against a ruleView.
-func evalView(v ruleView, block trace.Block, train func(trace.Pair)) TestResult {
-	return evalBlock(block,
-		func(p *trace.Pair) bool { return v.covers(p.Source) },
-		func(p *trace.Pair) bool { return v.matches(p.Source, p.Replier) }, train)
 }
 
 // setHashMul fixes the flat tables' multiplier for one test. Tables built
@@ -371,34 +364,78 @@ func indexState(x *PairIndex) map[PairKey]float64 {
 }
 
 func indexesEqual(a, b *PairIndex) bool {
-	return reflect.DeepEqual(indexState(a), indexState(b)) && a.active == b.active
+	return reflect.DeepEqual(indexState(a), indexState(b)) && a.active == b.active &&
+		reflect.DeepEqual(activeState(a), activeState(b))
 }
 
-// checkEvalAgainstOracle holds the flat evaluator equal to the oracle on
-// one block: against an immutable RuleSet, and against a decay index the
-// train hook feeds (result, every train call in order, and the index the
-// calls leave behind).
-func checkEvalAgainstOracle(t testing.TB, label string, rs *RuleSet, block trace.Block) {
+func activeState(x *PairIndex) map[trace.HostID]float64 {
+	m := make(map[trace.HostID]float64)
+	x.activeBySrc.Range(func(k trace.HostID, c float64) bool { m[k] = c; return true })
+	return m
+}
+
+// checkEvalAgainstOracle holds every production caller of the RULESET-TEST
+// loop equal to the oracle on one block tested after a window of gen:
+//
+//   - RuleSet.Test against GenerateRuleSet(gen, prune);
+//   - Incremental.Step, its decay included, against the oracle training a
+//     decay index of its own, on prefixes of the block: the result, the
+//     rule count and the index left behind after exactly the first m pairs
+//     are trained pin what was trained before which pair was scored;
+//   - Sliding{UseInterest}'s test against the oracle on the block re-keyed
+//     by the window's antecedent ids, and the index the step leaves
+//     behind, which is the block counted under the ids it interned.
+func checkEvalAgainstOracle(t testing.TB, label string, gen trace.Block, prune int, block trace.Block) {
 	t.Helper()
-	want := evalBlockOracle(rs, block, nil)
-	if got := rs.Test(block); got != want {
+	rs := GenerateRuleSet(gen, prune)
+	if got, want := rs.Test(block), evalBlockOracle(rs, block, nil); got != want {
 		t.Fatalf("%s: RuleSet.Test = %+v, oracle %+v", label, got, want)
 	}
-	if got := evalView(rs, block, nil); got != want {
-		t.Fatalf("%s: evalBlock = %+v, oracle %+v", label, got, want)
+
+	const decay, threshold = 0.9, 2
+	prefixes := []int{0, 1, len(block) / 2, len(block) - 1, len(block)}
+	slices.Sort(prefixes)
+	for _, m := range slices.Compact(prefixes) {
+		if m < 0 || m > len(block) {
+			continue
+		}
+		in := &Incremental{Decay: decay, Threshold: threshold}
+		ref := newDecayIndex(threshold)
+		var got StepResult
+		var want TestResult
+		for _, b := range []trace.Block{gen, block[:m]} {
+			ref.decay(decay, incrementalFloor)
+			want = evalBlockOracle(ref, b, func(p trace.Pair) { ref.addPair(p.Source, p.Replier) })
+			got = in.Step(b)
+		}
+		if want := (StepResult{Tested: true, Result: want, Rules: ref.active}); got != want {
+			t.Fatalf("%s: Incremental.Step over %d pairs = %+v, oracle %+v", label, m, got, want)
+		}
+		if !indexesEqual(in.idx, ref) {
+			t.Fatalf("%s: Incremental.Step over %d pairs leaves an index other than the oracle's", label, m)
+		}
 	}
-	a, b := newDecayIndex(2), newDecayIndex(2)
-	var ta, tb []trace.Pair
-	got := evalView(a, block, func(p trace.Pair) { ta = append(ta, p); a.addPair(p.Source, p.Replier) })
-	want = evalBlockOracle(b, block, func(p trace.Pair) { tb = append(tb, p); b.addPair(p.Source, p.Replier) })
-	if got != want {
-		t.Fatalf("%s: test-then-train = %+v, oracle %+v", label, got, want)
+
+	s := &Sliding{Prune: prune, UseInterest: true}
+	s.Step(gen)
+	rekey := func(b trace.Block) trace.Block {
+		out := slices.Clone(b)
+		for i := range out {
+			out[i].Source = s.antes.ids[anteOf(&b[i])]
+		}
+		return out
 	}
-	if !reflect.DeepEqual(ta, tb) {
-		t.Fatalf("%s: train calls differ from the oracle's", label)
+	srs, rekeyed := s.idx.snapshot(prune, 0), rekey(block)
+	want := StepResult{Tested: true, Result: evalBlockOracle(srs, rekeyed, nil), Regenerated: true, Rules: srs.Len()}
+	if got := s.Step(block); got != want {
+		t.Fatalf("%s: Sliding{UseInterest}.Step = %+v, oracle %+v", label, got, want)
 	}
-	if !indexesEqual(a, b) {
-		t.Fatalf("%s: trained index differs from the oracle's", label)
+	left := make(map[PairKey]float64)
+	for _, p := range rekey(block) {
+		left[packPair(p.Source, p.Replier)]++
+	}
+	if got := indexState(s.idx); !reflect.DeepEqual(got, left) {
+		t.Fatalf("%s: Sliding{UseInterest} leaves %v, want %v", label, got, left)
 	}
 }
 
@@ -407,24 +444,33 @@ func checkEvalAgainstOracle(t testing.TB, label string, rs *RuleSet, block trace
 // shrink between calls (large then small and the reverse, empty blocks
 // between), and multipliers that include the degenerate 1, under which
 // small keys all hash to slot 0 — collisions cost time, never answers.
+// Pairs carry one of three interests, so the interest-keyed antecedents
+// of Sliding{UseInterest} are not the sources renamed.
 func TestEvalBlockMatchesOracle(t *testing.T) {
+	withInterests := func(rng *stats.RNG, b trace.Block) trace.Block {
+		for i := range b {
+			b[i].Interest = trace.InterestID(rng.Intn(3))
+		}
+		return b
+	}
 	for _, mul := range []uint64{hashMul, 1, 0x9E3779B97F4A7C15, 1<<63 | 1} {
 		setHashMul(t, mul)
 		rng := stats.NewRNG(mul ^ 17)
 		for shape := range guidShapes {
 			for _, size := range []int{1500, 3, 0, 700, 1, 0, 2000, 64} {
-				rs := GenerateRuleSet(randomBlock(rng, 200), 2+rng.Intn(3))
+				gen, prune := withInterests(rng, randomBlock(rng, 200)), 2+rng.Intn(3)
 				label := fmt.Sprintf("mul %#x, %s, %d pairs", mul, guidShapes[shape].name, size)
-				checkEvalAgainstOracle(t, label, rs, shapedBlock(rng, shape, size))
+				checkEvalAgainstOracle(t, label, gen, prune, withInterests(rng, shapedBlock(rng, shape, size)))
 			}
 		}
 	}
 }
 
-// FuzzEvaluateBlock turns bytes into a block over small GUID and host
-// alphabets (three bytes a pair; the GUID is four bits of value shifted
-// by up to 60) and holds the flat evaluator equal to the oracle against
-// both a RuleSet and a trained decay index.
+// FuzzEvaluateBlock turns bytes into a block over small GUID, host and
+// interest alphabets (three bytes a pair; the GUID is four bits of value
+// shifted by up to 60), generates from its first half and holds every
+// production caller of the loop equal to the oracle on the second half:
+// RuleSet.Test, Incremental.Step and Sliding{UseInterest}.
 func FuzzEvaluateBlock(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 1, 2, 0x01, 1, 2, 0x01, 1, 3, 0xf1, 1, 2, 0x00, 2, 2, 0x00, 1, 2})
@@ -434,13 +480,14 @@ func FuzzEvaluateBlock(f *testing.F) {
 		for i := range block {
 			g, s, r := data[3*i], data[3*i+1], data[3*i+2]
 			block[i] = trace.Pair{
-				GUID:    trace.GUID(uint64(g&15) << (4 * uint(g>>4))),
-				Source:  trace.HostID(s%5 + 1),
-				Replier: trace.HostID(r%5 + 1),
+				GUID:     trace.GUID(uint64(g&15) << (4 * uint(g>>4))),
+				Source:   trace.HostID(s%5 + 1),
+				Replier:  trace.HostID(r%5 + 1),
+				Interest: trace.InterestID(r / 5 % 3),
 			}
 		}
 		half := len(block) / 2
-		checkEvalAgainstOracle(t, "fuzz", GenerateRuleSet(block[:half], 2), block[half:])
+		checkEvalAgainstOracle(t, "fuzz", block[:half], 2, block[half:])
 	})
 }
 
@@ -481,13 +528,13 @@ func TestEvalBlockAdversarialGUIDs(t *testing.T) {
 		}
 	}
 	fastest := func(block trace.Block) time.Duration {
-		if got, want := evalView(rs, block, nil), evalBlockOracle(rs, block, nil); got != want {
+		if got, want := rs.Test(block), evalBlockOracle(rs, block, nil); got != want {
 			t.Fatalf("adversarial block: %+v, oracle %+v", got, want)
 		}
 		best := time.Duration(math.MaxInt64)
 		for i := 0; i < 5; i++ {
 			start := time.Now()
-			evalView(rs, block, nil)
+			rs.Test(block)
 			if d := time.Since(start); d < best {
 				best = d
 			}
@@ -523,14 +570,15 @@ func paperBlocks(n int) []trace.Block {
 	}
 }
 
-// pooledAllocs is what one call of f allocates when sync.Pool returns what
-// was last put: zero, for a block test on a warmed table. Under the race
-// detector a Pool drops a quarter of its Puts at random, so one measured
-// call in four builds a table of its own; the measurement is retried until
-// one does not. A call that allocates by itself never reads zero.
-func pooledAllocs(f func()) float64 {
+// pooledAllocs is what one call of f allocates when every sync.Pool
+// returns what was last put: zero, for a block test on a warmed table.
+// Under the race detector a Pool drops a quarter of its Puts at random, so
+// one measured call in four builds a table of its own; the measurement is
+// retried until one allocates no more than want. A call that allocates
+// more by itself never reads want or less.
+func pooledAllocs(want float64, f func()) float64 {
 	n := testing.AllocsPerRun(1, f)
-	for try := 0; n != 0 && try < 40; try++ {
+	for try := 0; n > want && try < 40; try++ {
 		n = testing.AllocsPerRun(1, f)
 	}
 	return n
@@ -542,7 +590,7 @@ func TestRuleSetTestAllocations(t *testing.T) {
 	blocks := paperBlocks(2)
 	rs := GenerateRuleSet(blocks[0], 10)
 	rs.Test(blocks[1])
-	if n := pooledAllocs(func() { rs.Test(blocks[1]) }); n != 0 {
+	if n := pooledAllocs(0, func() { rs.Test(blocks[1]) }); n != 0 {
 		t.Errorf("RuleSet.Test on a %d-pair block: %v allocs per call, want 0", len(blocks[1]), n)
 	}
 }
