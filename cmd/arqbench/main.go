@@ -451,7 +451,7 @@ func recovery() {
 	// node comes back empty (cold) or restored from its codec-round-
 	// tripped rule snapshot (warm); the queries-to-recover gap is what
 	// the servent's checkpoint subsystem buys.
-	rcfg := chaos.RecoveryConfig{Seed: *seed + 901, Nodes: 300, Warm: 3000}
+	rcfg := chaos.Config{Seed: *seed + 901, Nodes: 300, Warm: 3000, TTL: 6}
 	if *quick {
 		rcfg.Nodes, rcfg.Warm = 150, 1500
 	}
@@ -466,8 +466,10 @@ func recovery() {
 // rows that the flat engine's fault injection unlocked: the same drills,
 // two orders of magnitude past the 150–300 nodes the map engine ran them
 // at. largeWarm teaches it at two queries per node where the small runs
-// get ten, because the warm-up floods (EXPERIMENTS.md has the cost and
-// what the under-training does to ρ).
+// get ten, because the warm-up floods: it is most of each drill's wall
+// time, the soak's one warm-up and the A/B's one, which all three arms
+// fork (EXPERIMENTS.md has the cost and what the under-training does to
+// ρ).
 const (
 	largeNodes  = 20000
 	largeWarm   = 40000
@@ -477,7 +479,7 @@ const (
 // restartAB runs one process-restart A/B and prints its arms as
 // <prefix>restart_<arm>; the wall time goes to stderr, so stdout stays
 // deterministic.
-func restartAB(prefix string, rcfg chaos.RecoveryConfig) {
+func restartAB(prefix string, rcfg chaos.Config) {
 	start := time.Now()
 	rres, err := chaos.RunRecovery(rcfg)
 	if err != nil {
@@ -486,7 +488,7 @@ func restartAB(prefix string, rcfg chaos.RecoveryConfig) {
 	}
 	fmt.Fprintf(os.Stderr, "arqbench: restart A/B at %d nodes: %.1fs wall\n", rcfg.Nodes, time.Since(start).Seconds())
 	rt := metrics.NewTable(fmt.Sprintf("Process restart A/B — %d nodes, %.0f%% crashed, strict two-phase deployment (ρ = rule-phase success per %d-query window)",
-		rcfg.Nodes, 100*rres.Cfg.CrashFrac, rres.Cfg.Window),
+		rcfg.Nodes, 100*chaos.CrashFrac, chaos.Window),
 		"arm", "pre-crash ρ", "first window", "queries to recover", "final ρ", "restored rules")
 	for _, a := range rres.Arms {
 		recLabel := "never"
@@ -717,7 +719,7 @@ func soak(prefix string, cfg chaos.Config) {
 	res := chaos.Soak(cfg)
 	fmt.Fprintf(os.Stderr, "arqbench: soak at %d nodes: %.1fs wall\n", cfg.Nodes, time.Since(start).Seconds())
 	t := metrics.NewTable(fmt.Sprintf("Fault-injection soak — %d nodes, drop=%.2f crash=%.2f slow=%.2f",
-		cfg.Nodes, res.Cfg.Fault.Drop, res.Cfg.Fault.Crash, res.Cfg.Fault.Slow),
+		cfg.Nodes, res.Fault.Drop, res.Fault.Crash, res.Fault.Slow),
 		"phase", "success", "rule share", "msg drops", "down drops")
 	for _, p := range res.Phases {
 		drops := p.CounterDelta("fault.msg_drops")

@@ -53,7 +53,11 @@ func main() {
 	if *chaosRun {
 		topo = "gnutella" // the soak's overlay, whatever -topology says
 	}
-	if err := checkNodes(topo, *nodes); err != nil {
+	err := checkNodes(topo, *nodes)
+	if err == nil && *chaosRun {
+		err = checkChaos(*warm, *nq, *ttl)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "arqnet:", err)
 		os.Exit(2)
 	}
@@ -111,6 +115,21 @@ func checkNodes(topology string, n int) error {
 		return fmt.Errorf("unknown topology %q (valid: gnutella, random, smallworld)", topology)
 	case n < least:
 		return fmt.Errorf("-nodes must be at least %d on the %s topology, got %d", least, topology, n)
+	}
+	return nil
+}
+
+// checkChaos rejects a drill setting below 1: -chaos hands -warm,
+// -queries and -ttl to the drill as they are (-warm 0 used to run 3 000
+// warm-up queries, -queries 0 500 per phase and -ttl 0 TTL 6).
+func checkChaos(warm, queries, ttl int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"warm", warm}, {"queries", queries}, {"ttl", ttl}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s must be at least 1 under -chaos, got %d", f.name, f.v)
+		}
 	}
 	return nil
 }

@@ -30,3 +30,16 @@ func TestCheckNodes(t *testing.T) {
 		}
 	}
 }
+
+// A drill setting below 1 is refused under -chaos: -warm 0, -queries 0
+// and -ttl 0 used to run 3 000, 500 and 6 instead.
+func TestCheckChaos(t *testing.T) {
+	if err := checkChaos(1, 1, 1); err != nil {
+		t.Errorf("checkChaos(1, 1, 1) = %v, want ok", err)
+	}
+	for _, c := range [][3]int{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}, {-1, 300, 6}, {1500, -5, 6}} {
+		if err := checkChaos(c[0], c[1], c[2]); err == nil {
+			t.Errorf("checkChaos%v = nil, want an error", c)
+		}
+	}
+}

@@ -64,7 +64,6 @@ var testOnly = map[string]string{
 	"internal/fault.Config.Duplicate":            "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
 	"internal/fault.Config.MaxDelay":             "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
 	"internal/fault.Config.SlowDelay":            "fault seam: the faulted goldens and transport's and vantage's fault tests run the full mix",
-	"internal/chaos.RecoveryConfig.TTL":          "set by chaos.Report from Config.TTL, which arqnet -ttl sets",
 	"internal/core.LearnerConfig.Decay":          "test seam: core's and routing's tests vary the learning constants; every program runs DefaultLearnerConfig (ROADMAP 15 fits and pins them)",
 	"internal/core.LearnerConfig.DecayEvery":     "test seam: core's and routing's tests vary the learning constants; every program runs DefaultLearnerConfig (ROADMAP 15 fits and pins them)",
 	"internal/core.LearnerConfig.Floor":          "test seam: core's and routing's tests vary the learning constants; every program runs DefaultLearnerConfig (ROADMAP 15 fits and pins them)",
@@ -118,7 +117,8 @@ var staysDeleted = struct {
 			// Instruments nobody reads: the last histogram went with them.
 			// A getter cannot come back without the type it returns.
 			"Histogram", "DurationBuckets", "SizeBuckets", "HistogramSnapshot", "Bucket", "Snapshot.Histograms"},
-		"internal/chaos":   {"Config.StaleObs"},
+		"internal/chaos": {"Config.StaleObs",
+			"RecoveryConfig", "Config.Fault", "recoveryArm"}, // one drill config; one warm-up per A/B
 		"internal/fault":   {"Local"},                               // one fault hook: nothing hands a frame to itself
 		"internal/cluster": {"Universe", "SearchString", "Library"}, // scenario.ClusterPlan{N: n} says it
 	},
@@ -144,7 +144,7 @@ var optionStructs = map[string][]string{
 	"internal/tracegen":  {"Config"},
 	"internal/content":   {"Config"},
 	"internal/cluster":   {"Config"},
-	"internal/chaos":     {"Config", "RecoveryConfig"},
+	"internal/chaos":     {"Config"},
 	"internal/fault":     {"Config"},
 	"internal/adapt":     {"Options"},
 	"internal/sim":       {"Spec"},

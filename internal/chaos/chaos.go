@@ -36,45 +36,59 @@ import (
 	"arq/internal/stats"
 )
 
-// Config parameterizes one soak run. The zero value of any field takes
-// the default noted on it.
+// Config parameterizes one drill, the soak and the restart A/B alike.
+// Every field is required and must be positive: there are no defaults.
 type Config struct {
-	// Seed drives topology, content, workloads, and the injector.
+	// Seed drives topology, content, workloads, the injector and the
+	// crash sample.
 	Seed uint64
-	// Nodes is the overlay size (default 300).
+	// Nodes is the overlay size.
 	Nodes int
-	// Warm is the clean warm-up query count that teaches the rules
-	// (default 3000).
+	// Warm is the warm-up query count that teaches the rules.
 	Warm int
-	// Queries is the measured query count per phase (default 500).
+	// Queries is the soak's measured query count per phase.
 	Queries int
-	// TTL is the query TTL (default 6).
+	// TTL is the query TTL.
 	TTL int
-	// Fault configures the injector for the faulted phases. Its Seed is
-	// overridden from Config.Seed so one seed pins the whole run. A zero
-	// Fault gets a default churn+loss mix.
-	Fault fault.Config
 }
 
-func (c Config) withDefaults() Config {
-	if c.Nodes <= 0 {
-		c.Nodes = 300
-	}
-	if c.Warm <= 0 {
-		c.Warm = 3000
-	}
-	if c.Queries <= 0 {
-		c.Queries = 500
-	}
-	if c.TTL <= 0 {
-		c.TTL = 6
-	}
-	z := fault.Config{}
-	if c.Fault == z {
-		c.Fault = fault.Config{Drop: 0.15, Crash: 0.15, Slow: 0.1, EpochEvery: 16}
-	}
-	c.Fault.Seed = c.Seed + 3
-	return c
+// The settings every drill runs at. The A/B's post-crash loop measures
+// ρ over Window queries at a time, for at most maxWindows windows; an arm
+// has recovered once ρ ≥ pre·(1−epsilon); CrashFrac of the nodes crash;
+// the warm arm restores supports scaled by discount (matching
+// vantage.DefaultCheckpointDiscount).
+const (
+	maxWindows = 30
+	epsilon    = 0.1
+	discount   = 0.5
+	// CrashFrac is the fraction of nodes the restart A/B crashes.
+	CrashFrac = 0.25
+	// Window is the query count the restart A/B measures ρ over.
+	Window = 100
+)
+
+// faultMix is the soak's faulted phase: churn and loss, seeded from
+// Config.Seed+3 so that one seed pins the whole run.
+var faultMix = fault.Config{Drop: 0.15, Crash: 0.15, Slow: 0.1, EpochEvery: 16}
+
+// testbed is what both drills of one config run on: the overlay and the
+// content model, a pure function of the seed and size that no drill
+// changes, built once.
+type testbed struct {
+	cfg   Config
+	g     *overlay.Graph
+	model *content.Model
+}
+
+func newTestbed(cfg Config) *testbed {
+	rng := stats.NewRNG(cfg.Seed)
+	g := overlay.GnutellaLike(rng, cfg.Nodes)
+	return &testbed{cfg: cfg, g: g, model: content.BuildClustered(rng.Split(), g, content.DefaultConfig())}
+}
+
+// engine returns a fresh engine on the testbed, routing through as.
+func (tb *testbed) engine(as []routing.Assoc) *flat.Engine {
+	return flat.NewEngine(tb.g, tb.model, func(u int) peer.Router { return &as[u] })
 }
 
 // CounterDelta is one counter's change over a phase.
@@ -97,9 +111,11 @@ type Phase struct {
 	Counters []CounterDelta
 }
 
-// Result is a full soak: its phases in the order they ran.
+// Result is a full soak: its phases in the order they ran, and the
+// injector's config the faulted phase ran under.
 type Result struct {
 	Cfg    Config
+	Fault  fault.Config
 	Phases []Phase
 }
 
@@ -123,12 +139,13 @@ func watched() map[string]int64 {
 // Soak runs the phase sequence and returns the measurements. Sequential
 // and deterministic for a given cfg.
 func Soak(cfg Config) Result {
-	cfg = cfg.withDefaults()
-	rng := stats.NewRNG(cfg.Seed)
-	g := overlay.GnutellaLike(rng, cfg.Nodes)
-	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
+	return newTestbed(cfg).soak()
+}
+
+func (tb *testbed) soak() Result {
+	cfg := tb.cfg
 	assocs := routing.NewAssocs(cfg.Nodes, routing.DefaultAssocConfig())
-	e := flat.NewEngine(g, model, func(u int) peer.Router { return &assocs[u] })
+	e := tb.engine(assocs)
 
 	// Clean warm-up teaches the rules.
 	e.Workload(stats.NewRNG(cfg.Seed+1), cfg.Warm, cfg.TTL)
@@ -159,10 +176,11 @@ func Soak(cfg Config) Result {
 		return p
 	}
 
-	res := Result{Cfg: cfg}
+	res := Result{Cfg: cfg, Fault: faultMix}
+	res.Fault.Seed = cfg.Seed + 3
 	res.Phases = append(res.Phases, measure("clean", cfg.Seed+10))
 	// Churn + loss switch on; the routers keep serving and learning.
-	e.Fault = fault.NewSeeded(cfg.Fault)
+	e.Fault = fault.NewSeeded(res.Fault)
 	res.Phases = append(res.Phases, measure("faulted", cfg.Seed+11))
 	return res
 }
@@ -185,7 +203,7 @@ func (r *Result) format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos soak: seed=%d nodes=%d warm=%d queries=%d ttl=%d drop=%.2f crash=%.2f slow=%.2f\n",
 		r.Cfg.Seed, r.Cfg.Nodes, r.Cfg.Warm, r.Cfg.Queries, r.Cfg.TTL,
-		r.Cfg.Fault.Drop, r.Cfg.Fault.Crash, r.Cfg.Fault.Slow)
+		r.Fault.Drop, r.Fault.Crash, r.Fault.Slow)
 	for _, p := range r.Phases {
 		fmt.Fprintf(&b, "phase %-7s success=%.4f rule_share=%.4f\n", p.Name, p.Success, p.RuleShare)
 		for _, c := range p.Counters {
@@ -196,13 +214,14 @@ func (r *Result) format() string {
 }
 
 // Report runs the whole drill `arqnet -chaos` prints — the soak and the
-// process-recovery A/B at the soak's seed, size, warm-up and TTL —
-// writing each part to w as it completes. The bytes are a pure function
-// of cfg; testdata/soak_golden.txt freezes them for one config.
+// process-recovery A/B on one overlay and content model — writing each
+// part to w as it completes. The bytes are a pure function of cfg;
+// testdata/soak_golden.txt freezes them for one config.
 func Report(w io.Writer, cfg Config) error {
-	res := Soak(cfg)
+	tb := newTestbed(cfg)
+	res := tb.soak()
 	fmt.Fprint(w, res.format())
-	rec, err := RunRecovery(RecoveryConfig{Seed: cfg.Seed, Nodes: cfg.Nodes, Warm: cfg.Warm, TTL: cfg.TTL})
+	rec, err := tb.recovery()
 	if err != nil {
 		return err
 	}

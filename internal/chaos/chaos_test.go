@@ -10,7 +10,7 @@ import (
 // testConfig is small enough for CI but large enough that rules learn and
 // faults bite.
 func testConfig() Config {
-	return Config{Seed: 42, Nodes: 120, Warm: 1200, Queries: 250}
+	return Config{Seed: 42, Nodes: 120, Warm: 1200, Queries: 250, TTL: 6}
 }
 
 // The soak is a pure function of its config: identical seeds must yield

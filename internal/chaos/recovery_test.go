@@ -2,8 +2,8 @@ package chaos
 
 import "testing"
 
-func smallRecovery() RecoveryConfig {
-	return RecoveryConfig{Seed: 11, Nodes: 200, Warm: 2000, Window: 100}
+func smallRecovery() Config {
+	return Config{Seed: 11, Nodes: 200, Warm: 2000, TTL: 6}
 }
 
 // The A/B's reason to exist: a warm restart from codec-round-tripped
@@ -18,9 +18,9 @@ func TestRecoveryWarmBeatsCold(t *testing.T) {
 	if none == nil || cold == nil || warm == nil {
 		t.Fatalf("missing arms in %+v", res.Arms)
 	}
-	if none.Crashed != 0 || none.QueriesToRecover != res.Cfg.Window {
+	if none.Crashed != 0 || none.QueriesToRecover != Window {
 		t.Fatalf("control arm crashed %d nodes, recovered at %d queries (want 0, %d)",
-			none.Crashed, none.QueriesToRecover, res.Cfg.Window)
+			none.Crashed, none.QueriesToRecover, Window)
 	}
 	if cold.Crashed == 0 || cold.Crashed != warm.Crashed {
 		t.Fatalf("crash samples differ across arms: cold %d, warm %d", cold.Crashed, warm.Crashed)

@@ -94,6 +94,19 @@ func (l *Learner) Init(cfg *LearnerConfig) {
 	l.cur.Store(emptySnapshot)
 }
 
+// CloneFrom makes l, a zero Learner nothing else is using, an
+// independent copy of src as of now: src's index, count tables copied
+// slot for slot, and its publish version, read under src's mutex. The
+// config and the served snapshot are immutable, so both are shared.
+// From here on each learns, decays and publishes without the other.
+func (l *Learner) CloneFrom(src *Learner) {
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	l.cfg, l.version, l.seen = src.cfg, src.version, src.seen
+	l.idx = src.idx.clone()
+	l.cur.Store(src.cur.Load())
+}
+
 // Observe folds a run of observations into the index, {src} -> {rep} for
 // every rep of reps in order, decaying at the configured cadence, and
 // publishes what routing reads once, at the end of the run. A run shares

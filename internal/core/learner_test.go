@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
@@ -270,4 +271,41 @@ func FuzzLearnerRun(f *testing.F) {
 			last = got.version
 		}
 	})
+}
+
+// A clone is its source's index slot for slot, at its version, serving
+// its very snapshot; from then on what either learns leaves the other as
+// a replica fed the same stream. The index compares whole: both count
+// tables and the active-rule bookkeeping.
+func TestLearnerCloneFrom(t *testing.T) {
+	cfg := DefaultLearnerConfig()
+	feed := func(l *Learner, seed uint64) {
+		rng := stats.NewRNG(seed)
+		for range 3000 {
+			src := rng.Intn(10) // three repliers each: 30 pairs, most of them rules
+			observe(l, trace.HostID(src), trace.HostID(1+3*src+rng.Intn(3)))
+		}
+	}
+	for _, driveClone := range []bool{true, false} {
+		src, replica := NewLearner(cfg), NewLearner(cfg)
+		feed(src, 7)
+		feed(replica, 7)
+		c := new(Learner)
+		c.CloneFrom(src)
+		if !reflect.DeepEqual(c.idx, src.idx) || c.version != src.version || c.View() != src.View() {
+			t.Fatal("a fresh clone differs from its source")
+		}
+		if src.idx.counts.Len() <= 8 || src.idx.active == 0 {
+			t.Fatalf("the source tracks %d pairs, %d rules: too few to hash", src.idx.counts.Len(), src.idx.active)
+		}
+		driven, kept := src, c
+		if driveClone {
+			driven, kept = c, src
+		}
+		feed(driven, 8)
+		driven.Update(func(idx *PairIndex) { idx.reset() })
+		if !reflect.DeepEqual(kept.idx, replica.idx) || kept.version != replica.version || kept.seen != replica.seen {
+			t.Fatalf("driving one side (clone %v) moved the other", driveClone)
+		}
+	}
 }

@@ -89,6 +89,12 @@ func newDecayIndex(threshold float64) *PairIndex {
 	return &PairIndex{threshold: threshold}
 }
 
+// clone returns an independent copy of x whose count tables hold every
+// pair in x's slot.
+func (x *PairIndex) clone() PairIndex {
+	return PairIndex{counts: x.counts.Clone(), threshold: x.threshold, activeBySrc: x.activeBySrc.Clone(), active: x.active}
+}
+
 // track maintains the threshold-crossing bookkeeping for one entry's count
 // transition. It is small enough to inline, so the transitions that cross
 // nothing, nearly all of them, cost no call.

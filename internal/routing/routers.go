@@ -204,6 +204,21 @@ func newAssocs(n int, cfg AssocConfig, learn core.LearnerConfig) []Assoc {
 	return as
 }
 
+// ForkAssocs returns an independent deep copy of a slab NewAssocs made,
+// in one allocation: node u's copy serves u's rules, holds u's supports
+// and goes on learning exactly as u would (core.Learner.CloneFrom). The
+// copy shares the slab's config. A trained overlay is forked to run
+// several arms from one warm-up, each on its own engine; nothing may be
+// learning into as meanwhile.
+func ForkAssocs(as []Assoc) []Assoc {
+	out := make([]Assoc, len(as))
+	for u := range as {
+		out[u].cfg = as[u].cfg
+		out[u].learn.CloneFrom(&as[u].learn)
+	}
+	return out
+}
+
 // NewAssoc returns an association-rule router for one node: a slab of one.
 func NewAssoc(cfg AssocConfig) *Assoc {
 	return &NewAssocs(1, cfg)[0]

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 )
 
 // CountTable maintains additive support counts over a keyed stream: the
@@ -172,6 +173,14 @@ func (t *CountTable[K]) Get(k K) float64 {
 		return t.vals[slot]
 	}
 	return 0
+}
+
+// Clone returns an independent copy of t, slot for slot: the copy holds
+// every key where t does, so Range and Decay visit both in one order
+// (re-inserting would re-place the entries). An empty t clones to an
+// empty table, allocated as t is.
+func (t *CountTable[K]) Clone() CountTable[K] {
+	return CountTable[K]{keys: slices.Clone(t.keys), vals: slices.Clone(t.vals), n: t.n, shift: t.shift}
 }
 
 // Len returns the number of tracked keys.
