@@ -590,15 +590,16 @@ func scale() {
 		g := overlay.GnutellaLike(rng, c.n)
 		model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
 		e := flat.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
+		search := &routing.OneShot{Label: "flood", E: e, TTL: ttl}
 
 		// Two untimed warmup queries (separate RNG, so the measured
 		// workload below is unaffected) fault in the engine's arrays
 		// and grow its frontier buffers to steady state — the row
 		// measures query throughput, not first-touch page faults.
-		e.Workload(stats.NewRNG(*seed+11), 2, ttl)
+		routing.RunWorkload(stats.NewRNG(*seed+11), search, e, 2)
 
 		start := time.Now()
-		res := e.Workload(stats.NewRNG(*seed+7), c.nq, ttl)
+		res := routing.RunWorkload(stats.NewRNG(*seed+7), search, e, c.nq)
 		elapsed := time.Since(start)
 
 		// Retained heap per node: everything the engine keeps alive

@@ -1,9 +1,10 @@
 // Command arqnet runs the message-level overlay simulation on the flat
-// engine (internal/peer/flat), comparing a chosen routing strategy
-// against flooding on the same topology and workload.
+// engine (internal/peer/flat), comparing one strategy of the catalogue
+// (scenario.Strategies) against flooding on the same topology and
+// workload.
 //
 //	arqnet -router assoc -nodes 2000 -queries 5000
-//	arqnet -router kwalk -walkers 16
+//	arqnet -router kwalk-16
 //	arqnet -router flood -nodes 1000000 -queries 200
 //	arqnet -chaos -nodes 200 -warm 2000 -queries 400
 package main
@@ -12,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"arq/internal/chaos"
 	"arq/internal/cluster"
@@ -21,17 +23,17 @@ import (
 	"arq/internal/peer"
 	"arq/internal/peer/flat"
 	"arq/internal/routing"
+	"arq/internal/scenario"
 	"arq/internal/stats"
 )
 
 var (
-	router   = flag.String("router", "assoc", "flood | expring | kwalk | assoc | assoc2ph | ri | shortcuts")
+	router   = flag.String("router", "assoc", "a strategy of the catalogue: flood | expanding-ring | kwalk-16 | routing-index | interest-shortcuts | assoc | assoc-two-phase")
 	topology = flag.String("topology", "gnutella", "gnutella | random | smallworld")
 	nodes    = flag.Int("nodes", 2000, "overlay size")
 	nq       = flag.Int("queries", 5000, "measured queries")
 	warm     = flag.Int("warm", 20000, "warm-up queries for learning strategies")
 	ttl      = flag.Int("ttl", 7, "query TTL")
-	walkers  = flag.Int("walkers", 16, "k for k-random walks")
 	seed     = flag.Uint64("seed", 42, "seed for topology, content, and workload")
 	chaosRun = flag.Bool("chaos", false, "run the fault-injection chaos soak instead of a strategy comparison")
 )
@@ -49,13 +51,14 @@ func main() {
 		runListen()
 		return
 	}
-	topo := *topology
+	var err error
 	if *chaosRun {
-		topo = "gnutella" // the soak's overlay, whatever -topology says
+		var set []string
+		flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+		err = checkChaos(*warm, *nq, *ttl, set)
 	}
-	err := checkNodes(topo, *nodes)
-	if err == nil && *chaosRun {
-		err = checkChaos(*warm, *nq, *ttl)
+	if err == nil {
+		err = checkNodes(*topology, *nodes)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arqnet:", err)
@@ -66,26 +69,31 @@ func main() {
 		return
 	}
 	rng := stats.NewRNG(*seed)
-	g := buildOverlay(topo, rng, *nodes)
+	g := buildOverlay(*topology, rng, *nodes)
 	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
-
-	// Baseline flood for comparison.
-	ef := flat.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
-	floodAgg := peer.Summarize(routing.RunWorkload(stats.NewRNG(*seed+1),
-		&routing.OneShot{Label: "flood", E: ef, TTL: *ttl}, ef, *nq))
-
-	searcher, e, needsWarm, err := buildSearcher(g, model)
+	strats := scenario.Strategies(g, model, peer.QuerySpec{TTL: *ttl}, *seed)
+	floodSt, _ := scenario.StrategyByName(strats, "flood")
+	st, err := scenario.StrategyByName(strats, *router)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "arqnet:", err)
 		os.Exit(2)
 	}
-	if needsWarm {
-		routing.RunWorkload(stats.NewRNG(*seed+2), searcher, e, *warm)
+	// measure builds s on a fresh flat engine, warms it if it learns,
+	// and runs the measured workload: the same queries for every strategy.
+	measure := func(s scenario.Strategy) (string, peer.Aggregate) {
+		search, e, _ := s.Build(func(f func(u int) peer.Router) peer.QueryEngine {
+			return flat.NewEngine(g, model, f)
+		})
+		if s.Warm {
+			routing.RunWorkload(stats.NewRNG(*seed+2), search, e, *warm)
+		}
+		return search.Name(), peer.Summarize(routing.RunWorkload(stats.NewRNG(*seed+1), search, e, *nq))
 	}
-	agg := peer.Summarize(routing.RunWorkload(stats.NewRNG(*seed+1), searcher, e, *nq))
+	_, floodAgg := measure(floodSt)
+	name, agg := measure(st)
 
 	t := metrics.NewTable(fmt.Sprintf("%s on %s (%d nodes, TTL %d, %d queries)",
-		searcher.Name(), *topology, *nodes, *ttl, *nq),
+		name, *topology, *nodes, *ttl, *nq),
 		"strategy", "success", "msgs/query", "dup/query", "hit hops", "nodes reached")
 	addRow := func(name string, a peer.Aggregate) {
 		t.AddRow(name, a.SuccessRate, fmt.Sprintf("%.0f", a.AvgMessages),
@@ -93,7 +101,7 @@ func main() {
 			fmt.Sprintf("%.0f", a.AvgReached))
 	}
 	addRow("flooding (baseline)", floodAgg)
-	addRow(searcher.Name(), agg)
+	addRow(name, agg)
 	fmt.Println(t.String())
 	if floodAgg.AvgMessages > 0 {
 		fmt.Printf("traffic vs flooding: %.1f%%\n", 100*agg.AvgMessages/floodAgg.AvgMessages)
@@ -121,8 +129,16 @@ func checkNodes(topology string, n int) error {
 
 // checkChaos rejects a drill setting below 1: -chaos hands -warm,
 // -queries and -ttl to the drill as they are (-warm 0 used to run 3 000
-// warm-up queries, -queries 0 500 per phase and -ttl 0 TTL 6).
-func checkChaos(warm, queries, ttl int) error {
+// warm-up queries, -queries 0 500 per phase and -ttl 0 TTL 6). It also
+// rejects -topology and -router among the flags set on the command line:
+// the drill runs its own deployments on the gnutella overlay, so neither
+// would take effect.
+func checkChaos(warm, queries, ttl int, set []string) error {
+	for _, name := range []string{"topology", "router"} {
+		if slices.Contains(set, name) {
+			return fmt.Errorf("-%s does not apply under -chaos: the drill runs its own deployments on the gnutella overlay", name)
+		}
+	}
 	for _, f := range []struct {
 		name string
 		v    int
@@ -158,40 +174,5 @@ func runChaos() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arqnet:", err)
 		os.Exit(1)
-	}
-}
-
-func buildSearcher(g *overlay.Graph, model *content.Model) (routing.Searcher, peer.QueryEngine, bool, error) {
-	mk := func(f func(u int) peer.Router) peer.QueryEngine { return flat.NewEngine(g, model, f) }
-	switch *router {
-	case "flood":
-		e := mk(func(u int) peer.Router { return routing.Flood{} })
-		return &routing.OneShot{Label: "flood", E: e, TTL: *ttl}, e, false, nil
-	case "expring":
-		e := mk(func(u int) peer.Router { return routing.Flood{} })
-		return &routing.ExpandingRing{E: e, Start: 1, Step: 2, Max: *ttl}, e, false, nil
-	case "kwalk":
-		wrng := stats.NewRNG(*seed + 3)
-		e := mk(func(u int) peer.Router { return &routing.RandomWalk{K: *walkers, RNG: wrng.Split()} })
-		return &routing.OneShot{Label: "k-walk", E: e, TTL: 1024}, e, false, nil
-	case "assoc":
-		as := routing.NewAssocs(g.N(), routing.DefaultAssocConfig())
-		e := mk(func(u int) peer.Router { return &as[u] })
-		return &routing.OneShot{Label: "assoc", E: e, TTL: *ttl}, e, true, nil
-	case "assoc2ph":
-		cfg := routing.DefaultAssocConfig()
-		cfg.Strict = true
-		as := routing.NewAssocs(g.N(), cfg)
-		e := mk(func(u int) peer.Router { return &as[u] })
-		return &routing.AssocTwoPhase{E: e, TTL: *ttl}, e, true, nil
-	case "ri":
-		idx := routing.BuildRoutingIndices(g, model.HostedCategories, 4, 2)
-		e := mk(func(u int) peer.Router { return idx[u] })
-		return &routing.OneShot{Label: "routing-index", E: e, TTL: *ttl}, e, false, nil
-	case "shortcuts":
-		e := mk(func(u int) peer.Router { return routing.Flood{} })
-		return routing.NewShortcuts(e, *ttl, 5, 10), e, true, nil
-	default:
-		return nil, nil, false, fmt.Errorf("arqnet: unknown router %q (valid: flood, expring, kwalk, assoc, assoc2ph, ri, shortcuts)", *router)
 	}
 }

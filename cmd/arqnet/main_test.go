@@ -32,14 +32,23 @@ func TestCheckNodes(t *testing.T) {
 }
 
 // A drill setting below 1 is refused under -chaos: -warm 0, -queries 0
-// and -ttl 0 used to run 3 000, 500 and 6 instead.
+// and -ttl 0 used to run 3 000, 500 and 6 instead. So is a -topology or
+// -router set on the command line, which the drill used to ignore.
 func TestCheckChaos(t *testing.T) {
-	if err := checkChaos(1, 1, 1); err != nil {
+	if err := checkChaos(1, 1, 1, nil); err != nil {
 		t.Errorf("checkChaos(1, 1, 1) = %v, want ok", err)
 	}
+	if err := checkChaos(1500, 300, 6, []string{"chaos", "nodes", "seed", "warm", "queries", "ttl"}); err != nil {
+		t.Errorf("checkChaos with every drill flag set = %v, want ok", err)
+	}
 	for _, c := range [][3]int{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}, {-1, 300, 6}, {1500, -5, 6}} {
-		if err := checkChaos(c[0], c[1], c[2]); err == nil {
+		if err := checkChaos(c[0], c[1], c[2], nil); err == nil {
 			t.Errorf("checkChaos%v = nil, want an error", c)
+		}
+	}
+	for _, set := range [][]string{{"chaos", "topology"}, {"chaos", "router"}, {"router", "chaos", "nodes"}} {
+		if err := checkChaos(1500, 300, 6, set); err == nil {
+			t.Errorf("checkChaos with %v set = nil, want an error", set)
 		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"arq/internal/core"
 	"arq/internal/peer"
 	"arq/internal/peer/flat"
-	"arq/internal/routing"
 	"arq/internal/scenario"
 	"arq/internal/sim"
 	"arq/internal/trace"
@@ -48,7 +47,7 @@ var (
 	everyN    = flag.Int("every", 10, "print every Nth block in report mode")
 
 	netMode   = flag.Bool("net", false, "run a message-level network simulation instead of the policy simulator")
-	netRouter = flag.String("router", "flood", "net: flood | assoc per-node router")
+	netRouter = flag.String("router", "flood", "net: a strategy of the catalogue (scenario.Strategies): flood | expanding-ring | kwalk-16 | routing-index | interest-shortcuts | assoc | assoc-two-phase")
 	netNodes  = flag.Int("nodes", 2000, "net: overlay size")
 	netTTL    = flag.Int("ttl", 7, "net: query TTL")
 	scenName  = flag.String("scenario", "", "run a preset scenario ("+strings.Join(scenario.Names(), ", ")+"): policy mode projects it onto the trace generator, -net drives the full dynamic workload (default baseline)")
@@ -138,10 +137,10 @@ func checkNetNodes(net bool, n int) error {
 }
 
 // runNet drives a preset scenario — dynamics, roles, top-k and all —
-// through the flat engine and the selected router via scenario.Runner,
-// -trials blocks of -block queries each, and prints the per-block series:
-// the network-level analogue of the policy report, produced by the same
-// sim harness.
+// through the flat engine and the selected strategy of the catalogue via
+// scenario.Runner, -trials blocks of -block queries each, and prints the
+// per-block series: the network-level analogue of the policy report,
+// produced by the same sim harness.
 func runNet() {
 	name := *scenName
 	if name == "" {
@@ -153,27 +152,16 @@ func runNet() {
 		os.Exit(2)
 	}
 	sc.Query.TTL = *netTTL
-	// routers gives the router each node starts with, rejoin the one a
-	// churned node comes back with.
-	var routers, rejoin func(u int) peer.Router
-	switch *netRouter {
-	case "flood":
-		routers = func(u int) peer.Router { return routing.Flood{} }
-		rejoin = routers
-	case "assoc":
-		as := routing.NewAssocs(sc.Nodes, routing.DefaultAssocConfig())
-		routers = func(u int) peer.Router { return &as[u] }
-		rejoin = func(u int) peer.Router {
-			as[u].Reset()
-			return &as[u]
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "arqsim: unknown net router %q (valid: flood, assoc)\n", *netRouter)
+	g, m := sc.Build()
+	st, err := scenario.StrategyByName(scenario.Strategies(g, m, sc.Query, sc.Seed), *netRouter)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "arqsim:", err)
 		os.Exit(2)
 	}
-	g, m := sc.Build()
-	eng := flat.NewEngine(g, m, routers)
-	search := &routing.OneShot{Label: *netRouter, E: eng, TTL: sc.Query.TTL, TopK: sc.Query.TopK, Stop: sc.Query.Stop}
+	// rejoin is the router a churned node comes back with.
+	search, eng, rejoin := st.Build(func(f func(u int) peer.Router) peer.QueryEngine {
+		return flat.NewEngine(g, m, f)
+	})
 	r := scenario.NewRunner(sc, g, m, eng, search, rejoin)
 	res := sim.RunBlocks(sc.Name+"/"+*netRouter, r, *trials, *blockSize)
 

@@ -43,6 +43,9 @@ var testOnly = map[string]string{
 	"internal/core.rules.Support":             "test observer: vantage's checkpoint tests read a restored rule's support",
 	"internal/obsv.Gauge.Value":               "test observer: transport, vantage, routing and fault tests read gauges",
 	"internal/routing.NewAssoc":               "test constructor: one router on its own; programs build a slab with NewAssocs",
+	"internal/content.Explicit":               "test constructor: hand-placed content that routing's, flat's, the oracle's and adapt's tests pin routes on; programs build a clustered model",
+	"internal/overlay.NewGraph":               "test constructor: hand-built lines and stars in routing's, flat's, the oracle's and adapt's tests; programs build through the generators",
+	"internal/overlay.Graph.M":                "test observer: flat's and the oracle's flood-count tests derive the message count from the edge count",
 	"internal/scenario.ClusterPlan.FreeRider": "test observer: scenario's plan test counts the marked nodes",
 	"internal/scenario.ClusterPlan.Owners":    "test observer: cluster's content-plan test checks every topic's two owners",
 	"internal/stats.Summary.N":                "test observer: sim's tests count a result's samples",
@@ -73,7 +76,6 @@ var testOnly = map[string]string{
 	"internal/content.RoleHub":       "no caller: as RoleBystander",
 	"internal/content.RoleProvider":  "no caller: as RoleBystander",
 	"internal/peer.StopAbsorb":       "no caller: the zero StopRule; flat's golden test names it",
-	"internal/fault.NewPartition":    "no caller: the partition injector runs in fault's and transport's tests only",
 }
 
 // staysDeleted is what simplicity PRs removed and a later PR must not
@@ -112,15 +114,21 @@ var staysDeleted = struct {
 		"internal/routing": {"AssocConfig.Publish", "AssocConfig.PublishEvery", "AssocConfig.StaleObs", "Assoc.PublishNow",
 			// One forwarding decision: every router learns under core.DefaultLearnerConfig.
 			"AssocConfig.Threshold", "AssocConfig.Decay", "AssocConfig.DecayEvery", "AssocConfig.Floor",
-			"assocHost", "assocNode"}, // trace.HostOf and trace.IDOf
+			"assocHost", "assocNode", // trace.HostOf and trace.IDOf
+			"Assoc.RuleCount"}, // a test observer, declared in routing's tests
 		"internal/obsv": {"Histogram.Quantile", "Registry.Reset", // no caller
 			// Instruments nobody reads: the last histogram went with them.
 			// A getter cannot come back without the type it returns.
 			"Histogram", "DurationBuckets", "SizeBuckets", "HistogramSnapshot", "Bucket", "Snapshot.Histograms"},
 		"internal/chaos": {"Config.StaleObs",
 			"RecoveryConfig", "Config.Fault", "recoveryArm"}, // one drill config; one warm-up per A/B
-		"internal/fault":   {"Local"},                               // one fault hook: nothing hands a frame to itself
+		"internal/fault": {"Local", // one fault hook: nothing hands a frame to itself
+			"Partition", "NewPartition", "Chain", "mPartDrops"}, // no program ran a partition (mPartDrops was fault.partition_drops); transport's test drops edges itself
 		"internal/cluster": {"Universe", "SearchString", "Library"}, // scenario.ClusterPlan{N: n} says it
+		// One workload driver: routing.RunWorkload with a routing.OneShot.
+		"internal/peer/flat":   {"Engine.Workload"},
+		"internal/peer/oracle": {"Engine.Workload"},
+		"internal/overlay":     {"Graph.DegreeStats"}, // a test observer, declared in overlay's tests
 	},
 	paths: []string{
 		"internal/report", "cmd/arqcheck", "BENCH_baseline.json", "BENCH_scale.json", // PR 16: one read-out per job
@@ -129,6 +137,10 @@ var staysDeleted = struct {
 		"internal/sim/net_test.go", // PR 25
 
 		"internal/routing/assoc_stale_test.go", // one publication path: no staleness fallback
+		"internal/fault/partition.go",          // no program ran a partition
+		// Examples that forked a golden-pinned arqbench section: network,
+		// fig4 and grid, rewire (its chain is adapt's TestRewireChainSavesAHop).
+		"examples/filesharing", "examples/adaptive", "examples/rewire",
 	},
 }
 

@@ -91,6 +91,21 @@ func (tb *testbed) engine(as []routing.Assoc) *flat.Engine {
 	return flat.NewEngine(tb.g, tb.model, func(u int) peer.Router { return &as[u] })
 }
 
+// run is the origin loop of both drills: n queries drawn from seed, each
+// one rule-phase attempt on e and, when strict, a flood reissue on a miss,
+// which answers the query and reteaches the rules along its hit path. It
+// returns how many queries the first attempt answered.
+func (tb *testbed) run(e *flat.Engine, seed uint64, n int, strict bool) (firstFound int) {
+	for _, j := range peer.DrawWorkload(stats.NewRNG(seed), tb.model, tb.cfg.Nodes, n) {
+		if e.RunQuery(j.Origin, j.Category, tb.cfg.TTL).Found {
+			firstFound++
+		} else if strict {
+			e.RunQueryPhase(j.Origin, j.Category, tb.cfg.TTL, true)
+		}
+	}
+	return firstFound
+}
+
 // CounterDelta is one counter's change over a phase.
 type CounterDelta struct {
 	Name  string
@@ -148,20 +163,14 @@ func (tb *testbed) soak() Result {
 	e := tb.engine(assocs)
 
 	// Clean warm-up teaches the rules.
-	e.Workload(stats.NewRNG(cfg.Seed+1), cfg.Warm, cfg.TTL)
+	tb.run(e, cfg.Seed+1, cfg.Warm, false)
 
 	measure := func(name string, wseed uint64) Phase {
 		before := watched()
-		all := e.Workload(stats.NewRNG(wseed), cfg.Queries, cfg.TTL)
+		found := tb.run(e, wseed, cfg.Queries, false)
 		after := watched()
 		p := Phase{Name: name}
-		succ := 0
-		for _, s := range all {
-			if s.Found {
-				succ++
-			}
-		}
-		p.Success = float64(succ) / float64(len(all))
+		p.Success = float64(found) / float64(cfg.Queries)
 		for cn, v := range after {
 			if d := v - before[cn]; d != 0 {
 				p.Counters = append(p.Counters, CounterDelta{cn, d})

@@ -31,7 +31,6 @@ import (
 	"strings"
 
 	"arq/internal/core"
-	"arq/internal/peer"
 	"arq/internal/peer/flat"
 	"arq/internal/routing"
 	"arq/internal/stats"
@@ -80,7 +79,7 @@ func (tb *testbed) recovery() (*RecoveryResult, error) {
 	acfg.Strict = true // paper deployment: drop uncovered, origin reissues
 	trained := routing.NewAssocs(cfg.Nodes, acfg)
 	e := tb.engine(trained)
-	tb.twoPhase(e, peer.DrawWorkload(stats.NewRNG(cfg.Seed+1), tb.model, cfg.Nodes, cfg.Warm))
+	tb.run(e, cfg.Seed+1, cfg.Warm, true)
 	pre := tb.window(e, cfg.Seed+2)
 
 	var crashed []int
@@ -130,26 +129,9 @@ func (tb *testbed) recovery() (*RecoveryResult, error) {
 	return res, nil
 }
 
-// twoPhase runs the strict deployment's origin-level loop on e: a rule
-// phase first, and on a miss a flood reissue — which both answers the
-// query and reteaches the rules along the hit path. Returns how many
-// queries the rule phase alone answered.
-func (tb *testbed) twoPhase(e *flat.Engine, jobs []peer.WorkloadJob) int {
-	phase1 := 0
-	for _, j := range jobs {
-		if st := e.RunQueryPhase(j.Origin, j.Category, tb.cfg.TTL, false); st.Found {
-			phase1++
-			continue
-		}
-		e.RunQueryPhase(j.Origin, j.Category, tb.cfg.TTL, true)
-	}
-	return phase1
-}
-
 // window is ρ over one Window of queries drawn from seed.
 func (tb *testbed) window(e *flat.Engine, seed uint64) float64 {
-	jobs := peer.DrawWorkload(stats.NewRNG(seed), tb.model, tb.cfg.Nodes, Window)
-	return float64(tb.twoPhase(e, jobs)) / Window
+	return float64(tb.run(e, seed, Window, true)) / Window
 }
 
 // format renders the A/B deterministically: no timings, floats at fixed

@@ -150,15 +150,6 @@ func (g *Graph) ensureConnected(rng *stats.RNG) int {
 	return added
 }
 
-// DegreeStats summarizes the degree distribution.
-func (g *Graph) DegreeStats() stats.Summary {
-	var s stats.Summary
-	for u := 0; u < g.N(); u++ {
-		s.Add(float64(g.Degree(u)))
-	}
-	return s
-}
-
 // String renders a short description.
 func (g *Graph) String() string {
 	return fmt.Sprintf("overlay{n=%d m=%d}", g.N(), g.M())

@@ -7,6 +7,15 @@ import (
 	"arq/internal/stats"
 )
 
+// DegreeStats summarizes the degree distribution.
+func (g *Graph) DegreeStats() stats.Summary {
+	var s stats.Summary
+	for u := 0; u < g.N(); u++ {
+		s.Add(float64(g.Degree(u)))
+	}
+	return s
+}
+
 func TestAddRemoveEdge(t *testing.T) {
 	g := NewGraph(4)
 	if !g.AddEdge(0, 1) || !g.AddEdge(1, 2) {

@@ -126,10 +126,11 @@ type WorkloadJob struct {
 }
 
 // DrawWorkload pre-draws nQueries jobs from rng in the canonical order
-// (origin, then category, per query). Every workload driver — the
-// engines' Workload methods and driver-level search strategies — draws
-// through this one function, so a fixed seed yields the same
-// (origin, category) list regardless of which engine replays it.
+// (origin, then category, per query). Every workload driver —
+// routing.RunWorkload, the chaos drills' origin loop and the tests that
+// replay a workload on two engines — draws through this one function, so
+// a fixed seed yields the same (origin, category) list regardless of
+// which engine replays it.
 func DrawWorkload(rng *stats.RNG, m *content.Model, n, nQueries int) []WorkloadJob {
 	jobs := make([]WorkloadJob, nQueries)
 	for i := range jobs {

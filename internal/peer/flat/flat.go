@@ -45,7 +45,6 @@ import (
 	"arq/internal/fault"
 	"arq/internal/overlay"
 	"arq/internal/peer"
-	"arq/internal/stats"
 	"arq/internal/trace"
 )
 
@@ -617,15 +616,4 @@ func (e *Engine) observeHits(x int32, meta peer.Meta, vias []int32) {
 	for _, via := range vias {
 		e.routers[x].ObserveHit(int(x), from, meta, int(via))
 	}
-}
-
-// Workload drives nQueries random queries through the engine, drawing
-// origins and categories in the canonical order (peer.DrawWorkload) so
-// a fixed seed yields the same query list as the oracle.
-func (e *Engine) Workload(rng *stats.RNG, nQueries, ttl int) []peer.Stats {
-	out := make([]peer.Stats, 0, nQueries)
-	for _, j := range peer.DrawWorkload(rng, e.content, e.Nodes(), nQueries) {
-		out = append(out, e.RunQuery(j.Origin, j.Category, ttl))
-	}
-	return out
 }

@@ -15,15 +15,9 @@ import (
 	"arq/internal/trace"
 )
 
-// faultEngine is what the fault tests need of an engine.
-type faultEngine interface {
-	peer.QueryEngine
-	Workload(rng *stats.RNG, nQueries, ttl int) []peer.Stats
-}
-
 // mkFaultEngine builds a flood engine with inj installed (nil leaves
 // the network perfect).
-type mkFaultEngine func(g *overlay.Graph, m *content.Model, inj fault.Injector) faultEngine
+type mkFaultEngine func(g *overlay.Graph, m *content.Model, inj fault.Injector) peer.QueryEngine
 
 // faultEngines is the table every test below runs over: the production
 // engine and the oracle it is pinned to.
@@ -31,12 +25,12 @@ var faultEngines = []struct {
 	name string
 	mk   mkFaultEngine
 }{
-	{"flat", func(g *overlay.Graph, m *content.Model, inj fault.Injector) faultEngine {
+	{"flat", func(g *overlay.Graph, m *content.Model, inj fault.Injector) peer.QueryEngine {
 		e := flat.NewEngine(g, m, func(u int) peer.Router { return routing.Flood{} })
 		e.Fault = inj
 		return e
 	}},
-	{"oracle", func(g *overlay.Graph, m *content.Model, inj fault.Injector) faultEngine {
+	{"oracle", func(g *overlay.Graph, m *content.Model, inj fault.Injector) peer.QueryEngine {
 		e := oracle.NewEngine(g, m, func(u int) peer.Router { return routing.Flood{} })
 		e.Fault = inj
 		return e
@@ -53,7 +47,8 @@ func faultWorkload(mk mkFaultEngine, seed uint64, cfg *fault.Config) []peer.Stat
 	if cfg != nil {
 		inj = fault.NewSeeded(*cfg)
 	}
-	return mk(g, m, inj).Workload(stats.NewRNG(seed+1), 200, 6)
+	e := mk(g, m, inj)
+	return routing.RunWorkload(stats.NewRNG(seed+1), &routing.OneShot{Label: "flood", E: e, TTL: 6}, e, 200)
 }
 
 // Identical seeds must give byte-identical stats series under injected

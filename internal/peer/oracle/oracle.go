@@ -13,7 +13,6 @@ import (
 	"arq/internal/fault"
 	"arq/internal/overlay"
 	"arq/internal/peer"
-	"arq/internal/stats"
 	"arq/internal/trace"
 )
 
@@ -268,16 +267,6 @@ func (e *Engine) propagateHit(meta peer.Meta, u, upstreamAtU int, parent map[int
 		node = up
 	}
 	return true
-}
-
-// Workload drives nQueries random queries through the engine: origins are
-// uniform, categories drawn from each origin's interest profile.
-func (e *Engine) Workload(rng *stats.RNG, nQueries, ttl int) []peer.Stats {
-	out := make([]peer.Stats, 0, nQueries)
-	for _, j := range peer.DrawWorkload(rng, e.Content, e.G.N(), nQueries) {
-		out = append(out, e.RunQuery(j.Origin, j.Category, ttl))
-	}
-	return out
 }
 
 // evalSpec is peer.EvalHostedSpec for the oracle engine, which resolves

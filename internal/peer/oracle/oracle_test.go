@@ -6,6 +6,7 @@ import (
 	"arq/internal/content"
 	"arq/internal/overlay"
 	"arq/internal/peer"
+	"arq/internal/routing"
 	"arq/internal/stats"
 	"arq/internal/trace"
 )
@@ -208,7 +209,7 @@ func TestWorkloadRuns(t *testing.T) {
 	g := overlay.Random(rng, 100, 4)
 	m := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
 	e := floodEngine(g, m)
-	all := e.Workload(stats.NewRNG(5), 50, 5)
+	all := routing.RunWorkload(stats.NewRNG(5), &routing.OneShot{Label: "flood", E: e, TTL: 5}, e, 50)
 	if len(all) != 50 {
 		t.Fatalf("workload size = %d", len(all))
 	}

@@ -365,12 +365,6 @@ func (a *Assoc) AdoptShortcut(v, w int32) {
 	})
 }
 
-// RuleCount reports the number of rules in the published snapshot (for
-// instrumentation).
-func (a *Assoc) RuleCount() int {
-	return a.learn.View().Len()
-}
-
 // Snapshot publishes the learner's current rules and returns them — the
 // immutable state a checkpoint persists (core.RuleSnapshot.Marshal) and a
 // warm restart feeds back through Restore. It publishes rather than

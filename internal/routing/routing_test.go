@@ -12,6 +12,11 @@ import (
 	"arq/internal/trace"
 )
 
+// RuleCount reports the number of rules in the published snapshot.
+func (a *Assoc) RuleCount() int {
+	return a.learn.View().Len()
+}
+
 func lineGraph(n int) *overlay.Graph {
 	g := overlay.NewGraph(n)
 	for i := 1; i < n; i++ {

@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"fmt"
+	"strings"
+
 	"arq/internal/content"
 	"arq/internal/overlay"
 	"arq/internal/peer"
@@ -67,6 +70,19 @@ func Strategies(g *overlay.Graph, m *content.Model, spec peer.QuerySpec, seed ui
 			return &routing.AssocTwoPhase{E: e, TTL: spec.TTL, TopK: spec.TopK, Stop: spec.Stop}, e, rejoin
 		}},
 	}
+}
+
+// StrategyByName returns the strategy of strats called name; the error
+// for an unknown name lists the valid ones.
+func StrategyByName(strats []Strategy, name string) (Strategy, error) {
+	names := make([]string, len(strats))
+	for i, st := range strats {
+		if st.Name == name {
+			return st, nil
+		}
+		names[i] = st.Name
+	}
+	return Strategy{}, fmt.Errorf("unknown router %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // assocEngine builds an engine over one slab of association routers, node

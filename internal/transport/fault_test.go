@@ -128,13 +128,20 @@ func TestFaultDuplicateAndCorruptAtSocket(t *testing.T) {
 	}
 }
 
-// A fault.Partition at the socket boundary: data frames cross edges
-// inside a group and die on edges between groups. Dial and handshake
-// are not subject to the injector — a partition severs traffic, not
-// TCP — so the overlay holds its sockets and heals when the partition
-// lifts.
+// edgeDrop drops every data frame on the listed directed edges and
+// passes all others: a network partition as the injector sees it.
+type edgeDrop map[[2]int]bool
+
+func (d edgeDrop) OnSend(from, to int) fault.Fate { return fault.Fate{Drop: d[[2]int{from, to}]} }
+func (edgeDrop) Down(int) bool                    { return false }
+func (edgeDrop) Tick()                            {}
+
+// A partition at the socket boundary: data frames cross edges inside a
+// group and die on edges between groups. Dial and handshake are not
+// subject to the injector — a partition severs traffic, not TCP — so the
+// overlay holds its sockets and heals when the partition lifts.
 func TestPartitionAtSocket(t *testing.T) {
-	part := fault.NewPartition([]int{1, 2}) // node 3 is implicit group 0
+	part := edgeDrop{{1, 3}: true} // nodes 1 and 2 on one side, 3 on the other
 	gotSame := &collect{}
 	gotOther := &collect{}
 	same := listen(t, Options{NodeID: 2, Handler: gotSame.handle})
@@ -148,15 +155,15 @@ func TestPartitionAtSocket(t *testing.T) {
 	if err != nil {
 		t.Fatal("dial across partition must still connect:", err)
 	}
-	pd0 := obsv.GetCounter("fault.partition_drops").Value()
+	drops0 := obsv.GetCounter("transport.fault_drops").Value()
 	const n = 15
 	for i := 0; i < n; i++ {
 		cSame.Send(queryMsg(byte(i)))
 		cOther.Send(queryMsg(byte(i)))
 	}
 	waitFor(t, 2*time.Second, func() bool { return gotSame.count() == n }, "in-group frames")
-	if d := obsv.GetCounter("fault.partition_drops").Value() - pd0; d != n {
-		t.Fatalf("partition_drops = %d, want %d", d, n)
+	if d := obsv.GetCounter("transport.fault_drops").Value() - drops0; d != n {
+		t.Fatalf("fault_drops = %d, want %d", d, n)
 	}
 	if gotOther.count() != 0 {
 		t.Fatalf("%d frames crossed the partition", gotOther.count())
