@@ -3,7 +3,7 @@
 // per-block coverage and success series.
 //
 // The trace comes either from the built-in calibrated generator or from a
-// JSONL pair file produced by arqtrace:
+// JSONL file produced by arqtrace, pairs or a raw capture to join:
 //
 //	arqsim -policy sliding -trials 365
 //	arqsim -policy adaptive -window 50 -threshold 10
@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"arq/internal/core"
+	"arq/internal/db"
 	"arq/internal/peer"
 	"arq/internal/peer/flat"
 	"arq/internal/scenario"
@@ -42,7 +43,7 @@ var (
 	interval  = flag.Int("interval", 10, "lazy: blocks between regenerations")
 	window    = flag.Int("window", 10, "adaptive: previous values used for thresholds")
 	initThr   = flag.Float64("init", 0.7, "adaptive: initial coverage/success threshold")
-	traceFile = flag.String("trace", "", "JSONL trace of pairs (default: built-in generator)")
+	traceFile = flag.String("trace", "", "JSONL trace of pairs, or a raw capture to join (default: built-in generator)")
 	csvOut    = flag.Bool("csv", false, "emit per-block CSV instead of a report")
 	everyN    = flag.Int("every", 10, "print every Nth block in report mode")
 
@@ -222,9 +223,14 @@ func buildSource() (trace.Source, error) {
 		return nil, err
 	}
 	defer f.Close()
-	_, _, pairs, err := trace.ReadAll(f)
+	qs, rs, pairs, err := trace.ReadAll(f)
 	if err != nil {
 		return nil, err
+	}
+	if len(pairs) == 0 {
+		// A raw capture (arqtrace -raw): join it as §IV-A does.
+		imp, _ := db.Import(qs, rs) // the error is always nil
+		pairs = imp.PairSlice()
 	}
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("arqsim: %s holds no query-reply pairs", *traceFile)

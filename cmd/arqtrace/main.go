@@ -3,7 +3,7 @@
 // pipeline's cleaning statistics.
 //
 //	arqtrace -pairs 100000 -out pairs.jsonl       # pair stream for arqsim
-//	arqtrace -raw -queries 500000 -out capture.jsonl  # raw capture (queries+replies)
+//	arqtrace -raw -queries 500000 -out capture.jsonl  # raw capture (queries+replies), also read by arqsim
 //	arqtrace -raw -queries 500000 -stats          # just the §IV-A style counts
 package main
 
@@ -28,6 +28,29 @@ var (
 
 func main() {
 	flag.Parse()
+	if err := checkCounts(*pairs, *queries); err != nil {
+		fmt.Fprintln(os.Stderr, "arqtrace:", err)
+		os.Exit(2)
+	}
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// checkCounts rejects a pair or query count below 1: -queries -5 used to
+// panic sizing the capture, and -pairs -3 reported "wrote -3 pairs".
+func checkCounts(pairs, queries int) error {
+	if pairs < 1 {
+		return fmt.Errorf("-pairs must be at least 1, got %d", pairs)
+	}
+	if queries < 1 {
+		return fmt.Errorf("-queries must be at least 1, got %d", queries)
+	}
+	return nil
+}
+
+func run() error {
 	cfg := tracegen.PaperProfile()
 	cfg.Seed = *seed
 	g := tracegen.New(cfg)
@@ -36,8 +59,7 @@ func main() {
 	if *out != "" && !*stats {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		w = f
@@ -47,24 +69,21 @@ func main() {
 		tw := trace.NewWriter(w)
 		for i := 0; i < *pairs; i++ {
 			if err := tw.WritePair(g.NextPair()); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 		}
 		if err := tw.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d pairs\n", *pairs)
-		return
+		return nil
 	}
 
 	qs, rs := g.GenerateRaw(*queries)
 	if *stats {
 		imp, err := db.Import(qs, rs)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		s := imp.Stats
 		fmt.Printf("raw queries:             %d\n", s.RawQueries)
@@ -73,33 +92,30 @@ func main() {
 		fmt.Printf("raw replies:             %d\n", s.RawReplies)
 		fmt.Printf("replies without query:   %d\n", s.UnmatchedReplies)
 		fmt.Printf("query-reply pairs:       %d\n", s.Pairs)
-		return
+		return nil
 	}
 	tw := trace.NewWriter(w)
 	ri := 0
 	for _, q := range qs {
 		if err := tw.WriteQuery(q); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		// Interleave replies in arrival order relative to queries.
 		for ri < len(rs) && rs[ri].Time <= q.Time+1 && rs[ri].GUID <= q.GUID {
 			if err := tw.WriteReply(rs[ri]); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			ri++
 		}
 	}
 	for ; ri < len(rs); ri++ {
 		if err := tw.WriteReply(rs[ri]); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
 	if err := tw.Flush(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d queries and %d replies\n", len(qs), len(rs))
+	return nil
 }

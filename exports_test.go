@@ -98,7 +98,8 @@ var staysDeleted = struct {
 			"RuleSnapshot.Run"}, // one forwarding decision: runs are read through Forward
 		"internal/trace": {"Dedup", "Join", // one import pipeline
 			"WritePairs", "SliceSource.Reset", // no caller left
-			"Reader"}, // unexported: ReadAll is its one user
+			"Reader",                            // unexported: ReadAll is its one user
+			"Pair.QueryTime", "Pair.ReplyTime"}, // no reader: the times stay on Query and Reply
 		"internal/vantage": {"RuleConfig", "DefaultRuleConfig", // one servent configuration
 			"ruleTopK", "connHost", "nodeHost", // one forwarding decision: core.DefaultTopK, trace.HostOf
 			"Options.Fault"}, // one fault hook: transport.Options.Fault, through Options.Net

@@ -33,8 +33,7 @@ func bruteImport(queries []trace.Query, replies []trace.Reply) ([]trace.Pair, Im
 		}
 		q := queries[i]
 		pairs = append(pairs, trace.Pair{
-			GUID: r.GUID, Source: q.Source, Replier: r.From,
-			Interest: q.Interest, QueryTime: q.Time, ReplyTime: r.Time,
+			GUID: r.GUID, Source: q.Source, Replier: r.From, Interest: q.Interest,
 		})
 	}
 	st.Pairs = len(pairs)
@@ -137,9 +136,9 @@ func TestImportPairsInReplyOrder(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 unmatched and 3 pairs", imp.Stats)
 	}
 	want := []trace.Pair{
-		{GUID: 2, Source: 11, Replier: 20, Interest: 4, QueryTime: 6, ReplyTime: 8},
-		{GUID: 1, Source: 10, Replier: 21, Interest: 3, QueryTime: 5, ReplyTime: 9},
-		{GUID: 1, Source: 10, Replier: 23, Interest: 3, QueryTime: 5, ReplyTime: 11},
+		{GUID: 2, Source: 11, Replier: 20, Interest: 4},
+		{GUID: 1, Source: 10, Replier: 21, Interest: 3},
+		{GUID: 1, Source: 10, Replier: 23, Interest: 3},
 	}
 	if got := imp.PairSlice(); !slices.Equal(got, want) {
 		t.Fatalf("pairs = %+v\nwant    %+v", got, want)

@@ -45,14 +45,7 @@ func Import(queries []trace.Query, replies []trace.Reply) (*Importer, error) {
 			continue
 		}
 		q := &queries[i]
-		pairs = append(pairs, trace.Pair{
-			GUID:      r.GUID,
-			Source:    q.Source,
-			Replier:   r.From,
-			Interest:  q.Interest,
-			QueryTime: q.Time,
-			ReplyTime: r.Time,
-		})
+		pairs = append(pairs, trace.Pair{GUID: r.GUID, Source: q.Source, Replier: r.From, Interest: q.Interest})
 	}
 	return &Importer{pairs: pairs, Stats: ImportStats{
 		RawQueries:       len(queries),

@@ -48,76 +48,34 @@ func (w *Writer) WritePair(p Pair) error {
 // Flush writes any buffered records to the underlying writer.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// reader decodes trace records written by Writer.
-type reader struct {
-	sc   *bufio.Scanner
-	line int
-}
-
-// newReader returns a reader on r.
-func newReader(r io.Reader) *reader {
-	sc := bufio.NewScanner(r)
+// ReadAll decodes an entire stream into its queries, replies, and pairs.
+func ReadAll(rd io.Reader) (qs []Query, rs []Reply, ps []Pair, err error) {
+	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	return &reader{sc: sc}
-}
-
-// next decodes the next record, returning exactly one non-nil pointer among
-// the three, or io.EOF at end of input.
-func (r *reader) next() (*Query, *Reply, *Pair, error) {
-	for r.sc.Scan() {
-		r.line++
-		raw := r.sc.Bytes()
+	for line := 1; sc.Scan(); line++ {
+		raw := sc.Bytes()
 		if len(raw) == 0 {
 			continue
 		}
 		var rec taggedRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, nil, nil, fmt.Errorf("trace: line %d: %w", r.line, err)
-		}
-		switch rec.Kind {
-		case "q":
-			if rec.Query == nil {
-				return nil, nil, nil, fmt.Errorf("trace: line %d: kind q without query", r.line)
-			}
-			return rec.Query, nil, nil, nil
-		case "r":
-			if rec.Reply == nil {
-				return nil, nil, nil, fmt.Errorf("trace: line %d: kind r without reply", r.line)
-			}
-			return nil, rec.Reply, nil, nil
-		case "p":
-			if rec.Pair == nil {
-				return nil, nil, nil, fmt.Errorf("trace: line %d: kind p without pair", r.line)
-			}
-			return nil, nil, rec.Pair, nil
-		default:
-			return nil, nil, nil, fmt.Errorf("trace: line %d: unknown kind %q", r.line, rec.Kind)
-		}
-	}
-	if err := r.sc.Err(); err != nil {
-		return nil, nil, nil, err
-	}
-	return nil, nil, nil, io.EOF
-}
-
-// ReadAll decodes an entire stream into its queries, replies, and pairs.
-func ReadAll(rd io.Reader) (qs []Query, rs []Reply, ps []Pair, err error) {
-	r := newReader(rd)
-	for {
-		q, rp, p, err := r.next()
-		if err == io.EOF {
-			return qs, rs, ps, nil
-		}
-		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
 		switch {
-		case q != nil:
-			qs = append(qs, *q)
-		case rp != nil:
-			rs = append(rs, *rp)
-		case p != nil:
-			ps = append(ps, *p)
+		case rec.Kind == "q" && rec.Query != nil:
+			qs = append(qs, *rec.Query)
+		case rec.Kind == "r" && rec.Reply != nil:
+			rs = append(rs, *rec.Reply)
+		case rec.Kind == "p" && rec.Pair != nil:
+			ps = append(ps, *rec.Pair)
+		case rec.Kind == "q" || rec.Kind == "r" || rec.Kind == "p":
+			return nil, nil, nil, fmt.Errorf("trace: line %d: kind %s without its record", line, rec.Kind)
+		default:
+			return nil, nil, nil, fmt.Errorf("trace: line %d: unknown kind %q", line, rec.Kind)
 		}
 	}
+	if err := sc.Err(); err != nil {
+		return nil, nil, nil, err
+	}
+	return qs, rs, ps, nil
 }

@@ -68,14 +68,13 @@ type Reply struct {
 // Pair is the join of a query with a reply to it — the unit the paper's
 // simulator operates on ("blocks" are runs of consecutive pairs). Source is
 // the antecedent candidate and Replier the consequent candidate for rule
-// generation.
+// generation. It carries no times (they stay on the Query and Reply), so a
+// pair is 24 bytes; an older file's "qt"/"rt" keys decode to nothing.
 type Pair struct {
-	GUID      GUID       `json:"guid"`
-	Source    HostID     `json:"src"`
-	Replier   HostID     `json:"replier"`
-	Interest  InterestID `json:"interest"`
-	QueryTime int64      `json:"qt"`
-	ReplyTime int64      `json:"rt"`
+	GUID     GUID       `json:"guid"`
+	Source   HostID     `json:"src"`
+	Replier  HostID     `json:"replier"`
+	Interest InterestID `json:"interest"`
 }
 
 // Block is a fixed-size run of consecutive query–reply pairs. The default

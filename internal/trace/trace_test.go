@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func mkPairs(n int) []Pair {
@@ -69,7 +70,7 @@ func TestRoundTripIO(t *testing.T) {
 	w := NewWriter(&buf)
 	q := Query{GUID: 7, Time: 1, Source: 2, Interest: 3, Text: "free software"}
 	r := Reply{GUID: 7, Time: 2, From: 4, Host: 5, Filename: "gcc.tar.gz"}
-	p := Pair{GUID: 7, Source: 2, Replier: 4, Interest: 3, QueryTime: 1, ReplyTime: 2}
+	p := Pair{GUID: 7, Source: 2, Replier: 4, Interest: 3}
 	if err := w.WriteQuery(q); err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +96,40 @@ func TestRoundTripIO(t *testing.T) {
 	}
 	if len(ps) != 1 || ps[0] != p {
 		t.Fatalf("pair round trip: %+v", ps)
+	}
+}
+
+// TestPairSize pins a pair at 24 bytes: the mined log is held as pairs,
+// every block a policy step streams through is a run of them, and a field
+// added to Pair multiplies into every one of them.
+func TestPairSize(t *testing.T) {
+	if size := unsafe.Sizeof(Pair{}); size != 24 {
+		t.Errorf("a Pair is %d bytes, want 24", size)
+	}
+}
+
+// A pair line written before pairs lost their times still decodes, to the
+// same pair without them, and a pair is written without those keys.
+func TestPairWithTimesStillReads(t *testing.T) {
+	old := `{"k":"p","p":{"guid":7,"src":2,"replier":4,"interest":3,"qt":1,"rt":2}}` + "\n"
+	_, _, ps, err := ReadAll(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Pair{GUID: 7, Source: 2, Replier: 4, Interest: 3}
+	if len(ps) != 1 || ps[0] != want {
+		t.Fatalf("old pair line decoded to %+v, want %+v", ps, want)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.WritePair(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != `{"k":"p","p":{"guid":7,"src":2,"replier":4,"interest":3}}`+"\n" {
+		t.Fatalf("WritePair wrote %q", got)
 	}
 }
 

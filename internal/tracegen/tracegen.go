@@ -346,16 +346,8 @@ func (g *Generator) NextPair() trace.Pair {
 	guid := g.nextGUID
 	g.nextGUID++
 	replier := g.drawReplier(interest)
-	t := g.pairCounter
 	g.pairCounter++
-	return trace.Pair{
-		GUID:      guid,
-		Source:    src,
-		Replier:   replier,
-		Interest:  interest,
-		QueryTime: t,
-		ReplyTime: t + 1,
-	}
+	return trace.Pair{GUID: guid, Source: src, Replier: replier, Interest: interest}
 }
 
 // shock forcibly replaces frac of the neighbor slots (all of them when

@@ -102,26 +102,31 @@ func TestPairsWellFormed(t *testing.T) {
 		if p.Interest < 0 || int(p.Interest) >= g.cfg.Interests {
 			t.Fatalf("interest out of range: %+v", p)
 		}
-		if p.ReplyTime <= p.QueryTime {
-			t.Fatalf("reply not after query: %+v", p)
+	}
+	// Times live on the raw capture: every reply comes after the query
+	// its GUID names (the first use of a reused GUID is earlier still).
+	qs, rs := New(smallConfig(5)).GenerateRaw(20_000)
+	first := map[trace.GUID]int64{}
+	for _, q := range qs {
+		if _, dup := first[q.GUID]; !dup {
+			first[q.GUID] = q.Time
+		}
+	}
+	for _, r := range rs {
+		if qt, ok := first[r.GUID]; !ok || r.Time <= qt {
+			t.Fatalf("reply not after query: %+v (query at %d, seen %v)", r, qt, ok)
 		}
 	}
 }
 
 func TestTimeMonotone(t *testing.T) {
-	g := New(smallConfig(6))
+	qs, _ := New(smallConfig(6)).GenerateRaw(20_000)
 	last := int64(-1)
-	for {
-		b, ok := g.Next()
-		if !ok {
-			break
+	for _, q := range qs {
+		if q.Time < last {
+			t.Fatalf("query time went backwards: %d after %d", q.Time, last)
 		}
-		for _, p := range b {
-			if p.QueryTime < last {
-				t.Fatalf("query time went backwards: %d after %d", p.QueryTime, last)
-			}
-			last = p.QueryTime
-		}
+		last = q.Time
 	}
 }
 
