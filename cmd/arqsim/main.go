@@ -232,8 +232,19 @@ func buildSource() (trace.Source, error) {
 		imp, _ := db.Import(qs, rs) // the error is always nil
 		pairs = imp.PairSlice()
 	}
-	if len(pairs) == 0 {
-		return nil, fmt.Errorf("arqsim: %s holds no query-reply pairs", *traceFile)
+	if err := checkTraceSize(len(pairs), *blockSize); err != nil {
+		fmt.Fprintf(os.Stderr, "arqsim: %s: %v\n", *traceFile, err)
+		os.Exit(2)
 	}
 	return trace.NewSliceSource(pairs, *blockSize), nil
+}
+
+// checkTraceSize refuses a trace that fills at most one block: the first
+// block is every policy's warm-up, so no block would be tested (such a
+// run used to print trials=0 and avg=0.000 and exit 0).
+func checkTraceSize(pairs, block int) error {
+	if pairs <= block {
+		return fmt.Errorf("%d query-reply pairs fill at most one -block of %d, the warm-up: no block would be tested", pairs, block)
+	}
+	return nil
 }

@@ -57,3 +57,23 @@ func TestCheckNetNodes(t *testing.T) {
 		t.Fatalf("the baseline scenario at %d nodes built %d", minNetNodes, g.N())
 	}
 }
+
+// A trace that fills at most one block is refused: the first block is
+// every policy's warm-up, and a 6 131-pair capture at the default -block
+// 10000 used to print trials=0 and avg=0.000 with exit 0.
+func TestCheckTraceSize(t *testing.T) {
+	for _, c := range []struct {
+		pairs, block int
+		ok           bool
+	}{
+		{6131, 10000, false},
+		{10000, 10000, false},
+		{0, 500, false},
+		{10001, 10000, true},
+		{20000, 500, true},
+	} {
+		if err := checkTraceSize(c.pairs, c.block); (err == nil) != c.ok {
+			t.Errorf("checkTraceSize(pairs %d, block %d) = %v, want ok %v", c.pairs, c.block, err, c.ok)
+		}
+	}
+}

@@ -23,12 +23,12 @@ var (
 	raw     = flag.Bool("raw", false, "generate a raw capture (queries and replies) instead of pairs")
 	queries = flag.Int("queries", 500_000, "queries to generate (raw mode)")
 	seed    = flag.Uint64("seed", 1, "generator seed")
-	stats   = flag.Bool("stats", false, "raw mode: run the import pipeline and print its statistics only")
+	stats   = flag.Bool("stats", false, "with -raw: run the import pipeline and print its statistics only")
 )
 
 func main() {
 	flag.Parse()
-	if err := checkCounts(*pairs, *queries); err != nil {
+	if err := checkCounts(*pairs, *queries, *raw, *stats); err != nil {
 		fmt.Fprintln(os.Stderr, "arqtrace:", err)
 		os.Exit(2)
 	}
@@ -38,14 +38,19 @@ func main() {
 	}
 }
 
-// checkCounts rejects a pair or query count below 1: -queries -5 used to
-// panic sizing the capture, and -pairs -3 reported "wrote -3 pairs".
-func checkCounts(pairs, queries int) error {
+// checkCounts rejects a pair or query count below 1, and -stats without
+// -raw: -queries -5 used to panic sizing the capture, -pairs -3 reported
+// "wrote -3 pairs", and -stats, which means something only for a raw
+// capture, wrote the pair stream to stdout and ignored -out.
+func checkCounts(pairs, queries int, raw, stats bool) error {
 	if pairs < 1 {
 		return fmt.Errorf("-pairs must be at least 1, got %d", pairs)
 	}
 	if queries < 1 {
 		return fmt.Errorf("-queries must be at least 1, got %d", queries)
+	}
+	if stats && !raw {
+		return fmt.Errorf("-stats reports on a raw capture and needs -raw")
 	}
 	return nil
 }

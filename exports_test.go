@@ -75,7 +75,6 @@ var testOnly = map[string]string{
 	"internal/content.RoleClient":    "no caller: as RoleBystander",
 	"internal/content.RoleHub":       "no caller: as RoleBystander",
 	"internal/content.RoleProvider":  "no caller: as RoleBystander",
-	"internal/peer.StopAbsorb":       "no caller: the zero StopRule; flat's golden test names it",
 }
 
 // staysDeleted is what simplicity PRs removed and a later PR must not
@@ -86,16 +85,18 @@ var staysDeleted = struct {
 	paths []string
 }{
 	names: map[string][]string{
-		"internal/peer":   {"NewActorNet", "Engine", "NewEngine"}, // PR 15: one production engine; PR 25: the oracle is peer/oracle
-		"internal/db":     {"NewTable", "MustTable", "EquiJoin"},  // PR 18
-		"internal/stream": {"FlatCountTable", "NewCountTable"},    // PR 14, 20, 21: one count store
+		"internal/peer": {"NewActorNet", "Engine", "NewEngine", // PR 15: one production engine; PR 25: the oracle is peer/oracle
+			"StopRule", "StopAbsorb", "StopAtHit", "QuerySpec.Stop"}, // one top-k stop rule: every hit prunes its subtree
+		"internal/db":     {"NewTable", "MustTable", "EquiJoin"}, // PR 18
+		"internal/stream": {"FlatCountTable", "NewCountTable"},   // PR 14, 20, 21: one count store
 		"internal/core": {"Wide", "Merge", "Diff", "ShardedPairIndex", "ObsBatch", // PR 14, 18
 			"ExtRuleSet", "GenerateExtRuleSet", "SlidingExt", "GenOptions", "RuleView", "EvaluateBlock", "Rule", // PR 23: one rule table
 			"PublishOnChange", // one servent configuration
 			// One publication path: a learner always serves what it learned.
 			"Publisher", "PublisherConfig", "PublishPolicy", "PublishSync", "PublishEpoch",
 			"LearnerConfig.Publish", "Learner.Lag", "Learner.Stale",
-			"RuleSnapshot.Run"}, // one forwarding decision: runs are read through Forward
+			"RuleSnapshot.Run",                  // one forwarding decision: runs are read through Forward
+			"newDecayIndex", "Learner.version"}, // a learner is its counts and its snapshot
 		"internal/trace": {"Dedup", "Join", // one import pipeline
 			"WritePairs", "SliceSource.Reset", // no caller left
 			"Reader",                            // unexported: ReadAll is its one user
@@ -116,7 +117,9 @@ var staysDeleted = struct {
 			// One forwarding decision: every router learns under core.DefaultLearnerConfig.
 			"AssocConfig.Threshold", "AssocConfig.Decay", "AssocConfig.DecayEvery", "AssocConfig.Floor",
 			"assocHost", "assocNode", // trace.HostOf and trace.IDOf
-			"Assoc.RuleCount"}, // a test observer, declared in routing's tests
+			"Assoc.RuleCount", // a test observer, declared in routing's tests
+			// One top-k stop rule: QuerySpec.TopK alone.
+			"OneShot.Stop", "ExpandingRing.Stop", "AssocTwoPhase.Stop", "Shortcuts.Stop"},
 		"internal/obsv": {"Histogram.Quantile", "Registry.Reset", // no caller
 			// Instruments nobody reads: the last histogram went with them.
 			// A getter cannot come back without the type it returns.

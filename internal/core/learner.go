@@ -60,23 +60,23 @@ func (c *LearnerConfig) repair() {
 	}
 }
 
-// Learner owns a decay-mode PairIndex, the snapshot it serves from it,
-// and the mutex that guards the index: every read or write of the index
-// (Observe, Update, Publish, Restore) happens under that one mutex, so
-// callers may use a Learner from any number of goroutines. The serve-side
+// Learner owns a PairIndex it adds to and decays, the snapshot it serves
+// from it, and the mutex that guards the index: every read or write of
+// the index (Observe, Update, Publish, Restore) happens under that one
+// mutex, so callers may use a Learner from any number of goroutines. The serve-side
 // accessors (View, Version) take no lock. A learner always serves what it
 // learned: every call that changes the index publishes what routing reads
 // of it before it returns (see observeRun).
 //
-// Index, count tables and served snapshot are all held by value, so a
-// learner is one object, and one word of it (the served snapshot's
-// pointer, first) is all a routing decision reads. A Learner must not be
-// copied once initialised; an overlay keeps its learners in one slice and
-// initialises each in place.
+// Index, count table and served snapshot are all held by value, so a
+// learner is one object of 96 bytes, and one word of it (the served
+// snapshot's pointer, first) is all a routing decision reads. The served
+// snapshot also carries the publish version: the next publish is its
+// version plus one. A Learner must not be copied once initialised; an
+// overlay keeps its learners in one slice and initialises each in place.
 type Learner struct {
-	cur     atomic.Pointer[RuleSnapshot]
-	cfg     *LearnerConfig
-	version uint64 // of the last publish; only the index's writer touches it
+	cur atomic.Pointer[RuleSnapshot]
+	cfg *LearnerConfig
 
 	mu   sync.Mutex
 	seen int
@@ -90,19 +90,19 @@ type Learner struct {
 func (l *Learner) Init(cfg *LearnerConfig) {
 	cfg.repair()
 	l.cfg = cfg
-	l.idx.threshold = cfg.Threshold
 	l.cur.Store(emptySnapshot)
 }
 
 // CloneFrom makes l, a zero Learner nothing else is using, an
-// independent copy of src as of now: src's index, count tables copied
-// slot for slot, and its publish version, read under src's mutex. The
-// config and the served snapshot are immutable, so both are shared.
+// independent copy of src as of now: src's index, its count table copied
+// slot for slot, read under src's mutex. The config and the served
+// snapshot, which carries the publish version, are immutable, so both
+// are shared.
 // From here on each learns, decays and publishes without the other.
 func (l *Learner) CloneFrom(src *Learner) {
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	l.cfg, l.version, l.seen = src.cfg, src.version, src.seen
+	l.cfg, l.seen = src.cfg, src.seen
 	l.idx = src.idx.clone()
 	l.cur.Store(src.cur.Load())
 }
@@ -132,7 +132,7 @@ func (l *Learner) Observe(src trace.HostID, reps []trace.HostID) {
 	decayed := false
 	var now float64
 	for _, rep := range reps {
-		_, now = l.idx.addPair(src, rep)
+		now = l.idx.add(src, rep, 1)
 		l.seen++
 		if l.cfg.DecayEvery > 0 && l.seen%l.cfg.DecayEvery == 0 {
 			l.idx.decay(l.cfg.Decay, l.cfg.Floor)

@@ -49,20 +49,20 @@ func TestLearnerMatchesRebuild(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := LearnerConfig{Threshold: 2, Decay: 0.5, DecayEvery: tc.decayEvery, Floor: 0.25}
 			l := NewLearner(cfg)
-			refIdx := newDecayIndex(cfg.Threshold)
+			refIdx := NewPairIndex()
 
 			rng := stats.NewRNG(7)
 			var last uint64
 			for step := 1; step <= 8000; step++ {
 				src, rep := trace.HostID(rng.Intn(6)), trace.HostID(1+rng.Intn(8))
 				observe(l, src, rep)
-				refIdx.addPair(src, rep)
+				refIdx.add(src, rep, 1)
 				decayed := tc.decayEvery > 0 && step%tc.decayEvery == 0
 				if decayed {
 					refIdx.decay(cfg.Decay, cfg.Floor)
 				}
 
-				got, want := l.View(), rebuild(refIdx)
+				got, want := l.View(), rebuild(refIdx, cfg.Threshold)
 				if !sameOrder(got, want) || got.version < last {
 					t.Fatalf("step %d: learner serves v%d %v after v%d, rebuild gives %v",
 						step, got.version, got.rules, last, want.rules)
@@ -77,7 +77,7 @@ func TestLearnerMatchesRebuild(t *testing.T) {
 			}
 
 			p := l.Publish()
-			if want := rebuild(refIdx); p.version <= last || l.View() != p || !slices.Equal(p.rules, want.rules) {
+			if want := rebuild(refIdx, cfg.Threshold); p.version <= last || l.View() != p || !slices.Equal(p.rules, want.rules) {
 				t.Fatalf("Publish gave v%d (was v%d) %v, rebuild gives %v", p.version, last, p.rules, want.rules)
 			}
 			before := p.Version()
@@ -104,8 +104,8 @@ func TestLearnerLayout(t *testing.T) {
 	if off := unsafe.Offsetof(l.cur); off != 0 {
 		t.Errorf("the served snapshot's pointer is at offset %d of a Learner, want 0", off)
 	}
-	if size := unsafe.Sizeof(l); size > 184 {
-		t.Errorf("a Learner is %d bytes, ceiling 184", size)
+	if size := unsafe.Sizeof(l); size > 96 {
+		t.Errorf("a Learner is %d bytes, ceiling 96", size)
 	}
 }
 
@@ -154,7 +154,7 @@ func FuzzLearnerServe(f *testing.F) {
 	f.Fuzz(func(t *testing.T, decayEvery uint8, ops []byte) {
 		cfg := LearnerConfig{Threshold: 2, Decay: 0.5, DecayEvery: int(decayEvery % 8), Floor: 0.25}
 		l := NewLearner(cfg)
-		refIdx := newDecayIndex(cfg.Threshold)
+		refIdx := NewPairIndex()
 
 		type served struct {
 			snap *RuleSnapshot
@@ -169,7 +169,7 @@ func FuzzLearnerServe(f *testing.F) {
 			switch {
 			case kind < 13:
 				observe(l, src, rep)
-				refIdx.addPair(src, rep)
+				refIdx.add(src, rep, 1)
 				if seen++; cfg.DecayEvery > 0 && seen%cfg.DecayEvery == 0 {
 					refIdx.decay(cfg.Decay, cfg.Floor)
 				} else {
@@ -188,7 +188,7 @@ func FuzzLearnerServe(f *testing.F) {
 			default:
 				l.Publish()
 			}
-			got, want := l.View(), rebuild(refIdx)
+			got, want := l.View(), rebuild(refIdx, cfg.Threshold)
 			if !sameOrder(got, want) || full && !slices.Equal(got.rules, want.rules) {
 				t.Fatalf("step %d (op %#x %#x): learner serves v%d %v, rebuild gives %v",
 					step/2, ops[step], arg, got.version, got.rules, want.rules)
@@ -250,9 +250,9 @@ func FuzzLearnerRun(f *testing.F) {
 			decayed := cfg.DecayEvery > 0 && (seen+n)/cfg.DecayEvery > seen/cfg.DecayEvery
 			seen += n
 
-			if single.idx.counts.Len() != batch.idx.counts.Len() || single.idx.active != batch.idx.active {
-				t.Fatalf("run %v of %d: %d pairs (%d rules) after a run, %d (%d) one at a time", reps, src,
-					batch.idx.counts.Len(), batch.idx.active, single.idx.counts.Len(), single.idx.active)
+			if single.idx.counts.Len() != batch.idx.counts.Len() || single.View().Len() != batch.View().Len() {
+				t.Fatalf("run %v of %d: %d pairs (%d served rules) after a run, %d (%d) one at a time", reps, src,
+					batch.idx.counts.Len(), batch.View().Len(), single.idx.counts.Len(), single.View().Len())
 			}
 			single.idx.Range(func(k PairKey, v float64) bool {
 				if got := batch.idx.counts.Get(k); got != v {
@@ -260,7 +260,7 @@ func FuzzLearnerRun(f *testing.F) {
 				}
 				return true
 			})
-			got, want := batch.View(), rebuild(&single.idx)
+			got, want := batch.View(), rebuild(&single.idx, cfg.Threshold)
 			if !sameOrder(got, want) || decayed && !slices.Equal(got.rules, want.rules) {
 				t.Fatalf("run %v of %d (decay inside: %v): serves v%d %v, rebuild gives %v",
 					reps, src, decayed, got.version, got.rules, want.rules)
@@ -273,10 +273,9 @@ func FuzzLearnerRun(f *testing.F) {
 	})
 }
 
-// A clone is its source's index slot for slot, at its version, serving
-// its very snapshot; from then on what either learns leaves the other as
-// a replica fed the same stream. The index compares whole: both count
-// tables and the active-rule bookkeeping.
+// A clone is its source's index slot for slot, serving its very snapshot
+// (and so at its version); from then on what either learns leaves the
+// other as a replica fed the same stream. The index compares whole.
 func TestLearnerCloneFrom(t *testing.T) {
 	cfg := DefaultLearnerConfig()
 	feed := func(l *Learner, seed uint64) {
@@ -292,11 +291,11 @@ func TestLearnerCloneFrom(t *testing.T) {
 		feed(replica, 7)
 		c := new(Learner)
 		c.CloneFrom(src)
-		if !reflect.DeepEqual(c.idx, src.idx) || c.version != src.version || c.View() != src.View() {
+		if !reflect.DeepEqual(c.idx, src.idx) || c.View() != src.View() {
 			t.Fatal("a fresh clone differs from its source")
 		}
-		if src.idx.counts.Len() <= 8 || src.idx.active == 0 {
-			t.Fatalf("the source tracks %d pairs, %d rules: too few to hash", src.idx.counts.Len(), src.idx.active)
+		if src.idx.counts.Len() <= 8 || src.View().Len() == 0 {
+			t.Fatalf("the source tracks %d pairs, %d rules: too few to hash", src.idx.counts.Len(), src.View().Len())
 		}
 		driven, kept := src, c
 		if driveClone {
@@ -304,7 +303,7 @@ func TestLearnerCloneFrom(t *testing.T) {
 		}
 		feed(driven, 8)
 		driven.Update(func(idx *PairIndex) { idx.reset() })
-		if !reflect.DeepEqual(kept.idx, replica.idx) || kept.version != replica.version || kept.seen != replica.seen {
+		if !reflect.DeepEqual(kept.idx, replica.idx) || kept.Version() != replica.Version() || kept.seen != replica.seen {
 			t.Fatalf("driving one side (clone %v) moved the other", driveClone)
 		}
 	}

@@ -47,98 +47,42 @@ type BlockDelta struct {
 // retired and allocates nothing.
 var deltas = sync.Pool{New: func() any { return new(BlockDelta) }}
 
-// PairIndex is the incremental pair-count engine. It runs in one of two
-// modes fixed at construction:
+// PairIndex is the incremental pair-count engine: one count table keyed
+// by PairKey. The windowed policies maintain it by AddBlock/RemoveBlock
+// deltas and materialize a RuleSet at a prune threshold (Snapshot); the
+// decayed users (the Learner and the §VI Incremental policy) add pairs
+// one at a time and age the table by decay. What is a rule at what
+// threshold is the reader's business: the Learner publishes its pairs at
+// or above LearnerConfig.Threshold, and Incremental keeps its own
+// threshold-crossing counts beside its index.
 //
-//   - windowed (NewPairIndex): counts are exact integers maintained by
-//     AddBlock/RemoveBlock deltas; Snapshot materializes a RuleSet at a
-//     prune threshold.
-//   - decay (newDecayIndex): counts age by decay at boundaries and a pair
-//     is an active rule while its count is at least the activation
-//     threshold; "is src an antecedent" is one lookup (activeBySrc), so the
-//     index is itself the rule set of the moment. Its pairs come one at a
-//     time (addPair, add, Set): block deltas are for windowed indexes
-//     only.
-//
-// Both count tables sit in the struct by value, so an index is one object
-// and a Learner that holds its index by value adds none. A PairIndex
-// is not safe for concurrent use.
+// The count table sits in the struct by value, so an index is one object
+// and a Learner that holds its index by value adds none. A PairIndex is
+// not safe for concurrent use.
 type PairIndex struct {
 	counts stream.CountTable[PairKey]
-
-	// Decay-mode bookkeeping: threshold > 0 enables it. activeBySrc
-	// tracks, per antecedent, how many consequents are at or above the
-	// threshold, so "is src covered" is a single lookup instead of an
-	// inner-map scan. active is the total active-rule count.
-	threshold   float64
-	activeBySrc stream.CountTable[trace.HostID]
-	active      int
 }
 
-// NewPairIndex returns a windowed-mode engine (exact delta counting).
+// NewPairIndex returns an empty engine.
 func NewPairIndex() *PairIndex {
 	return &PairIndex{}
 }
 
-// newDecayIndex returns a decay-mode engine: pairs with count >= threshold
-// are active rules, tracked incrementally. threshold must be positive.
-func newDecayIndex(threshold float64) *PairIndex {
-	if threshold <= 0 {
-		panic("core: newDecayIndex requires threshold > 0")
-	}
-	return &PairIndex{threshold: threshold}
-}
-
-// clone returns an independent copy of x whose count tables hold every
+// clone returns an independent copy of x whose count table holds every
 // pair in x's slot.
 func (x *PairIndex) clone() PairIndex {
-	return PairIndex{counts: x.counts.Clone(), threshold: x.threshold, activeBySrc: x.activeBySrc.Clone(), active: x.active}
+	return PairIndex{counts: x.counts.Clone()}
 }
 
-// track maintains the threshold-crossing bookkeeping for one entry's count
-// transition. It is small enough to inline, so the transitions that cross
-// nothing, nearly all of them, cost no call.
-func (x *PairIndex) track(k PairKey, old, now float64) {
-	if th := x.threshold; (now >= th) != (old >= th) && th > 0 {
-		x.cross(k, now)
-	}
-}
-
-// cross counts k's antecedent into the active rules when its count is
-// now at or above the threshold, and out of them otherwise.
-func (x *PairIndex) cross(k PairKey, now float64) {
-	src := k.Source()
-	if now >= x.threshold {
-		x.active++
-		x.activeBySrc.Add(src, 1)
-	} else {
-		x.active--
-		x.activeBySrc.Add(src, -1) // deletes the entry at zero
-	}
-}
-
-// addPair records one (source, replier) observation and returns the
-// pair's support before and after it.
-func (x *PairIndex) addPair(src, rep trace.HostID) (old, now float64) {
-	k := packPair(src, rep)
-	old, now = x.counts.Add(k, 1)
-	x.track(k, old, now)
-	return old, now
-}
-
-// add adjusts the pair's count by w (decay-mode Set/Add callers use
-// weighted support).
-func (x *PairIndex) add(src, rep trace.HostID, w float64) {
-	k := packPair(src, rep)
-	old, now := x.counts.Add(k, w)
-	x.track(k, old, now)
+// add adjusts the pair's count by w and returns its count now.
+func (x *PairIndex) add(src, rep trace.HostID, w float64) float64 {
+	_, now := x.counts.Add(packPair(src, rep), w)
+	return now
 }
 
 // Set overwrites the pair's count exactly.
 func (x *PairIndex) Set(src, rep trace.HostID, v float64) {
-	k := packPair(src, rep)
-	old := x.counts.Set(k, v)
-	x.track(k, old, v)
+	x.counts.Set(packPair(src, rep), v)
 }
 
 // Support returns the pair's current count (0 when untracked).
@@ -189,22 +133,16 @@ func (x *PairIndex) RemoveBlock(d *BlockDelta) {
 }
 
 // decay multiplies every count by factor and drops entries that fall below
-// floor — the per-boundary aging of the §VI incremental policy and of the
-// online router: one linear sweep of the count table, which calls back
-// only for the entries that cross the activation threshold (none in
-// windowed mode, where the threshold is zero).
+// floor: the per-boundary aging of the online router, one linear sweep of
+// the count table.
 func (x *PairIndex) decay(factor, floor float64) {
-	x.counts.Decay(factor, floor, x.threshold, x.track)
+	x.counts.Decay(factor, floor, 0, nil)
 }
 
 // reset drops all counts (retaining table capacity), so one index can be
 // rebuilt per window without reallocating.
 func (x *PairIndex) reset() {
 	x.counts.Reset()
-	if x.threshold > 0 {
-		x.activeBySrc.Reset()
-		x.active = 0
-	}
 }
 
 // Range calls f for every tracked pair until f returns false. Iteration
@@ -268,8 +206,8 @@ func pruneRuns(t rules, prune, minConf float64) rules {
 }
 
 // Snapshot materializes the current counts as an immutable RuleSet,
-// keeping pairs with count >= prune (counts truncate toward zero in decay
-// mode). For delta-maintained windows this is the whole recurring cost of
+// keeping pairs with count >= prune (decayed counts truncate toward
+// zero). For delta-maintained windows this is the whole recurring cost of
 // a regeneration: counting already happened incrementally.
 func (x *PairIndex) Snapshot(prune int) *RuleSet {
 	return x.snapshot(prune, 0)

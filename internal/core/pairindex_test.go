@@ -34,15 +34,40 @@ func randomBlock(rng *stats.RNG, size int) trace.Block {
 	return b
 }
 
-// covers and matches make a live decay-mode index a ruleView for the
-// oracle tests: whether some pair of src, and whether this pair, is at or
-// above the activation threshold.
-func (x *PairIndex) covers(src trace.HostID) bool {
-	return x.threshold > 0 && x.activeBySrc.Get(src) > 0
+// decayRef is the incremental policy's rule state found the slow way: a
+// bare PairIndex under a threshold, its rules counted by scanning the
+// whole index. It is the oracle for the crossing counts Incremental keeps
+// up to date, and a ruleView for the oracle evaluator.
+type decayRef struct {
+	idx       PairIndex
+	threshold float64
 }
 
-func (x *PairIndex) matches(src, rep trace.HostID) bool {
-	return x.threshold > 0 && x.counts.Get(packPair(src, rep)) >= x.threshold
+func (r *decayRef) covers(src trace.HostID) bool { return r.activeBySrc()[src] > 0 }
+
+func (r *decayRef) matches(src, rep trace.HostID) bool {
+	return r.idx.Support(src, rep) >= r.threshold
+}
+
+// activeBySrc counts each antecedent's pairs at or above the threshold.
+func (r *decayRef) activeBySrc() map[trace.HostID]float64 {
+	m := make(map[trace.HostID]float64)
+	r.idx.Range(func(k PairKey, c float64) bool {
+		if c >= r.threshold {
+			m[k.Source()]++
+		}
+		return true
+	})
+	return m
+}
+
+// rules counts the pairs at or above the threshold.
+func (r *decayRef) rules() int {
+	n := 0
+	for _, c := range r.activeBySrc() {
+		n += int(c)
+	}
+	return n
 }
 
 func rulesEqual(a, b *RuleSet) bool { return slices.Equal(a.rules, b.rules) }
@@ -89,7 +114,7 @@ func TestWindowedSnapshotsEqualFromScratch(t *testing.T) {
 
 // refIncremental is the pre-engine Incremental implementation — private
 // nested float table with inline decay, cover scan, and test-then-train —
-// preserved as the behavioural reference for the decay-mode engine.
+// preserved as the behavioural reference for Incremental.
 type refIncremental struct {
 	decay     float64
 	threshold float64
@@ -161,8 +186,8 @@ func (in *refIncremental) step(block trace.Block) TestResult {
 	return res
 }
 
-// TestDecayModeMatchesOldIncremental: the decay-mode engine view must
-// reproduce the old Incremental's per-block results and rule counts
+// TestDecayModeMatchesOldIncremental: Incremental on the pair-count engine
+// must reproduce the old Incremental's per-block results and rule counts
 // exactly, float decay residue included, across random traces with
 // repeated GUIDs.
 func TestDecayModeMatchesOldIncremental(t *testing.T) {
@@ -182,7 +207,7 @@ func TestDecayModeMatchesOldIncremental(t *testing.T) {
 			if step > 0 && got.Result != want {
 				return false
 			}
-			if in.idx.active != ref.ruleCount() {
+			if in.active != ref.ruleCount() {
 				return false
 			}
 		}
@@ -193,36 +218,33 @@ func TestDecayModeMatchesOldIncremental(t *testing.T) {
 	}
 }
 
+// TestDecayIndexBookkeeping follows Incremental's crossing counts through
+// each way a count moves: an add that reaches the threshold, a decay that
+// leaves the pair below it, one that evicts it at the floor, and a decay
+// with the index empty.
 func TestDecayIndexBookkeeping(t *testing.T) {
-	x := newDecayIndex(2)
-	if x.covers(1) || x.active != 0 {
-		t.Fatal("fresh index has active rules")
+	in := &Incremental{Decay: 1, Threshold: 2} // no decay inside Step
+	check := func(what string, covered bool, active int, pairs int) {
+		t.Helper()
+		if got := in.activeBySrc.Get(1) > 0; got != covered || in.active != active || in.idx.counts.Len() != pairs {
+			t.Fatalf("%s: covered=%v rules=%d pairs=%d, want %v %d %d", what, got, in.active, in.idx.counts.Len(), covered, active, pairs)
+		}
 	}
-	x.addPair(1, 10)
-	if x.covers(1) {
-		t.Fatal("count 1 crossed threshold 2")
-	}
-	x.addPair(1, 10)
-	if !x.covers(1) || !x.matches(1, 10) || x.active != 1 {
-		t.Fatalf("activation missed: covers=%v matches=%v active=%d",
-			x.covers(1), x.matches(1, 10), x.active)
-	}
-	x.decay(0.5, 0.05) // 2 -> 1: below threshold, retained
-	if x.covers(1) || x.active != 0 || x.counts.Len() != 1 {
-		t.Fatalf("deactivation missed: covers=%v active=%d pairs=%d",
-			x.covers(1), x.active, x.counts.Len())
-	}
-	x.Set(1, 10, 3.5)
-	if !x.covers(1) || x.Support(1, 10) != 3.5 {
-		t.Fatalf("Set: covers=%v support=%v", x.covers(1), x.Support(1, 10))
-	}
-	x.decay(0.001, 0.05) // drops the entry entirely
-	if x.counts.Len() != 0 || x.active != 0 || x.covers(1) {
-		t.Fatal("floor eviction left residue")
-	}
-	x.reset()
-	if x.counts.Len() != 0 || x.active != 0 {
-		t.Fatal("reset left residue")
+	in.Step(trace.Block{})
+	check("fresh", false, 0, 0)
+	in.Step(trace.Block{pair(1, 1, 10)})
+	check("count 1 below threshold 2", false, 0, 1)
+	in.Step(trace.Block{pair(2, 1, 10)})
+	check("count 2 at threshold 2", true, 1, 1)
+	in.idx.counts.Decay(0.5, incrementalFloor, in.threshold, in.track) // 2 -> 1: below threshold, retained
+	check("decayed below threshold", false, 0, 1)
+	in.Step(trace.Block{pair(3, 1, 10), pair(4, 1, 11), pair(5, 1, 11)})
+	check("two rules of one antecedent", true, 2, 2)
+	in.idx.counts.Decay(0.001, incrementalFloor, in.threshold, in.track) // drops both entries
+	check("floor eviction", false, 0, 0)
+	in.idx.Set(1, 10, 3.5)
+	if in.idx.Support(1, 10) != 3.5 {
+		t.Fatalf("Set: support=%v", in.idx.Support(1, 10))
 	}
 }
 
@@ -283,7 +305,7 @@ func TestAddBlockMatchesPairAtATime(t *testing.T) {
 				}
 			}
 			prevGot, prevWant = got.AddBlock(block), addBlockOracle(want, block)
-			if !reflect.DeepEqual(deltaState(prevGot), prevWant) || !indexesEqual(got, want) {
+			if !reflect.DeepEqual(deltaState(prevGot), prevWant) || !reflect.DeepEqual(indexState(got), indexState(want)) {
 				return false
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"arq/internal/stats"
+	"arq/internal/stream"
 	"arq/internal/trace"
 )
 
@@ -289,18 +290,24 @@ func (a *Adaptive) Step(block trace.Block) StepResult {
 
 // Incremental implements the paper's future-work policy (§VI): rules are
 // updated immediately as query–reply pairs are observed, with no wholesale
-// regeneration. It is the decay-mode view of the pair-count engine: counts
-// age by Decay at each block boundary so stale pairs drop out, and a
-// (source, replier) pair is a rule while its decayed count is at least
-// Threshold. Each query is tested against the rule state as of its arrival
+// regeneration. Its counts are a PairIndex that ages by Decay at each
+// block boundary so stale pairs drop out, and a (source, replier) pair is
+// a rule while its decayed count is at least Threshold. Beside the index
+// it keeps, per antecedent, how many of its pairs are rules, so "is src
+// covered" is one lookup, and the total, which is the rule count it
+// reports: every add and every decay hands each threshold crossing to
+// track. Each query is tested against the rule state as of its arrival
 // and only then folded in (test-then-train, in the shared block
 // evaluator), so the reported coverage/success never peeks at the pair
 // being scored.
 type Incremental struct {
 	Decay     float64 // per-block multiplicative decay, default 0.9
 	Threshold float64 // rule-activation count, default 2; fixed at first Step
-	idx       *PairIndex
-	started   bool
+
+	idx         PairIndex
+	threshold   float64 // Threshold as fixed at the first Step; 0 before it
+	activeBySrc stream.CountTable[trace.HostID]
+	active      int
 }
 
 // incrementalFloor is the decayed count below which a pair is dropped to
@@ -310,35 +317,49 @@ const incrementalFloor = 0.05
 // Name implements Policy.
 func (in *Incremental) Name() string { return "incremental" }
 
-func (in *Incremental) params() (decay, threshold float64) {
-	decay = in.Decay
-	if decay <= 0 || decay > 1 {
-		decay = 0.9
+// track counts one pair's transition from old to now into the rules when
+// it crosses the threshold. It is small enough to inline, so the
+// transitions that cross nothing, nearly all of them, cost no call.
+func (in *Incremental) track(k PairKey, old, now float64) {
+	if th := in.threshold; (now >= th) != (old >= th) {
+		in.cross(k, now)
 	}
-	threshold = in.Threshold
-	if threshold <= 0 {
-		threshold = 2
+}
+
+// cross counts k's antecedent into the rules when its count is now at or
+// above the threshold, and out of them otherwise.
+func (in *Incremental) cross(k PairKey, now float64) {
+	if now >= in.threshold {
+		in.active++
+		in.activeBySrc.Add(k.Source(), 1)
+	} else {
+		in.active--
+		in.activeBySrc.Add(k.Source(), -1) // deletes the entry at zero
 	}
-	return decay, threshold
 }
 
 // Step implements Policy.
 func (in *Incremental) Step(block trace.Block) StepResult {
-	decay, threshold := in.params()
-	if in.idx == nil {
-		in.idx = newDecayIndex(threshold)
+	decay := in.Decay
+	if decay <= 0 || decay > 1 {
+		decay = 0.9
 	}
-	warmup := !in.started
-	in.started = true
+	warmup := in.threshold == 0
+	if warmup {
+		in.threshold = in.Threshold
+		if in.threshold <= 0 {
+			in.threshold = 2
+		}
+	}
 
 	// Age out old observations at the block boundary.
-	in.idx.decay(decay, incrementalFloor)
+	in.idx.counts.Decay(decay, incrementalFloor, in.threshold, in.track)
 
-	res := evalBlock(block, blockTest{idx: in.idx})
+	res := evalBlock(block, blockTest{inc: in})
 	if warmup {
-		return StepResult{Rules: in.idx.active}
+		return StepResult{Rules: in.active}
 	}
-	return StepResult{Tested: true, Result: res, Rules: in.idx.active}
+	return StepResult{Tested: true, Result: res, Rules: in.active}
 }
 
 // NewPolicy constructs a policy by name with the given prune threshold and

@@ -252,14 +252,14 @@ func TestIncrementalTestThenTrain(t *testing.T) {
 func TestIncrementalDecayExpiresRules(t *testing.T) {
 	in := &Incremental{Decay: 0.5, Threshold: 2}
 	in.Step(trace.Block{pair(1, 1, 10), pair(2, 1, 10), pair(3, 1, 10), pair(4, 1, 10)})
-	if in.idx.active != 1 {
-		t.Fatalf("rule count after training = %d", in.idx.active)
+	if in.active != 1 {
+		t.Fatalf("rule count after training = %d", in.active)
 	}
 	// Several empty blocks decay the count 4 -> 2 -> 1 -> 0.5 ...
 	in.Step(trace.Block{})
 	in.Step(trace.Block{})
-	if in.idx.active != 0 {
-		t.Fatalf("rule survived decay: count = %d", in.idx.active)
+	if in.active != 0 {
+		t.Fatalf("rule survived decay: count = %d", in.active)
 	}
 }
 

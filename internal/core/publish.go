@@ -111,13 +111,12 @@ func rerun(rules []RuleEntry, lo, hi int, idx *PairIndex, fresh []PairKey) []Rul
 	return append(out, rules[hi:]...)
 }
 
-// ruleEntries returns the index's active rules, its pairs at or above the
-// activation threshold, in canonical snapshot order: what a full publish
-// serves.
-func (idx *PairIndex) ruleEntries() []RuleEntry {
+// ruleEntries returns the index's pairs at or above threshold in
+// canonical snapshot order: what a full publish serves.
+func (idx *PairIndex) ruleEntries(threshold float64) []RuleEntry {
 	var rules []RuleEntry
 	idx.Range(func(k PairKey, v float64) bool {
-		if v >= idx.threshold {
+		if v >= threshold {
 			rules = append(rules, RuleEntry{Key: k, Support: v})
 		}
 		return true
@@ -180,20 +179,20 @@ func (l *Learner) observeRun(src trace.HostID, reps []trace.HostID, last float64
 		}
 	}
 	if moved || len(fresh) > 0 {
-		l.swap(rerun(base.rules, lo, hi, &l.idx, fresh))
+		l.swap(rerun(base.rules, lo, hi, &l.idx, fresh), 0)
 	}
 }
 
 // publish materializes the index's current rules as a new immutable
 // snapshot and swaps it in, returning the new snapshot.
 func (l *Learner) publish() *RuleSnapshot {
-	return l.swap(l.idx.ruleEntries())
+	return l.swap(l.idx.ruleEntries(l.cfg.Threshold), 0)
 }
 
-// swap publishes rules as the next version.
-func (l *Learner) swap(rules []RuleEntry) *RuleSnapshot {
-	l.version++
-	s := &RuleSnapshot{rules: rules, version: l.version}
+// swap publishes rules as the version after the served one's, or after
+// floor when floor is higher (a restored snapshot's version).
+func (l *Learner) swap(rules []RuleEntry, floor uint64) *RuleSnapshot {
+	s := &RuleSnapshot{rules: rules, version: max(l.cur.Load().version, floor) + 1}
 	l.cur.Store(s)
 	mPublishes.Inc()
 	gPublishSize.Set(int64(len(rules)))

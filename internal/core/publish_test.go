@@ -9,10 +9,7 @@ import (
 )
 
 // hit adds one observation of the pair and returns its new support.
-func hit(idx *PairIndex, src, rep trace.HostID) float64 {
-	_, now := idx.addPair(src, rep)
-	return now
-}
+func hit(idx *PairIndex, src, rep trace.HostID) float64 { return idx.add(src, rep, 1) }
 
 // covers and matches make a snapshot a ruleView.
 func (s *RuleSnapshot) covers(src trace.HostID) bool { return len(s.run(src)) > 0 }
@@ -20,10 +17,10 @@ func (s *RuleSnapshot) covers(src trace.HostID) bool { return len(s.run(src)) > 
 func (s *RuleSnapshot) matches(src, rep trace.HostID) bool { return s.Support(src, rep) > 0 }
 
 // rebuild is the rebuild-only oracle the learner's tests hold it to: the
-// rules a full publish of idx serves, with no version, whatever was
-// published before.
-func rebuild(idx *PairIndex) *RuleSnapshot {
-	return &RuleSnapshot{rules: idx.ruleEntries()}
+// rules a full publish of idx at threshold serves, with no version,
+// whatever was published before.
+func rebuild(idx *PairIndex, threshold float64) *RuleSnapshot {
+	return &RuleSnapshot{rules: idx.ruleEntries(threshold)}
 }
 
 func TestPublishSyncTracksEveryObservation(t *testing.T) {
@@ -172,7 +169,7 @@ func TestSinglePairPublicationEqualsRebuild(t *testing.T) {
 				l.publish()
 				full = true
 			}
-			got, want := l.View(), rebuild(idx)
+			got, want := l.View(), rebuild(idx, threshold)
 			if !sameOrder(got, want) {
 				t.Errorf("step %d (op %#x): serves %v, rebuild has %v", step, op, got.rules, want.rules)
 				return false

@@ -262,7 +262,7 @@ var guidTables = sync.Pool{New: func() any { return new(flatTable) }}
 
 // blockTest is what one RULESET-TEST asks its questions of, as data, so
 // the loop probes flat tables directly and makes no indirect call per
-// pair. Exactly one of rs and idx is set.
+// pair. Exactly one of rs and inc is set.
 type blockTest struct {
 	// rs answers from its antecedent set and its rule-pair set.
 	rs *RuleSet
@@ -270,13 +270,13 @@ type blockTest struct {
 	// interest) has in rs (Sliding.UseInterest); an antecedent it has no
 	// id for reads id 0, which no rule carries: uncovered.
 	antes *anteIDs
-	// idx is a decay index that trains on each pair right after scoring
-	// it, the test-then-train discipline of the incremental policy, so a
+	// inc is the incremental policy, whose index trains on each pair
+	// right after scoring it, the test-then-train discipline of §VI, so a
 	// pair is evaluated against the rule state as of its arrival. Its
-	// antecedent is covered while some pair of it is an active rule, and
-	// the one probe that adds the pair also answers, from the support
-	// before, whether it was a rule.
-	idx *PairIndex
+	// antecedent is covered while some pair of it is a rule, and the one
+	// probe that adds the pair also answers, from the support before,
+	// whether it was a rule.
+	inc *Incremental
 }
 
 // evalBlock is the one RULESET-TEST loop (§III-B.2): queries are
@@ -298,18 +298,17 @@ func evalBlock(block trace.Block, on blockTest) TestResult {
 		if !ok {
 			st = qSeen
 			res.N++
-			if on.idx != nil && on.idx.activeBySrc.Get(src) > 0 || on.idx == nil && on.rs.covers(src) {
+			if on.inc != nil && on.inc.activeBySrc.Get(src) > 0 || on.inc == nil && on.rs.covers(src) {
 				st |= qCovered
 				res.Covered++
 			}
 			seen.keys[slot], seen.vals[slot] = uint64(p.GUID), st
 		}
-		if x := on.idx; x != nil {
-			// addPair written out: it is too large to inline.
+		if in := on.inc; in != nil {
 			k := packPair(src, p.Replier)
-			old, now := x.counts.Add(k, 1)
-			x.track(k, old, now)
-			if old >= x.threshold && st == qSeen|qCovered {
+			old, now := in.idx.counts.Add(k, 1)
+			in.track(k, old, now)
+			if old >= in.threshold && st == qSeen|qCovered {
 				seen.vals[slot] = st | qSuccessful
 				res.Successful++
 			}

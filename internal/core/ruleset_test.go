@@ -287,7 +287,8 @@ func TestRulesSortedAndComplete(t *testing.T) {
 }
 
 // ruleView is what the oracle below is driven through: an immutable
-// RuleSet, or a live decay-mode PairIndex.
+// RuleSet, or the incremental policy's rules found by scanning its index
+// (decayRef).
 type ruleView interface {
 	covers(src trace.HostID) bool
 	matches(src, replier trace.HostID) bool
@@ -363,14 +364,9 @@ func indexState(x *PairIndex) map[PairKey]float64 {
 	return m
 }
 
-func indexesEqual(a, b *PairIndex) bool {
-	return reflect.DeepEqual(indexState(a), indexState(b)) && a.active == b.active &&
-		reflect.DeepEqual(activeState(a), activeState(b))
-}
-
-func activeState(x *PairIndex) map[trace.HostID]float64 {
+func activeState(in *Incremental) map[trace.HostID]float64 {
 	m := make(map[trace.HostID]float64)
-	x.activeBySrc.Range(func(k trace.HostID, c float64) bool { m[k] = c; return true })
+	in.activeBySrc.Range(func(k trace.HostID, c float64) bool { m[k] = c; return true })
 	return m
 }
 
@@ -379,9 +375,10 @@ func activeState(x *PairIndex) map[trace.HostID]float64 {
 //
 //   - RuleSet.Test against GenerateRuleSet(gen, prune);
 //   - Incremental.Step, its decay included, against the oracle training a
-//     decay index of its own, on prefixes of the block: the result, the
-//     rule count and the index left behind after exactly the first m pairs
-//     are trained pin what was trained before which pair was scored;
+//     bare index of its own (decayRef), on prefixes of the block: the
+//     result, the rule count, the index and the per-antecedent rule counts
+//     left behind after exactly the first m pairs are trained pin what was
+//     trained before which pair was scored;
 //   - Sliding{UseInterest}'s test against the oracle on the block re-keyed
 //     by the window's antecedent ids, and the index the step leaves
 //     behind, which is the block counted under the ids it interned.
@@ -400,18 +397,18 @@ func checkEvalAgainstOracle(t testing.TB, label string, gen trace.Block, prune i
 			continue
 		}
 		in := &Incremental{Decay: decay, Threshold: threshold}
-		ref := newDecayIndex(threshold)
+		ref := &decayRef{threshold: threshold}
 		var got StepResult
 		var want TestResult
 		for _, b := range []trace.Block{gen, block[:m]} {
-			ref.decay(decay, incrementalFloor)
-			want = evalBlockOracle(ref, b, func(p trace.Pair) { ref.addPair(p.Source, p.Replier) })
+			ref.idx.decay(decay, incrementalFloor)
+			want = evalBlockOracle(ref, b, func(p trace.Pair) { ref.idx.add(p.Source, p.Replier, 1) })
 			got = in.Step(b)
 		}
-		if want := (StepResult{Tested: true, Result: want, Rules: ref.active}); got != want {
+		if want := (StepResult{Tested: true, Result: want, Rules: ref.rules()}); got != want {
 			t.Fatalf("%s: Incremental.Step over %d pairs = %+v, oracle %+v", label, m, got, want)
 		}
-		if !indexesEqual(in.idx, ref) {
+		if !reflect.DeepEqual(indexState(&in.idx), indexState(&ref.idx)) || !reflect.DeepEqual(activeState(in), ref.activeBySrc()) {
 			t.Fatalf("%s: Incremental.Step over %d pairs leaves an index other than the oracle's", label, m)
 		}
 	}

@@ -145,8 +145,8 @@ func RemapSnapshot(s *RuleSnapshot, f func(trace.HostID) (trace.HostID, bool)) *
 // threshold land in the index but not in the published snapshot: a
 // marginal rule does not survive a restart, by design.
 //
-// The learner's version is first raised to at least the snapshot's, so
-// the post-restore publish is strictly newer than both the restored
+// The post-restore publish follows the higher of the served version and
+// the snapshot's, so it is strictly newer than both the restored
 // snapshot and anything published before — version monotonicity holds
 // across restarts. UnmarshalSnapshot admits no version at or above
 // maxSnapshotVersion, so the increment cannot wrap.
@@ -161,8 +161,5 @@ func (l *Learner) restore(s *RuleSnapshot, discount float64) *RuleSnapshot {
 	for _, e := range s.byKey() {
 		l.idx.add(e.Key.Source(), e.Key.Replier(), e.Support*discount)
 	}
-	if s.version > l.version {
-		l.version = s.version
-	}
-	return l.publish()
+	return l.swap(l.idx.ruleEntries(l.cfg.Threshold), s.version)
 }

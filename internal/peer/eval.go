@@ -13,23 +13,6 @@ import (
 // here is what lets the golden tests pin them to identical per-query
 // stats.
 
-// StopRule selects how a top-k query stops propagating once its result
-// budget fills (Akbarinia et al.: stop after the best k answers instead
-// of exhausting TTL).
-type StopRule int
-
-const (
-	// StopAbsorb is the minimal rule: once k hits are collected, every
-	// copy still in flight is absorbed on arrival — not deduplicated,
-	// not counted as reaching a node, never forwarded. Hit nodes below
-	// budget keep forwarding normally.
-	StopAbsorb StopRule = iota
-	// StopAtHit additionally stops forwarding at every hit node, even
-	// below budget — each answer prunes its whole subtree, trading
-	// deeper coverage for less traffic.
-	StopAtHit
-)
-
 // QuerySpec is the full per-query semantics every engine consumes: the
 // TTL bound, the optional top-k termination budget, and the fallback
 // flood marker. The zero TopK is the classic TTL-exhaust query, byte
@@ -37,11 +20,12 @@ const (
 type QuerySpec struct {
 	// TTL bounds forwards after the origin.
 	TTL int
-	// TopK, when positive, terminates the query once TopK hits are
-	// collected (per Stop); 0 runs to TTL exhaustion.
+	// TopK, when positive, makes the query a top-k search (Akbarinia et
+	// al.: stop after the best k answers instead of exhausting TTL):
+	// every hit node stops forwarding, and once TopK hits are collected
+	// every copy still in flight is absorbed on arrival. 0 runs to TTL
+	// exhaustion.
 	TopK int
-	// Stop selects the stop-propagation rule once TopK is set.
-	Stop StopRule
 	// FloodPhase marks the origin-level revert-to-flooding reissue
 	// (Meta.FloodPhase).
 	FloodPhase bool
@@ -62,7 +46,7 @@ type DeliveryOutcome struct {
 	// propagate a query-hit along the reverse path.
 	Hit bool
 	// Terminate: do not forward — a walker landed on matching content,
-	// or a top-k hit pruned its subtree (see StopRule).
+	// or a top-k hit pruned its subtree (see QuerySpec.TopK).
 	Terminate bool
 	// Forward: consult the router and forward (TTL remaining and neither
 	// suppressed nor terminated).
@@ -98,7 +82,9 @@ func evalHostedDelivery(hosts, walk, visited bool, ttl int) DeliveryOutcome {
 
 // EvalHostedSpec is the spec-aware delivery evaluation: the lifecycle
 // rules extended with the query's top-k budget. hits is how many hits the
-// query has collected so far (the engine's counter). The budget logic
+// query has collected so far (the engine's counter): a copy that arrives
+// once the budget is met is absorbed, not deduplicated, not counted as
+// reaching a node, never forwarded. The budget logic
 // lives here, in one place, so no engine carries its own copy of the
 // termination rules. Engines resolve content hosting themselves (the flat
 // engine's bitset rows); the caller must already have excluded the origin
@@ -108,9 +94,8 @@ func EvalHostedSpec(hosts, walk, visited bool, ttl, hits int, spec QuerySpec) De
 		return DeliveryOutcome{Absorbed: true}
 	}
 	o := evalHostedDelivery(hosts, walk, visited, ttl)
-	if o.Hit && spec.TopK > 0 && (spec.Stop == StopAtHit || hits+1 >= spec.TopK) {
-		// This hit prunes its subtree: either the rule stops at every
-		// hit, or this is the hit that fills the budget.
+	if o.Hit && spec.TopK > 0 {
+		// Every hit of a top-k query prunes its subtree.
 		o.Terminate = true
 		o.Forward = false
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -287,9 +288,9 @@ var goldenFaults = fault.Config{Seed: goldenSeed + 300, Drop: 0.1, Duplicate: 0.
 	Delay: 0.2, MaxDelay: 6, Crash: 0.1, Slow: 0.1, EpochEvery: 16}
 
 // TestEngineFaultedGolden pins fault injection on the production engine
-// to the oracle's: all seven strategies, plus top-k under both stop
-// rules, each engine under its own identically seeded injector, must
-// agree per query and with the committed bytes. The last row pins the
+// to the oracle's: all seven strategies, plus top-k for flood and the
+// learned router, each engine under its own identically seeded injector,
+// must agree per query and with the committed bytes. The last row pins the
 // faulted loop against the flood fast path it bypasses: a zero-config
 // injector must change nothing versus Fault == nil.
 // Regenerate with: go test ./internal/peer/flat -run TestEngineFaultedGolden -update
@@ -300,23 +301,57 @@ func TestEngineFaultedGolden(t *testing.T) {
 		for _, st := range strategies(g, model) {
 			rows = append(rows, pairing{st, oracle, fl})
 		}
-		// Top-k under faults: a flood, where the budget fills with many
-		// copies still in flight to absorb, and the learned router, where
-		// each hit prunes its subtree.
-		topK := func(name string, stop peer.StopRule, router func(u int) peer.Router, warm bool) strategy {
-			return strategy{name, func(mk mkEngine) (routing.Searcher, peer.QueryEngine) {
-				e := mk(router)
-				return &routing.OneShot{Label: name, E: e, TTL: goldenTTL, TopK: 3, Stop: stop}, e
-			}, warm}
+		for _, st := range topKStrategies() {
+			rows = append(rows, pairing{st, oracle, fl})
 		}
-		rows = append(rows,
-			pairing{topK("flood-top3-absorb", peer.StopAbsorb,
-				func(u int) peer.Router { return routing.Flood{} }, false), oracle, fl},
-			pairing{topK("assoc-top3-stop-at-hit", peer.StopAtHit,
-				func(u int) peer.Router { return routing.NewAssoc(routing.DefaultAssocConfig()) }, true), oracle, fl})
-
 		flood := strategies(g, model)[0]
 		flood.name = "flood-zero-config-vs-nil"
 		return append(rows, pairing{flood, flatWith(g, model, nil), flatWith(g, model, &fault.Config{})})
 	})
+}
+
+// topKStrategies are the faulted golden's top-k rows, where every hit
+// prunes its subtree: a flood, where the budget fills with many copies
+// still in flight to absorb, and the learned router.
+func topKStrategies() []strategy {
+	topK := func(name string, router func(u int) peer.Router, warm bool) strategy {
+		return strategy{name, func(mk mkEngine) (routing.Searcher, peer.QueryEngine) {
+			e := mk(router)
+			return &routing.OneShot{Label: name, E: e, TTL: goldenTTL, TopK: 3}, e
+		}, warm}
+	}
+	return []strategy{
+		topK("flood-top3", func(u int) peer.Router { return routing.Flood{} }, false),
+		topK("assoc-top3-stop-at-hit", func(u int) peer.Router { return routing.NewAssoc(routing.DefaultAssocConfig()) }, true),
+	}
+}
+
+// TestZeroFaultsMatchPerfectNetwork pins the faulted loop (runFaulted) to
+// the perfect network's (runFrontier, and runFlood for plain flood), the
+// two loops the engine keeps: for every strategy of the golden, walkers,
+// learners and top-k included, an injector with the zero config must
+// give per-query stats equal to Fault == nil, warm-up and all.
+func TestZeroFaultsMatchPerfectNetwork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every golden strategy twice")
+	}
+	rng := stats.NewRNG(goldenSeed + 100)
+	g := overlay.GnutellaLike(rng, goldenN)
+	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
+	run := func(st strategy, mk mkEngine) []peer.Stats {
+		s, e := st.build(mk)
+		if st.warm {
+			routing.RunWorkload(stats.NewRNG(goldenSeed+5), s, e, goldenWarm)
+		}
+		return routing.RunWorkload(stats.NewRNG(goldenSeed+7), s, e, goldenMeasure)
+	}
+	for _, st := range append(strategies(g, model), topKStrategies()...) {
+		perfect, zero := run(st, flatWith(g, model, nil)), run(st, flatWith(g, model, &fault.Config{}))
+		for q := range perfect {
+			if !reflect.DeepEqual(perfect[q], zero[q]) {
+				t.Errorf("%s query %d: Fault == nil gives %+v, the zero-config injector %+v", st.name, q, perfect[q], zero[q])
+				break
+			}
+		}
+	}
 }

@@ -150,11 +150,12 @@ func DefaultAssocConfig() AssocConfig {
 // peer.NoUpstream to trace.NoHost and never onto a real node.
 //
 // The rule lifecycle is split into two planes. The write plane is one
-// core.Learner: the decay-mode core.PairIndex the simulator's maintenance
-// policies also run on, the snapshot it serves, and the only mutex. Every
-// hit publishes what routing reads of it before ObserveHit (or the
-// ObserveHits call that carries it) returns, so the router routes on rule
-// order as current as the hits it has been handed. The flat engine hands
+// core.Learner: a core.PairIndex it adds to and decays (the count table
+// the simulator's maintenance policies also run on), the snapshot it
+// serves, and the only mutex. Every hit publishes what routing reads of it
+// before ObserveHit (or the ObserveHits call that carries it) returns, so
+// the router routes on rule order as current as the hits it has been
+// handed. The flat engine hands
 // a node its hits when their query is over, all of them in one
 // ObserveHits call (one ObserveHit per hit through a wrapper that hides
 // ObserveHits); the oracle calls ObserveHit as each hit returns. Either
@@ -166,7 +167,8 @@ func DefaultAssocConfig() AssocConfig {
 //
 // The learner sits in the router by value and an overlay's routers sit in
 // one slice (NewAssocs), so a node's whole learn/serve plane is a stretch
-// of that slab and costs no heap object of its own. What a routing
+// of that slab, 104 bytes, and costs no heap object of its own beyond its
+// count table's two arrays and its snapshots. What a routing
 // decision reads, the shared config and the served snapshot's pointer,
 // comes first and shares a cache line. An Assoc must not be copied:
 // index the slab, never range over it by value.

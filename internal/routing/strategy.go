@@ -23,7 +23,6 @@ type OneShot struct {
 	E     peer.QueryEngine
 	TTL   int
 	TopK  int
-	Stop  peer.StopRule
 }
 
 // Name implements Searcher.
@@ -31,7 +30,7 @@ func (o *OneShot) Name() string { return o.Label }
 
 // Search implements Searcher.
 func (o *OneShot) Search(origin int, category trace.InterestID) peer.Stats {
-	return o.E.RunQuerySpec(origin, category, peer.QuerySpec{TTL: o.TTL, TopK: o.TopK, Stop: o.Stop})
+	return o.E.RunQuerySpec(origin, category, peer.QuerySpec{TTL: o.TTL, TopK: o.TopK})
 }
 
 // ExpandingRing implements the expanding-ring search of Lv et al. [5]: the
@@ -44,7 +43,6 @@ type ExpandingRing struct {
 	Start, Step int
 	Max         int
 	TopK        int
-	Stop        peer.StopRule
 }
 
 // Name implements Searcher.
@@ -54,7 +52,7 @@ func (e *ExpandingRing) Name() string { return "expanding-ring" }
 func (e *ExpandingRing) Search(origin int, category trace.InterestID) peer.Stats {
 	var acc peer.Stats
 	for ttl := e.Start; ttl <= e.Max; ttl += e.Step {
-		st := e.E.RunQuerySpec(origin, category, peer.QuerySpec{TTL: ttl, TopK: e.TopK, Stop: e.Stop})
+		st := e.E.RunQuerySpec(origin, category, peer.QuerySpec{TTL: ttl, TopK: e.TopK})
 		acc.QueryMessages += st.QueryMessages
 		acc.HitMessages += st.HitMessages
 		acc.Duplicates += st.Duplicates
@@ -79,7 +77,6 @@ type AssocTwoPhase struct {
 	E    peer.QueryEngine
 	TTL  int
 	TopK int
-	Stop peer.StopRule
 }
 
 // Name implements Searcher.
@@ -87,11 +84,11 @@ func (a *AssocTwoPhase) Name() string { return "assoc-two-phase" }
 
 // Search implements Searcher.
 func (a *AssocTwoPhase) Search(origin int, category trace.InterestID) peer.Stats {
-	st := a.E.RunQuerySpec(origin, category, peer.QuerySpec{TTL: a.TTL, TopK: a.TopK, Stop: a.Stop})
+	st := a.E.RunQuerySpec(origin, category, peer.QuerySpec{TTL: a.TTL, TopK: a.TopK})
 	if st.Found {
 		return st
 	}
-	fl := a.E.RunQuerySpec(origin, category, peer.QuerySpec{TTL: a.TTL, TopK: a.TopK, Stop: a.Stop, FloodPhase: true})
+	fl := a.E.RunQuerySpec(origin, category, peer.QuerySpec{TTL: a.TTL, TopK: a.TopK, FloodPhase: true})
 	fl.QueryMessages += st.QueryMessages
 	fl.HitMessages += st.HitMessages
 	fl.Duplicates += st.Duplicates
@@ -110,7 +107,6 @@ type Shortcuts struct {
 	MaxProbe int
 	MaxKeep  int
 	TopK     int
-	Stop     peer.StopRule
 
 	// lists[origin][category] = candidate target nodes, most recent first.
 	lists map[int]map[trace.InterestID][]int32
@@ -147,7 +143,7 @@ func (s *Shortcuts) Search(origin int, category trace.InterestID) peer.Stats {
 		st.NodesReached++
 	}
 	// Shortcut miss: flood and learn from the result.
-	fl := s.E.RunQuerySpec(origin, category, peer.QuerySpec{TTL: s.TTL, TopK: s.TopK, Stop: s.Stop})
+	fl := s.E.RunQuerySpec(origin, category, peer.QuerySpec{TTL: s.TTL, TopK: s.TopK})
 	fl.QueryMessages += st.QueryMessages
 	fl.HitMessages += st.HitMessages
 	fl.NodesReached += st.NodesReached

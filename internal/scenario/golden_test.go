@@ -74,13 +74,13 @@ func TestChurnGolden(t *testing.T) {
 	mkSeq := func(sc scenario.Scenario) (peer.QueryEngine, *scenario.Runner) {
 		g, m := sc.Build()
 		e := oracle.NewEngine(g, m, flood)
-		s := &routing.OneShot{Label: "flood", E: e, TTL: sc.Query.TTL, TopK: sc.Query.TopK, Stop: sc.Query.Stop}
+		s := &routing.OneShot{Label: "flood", E: e, TTL: sc.Query.TTL, TopK: sc.Query.TopK}
 		return e, scenario.NewRunner(sc, g, m, e, s, flood)
 	}
 	mkFlat := func(sc scenario.Scenario) (peer.QueryEngine, *scenario.Runner) {
 		g, m := sc.Build()
 		e := flat.NewEngine(g, m, flood)
-		s := &routing.OneShot{Label: "flood", E: e, TTL: sc.Query.TTL, TopK: sc.Query.TopK, Stop: sc.Query.Stop}
+		s := &routing.OneShot{Label: "flood", E: e, TTL: sc.Query.TTL, TopK: sc.Query.TopK}
 		return e, scenario.NewRunner(sc, g, m, e, s, flood)
 	}
 	seq := runChurn(mkSeq)

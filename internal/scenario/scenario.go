@@ -120,7 +120,7 @@ func Presets(n int, seed uint64) []Scenario {
 		{
 			Name: "top-k", Seed: seed, Nodes: n,
 			Content: content.DefaultConfig(),
-			Query:   peer.QuerySpec{TTL: 7, TopK: 3, Stop: peer.StopAtHit},
+			Query:   peer.QuerySpec{TTL: 7, TopK: 3},
 		},
 		{
 			Name: "churn", Seed: seed, Nodes: n,

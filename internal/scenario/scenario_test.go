@@ -129,7 +129,7 @@ func TestAssocSlabMatchesPerNodeRouters(t *testing.T) {
 			}
 		}
 		eng := flat.NewEngine(g, m, func(u int) peer.Router { return cur[u] })
-		search := &routing.OneShot{Label: "assoc", E: eng, TTL: sc.Query.TTL, TopK: sc.Query.TopK, Stop: sc.Query.Stop}
+		search := &routing.OneShot{Label: "assoc", E: eng, TTL: sc.Query.TTL, TopK: sc.Query.TopK}
 		r := scenario.NewRunner(sc, g, m, eng, search, func(u int) peer.Router {
 			if slab {
 				cur[u].Reset()

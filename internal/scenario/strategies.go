@@ -35,39 +35,39 @@ func Strategies(g *overlay.Graph, m *content.Model, spec peer.QuerySpec, seed ui
 	return []Strategy{
 		{Name: "flood", Build: func(mk EngineFactory) (routing.Searcher, peer.QueryEngine, func(u int) peer.Router) {
 			e := mk(flood)
-			return &routing.OneShot{Label: "flood", E: e, TTL: spec.TTL, TopK: spec.TopK, Stop: spec.Stop}, e, flood
+			return &routing.OneShot{Label: "flood", E: e, TTL: spec.TTL, TopK: spec.TopK}, e, flood
 		}},
 		{Name: "expanding-ring", Build: func(mk EngineFactory) (routing.Searcher, peer.QueryEngine, func(u int) peer.Router) {
 			e := mk(flood)
-			return &routing.ExpandingRing{E: e, Start: 1, Step: 2, Max: spec.TTL, TopK: spec.TopK, Stop: spec.Stop}, e, flood
+			return &routing.ExpandingRing{E: e, Start: 1, Step: 2, Max: spec.TTL, TopK: spec.TopK}, e, flood
 		}},
 		{Name: "kwalk-16", Build: func(mk EngineFactory) (routing.Searcher, peer.QueryEngine, func(u int) peer.Router) {
 			wrng := stats.NewRNG(seed + 200)
 			walker := func(u int) peer.Router { return &routing.RandomWalk{K: 16, RNG: wrng.Split()} }
 			e := mk(walker)
-			return &routing.OneShot{Label: "kwalk", E: e, TTL: 64, TopK: spec.TopK, Stop: spec.Stop}, e, walker
+			return &routing.OneShot{Label: "kwalk", E: e, TTL: 64, TopK: spec.TopK}, e, walker
 		}},
 		{Name: "routing-index", Build: func(mk EngineFactory) (routing.Searcher, peer.QueryEngine, func(u int) peer.Router) {
 			idx := routing.BuildRoutingIndices(g, m.HostedCategories, 4, 2)
 			e := mk(func(u int) peer.Router { return idx[u] })
 			// A churned newcomer has no precomputed index — it floods.
-			return &routing.OneShot{Label: "ri", E: e, TTL: spec.TTL, TopK: spec.TopK, Stop: spec.Stop}, e, flood
+			return &routing.OneShot{Label: "ri", E: e, TTL: spec.TTL, TopK: spec.TopK}, e, flood
 		}},
 		{Name: "interest-shortcuts", Warm: true, Build: func(mk EngineFactory) (routing.Searcher, peer.QueryEngine, func(u int) peer.Router) {
 			e := mk(flood)
 			s := routing.NewShortcuts(e, spec.TTL, 5, 10)
-			s.TopK, s.Stop = spec.TopK, spec.Stop
+			s.TopK = spec.TopK
 			return s, e, flood
 		}},
 		{Name: "assoc", Warm: true, Build: func(mk EngineFactory) (routing.Searcher, peer.QueryEngine, func(u int) peer.Router) {
 			e, rejoin := assocEngine(g, mk, routing.DefaultAssocConfig())
-			return &routing.OneShot{Label: "assoc", E: e, TTL: spec.TTL, TopK: spec.TopK, Stop: spec.Stop}, e, rejoin
+			return &routing.OneShot{Label: "assoc", E: e, TTL: spec.TTL, TopK: spec.TopK}, e, rejoin
 		}},
 		{Name: "assoc-two-phase", Warm: true, Build: func(mk EngineFactory) (routing.Searcher, peer.QueryEngine, func(u int) peer.Router) {
 			cfg := routing.DefaultAssocConfig()
 			cfg.Strict = true
 			e, rejoin := assocEngine(g, mk, cfg)
-			return &routing.AssocTwoPhase{E: e, TTL: spec.TTL, TopK: spec.TopK, Stop: spec.Stop}, e, rejoin
+			return &routing.AssocTwoPhase{E: e, TTL: spec.TTL, TopK: spec.TopK}, e, rejoin
 		}},
 	}
 }
