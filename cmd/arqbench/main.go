@@ -568,10 +568,10 @@ func network() {
 // scale measures the capacity envelope of the flat engine (peer/flat):
 // one flood workload at increasing overlay sizes. Quick mode runs 10k
 // nodes (the CI scale-smoke step); the full run adds 100k and 1M, the
-// only million-node driver in the repo. ns/msg, msgs/sec and heap
-// bytes/node depend on the host, which is why this is the one section
-// outside the golden; success and msgs/query are deterministic given the
-// seed.
+// only million-node driver in the repo. ns/msg, msgs/sec, build ns/node
+// and heap bytes/node depend on the host, which is why this is the one
+// section outside the golden; success and msgs/query are deterministic
+// given the seed.
 func scale() {
 	type cfg struct{ n, nq int }
 	rows := []cfg{{10000, 30}}
@@ -580,16 +580,24 @@ func scale() {
 	}
 	const ttl = 7
 	t := metrics.NewTable("Engine scale envelope — flood workload on a power-law overlay, clustered interests",
-		"nodes", "msgs/query", "msgs/sec", "ns/msg", "heap bytes/node", "success")
+		"nodes", "msgs/query", "msgs/sec", "ns/msg", "build ns/node (overlay/content/engine)", "heap bytes/node", "success")
 	for _, c := range rows {
 		runtime.GC()
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
 
+		// Build time per node of each stage of the substrate, in
+		// scenario.Build's order: overlay, content placement, engine.
+		t0 := time.Now()
 		rng := stats.NewRNG(*seed + 500)
 		g := overlay.GnutellaLike(rng, c.n)
+		t1 := time.Now()
 		model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
+		t2 := time.Now()
 		e := flat.NewEngine(g, model, func(u int) peer.Router { return routing.Flood{} })
+		t3 := time.Now()
+		perNode := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(c.n) }
+		build := fmt.Sprintf("%.0f/%.0f/%.0f", perNode(t1.Sub(t0)), perNode(t2.Sub(t1)), perNode(t3.Sub(t2)))
 		search := &routing.OneShot{Label: "flood", E: e, TTL: ttl}
 
 		// Two untimed warmup queries (separate RNG, so the measured
@@ -622,7 +630,7 @@ func scale() {
 		nsPerMsg := float64(elapsed.Nanoseconds()) / float64(totalMsgs)
 		t.AddRow(c.n, fmt.Sprintf("%.0f", agg.AvgMessages),
 			fmt.Sprintf("%.2fM", 1e9/nsPerMsg/1e6), fmt.Sprintf("%.1f", nsPerMsg),
-			fmt.Sprintf("%.0f", heapPerNode), agg.SuccessRate)
+			build, fmt.Sprintf("%.0f", heapPerNode), agg.SuccessRate)
 	}
 	emit(t)
 }

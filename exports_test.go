@@ -39,7 +39,6 @@ var testOnly = map[string]string{
 	"internal/wire.UnmarshalPong":  "fuzzed codec: the servent only sends pongs; FuzzUnmarshalPong holds the decoder to the encoder",
 	"internal/wire.UnmarshalQuery": "fuzzed codec: the servent reads a query's fields in place; FuzzUnmarshalQuery and transport's tests decode whole payloads",
 	// Observers: what another package's tests read off a live object.
-	"internal/content.Model.Role":             "test observer: scenario's role-split test reads every node's role",
 	"internal/core.rules.Support":             "test observer: vantage's checkpoint tests read a restored rule's support",
 	"internal/obsv.Gauge.Value":               "test observer: transport, vantage, routing and fault tests read gauges",
 	"internal/routing.NewAssoc":               "test constructor: one router on its own; programs build a slab with NewAssocs",
@@ -70,11 +69,6 @@ var testOnly = map[string]string{
 	"internal/core.LearnerConfig.Decay":          "test seam: core's and routing's tests vary the learning constants; every program runs DefaultLearnerConfig (ROADMAP 15 fits and pins them)",
 	"internal/core.LearnerConfig.DecayEvery":     "test seam: core's and routing's tests vary the learning constants; every program runs DefaultLearnerConfig (ROADMAP 15 fits and pins them)",
 	"internal/core.LearnerConfig.Floor":          "test seam: core's and routing's tests vary the learning constants; every program runs DefaultLearnerConfig (ROADMAP 15 fits and pins them)",
-	// Tested, and nothing calls it yet: the next sweep's list (ROADMAP 13).
-	"internal/content.RoleBystander": "no caller: the model assigns roles itself; content's and scenario's tests compare Model.Role with it",
-	"internal/content.RoleClient":    "no caller: as RoleBystander",
-	"internal/content.RoleHub":       "no caller: as RoleBystander",
-	"internal/content.RoleProvider":  "no caller: as RoleBystander",
 }
 
 // staysDeleted is what simplicity PRs removed and a later PR must not
@@ -105,8 +99,9 @@ var staysDeleted = struct {
 			"ruleTopK", "connHost", "nodeHost", // one forwarding decision: core.DefaultTopK, trace.HostOf
 			"Options.Fault"}, // one fault hook: transport.Options.Fault, through Options.Net
 		"internal/transport": {"ShedPolicy", "ShedOldest", "ShedNewest", "ShedDeadline"}, // PR 24
-		"internal/content":   {"Build", "FileName"},                                      // one simulator configuration; no caller
-		"internal/sim":       {"RunNet", "NetSpec", "NetEngine"},                         // PR 25
+		"internal/content": {"Build", "FileName", // one simulator configuration; no caller
+			"RoleProvider", "RoleHub", "RoleClient", "RoleBystander"}, // the model assigns roles itself; tests observe them through origins and hosting
+		"internal/sim": {"RunNet", "NetSpec", "NetEngine"}, // PR 25
 		"internal/scenario": {"EventKind", "EventShock", // one simulator configuration
 			"ClusterPlan.HotFrac"}, // a constant
 		"internal/stats": {"WeightedChoice", // tracegen picks a source from cached sums

@@ -7,6 +7,8 @@
 package content
 
 import (
+	"slices"
+
 	"arq/internal/stats"
 	"arq/internal/trace"
 )
@@ -49,37 +51,21 @@ type Config struct {
 	HubBoost int
 }
 
-// Role classifies a node's behaviour in the workload.
-type Role uint8
+// role classifies a node's behaviour in the workload.
+type role uint8
 
 const (
-	// RoleProvider hosts content and issues queries — the default for
-	// every node when the role fractions are zero.
-	RoleProvider Role = iota
-	// RoleHub is a super-peer provider hosting HubBoost times the usual
+	// roleProvider hosts content and issues queries: every node's role
+	// when the role fractions are zero.
+	roleProvider role = iota
+	// roleHub is a super-peer provider hosting HubBoost times the usual
 	// files; hubs never free-ride.
-	RoleHub
-	// RoleClient issues queries but shares nothing.
-	RoleClient
-	// RoleBystander only relays: no content, no queries.
-	RoleBystander
+	roleHub
+	// roleClient issues queries but shares nothing.
+	roleClient
+	// roleBystander only relays: no content, no queries.
+	roleBystander
 )
-
-// issuesQueries reports whether the role originates queries.
-func (r Role) issuesQueries() bool { return r != RoleBystander }
-
-// String names the role for tables and logs.
-func (r Role) String() string {
-	switch r {
-	case RoleHub:
-		return "hub"
-	case RoleClient:
-		return "client"
-	case RoleBystander:
-		return "bystander"
-	}
-	return "provider"
-}
 
 // The placement shape every experiment runs: a sharing peer draws 1 to
 // 2·filesPerNode files (about filesPerNode), and the overlay is partitioned
@@ -102,16 +88,27 @@ func DefaultConfig() Config {
 }
 
 // Model holds content placement and interest profiles for every node of an
-// overlay. It is immutable after Build and safe for concurrent reads.
+// overlay, in flat arrays: every node's hosted categories are one run of a
+// shared arena, every profile one ProfileSize stride of another. It is
+// immutable after Build apart from Reassign, and safe for concurrent
+// reads.
 type Model struct {
-	cfg      Config
-	pop      *stats.Zipf
-	hosts    [][]trace.InterestID // node -> categories it hosts (sorted sets not needed; small)
-	profiles [][]trace.InterestID // node -> categories it queries
-	comm     []int                // node -> community label
-	roles    []Role               // node -> workload role (nil when the split is disabled)
-	origins  []int32              // query-issuing nodes (nil = all nodes)
+	cfg Config
+	pop *stats.Zipf
+	// hosted is the arena of hosted categories: node u's, in draw order,
+	// are hosted[runs[u].off:][:runs[u].n]. Entries no run covers are
+	// dead; Reassign compacts once they outnumber the live ones.
+	hosted   []trace.InterestID
+	runs     []run
+	live     int
+	profiles []trace.InterestID // node u queries profiles[u*ProfileSize:][:ProfileSize]
+	comm     []int32            // node -> community label
+	roles    []role             // node -> workload role (nil when the split is disabled)
+	origins  []int32            // query-issuing nodes (nil = all nodes)
 }
+
+// run is one node's slice of the hosted arena.
+type run struct{ off, n int32 }
 
 // BuildClustered places content with interest-based locality over graph g:
 // nodes are partitioned into communityCount BFS-Voronoi regions, each
@@ -137,34 +134,33 @@ type NeighborGraph interface {
 }
 
 // communities BFS-grows regions from k random seeds, labeling every node.
-func communities(rng *stats.RNG, g NeighborGraph, k int) []int {
+func communities(rng *stats.RNG, g NeighborGraph, k int) []int32 {
 	n := g.N()
 	if k > n {
 		k = n
 	}
-	label := make([]int, n)
+	label := make([]int32, n)
 	for i := range label {
 		label[i] = -1
 	}
-	var queue []int
+	queue := make([]int32, 0, n)
 	for c, u := range stats.SampleWithoutReplacement(rng, n, k) {
-		label[u] = c
-		queue = append(queue, u)
+		label[u] = int32(c)
+		queue = append(queue, int32(u))
 	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(u) {
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, w := range g.Neighbors(int(u)) {
 			if label[w] < 0 {
 				label[w] = label[u]
-				queue = append(queue, int(w))
+				queue = append(queue, w)
 			}
 		}
 	}
 	// Disconnected leftovers (shouldn't happen on connected overlays).
 	for i := range label {
 		if label[i] < 0 {
-			label[i] = rng.Intn(k)
+			label[i] = int32(rng.Intn(k))
 		}
 	}
 	return label
@@ -195,17 +191,17 @@ func clampConfig(cfg Config) Config {
 	return cfg
 }
 
-func build(rng *stats.RNG, n int, cfg Config, comm []int) *Model {
+func build(rng *stats.RNG, n int, cfg Config, comm []int32) *Model {
 	cfg = clampConfig(cfg)
 	m := &Model{
 		cfg:      cfg,
 		pop:      stats.NewZipf(cfg.Categories, cfg.PopularityZipf),
-		hosts:    make([][]trace.InterestID, n),
-		profiles: make([][]trace.InterestID, n),
+		runs:     make([]run, n),
+		profiles: make([]trace.InterestID, n*cfg.ProfileSize),
 		comm:     comm,
 	}
 	if cfg.ClientFrac > 0 || cfg.BystanderFrac > 0 || cfg.HubFrac > 0 {
-		m.roles = make([]Role, n)
+		m.roles = make([]role, n)
 		for u := 0; u < n; u++ {
 			m.roles[u] = drawRole(rng, cfg)
 		}
@@ -215,7 +211,7 @@ func build(rng *stats.RNG, n int, cfg Config, comm []int) *Model {
 	}
 	if m.roles != nil {
 		for u := 0; u < n; u++ {
-			if m.roles[u].issuesQueries() {
+			if m.roles[u] != roleBystander {
 				m.origins = append(m.origins, int32(u))
 			}
 		}
@@ -225,17 +221,17 @@ func build(rng *stats.RNG, n int, cfg Config, comm []int) *Model {
 
 // drawRole assigns one node's role with a single uniform draw, carving
 // [0,1) into hub / client / bystander / provider bands.
-func drawRole(rng *stats.RNG, cfg Config) Role {
+func drawRole(rng *stats.RNG, cfg Config) role {
 	r := rng.Float64()
 	switch {
 	case r < cfg.HubFrac:
-		return RoleHub
+		return roleHub
 	case r < cfg.HubFrac+cfg.ClientFrac:
-		return RoleClient
+		return roleClient
 	case r < cfg.HubFrac+cfg.ClientFrac+cfg.BystanderFrac:
-		return RoleBystander
+		return roleBystander
 	}
-	return RoleProvider
+	return roleProvider
 }
 
 // draw picks a category for node u: from its community's slice of the
@@ -251,41 +247,71 @@ func (m *Model) draw(rng *stats.RNG, u int) trace.InterestID {
 	if per == 0 {
 		per = 1
 	}
-	return trace.InterestID((m.comm[u]*per + rank%per) % m.cfg.Categories)
+	return trace.InterestID((int(m.comm[u])*per + rank%per) % m.cfg.Categories)
 }
 
 // Reassign redraws node u's shared content and interest profile — the
 // content side of a peer leaving and a fresh one taking its place (churn).
 // Not safe concurrently with readers; pause queries while churning.
 func (m *Model) Reassign(rng *stats.RNG, u int) {
-	m.hosts[u] = nil
-	role := m.Role(u)
+	kind := m.role(u)
 	share := false
-	switch role {
-	case RoleHub:
+	switch kind {
+	case roleHub:
 		share = true // super-peers never free-ride
-	case RoleProvider:
+	case roleProvider:
 		share = !rng.Bool(m.cfg.FreeRiderFrac)
 	}
+	// The new set is drawn onto the arena's tail, deduplicated against
+	// itself, then placed.
+	start := len(m.hosted)
 	if share {
 		nf := 1 + rng.Intn(2*filesPerNode)
-		if role == RoleHub {
+		if kind == roleHub {
 			nf *= m.hubBoost()
 		}
-		seen := map[trace.InterestID]bool{}
 		for i := 0; i < nf; i++ {
-			c := m.draw(rng, u)
-			if !seen[c] {
-				seen[c] = true
-				m.hosts[u] = append(m.hosts[u], c)
+			if c := m.draw(rng, u); !slices.Contains(m.hosted[start:], c) {
+				m.hosted = append(m.hosted, c)
 			}
 		}
 	}
-	prof := make([]trace.InterestID, m.cfg.ProfileSize)
+	m.place(u, start)
+	prof := m.profile(u)
 	for i := range prof {
 		prof[i] = m.draw(rng, u)
 	}
-	m.profiles[u] = prof
+}
+
+// place makes hosted[start:], the set just drawn onto the arena's tail,
+// node u's run: copied over u's old run when it fits, else left where it
+// was drawn, the old run turning dead. Once dead entries outnumber live
+// ones the arena is rebuilt in node order, so under any churn
+// len(hosted) <= 2·live.
+func (m *Model) place(u, start int) {
+	set, old := m.hosted[start:], m.runs[u]
+	m.live += len(set) - int(old.n)
+	if len(set) <= int(old.n) {
+		copy(m.hosted[old.off:], set)
+		m.hosted = m.hosted[:start]
+		m.runs[u].n = int32(len(set))
+	} else {
+		m.runs[u] = run{off: int32(start), n: int32(len(set))}
+	}
+	if len(m.hosted)-m.live > m.live {
+		arena := make([]trace.InterestID, 0, m.live)
+		for v, r := range m.runs {
+			m.runs[v].off = int32(len(arena))
+			arena = append(arena, m.hosted[r.off:r.off+r.n]...)
+		}
+		m.hosted = arena
+	}
+}
+
+// profile is node u's interest profile, in place.
+func (m *Model) profile(u int) []trace.InterestID {
+	ps := m.cfg.ProfileSize
+	return m.profiles[u*ps : (u+1)*ps]
 }
 
 // Explicit builds a model with exactly the given hosted categories per
@@ -294,16 +320,18 @@ func (m *Model) Reassign(rng *stats.RNG, u int) {
 func Explicit(n, categories int, hosts map[int][]trace.InterestID) *Model {
 	cfg := DefaultConfig()
 	cfg.Categories = categories
+	cfg.ProfileSize = 1
 	m := &Model{
 		cfg:      cfg,
 		pop:      stats.NewZipf(categories, 0),
-		hosts:    make([][]trace.InterestID, n),
-		profiles: make([][]trace.InterestID, n),
-		comm:     make([]int, n),
+		runs:     make([]run, n),
+		profiles: make([]trace.InterestID, n),
+		comm:     make([]int32, n),
 	}
 	for u := 0; u < n; u++ {
-		m.hosts[u] = append(m.hosts[u], hosts[u]...)
-		m.profiles[u] = []trace.InterestID{trace.InterestID(u % categories)}
+		m.hosted = append(m.hosted, hosts[u]...)
+		m.place(u, len(m.hosted)-len(hosts[u]))
+		m.profiles[u] = trace.InterestID(u % categories)
 	}
 	return m
 }
@@ -313,17 +341,16 @@ func (m *Model) Categories() int { return m.cfg.Categories }
 
 // Hosts reports whether node u shares content in category c.
 func (m *Model) Hosts(u int, c trace.InterestID) bool {
-	for _, h := range m.hosts[u] {
-		if h == c {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(m.HostedCategories(u), c)
 }
 
-// HostedCategories returns the categories node u shares. The returned
-// slice is owned by the model.
-func (m *Model) HostedCategories(u int) []trace.InterestID { return m.hosts[u] }
+// HostedCategories returns the categories node u shares, in draw order.
+// The returned slice is owned by the model and capped at the run's end;
+// a Reassign may overwrite it.
+func (m *Model) HostedCategories(u int) []trace.InterestID {
+	r := m.runs[u]
+	return m.hosted[r.off : r.off+r.n : r.off+r.n]
+}
 
 func (m *Model) hubBoost() int {
 	if m.cfg.HubBoost > 0 {
@@ -332,11 +359,11 @@ func (m *Model) hubBoost() int {
 	return 4
 }
 
-// Role returns node u's workload role; RoleProvider for every node when
+// role returns node u's workload role; roleProvider for every node when
 // the role split is disabled.
-func (m *Model) Role(u int) Role {
+func (m *Model) role(u int) role {
 	if m.roles == nil {
-		return RoleProvider
+		return roleProvider
 	}
 	return m.roles[u]
 }
@@ -354,6 +381,6 @@ func (m *Model) DrawOrigin(rng *stats.RNG, n int) int {
 
 // DrawQuery picks the category node u queries next, from its profile.
 func (m *Model) DrawQuery(rng *stats.RNG, u int) trace.InterestID {
-	prof := m.profiles[u]
+	prof := m.profile(u)
 	return prof[rng.Intn(len(prof))]
 }

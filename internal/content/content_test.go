@@ -93,8 +93,8 @@ func TestBuildClusteredLocality(t *testing.T) {
 	diffOverlap, diff := 0, 0
 	r2 := stats.NewRNG(6)
 	overlap := func(a, b int) bool {
-		for _, c := range m.profiles[a] {
-			for _, d := range m.profiles[b] {
+		for _, c := range m.profile(a) {
+			for _, d := range m.profile(b) {
 				if c == d {
 					return true
 				}
@@ -138,7 +138,7 @@ func TestZeroConfigDefaults(t *testing.T) {
 }
 
 // Community returns node u's community label.
-func (m *Model) Community(u int) int { return m.comm[u] }
+func (m *Model) Community(u int) int { return int(m.comm[u]) }
 
 // ring is an n-node cycle: the tests that want topology-free placement
 // build over it with uniformConfig.

@@ -20,26 +20,26 @@ func TestRolesGateHosting(t *testing.T) {
 	cfg.HubFrac = 0.1
 	const n = 2000
 	m := BuildClustered(stats.NewRNG(5), ring(n), cfg)
-	counts := map[Role]int{}
+	counts := map[role]int{}
 	for u := 0; u < n; u++ {
-		role := m.Role(u)
-		counts[role]++
+		kind := m.role(u)
+		counts[kind]++
 		hosted := len(m.HostedCategories(u))
-		if !role.SharesContent() && hosted != 0 {
-			t.Fatalf("node %d (%s) hosts %d categories, want 0", u, role, hosted)
+		if !kind.sharesContent() && hosted != 0 {
+			t.Fatalf("node %d (role %d) hosts %d categories, want 0", u, kind, hosted)
 		}
-		if role == RoleProvider && hosted != 0 {
+		if kind == roleProvider && hosted != 0 {
 			t.Fatalf("provider %d hosts %d categories at FreeRiderFrac=1", u, hosted)
 		}
-		if role == RoleHub && hosted == 0 {
+		if kind == roleHub && hosted == 0 {
 			t.Fatalf("hub %d hosts nothing", u)
 		}
 	}
 	// The single-draw role bands should roughly honor the fractions.
-	for role, frac := range map[Role]float64{RoleHub: 0.1, RoleClient: 0.3, RoleBystander: 0.2} {
-		got := float64(counts[role]) / n
+	for kind, frac := range map[role]float64{roleHub: 0.1, roleClient: 0.3, roleBystander: 0.2} {
+		got := float64(counts[kind]) / n
 		if got < frac/2 || got > 2*frac {
-			t.Fatalf("%s fraction %.3f far from configured %.2f", role, got, frac)
+			t.Fatalf("role %d fraction %.3f far from configured %.2f", kind, got, frac)
 		}
 	}
 }
@@ -56,11 +56,11 @@ func TestHubBoost(t *testing.T) {
 	m := BuildClustered(stats.NewRNG(6), ring(n), cfg)
 	var hubFiles, hubN, provFiles, provN int
 	for u := 0; u < n; u++ {
-		switch m.Role(u) {
-		case RoleHub:
+		switch m.role(u) {
+		case roleHub:
 			hubFiles += len(m.HostedCategories(u))
 			hubN++
-		case RoleProvider:
+		case roleProvider:
 			provFiles += len(m.HostedCategories(u))
 			provN++
 		}
@@ -119,7 +119,7 @@ func TestDrawOriginRespectsRoles(t *testing.T) {
 	wl := stats.NewRNG(8)
 	for q := 0; q < 5000; q++ {
 		u := m.DrawOrigin(wl, n)
-		if !m.Role(u).issuesQueries() {
+		if m.role(u) == roleBystander {
 			t.Fatalf("DrawOrigin returned bystander %d", u)
 		}
 	}
@@ -137,5 +137,5 @@ func TestDrawOriginRespectsRoles(t *testing.T) {
 	}
 }
 
-// SharesContent reports whether the role hosts files at all.
-func (r Role) SharesContent() bool { return r == RoleProvider || r == RoleHub }
+// sharesContent reports whether the role hosts files at all.
+func (r role) sharesContent() bool { return r == roleProvider || r == roleHub }

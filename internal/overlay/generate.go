@@ -44,8 +44,9 @@ func barabasiAlbert(rng *stats.RNG, n, m int) *Graph {
 		}
 	}
 	// repeated holds node ids once per incident edge endpoint, so sampling
-	// uniformly from it is sampling proportional to degree.
-	var repeated []int32
+	// uniformly from it is sampling proportional to degree. The clique
+	// puts m(m+1) endpoints in and every later node 2m, so 2mn bounds it.
+	repeated := make([]int32, 0, 2*m*n)
 	for u := 0; u <= m; u++ {
 		for range g.Neighbors(u) {
 			repeated = append(repeated, int32(u))

@@ -1,17 +1,18 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Zipf samples ranks 0..N-1 with probability proportional to
-// 1/(rank+1)^S. It precomputes the cumulative distribution once and answers
-// each draw with a binary search, which keeps sampling O(log N) and makes
-// the sampler safe to copy (it is immutable after construction apart from
-// the caller-supplied RNG).
+// 1/(rank+1)^S. It precomputes the cumulative distribution once, plus a
+// guide table of N buckets: guide[k] is the first rank whose cumulative
+// probability reaches k/N. A draw u starts at guide[⌊u·N⌋] and walks to
+// the first rank with cdf >= u, which is what a binary search of the cdf
+// returns for every u, in O(1) expected steps (N ranks over N buckets).
+// The sampler is immutable after construction apart from the
+// caller-supplied RNG, so it is safe to copy and to share.
 type Zipf struct {
-	cdf []float64
+	cdf   []float64
+	guide []int32
 }
 
 // NewZipf builds a Zipf sampler over n ranks with exponent s. It panics if
@@ -33,13 +34,37 @@ func NewZipf(n int, s float64) *Zipf {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1 // guard against rounding
-	return &Zipf{cdf: cdf}
+	guide := make([]int32, n)
+	i := 0
+	for k := range guide {
+		for cdf[i] < float64(k)/float64(n) {
+			i++
+		}
+		guide[k] = int32(i)
+	}
+	return &Zipf{cdf: cdf, guide: guide}
 }
 
-// Sample draws a rank in [0, N).
-func (z *Zipf) Sample(r *RNG) int {
-	u := r.Float64()
-	return sort.SearchFloat64s(z.cdf, u)
+// Sample draws a rank in [0, N): the first rank whose cdf reaches a
+// uniform u in [0, 1), exactly sort.SearchFloat64s(cdf, u).
+func (z *Zipf) Sample(r *RNG) int { return z.rank(r.Float64()) }
+
+func (z *Zipf) rank(u float64) int {
+	return z.walk(int(z.guide[int(u*float64(len(z.guide)))]), u)
+}
+
+// walk finds u's rank from any start i: back while the rank below still
+// reaches u, then forward while i's does not (cdf[N-1] = 1 > u ends it).
+// The guide's start only makes the walk short; the bucket ⌊u·N⌋ can
+// round past u's own, which the back step absorbs.
+func (z *Zipf) walk(i int, u float64) int {
+	for i > 0 && z.cdf[i-1] >= u {
+		i--
+	}
+	for z.cdf[i] < u {
+		i++
+	}
+	return i
 }
 
 // BoundedPareto samples from a Pareto distribution with shape Alpha

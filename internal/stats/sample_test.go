@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -155,4 +156,106 @@ func (z *Zipf) Prob(i int) float64 {
 		return z.cdf[0]
 	}
 	return z.cdf[i] - z.cdf[i-1]
+}
+
+// The guide-table walk must return exactly what a binary search of the
+// cdf returns: the popularity draws of every model and trace generator
+// are pinned by goldens, so a rank that moves by one moves them all.
+// zipfPoints are the u where an off-by-one shows: 0, every cdf[i] and
+// its two float neighbours, every bucket edge k/N and its lower
+// neighbour, and the largest u below 1. Mutations each check catches:
+// dropping the back step (the walk from above), dropping the forward step
+// or `< u` → `<= u` in it (every point), `>= u` → `> u` in the back step
+// (the walk from above at u = cdf[i]), and a guide built with `<=` (the
+// guide check).
+func zipfPoints(z *Zipf) []float64 {
+	us := []float64{0, math.Nextafter(1, 0)}
+	for _, c := range z.cdf {
+		us = append(us, c, math.Nextafter(c, 0), math.Nextafter(c, 2))
+	}
+	n := len(z.cdf)
+	for k := 1; k < n; k++ {
+		q := float64(k) / float64(n)
+		us = append(us, q, math.Nextafter(q, 0))
+	}
+	return us
+}
+
+// checkZipf holds z at u to sort.SearchFloat64s: through the guide, and
+// walking from two ranks below and two above the answer.
+func checkZipf(t *testing.T, z *Zipf, u float64) {
+	t.Helper()
+	if u < 0 || u >= 1 {
+		return
+	}
+	want := sort.SearchFloat64s(z.cdf, u)
+	n := len(z.cdf)
+	if got := z.rank(u); got != want {
+		t.Fatalf("n=%d: rank(%v) = %d, binary search %d", n, u, got, want)
+	}
+	for _, start := range []int{max(want-2, 0), min(want+2, n-1)} {
+		if got := z.walk(start, u); got != want {
+			t.Fatalf("n=%d: walk from %d to %v ends at %d, binary search %d", n, start, u, got, want)
+		}
+	}
+}
+
+func TestZipfSampleMatchesSearch(t *testing.T) {
+	for _, n := range []int{1, 2, 200, 10000} {
+		for _, s := range []float64{0, 0.9, 2} {
+			z := NewZipf(n, s)
+			for k, g := range z.guide {
+				if want := sort.SearchFloat64s(z.cdf, float64(k)/float64(n)); int(g) != want {
+					t.Fatalf("n=%d s=%v: guide[%d] = %d, first rank reaching %d/N is %d", n, s, k, g, k, want)
+				}
+			}
+			for _, u := range zipfPoints(z) {
+				checkZipf(t, z, u)
+			}
+		}
+	}
+	// Sample is rank on the RNG's next Float64.
+	z, a, b := NewZipf(200, 0.9), NewRNG(5), NewRNG(5)
+	for i := 0; i < 1000; i++ {
+		if got, want := z.Sample(a), sort.SearchFloat64s(z.cdf, b.Float64()); got != want {
+			t.Fatalf("draw %d: Sample %d, binary search %d", i, got, want)
+		}
+	}
+}
+
+// FuzzZipfSample holds the walk to the binary search at any u, or at a
+// cdf point nudged by up to three floats, for n up to 10 000 and s in
+// [0, 3].
+func FuzzZipfSample(f *testing.F) {
+	f.Add(uint16(199), uint8(9), uint64(0), uint8(0))
+	f.Add(uint16(9999), uint8(20), uint64(1<<63), uint8(1))
+	f.Add(uint16(1), uint8(0), ^uint64(0), uint8(4))
+	type key struct {
+		n int
+		s float64
+	}
+	zipfs := map[key]*Zipf{}
+	f.Fuzz(func(t *testing.T, nRaw uint16, sRaw uint8, bits uint64, mode uint8) {
+		k := key{int(nRaw)%10000 + 1, float64(sRaw%31) / 10}
+		z := zipfs[k]
+		if z == nil {
+			if len(zipfs) == 64 { // up to 120 KB a sampler: keep the cache small
+				clear(zipfs)
+			}
+			z = NewZipf(k.n, k.s)
+			zipfs[k] = z
+		}
+		u := float64(bits>>11) / (1 << 53)
+		if mode%5 != 0 { // snap to a cdf point, then step 0–3 floats down or up
+			u = z.cdf[bits%uint64(k.n)]
+			for i := uint8(0); i < mode/5%4; i++ {
+				if mode%5 < 3 {
+					u = math.Nextafter(u, 0)
+				} else {
+					u = math.Nextafter(u, 2)
+				}
+			}
+		}
+		checkZipf(t, z, u)
+	})
 }
