@@ -611,8 +611,9 @@ func scale() {
 		elapsed := time.Since(start)
 
 		// Retained heap per node: everything the engine keeps alive
-		// (graph, content, adjacency, dedup state) after the workload,
-		// settled by a GC so transient per-query garbage doesn't count.
+		// (the graph, which is the adjacency it reads, content, dedup
+		// state) after the workload, settled by a GC so transient
+		// per-query garbage doesn't count.
 		runtime.GC()
 		var after runtime.MemStats
 		runtime.ReadMemStats(&after)
@@ -691,9 +692,6 @@ func rewire() {
 	added := adapt.Rewire(g, func(v, ante int) []int32 { return assocs[v].Consequents(ante) },
 		adapt.Options{MaxNewPerNode: 2, MaxDegree: 12, OnAdd: func(u int, consulted, w int32) {
 			assocs[u].AdoptShortcut(consulted, w)
-			// The engine routes from its own adjacency snapshot.
-			e.NeighborsChanged(u, g.Neighbors(u))
-			e.NeighborsChanged(int(w), g.Neighbors(int(w)))
 		}})
 	routing.RunWorkload(stats.NewRNG(*seed+10), search, e, warm) // relearn over the new edges
 	after := peer.Summarize(routing.RunWorkload(stats.NewRNG(*seed+9), search, e, measure))

@@ -80,7 +80,8 @@ var staysDeleted = struct {
 }{
 	names: map[string][]string{
 		"internal/peer": {"NewActorNet", "Engine", "NewEngine", // PR 15: one production engine; PR 25: the oracle is peer/oracle
-			"StopRule", "StopAbsorb", "StopAtHit", "QuerySpec.Stop"}, // one top-k stop rule: every hit prunes its subtree
+			"StopRule", "StopAbsorb", "StopAtHit", "QuerySpec.Stop", // one top-k stop rule: every hit prunes its subtree
+			"DynamicEngine.NeighborsChanged"}, // one adjacency: both engines read the live graph
 		"internal/db":     {"NewTable", "MustTable", "EquiJoin"}, // PR 18
 		"internal/stream": {"FlatCountTable", "NewCountTable"},   // PR 14, 20, 21: one count store
 		"internal/core": {"Wide", "Merge", "Diff", "ShardedPairIndex", "ObsBatch", // PR 14, 18
@@ -125,9 +126,11 @@ var staysDeleted = struct {
 			"Partition", "NewPartition", "Chain", "mPartDrops"}, // no program ran a partition (mPartDrops was fault.partition_drops); transport's test drops edges itself
 		"internal/cluster": {"Universe", "SearchString", "Library"}, // scenario.ClusterPlan{N: n} says it
 		// One workload driver: routing.RunWorkload with a routing.OneShot.
-		"internal/peer/flat":   {"Engine.Workload"},
-		"internal/peer/oracle": {"Engine.Workload"},
-		"internal/overlay":     {"Graph.DegreeStats"}, // a test observer, declared in overlay's tests
+		// One adjacency: both engines read the live graph, unpatched.
+		"internal/peer/flat":   {"Engine.Workload", "Engine.NeighborsChanged"},
+		"internal/peer/oracle": {"Engine.Workload", "Engine.NeighborsChanged"},
+		"internal/overlay": {"Graph.DegreeStats", // a test observer, declared in overlay's tests
+			"CSR", "NewCSR"}, // one adjacency: the graph is the CSR the engine reads
 	},
 	paths: []string{
 		"internal/report", "cmd/arqcheck", "BENCH_baseline.json", "BENCH_scale.json", // PR 16: one read-out per job

@@ -2,113 +2,89 @@ package overlay
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"arq/internal/stats"
 )
 
-// csrMatchesGraph asserts element-for-element equality between the CSR
-// and the source graph's adjacency.
-func csrMatchesGraph(t *testing.T, g *Graph, c *CSR) {
-	t.Helper()
-	if c.N() != g.N() {
-		t.Fatalf("CSR has %d nodes, graph has %d", c.N(), g.N())
-	}
-	if c.Edges() != 2*int64(g.M()) {
-		t.Fatalf("CSR stores %d endpoints, graph has %d edges", c.Edges(), g.M())
-	}
-	for u := 0; u < g.N(); u++ {
-		if c.Degree(u) != g.Degree(u) {
-			t.Fatalf("node %d: CSR degree %d, graph degree %d", u, c.Degree(u), g.Degree(u))
-		}
-		want := g.Neighbors(u)
-		got := c.Neighbors(u)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("node %d neighbor %d: CSR %d, graph %d", u, i, got[i], want[i])
-			}
-		}
-		first := int32(0)
-		if len(want) > 0 {
-			first = want[0]
-		}
-		if col := c.TouchCol(int32(u)); col != first {
-			t.Fatalf("node %d: TouchCol = %d, want %d (first neighbor, 0 if isolated)", u, col, first)
-		}
-	}
-}
-
 func TestCSREmptyAndIsolated(t *testing.T) {
-	csrMatchesGraph(t, NewGraph(0), NewCSR(NewGraph(0)))
-	// Degree-0 nodes: no edges at all.
-	g := NewGraph(5)
-	csrMatchesGraph(t, g, NewCSR(g))
-	// A mix of connected and isolated nodes.
-	g.AddEdge(0, 3)
-	g.AddEdge(3, 4)
-	c := NewCSR(g)
-	csrMatchesGraph(t, g, c)
-	if c.Degree(1) != 0 || c.Degree(2) != 0 {
-		t.Fatalf("isolated nodes gained neighbors: %d, %d", c.Degree(1), c.Degree(2))
+	for _, g := range []*Graph{
+		NewGraph(0),
+		NewGraph(5), // degree-0 nodes: no edges at all
+		fromEdges(5, []int32{0, 3, 3, 4}),
+		// Empty rows ahead of a row that starts with a nonzero column:
+		// their pointer equals the next row's, and TouchCol must not
+		// read into it.
+		fromEdges(4, []int32{2, 3}),
+		GnutellaLike(stats.NewRNG(2), 200),
+	} {
+		for u := 0; u < g.N(); u++ {
+			first := int32(0)
+			if row := g.Neighbors(u); len(row) > 0 {
+				first = row[0]
+			}
+			if got := g.TouchCol(int32(u)); got != first {
+				t.Fatalf("%v node %d: TouchCol = %d, want %d (first neighbor, 0 if isolated)", g, u, got, first)
+			}
+		}
 	}
-	if c.MaxDegree() != 2 {
-		t.Fatalf("max degree = %d, want 2", c.MaxDegree())
+	g := fromEdges(5, []int32{0, 3, 3, 4})
+	if g.Degree(1) != 0 || g.Degree(2) != 0 || g.Degree(3) != 2 || g.M() != 2 {
+		t.Fatalf("degrees %d %d %d, m = %d", g.Degree(1), g.Degree(2), g.Degree(3), g.M())
 	}
-	// Isolated nodes ahead of a row that starts with a nonzero column:
-	// TouchCol must not read into the next row.
-	g = NewGraph(4)
-	g.AddEdge(2, 3)
-	csrMatchesGraph(t, g, NewCSR(g))
 }
 
-// TestCSRQuickEquivalence is the property test: for random generated
-// graphs, the CSR adjacency is element-for-element equal to
-// Graph.Neighbors.
+// TestCSRQuickEquivalence is the property test of the generators: for
+// random seeds and sizes, each one's graph equals, row for row, the
+// nested-slice graph its edge-by-edge build used to grow (nestedRandom,
+// nestedWattsStrogatz and nestedGnutellaLike below are those builds).
 func TestCSRQuickEquivalence(t *testing.T) {
-	f := func(seed int64, rawN uint8, rawDeg uint8) bool {
-		n := int(rawN%200) + 1
-		deg := float64(rawDeg%8) + 0.5
-		g := Random(stats.NewRNG(uint64(seed)), n, deg)
-		c := NewCSR(g)
-		if c.N() != g.N() || c.Edges() != 2*int64(g.M()) {
-			return false
+	f := func(seed uint64, rawN uint8, kind uint8) bool {
+		n := int(rawN%200) + 5
+		var g *Graph
+		var r *nested
+		switch kind % 3 {
+		case 0:
+			g, r = GnutellaLike(stats.NewRNG(seed), n), nestedGnutellaLike(stats.NewRNG(seed), n)
+		case 1:
+			deg := float64(seed%8) + 0.5
+			g, r = Random(stats.NewRNG(seed), n, deg), nestedRandom(stats.NewRNG(seed), n, deg)
+		default:
+			g, r = WattsStrogatz(stats.NewRNG(seed), n, 4, 0.3), nestedWattsStrogatz(stats.NewRNG(seed), n, 4, 0.3)
 		}
-		for u := 0; u < g.N(); u++ {
-			want := g.Neighbors(u)
-			got := c.Neighbors(u)
-			if len(want) != len(got) {
-				return false
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-		}
+		sameAdjacency(t, g, r, "as built")
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(11))}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 90, Rand: rand.New(rand.NewSource(11))}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestCSRSnapshotImmutability: mutating the graph after NewCSR must not
-// change the snapshot.
+// TestCSRSnapshotImmutability: edits copy rows out and never write the
+// built arrays, which is what lets a clone share them.
 func TestCSRSnapshotImmutability(t *testing.T) {
 	g := Random(stats.NewRNG(3), 50, 4)
-	before := g.Clone()
-	c := NewCSR(g)
+	rowPtr, col := slices.Clone(g.rowPtr), slices.Clone(g.col)
 	rng := stats.NewRNG(4)
 	for i := 0; i < 40; i++ {
 		g.AddEdge(rng.Intn(50), rng.Intn(50))
+		g.RemoveEdge(rng.Intn(50), rng.Intn(50))
+		u := rng.Intn(50)
+		if row := g.Neighbors(u); len(row) > 0 {
+			g.RemoveEdge(u, int(row[0]))
+		}
 	}
-	csrMatchesGraph(t, before, c)
+	if !slices.Equal(g.rowPtr, rowPtr) || !slices.Equal(g.col, col) {
+		t.Fatal("an edit wrote the built arrays")
+	}
 }
 
 // FuzzCSRBuilder feeds arbitrary edge lists — duplicate edges, self
-// loops, isolated nodes — through the Graph builder and checks the CSR
-// equivalence invariants hold for whatever graph results.
+// loops, isolated nodes — to the nested reference; the edges it accepts,
+// in order, are the edge list the builder compresses, and every row
+// must come out as the reference grew it.
 func FuzzCSRBuilder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})             // self loop only
@@ -116,49 +92,114 @@ func FuzzCSRBuilder(f *testing.F) {
 	f.Add([]byte{5, 9, 2, 2, 7, 1, 5, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 16 // small universe so duplicates are frequent
-		g := NewGraph(n)
+		r := &nested{adj: make([][]int32, n)}
+		var ends []int32
 		for i := 0; i+1 < len(data); i += 2 {
-			g.AddEdge(int(data[i])%n, int(data[i+1])%n) // dup/self-loop returns false
-		}
-		c := NewCSR(g)
-		if c.N() != n {
-			t.Fatalf("CSR has %d nodes, want %d", c.N(), n)
-		}
-		if c.Edges() != 2*int64(g.M()) {
-			t.Fatalf("CSR stores %d endpoints for %d edges", c.Edges(), g.M())
-		}
-		for u := 0; u < n; u++ {
-			want := g.Neighbors(u)
-			got := c.Neighbors(u)
-			if len(want) != len(got) {
-				t.Fatalf("node %d: CSR degree %d, graph degree %d", u, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("node %d neighbor %d: CSR %d, graph %d", u, i, got[i], want[i])
-				}
-				if got[i] == int32(u) {
-					t.Fatalf("self loop survived at node %d", u)
-				}
+			u, v := int(data[i])%n, int(data[i+1])%n
+			if r.addEdge(u, v) {
+				ends = append(ends, int32(u), int32(v))
 			}
 		}
+		sameAdjacency(t, fromEdges(n, ends), r, "as built")
 	})
 }
 
-// Edges returns the number of stored adjacency entries (twice the edge
-// count of the undirected source graph).
-func (c *CSR) Edges() int64 { return int64(c.rowPtr[len(c.rowPtr)-1]) }
+// nestedConnect is ensureConnected as the nested graph ran it: join each
+// component, in order of its lowest node, to the next by an edge between
+// uniform members, drawn from the components' depth-first orders.
+func (r *nested) connect(rng *stats.RNG) {
+	seen := make([]bool, len(r.adj))
+	var comps [][]int
+	for s := range r.adj {
+		if seen[s] {
+			continue
+		}
+		var comp []int
+		stack := []int{s}
+		seen[s] = true
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			comp = append(comp, u)
+			for _, w := range r.adj[u] {
+				if !seen[w] {
+					seen[w] = true
+					stack = append(stack, int(w))
+				}
+			}
+		}
+		comps = append(comps, comp)
+	}
+	for i := 1; i < len(comps); i++ {
+		r.addEdge(comps[i-1][rng.Intn(len(comps[i-1]))], comps[i][rng.Intn(len(comps[i]))])
+	}
+}
 
-// Degree returns the degree of node u.
-func (c *CSR) Degree(u int) int { return int(c.rowPtr[u+1] - c.rowPtr[u]) }
+func nestedRandom(rng *stats.RNG, n int, avgDeg float64) *nested {
+	r := &nested{adj: make([][]int32, n)}
+	if n <= 1 {
+		return r
+	}
+	target := min(int(float64(n)*avgDeg/2), n*(n-1)/2)
+	for r.m < target {
+		u := rng.Intn(n)
+		v := rng.Intn(n)
+		r.addEdge(u, v)
+	}
+	r.connect(rng)
+	return r
+}
 
-// MaxDegree returns the largest degree in the graph (0 on an empty one).
-func (c *CSR) MaxDegree() int {
-	max := 0
-	for u, n := 0, c.N(); u < n; u++ {
-		if d := c.Degree(u); d > max {
-			max = d
+func nestedWattsStrogatz(rng *stats.RNG, n, k int, beta float64) *nested {
+	r := &nested{adj: make([][]int32, n)}
+	for u := 0; u < n; u++ {
+		for j := 1; j <= k/2; j++ {
+			if !rng.Bool(beta) {
+				r.addEdge(u, (u+j)%n)
+				continue
+			}
+			for attempts := 0; attempts < 20; attempts++ {
+				if w := rng.Intn(n); w != u && r.addEdge(u, w) {
+					break
+				}
+			}
 		}
 	}
-	return max
+	r.connect(rng)
+	return r
+}
+
+func nestedGnutellaLike(rng *stats.RNG, n int) *nested {
+	const m = 2
+	r := &nested{adj: make([][]int32, n)}
+	for u := 0; u <= m; u++ {
+		for v := 0; v < u; v++ {
+			r.addEdge(u, v)
+		}
+	}
+	var repeated []int32
+	for u := 0; u <= m; u++ {
+		for range r.adj[u] {
+			repeated = append(repeated, int32(u))
+		}
+	}
+	for u := m + 1; u < n; u++ {
+		attached := 0
+		for attempts := 0; attached < m && attempts < 50*m; attempts++ {
+			if t := int(repeated[rng.Intn(len(repeated))]); r.addEdge(u, t) {
+				attached++
+				repeated = append(repeated, int32(u), int32(t))
+			}
+		}
+		for attached < m {
+			if t := rng.Intn(u); r.addEdge(u, t) {
+				attached++
+				repeated = append(repeated, int32(u), int32(t))
+			}
+		}
+	}
+	for i := 0; i < n/10; i++ {
+		r.addEdge(rng.Intn(n), rng.Intn(n))
+	}
+	return r
 }

@@ -173,7 +173,7 @@ func (g *Graph) BFSDepths(start int) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, w := range g.adj[u] {
+		for _, w := range g.Neighbors(u) {
 			if depth[w] < 0 {
 				depth[w] = depth[u] + 1
 				queue = append(queue, int(w))

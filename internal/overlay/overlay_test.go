@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -45,9 +46,7 @@ func TestAddRemoveEdge(t *testing.T) {
 }
 
 func TestConnectivity(t *testing.T) {
-	g := NewGraph(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
+	g := fromEdges(5, []int32{0, 1, 2, 3})
 	if g.Connected() {
 		t.Fatal("disconnected graph reported connected")
 	}
@@ -55,12 +54,12 @@ func TestConnectivity(t *testing.T) {
 	if len(comps) != 3 { // {0,1} {2,3} {4}
 		t.Fatalf("components = %d", len(comps))
 	}
-	added := g.ensureConnected(stats.NewRNG(1))
-	if added != 2 {
-		t.Fatalf("added = %d", added)
+	g = connected(stats.NewRNG(1), 5, []int32{0, 1, 2, 3})
+	if g.M() != 4 { // two stitches
+		t.Fatalf("m = %d after stitching", g.M())
 	}
 	if !g.Connected() {
-		t.Fatal("EnsureConnected failed")
+		t.Fatal("stitching left the graph disconnected")
 	}
 }
 
@@ -79,14 +78,17 @@ func TestBFSDepths(t *testing.T) {
 }
 
 func TestCloneIndependent(t *testing.T) {
-	g := NewGraph(3)
-	g.AddEdge(0, 1)
+	g := GnutellaLike(stats.NewRNG(7), 50)
+	g.AddEdge(0, 49)
+	before := graphDigest(g)
 	c := g.Clone()
-	c.AddEdge(1, 2)
-	if g.HasEdge(1, 2) {
+	c.RemoveEdge(0, 49)
+	c.RemoveEdge(1, int(c.Neighbors(1)[0]))
+	c.AddEdge(2, 48)
+	if graphDigest(g) != before {
 		t.Fatal("clone shares storage with original")
 	}
-	if c.M() != 2 || g.M() != 1 {
+	if c.M() != g.M()-1 {
 		t.Fatalf("m: clone=%d orig=%d", c.M(), g.M())
 	}
 }
@@ -105,7 +107,7 @@ func TestRandomGraphProperties(t *testing.T) {
 
 func TestBarabasiAlbertPowerLaw(t *testing.T) {
 	rng := stats.NewRNG(3)
-	g := barabasiAlbert(rng, 2000, 2)
+	g := fromEdges(2000, barabasiAlbert(rng, 2000, 2, 0))
 	if !g.Connected() {
 		t.Fatal("BA graph not connected")
 	}
@@ -215,12 +217,37 @@ func (g *Graph) Connected() bool {
 	return g.reach(0) == g.N()
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns an independent copy of the graph. The built arrays are
+// never written, so the copy shares them and copies only edited rows.
 func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.N())
-	c.m = g.m
-	for u := range g.adj {
-		c.adj[u] = append([]int32(nil), g.adj[u]...)
+	c := *g
+	if g.edited != nil {
+		c.edited = make([][]int32, len(g.edited))
+		for u, row := range g.edited {
+			if row != nil {
+				c.edited[u] = slices.Clone(row)
+			}
+		}
 	}
-	return c
+	return &c
+}
+
+// reach returns the number of nodes reachable from start.
+func (g *Graph) reach(start int) int {
+	seen := make([]bool, g.N())
+	stack := []int{start}
+	seen[start] = true
+	count := 1
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range g.Neighbors(u) {
+			if !seen[w] {
+				seen[w] = true
+				count++
+				stack = append(stack, int(w))
+			}
+		}
+	}
+	return count
 }

@@ -183,18 +183,15 @@ type QueryEngine interface {
 }
 
 // DynamicEngine is the dynamics surface of an engine: the notifications
-// a scenario runner issues after mutating the shared graph or content
-// model between queries (churn, content shocks). The flat engine
-// snapshots adjacency into a CSR and hosting into a bitset at
-// construction, and applies these as epoch-versioned patches; the oracle
-// Engine reads the live structures, so its patch notifications are
-// no-ops. Never call while a query is in flight.
+// a scenario runner issues after mutating the shared content model or a
+// node's peer between queries (churn, content shocks). Both engines read
+// the live overlay.Graph, so a rewired edge needs no notification. The
+// flat engine snapshots hosting into a bitset at construction and
+// patches it on HostedChanged; the oracle Engine reads the live content
+// model, so its HostedChanged is a no-op. Never call while a query is in
+// flight.
 type DynamicEngine interface {
 	QueryEngine
-	// NeighborsChanged installs row as node u's current adjacency. The
-	// runner calls it for every node whose neighbor list a rewire
-	// touched (the churned node and every old/new neighbor).
-	NeighborsChanged(u int, row []int32)
 	// HostedChanged reports node u's hosted categories changing from old
 	// to now (content model already updated).
 	HostedChanged(u int, old, now []trace.InterestID)

@@ -121,7 +121,7 @@ func (e *Engine) runFaulted(org int32, hb []uint64, walk bool, meta peer.Meta, s
 		q := meta
 		q.TTL = int(m.ttl)
 		q.Hops = int(m.hops)
-		nbrs := e.neighbors(u)
+		nbrs := e.g.Neighbors(int(u))
 		chosen := e.routeBuf[:0]
 		if ap := e.appenders[u]; ap != nil {
 			chosen = ap.RouteAppend(chosen, int(u), int(m.from), q, nbrs)

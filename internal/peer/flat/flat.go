@@ -5,10 +5,12 @@
 // its goldens compare against.
 //
 // Layout over behavior: peers are indices into dense slices, adjacency
-// is an overlay.CSR snapshot (one contiguous column array, sequential
-// neighbor scans), message delivery is a batched per-TTL-step frontier
-// swap (two slices reused across queries — no per-message heap,
-// channel, or allocation), and GUID dedup is an epoch-stamped visited
+// is the overlay.Graph itself, read live (compressed sparse rows: one
+// contiguous column array, sequential neighbor scans; a row an edit
+// changed is copied out of it, so churn needs no engine patch), message
+// delivery is a batched per-TTL-step frontier swap (two slices reused
+// across queries — no per-message heap, channel, or allocation), and
+// GUID dedup is an epoch-stamped visited
 // array (a rotating window: bumping the epoch retires the whole
 // previous query's entries in O(1), so no per-node maps ever grow on
 // the hot path). A pure flood engine deduplicates at the sender, the
@@ -62,7 +64,7 @@ type msg struct {
 // shortcuts, two-phase) run on it unchanged. Not safe for concurrent
 // use: the scratch arrays are reused across queries.
 type Engine struct {
-	csr     *overlay.CSR
+	g       *overlay.Graph
 	content *content.Model
 	routers []peer.Router
 
@@ -95,12 +97,6 @@ type Engine struct {
 	hostWords int
 	zeroHost  []uint64
 
-	// dynRows is the overlay delta on top of the immutable CSR: per-node
-	// adjacency overrides installed by NeighborsChanged when churn
-	// rewires the graph. nil until the first patch, so static runs pay
-	// only a nil check per fan-out.
-	dynRows map[int32][]int32
-
 	// Frontier buffers, swapped each TTL step. The generic loop appends
 	// every copy it sends; the flood loop stores first copies only, so
 	// one of its depths never holds more than N entries plus one row.
@@ -119,8 +115,8 @@ type Engine struct {
 	// appenders[u] is non-nil when routers[u] supports the
 	// allocation-free peer.RouteAppender fast path; routeBuf is its
 	// reused destination. broadcast[u] is set when routers[u] is a
-	// peer.Broadcaster — the engine then fans out straight from the CSR
-	// row without materializing a chosen-neighbor list at all.
+	// peer.Broadcaster — the engine then fans out straight from the
+	// graph's row without materializing a chosen-neighbor list at all.
 	appenders []peer.RouteAppender
 	routeBuf  []int32
 	broadcast []bool
@@ -165,23 +161,24 @@ type trail struct {
 // prefetchDist is the base lookahead of the delivery loops: how many
 // frontier entries ahead each loop touches the data it will need.
 // Delivery order is data-dependent random access into the seen array
-// and the CSR; at million-node scale every touch is a DRAM miss, and
-// the loop's own dependency chain leaves the memory system idle between
-// them. Touching a record 16+ messages early keeps that many misses in
+// and the graph's rows; at million-node scale every touch is a DRAM
+// miss, and the loop's own dependency chain leaves the memory system
+// idle between them. Touching a record 16+ messages early keeps that many misses in
 // flight instead of ~1 — worth >2x end-to-end at N=1M, unmeasurable at
 // cache-resident sizes. Loops with smaller bodies use multiples of this
 // (less work per iteration means less lead time per entry of distance).
 const prefetchDist = 16
 
-// NewEngine snapshots g into a CSR and builds one router per node via
-// factory, in node order — the same construction order as the oracle
-// (oracle.Engine), so stateful factories (split RNGs, shared tables)
-// produce identical routers on either.
+// NewEngine reads g as the overlay, live: an edit of the graph between
+// queries is what the next query routes over. It builds one router per
+// node via factory, in node order — the same construction order as the
+// oracle (oracle.Engine), so stateful factories (split RNGs, shared
+// tables) produce identical routers on either.
 func NewEngine(g *overlay.Graph, m *content.Model, factory func(u int) peer.Router) *Engine {
 	n := g.N()
 	words := (n + 63) / 64
 	e := &Engine{
-		csr:       overlay.NewCSR(g),
+		g:         g,
 		content:   m,
 		routers:   make([]peer.Router, n),
 		seen:      make([]uint32, n),
@@ -208,27 +205,6 @@ func NewEngine(g *overlay.Graph, m *content.Model, factory func(u int) peer.Rout
 	}
 	e.allBcast = n > 0 && e.nBcast == n
 	return e
-}
-
-// neighbors resolves node u's current adjacency: the dynamics override
-// when one is installed, else the immutable CSR row.
-func (e *Engine) neighbors(u int32) []int32 {
-	if e.dynRows != nil {
-		if row, ok := e.dynRows[u]; ok {
-			return row
-		}
-	}
-	return e.csr.Neighbors(int(u))
-}
-
-// NeighborsChanged implements peer.DynamicEngine: installs row (copied)
-// as node u's adjacency, an overlay delta on top of the immutable CSR.
-// Never call while a query is in flight.
-func (e *Engine) NeighborsChanged(u int, row []int32) {
-	if e.dynRows == nil {
-		e.dynRows = make(map[int32][]int32)
-	}
-	e.dynRows[int32(u)] = append([]int32(nil), row...)
 }
 
 // HostedChanged implements peer.DynamicEngine: patches the inverted
@@ -271,7 +247,7 @@ func (e *Engine) RouterReset(u int, r peer.Router) {
 }
 
 // Nodes implements peer.QueryEngine.
-func (e *Engine) Nodes() int { return e.csr.N() }
+func (e *Engine) Nodes() int { return e.g.N() }
 
 // ContentModel implements peer.QueryEngine.
 func (e *Engine) ContentModel() *content.Model { return e.content }
@@ -346,7 +322,7 @@ func (e *Engine) runFrontier(org int32, hb []uint64, walk bool, meta peer.Meta, 
 		for i, m := range cur {
 			if i+prefetchDist < len(cur) {
 				t := cur[i+prefetchDist].to
-				e.pfSink += uint64(e.seen[t]) + uint64(e.csr.TouchRow(t))
+				e.pfSink += uint64(e.seen[t]) + uint64(e.g.TouchRow(t))
 			}
 			u := m.to
 			if spec.TopK > 0 && st.Hits >= spec.TopK {
@@ -387,9 +363,9 @@ func (e *Engine) runFrontier(org int32, hb []uint64, walk bool, meta peer.Meta, 
 			if !o.Forward {
 				continue
 			}
-			nbrs := e.neighbors(u)
+			nbrs := e.g.Neighbors(int(u))
 			if e.broadcast[u] {
-				// Flooding fans out straight from the CSR row: every
+				// Flooding fans out straight from the graph's row: every
 				// neighbor except the sender, in neighbor order —
 				// exactly what the router's Route would have chosen.
 				before := len(next)
@@ -457,13 +433,13 @@ func (e *Engine) runFlood(org int32, hb []uint64, ttl int, st *peer.Stats) {
 			// half a window ahead (by then the pointer is cached, so the
 			// column touch is a single unchained load).
 			if i+prefetchDist < len(cur) {
-				e.pfSink += uint64(e.csr.TouchRow(cur[i+prefetchDist].to))
+				e.pfSink += uint64(e.g.TouchRow(cur[i+prefetchDist].to))
 			}
 			if i+prefetchDist/2 < len(cur) {
-				e.pfSink += uint64(uint32(e.csr.TouchCol(cur[i+prefetchDist/2].to)))
+				e.pfSink += uint64(uint32(e.g.TouchCol(cur[i+prefetchDist/2].to)))
 			}
 			u, from := m.to, m.from
-			row := e.neighbors(u)
+			row := e.g.Neighbors(int(u))
 			if n+len(row) > len(nx) {
 				nx = append(nx[:n], make([]msg, len(row))...)
 				nx = nx[:cap(nx)]

@@ -127,11 +127,6 @@ func TestFlatAssocChurnedConsequent(t *testing.T) {
 			t.Fatalf("%s: %d query messages, %d hits; want %d, %d", step, a.QueryMessages, a.Hits, wantMsgs, wantHits)
 		}
 	}
-	unlink := func(v int) {
-		g.RemoveEdge(1, v)
-		fl.NeighborsChanged(1, g.Neighbors(1))
-		fl.NeighborsChanged(v, g.Neighbors(v))
-	}
 
 	// Two floods teach node 1 both rules at support 2; the tie breaks on
 	// the lower id, so the third query rides {0} -> {2} alone.
@@ -139,9 +134,9 @@ func TestFlatAssocChurnedConsequent(t *testing.T) {
 	query("learn 2", 5, 2)
 	query("ruled", 2, 1)
 
-	unlink(2)
+	g.RemoveEdge(1, 2)
 	query("first consequent departed", 2, 1) // {0} -> {3} fills the slot
 
-	unlink(3)
+	g.RemoveEdge(1, 3)
 	query("no consequent left", 3, 0) // flood to 4 and 5, as if uncovered
 }

@@ -50,10 +50,6 @@ func (e *Engine) Nodes() int { return e.G.N() }
 // ContentModel implements peer.QueryEngine.
 func (e *Engine) ContentModel() *content.Model { return e.Content }
 
-// NeighborsChanged implements peer.DynamicEngine: the map engine routes
-// from the live graph, so there is no adjacency snapshot to patch.
-func (e *Engine) NeighborsChanged(u int, row []int32) {}
-
 // HostedChanged implements peer.DynamicEngine: hosting checks read the
 // live content model, so there is no hosting snapshot to patch.
 func (e *Engine) HostedChanged(u int, old, now []trace.InterestID) {}

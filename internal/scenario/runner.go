@@ -89,23 +89,20 @@ func (r *Runner) apply(ev Event) {
 
 // churnNode models peer u leaving and a fresh peer taking its slot: all
 // old edges drop, the newcomer wires itself to deg random peers, draws
-// fresh content and interests, and starts with a blank router. Every
-// node whose adjacency row changed is patched into the engine.
+// fresh content and interests, and starts with a blank router. The
+// engine reads the rewired graph as it is; its hosting and u's router
+// are patched in.
 func (r *Runner) churnNode(u, deg int) {
 	n := r.G.N()
-	touched := map[int]bool{u: true}
-	old := append([]int32(nil), r.G.Neighbors(u)...)
-	for _, v := range old {
+	for _, v := range append([]int32(nil), r.G.Neighbors(u)...) {
 		r.G.RemoveEdge(u, int(v))
-		touched[int(v)] = true
 	}
 	if deg < 1 {
 		deg = 1
 	}
 	for tries := 0; r.G.Degree(u) < deg && tries < 10*deg; tries++ {
-		v := r.dyn.Intn(n)
-		if v != u && r.G.AddEdge(u, v) {
-			touched[v] = true
+		if v := r.dyn.Intn(n); v != u {
+			r.G.AddEdge(u, v)
 		}
 	}
 	oldHosts := append([]trace.InterestID(nil), r.M.HostedCategories(u)...)
@@ -113,9 +110,6 @@ func (r *Runner) churnNode(u, deg int) {
 	de, dynamic := r.Eng.(peer.DynamicEngine)
 	if !dynamic {
 		return
-	}
-	for _, w := range sortedKeys(touched) {
-		de.NeighborsChanged(w, r.G.Neighbors(w))
 	}
 	de.HostedChanged(u, oldHosts, r.M.HostedCategories(u))
 	if r.NewRouter != nil {

@@ -10,7 +10,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 
 	"arq/internal/content"
 	"arq/internal/overlay"
@@ -153,15 +152,4 @@ func ByName(name string, n int, seed uint64) (Scenario, error) {
 		}
 	}
 	return Scenario{}, fmt.Errorf("unknown scenario %q (valid: %v)", name, Names())
-}
-
-// sortedKeys returns the map's keys in ascending order, so patch
-// notifications are issued in a deterministic order.
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
