@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -565,6 +566,12 @@ func network() {
 	emit(t)
 }
 
+// scaleRepeats is how many times scale runs a row's measured workload on
+// the same engine: one pass of 10 to 30 queries spans a fraction of a
+// second, too little to resolve a 10 % change in msgs/sec, so a row
+// reports the median pass with the quartiles of all of them.
+const scaleRepeats = 9
+
 // scale measures the capacity envelope of the flat engine (peer/flat):
 // one flood workload at increasing overlay sizes. Quick mode runs 10k
 // nodes (the CI scale-smoke step); the full run adds 100k and 1M, the
@@ -579,8 +586,8 @@ func scale() {
 		rows = append(rows, cfg{100000, 20}, cfg{1000000, 10})
 	}
 	const ttl = 7
-	t := metrics.NewTable("Engine scale envelope — flood workload on a power-law overlay, clustered interests",
-		"nodes", "msgs/query", "msgs/sec", "ns/msg", "build ns/node (overlay/content/engine)", "heap bytes/node", "success")
+	t := metrics.NewTable(fmt.Sprintf("Engine scale envelope — flood workload on a power-law overlay, clustered interests; msgs/sec and ns/msg over %d passes of each row's queries", scaleRepeats),
+		"nodes", "msgs/query", "msgs/sec median [q1–q3]", "ns/msg median [q1–q3]", "build ns/node (overlay/content/engine)", "heap bytes/node", "success")
 	for _, c := range rows {
 		runtime.GC()
 		var before runtime.MemStats
@@ -606,9 +613,27 @@ func scale() {
 		// measures query throughput, not first-touch page faults.
 		routing.RunWorkload(stats.NewRNG(*seed+11), search, e, 2)
 
-		start := time.Now()
-		res := routing.RunWorkload(stats.NewRNG(*seed+7), search, e, c.nq)
-		elapsed := time.Since(start)
+		// Every pass runs the same queries from the same seed, so it
+		// must deliver what the first did, message for message.
+		var res []peer.Stats
+		totalMsgs := 0
+		nsPerMsg, msgsPerSec := make([]float64, scaleRepeats), make([]float64, scaleRepeats)
+		for r := range nsPerMsg {
+			start := time.Now()
+			pass := routing.RunWorkload(stats.NewRNG(*seed+7), search, e, c.nq)
+			elapsed := time.Since(start)
+			if r == 0 {
+				res = pass
+				for _, s := range res {
+					totalMsgs += s.Total()
+				}
+			} else if !reflect.DeepEqual(pass, res) {
+				fmt.Fprintf(os.Stderr, "arqbench: scale at %d nodes: pass %d of the same queries differs from the first\n", c.n, r+1)
+				os.Exit(1)
+			}
+			nsPerMsg[r] = float64(elapsed.Nanoseconds()) / float64(totalMsgs)
+			msgsPerSec[r] = 1e9 / nsPerMsg[r]
+		}
 
 		// Retained heap per node: everything the engine keeps alive
 		// (the graph, which is the adjacency it reads, content, dedup
@@ -624,13 +649,12 @@ func scale() {
 		runtime.KeepAlive(e)
 
 		agg := peer.Summarize(res)
-		totalMsgs := 0
-		for _, s := range res {
-			totalMsgs += s.Total()
+		quartiles := func(xs []float64, unit float64, format string) string {
+			q := func(p float64) string { return fmt.Sprintf(format, stats.Quantile(xs, p)/unit) }
+			return q(0.5) + " [" + q(0.25) + "–" + q(0.75) + "]"
 		}
-		nsPerMsg := float64(elapsed.Nanoseconds()) / float64(totalMsgs)
 		t.AddRow(c.n, fmt.Sprintf("%.0f", agg.AvgMessages),
-			fmt.Sprintf("%.2fM", 1e9/nsPerMsg/1e6), fmt.Sprintf("%.1f", nsPerMsg),
+			quartiles(msgsPerSec, 1e6, "%.2fM"), quartiles(nsPerMsg, 1, "%.1f"),
 			build, fmt.Sprintf("%.0f", heapPerNode), agg.SuccessRate)
 	}
 	emit(t)

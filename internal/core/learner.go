@@ -69,8 +69,11 @@ func (c *LearnerConfig) repair() {
 // of it before it returns (see observeRun).
 //
 // Index, count table and served snapshot are all held by value, so a
-// learner is one object of 96 bytes, and one word of it (the served
-// snapshot's pointer, first) is all a routing decision reads. The served
+// learner is one object of 88 bytes, and one word of it (the served
+// snapshot's pointer, first) is all a routing decision reads. Its counts
+// take what they hold: up to 256 pairs the table is one run sorted by
+// key, filled before it doubles and halved by a decay that leaves it at
+// most a quarter full (see stream.CountTable). The served
 // snapshot also carries the publish version: the next publish is its
 // version plus one. A Learner must not be copied once initialised; an
 // overlay keeps its learners in one slice and initialises each in place.

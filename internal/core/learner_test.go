@@ -104,8 +104,8 @@ func TestLearnerLayout(t *testing.T) {
 	if off := unsafe.Offsetof(l.cur); off != 0 {
 		t.Errorf("the served snapshot's pointer is at offset %d of a Learner, want 0", off)
 	}
-	if size := unsafe.Sizeof(l); size > 96 {
-		t.Errorf("a Learner is %d bytes, ceiling 96", size)
+	if size := unsafe.Sizeof(l); size > 88 {
+		t.Errorf("a Learner is %d bytes, ceiling 88", size)
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 // codec): the forwarding neighbor's host id everywhere but under
 // Sliding.UseInterest, where the policy assigns one id per (source,
 // interest) pair it has in its window. One flat table keyed by PairKey
-// costs one hash per update and has no inner maps to churn.
+// costs one binary search or one hash per update and has no inner maps
+// to churn.
 type PairKey uint64
 
 // packPair builds the key for an (antecedent, replier) pair.
@@ -57,8 +58,11 @@ var deltas = sync.Pool{New: func() any { return new(BlockDelta) }}
 // threshold-crossing counts beside its index.
 //
 // The count table sits in the struct by value, so an index is one object
-// and a Learner that holds its index by value adds none. A PairIndex is
-// not safe for concurrent use.
+// and a Learner that holds its index by value adds none. Up to 256 pairs
+// the table is one run sorted by key, and a PairKey is
+// antecedent<<32 | replier, so each antecedent's pairs sit together, as
+// they do in its rule run; past 256 it is hashed. A PairIndex is not
+// safe for concurrent use.
 type PairIndex struct {
 	counts stream.CountTable[PairKey]
 }

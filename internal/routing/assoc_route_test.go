@@ -207,8 +207,8 @@ func TestAssocHotPathAllocations(t *testing.T) {
 	}
 }
 
-// TestAssocLayout pins the slab entry of one node: at most 104 bytes (the
-// config pointer and a 96-byte core.Learner, so a field added to either
+// TestAssocLayout pins the slab entry of one node: at most 96 bytes (the
+// config pointer and an 88-byte core.Learner, so a field added to either
 // shows up here), with everything RouteAppend reads before it reaches the
 // snapshot inside the first line: the shared config's pointer, then the
 // learner, which core's TestLearnerLayout holds to keep the served
@@ -221,8 +221,8 @@ func TestAssocLayout(t *testing.T) {
 	if off := unsafe.Offsetof(a.learn); off+8 > 64 {
 		t.Errorf("the learner starts at offset %d: its served snapshot's pointer leaves the router's first cache line", off)
 	}
-	if size := unsafe.Sizeof(a); size > 104 {
-		t.Errorf("an Assoc is %d bytes, ceiling 104", size)
+	if size := unsafe.Sizeof(a); size > 96 {
+		t.Errorf("an Assoc is %d bytes, ceiling 96", size)
 	}
 }
 

@@ -25,48 +25,62 @@ import (
 //
 // The table is two parallel arrays, keys and vals, of one power-of-two
 // length. A stored count is never zero, so a zero in vals marks a free
-// slot, Reset is one clear of vals, and Decay is one linear pass over
-// vals. Up to smallSlots slots the table is scanned rather than hashed
-// and may fill completely: a per-node learner that tracks three pairs
-// holds two 4-slot arrays. Larger tables are open-addressed with linear
-// probing at load <= 1/2 and backward-shift deletion. The zero value is
-// an empty table, which is how core.PairIndex holds its two by value, and
-// nothing is allocated before the first insert. Keys are integers (the
-// packed pair keys and host ids of core.PairIndex), so the hash is one
-// multiply.
+// slot and Reset is one clear of vals. Up to smallSlots entries the table
+// is one sorted run: keys[:n] ascend, their counts sit beside them, every
+// slot past n is free, a lookup is a binary search and an insert or a
+// removal shifts the run's tail. Such a table fills completely before it
+// doubles, and a decay, one compacting pass in key order, halves it while
+// it is at most a quarter full (never below firstSlots), so its arrays
+// stay within four times its live count: a per-node learner that tracks
+// three pairs holds two 4-slot arrays, one that decays from 200 pairs to
+// 20 goes from 256 slots to 64. Past smallSlots entries the table is
+// open-addressed with linear probing at load <= 1/2 and backward-shift
+// deletion, and stays so. The zero value is an empty table, which is how
+// core.PairIndex holds it by value, and nothing is allocated before the
+// first insert. Keys are integers (the packed pair keys and host ids
+// of core.PairIndex), so order is a compare and the hash is one multiply.
 type CountTable[K ~int | ~uint32 | ~uint64] struct {
 	keys  []K
 	vals  []float64
-	n     int
-	shift uint // 64 - log2(len(vals)) once hashed, 0 while scanned
+	n     int32
+	shift uint8 // 64 - log2(len(vals)) once hashed, 0 while sorted
 }
 
 const (
-	firstSlots = 4 // array length at the first insert
-	smallSlots = 8 // longest table that is scanned instead of hashed
+	firstSlots = 4   // array length at the first insert
+	smallSlots = 256 // most entries a sorted table holds before it is hashed
 )
 
 // hashMul is the odd multiplier of the multiply-shift hash, drawn once
-// per process. It decides only where a key sits, never what a lookup
-// answers.
+// per process. It decides only where a key sits in a hashed table, never
+// what a lookup answers.
 var hashMul = rand.Uint64() | 1
 
 // home is the slot a hashed table probes first for k.
 func (t *CountTable[K]) home(k K) int { return int(uint64(k) * hashMul >> t.shift) }
 
-// find returns the slot that holds k, or (ok false) the free slot k
-// belongs in; a full scanned table has none and reports len(vals).
+// find returns the slot that holds k, or (ok false) the slot k belongs
+// in: in a sorted table the index of the first larger key, which is n
+// (and len(vals) when the table is full) if there is none; in a hashed
+// one the free slot its probe ends on.
 func (t *CountTable[K]) find(k K) (slot int, ok bool) {
 	if t.shift == 0 {
-		slot = len(t.vals)
-		for i := len(t.vals) - 1; i >= 0; i-- {
-			if t.vals[i] == 0 {
-				slot = i
-			} else if t.keys[i] == k {
-				return i, true
-			}
+		n := int(t.n)
+		if n == 0 {
+			return 0, false
 		}
-		return slot, false
+		// A lower bound without a branch on the keys: k's slot is in
+		// [slot, slot+n], and each step halves n. Lookups come in no
+		// order, so a compare-and-branch would mispredict half the
+		// time.
+		keys := t.keys[:n]
+		for n > 1 {
+			half := n >> 1
+			slot += half & -b2i(keys[slot+half] < k)
+			n -= half
+		}
+		slot += b2i(keys[slot] < k)
+		return slot, slot < len(keys) && keys[slot] == k
 	}
 	mask := len(t.vals) - 1
 	for slot = t.home(k); t.vals[slot] != 0; slot = (slot + 1) & mask {
@@ -77,27 +91,44 @@ func (t *CountTable[K]) find(k K) (slot int, ok bool) {
 	return slot, false
 }
 
-// insert stores (k, v), v > 0, for an absent k whose free slot find
-// reported as slot, growing the table first when that is due.
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, so find's binary search has no branch on the keys it compares.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// insert stores (k, v), v > 0, for an absent k whose slot find reported,
+// growing the table first when that is due: a sorted table when it is
+// full, a hashed one past load 1/2.
 func (t *CountTable[K]) insert(slot int, k K, v float64) {
-	if size := len(t.vals); slot == size || t.shift != 0 && 2*(t.n+1) > size {
+	n, size := int(t.n), len(t.vals)
+	if t.shift == 0 && n == size || t.shift != 0 && 2*(n+1) > size {
 		t.grow()
 		slot, _ = t.find(k)
+	}
+	if t.shift == 0 {
+		copy(t.keys[slot+1:n+1], t.keys[slot:n])
+		copy(t.vals[slot+1:n+1], t.vals[slot:n])
 	}
 	t.keys[slot], t.vals[slot] = k, v
 	t.n++
 }
 
-// grow doubles the arrays (a full scanned table of smallSlots goes to the
-// first hashed size that holds it at load <= 1/2) and re-places every
-// entry.
+// grow doubles the arrays. A full sorted table of smallSlots goes to the
+// first hashed size that holds it at load <= 1/2 and re-places every
+// entry; a smaller one stays sorted and keeps its run as it is.
 func (t *CountTable[K]) grow() {
-	keys, vals := t.keys, t.vals
-	size := max(firstSlots, 2*len(vals))
-	if size > smallSlots {
-		size = max(size, 4*smallSlots)
-		t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	size := max(firstSlots, 2*len(t.vals))
+	if t.shift == 0 && size <= smallSlots {
+		t.resize(size)
+		return
 	}
+	keys, vals := t.keys, t.vals
+	size = max(size, 4*smallSlots)
+	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	t.keys, t.vals = make([]K, size), make([]float64, size)
 	for i, v := range vals {
 		if v != 0 {
@@ -107,18 +138,33 @@ func (t *CountTable[K]) grow() {
 	}
 }
 
-// remove frees an occupied slot. In a hashed table every later entry of
-// the run that probed past the slot shifts back, so lookups never meet a
-// gap before their key.
+// resize moves a sorted table's run into new arrays of size slots.
+func (t *CountTable[K]) resize(size int) {
+	n := t.n
+	keys, vals := make([]K, size), make([]float64, size)
+	copy(keys, t.keys[:n])
+	copy(vals, t.vals[:n])
+	t.keys, t.vals = keys, vals
+}
+
+// remove frees an occupied slot. In a sorted table the run's tail shifts
+// down over it. In a hashed table every later entry of the run that
+// probed past the slot shifts back, so lookups never meet a gap before
+// their key.
 func (t *CountTable[K]) remove(slot int) {
 	t.n--
-	if t.shift != 0 {
-		mask := len(t.vals) - 1
-		for next := (slot + 1) & mask; t.vals[next] != 0; next = (next + 1) & mask {
-			if (next-t.home(t.keys[next]))&mask >= (next-slot)&mask {
-				t.keys[slot], t.vals[slot] = t.keys[next], t.vals[next]
-				slot = next
-			}
+	if t.shift == 0 {
+		n := int(t.n)
+		copy(t.keys[slot:n], t.keys[slot+1:n+1])
+		copy(t.vals[slot:n], t.vals[slot+1:n+1])
+		t.vals[n] = 0
+		return
+	}
+	mask := len(t.vals) - 1
+	for next := (slot + 1) & mask; t.vals[next] != 0; next = (next + 1) & mask {
+		if (next-t.home(t.keys[next]))&mask >= (next-slot)&mask {
+			t.keys[slot], t.vals[slot] = t.keys[next], t.vals[next]
+			slot = next
 		}
 	}
 	t.vals[slot] = 0
@@ -184,7 +230,7 @@ func (t *CountTable[K]) Clone() CountTable[K] {
 }
 
 // Len returns the number of tracked keys.
-func (t *CountTable[K]) Len() int { return t.n }
+func (t *CountTable[K]) Len() int { return int(t.n) }
 
 // Reset drops every entry while keeping the allocated capacity, so a table
 // that is rebuilt per window reuses its storage.
@@ -193,8 +239,9 @@ func (t *CountTable[K]) Reset() {
 	t.n = 0
 }
 
-// Range calls f for every tracked key until f returns false. Iteration
-// order is unspecified; f must not mutate the table.
+// Range calls f for every tracked key until f returns false. A sorted
+// table yields its keys in ascending order; otherwise the order is
+// unspecified. f must not mutate the table.
 func (t *CountTable[K]) Range(f func(k K, count float64) bool) {
 	for i, v := range t.vals {
 		if v != 0 && !f(t.keys[i], v) {
@@ -210,13 +257,14 @@ func (t *CountTable[K]) Range(f func(k K, count float64) bool) {
 // threshold-crossing bookkeeping; a zero threshold is never crossed, and
 // a nil onCross observes nothing. onCross must not touch the table.
 //
-// The sweep is one pass over vals with no test for a free slot: zero
-// times factor is zero again, and what marks a slot dead — occupied and
-// now below the floor — is a single unsigned compare on the float bits.
-// A hashed table is swept from just past a free slot, so every run of
-// occupied slots is met at its head; the entries a removal shifts back
-// then all come from slots the sweep has yet to reach, and the freed slot
-// is simply visited again.
+// A sorted table is one compacting pass in key order, after which it
+// halves while at most a quarter full. A hashed table's sweep is one pass
+// over vals with no test for a free slot: zero times factor is zero
+// again, and what marks a slot dead — occupied and now below the floor —
+// is a single unsigned compare on the float bits. It starts just past a
+// free slot, so every run of occupied slots is met at its head; the
+// entries a removal shifts back then all come from slots the sweep has
+// yet to reach, and the freed slot is simply visited again.
 func (t *CountTable[K]) Decay(factor, floor, threshold float64, onCross func(k K, old, now float64)) {
 	const signBit = 1 << 63
 	if onCross == nil {
@@ -227,21 +275,48 @@ func (t *CountTable[K]) Decay(factor, floor, threshold float64, onCross func(k K
 		floorBits = math.Float64bits(floor)
 	}
 	vals := t.vals
+	if t.shift == 0 {
+		// A positive float orders as its bits do, and every slot of the
+		// run is live.
+		keys, kept := t.keys, 0
+		for i, v := range vals[:t.n] {
+			now := v * factor
+			if math.Float64bits(now) < floorBits {
+				if v >= threshold && threshold > 0 {
+					onCross(keys[i], v, 0)
+				}
+				continue
+			}
+			if (v >= threshold) != (now >= threshold) {
+				onCross(keys[i], v, now)
+			}
+			keys[kept], vals[kept] = keys[i], now
+			kept++
+		}
+		clear(vals[kept:t.n])
+		t.n = int32(kept)
+		size := len(vals)
+		for size > firstSlots && kept <= size/4 {
+			size /= 2
+		}
+		if size < len(vals) {
+			t.resize(size)
+		}
+		return
+	}
 	mask := len(vals) - 1
 	start := 0
-	if t.shift != 0 {
-		for vals[start] != 0 {
-			start++
-		}
+	for vals[start] != 0 {
+		start++
 	}
 	for i, end := start+1, start+len(vals); i <= end; i++ {
 		slot := i & mask
 		v := vals[slot]
 		now := v * factor
 		vals[slot] = now
-		// A positive float orders as its bits do. A free slot (v == 0)
-		// has (bits(v) - 1) wrap to all ones, which sets the sign bit
-		// and fails the compare; a live one leaves bits(now) as it is.
+		// A free slot (v == 0) has (bits(v) - 1) wrap to all ones,
+		// which sets the sign bit and fails the compare; a live one
+		// leaves bits(now) as it is.
 		if math.Float64bits(now)|(math.Float64bits(v)-1)&signBit < floorBits {
 			k := t.keys[slot]
 			t.remove(slot)

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -174,11 +175,14 @@ func sortCrossings(c []crossing) {
 	sort.Slice(c, func(i, j int) bool { return c[i].k < c[j].k })
 }
 
-// opKey spreads a byte over 256 keys whose top five bits are the home
-// slot of a 32-slot table under multiplier 1 (the top six that of a
-// 64-slot one, and so on) and whose low bits tell apart the eight keys
-// that share a home: homes 28..31 carry chains over the array end.
-func opKey(b byte) uint64 { return uint64(b>>3)<<59 | uint64(b&7) }
+// opKey spreads an operation's key byte a and the five high bits e of its
+// op byte over 8 192 keys whose top ten bits, (a>>3)<<5 | e, are the home
+// slot of a 1 024-slot table under multiplier 1 (the first hashed size;
+// the top eleven bits that of a 2 048-slot one, and so on) and whose low
+// bits tell apart the eight keys that share a home: homes 1 020..1 023
+// carry chains over the array end. An op byte below 8 has e = 0 and
+// leaves 256 keys, five top bits of home each.
+func opKey(op, a byte) uint64 { return uint64(a>>3)<<59 | uint64(op>>3)<<54 | uint64(a&7) }
 
 var (
 	opWeights    = []float64{1, 1, 2, -1, 0.5, -2.5, 10, 1e-320, -1e9, 0}
@@ -194,7 +198,7 @@ func checkOps(t testing.TB, data []byte) {
 	tab, ref := new(CountTable[uint64]), mapTable{}
 	for pc := 0; pc+2 < len(data); pc += 3 {
 		op, a, b := data[pc], data[pc+1], data[pc+2]
-		k := opKey(a)
+		k := opKey(op, a)
 		switch op % 8 {
 		case 0, 1, 2:
 			w := opWeights[int(b)%len(opWeights)]
@@ -223,15 +227,24 @@ func checkOps(t testing.TB, data []byte) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("op %d: Decay(%v, %v, %v) crossings %v, oracle %v", pc/3, factor, floor, threshold, got, want)
 			}
+			if tab.shift == 0 && len(tab.vals) > max(firstSlots, 4*tab.Len()) {
+				t.Fatalf("op %d: a sorted table of %d entries keeps %d slots after a decay", pc/3, tab.Len(), len(tab.vals))
+			}
 		case 7:
-			if a%8 == 0 { // rare: a Reset empties what the run built up
+			switch a % 8 { // rare: a Reset empties what the run built up
+			case 0:
 				tab.Reset()
 				clear(ref)
+			case 1: // the run goes on in a clone of a table then emptied
+				c := tab.Clone()
+				tab.Reset()
+				tab = &c
 			}
 		}
 		if tab.Len() != len(ref) {
 			t.Fatalf("op %d: Len = %d, oracle %d", pc/3, tab.Len(), len(ref))
 		}
+		checkShape(t, tab, pc/3)
 	}
 	// Every key is where a lookup finds it, and Range sees each once.
 	for k, want := range ref {
@@ -252,6 +265,32 @@ func checkOps(t testing.TB, data []byte) {
 	}
 }
 
+// checkShape fails unless tab keeps its regime's invariants: a sorted
+// table holds at most smallSlots entries as an ascending run of live
+// counts, every slot after it free, in arrays of a power-of-two length
+// (none before the first insert); a hashed one is at least the first
+// hashed size and at most half full.
+func checkShape(t testing.TB, tab *CountTable[uint64], op int) {
+	n, size := tab.Len(), len(tab.vals)
+	if len(tab.keys) != size || size&(size-1) != 0 || n > size {
+		t.Fatalf("op %d: %d entries in %d keys and %d vals", op, n, len(tab.keys), size)
+	}
+	if tab.shift != 0 {
+		if size < 4*smallSlots || 2*n > size || int(tab.shift) != 64-bits.TrailingZeros(uint(size)) {
+			t.Fatalf("op %d: hashed table of %d entries in %d slots under shift %d", op, n, size, tab.shift)
+		}
+		return
+	}
+	if n > smallSlots || size != 0 && size < firstSlots {
+		t.Fatalf("op %d: sorted table of %d entries in %d slots", op, n, size)
+	}
+	for i := range size {
+		if live := tab.vals[i] != 0; live != (i < n) || i > 0 && i < n && tab.keys[i-1] >= tab.keys[i] {
+			t.Fatalf("op %d: slot %d of a sorted run of %d is not in order: %v %v", op, i, n, tab.keys[:n], tab.vals)
+		}
+	}
+}
+
 // checkOpsAllMuls runs checkOps under the process multiplier and under
 // the degenerate 1, where opKey decides each home slot: where keys sit
 // may cost time, never answers.
@@ -264,17 +303,27 @@ func checkOpsAllMuls(t testing.TB, data []byte) {
 }
 
 // TestCountTableMatchesMapOracle is the equivalence property over random
-// operation sequences long enough to take a table from empty through
-// both scanned sizes into the hashed ones and back down by decay.
+// operation sequences long enough to take a sorted table from empty
+// through its doublings and back down by decay, and, in a third of the
+// runs, past smallSlots entries into the hashed sizes first.
 func TestCountTableMatchesMapOracle(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 300,
 		Values: func(args []reflect.Value, rng *rand.Rand) {
 			data := make([]byte, 3*rng.Intn(700))
 			rng.Read(data)
-			if rng.Intn(2) == 0 { // half the runs stay within 16 keys of 2 homes
+			switch rng.Intn(3) {
+			case 0: // within 16 keys of 2 homes
 				for i := 1; i < len(data); i += 3 {
+					data[i-1] &= 7
 					data[i] = 0xf0 | data[i]&0x0f
+				}
+			case 1: // 300 adds of positive weight first: past the bound
+				data = append(make([]byte, 3*300), data...)
+				rng.Read(data[:3*300])
+				for i := 0; i < 3*300; i += 3 {
+					data[i] = data[i]&^7 | data[i]%3
+					data[i+2] = []byte{0, 1, 2, 4, 6}[data[i+2]%5]
 				}
 			}
 			args[0] = reflect.ValueOf(data)
@@ -285,13 +334,14 @@ func TestCountTableMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// FuzzCountTable holds the flat table equal to the map oracle on whatever
-// operation sequence the bytes spell.
+// FuzzCountTable holds the count table equal to the map oracle, and in
+// its regime's shape, on whatever operation sequence the bytes spell: a
+// sorted run up to smallSlots entries, a hashed table past them.
 func FuzzCountTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 0, 1, 0, 5, 0, 0, 4, 1, 0})
-	// Twelve keys of home slots 30 and 31 (a chain over the array end), a
-	// decay that kills some of them, lookups of all.
+	// Twelve keys of adjacent top bits, a decay that kills some of them,
+	// lookups of all.
 	var wrap []byte
 	for i := byte(0); i < 12; i++ {
 		wrap = append(wrap, 0, 30<<3+i%8+i/8<<3, i%3)
@@ -302,26 +352,62 @@ func FuzzCountTable(f *testing.F) {
 	}
 	f.Add(wrap)
 	f.Add(bytes.Repeat([]byte{1, 0xfa, 1, 6, 0, 0x10}, 30))
+	// A sorted table filled with 200 keys in descending order (every
+	// insert shifts the whole run), a sixteenth of them ten times as
+	// heavy; a decay that keeps only those halves it three times. Then a
+	// clone, refills and lookups, a reset.
+	var shrink []byte
+	for i := 199; i >= 0; i-- {
+		shrink = append(shrink, 0, byte(i), []byte{0, 6}[b2i(i%16 == 0)])
+	}
+	shrink = append(shrink, 5, 1, 1, 7, 1, 0)
+	for i := 0; i < 40; i++ {
+		shrink = append(shrink, byte(i%32)<<3|1, 0xff, 0, 4, byte(i), 0)
+	}
+	shrink = append(shrink, 7, 0, 0, 0, 3, 0, 5, 6, 4)
+	f.Add(shrink)
+	// 300 keys in ascending order through the bound into a hashed table,
+	// then eight homed at 1 023 (a chain over the array end), a decay
+	// that kills the chain's head and keeps some of its tail, a clone, a
+	// second decay and lookups of the chain, a reset of the hashed table.
+	var grow []byte
+	for i := 0; i < 300; i++ {
+		grow = append(grow, byte(i/8%32)<<3|2, byte(i/256)<<3|byte(i%8), []byte{0, 1, 2, 4, 6}[i%5])
+	}
+	for i := byte(0); i < 8; i++ {
+		grow = append(grow, 31<<3, 0xf8|i, []byte{0, 6, 4}[i%3])
+	}
+	grow = append(grow, 6, 1, 1, 7, 1, 0, 5, 0, 3)
+	for i := byte(0); i < 8; i++ {
+		grow = append(grow, 31<<3|4, 0xf8|i, 0)
+	}
+	grow = append(grow, 7, 0, 0, 1, 7, 1)
+	f.Add(grow)
 	f.Fuzz(func(t *testing.T, data []byte) { checkOpsAllMuls(t, data) })
 }
 
-// TestCountTableDecayWrappedRun pins the sweep's hardest case by hand: a
-// run of occupied slots that starts near the array end and continues at
-// slot 0, in which a decay kills adjacent entries on both sides of the
-// wrap, so survivors shift back across it while the sweep is under way.
+// TestCountTableDecayWrappedRun pins the hashed sweep's hardest case by
+// hand: a run of occupied slots that starts near the array end and
+// continues at slot 0, in which a decay kills adjacent entries on both
+// sides of the wrap, so survivors shift back across it while the sweep
+// is under way.
 func TestCountTableDecayWrappedRun(t *testing.T) {
 	setHashMul(t, 1)
 	tab, ref := new(CountTable[uint64]), mapTable{}
 	put := func(k uint64, v float64) { tab.Set(k, v); ref.set(k, v) }
-	for i := uint64(0); i < 9; i++ { // nine keys with homes 8..16: the table is hashed, 32 slots
-		put((8+i)<<59, 100)
+	// Under multiplier 1 a key's top ten bits are its home in a table of
+	// 1 024 slots, the first hashed size: 64 - log2(1 024) is the shift.
+	const top = 54
+	for i := uint64(0); i < smallSlots+1; i++ { // homes 8..264: past the bound, the table is hashed
+		put((8+i)<<top, 100)
 	}
-	// Homes 29, 30, 30, 30, 31, 30, 29 fill slots 29, 30, 31, 0, 1, 2, 3.
-	for i, k := range []uint64{29 << 59, 30 << 59, 30<<59 | 1, 30<<59 | 2, 31 << 59, 30<<59 | 3, 29<<59 | 1} {
+	// Homes 1021, 1022, 1022, 1022, 1023, 1022, 1021 fill slots 1021,
+	// 1022, 1023, 0, 1, 2, 3.
+	for i, k := range []uint64{1021 << top, 1022 << top, 1022<<top | 1, 1022<<top | 2, 1023 << top, 1022<<top | 3, 1021<<top | 1} {
 		put(k, []float64{1, 9, 1, 1, 9, 1, 9}[i])
 	}
-	if len(tab.vals) != 32 || tab.vals[31] == 0 || tab.vals[3] == 0 || tab.vals[4] != 0 {
-		t.Fatalf("layout is not the wrapped run this test is about: %v", tab.vals)
+	if len(tab.vals) != 1024 || tab.shift != top || tab.vals[1023] == 0 || tab.vals[3] == 0 || tab.vals[4] != 0 {
+		t.Fatalf("layout is not the wrapped run this test is about: %d slots, shift %d, %v", len(tab.vals), tab.shift, tab.vals[1016:])
 	}
 	var got, want []crossing
 	tab.Decay(0.5, 1, 5, func(k uint64, old, now float64) { got = append(got, crossing{k, old, now}) })
@@ -331,17 +417,76 @@ func TestCountTableDecayWrappedRun(t *testing.T) {
 	if !reflect.DeepEqual(got, want) || len(got) != 3 {
 		t.Fatalf("crossings %v, oracle %v, want the three survivors of the run", got, want)
 	}
-	if tab.Len() != len(ref) || tab.Len() != 12 {
-		t.Fatalf("Len = %d, oracle %d, want 12", tab.Len(), len(ref))
+	if tab.Len() != len(ref) || tab.Len() != smallSlots+4 {
+		t.Fatalf("Len = %d, oracle %d, want %d", tab.Len(), len(ref), smallSlots+4)
 	}
 	for k, v := range ref {
 		if tab.Get(k) != v {
 			t.Fatalf("Get(%#x) = %v, oracle %v", k, tab.Get(k), v)
 		}
 	}
-	// The three survivors of the run, homes 29, 30 and 31, are home.
-	if tab.vals[29] != 4.5 || tab.vals[30] != 4.5 || tab.vals[31] != 4.5 || tab.vals[0] != 0 || tab.vals[3] != 0 {
-		t.Fatalf("survivors did not shift back over the wrap: %v", tab.vals)
+	// The three survivors of the run, homes 1021, 1022 and 1023, are home.
+	if tab.vals[1021] != 4.5 || tab.vals[1022] != 4.5 || tab.vals[1023] != 4.5 || tab.vals[0] != 0 || tab.vals[3] != 0 {
+		t.Fatalf("survivors did not shift back over the wrap: %v %v", tab.vals[1016:], tab.vals[:8])
+	}
+}
+
+// A sorted table gives back what a decay frees: after every decay its
+// arrays are at most four times its live count (or firstSlots), at least
+// its count, and its run still answers every lookup.
+func TestCountTableDecayShrinksSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, fill := range []int{1, 3, 5, 17, 64, 100, smallSlots} {
+		tab, ref := new(CountTable[uint64]), mapTable{}
+		for _, k := range rng.Perm(fill) {
+			v := float64(1 + rng.Intn(1000))
+			tab.Set(uint64(k)*7919, v)
+			ref.set(uint64(k)*7919, v)
+		}
+		for tab.Len() > 0 {
+			tab.Decay(0.7, 1, 0, nil)
+			ref.decay(0.7, 1, 0, func(uint64, float64, float64) {})
+			if tab.shift != 0 || len(tab.vals) > max(firstSlots, 4*tab.Len()) || len(tab.vals) < tab.Len() {
+				t.Fatalf("fill %d: %d entries in %d slots after a decay", fill, tab.Len(), len(tab.vals))
+			}
+			checkShape(t, tab, -1)
+			for k, v := range ref {
+				if tab.Get(k) != v {
+					t.Fatalf("fill %d: Get(%d) = %v, oracle %v", fill, k, tab.Get(k), v)
+				}
+			}
+		}
+		if len(tab.vals) != firstSlots {
+			t.Fatalf("fill %d: an emptied table keeps %d slots, want %d", fill, len(tab.vals), firstSlots)
+		}
+	}
+}
+
+// Range over a sorted table yields its keys in ascending order, each
+// once, whatever order they were inserted and removed in.
+func TestCountTableRangeSortedAscending(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	tab := new(CountTable[uint32])
+	want := map[uint32]bool{}
+	for i := 0; i < 2000; i++ {
+		k := uint32(rng.Intn(400))
+		if tab.Len() < smallSlots && rng.Intn(3) > 0 {
+			tab.Add(k, 1)
+			want[k] = true
+		} else {
+			tab.Set(k, 0)
+			delete(want, k)
+		}
+		var got []uint32
+		tab.Range(func(k uint32, _ float64) bool { got = append(got, k); return true })
+		if tab.shift != 0 || len(got) != len(want) || !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+			t.Fatalf("step %d: Range yields %v over %d keys", i, got, len(want))
+		}
+		for j := 1; j < len(got); j++ {
+			if got[j-1] == got[j] {
+				t.Fatalf("step %d: Range yields %d twice", i, got[j])
+			}
+		}
 	}
 }
 
