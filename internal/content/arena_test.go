@@ -146,15 +146,15 @@ func TestReassignMatchesNested(t *testing.T) {
 		a, b := stats.NewRNG(22), stats.NewRNG(22)
 		rebuilds := 0
 		for i := 0; i < 10000; i++ {
-			before := len(m.hosted)
+			before := m.hosted.Len()
 			u := a.Intn(n)
 			m.Reassign(a, u)
 			ref.reassign(m, b, b.Intn(n))
-			if len(m.hosted) < before {
+			if m.hosted.Len() < before {
 				rebuilds++
 			}
-			if len(m.hosted) > 2*m.live {
-				t.Fatalf("after %d reassigns the arena holds %d entries for %d live", i+1, len(m.hosted), m.live)
+			if m.hosted.Len() > 2*m.hosted.Live() {
+				t.Fatalf("after %d reassigns the arena holds %d entries for %d live", i+1, m.hosted.Len(), m.hosted.Live())
 			}
 		}
 		if rebuilds < 2 {
@@ -172,8 +172,8 @@ func TestReassignMatchesNested(t *testing.T) {
 				t.Fatalf("node %d: run of %d has capacity %d; an append would overwrite its neighbour", u, len(got), cap(got))
 			}
 		}
-		if live != m.live {
-			t.Fatalf("runs hold %d entries, the model counts %d live", live, m.live)
+		if live != m.hosted.Live() {
+			t.Fatalf("runs hold %d entries, the model counts %d live", live, m.hosted.Live())
 		}
 	}
 }

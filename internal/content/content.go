@@ -10,6 +10,7 @@ import (
 	"slices"
 
 	"arq/internal/stats"
+	"arq/internal/stream"
 	"arq/internal/trace"
 )
 
@@ -89,26 +90,19 @@ func DefaultConfig() Config {
 
 // Model holds content placement and interest profiles for every node of an
 // overlay, in flat arrays: every node's hosted categories are one run of a
-// shared arena, every profile one ProfileSize stride of another. It is
-// immutable after Build apart from Reassign, and safe for concurrent
+// stream.Arena, every profile one ProfileSize stride of another array. It
+// is immutable after Build apart from Reassign, and safe for concurrent
 // reads.
 type Model struct {
 	cfg Config
 	pop *stats.Zipf
-	// hosted is the arena of hosted categories: node u's, in draw order,
-	// are hosted[runs[u].off:][:runs[u].n]. Entries no run covers are
-	// dead; Reassign compacts once they outnumber the live ones.
-	hosted   []trace.InterestID
-	runs     []run
-	live     int
+	// hosted holds node u's hosted categories, in draw order, as its run.
+	hosted   stream.Arena[trace.InterestID]
 	profiles []trace.InterestID // node u queries profiles[u*ProfileSize:][:ProfileSize]
 	comm     []int32            // node -> community label
 	roles    []role             // node -> workload role (nil when the split is disabled)
 	origins  []int32            // query-issuing nodes (nil = all nodes)
 }
-
-// run is one node's slice of the hosted arena.
-type run struct{ off, n int32 }
 
 // BuildClustered places content with interest-based locality over graph g:
 // nodes are partitioned into communityCount BFS-Voronoi regions, each
@@ -196,7 +190,7 @@ func build(rng *stats.RNG, n int, cfg Config, comm []int32) *Model {
 	m := &Model{
 		cfg:      cfg,
 		pop:      stats.NewZipf(cfg.Categories, cfg.PopularityZipf),
-		runs:     make([]run, n),
+		hosted:   stream.NewArena[trace.InterestID](n),
 		profiles: make([]trace.InterestID, n*cfg.ProfileSize),
 		comm:     comm,
 	}
@@ -262,49 +256,24 @@ func (m *Model) Reassign(rng *stats.RNG, u int) {
 	case roleProvider:
 		share = !rng.Bool(m.cfg.FreeRiderFrac)
 	}
-	// The new set is drawn onto the arena's tail, deduplicated against
+	// The new set is staged on the arena's tail, deduplicated against
 	// itself, then placed.
-	start := len(m.hosted)
+	start := m.hosted.Len()
 	if share {
 		nf := 1 + rng.Intn(2*filesPerNode)
 		if kind == roleHub {
 			nf *= m.hubBoost()
 		}
 		for i := 0; i < nf; i++ {
-			if c := m.draw(rng, u); !slices.Contains(m.hosted[start:], c) {
-				m.hosted = append(m.hosted, c)
+			if c := m.draw(rng, u); !slices.Contains(m.hosted.Tail(start), c) {
+				m.hosted.Stage(c)
 			}
 		}
 	}
-	m.place(u, start)
+	m.hosted.Place(u, start)
 	prof := m.profile(u)
 	for i := range prof {
 		prof[i] = m.draw(rng, u)
-	}
-}
-
-// place makes hosted[start:], the set just drawn onto the arena's tail,
-// node u's run: copied over u's old run when it fits, else left where it
-// was drawn, the old run turning dead. Once dead entries outnumber live
-// ones the arena is rebuilt in node order, so under any churn
-// len(hosted) <= 2·live.
-func (m *Model) place(u, start int) {
-	set, old := m.hosted[start:], m.runs[u]
-	m.live += len(set) - int(old.n)
-	if len(set) <= int(old.n) {
-		copy(m.hosted[old.off:], set)
-		m.hosted = m.hosted[:start]
-		m.runs[u].n = int32(len(set))
-	} else {
-		m.runs[u] = run{off: int32(start), n: int32(len(set))}
-	}
-	if len(m.hosted)-m.live > m.live {
-		arena := make([]trace.InterestID, 0, m.live)
-		for v, r := range m.runs {
-			m.runs[v].off = int32(len(arena))
-			arena = append(arena, m.hosted[r.off:r.off+r.n]...)
-		}
-		m.hosted = arena
 	}
 }
 
@@ -324,13 +293,13 @@ func Explicit(n, categories int, hosts map[int][]trace.InterestID) *Model {
 	m := &Model{
 		cfg:      cfg,
 		pop:      stats.NewZipf(categories, 0),
-		runs:     make([]run, n),
+		hosted:   stream.NewArena[trace.InterestID](n),
 		profiles: make([]trace.InterestID, n),
 		comm:     make([]int32, n),
 	}
 	for u := 0; u < n; u++ {
-		m.hosted = append(m.hosted, hosts[u]...)
-		m.place(u, len(m.hosted)-len(hosts[u]))
+		m.hosted.Stage(hosts[u]...)
+		m.hosted.Place(u, m.hosted.Len()-len(hosts[u]))
 		m.profiles[u] = trace.InterestID(u % categories)
 	}
 	return m
@@ -348,8 +317,7 @@ func (m *Model) Hosts(u int, c trace.InterestID) bool {
 // The returned slice is owned by the model and capped at the run's end;
 // a Reassign may overwrite it.
 func (m *Model) HostedCategories(u int) []trace.InterestID {
-	r := m.runs[u]
-	return m.hosted[r.off : r.off+r.n : r.off+r.n]
+	return m.hosted.Row(u)
 }
 
 func (m *Model) hubBoost() int {

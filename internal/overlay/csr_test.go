@@ -62,22 +62,37 @@ func TestCSRQuickEquivalence(t *testing.T) {
 	}
 }
 
-// TestCSRSnapshotImmutability: edits copy rows out and never write the
-// built arrays, which is what lets a clone share them.
-func TestCSRSnapshotImmutability(t *testing.T) {
-	g := Random(stats.NewRNG(3), 50, 4)
-	rowPtr, col := slices.Clone(g.rowPtr), slices.Clone(g.col)
+// TestEditLeavesOtherRows: an edit of {u, v} rewrites only u's and v's
+// rows, so a row returned for any other node before the edit keeps its
+// values after it (a move to the tail, a rewrite in place or a rebuild of
+// the arena alike), and every row comes back capped at its end, so an
+// append to one can never write into the next.
+func TestEditLeavesOtherRows(t *testing.T) {
+	const n = 50
+	g := Random(stats.NewRNG(3), n, 4)
 	rng := stats.NewRNG(4)
-	for i := 0; i < 40; i++ {
-		g.AddEdge(rng.Intn(50), rng.Intn(50))
-		g.RemoveEdge(rng.Intn(50), rng.Intn(50))
-		u := rng.Intn(50)
-		if row := g.Neighbors(u); len(row) > 0 {
-			g.RemoveEdge(u, int(row[0]))
+	rows, want := make([][]int32, n), make([][]int32, n)
+	for i := 0; i < 400; i++ {
+		for w := range rows {
+			rows[w] = g.Neighbors(w)
+			want[w] = slices.Clone(rows[w])
+			if cap(rows[w]) != len(rows[w]) {
+				t.Fatalf("edit %d: row %d of %d has capacity %d", i, w, len(rows[w]), cap(rows[w]))
+			}
 		}
-	}
-	if !slices.Equal(g.rowPtr, rowPtr) || !slices.Equal(g.col, col) {
-		t.Fatal("an edit wrote the built arrays")
+		u, v := rng.Intn(n), rng.Intn(n)
+		switch row := g.Neighbors(u); {
+		case i%2 == 0 || len(row) == 0:
+			g.AddEdge(u, v)
+		default:
+			v = int(row[rng.Intn(len(row))])
+			g.RemoveEdge(u, v)
+		}
+		for w := range rows {
+			if w != u && w != v && !slices.Equal(rows[w], want[w]) {
+				t.Fatalf("edit %d of {%d, %d} changed row %d returned before it: %v, was %v", i, u, v, w, rows[w], want[w])
+			}
+		}
 	}
 }
 

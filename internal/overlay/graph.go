@@ -8,28 +8,23 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 
 	"arq/internal/stats"
+	"arq/internal/stream"
 )
 
-// Graph is an undirected simple graph over nodes 0..N-1, held as the
-// compressed sparse rows the query engines read: every neighbor list in
-// one column array, indexed by a row-pointer array, so neighbor scans
-// are sequential reads and a million-node overlay's adjacency fits in a
-// few dozen megabytes. The generators build both arrays once from their
-// edge lists; an edit copies the rows it changes out first, so the
-// arrays are never written after the build.
+// Graph is an undirected simple graph over nodes 0..N-1, held as one
+// stream.Arena of neighbor rows, the adjacency the query engines read:
+// every row a run of one int32 array, so neighbor scans are sequential
+// reads and a million-node overlay's adjacency fits in a few dozen
+// megabytes. The generators build the arena packed, in node order, from
+// their edge lists. An edit moves a grown row to the array's tail and
+// rewrites a shrunk one in place; the arena rebuilds itself in node
+// order once dead entries outnumber live ones, so churn never holds more
+// than twice the live rows.
 type Graph struct {
-	// rowPtr has length N+1; node u's built row is
-	// col[rowPtr[u]:rowPtr[u+1]]. uint32 keeps the hottest
-	// randomly-accessed array of a traversal at half the cache footprint
-	// of a word-sized offset; the build refuses more than 4B entries.
-	rowPtr []uint32
-	col    []int32
-	// edited is nil until the first edit, then holds, per node, the row
-	// an edit copied out of col (nil for a row still as built).
-	edited [][]int32
-	m      int
+	adj stream.Arena[int32]
 }
 
 // NewGraph returns an empty graph on n nodes.
@@ -37,72 +32,66 @@ func NewGraph(n int) *Graph {
 	if n < 0 {
 		panic("overlay: negative node count")
 	}
-	return &Graph{rowPtr: make([]uint32, n+1)}
+	return &Graph{adj: stream.NewArena[int32](n)}
 }
 
 // fromEdges builds the graph whose edge i joins ends[2i] and ends[2i+1]
 // (distinct non-loops): each row lists its neighbors in edge order,
 // element for element what AddEdge appending the edges one at a time
-// gives. It is a counting sort: u's degree lands in ptr[u+2], so the
-// prefix sum leaves ptr[u+1] at u's row start, the fill's cursor, which
-// the fill advances to the row's end, where ptr[u+1] belongs.
+// gives. It is a counting sort: the degrees, a prefix sum that leaves
+// each run's offset, and one fill pass in edge order that counts each
+// run back up to its degree.
 func fromEdges(n int, ends []int32) *Graph {
 	if int64(len(ends)) > int64(^uint32(0)) {
 		panic("overlay: adjacency exceeds 4B entries")
 	}
-	ptr := make([]uint32, n+2)
+	runs := make([]stream.Run, n)
 	for _, u := range ends {
-		ptr[u+2]++
+		runs[u].N++
 	}
-	for i := 2; i < len(ptr); i++ {
-		ptr[i] += ptr[i-1]
+	off := uint32(0)
+	for u := range runs {
+		runs[u].Off, off = off, off+runs[u].N
+		runs[u].N = 0
 	}
 	col := make([]int32, len(ends))
 	for i := 0; i+1 < len(ends); i += 2 {
 		u, v := ends[i], ends[i+1]
-		col[ptr[u+1]] = v
-		ptr[u+1]++
-		col[ptr[v+1]] = u
-		ptr[v+1]++
+		col[runs[u].Off+runs[u].N] = v
+		runs[u].N++
+		col[runs[v].Off+runs[v].N] = u
+		runs[v].N++
 	}
-	return &Graph{rowPtr: ptr[:n+1], col: col, m: len(ends) / 2}
+	return &Graph{adj: stream.PackedArena(col, runs)}
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.rowPtr) - 1 }
+func (g *Graph) N() int { return g.adj.N() }
 
-// M returns the number of edges.
-func (g *Graph) M() int { return g.m }
+// M returns the number of edges: every edge is an entry of two rows.
+func (g *Graph) M() int { return g.adj.Live() / 2 }
 
 // Degree returns the degree of node u.
 func (g *Graph) Degree(u int) int { return len(g.Neighbors(u)) }
 
-// Neighbors returns u's adjacency list. The returned slice is owned by the
-// graph and must not be modified; it holds until the next edit of u's row.
-func (g *Graph) Neighbors(u int) []int32 {
-	if g.edited != nil {
-		if row := g.edited[u]; row != nil {
-			return row
-		}
-	}
-	return g.col[g.rowPtr[u]:g.rowPtr[u+1]]
-}
+// Neighbors returns u's adjacency list, capped at its end. The returned
+// slice is owned by the graph and must not be modified; it holds until
+// the next edit of u's row, and an edit of any other row leaves it as it
+// was.
+func (g *Graph) Neighbors(u int) []int32 { return g.adj.Row(u) }
 
-// TouchRow reads node u's row pointer and returns it, so a traversal
+// TouchRow reads node u's run and returns its offset, so a traversal
 // loop can issue the load for a row it will scan a few iterations from
 // now and sink the result, keeping the DRAM misses of million-node
 // frontiers in flight ahead of use. Deliberately one independent load:
-// touching the columns too would chain a second miss behind it.
-func (g *Graph) TouchRow(u int32) uint32 {
-	return g.rowPtr[u]
-}
+// touching the row's values too would chain a second miss behind it.
+func (g *Graph) TouchRow(u int32) uint32 { return g.adj.Run(int(u)).Off }
 
-// TouchCol reads the first entry of u's built row (0 for an empty one):
-// TouchRow's second stage, one unchained load once the pointer is
-// cached. For an edited row it warms dead entries, harmlessly.
+// TouchCol reads the first entry of u's row (0 for an empty one):
+// TouchRow's second stage, one unchained load once the run is cached.
 func (g *Graph) TouchCol(u int32) int32 {
-	if p := g.rowPtr[u]; p < g.rowPtr[u+1] {
-		return g.col[p]
+	if row := g.Neighbors(int(u)); len(row) > 0 {
+		return row[0]
 	}
 	return 0
 }
@@ -122,52 +111,28 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return false
 }
 
-// AddEdge inserts the undirected edge {u, v}, reporting whether it was
-// added (false for self-loops and existing edges).
+// AddEdge inserts the undirected edge {u, v} at the end of both rows,
+// reporting whether it was added (false for self-loops and existing
+// edges).
 func (g *Graph) AddEdge(u, v int) bool {
 	if u == v || g.HasEdge(u, v) {
 		return false
 	}
-	ru, rv := g.editRow(u), g.editRow(v)
-	g.edited[u] = append(ru, int32(v))
-	g.edited[v] = append(rv, int32(u))
-	g.m++
+	g.adj.Append(u, int32(v))
+	g.adj.Append(v, int32(u))
 	return true
 }
 
-// RemoveEdge deletes the undirected edge {u, v}, reporting whether it
-// existed.
+// RemoveEdge deletes the undirected edge {u, v}, moving each row's last
+// entry into the hole, and reports whether it existed.
 func (g *Graph) RemoveEdge(u, v int) bool {
-	if !g.HasEdge(u, v) {
+	i := slices.Index(g.Neighbors(u), int32(v))
+	if i < 0 {
 		return false
 	}
-	ru, rv := g.editRow(u), g.editRow(v)
-	g.edited[u] = removeVal(ru, int32(v))
-	g.edited[v] = removeVal(rv, int32(u))
-	g.m--
+	g.adj.SwapRemove(u, i)
+	g.adj.SwapRemove(v, slices.Index(g.Neighbors(v), int32(u)))
 	return true
-}
-
-// editRow returns u's row for an edit, copied out of col on its first.
-func (g *Graph) editRow(u int) []int32 {
-	if g.edited == nil {
-		g.edited = make([][]int32, g.N())
-	}
-	if row := g.edited[u]; row != nil {
-		return row
-	}
-	built := g.col[g.rowPtr[u]:g.rowPtr[u+1]]
-	return append(make([]int32, 0, len(built)+1), built...)
-}
-
-func removeVal(s []int32, v int32) []int32 {
-	for i, x := range s {
-		if x == v {
-			s[i] = s[len(s)-1]
-			return s[:len(s)-1]
-		}
-	}
-	return s
 }
 
 // components returns the connected components as node lists.

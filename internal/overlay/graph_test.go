@@ -48,6 +48,17 @@ func (r *nested) removeEdge(u, v int) bool {
 	return true
 }
 
+// removeVal removes v from s by moving the last entry into its slot.
+func removeVal(s []int32, v int32) []int32 {
+	for i, x := range s {
+		if x == v {
+			s[i] = s[len(s)-1]
+			return s[:len(s)-1]
+		}
+	}
+	return s
+}
+
 // editGraph builds one of the graphs the edit tests start from: each
 // generator, and an empty graph whose rows are all built by edits.
 func editGraph(kind int, seed uint64, n int) *Graph {

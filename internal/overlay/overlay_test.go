@@ -1,11 +1,11 @@
 package overlay
 
 import (
-	"slices"
 	"testing"
 	"testing/quick"
 
 	"arq/internal/stats"
+	"arq/internal/stream"
 )
 
 // DegreeStats summarizes the degree distribution.
@@ -217,19 +217,17 @@ func (g *Graph) Connected() bool {
 	return g.reach(0) == g.N()
 }
 
-// Clone returns an independent copy of the graph. The built arrays are
-// never written, so the copy shares them and copies only edited rows.
+// Clone returns an independent copy of the graph: its rows packed into a
+// new arena, in node order.
 func (g *Graph) Clone() *Graph {
-	c := *g
-	if g.edited != nil {
-		c.edited = make([][]int32, len(g.edited))
-		for u, row := range g.edited {
-			if row != nil {
-				c.edited[u] = slices.Clone(row)
-			}
-		}
+	runs := make([]stream.Run, g.N())
+	var col []int32
+	for u := range runs {
+		row := g.Neighbors(u)
+		runs[u] = stream.Run{Off: uint32(len(col)), N: uint32(len(row))}
+		col = append(col, row...)
 	}
-	return &c
+	return &Graph{adj: stream.PackedArena(col, runs)}
 }
 
 // reach returns the number of nodes reachable from start.

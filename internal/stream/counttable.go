@@ -1,7 +1,8 @@
-// Package stream holds the two keyed-stream primitives the learn plane
-// runs on: CountTable, the additive support-count table under
-// core.PairIndex, and DropRing, the bounded drop-oldest queue behind
-// every overload-protected intake.
+// Package stream holds three primitives: CountTable, the additive
+// support-count table under core.PairIndex; DropRing, the bounded
+// drop-oldest queue behind every overload-protected intake; and Arena,
+// the per-node runs of values over one compacting array that hold the
+// overlay graph's adjacency and the content model's hosted categories.
 package stream
 
 import (
