@@ -7,27 +7,26 @@
 // It prints and does nothing else. Every section but scale is
 // deterministic given -seed, and the -quick output of those sections is
 // pinned byte for byte by testdata/quick_golden.txt (TestQuickGolden);
-// performance is measured by benchmark/ against BENCHMARK.json.
-//
-// Usage:
-//
-//	arqbench [-trials N] [-seed S] [-markdown] [-section a,b,...] [-quick]
-//	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+// performance is measured by benchmark/ against BENCHMARK.json. A flag
+// no selected section reads, or -trials below its least value (see
+// flags), exits 2 with one line.
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"reflect"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
 	"arq/internal/adapt"
 	"arq/internal/chaos"
+	"arq/internal/cli"
 	"arq/internal/content"
 	"arq/internal/core"
 	"arq/internal/db"
@@ -43,19 +42,38 @@ import (
 	"arq/internal/tracegen"
 )
 
+// The settings the sections read and where they print; run sets them.
 var (
-	trials   = flag.Int("trials", 365, "tested blocks per trace-driven run (the paper uses 365)")
-	seed     = flag.Uint64("seed", 1, "master seed for all generators")
-	markdown = flag.Bool("markdown", false, "emit Markdown tables instead of ASCII")
-	section  = flag.String("section", "", "run only the named sections, comma-separated ("+strings.Join(sectionNames(), ", ")+")")
-	quick    = flag.Bool("quick", false, "reduced scale for a fast smoke run")
-	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
-	memProf  = flag.String("memprofile", "", "write a heap profile taken after all sections to this path")
+	trials          int
+	seed            uint64
+	markdown, quick bool
+	out, errOut     io.Writer
 )
 
-// out is where every section prints; the golden test points it at a
-// buffer.
-var out io.Writer = os.Stdout
+type options struct{ section, cpuProf, memProf string }
+
+// flags is arqbench's flag table; its modes are the selected sections.
+func (o *options) flags() []cli.Flag {
+	return []cli.Flag{
+		// fig2's and grid's 50 000-pair blocks need 5 trials to test one.
+		cli.Var(&trials, "trials", 365, "tested blocks per trace-driven run (the paper uses 365; 60 with -quick)").AtLeast(5).In(trialSections...),
+		cli.Var(&seed, "seed", 1, "master seed for all generators"),
+		cli.Var(&markdown, "markdown", false, "emit Markdown tables instead of ASCII").In(tableSections...),
+		cli.Var(&o.section, "section", "", "run only the named sections, comma-separated ("+strings.Join(sectionNames(), ", ")+")"),
+		cli.Var(&quick, "quick", false, "reduced scale for a fast smoke run").In(quickSections...),
+		cli.Var(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the whole run to this path"),
+		cli.Var(&o.memProf, "memprofile", "", "write a heap profile taken after all sections to this path"),
+	}
+}
+
+// The sections that read -trials, print a table, and take sizes from
+// -quick, and defaultTrials, the mode in which -quick sets -trials.
+var (
+	trialSections = []string{"policies", "fig1", "fig2", "fig3", "fig4", "static", "grid", "incremental"}
+	tableSections = []string{"policies", "fig2", "fig4", "static", "import", "grid", "network", "rewire", "recovery", "faults", "scenarios", "ablations", "scale"}
+	quickSections = []string{"import", "network", "rewire", "recovery", "faults", "scenarios", "scale", defaultTrials}
+	defaultTrials = "default -trials"
+)
 
 // sections is every section in run order. The deterministic ones come
 // first and scale, the one section that prints timings, last.
@@ -89,90 +107,117 @@ func sectionNames() []string {
 	return names
 }
 
-// run prints the sections named in spec, comma-separated, in table
-// order with a blank line after each; the empty spec means all of them.
-// A name that is not a section is an error that lists the ones that are.
-func run(spec string) error {
-	if spec == "" {
-		spec = strings.Join(sectionNames(), ",")
+// selectSections returns the sections spec names, comma-separated (all
+// of them when it is empty), and defaultTrials when -quick sets -trials
+// for one; an unknown name is an error that lists the sections.
+func selectSections(spec string, trialsSet bool) ([]string, error) {
+	names := sectionNames()
+	if spec != "" {
+		names = strings.Split(spec, ",")
 	}
-	selected := make(map[string]bool)
-	for _, name := range strings.Split(spec, ",") {
+	var modes []string
+	for _, name := range names {
 		name = strings.TrimSpace(name)
-		known := false
-		for _, s := range sections {
-			known = known || s.name == name
+		if !slices.Contains(sectionNames(), name) {
+			return nil, fmt.Errorf("unknown section %q (sections: %s)", name, strings.Join(sectionNames(), ", "))
 		}
-		if !known {
-			return fmt.Errorf("unknown section %q (sections: %s)", name, strings.Join(sectionNames(), ", "))
+		modes = append(modes, name)
+		if !trialsSet && slices.Contains(trialSections, name) && !slices.Contains(modes, defaultTrials) {
+			modes = append(modes, defaultTrials)
 		}
-		selected[name] = true
 	}
-	if *quick && *trials > 60 {
-		*trials = 60
+	return modes, nil
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run prints the selected sections in table order, a blank line after
+// each.
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	c := &cli.Command{Name: "arqbench", Stderr: stderr, Flags: o.flags()}
+	err := c.Parse(args)
+	var selected []string
+	if err == nil {
+		selected, err = selectSections(o.section, c.Set("trials"))
+	}
+	if err == nil {
+		err = c.Check(selected...)
+	}
+	if err != nil {
+		return c.Refuse(err)
+	}
+	if quick && !c.Set("trials") {
+		trials = 60
+	}
+	out, errOut = stdout, stderr
+	if o.cpuProf != "" {
+		f, err := os.Create(o.cpuProf)
+		if err == nil {
+			defer f.Close()
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintln(stderr, "arqbench:", err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
 	}
 	for _, s := range sections {
-		if selected[s.name] {
+		if slices.Contains(selected, s.name) {
 			s.run()
 			fmt.Fprintln(out)
 		}
 	}
-	return nil
-}
-
-func main() {
-	flag.Parse()
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+	if o.memProf != "" {
+		runtime.GC() // settle allocations so the heap profile reflects retention
+		f, err := os.Create(o.memProf)
+		if err == nil {
+			err = errors.Join(pprof.WriteHeapProfile(f), f.Close())
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "arqbench:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "arqbench:", err)
+			return 1
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "arqbench:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
 	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "arqbench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the heap profile reflects retention
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "arqbench:", err)
-				os.Exit(1)
-			}
-		}()
-	}
-	if err := run(*section); err != nil {
-		fmt.Fprintln(os.Stderr, "arqbench:", err)
-		os.Exit(2)
-	}
+	return 0
 }
 
 func emit(t *metrics.Table) {
-	if *markdown {
+	if markdown {
 		fmt.Fprintln(out, t.Markdown())
 	} else {
 		fmt.Fprintln(out, t.String())
 	}
 }
 
-func source() trace.Source {
-	cfg := tracegen.PaperProfile()
-	cfg.Seed = *seed
-	cfg.TotalBlocks = *trials + 1
-	return tracegen.New(cfg)
+// source is the paper-profile generator over -trials tested blocks.
+func source() trace.Source { return sized(10_000)() }
+
+// sized returns the paper-profile generator at blockSize pairs per
+// block, over as many pairs as -trials blocks of 10 000.
+func sized(blockSize int) func() trace.Source {
+	return func() trace.Source {
+		cfg := tracegen.PaperProfile()
+		cfg.Seed = seed
+		cfg.BlockSize = blockSize
+		cfg.TotalBlocks = (trials*10_000)/blockSize + 1
+		return tracegen.New(cfg)
+	}
 }
 
 func seriesLine(label string, s *stats.Series) string {
 	return fmt.Sprintf("%-22s %s  mean=%.3f", label, s.Sparkline(60), s.Mean())
+}
+
+// figure runs p over source and prints title and the run's coverage and
+// success series.
+func figure(title string, p core.Policy) *sim.Result {
+	r := sim.Run(title, p, source(), 0)
+	fmt.Fprintln(out, title)
+	fmt.Fprintln(out, seriesLine("coverage", r.Coverage))
+	fmt.Fprintln(out, seriesLine("success", r.Success))
+	return r
 }
 
 // policySummary reproduces the headline per-policy averages of §V.
@@ -197,10 +242,7 @@ func policySummary() {
 // fig1 reproduces Figure 1: coverage and success of Sliding Window over
 // time.
 func fig1() {
-	r := sim.Run("sliding", &core.Sliding{Prune: 10}, source(), 0)
-	fmt.Fprintln(out, "Fig. 1 — Sliding Window over time (paper: coverage >0.80, success just under 0.79)")
-	fmt.Fprintln(out, seriesLine("coverage", r.Coverage))
-	fmt.Fprintln(out, seriesLine("success", r.Success))
+	figure("Fig. 1 — Sliding Window over time (paper: coverage >0.80, success just under 0.79)", &core.Sliding{Prune: 10})
 }
 
 // fig2 reproduces Figure 2: Sliding Window coverage across block sizes,
@@ -208,17 +250,10 @@ func fig1() {
 func fig2() {
 	var specs []sim.Spec
 	for _, bs := range []int{5000, 10000, 20000, 50000} {
-		bs := bs
 		specs = append(specs, sim.Spec{
 			Name:   fmt.Sprintf("block=%d", bs),
 			Policy: func() core.Policy { return &core.Sliding{Prune: 10} },
-			Source: func() trace.Source {
-				cfg := tracegen.PaperProfile()
-				cfg.Seed = *seed
-				cfg.BlockSize = bs
-				cfg.TotalBlocks = (*trials*10000)/bs + 1
-				return tracegen.New(cfg)
-			},
+			Source: sized(bs),
 		})
 	}
 	for _, th := range []int{5, 20} {
@@ -240,10 +275,7 @@ func fig2() {
 // fig3 reproduces Figure 3: Lazy Sliding Window with each rule set reused
 // for 10 blocks.
 func fig3() {
-	r := sim.Run("lazy", &core.Lazy{Prune: 10, Interval: 10}, source(), 0)
-	fmt.Fprintln(out, "Fig. 3 — Lazy Sliding Window over time, rule set reused 10 blocks (paper: avg 0.59/0.59)")
-	fmt.Fprintln(out, seriesLine("coverage", r.Coverage))
-	fmt.Fprintln(out, seriesLine("success", r.Success))
+	figure("Fig. 3 — Lazy Sliding Window over time, rule set reused 10 blocks (paper: avg 0.59/0.59)", &core.Lazy{Prune: 10, Interval: 10})
 }
 
 // fig4 reproduces Figure 4: Adaptive Sliding Window with thresholds from
@@ -267,10 +299,7 @@ func fig4() {
 // staticDetail reproduces the §V-A narrative: early quality, the success
 // collapse, and the lingering coverage.
 func staticDetail() {
-	r := sim.Run("static", &core.Static{Prune: 10}, source(), 0)
-	fmt.Fprintln(out, "§V-A — Static Ruleset (paper: success ~0 by trial 16 and never recovers; coverage lingers ~0.4; averages 0.18 / <0.02)")
-	fmt.Fprintln(out, seriesLine("coverage", r.Coverage))
-	fmt.Fprintln(out, seriesLine("success", r.Success))
+	r := figure("§V-A — Static Ruleset (paper: success ~0 by trial 16 and never recovers; coverage lingers ~0.4; averages 0.18 / <0.02)", &core.Static{Prune: 10})
 	t := metrics.NewTable("", "measure", "trials 1-5", "trials 12-20", "last quarter", "overall avg")
 	avg := func(vals []float64, lo, hi int) float64 {
 		if hi > len(vals) {
@@ -293,16 +322,16 @@ func staticDetail() {
 // scale (same ratios; the paper: 10,514,090 queries -> 3,254,274 pairs).
 func importPipeline() {
 	cfg := tracegen.PaperProfile()
-	cfg.Seed = *seed
+	cfg.Seed = seed
 	g := tracegen.New(cfg)
 	n := 500_000
-	if *quick {
+	if quick {
 		n = 100_000
 	}
 	qs, rs := g.GenerateRaw(n)
 	imp, err := db.Import(qs, rs)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "import failed:", err)
+		fmt.Fprintln(errOut, "import failed:", err)
 		os.Exit(1)
 	}
 	s := imp.Stats
@@ -327,13 +356,7 @@ func grid22() {
 		specs = append(specs, sim.Spec{Name: name, Policy: p, Source: source})
 	}
 	addBS := func(name string, p func() core.Policy, bs int) {
-		specs = append(specs, sim.Spec{Name: name, Policy: p, Source: func() trace.Source {
-			cfg := tracegen.PaperProfile()
-			cfg.Seed = *seed
-			cfg.BlockSize = bs
-			cfg.TotalBlocks = (*trials*10000)/bs + 1
-			return tracegen.New(cfg)
-		}})
+		specs = append(specs, sim.Spec{Name: name, Policy: p, Source: sized(bs)})
 	}
 	// Static: block sizes ("additional simulations with varying block
 	// sizes yielded very similar results").
@@ -388,10 +411,7 @@ func grid22() {
 // incremental reproduces the §VI claim for the stream-updated rule sets:
 // coverage and success consistently above 90%.
 func incremental() {
-	r := sim.Run("incremental", &core.Incremental{}, source(), 0)
-	fmt.Fprintln(out, "§VI — incremental (stream-updated) rules (paper: consistently above 90%)")
-	fmt.Fprintln(out, seriesLine("coverage", r.Coverage))
-	fmt.Fprintln(out, seriesLine("success", r.Success))
+	r := figure("§VI — incremental (stream-updated) rules (paper: consistently above 90%)", &core.Incremental{})
 	above := 0
 	for i := range r.Coverage.Values {
 		if r.Coverage.Values[i] > 0.9 && r.Success.Values[i] > 0.9 {
@@ -407,12 +427,12 @@ func incremental() {
 func recovery() {
 	shockAt := 40
 	total := 81
-	if *quick {
+	if quick {
 		shockAt, total = 25, 51
 	}
 	mk := func() trace.Source {
 		cfg := tracegen.PaperProfile()
-		cfg.Seed = *seed
+		cfg.Seed = seed
 		cfg.TotalBlocks = total
 		cfg.ShockAtBlock = shockAt
 		cfg.ShockFraction = 0.8
@@ -452,12 +472,12 @@ func recovery() {
 	// node comes back empty (cold) or restored from its codec-round-
 	// tripped rule snapshot (warm); the queries-to-recover gap is what
 	// the servent's checkpoint subsystem buys.
-	rcfg := chaos.Config{Seed: *seed + 901, Nodes: 300, Warm: 3000, TTL: 6}
-	if *quick {
+	rcfg := chaos.Config{Seed: seed + 901, Nodes: 300, Warm: 3000, TTL: 6}
+	if quick {
 		rcfg.Nodes, rcfg.Warm = 150, 1500
 	}
 	restartAB("", rcfg)
-	if !*quick {
+	if !quick {
 		rcfg.Nodes, rcfg.Warm = largeNodes, largeWarm
 		restartAB(largePrefix, rcfg)
 	}
@@ -484,10 +504,10 @@ func restartAB(prefix string, rcfg chaos.Config) {
 	start := time.Now()
 	rres, err := chaos.RunRecovery(rcfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "arqbench:", err)
+		fmt.Fprintln(errOut, "arqbench:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "arqbench: restart A/B at %d nodes: %.1fs wall\n", rcfg.Nodes, time.Since(start).Seconds())
+	fmt.Fprintf(errOut, "arqbench: restart A/B at %d nodes: %.1fs wall\n", rcfg.Nodes, time.Since(start).Seconds())
 	rt := metrics.NewTable(fmt.Sprintf("Process restart A/B — %d nodes, %.0f%% crashed, strict two-phase deployment (ρ = rule-phase success per %d-query window)",
 		rcfg.Nodes, 100*chaos.CrashFrac, chaos.Window),
 		"arm", "pre-crash ρ", "first window", "queries to recover", "final ρ", "restored rules")
@@ -508,58 +528,34 @@ func restartAB(prefix string, rcfg chaos.Config) {
 func network() {
 	n := 2000
 	warm, measure := 25000, 3000
-	if *quick {
+	if quick {
 		n, warm, measure = 600, 5000, 800
 	}
-	rng := stats.NewRNG(*seed + 100)
+	rng := stats.NewRNG(seed + 100)
 	g := overlay.GnutellaLike(rng, n)
 	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
-	const ttl = 7
-
-	type entry struct {
-		name     string
-		searcher routing.Searcher
-		engine   *flat.Engine
-		warm     bool
-	}
-	mk := func(f func(u int) peer.Router) *flat.Engine { return flat.NewEngine(g, model, f) }
-	ef := mk(func(u int) peer.Router { return routing.Flood{} })
-	er := mk(func(u int) peer.Router { return routing.Flood{} })
-	wrng := stats.NewRNG(*seed + 200)
-	ew := mk(func(u int) peer.Router { return &routing.RandomWalk{K: 16, RNG: wrng.Split()} })
-	assocs := routing.NewAssocs(n, routing.DefaultAssocConfig())
-	ea := mk(func(u int) peer.Router { return &assocs[u] })
-	strict := routing.DefaultAssocConfig()
-	strict.Strict = true
-	stricts := routing.NewAssocs(n, strict)
-	e2 := mk(func(u int) peer.Router { return &stricts[u] })
-	idx := routing.BuildRoutingIndices(g, model.HostedCategories, 4, 2)
-	ei := mk(func(u int) peer.Router { return idx[u] })
-	es := mk(func(u int) peer.Router { return routing.Flood{} })
-
-	sp, err := routing.NewSuperPeerNetwork(stats.NewRNG(*seed+300), model, n, n/40, 4, ttl)
+	// The catalogue's seven strategies, as arqnet and the scenario grid
+	// build them, and the super-peer tier after interest shortcuts.
+	labels := []string{"flooding (TTL 7)", "expanding ring [5]", "16-random walks [6]", "routing indices [10]",
+		"interest shortcuts [7]", "super-peer tier [14]", "assoc rules (local fallback)", "assoc rules (origin fallback)"}
+	sp, err := routing.NewSuperPeerNetwork(stats.NewRNG(seed+300), model, n, n/40, 4, 7)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(errOut, err)
 		os.Exit(1)
 	}
-	entries := []entry{
-		{"flooding (TTL 7)", &routing.OneShot{Label: "flood", E: ef, TTL: ttl}, ef, false},
-		{"expanding ring [5]", &routing.ExpandingRing{E: er, Start: 1, Step: 2, Max: ttl}, er, false},
-		{"16-random walks [6]", &routing.OneShot{Label: "kwalk", E: ew, TTL: 1024}, ew, false},
-		{"routing indices [10]", &routing.OneShot{Label: "ri", E: ei, TTL: ttl}, ei, false},
-		{"interest shortcuts [7]", routing.NewShortcuts(es, ttl, 5, 10), es, true},
-		{"super-peer tier [14]", sp, ef, false},
-		{"assoc rules (local fallback)", &routing.OneShot{Label: "assoc", E: ea, TTL: ttl}, ea, true},
-		{"assoc rules (origin fallback)", &routing.AssocTwoPhase{E: e2, TTL: ttl}, e2, true},
-	}
+	strats := slices.Insert(scenario.Strategies(g, model, peer.QuerySpec{TTL: 7}, seed), 5, scenario.Strategy{
+		Build: func(mk scenario.EngineFactory) (routing.Searcher, peer.QueryEngine, func(u int) peer.Router) {
+			return sp, mk(func(u int) peer.Router { return routing.Flood{} }), nil
+		}})
 	t := metrics.NewTable(fmt.Sprintf("Deployment comparison — %d-node power-law overlay, clustered interests, %d measured queries after warm-up", n, measure),
 		"strategy", "success", "msgs/query", "dup/query", "hit hops", "nodes reached")
-	for _, e := range entries {
-		if e.warm {
-			routing.RunWorkload(stats.NewRNG(*seed+5), e.searcher, e.engine, warm)
+	for i, st := range strats {
+		search, e, _ := st.Build(func(f func(u int) peer.Router) peer.QueryEngine { return flat.NewEngine(g, model, f) })
+		if st.Warm {
+			routing.RunWorkload(stats.NewRNG(seed+5), search, e, warm)
 		}
-		agg := peer.Summarize(routing.RunWorkload(stats.NewRNG(*seed+7), e.searcher, e.engine, measure))
-		t.AddRow(e.name, agg.SuccessRate, fmt.Sprintf("%.0f", agg.AvgMessages),
+		agg := peer.Summarize(routing.RunWorkload(stats.NewRNG(seed+7), search, e, measure))
+		t.AddRow(labels[i], agg.SuccessRate, fmt.Sprintf("%.0f", agg.AvgMessages),
 			fmt.Sprintf("%.0f", agg.AvgDuplicates), fmt.Sprintf("%.2f", agg.AvgHitHops),
 			fmt.Sprintf("%.0f", agg.AvgReached))
 	}
@@ -582,7 +578,7 @@ const scaleRepeats = 9
 func scale() {
 	type cfg struct{ n, nq int }
 	rows := []cfg{{10000, 30}}
-	if !*quick {
+	if !quick {
 		rows = append(rows, cfg{100000, 20}, cfg{1000000, 10})
 	}
 	const ttl = 7
@@ -596,7 +592,7 @@ func scale() {
 		// Build time per node of each stage of the substrate, in
 		// scenario.Build's order: overlay, content placement, engine.
 		t0 := time.Now()
-		rng := stats.NewRNG(*seed + 500)
+		rng := stats.NewRNG(seed + 500)
 		g := overlay.GnutellaLike(rng, c.n)
 		t1 := time.Now()
 		model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
@@ -611,7 +607,7 @@ func scale() {
 		// workload below is unaffected) fault in the engine's arrays
 		// and grow its frontier buffers to steady state — the row
 		// measures query throughput, not first-touch page faults.
-		routing.RunWorkload(stats.NewRNG(*seed+11), search, e, 2)
+		routing.RunWorkload(stats.NewRNG(seed+11), search, e, 2)
 
 		// Every pass runs the same queries from the same seed, so it
 		// must deliver what the first did, message for message.
@@ -620,7 +616,7 @@ func scale() {
 		nsPerMsg, msgsPerSec := make([]float64, scaleRepeats), make([]float64, scaleRepeats)
 		for r := range nsPerMsg {
 			start := time.Now()
-			pass := routing.RunWorkload(stats.NewRNG(*seed+7), search, e, c.nq)
+			pass := routing.RunWorkload(stats.NewRNG(seed+7), search, e, c.nq)
 			elapsed := time.Since(start)
 			if r == 0 {
 				res = pass
@@ -628,7 +624,7 @@ func scale() {
 					totalMsgs += s.Total()
 				}
 			} else if !reflect.DeepEqual(pass, res) {
-				fmt.Fprintf(os.Stderr, "arqbench: scale at %d nodes: pass %d of the same queries differs from the first\n", c.n, r+1)
+				fmt.Fprintf(errOut, "arqbench: scale at %d nodes: pass %d of the same queries differs from the first\n", c.n, r+1)
 				os.Exit(1)
 			}
 			nsPerMsg[r] = float64(elapsed.Nanoseconds()) / float64(totalMsgs)
@@ -670,12 +666,12 @@ func scale() {
 func scenarios() {
 	n := 1200
 	warm, measure := 5000, 1500
-	if *quick {
+	if quick {
 		n, warm, measure = 300, 1200, 400
 	}
 	t := metrics.NewTable(fmt.Sprintf("Scenario matrix — %d-node power-law overlay, flat engine, %d measured queries after %d warm-up", n, measure, warm),
 		"scenario/strategy", "success", "msgs/query")
-	for _, sc := range scenario.Presets(n, *seed) {
+	for _, sc := range scenario.Presets(n, seed) {
 		g0, m0 := sc.Build()
 		for _, strat := range scenario.Strategies(g0, m0, sc.Query, sc.Seed) {
 			// Fresh substrate per cell: the runner mutates the graph and
@@ -698,10 +694,10 @@ func scenarios() {
 func rewire() {
 	n := 1200
 	warm, measure := 15000, 2000
-	if *quick {
+	if quick {
 		n, warm, measure = 500, 4000, 600
 	}
-	rng := stats.NewRNG(*seed + 300)
+	rng := stats.NewRNG(seed + 300)
 	// A sparse uniform overlay: paths are several hops long, so cutting a
 	// hop per learned shortcut is visible (on dense power-law overlays
 	// most content is already 1-2 hops away).
@@ -710,15 +706,15 @@ func rewire() {
 	assocs := routing.NewAssocs(n, routing.DefaultAssocConfig())
 	e := flat.NewEngine(g, model, func(u int) peer.Router { return &assocs[u] })
 	search := &routing.OneShot{Label: "assoc", E: e, TTL: 9}
-	routing.RunWorkload(stats.NewRNG(*seed+8), search, e, warm)
-	before := peer.Summarize(routing.RunWorkload(stats.NewRNG(*seed+9), search, e, measure))
+	routing.RunWorkload(stats.NewRNG(seed+8), search, e, warm)
+	before := peer.Summarize(routing.RunWorkload(stats.NewRNG(seed+9), search, e, measure))
 
 	added := adapt.Rewire(g, func(v, ante int) []int32 { return assocs[v].Consequents(ante) },
 		adapt.Options{MaxNewPerNode: 2, MaxDegree: 12, OnAdd: func(u int, consulted, w int32) {
 			assocs[u].AdoptShortcut(consulted, w)
 		}})
-	routing.RunWorkload(stats.NewRNG(*seed+10), search, e, warm) // relearn over the new edges
-	after := peer.Summarize(routing.RunWorkload(stats.NewRNG(*seed+9), search, e, measure))
+	routing.RunWorkload(stats.NewRNG(seed+10), search, e, warm) // relearn over the new edges
+	after := peer.Summarize(routing.RunWorkload(stats.NewRNG(seed+9), search, e, measure))
 
 	t := metrics.NewTable(fmt.Sprintf("§VI topology adaptation — %d shortcut edges added by rule consultation", len(added)),
 		"phase", "success", "msgs/query", "hit hops")
@@ -732,12 +728,12 @@ func rewire() {
 // record the success rate ρ, the rule-routed decision share α, and the
 // headline fault counters per phase.
 func faults() {
-	cfg := chaos.Config{Seed: *seed + 900, Nodes: 300, Warm: 3000, Queries: 500, TTL: 6}
-	if *quick {
+	cfg := chaos.Config{Seed: seed + 900, Nodes: 300, Warm: 3000, Queries: 500, TTL: 6}
+	if quick {
 		cfg.Nodes, cfg.Warm, cfg.Queries = 150, 1500, 300
 	}
 	soak("", cfg)
-	if !*quick {
+	if !quick {
 		cfg.Nodes, cfg.Warm = largeNodes, largeWarm
 		soak(largePrefix, cfg)
 	}
@@ -748,7 +744,7 @@ func faults() {
 func soak(prefix string, cfg chaos.Config) {
 	start := time.Now()
 	res := chaos.Soak(cfg)
-	fmt.Fprintf(os.Stderr, "arqbench: soak at %d nodes: %.1fs wall\n", cfg.Nodes, time.Since(start).Seconds())
+	fmt.Fprintf(errOut, "arqbench: soak at %d nodes: %.1fs wall\n", cfg.Nodes, time.Since(start).Seconds())
 	t := metrics.NewTable(fmt.Sprintf("Fault-injection soak — %d nodes, drop=%.2f crash=%.2f slow=%.2f",
 		cfg.Nodes, res.Fault.Drop, res.Fault.Crash, res.Fault.Slow),
 		"phase", "success", "rule share", "msg drops", "down drops")
@@ -772,7 +768,7 @@ func ablations() {
 	const blocks = 30
 	src := func() trace.Source {
 		cfg := tracegen.PaperProfile()
-		cfg.Seed = *seed
+		cfg.Seed = seed
 		cfg.TotalBlocks = blocks + 1
 		return tracegen.New(cfg)
 	}
@@ -799,7 +795,7 @@ func ablations() {
 	emit(t)
 
 	const n, ttl, warm, measure = 600, 7, 6000, 800
-	rng := stats.NewRNG(*seed + 42)
+	rng := stats.NewRNG(seed + 42)
 	g := overlay.GnutellaLike(rng, n)
 	model := content.BuildClustered(rng.Split(), g, content.DefaultConfig())
 	kt := metrics.NewTable(fmt.Sprintf("Ablations — consequents per covered query, %d-node power-law overlay, %d measured queries after %d warm-up", n, measure, warm),
@@ -810,8 +806,8 @@ func ablations() {
 		as := routing.NewAssocs(n, cfg)
 		e := flat.NewEngine(g, model, func(u int) peer.Router { return &as[u] })
 		s := &routing.OneShot{Label: "assoc", E: e, TTL: ttl}
-		routing.RunWorkload(stats.NewRNG(*seed+4), s, e, warm)
-		agg := peer.Summarize(routing.RunWorkload(stats.NewRNG(*seed+8), s, e, measure))
+		routing.RunWorkload(stats.NewRNG(seed+4), s, e, warm)
+		agg := peer.Summarize(routing.RunWorkload(stats.NewRNG(seed+8), s, e, measure))
 		kt.AddRow(k, agg.SuccessRate, fmt.Sprintf("%.1f", agg.AvgMessages))
 	}
 	emit(kt)

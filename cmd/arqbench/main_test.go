@@ -5,6 +5,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -24,12 +26,9 @@ func TestQuickGolden(t *testing.T) {
 			names = append(names, n)
 		}
 	}
-	var buf bytes.Buffer
-	out = &buf
-	*quick = true
-	defer func() { out = os.Stdout }()
-	if err := run(strings.Join(names, ",")); err != nil {
-		t.Fatal(err)
+	var buf, stderr bytes.Buffer
+	if code := run([]string{"-quick", "-section", strings.Join(names, ",")}, &buf, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
 
 	path := filepath.Join("testdata", "quick_golden.txt")
@@ -58,14 +57,85 @@ func TestQuickGolden(t *testing.T) {
 // An unknown -section name is an error naming the valid ones, before
 // anything runs.
 func TestUnknownSection(t *testing.T) {
-	var buf bytes.Buffer
-	out = &buf
-	defer func() { out = os.Stdout }()
-	err := run("fig1,nosuch")
-	if err == nil || !strings.Contains(err.Error(), `"nosuch"`) || !strings.Contains(err.Error(), "ablations") {
-		t.Fatalf("run(fig1,nosuch) = %v, want an error naming nosuch and the valid sections", err)
+	var buf, stderr bytes.Buffer
+	code := run([]string{"-section", "fig1,nosuch"}, &buf, &stderr)
+	if msg := stderr.String(); code != 2 || !strings.Contains(msg, `"nosuch"`) || !strings.Contains(msg, "ablations") {
+		t.Fatalf("-section fig1,nosuch: exit %d, stderr %q; want 2 and a line naming nosuch and the valid sections", code, msg)
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("sections ran before the bad name was reported: %q", buf.String())
+	}
+}
+
+// exec runs arqbench in process and returns its exit status, stdout and
+// stderr.
+func exec(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("arqbench %s panicked: %v", strings.Join(args, " "), p)
+		}
+	}()
+	var o, e bytes.Buffer
+	code = run(args, &o, &e)
+	return code, o.String(), e.String()
+}
+
+// refused fails the test unless args exit 2 with one line on stderr.
+func refused(t *testing.T, args ...string) {
+	t.Helper()
+	if code, _, e := exec(t, args...); code != 2 || strings.Count(e, "\n") != 1 {
+		t.Errorf("arqbench %s: exit %d, stderr %q; want exit 2 and one line", strings.Join(args, " "), code, e)
+	}
+}
+
+// TestFlagWalk walks every flag with a least value through -1, 0, one
+// below it and the least value itself, in every section:
+// below the least value a run exits 2 with one line; at it, a run either
+// exits 2 with one line (the section does not read the flag) or exits 0
+// and prints something other than the run without the flag. The rows
+// after the walk are settings that used to change nothing.
+func TestFlagWalk(t *testing.T) {
+	var o options
+	for _, f := range o.flags() {
+		if f.Min == nil {
+			continue
+		}
+		for _, section := range sectionNames() {
+			// -quick sets no size of the trial sections once -trials is
+			// given, so they walk at full size.
+			args := []string{"-section", section}
+			if slices.Contains(quickSections, section) {
+				args = append(args, "-quick")
+			}
+			for _, v := range []int{-1, 0, *f.Min - 1, *f.Min} {
+				walked := append(slices.Clone(args), "-"+f.Name, strconv.Itoa(v))
+				if v < *f.Min {
+					refused(t, walked...)
+					continue
+				}
+				code, got, e := exec(t, walked...)
+				if code == 2 && strings.Count(e, "\n") == 1 {
+					continue
+				}
+				if _, without, _ := exec(t, args...); code != 0 || got == without {
+					t.Errorf("arqbench %s: exit %d and output like the run without -%s; stderr %q", strings.Join(walked, " "), code, f.Name, e)
+				}
+			}
+		}
+	}
+
+	// -trials -3 used to spin forever, and -trials 0 to print rows of
+	// 0.000 and +Inf.
+	refused(t, "-trials", "-3")
+	refused(t, "-trials", "0")
+	refused(t, "-section", "fig1", "-markdown")
+	refused(t, "-section", "ablations", "-quick")
+	refused(t, "-section", "fig1", "-quick", "-trials", "10")
+	// -quick sets -trials' default; it used to cut an explicit -trials
+	// to 60 as well.
+	_, at60, _ := exec(t, "-section", "fig1,import", "-quick")
+	if code, at100, e := exec(t, "-section", "fig1,import", "-quick", "-trials", "100"); code != 0 || at100 == at60 {
+		t.Errorf("-quick -trials 100: exit %d, stderr %q, output like -quick's 60 trials", code, e)
 	}
 }

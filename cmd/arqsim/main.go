@@ -1,6 +1,8 @@
 // Command arqsim runs one trace-driven rule-maintenance simulation — the
 // equivalent of the paper's PHP query simulator (§IV-B) — and prints the
-// per-block coverage and success series.
+// per-block coverage and success series. A trace it cannot read, and a
+// flag the run does not read or a size below its least value (see
+// flags), exit 2 with one line.
 //
 // The trace comes either from the built-in calibrated generator or from a
 // JSONL file produced by arqtrace, pairs or a raw capture to join:
@@ -9,216 +11,145 @@
 //	arqsim -policy adaptive -window 50 -threshold 10
 //	arqsim -policy lazy -interval 10 -trace pairs.jsonl -block 10000
 //	arqsim -policy sliding -csv > sliding.csv
-//
-// With -net it instead drives a preset scenario (-scenario, default
-// baseline) through scenario.Runner on the flat engine and the same
-// block/series harness (sim.RunBlocks):
-//
-//	arqsim -net -nodes 100000 -trials 5 -block 200
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
+	"arq/internal/cli"
 	"arq/internal/core"
 	"arq/internal/db"
-	"arq/internal/peer"
-	"arq/internal/peer/flat"
 	"arq/internal/scenario"
 	"arq/internal/sim"
 	"arq/internal/trace"
 	"arq/internal/tracegen"
 )
 
-var (
-	policy    = flag.String("policy", "sliding", strings.Join(core.PolicyNames(), " | "))
-	threshold = flag.Int("threshold", 10, "support-pruning threshold")
-	blockSize = flag.Int("block", 10000, "query-reply pairs per block")
-	trials    = flag.Int("trials", 365, "tested blocks")
-	seed      = flag.Uint64("seed", 1, "generator seed (ignored with -trace)")
-	width     = flag.Int("width", core.DefaultWideWidth, "wide: pooled window width in blocks")
-	interval  = flag.Int("interval", 10, "lazy: blocks between regenerations")
-	window    = flag.Int("window", 10, "adaptive: previous values used for thresholds")
-	initThr   = flag.Float64("init", 0.7, "adaptive: initial coverage/success threshold")
-	traceFile = flag.String("trace", "", "JSONL trace of pairs, or a raw capture to join (default: built-in generator)")
-	csvOut    = flag.Bool("csv", false, "emit per-block CSV instead of a report")
-	everyN    = flag.Int("every", 10, "print every Nth block in report mode")
+type options struct {
+	policy, traceFile, scenario     string
+	threshold, block, trials, every int
+	width, interval, window         int
+	init                            float64
+	seed                            uint64
+	csv                             bool
+}
 
-	netMode   = flag.Bool("net", false, "run a message-level network simulation instead of the policy simulator")
-	netRouter = flag.String("router", "flood", "net: a strategy of the catalogue (scenario.Strategies): flood | expanding-ring | kwalk-16 | routing-index | interest-shortcuts | assoc | assoc-two-phase")
-	netNodes  = flag.Int("nodes", 2000, "net: overlay size")
-	netTTL    = flag.Int("ttl", 7, "net: query TTL")
-	scenName  = flag.String("scenario", "", "run a preset scenario ("+strings.Join(scenario.Names(), ", ")+"): policy mode projects it onto the trace generator, -net drives the full dynamic workload (default baseline)")
-)
+// flags is arqsim's flag table. Its modes are a policy name, the trace
+// source (generator or trace) and the output (report or csv).
+func (o *options) flags() []cli.Flag {
+	return []cli.Flag{
+		cli.Var(&o.policy, "policy", "sliding", strings.Join(core.PolicyNames(), " | ")),
+		cli.Var(&o.threshold, "threshold", 10, "support-pruning threshold").AtLeast(1).In("static", "sliding", "wide", "lazy", "adaptive"),
+		cli.Var(&o.block, "block", 10000, "query-reply pairs per block").AtLeast(1),
+		cli.Var(&o.trials, "trials", 365, "tested blocks").AtLeast(1),
+		cli.Var(&o.seed, "seed", 1, "generator seed").In("generator"),
+		cli.Var(&o.width, "width", core.DefaultWideWidth, "wide: pooled window width in blocks").AtLeast(1).In("wide"),
+		cli.Var(&o.interval, "interval", 10, "lazy: blocks between regenerations").AtLeast(1).In("lazy"),
+		cli.Var(&o.window, "window", 10, "adaptive: previous values used for thresholds").AtLeast(1).In("adaptive"),
+		cli.Var(&o.init, "init", 0.7, "adaptive: initial coverage/success threshold").In("adaptive"),
+		cli.Var(&o.traceFile, "trace", "", "JSONL trace of pairs, or a raw capture to join (default: built-in generator)"),
+		cli.Var(&o.csv, "csv", false, "emit per-block CSV instead of a report"),
+		cli.Var(&o.every, "every", 10, "print every Nth block in report mode").AtLeast(1).In("report"),
+		cli.Var(&o.scenario, "scenario", "", "project a preset scenario ("+strings.Join(scenario.Names(), ", ")+") onto the generator").In("generator"),
+	}
+}
 
-func main() {
-	flag.Parse()
-	if err := checkSizes(*blockSize, *trials, *everyN); err != nil {
-		fmt.Fprintln(os.Stderr, "arqsim:", err)
-		os.Exit(2)
-	}
-	if err := checkNetNodes(*netMode, *netNodes); err != nil {
-		fmt.Fprintln(os.Stderr, "arqsim:", err)
-		os.Exit(2)
-	}
-	if *netMode {
-		runNet()
-		return
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	p, err := buildPolicy()
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	c := &cli.Command{Name: "arqsim", Stderr: stderr, Flags: o.flags()}
+	if err := c.Parse(args); err != nil {
+		return c.Refuse(err)
+	}
+	source, output := "generator", "report"
+	if o.traceFile != "" {
+		source = "trace"
+	}
+	if o.csv {
+		output = "csv"
+	}
+	p, err := o.buildPolicy()
+	if err == nil {
+		err = c.Check(o.policy, source, output)
+	}
+	var src trace.Source
+	if err == nil {
+		src, err = o.buildSource()
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	src, err := buildSource()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return c.Refuse(err)
 	}
 
-	res := sim.Run(*policy, p, src, *trials)
+	res := sim.Run(o.policy, p, src, o.trials)
 
-	if *csvOut {
-		fmt.Print("block,coverage,success\n")
+	if o.csv {
+		fmt.Fprint(stdout, "block,coverage,success\n")
 		for i := range res.Coverage.Values {
-			fmt.Printf("%d,%.6f,%.6f\n", i+1, res.Coverage.Values[i], res.Success.Values[i])
+			fmt.Fprintf(stdout, "%d,%.6f,%.6f\n", i+1, res.Coverage.Values[i], res.Success.Values[i])
 		}
-		return
+		return 0
 	}
 
-	fmt.Printf("policy=%s threshold=%d block=%d trials=%d\n",
-		*policy, *threshold, *blockSize, res.Trials)
-	fmt.Printf("%-7s %-10s %-10s\n", "block", "coverage", "success")
-	for i := 0; i < res.Trials; i += *everyN {
-		fmt.Printf("%-7d %-10.3f %-10.3f\n", i+1,
+	fmt.Fprintf(stdout, "policy=%s threshold=%d block=%d trials=%d\n",
+		o.policy, o.threshold, o.block, res.Trials)
+	fmt.Fprintf(stdout, "%-7s %-10s %-10s\n", "block", "coverage", "success")
+	for i := 0; i < res.Trials; i += o.every {
+		fmt.Fprintf(stdout, "%-7d %-10.3f %-10.3f\n", i+1,
 			res.Coverage.Values[i], res.Success.Values[i])
 	}
-	fmt.Println()
-	fmt.Printf("coverage  %s  avg=%.3f\n", res.Coverage.Sparkline(60), res.MeanCoverage())
-	fmt.Printf("success   %s  avg=%.3f\n", res.Success.Sparkline(60), res.MeanSuccess())
-	fmt.Printf("rule-set generations after warm-up: %d", res.Regens)
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "coverage  %s  avg=%.3f\n", res.Coverage.Sparkline(60), res.MeanCoverage())
+	fmt.Fprintf(stdout, "success   %s  avg=%.3f\n", res.Success.Sparkline(60), res.MeanSuccess())
+	fmt.Fprintf(stdout, "rule-set generations after warm-up: %d", res.Regens)
 	if res.Regens > 0 {
-		fmt.Printf(" (one per %.2f blocks)", res.BlocksPerRegen())
+		fmt.Fprintf(stdout, " (one per %.2f blocks)", res.BlocksPerRegen())
 	}
-	fmt.Println()
-	fmt.Printf("rule-set size: mean %.0f rules (min %.0f, max %.0f)\n",
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "rule-set size: mean %.0f rules (min %.0f, max %.0f)\n",
 		res.RuleCount.Mean(), res.RuleCount.Min(), res.RuleCount.Max())
+	return 0
 }
 
-// checkSizes rejects a block size, trial count or report stride below 1:
-// a run is made of whole blocks, and the report walks the series in
-// steps of -every.
-func checkSizes(block, trials, every int) error {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"block", block}, {"trials", trials}, {"every", every}} {
-		if f.v < 1 {
-			return fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v)
-		}
-	}
-	return nil
-}
-
-// minNetNodes is the smallest overlay a scenario builds: its gnutella
-// core attaches every node to 2 earlier ones.
-const minNetNodes = 3
-
-// checkNetNodes rejects, in -net mode, an overlay smaller than a scenario
-// builds (-nodes 2 used to panic in the generator).
-func checkNetNodes(net bool, n int) error {
-	if net && n < minNetNodes {
-		return fmt.Errorf("-nodes must be at least %d with -net, got %d", minNetNodes, n)
-	}
-	return nil
-}
-
-// runNet drives a preset scenario — dynamics, roles, top-k and all —
-// through the flat engine and the selected strategy of the catalogue via
-// scenario.Runner, -trials blocks of -block queries each, and prints the
-// per-block series: the network-level analogue of the policy report,
-// produced by the same sim harness.
-func runNet() {
-	name := *scenName
-	if name == "" {
-		name = "baseline"
-	}
-	sc, err := scenario.ByName(name, *netNodes, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "arqsim:", err)
-		os.Exit(2)
-	}
-	sc.Query.TTL = *netTTL
-	g, m := sc.Build()
-	st, err := scenario.StrategyByName(scenario.Strategies(g, m, sc.Query, sc.Seed), *netRouter)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "arqsim:", err)
-		os.Exit(2)
-	}
-	// rejoin is the router a churned node comes back with.
-	search, eng, rejoin := st.Build(func(f func(u int) peer.Router) peer.QueryEngine {
-		return flat.NewEngine(g, m, f)
-	})
-	r := scenario.NewRunner(sc, g, m, eng, search, rejoin)
-	res := sim.RunBlocks(sc.Name+"/"+*netRouter, r, *trials, *blockSize)
-
-	if *csvOut {
-		fmt.Print("block,coverage,success\n")
-		for i := range res.Coverage.Values {
-			fmt.Printf("%d,%.6f,%.6f\n", i+1, res.Coverage.Values[i], res.Success.Values[i])
-		}
-		return
-	}
-	fmt.Printf("scenario=%s router=%s nodes=%d ttl=%d block=%d trials=%d\n",
-		sc.Name, *netRouter, *netNodes, sc.Query.TTL, *blockSize, res.Trials)
-	fmt.Printf("coverage  %s  avg=%.3f\n", res.Coverage.Sparkline(60), res.MeanCoverage())
-	fmt.Printf("success   %s  avg=%.3f\n", res.Success.Sparkline(60), res.MeanSuccess())
-	fmt.Printf("wall: %.2fs (%.0f queries/sec)\n", float64(res.WallNanos)/1e9,
-		float64(res.Trials**blockSize)/(float64(res.WallNanos)/1e9))
-}
-
-func buildPolicy() (core.Policy, error) {
-	switch *policy {
+func (o *options) buildPolicy() (core.Policy, error) {
+	switch o.policy {
 	case "static":
-		return &core.Static{Prune: *threshold}, nil
+		return &core.Static{Prune: o.threshold}, nil
 	case "sliding":
-		return &core.Sliding{Prune: *threshold}, nil
+		return &core.Sliding{Prune: o.threshold}, nil
 	case "wide":
-		return &core.Sliding{Prune: *threshold, Width: *width}, nil
+		return &core.Sliding{Prune: o.threshold, Width: o.width}, nil
 	case "lazy":
-		return &core.Lazy{Prune: *threshold, Interval: *interval}, nil
+		return &core.Lazy{Prune: o.threshold, Interval: o.interval}, nil
 	case "adaptive":
-		return &core.Adaptive{Prune: *threshold, Window: *window, Init: *initThr}, nil
+		return &core.Adaptive{Prune: o.threshold, Window: o.window, Init: o.init}, nil
 	case "incremental":
 		return &core.Incremental{}, nil
 	default:
-		return nil, fmt.Errorf("arqsim: unknown policy %q (valid: %s)", *policy, strings.Join(core.PolicyNames(), ", "))
+		return nil, fmt.Errorf("unknown policy %q (valid: %s)", o.policy, strings.Join(core.PolicyNames(), ", "))
 	}
 }
 
-func buildSource() (trace.Source, error) {
-	if *traceFile == "" {
-		if *scenName != "" {
-			// Project the scenario onto the trace generator: same
-			// category space, popularity, profile size, and regime
-			// shock, at the vantage node.
-			sc, err := scenario.ByName(*scenName, *netNodes, *seed)
+func (o *options) buildSource() (trace.Source, error) {
+	if o.traceFile == "" {
+		if o.scenario != "" {
+			// The projection onto the generator reads no node count.
+			sc, err := scenario.ByName(o.scenario, 0, o.seed)
 			if err != nil {
-				return nil, fmt.Errorf("arqsim: %w", err)
+				return nil, err
 			}
-			return tracegen.New(sc.TraceConfig(*blockSize, *trials+1)), nil
+			return tracegen.New(sc.TraceConfig(o.block, o.trials+1)), nil
 		}
 		cfg := tracegen.PaperProfile()
-		cfg.Seed = *seed
-		cfg.BlockSize = *blockSize
-		cfg.TotalBlocks = *trials + 1
+		cfg.Seed = o.seed
+		cfg.BlockSize = o.block
+		cfg.TotalBlocks = o.trials + 1
 		return tracegen.New(cfg), nil
 	}
-	f, err := os.Open(*traceFile)
+	f, err := os.Open(o.traceFile)
 	if err != nil {
 		return nil, err
 	}
@@ -227,16 +158,20 @@ func buildSource() (trace.Source, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(pairs) > 0 && len(qs)+len(rs) > 0 {
+		// A file is pairs or a raw capture: running either part of a
+		// mixed one would drop the other without a word.
+		return nil, fmt.Errorf("%s: %d pairs beside %d raw queries and %d replies: a trace is pairs or a raw capture, not both", o.traceFile, len(pairs), len(qs), len(rs))
+	}
 	if len(pairs) == 0 {
 		// A raw capture (arqtrace -raw): join it as §IV-A does.
 		imp, _ := db.Import(qs, rs) // the error is always nil
 		pairs = imp.PairSlice()
 	}
-	if err := checkTraceSize(len(pairs), *blockSize); err != nil {
-		fmt.Fprintf(os.Stderr, "arqsim: %s: %v\n", *traceFile, err)
-		os.Exit(2)
+	if err := checkTraceSize(len(pairs), o.block); err != nil {
+		return nil, fmt.Errorf("%s: %w", o.traceFile, err)
 	}
-	return trace.NewSliceSource(pairs, *blockSize), nil
+	return trace.NewSliceSource(pairs, o.block), nil
 }
 
 // checkTraceSize refuses a trace that fills at most one block: the first

@@ -5,74 +5,85 @@
 //	arqtrace -pairs 100000 -out pairs.jsonl       # pair stream for arqsim
 //	arqtrace -raw -queries 500000 -out capture.jsonl  # raw capture (queries+replies), also read by arqsim
 //	arqtrace -raw -queries 500000 -stats          # just the §IV-A style counts
+//
+// A flag the mode does not read, or a count below 1 (see flags), exits 2
+// with one line.
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 
+	"arq/internal/cli"
 	"arq/internal/db"
 	"arq/internal/trace"
 	"arq/internal/tracegen"
 )
 
-var (
-	out     = flag.String("out", "", "output JSONL file (default stdout; ignored with -stats)")
-	pairs   = flag.Int("pairs", 100_000, "query-reply pairs to generate (pair mode)")
-	raw     = flag.Bool("raw", false, "generate a raw capture (queries and replies) instead of pairs")
-	queries = flag.Int("queries", 500_000, "queries to generate (raw mode)")
-	seed    = flag.Uint64("seed", 1, "generator seed")
-	stats   = flag.Bool("stats", false, "with -raw: run the import pipeline and print its statistics only")
-)
+type options struct {
+	out            string
+	pairs, queries int
+	seed           uint64
+	raw, stats     bool
+}
 
-func main() {
-	flag.Parse()
-	if err := checkCounts(*pairs, *queries, *raw, *stats); err != nil {
-		fmt.Fprintln(os.Stderr, "arqtrace:", err)
-		os.Exit(2)
-	}
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+// flags is the flag table; its modes are pairs, capture and stats.
+func (o *options) flags() []cli.Flag {
+	return []cli.Flag{
+		cli.Var(&o.out, "out", "", "output JSONL file (default stdout)").In("pairs", "capture"),
+		cli.Var(&o.pairs, "pairs", 100_000, "query-reply pairs to generate").AtLeast(1).In("pairs"),
+		cli.Var(&o.raw, "raw", false, "generate a raw capture (queries and replies) instead of pairs").In("capture", "stats"),
+		cli.Var(&o.queries, "queries", 500_000, "queries to generate (with -raw)").AtLeast(1).In("capture", "stats"),
+		cli.Var(&o.seed, "seed", 1, "generator seed"),
+		cli.Var(&o.stats, "stats", false, "with -raw: run the import pipeline and print its statistics only").In("stats"),
 	}
 }
 
-// checkCounts rejects a pair or query count below 1, and -stats without
-// -raw: -queries -5 used to panic sizing the capture, -pairs -3 reported
-// "wrote -3 pairs", and -stats, which means something only for a raw
-// capture, wrote the pair stream to stdout and ignored -out.
-func checkCounts(pairs, queries int, raw, stats bool) error {
-	if pairs < 1 {
-		return fmt.Errorf("-pairs must be at least 1, got %d", pairs)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	c := &cli.Command{Name: "arqtrace", Stderr: stderr, Flags: o.flags()}
+	err := c.Parse(args)
+	if mode := "pairs"; err == nil {
+		if o.raw {
+			mode = "capture"
+		}
+		if o.raw && o.stats {
+			mode = "stats"
+		}
+		err = c.Check(mode)
 	}
-	if queries < 1 {
-		return fmt.Errorf("-queries must be at least 1, got %d", queries)
+	if err != nil {
+		return c.Refuse(err)
 	}
-	if stats && !raw {
-		return fmt.Errorf("-stats reports on a raw capture and needs -raw")
+	if err := o.generate(stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "arqtrace:", err)
+		return 1
 	}
-	return nil
+	return 0
 }
 
-func run() error {
+func (o *options) generate(stdout, stderr io.Writer) (err error) {
 	cfg := tracegen.PaperProfile()
-	cfg.Seed = *seed
+	cfg.Seed = o.seed
 	g := tracegen.New(cfg)
 
-	var w *os.File = os.Stdout
-	if *out != "" && !*stats {
-		f, err := os.Create(*out)
+	w := stdout
+	if o.out != "" {
+		f, err := os.Create(o.out)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		defer func() { err = errors.Join(err, f.Close()) }()
 		w = f
 	}
 
-	if !*raw {
+	if !o.raw {
 		tw := trace.NewWriter(w)
-		for i := 0; i < *pairs; i++ {
+		for i := 0; i < o.pairs; i++ {
 			if err := tw.WritePair(g.NextPair()); err != nil {
 				return err
 			}
@@ -80,23 +91,23 @@ func run() error {
 		if err := tw.Flush(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d pairs\n", *pairs)
+		fmt.Fprintf(stderr, "wrote %d pairs\n", o.pairs)
 		return nil
 	}
 
-	qs, rs := g.GenerateRaw(*queries)
-	if *stats {
+	qs, rs := g.GenerateRaw(o.queries)
+	if o.stats {
 		imp, err := db.Import(qs, rs)
 		if err != nil {
 			return err
 		}
 		s := imp.Stats
-		fmt.Printf("raw queries:             %d\n", s.RawQueries)
-		fmt.Printf("duplicate GUIDs removed: %d\n", s.DuplicateGUIDs)
-		fmt.Printf("queries kept:            %d\n", s.KeptQueries)
-		fmt.Printf("raw replies:             %d\n", s.RawReplies)
-		fmt.Printf("replies without query:   %d\n", s.UnmatchedReplies)
-		fmt.Printf("query-reply pairs:       %d\n", s.Pairs)
+		fmt.Fprintf(stdout, "raw queries:             %d\n", s.RawQueries)
+		fmt.Fprintf(stdout, "duplicate GUIDs removed: %d\n", s.DuplicateGUIDs)
+		fmt.Fprintf(stdout, "queries kept:            %d\n", s.KeptQueries)
+		fmt.Fprintf(stdout, "raw replies:             %d\n", s.RawReplies)
+		fmt.Fprintf(stdout, "replies without query:   %d\n", s.UnmatchedReplies)
+		fmt.Fprintf(stdout, "query-reply pairs:       %d\n", s.Pairs)
 		return nil
 	}
 	tw := trace.NewWriter(w)
@@ -121,6 +132,6 @@ func run() error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %d queries and %d replies\n", len(qs), len(rs))
+	fmt.Fprintf(stderr, "wrote %d queries and %d replies\n", len(qs), len(rs))
 	return nil
 }

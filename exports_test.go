@@ -102,9 +102,15 @@ var staysDeleted = struct {
 		"internal/transport": {"ShedPolicy", "ShedOldest", "ShedNewest", "ShedDeadline"}, // PR 24
 		"internal/content": {"Build", "FileName", // one simulator configuration; no caller
 			"RoleProvider", "RoleHub", "RoleClient", "RoleBystander"}, // the model assigns roles itself; tests observe them through origins and hosting
-		"internal/sim": {"RunNet", "NetSpec", "NetEngine"}, // PR 25
+		"internal/sim": {"RunNet", "NetSpec", "NetEngine", // PR 25
+			"RunBlocks", "BlockSource"}, // arqsim keeps one mode: arqnet is the network CLI
 		"internal/scenario": {"EventKind", "EventShock", // one simulator configuration
-			"ClusterPlan.HotFrac"}, // a constant
+			"ClusterPlan.HotFrac", // a constant
+			"Runner.Nodes"},       // sim.BlockSource's
+		// One flag contract per CLI: the flag table and internal/cli's checker.
+		"cmd/arqsim":   {"checkSizes", "checkNetNodes", "runNet", "minNetNodes"},
+		"cmd/arqnet":   {"checkNodes", "checkChaos"},
+		"cmd/arqtrace": {"checkCounts"},
 		"internal/stats": {"WeightedChoice", // tracegen picks a source from cached sums
 			"RNG.ExpFloat64"}, // no caller
 
@@ -137,6 +143,7 @@ var staysDeleted = struct {
 		"internal/assoc", "internal/core/extend.go", // PR 23
 		"internal/chaos/drill.go",  // PR 24
 		"internal/sim/net_test.go", // PR 25
+		"internal/sim/net.go",      // arqsim keeps one mode
 
 		"internal/routing/assoc_stale_test.go", // one publication path: no staleness fallback
 		"internal/fault/partition.go",          // no program ran a partition

@@ -13,9 +13,7 @@ import (
 // interleaving workload draws with the dynamics schedule. It owns the
 // workload and dynamics RNG streams, so two runners built from the same
 // scenario issue identical queries and identical mutations regardless of
-// which engine implementation backs them. It implements sim.BlockSource
-// structurally, so sim.RunBlocks can aggregate its output without sim
-// importing this package.
+// which engine implementation backs them.
 type Runner struct {
 	S      Scenario
 	G      *overlay.Graph
@@ -42,9 +40,6 @@ func NewRunner(s Scenario, g *overlay.Graph, m *content.Model, eng peer.QueryEng
 		dyn: stats.NewRNG(s.Seed + 13),
 	}
 }
-
-// Nodes implements sim.BlockSource.
-func (r *Runner) Nodes() int { return r.G.N() }
 
 // Block issues nQueries queries, firing any dynamics epochs that come
 // due between them, and returns the per-query stats.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"arq/internal/core"
-	"arq/internal/peer"
 	"arq/internal/trace"
 	"arq/internal/tracegen"
 )
@@ -229,40 +228,6 @@ func TestSweepSharesOneRuleSet(t *testing.T) {
 				t.Fatalf("spec %d block %d: one worker %v/%v, six workers %v/%v", i, j,
 					s.Coverage.Values[j], s.Success.Values[j], p.Coverage.Values[j], p.Success.Values[j])
 			}
-		}
-	}
-}
-
-// fixedBlocks is a BlockSource over 10 nodes whose b-th block (from 0)
-// finds b of its queries' content and reaches b+1 nodes per query.
-type fixedBlocks struct{ served int }
-
-func (f *fixedBlocks) Nodes() int { return 10 }
-
-func (f *fixedBlocks) Block(nQueries int) []peer.Stats {
-	b := f.served
-	f.served++
-	out := make([]peer.Stats, nQueries)
-	for i := range out {
-		out[i] = peer.Stats{Found: i < b, NodesReached: b + 1}
-	}
-	return out
-}
-
-// TestRunBlocksSeries: one Success point per block (the share of its
-// queries found) and one Coverage point (the mean reach over the
-// overlay size), every block tested.
-func TestRunBlocksSeries(t *testing.T) {
-	r := RunBlocks("fixed", &fixedBlocks{}, 4, 5)
-	if r.Trials != 4 || r.Blocks != 4 {
-		t.Fatalf("trials=%d blocks=%d, want 4/4", r.Trials, r.Blocks)
-	}
-	wantSucc := []float64{0, 0.2, 0.4, 0.6}
-	wantCov := []float64{0.1, 0.2, 0.3, 0.4}
-	for i := range wantSucc {
-		if r.Success.Values[i] != wantSucc[i] || r.Coverage.Values[i] != wantCov[i] {
-			t.Fatalf("block %d: success %v coverage %v, want %v %v",
-				i, r.Success.Values[i], r.Coverage.Values[i], wantSucc[i], wantCov[i])
 		}
 	}
 }
