@@ -117,17 +117,12 @@ func TestFlagWalk(t *testing.T) {
 			}
 		}
 	}
-	refused(t, "-nodes", "2")
 	refused(t, "-ttl", "0")
 	refused(t, "-router", "flood", "-warm", "1")
 	refused(t, "-chaos", "-minsuccess", "0.5")
-	refused(t, "-chaos", "-warm", "0")
-	refused(t, "-chaos", "-topology", "random")
-	refused(t, "-chaos", "-router", "flood")
 	refused(t, "-netcluster", "3", "-chaos")
 	refused(t, "-listen", "127.0.0.1:0", "-queries", "5")
 	refused(t, "-listen", "127.0.0.1:0", "-warm", "5")
-	refused(t, "-topology", "ring", "-nodes", "60")
 	e := refused(t, "-router", "kwalk", "-nodes", "60")
 	for _, s := range scenario.Strategies(nil, nil, peer.QuerySpec{}, 0) {
 		if !strings.Contains(e, s.Name) {
@@ -136,8 +131,52 @@ func TestFlagWalk(t *testing.T) {
 	}
 }
 
-// -warm is read by exactly the catalogue's strategies that learn, and
-// every topology builds the overlay its least -nodes asks for.
+// An overlay smaller than its topology builds is refused before any run
+// starts: -nodes 2 used to panic in the gnutella generator, -nodes 4 in
+// the small-world one, and -chaos -nodes 0 ran 300 nodes instead.
+func TestCheckNodes(t *testing.T) {
+	for name, topology := range topologies {
+		args := []string{"-router", "flood", "-topology", name, "-queries", "5", "-nodes"}
+		if code, _, e := exec(t, append(args, strconv.Itoa(topology.least))...); code != 0 {
+			t.Errorf("the %s topology at %d nodes: exit %d, stderr %q; want exit 0", name, topology.least, code, e)
+		}
+		refused(t, append(args, strconv.Itoa(topology.least-1))...)
+		if g := topology.build(stats.NewRNG(1), topology.least); g.N() != topology.least {
+			t.Errorf("the %s topology at %d nodes built %d", name, topology.least, g.N())
+		}
+	}
+	for _, c := range []struct {
+		topology string
+		n        int
+	}{{"gnutella", 2}, {"gnutella", 0}, {"smallworld", 4}, {"random", 0}, {"random", -1}, {"ring", 100}} {
+		refused(t, "-router", "flood", "-topology", c.topology, "-nodes", strconv.Itoa(c.n))
+	}
+	refused(t, "-nodes", "2")
+	refused(t, "-chaos", "-nodes", "0")
+}
+
+// A drill setting below 1 is refused under -chaos: -warm 0, -queries 0
+// and -ttl 0 used to run 3 000, 500 and 6 instead. So is a -topology or
+// -router set on the command line, which the drill used to ignore.
+func TestCheckChaos(t *testing.T) {
+	for _, args := range [][]string{
+		{"-chaos", "-nodes", "40", "-warm", "1", "-queries", "1", "-ttl", "1"},
+		{"-chaos", "-nodes", "40", "-seed", "7", "-warm", "150", "-queries", "30", "-ttl", "6"},
+	} {
+		if code, _, e := exec(t, args...); code != 0 {
+			t.Errorf("arqnet %s: exit %d, stderr %q; want exit 0", strings.Join(args, " "), code, e)
+		}
+	}
+	for _, c := range [][3]int{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}, {-1, 300, 6}, {1500, -5, 6}} {
+		refused(t, "-chaos", "-nodes", "40", "-warm", strconv.Itoa(c[0]), "-queries", strconv.Itoa(c[1]), "-ttl", strconv.Itoa(c[2]))
+	}
+	refused(t, "-chaos", "-warm", "0")
+	refused(t, "-chaos", "-topology", "random")
+	refused(t, "-chaos", "-router", "flood")
+	refused(t, "-router", "flood", "-chaos", "-nodes", "40")
+}
+
+// -warm is read by exactly the catalogue's strategies that learn.
 func TestModesMatchCatalogue(t *testing.T) {
 	var o options
 	var warm []string
@@ -149,11 +188,6 @@ func TestModesMatchCatalogue(t *testing.T) {
 	for _, s := range scenario.Strategies(nil, nil, peer.QuerySpec{}, 0) {
 		if slices.Contains(warm, s.Name) != s.Warm {
 			t.Errorf("strategy %s warms %v, but -warm's modes %v say otherwise", s.Name, s.Warm, warm)
-		}
-	}
-	for name, topology := range topologies {
-		if g := topology.build(stats.NewRNG(1), topology.least); g.N() != topology.least {
-			t.Errorf("the %s topology at %d nodes built %d", name, topology.least, g.N())
 		}
 	}
 }

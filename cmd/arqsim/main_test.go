@@ -122,15 +122,11 @@ func TestFlagWalk(t *testing.T) {
 		}
 	}
 
-	refused(t, append([]string{"-every", "0"}, size...)...) // it used to print block 1 forever
 	refused(t, append([]string{"-policy", "sliding", "-interval", "3"}, size...)...)
 	refused(t, append([]string{"-trace", pairs, "-seed", "9"}, size...)...)
 	refused(t, append([]string{"-trace", pairs, "-scenario", "churn"}, size...)...)
 	refused(t, append([]string{"-policy", "incremental", "-threshold", "5"}, size...)...)
 	refused(t, append([]string{"-csv", "-every", "3"}, size...)...)
-	// The network mode is arqnet's; its flags are gone.
-	refused(t, append([]string{"-net", "-policy", "lazy"}, size...)...)
-	refused(t, append([]string{"-scenario", "churn", "-nodes", "300"}, size...)...)
 	refused(t, append([]string{"-policy", "nosuch"}, size...)...)
 	refused(t, append([]string{"-scenario", "nosuch"}, size...)...)
 	// A trace that fills at most one block is all warm-up.
@@ -139,6 +135,45 @@ func TestFlagWalk(t *testing.T) {
 	refused(t, append([]string{"-trace", writeTrace(t, "mixed.jsonl", 1199, 1)}, size...)...)
 	if code, _, e := exec(t, append([]string{"-trace", writeTrace(t, "raw.jsonl", 0, 20_000)}, size...)...); code != 0 {
 		t.Errorf("a raw capture: exit %d, stderr %q", code, e)
+	}
+}
+
+// A block, trial count or report stride below 1 is refused before any
+// run starts: -every 0 used to print block 1 forever, -every -1 to panic
+// and -block 0 to run empty blocks.
+func TestCheckSizes(t *testing.T) {
+	for _, c := range []struct {
+		block, trials, every int
+		ok                   bool
+	}{
+		{200, 12, 10, true},
+		{1, 1, 1, true},
+		{2000, 3, 0, false},
+		{2000, 3, -1, false},
+		{0, 3, 1, false},
+		{-5, 3, 1, false},
+		{2000, 0, 1, false},
+		{2000, -2, 1, false},
+	} {
+		args := []string{"-block", strconv.Itoa(c.block), "-trials", strconv.Itoa(c.trials), "-every", strconv.Itoa(c.every)}
+		if !c.ok {
+			refused(t, args...)
+		} else if code, _, e := exec(t, args...); code != 0 {
+			t.Errorf("arqsim %s: exit %d, stderr %q; want exit 0", strings.Join(args, " "), code, e)
+		}
+	}
+}
+
+// The network mode is arqnet's: arqsim refuses -net and -nodes at any
+// value, those its network mode used to run as well as those it used to
+// refuse (-nodes 2 panicked in the generator).
+func TestCheckNetNodes(t *testing.T) {
+	size := []string{"-block", "200", "-trials", "12"}
+	refused(t, append([]string{"-net"}, size...)...)
+	refused(t, append([]string{"-net", "-policy", "lazy"}, size...)...)
+	for _, n := range []string{"2000", "300", "2", "0", "-3"} {
+		refused(t, append([]string{"-nodes", n}, size...)...)
+		refused(t, append([]string{"-scenario", "churn", "-nodes", n}, size...)...)
 	}
 }
 
