@@ -103,7 +103,8 @@ var staysDeleted = struct {
 		"internal/content": {"Build", "FileName", // one simulator configuration; no caller
 			"RoleProvider", "RoleHub", "RoleClient", "RoleBystander"}, // the model assigns roles itself; tests observe them through origins and hosting
 		"internal/sim": {"RunNet", "NetSpec", "NetEngine", // PR 25
-			"RunBlocks", "BlockSource"}, // arqsim keeps one mode: arqnet is the network CLI
+			"RunBlocks", "BlockSource", // arqsim keeps one mode: arqnet is the network CLI
+			"Result.WallNanos"}, // no program reads it: Run reads no clock
 		"internal/scenario": {"EventKind", "EventShock", // one simulator configuration
 			"ClusterPlan.HotFrac", // a constant
 			"Runner.Nodes"},       // sim.BlockSource's

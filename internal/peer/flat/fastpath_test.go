@@ -12,25 +12,6 @@ import (
 	"arq/internal/trace"
 )
 
-// arrivalFlood forwards to every neighbor but the sender, as
-// routing.Flood does, but is neither a peer.Broadcaster nor a
-// peer.RouteAppender: an engine of these takes the generic frontier
-// loop, which deduplicates a copy when it arrives.
-type arrivalFlood struct{}
-
-func (arrivalFlood) Name() string { return "arrival-flood" }
-func (arrivalFlood) Walk() bool   { return false }
-func (arrivalFlood) Route(_, from int, _ peer.Meta, nbrs []int32) []int32 {
-	out := make([]int32, 0, len(nbrs))
-	for _, v := range nbrs {
-		if int(v) != from {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-func (arrivalFlood) ObserveHit(int, int, peer.Meta, int) {}
-
 // FuzzFloodFastPath holds the flood loop, which deduplicates at the
 // sender, equal to the generic loop, which deduplicates on arrival, on
 // whatever overlay the bytes spell. Both engines read one graph, and
@@ -73,7 +54,7 @@ func FuzzFloodFastPath(f *testing.F) {
 		}
 		m := content.Explicit(n, cats, hosts)
 		fast := flat.NewEngine(g, m, func(int) peer.Router { return routing.Flood{} })
-		slow := flat.NewEngine(g, m, func(int) peer.Router { return arrivalFlood{} })
+		slow := flat.NewEngine(g, m, func(int) peer.Router { return flat.ArrivalFlood{} })
 
 		for p := patches; len(p) >= 3; {
 			u := int(p[1]) % n

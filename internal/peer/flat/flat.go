@@ -10,13 +10,13 @@
 // changed is copied out of it, so churn needs no engine patch), message
 // delivery is a batched per-TTL-step frontier swap (two slices reused
 // across queries — no per-message heap, channel, or allocation), and
-// GUID dedup is an epoch-stamped visited
-// array (a rotating window: bumping the epoch retires the whole
-// previous query's entries in O(1), so no per-node maps ever grow on
-// the hot path). A pure flood engine deduplicates at the sender, the
-// way a BFS marks a node when it discovers it: one pass per depth, and
-// a frontier that holds first copies only (runFlood); every other
-// strategy deduplicates a copy when it arrives.
+// GUID dedup is an epoch-stamped visited array (a rotating window:
+// bumping the epoch retires the whole previous query's entries in O(1),
+// so no per-node maps ever grow on the hot path). A pure flood engine
+// runs a BFS instead (runFlood): one queue of targets, one pass per
+// depth, and dedup at the sender on a one-bit-per-node mark set that
+// the query clears behind itself; every other strategy deduplicates a
+// copy when it arrives.
 //
 // Learning is deferred to the end of each query: a returning hit is
 // logged as its reverse-path trail, and once the query is over each
@@ -68,17 +68,16 @@ type Engine struct {
 	content *content.Model
 	routers []peer.Router
 
-	// Epoch-stamped per-node scratch, reused across queries:
-	// seen[u] == epoch means u has the current query (the generic loop
-	// marks u when it processes its first copy, the flood loop when a
-	// sender discovers it), and bumping the epoch retires every entry
-	// at once; parent[u] is only meaningful when seen[u] is current.
-	// Deliberately two arrays, not one record: dedup touches only seen,
-	// and at 4 bytes per node sixteen nodes share a cache line — the
-	// denser this array, the more of the frontier's random-access
-	// traffic the caches absorb at million-node scale. The flood loop
-	// never writes parent at all (it computes hit attribution from the
-	// frontier depth instead), so splitting costs its hot loop nothing.
+	// Epoch-stamped per-node scratch of the generic and faulted loops,
+	// reused across queries: seen[u] == epoch means u has the current
+	// query (marked when u processes its first copy), and bumping the
+	// epoch retires every entry at once; parent[u] is only meaningful
+	// when seen[u] is current. Deliberately two arrays, not one record:
+	// dedup touches only seen, and at 4 bytes per node sixteen nodes
+	// share a cache line — the denser this array, the more of the
+	// frontier's random-access traffic the caches absorb at
+	// million-node scale. The flood loop touches neither (it
+	// deduplicates on mark and attributes hits by depth).
 	epoch  uint32
 	seen   []uint32
 	parent []int32
@@ -97,15 +96,14 @@ type Engine struct {
 	hostWords int
 	zeroHost  []uint64
 
-	// Frontier buffers, swapped each TTL step. The generic loop appends
-	// every copy it sends; the flood loop stores first copies only, so
-	// one of its depths never holds more than N entries plus one row.
+	// The generic loop's frontier buffers, swapped each TTL step: each
+	// holds every copy one depth sends.
 	cur, next []msg
 
 	// allBcast is set when every router is a broadcasting
 	// peer.Broadcaster (a pure flood engine). Non-top-k queries then
-	// run runFlood, which deduplicates at the sender in one pass per
-	// depth. Legal only because flood routers are stateless and a
+	// run runFlood, a BFS that deduplicates at the sender in one pass
+	// per depth. Legal only because flood routers are stateless and a
 	// flood has no budget to fill on arrival; every other query keeps
 	// the generic loop. nBcast counts broadcasting routers so
 	// RouterReset can maintain allBcast incrementally.
@@ -146,6 +144,14 @@ type Engine struct {
 	// reused across queries.
 	fqueue   []fmsg
 	fdelayed delayHeap
+
+	// mark and queue are runFlood's scratch, reused across queries:
+	// mark is its dedup set, one bit per node and all zero between
+	// queries (1/32 of seen's bytes, so more of a million-node flood's
+	// random dedup traffic stays in cache); queue lists the query's
+	// reached nodes in BFS order, one depth after another.
+	mark  []uint64
+	queue []int32
 }
 
 // trail is one hit of the current query as its reverse path observed it:
@@ -189,6 +195,7 @@ func NewEngine(g *overlay.Graph, m *content.Model, factory func(u int) peer.Rout
 		appenders: make([]peer.RouteAppender, n),
 		broadcast: make([]bool, n),
 		nextID:    1,
+		mark:      make([]uint64, words),
 	}
 	for u := 0; u < n; u++ {
 		e.routers[u] = factory(u)
@@ -398,14 +405,16 @@ func (e *Engine) runFrontier(org int32, hb []uint64, walk bool, meta peer.Meta, 
 	e.cur, e.next = cur, next
 }
 
-// runFlood is the frontier loop for an all-broadcast engine — the
-// configuration the million-node scale runs use. It deduplicates at the
-// sender, the way a BFS marks a node when it discovers it: scanning
-// frontier node u's row marks every neighbor seen and appends (v, u)
-// only for those that were unseen, so a frontier holds first copies only
-// and a duplicate is counted where it is sent, never stored. The hit
-// test runs over the entries each row appends, in append order, which is
-// the order the generic loop would receive them in.
+// runFlood is the loop for an all-broadcast engine — the configuration
+// the million-node scale runs use. It is a BFS over one queue of targets
+// that deduplicates at the sender, the way a BFS marks a node when it
+// discovers it: scanning node u's row sets the mark bit of every
+// neighbor and keeps a neighbor's queue slot only if its bit was clear,
+// so the queue holds first copies only and a duplicate is counted where
+// it is sent, never stored. Depth d is the queue segment [lo, hi), and
+// scanning it appends depth d+1 behind it; the hit test then runs over
+// that new segment in append order, which is the order the generic loop
+// would receive its nodes in.
 //
 // This is exact on a flood and only there: a copy is a duplicate in
 // either loop exactly when its target was reached at an earlier depth or
@@ -415,70 +424,77 @@ func (e *Engine) runFrontier(org int32, hb []uint64, walk bool, meta peer.Meta, 
 // loop; FuzzFloodFastPath holds the two loops equal on floods.
 // Broadcaster promises ObserveHit is a no-op, so hit attribution needs no
 // parent-chain walk: the reverse path from a node discovered at depth d
-// has exactly d hops, and the parent array is never written.
+// has exactly d hops, and neither seen nor parent is touched.
 func (e *Engine) runFlood(org int32, hb []uint64, ttl int, st *peer.Stats) {
 	// The origin is marked before any row is scanned, so it is never
 	// appended and its own content never counts as a hit.
-	ep, seen := e.epoch, e.seen
-	seen[org] = ep
-	st.NodesReached = 1
-	cur, next := e.cur[:0], e.next
-	cur = append(cur, msg{to: org, from: noUp})
+	mark := e.mark
+	mark[org/64] |= 1 << (uint(org) % 64)
+	q := append(e.queue[:0], org)
+	q = q[:cap(q)]
+	lo, hi, n, sent := 0, 1, 1, 0
 
-	for depth := 0; depth < ttl && len(cur) > 0; depth++ {
-		nx, n := next[:cap(next)], 0
-		for i, m := range cur {
+	for depth := 0; depth < ttl && lo < hi; depth++ {
+		// Every node past the origin has its sender in its row exactly
+		// once (the graph is simple and undirected), and the sender is
+		// marked, so back is the count of row entries that are not
+		// messages.
+		back := b2i(depth > 0)
+		for i := lo; i < hi; i++ {
 			// The random streams are u's row pointer and columns: touch
 			// the pointer a full lookahead window ahead and the columns
 			// half a window ahead (by then the pointer is cached, so the
-			// column touch is a single unchained load).
-			if i+prefetchDist < len(cur) {
-				e.pfSink += uint64(e.g.TouchRow(cur[i+prefetchDist].to))
+			// column touch is a single unchained load). The window reads
+			// on into the depth being appended.
+			if i+prefetchDist < n {
+				e.pfSink += uint64(e.g.TouchRow(q[i+prefetchDist]))
 			}
-			if i+prefetchDist/2 < len(cur) {
-				e.pfSink += uint64(uint32(e.g.TouchCol(cur[i+prefetchDist/2].to)))
+			if i+prefetchDist/2 < n {
+				e.pfSink += uint64(uint32(e.g.TouchCol(q[i+prefetchDist/2])))
 			}
-			u, from := m.to, m.from
-			row := e.g.Neighbors(int(u))
-			if n+len(row) > len(nx) {
-				nx = append(nx[:n], make([]msg, len(row))...)
-				nx = nx[:cap(nx)]
+			row := e.g.Neighbors(int(q[i]))
+			if n+len(row) > len(q) {
+				q = append(q[:n], make([]int32, len(row))...)
+				q = q[:cap(q)]
 			}
-			// Store-and-advance: every entry is written, only an unseen
-			// target keeps its slot. u's sender is seen already, so it
-			// never keeps one; back counts its entries, which are the
-			// row's only entries that are not messages.
-			before, back := n, 0
+			sent += len(row) - back
+			// Store-and-advance: every entry is written, only an
+			// unmarked target keeps its slot.
 			for _, v := range row {
-				fresh := seen[v] != ep
-				seen[v] = ep
-				nx[n] = msg{to: v, from: u}
-				n += b2i(fresh)
-				back += b2i(v == from)
-			}
-			sent, found := len(row)-back, n-before
-			st.QueryMessages += sent
-			st.NodesReached += found
-			st.Duplicates += sent - found
-			for _, d := range nx[before:n] {
-				if v := d.to; hb[uint(v)/64]>>(uint(v)%64)&1 != 0 {
-					st.Hits++
-					st.HitNodes = append(st.HitNodes, v)
-					st.HitMessages += depth + 1
-					if !st.Found {
-						st.FirstHitHops = depth + 1
-					}
-					st.Found = true
-				}
+				w, bit := uint(v)/64, uint64(1)<<(uint(v)%64)
+				q[n] = v
+				n += b2i(mark[w]&bit == 0)
+				mark[w] |= bit
 			}
 		}
-		cur, next = nx[:n], cur
+		// Hit-test the depth just appended, in append order: the order
+		// the generic loop receives its first copies in.
+		for _, v := range q[hi:n] {
+			if hb[uint(v)/64]>>(uint(v)%64)&1 != 0 {
+				st.Hits++
+				st.HitNodes = append(st.HitNodes, v)
+				st.HitMessages += depth + 1
+				if !st.Found {
+					st.FirstHitHops = depth + 1
+				}
+				st.Found = true
+			}
+		}
+		lo, hi = hi, n
 	}
-	e.cur, e.next = cur, next
+	// Every copy sent reached a node for the first time or was a
+	// duplicate, and the queue holds each reached node once.
+	st.QueryMessages = sent
+	st.NodesReached = n
+	st.Duplicates = sent - (n - 1)
+
+	// The next query deduplicates on an all-zero set.
+	clear(mark)
+	e.queue = q
 }
 
 // b2i is 1 for true and 0 for false; the compiler lowers it to a flag
-// set, so runFlood's store-and-advance has no branch on seen.
+// set, so runFlood's store-and-advance has no branch on the mark.
 func b2i(b bool) int {
 	if b {
 		return 1

@@ -10,7 +10,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"time"
 
 	"arq/internal/core"
 	"arq/internal/stats"
@@ -34,10 +33,6 @@ type Result struct {
 	// Blocks is the total number of blocks consumed, including warm-up
 	// blocks that were not tested.
 	Blocks int
-	// WallNanos is the wall-clock duration of the run (policy stepping
-	// plus source generation), for throughput tracking; it carries no
-	// simulation semantics and is excluded from determinism comparisons.
-	WallNanos int64
 }
 
 // MeanCoverage returns the run-average coverage (the paper's headline
@@ -69,7 +64,6 @@ func (r *Result) String() string {
 // rather than retaining them (see trace.Source), so streaming sources may
 // reuse block storage between calls.
 func Run(name string, policy core.Policy, src trace.Source, maxTrials int) *Result {
-	start := time.Now()
 	res := &Result{
 		Name:     name,
 		Coverage: stats.NewSeries(name + "/coverage"),
@@ -96,7 +90,6 @@ func Run(name string, policy core.Policy, src trace.Source, maxTrials int) *Resu
 			res.Regens++
 		}
 	}
-	res.WallNanos = time.Since(start).Nanoseconds()
 	return res
 }
 

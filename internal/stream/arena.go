@@ -83,12 +83,17 @@ func (a *Arena[V]) SwapRemove(u, i int) {
 	a.settle()
 }
 
-// settle rebuilds the array in node order once dead values outnumber live.
+// settle rebuilds the array in node order once dead values outnumber
+// live. The rebuilt array has room for the cycle to come, whose tail
+// moves take it from live values to the next rebuild past 2·live: a
+// quarter live more covers the move that crosses that line while the
+// live count stays about level, as under churn. A cycle that adds more
+// than about live/8 values can still grow and copy the array once.
 func (a *Arena[V]) settle() {
 	if len(a.vals)-a.live <= a.live {
 		return
 	}
-	vals := make([]V, 0, a.live)
+	vals := make([]V, 0, 2*a.live+a.live/4)
 	for u, r := range a.runs {
 		a.runs[u].Off = uint32(len(vals))
 		vals = append(vals, a.vals[r.Off:r.Off+r.N]...)
