@@ -4,8 +4,9 @@ package arq
 // its own tests call, and the option structs of optionStructs have no
 // field that only tests set, except what testOnly lists with a reason;
 // the catalogue structs have no field that nothing writes; no program
-// imports a test-only package; every obsv instrument internal/ registers
-// has a reader; and what earlier PRs deleted stays deleted. It type-checks every non-test file of the module once
+// imports a test-only package; every tagged field of an obsv instrument
+// set under internal/ has a reader; and what earlier PRs deleted stays
+// deleted. It type-checks every non-test file of the module once
 // (go/types; the standard library from GOROOT source, so no network and
 // no build cache is needed) and looks at who refers to what.
 
@@ -22,6 +23,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strconv"
@@ -40,7 +42,7 @@ var testOnly = map[string]string{
 	"internal/wire.UnmarshalQuery": "fuzzed codec: the servent reads a query's fields in place; FuzzUnmarshalQuery and transport's tests decode whole payloads",
 	// Observers: what another package's tests read off a live object.
 	"internal/core.rules.Support":             "test observer: vantage's checkpoint tests read a restored rule's support",
-	"internal/obsv.Gauge.Value":               "test observer: transport, vantage, routing and fault tests read gauges",
+	"internal/obsv.Gauge.Value":               "test observer: transport's teardown tests read a transport's conns_open",
 	"internal/routing.NewAssoc":               "test constructor: one router on its own; programs build a slab with NewAssocs",
 	"internal/content.Explicit":               "test constructor: hand-placed content that routing's, flat's, the oracle's and adapt's tests pin routes on; programs build a clustered model",
 	"internal/overlay.NewGraph":               "test constructor: hand-built lines and stars in routing's, flat's, the oracle's and adapt's tests; programs build through the generators",
@@ -81,7 +83,8 @@ var staysDeleted = struct {
 	names: map[string][]string{
 		"internal/peer": {"NewActorNet", "Engine", "NewEngine", // PR 15: one production engine; PR 25: the oracle is peer/oracle
 			"StopRule", "StopAbsorb", "StopAtHit", "QuerySpec.Stop", // one top-k stop rule: every hit prunes its subtree
-			"DynamicEngine.NeighborsChanged"}, // one adjacency: both engines read the live graph
+			"DynamicEngine.NeighborsChanged",                     // one adjacency: both engines read the live graph
+			"QueryEngine.RunQuery", "QueryEngine.RunQueryPhase"}, // one query entry point: RunQuerySpec
 		"internal/db":     {"NewTable", "MustTable", "EquiJoin"}, // PR 18
 		"internal/stream": {"FlatCountTable", "NewCountTable"},   // PR 14, 20, 21: one count store
 		"internal/core": {"Wide", "Merge", "Diff", "ShardedPairIndex", "ObsBatch", // PR 14, 18
@@ -124,6 +127,7 @@ var staysDeleted = struct {
 			// One top-k stop rule: QuerySpec.TopK alone.
 			"OneShot.Stop", "ExpandingRing.Stop", "AssocTwoPhase.Stop", "Shortcuts.Stop"},
 		"internal/obsv": {"Histogram.Quantile", "Registry.Reset", // no caller
+			"GetCounter", "GetGauge", // one registration path: an owner registers its instrument set
 			// Instruments nobody reads: the last histogram went with them.
 			// A getter cannot come back without the type it returns.
 			"Histogram", "DurationBuckets", "SizeBuckets", "HistogramSnapshot", "Bucket", "Snapshot.Histograms"},
@@ -134,8 +138,9 @@ var staysDeleted = struct {
 		"internal/cluster": {"Universe", "SearchString", "Library"}, // scenario.ClusterPlan{N: n} says it
 		// One workload driver: routing.RunWorkload with a routing.OneShot.
 		// One adjacency: both engines read the live graph, unpatched.
-		"internal/peer/flat":   {"Engine.Workload", "Engine.NeighborsChanged"},
-		"internal/peer/oracle": {"Engine.Workload", "Engine.NeighborsChanged"},
+		// One query entry point: RunQuerySpec.
+		"internal/peer/flat":   {"Engine.Workload", "Engine.NeighborsChanged", "Engine.RunQuery", "Engine.RunQueryPhase"},
+		"internal/peer/oracle": {"Engine.Workload", "Engine.NeighborsChanged", "Engine.RunQuery", "Engine.RunQueryPhase"},
 		"internal/overlay": {"Graph.DegreeStats", // a test observer, declared in overlay's tests
 			"CSR", "NewCSR"}, // one adjacency: the graph is the CSR the engine reads
 	},
@@ -245,7 +250,7 @@ func loadModule(root, path string) (*module, error) {
 	build.Default.CgoEnabled = false
 	m := &module{root: root, path: path, fset: token.NewFileSet(),
 		pkgs: map[string]*types.Package{}, files: map[*types.Package][]*ast.File{},
-		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}}
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}}
 	m.std = importer.ForCompiler(m.fset, "source", nil)
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -480,15 +485,16 @@ func declares(pkg *types.Package, name string) bool {
 	return found != nil
 }
 
-// instrument is one obsv registration: a package-level var of non-test
-// code under internal/ initialised with obsv.GetCounter or GetGauge.
+// instrument is one field of an obsv instrument set: a struct field of
+// non-test code under internal/ tagged `obsv:"name"`.
 type instrument struct {
-	name, v string // the name it is registered under, and its var
-	file    string // the registering file, slash-separated from the root
+	name, field string       // the name it is registered under, and its field
+	file        string       // the declaring file, slash-separated from the root
+	obj         types.Object // the field, for the references type-checking found
 }
 
 // instruments returns, sorted by name, every instrument the module
-// registers.
+// declares.
 func (m *module) instruments() []instrument {
 	var out []instrument
 	for pkg, files := range m.files {
@@ -497,35 +503,26 @@ func (m *module) instruments() []instrument {
 		}
 		for _, f := range files {
 			file, _ := filepath.Rel(m.root, m.fset.Position(f.Pos()).Filename)
-			for _, d := range f.Decls {
-				gd, ok := d.(*ast.GenDecl)
-				if !ok || gd.Tok != token.VAR {
-					continue
+			ast.Inspect(f, func(n ast.Node) bool {
+				st, ok := n.(*ast.StructType)
+				if !ok {
+					return true
 				}
-				for _, spec := range gd.Specs {
-					vs := spec.(*ast.ValueSpec)
-					for i, val := range vs.Values {
-						call, ok := val.(*ast.CallExpr)
-						if !ok || len(call.Args) != 1 || i >= len(vs.Names) {
-							continue
-						}
-						sel, ok := call.Fun.(*ast.SelectorExpr)
-						if !ok {
-							continue
-						}
-						fn, ok := m.info.Uses[sel.Sel].(*types.Func)
-						if !ok || fn.Pkg().Path() != m.path+"/internal/obsv" || (fn.Name() != "GetCounter" && fn.Name() != "GetGauge") {
-							continue
-						}
-						lit, ok := call.Args[0].(*ast.BasicLit)
-						if !ok || lit.Kind != token.STRING {
-							continue
-						}
-						name, _ := strconv.Unquote(lit.Value)
-						out = append(out, instrument{name: name, v: vs.Names[i].Name, file: filepath.ToSlash(file)})
+				for _, fd := range st.Fields.List {
+					if fd.Tag == nil {
+						continue
+					}
+					tag, _ := strconv.Unquote(fd.Tag.Value)
+					name := reflect.StructTag(tag).Get("obsv")
+					if name == "" {
+						continue
+					}
+					for _, id := range fd.Names {
+						out = append(out, instrument{name: name, field: id.Name, file: filepath.ToSlash(file), obj: m.info.Defs[id]})
 					}
 				}
-			}
+				return true
+			})
 		}
 	}
 	slices.SortFunc(out, func(a, b instrument) int { return strings.Compare(a.name, b.name) })
@@ -533,10 +530,12 @@ func (m *module) instruments() []instrument {
 }
 
 // readers returns where each instrument is read, "" where nowhere: a .go
-// file other than the registering one (a program, benchmark/ or a test)
+// file other than the declaring one (a program, benchmark/ or a test)
 // that quotes its name, a golden under a testdata/ directory that names
-// it as a whole word, or a _test.go file of its own package that refers
-// to its var. The first reader in file order is the one reported.
+// it as a whole word, a _test.go file of its own package that selects its
+// field, or non-test code of another package that refers to its field.
+// The first reader in file order is the one reported, a program's
+// reference to the field only where nothing else reads it.
 func (m *module) readers(ins []instrument) ([]string, error) {
 	out := make([]string, len(ins))
 	word := make([]*regexp.Regexp, len(ins))
@@ -563,7 +562,7 @@ func (m *module) readers(ins []instrument) ([]string, error) {
 		if err != nil {
 			return err
 		}
-		var idents map[string]bool // of a _test.go file, parsed when first asked
+		var selected map[string]bool // of a _test.go file, parsed when first asked
 		for i, in := range ins {
 			switch {
 			case out[i] != "" || rel == in.file:
@@ -572,27 +571,49 @@ func (m *module) readers(ins []instrument) ([]string, error) {
 			case !golden && strings.Contains(string(src), strconv.Quote(in.name)):
 				out[i] = rel
 			case strings.HasSuffix(rel, "_test.go") && path.Dir(rel) == path.Dir(in.file):
-				if idents == nil {
-					idents = map[string]bool{}
+				if selected == nil {
+					selected = map[string]bool{}
 					f, err := parser.ParseFile(token.NewFileSet(), p, src, parser.SkipObjectResolution)
 					if err != nil {
 						return err
 					}
 					ast.Inspect(f, func(n ast.Node) bool {
-						if id, ok := n.(*ast.Ident); ok {
-							idents[id.Name] = true
+						if sel, ok := n.(*ast.SelectorExpr); ok {
+							selected[sel.Sel.Name] = true
 						}
 						return true
 					})
 				}
-				if idents[in.v] {
-					out[i] = rel + " (" + in.v + ")"
+				if selected[in.field] {
+					out[i] = rel + " (" + in.field + ")"
 				}
 			}
 		}
 		return nil
 	})
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	uses := map[types.Object]string{}
+	for pkg, files := range m.files {
+		for _, f := range files {
+			file, _ := filepath.Rel(m.root, m.fset.Position(f.Pos()).Filename)
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if obj := m.info.Uses[id]; obj != nil && obj.Pkg() != pkg && uses[obj] == "" {
+						uses[obj] = filepath.ToSlash(file)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for i, in := range ins {
+		if out[i] == "" && in.obj != nil && uses[in.obj] != "" {
+			out[i] = uses[in.obj] + " (" + in.field + ")"
+		}
+	}
+	return out, nil
 }
 
 func TestNoTestOnlyExports(t *testing.T) {
@@ -641,7 +662,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	for i, in := range ins {
 		if readers[i] == "" {
-			t.Errorf("instrument %q (%s in %s) is registered and nothing reads it: no other .go file quotes its name, no golden under testdata/ prints it, and no test of its package refers to %s; delete it, or give it a reader", in.name, in.v, in.file, in.v)
+			t.Errorf("instrument %q (%s in %s) is registered and nothing reads it: no other .go file quotes its name, no golden under testdata/ prints it, no test of its package selects %s, and no program of another package refers to it; delete it, or give it a reader", in.name, in.field, in.file, in.field)
 		} else {
 			t.Logf("instrument %-36s read by %s", in.name, readers[i])
 		}
@@ -664,7 +685,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 // fmt.Stringer, a catalogue field nothing writes beside one a program
 // writes, a test-only package with a program importing it, names the
 // stays-deleted check finds at package level, as methods and as fields,
-// and an instrument of every kind of reader beside two without one.
+// and an instrument of every kind of reader beside three without one.
 func TestNoTestOnlyExportsFixture(t *testing.T) {
 	m, err := loadModule(filepath.Join("testdata", "exportsfixture"), "fix")
 	if err != nil {
@@ -688,14 +709,16 @@ func TestNoTestOnlyExportsFixture(t *testing.T) {
 	}
 	got := map[string]string{}
 	for i, in := range ins {
-		got[in.name+" "+in.v+" "+in.file] = readers[i]
+		got[in.name+" "+in.field+" "+in.file] = readers[i]
 	}
 	if want := map[string]string{
-		"a.by_golden mByGolden internal/a/instruments.go": "internal/a/testdata/golden.txt",
-		"a.by_name mByName internal/a/instruments.go":     "cmd/b/b.go",
-		"a.by_test mByTest internal/a/instruments.go":     "internal/a/a_test.go (mByTest)",
-		"a.elsewise mElsewise internal/a/instruments.go":  "",
-		"a.unread mUnread internal/a/instruments.go":      "",
+		"a.by_field ByField internal/a/instruments.go":      "cmd/b/b.go (ByField)",
+		"a.by_golden ByGolden internal/a/instruments.go":    "internal/a/testdata/golden.txt",
+		"a.by_name ByName internal/a/instruments.go":        "cmd/b/b.go",
+		"a.by_test ByTest internal/a/instruments.go":        "internal/a/a_test.go (ByTest)",
+		"a.elsewise Elsewise internal/a/instruments.go":     "",
+		"a.in_own_code InOwnCode internal/a/instruments.go": "",
+		"a.unread Unread internal/a/instruments.go":         "",
 	}; !maps.Equal(got, want) {
 		t.Errorf("the fixture's instruments and their readers = %v, want %v", got, want)
 	}

@@ -30,9 +30,9 @@ func TestRewireChainSavesAHop(t *testing.T) {
 	// path, then once more to measure.
 	query := func() peer.Stats {
 		for i := 0; i < 5; i++ {
-			e.RunQuery(0, 0, 6)
+			e.RunQuerySpec(0, 0, peer.QuerySpec{TTL: 6})
 		}
-		return e.RunQuery(0, 0, 6)
+		return e.RunQuerySpec(0, 0, peer.QuerySpec{TTL: 6})
 	}
 
 	if st := query(); !st.Found || st.FirstHitHops != 4 {

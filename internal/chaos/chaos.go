@@ -23,6 +23,7 @@ package chaos
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -97,10 +98,10 @@ func (tb *testbed) engine(as []routing.Assoc) *flat.Engine {
 // returns how many queries the first attempt answered.
 func (tb *testbed) run(e *flat.Engine, seed uint64, n int, strict bool) (firstFound int) {
 	for _, j := range peer.DrawWorkload(stats.NewRNG(seed), tb.model, tb.cfg.Nodes, n) {
-		if e.RunQuery(j.Origin, j.Category, tb.cfg.TTL).Found {
+		if e.RunQuerySpec(j.Origin, j.Category, peer.QuerySpec{TTL: tb.cfg.TTL}).Found {
 			firstFound++
 		} else if strict {
-			e.RunQueryPhase(j.Origin, j.Category, tb.cfg.TTL, true)
+			e.RunQuerySpec(j.Origin, j.Category, peer.QuerySpec{TTL: tb.cfg.TTL, FloodPhase: true})
 		}
 	}
 	return firstFound
@@ -139,13 +140,9 @@ var watchedPrefixes = []string{"fault.", "routing.assoc.", "peer.queries"}
 
 func watched() map[string]int64 {
 	out := map[string]int64{}
-	snap := obsv.Default.Snapshot()
-	for name, v := range snap.Counters {
-		for _, p := range watchedPrefixes {
-			if strings.HasPrefix(name, p) {
-				out[name] = v
-				break
-			}
+	for name, v := range obsv.Default.Snapshot().Counters {
+		if slices.ContainsFunc(watchedPrefixes, func(p string) bool { return strings.HasPrefix(name, p) }) {
+			out[name] = v
 		}
 	}
 	return out

@@ -40,7 +40,6 @@ import (
 	"sort"
 	"time"
 
-	"arq/internal/obsv"
 	"arq/internal/scenario"
 	"arq/internal/transport"
 	"arq/internal/vantage"
@@ -103,13 +102,13 @@ type NodeResult struct {
 	Hits        int     `json:"hits"`
 	LatenciesNS []int64 `json:"latencies_ns"` // one per hit query
 	DurationNS  int64   `json:"duration_ns"`  // measured phase wall time
-	// Transport counters over the measured phase (this process only).
+	// The servent's transport counters over the measured phase.
 	MsgsIn     int64 `json:"msgs_in"`
 	MsgsOut    int64 `json:"msgs_out"`
 	BytesIn    int64 `json:"bytes_in"`
 	BytesOut   int64 `json:"bytes_out"`
 	QueueSheds int64 `json:"queue_sheds"`
-	// Whole-process lifecycle counters.
+	// The servent's transport lifecycle counters, since it started.
 	Dials        int64 `json:"dials"`
 	AcceptErrors int64 `json:"accept_errors"`
 	// Reconnects counts supervised redials that re-established a link;
@@ -323,11 +322,10 @@ func runNode(cfg NodeConfig) error {
 		return err
 	}
 
-	in0 := obsv.GetCounter("transport.msgs_in").Value()
-	out0 := obsv.GetCounter("transport.msgs_out").Value()
-	bin0 := obsv.GetCounter("transport.bytes_in").Value()
-	bout0 := obsv.GetCounter("transport.bytes_out").Value()
-	sheds0 := obsv.GetCounter("transport.queue_sheds").Value()
+	tc := s.NetInstruments()
+	in0, out0 := tc.MsgsIn.Value(), tc.MsgsOut.Value()
+	bin0, bout0 := tc.BytesIn.Value(), tc.BytesOut.Value()
+	sheds0 := tc.Sheds.Value()
 	res := NodeResult{ID: cfg.ID, Queries: cfg.Queries}
 	start := time.Now()
 	for i := 0; i < cfg.Queries; i++ {
@@ -341,14 +339,14 @@ func runNode(cfg NodeConfig) error {
 		}
 	}
 	res.DurationNS = time.Since(start).Nanoseconds()
-	res.MsgsIn = obsv.GetCounter("transport.msgs_in").Value() - in0
-	res.MsgsOut = obsv.GetCounter("transport.msgs_out").Value() - out0
-	res.BytesIn = obsv.GetCounter("transport.bytes_in").Value() - bin0
-	res.BytesOut = obsv.GetCounter("transport.bytes_out").Value() - bout0
-	res.QueueSheds = obsv.GetCounter("transport.queue_sheds").Value() - sheds0
-	res.Dials = obsv.GetCounter("transport.dials").Value()
-	res.AcceptErrors = obsv.GetCounter("transport.accept_errors").Value()
-	res.Reconnects = obsv.GetCounter("transport.reconnects").Value()
+	res.MsgsIn = tc.MsgsIn.Value() - in0
+	res.MsgsOut = tc.MsgsOut.Value() - out0
+	res.BytesIn = tc.BytesIn.Value() - bin0
+	res.BytesOut = tc.BytesOut.Value() - bout0
+	res.QueueSheds = tc.Sheds.Value() - sheds0
+	res.Dials = tc.Dials.Value()
+	res.AcceptErrors = tc.AcceptErrs.Value()
+	res.Reconnects = tc.Reconnects.Value()
 	res.RestoredRules = restored
 
 	body, err := json.Marshal(&res)

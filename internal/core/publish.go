@@ -18,14 +18,16 @@ import (
 // contend with the write path: readers only ever load a pointer, and a
 // publish is one pointer swap.
 
-// Observability instruments for snapshot publication, aggregated across
-// every learner in the process (one per deployed node). The counter
-// accumulates; the gauge is last-writer-wins — a cheap liveness signal
-// (is anything publishing, how big), not a per-node breakdown.
-var (
-	mPublishes   = obsv.GetCounter("core.publish.count")
-	gPublishSize = obsv.GetGauge("core.publish.rules")
-)
+// Observability instruments for snapshot publication, one set for every
+// learner in the process (one per deployed node). The counter accumulates;
+// the gauge is last-writer-wins — a cheap liveness signal (is anything
+// publishing, how big), not a per-node breakdown.
+var publishCounts struct {
+	Count obsv.Counter `obsv:"core.publish.count"`
+	Rules obsv.Gauge   `obsv:"core.publish.rules"`
+}
+
+func init() { obsv.Default.Register(&publishCounts) }
 
 // RuleSnapshot is one published generation of a node's routing knowledge:
 // the rule table (Len, Support, Consequents, Range) of the pairs at
@@ -194,7 +196,7 @@ func (l *Learner) publish() *RuleSnapshot {
 func (l *Learner) swap(rules []RuleEntry, floor uint64) *RuleSnapshot {
 	s := &RuleSnapshot{rules: rules, version: max(l.cur.Load().version, floor) + 1}
 	l.cur.Store(s)
-	mPublishes.Inc()
-	gPublishSize.Set(int64(len(rules)))
+	publishCounts.Count.Inc()
+	publishCounts.Rules.Set(int64(len(rules)))
 	return s
 }

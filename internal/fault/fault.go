@@ -62,19 +62,21 @@ type Injector interface {
 	Tick()
 }
 
-// Fault-injection instruments, aggregated across every injector in the
-// process. Deterministic workloads produce deterministic counts, which
-// the chaos smoke test in CI byte-compares across identical seeds.
-var (
-	mDrops  = obsv.GetCounter("fault.msg_drops")
-	mDown   = obsv.GetCounter("fault.down_drops")
-	mEpochs = obsv.GetCounter("fault.epochs")
-)
+// Fault-injection instruments, one set for every injector in the process.
+// Deterministic workloads produce deterministic counts, which the chaos
+// smoke test in CI byte-compares across identical seeds.
+var counts struct {
+	MsgDrops  obsv.Counter `obsv:"fault.msg_drops"`
+	DownDrops obsv.Counter `obsv:"fault.down_drops"`
+	Epochs    obsv.Counter `obsv:"fault.epochs"`
+}
+
+func init() { obsv.Default.Register(&counts) }
 
 // ReportDownDrop counts a delivery discarded because its receiver was
 // crashed. The engines own the delivery loop, so they report this one;
 // the injector counts the drops it decides itself.
-func ReportDownDrop() { mDown.Inc() }
+func ReportDownDrop() { counts.DownDrops.Inc() }
 
 // Config parameterizes a Seeded injector. All probabilities are per
 // decision in [0, 1]; the zero value injects nothing.
@@ -183,7 +185,7 @@ func (f *Seeded) OnSend(from, to int) Fate {
 	var fate Fate
 	if f.cfg.Drop > 0 && f.roll(tagDrop, a, b, n) < f.cfg.Drop {
 		fate.Drop = true
-		mDrops.Inc()
+		counts.MsgDrops.Inc()
 		return fate
 	}
 	if f.cfg.Duplicate > 0 && f.roll(tagDup, a, b, n) < f.cfg.Duplicate {
@@ -223,6 +225,6 @@ func (f *Seeded) Tick() {
 	t := f.ticks.Add(1)
 	e := t / uint64(f.cfg.EpochEvery)
 	if f.epoch.Swap(e) != e {
-		mEpochs.Inc()
+		counts.Epochs.Inc()
 	}
 }

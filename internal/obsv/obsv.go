@@ -1,16 +1,16 @@
-// Package obsv is the repository's observability substrate: lightweight
-// atomic counters and gauges collected in a named registry. Hot-path
-// recording is one atomic add on a pre-registered instrument — no locks,
-// no allocations, no formatting — so the instrumented packages (core,
-// routing, peer, fault, transport, vantage) pay nothing measurable for
-// being observable.
+// Package obsv is the repository's observability substrate: atomic
+// counters and gauges, owned by what they measure. Recording is one
+// atomic add on a field of the owner's instrument set — no lock, no
+// allocation, no lookup by name.
 //
-// Instruments are registered once (get-or-create by name, in a
-// package-level var) and recorded against forever after; every one has a
-// reader, which the repository's dead-weight test checks. Registry.Snapshot
-// produces a JSON-marshalable view: benchmark/ reads per-layer counts from
-// it, internal/chaos takes per-phase counter deltas, and internal/cluster
-// reads the transport counters around its measured phase.
+// An instrument set is a struct of Counter and Gauge fields, each tagged
+// with its name. Every transport.Transport and vantage.Servent registers
+// its own with Default and retires it when it closes; the simulator
+// plane (routing.assoc.*, core.publish.*, fault.*, peer.queries*) holds
+// one set per package, which nothing closes. Registry.Snapshot is the
+// view by name that benchmark/ and internal/chaos read; everything else
+// reads an owner's fields. Every field has a reader, which the
+// dead-weight test checks.
 package obsv
 
 import "sync/atomic"

@@ -1,48 +1,67 @@
 package obsv
 
-import "sync"
+import (
+	"fmt"
+	"maps"
+	"reflect"
+	"sync"
+	"sync/atomic"
+)
 
-// Registry is a named instrument store with get-or-create registration.
-// Registration takes a lock; recording against a returned instrument never
-// does. Instrument names are conventionally dot-separated
-// "package.subsystem.metric" (e.g. "transport.queue_sheds").
+// Registry is the read-time view over registered instrument sets; the
+// zero value is an empty one. Registering and retiring a set take a lock;
+// recording never does.
 type Registry struct {
-	mu     sync.Mutex
-	counts map[string]*Counter
-	gauges map[string]*Gauge
+	mu      sync.Mutex
+	live    map[any][]field  // by the pointer each set was registered with
+	retired map[string]int64 // counter totals of retired sets
 }
 
-// newRegistry returns an empty registry.
-func newRegistry() *Registry {
-	return &Registry{
-		counts: make(map[string]*Counter),
-		gauges: make(map[string]*Gauge),
+// field is one instrument of a registered set.
+type field struct {
+	name  string
+	v     *atomic.Int64
+	gauge bool
+}
+
+// Register adds the instrument set s points to to the view and returns
+// the function that retires it. Every field of the set is an exported
+// Counter or Gauge tagged with its name, `obsv:"layer.metric"`; anything
+// else panics. Retiring folds the set's counters into the retired totals
+// and drops its gauges under the lock, so no counter in a Snapshot moves
+// across it; a count recorded after it is lost. Retiring twice is a no-op.
+func (r *Registry) Register(s any) (retire func()) {
+	v := reflect.ValueOf(s).Elem()
+	var set []field
+	for i := 0; i < v.NumField(); i++ {
+		f := field{name: v.Type().Field(i).Tag.Get("obsv")}
+		switch p := v.Field(i).Addr().Interface().(type) {
+		case *Counter:
+			f.v = &p.v
+		case *Gauge:
+			f.v, f.gauge = &p.v, true
+		}
+		if f.v == nil || f.name == "" {
+			panic(fmt.Sprintf("obsv: %s.%s is not a Counter or Gauge with an obsv tag", v.Type(), v.Type().Field(i).Name))
+		}
+		set = append(set, f)
 	}
-}
-
-// counter returns the counter registered under name, creating it if
-// needed.
-func (r *Registry) counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := r.counts[name]
-	if c == nil {
-		c = &Counter{}
-		r.counts[name] = c
+	if r.live == nil {
+		r.live, r.retired = map[any][]field{}, map[string]int64{}
 	}
-	return c
-}
-
-// gauge returns the gauge registered under name, creating it if needed.
-func (r *Registry) gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
+	r.live[s] = set
+	return func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		for _, f := range r.live[s] {
+			if !f.gauge {
+				r.retired[f.name] += f.v.Load()
+			}
+		}
+		delete(r.live, s)
 	}
-	return g
 }
 
 // Snapshot is a point-in-time JSON-marshalable view of a registry.
@@ -51,31 +70,27 @@ type Snapshot struct {
 	Gauges   map[string]int64 `json:"gauges,omitempty"`
 }
 
-// Snapshot captures every instrument's current value. Zero-valued
-// instruments are included, so a reader that takes deltas finds every
-// name it asks for, whether or not a run exercised its path.
+// Snapshot captures every instrument by name: a counter is its retired
+// total plus its value in every live set, a gauge the sum over live
+// sets. Zero values are included, so a reader that takes deltas finds
+// every name any set has registered, whether or not a run exercised its
+// path.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := Snapshot{
-		Counters: make(map[string]int64, len(r.counts)),
-		Gauges:   make(map[string]int64, len(r.gauges)),
-	}
-	for name, c := range r.counts {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
+	s := Snapshot{Counters: maps.Clone(r.retired), Gauges: map[string]int64{}}
+	for _, set := range r.live {
+		for _, f := range set {
+			if f.gauge {
+				s.Gauges[f.name] += f.v.Load()
+			} else {
+				s.Counters[f.name] += f.v.Load()
+			}
+		}
 	}
 	return s
 }
 
-// Default is the process-wide registry every internal package records
-// into.
-var Default = newRegistry()
-
-// GetCounter returns the named counter from the Default registry.
-func GetCounter(name string) *Counter { return Default.counter(name) }
-
-// GetGauge returns the named gauge from the Default registry.
-func GetGauge(name string) *Gauge { return Default.gauge(name) }
+// Default is the process-wide registry every instrument set registers
+// with.
+var Default = new(Registry)

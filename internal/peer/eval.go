@@ -171,14 +171,9 @@ type QueryEngine interface {
 	Nodes() int
 	// ContentModel returns the engine's content placement.
 	ContentModel() *content.Model
-	// RunQuery injects a query and simulates it to quiescence.
-	RunQuery(origin int, category trace.InterestID, ttl int) Stats
-	// RunQueryPhase is RunQuery with control over Meta.FloodPhase (the
-	// origin-level revert-to-flooding reissue).
-	RunQueryPhase(origin int, category trace.InterestID, ttl int, floodPhase bool) Stats
-	// RunQuerySpec runs one query under full QuerySpec semantics (TTL,
-	// top-k budget, flood phase); RunQuery and RunQueryPhase are its
-	// zero-budget special cases.
+	// RunQuerySpec injects one query and simulates it to quiescence under
+	// full QuerySpec semantics: TTL, top-k budget, and the flood phase of
+	// the origin-level revert-to-flooding reissue.
 	RunQuerySpec(origin int, category trace.InterestID, spec QuerySpec) Stats
 }
 

@@ -45,7 +45,7 @@ func benchFlood(b *testing.B, n int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := jobs[i%len(jobs)]
-		benchSink = e.RunQuery(j.Origin, j.Category, 7)
+		benchSink = e.RunQuerySpec(j.Origin, j.Category, peer.QuerySpec{TTL: 7})
 	}
 }
 

@@ -134,8 +134,8 @@ func TestDeferredLearningIsExact(t *testing.T) {
 			})
 
 			for i, j := range jobs {
-				a := ref.engine.RunQuery(j.Origin, j.Category, 5)
-				b := got.engine.RunQuery(j.Origin, j.Category, 5)
+				a := ref.engine.RunQuerySpec(j.Origin, j.Category, peer.QuerySpec{TTL: 5})
+				b := got.engine.RunQuerySpec(j.Origin, j.Category, peer.QuerySpec{TTL: 5})
 				if !sameStats(a, b) {
 					t.Fatalf("query %d: oracle %+v != flat %+v", i, a, b)
 				}

@@ -86,8 +86,8 @@ func FuzzFloodFastPath(f *testing.F) {
 			origin := int(queries[i]) % n
 			cat := trace.InterestID(int(queries[i+1])%(cats+2) - 1)
 			ttl := int(queries[i+2]) % 10
-			a := fast.RunQuery(origin, cat, ttl)
-			b := slow.RunQuery(origin, cat, ttl)
+			a := fast.RunQuerySpec(origin, cat, peer.QuerySpec{TTL: ttl})
+			b := slow.RunQuerySpec(origin, cat, peer.QuerySpec{TTL: ttl})
 			if !sameStats(a, b) {
 				t.Fatalf("query %d (origin %d, category %d, TTL %d): flood loop %+v != generic loop %+v", i/3, origin, cat, ttl, a, b)
 			}

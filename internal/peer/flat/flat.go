@@ -5,9 +5,10 @@
 // its goldens compare against.
 //
 // Layout over behavior: peers are indices into dense slices, adjacency
-// is the overlay.Graph itself, read live (compressed sparse rows: one
-// contiguous column array, sequential neighbor scans; a row an edit
-// changed is copied out of it, so churn needs no engine patch), message
+// is the overlay.Graph itself, read live (one stream.Arena of neighbor
+// rows, each a run of one int32 array, so neighbor scans are sequential;
+// an edit moves or rewrites the row inside the arena, so churn needs no
+// engine patch), message
 // delivery is a batched per-TTL-step frontier swap (two slices reused
 // across queries — no per-message heap, channel, or allocation), and
 // GUID dedup is an epoch-stamped visited array (a rotating window:
@@ -259,19 +260,9 @@ func (e *Engine) Nodes() int { return e.g.N() }
 // ContentModel implements peer.QueryEngine.
 func (e *Engine) ContentModel() *content.Model { return e.content }
 
-// RunQuery injects a query at origin for category with the given TTL
-// and simulates it to quiescence, returning its stats.
-func (e *Engine) RunQuery(origin int, category trace.InterestID, ttl int) peer.Stats {
-	return e.RunQueryPhase(origin, category, ttl, false)
-}
-
-// RunQueryPhase is RunQuery with control over Meta.FloodPhase, used to
-// reissue a failed rule-routed query as a flood.
-func (e *Engine) RunQueryPhase(origin int, category trace.InterestID, ttl int, floodPhase bool) peer.Stats {
-	return e.RunQuerySpec(origin, category, peer.QuerySpec{TTL: ttl, FloodPhase: floodPhase})
-}
-
-// RunQuerySpec is RunQuery under full QuerySpec semantics. Top-k queries
+// RunQuerySpec injects a query at origin for category and simulates it
+// to quiescence under full QuerySpec semantics, returning its stats.
+// Top-k queries
 // take the generic loop even on a pure flood engine: the budget can fill
 // mid-frontier, and a copy absorbed by a spent budget is decided when
 // it arrives, which the flood loop's sender-side dedup never sees.

@@ -28,7 +28,7 @@ func TestFlatFloodInvariant(t *testing.T) {
 
 	want := 2*g.M() - g.N() + 1
 	for i := 0; i < 5; i++ {
-		st := e.RunQuery(i, trace.InterestID(0), 64)
+		st := e.RunQuerySpec(i, trace.InterestID(0), peer.QuerySpec{TTL: 64})
 		if st.QueryMessages != want {
 			t.Fatalf("query %d: QueryMessages = %d, want 2M-N+1 = %d", i, st.QueryMessages, want)
 		}
@@ -57,8 +57,8 @@ func TestFlatMatchesEngineSmall(t *testing.T) {
 	wrk := stats.NewRNG(3)
 	for _, j := range peer.DrawWorkload(wrk, m, g.N(), 50) {
 		for _, ttl := range []int{0, 1, 5} {
-			a := seq.RunQuery(j.Origin, j.Category, ttl)
-			b := fl.RunQuery(j.Origin, j.Category, ttl)
+			a := seq.RunQuerySpec(j.Origin, j.Category, peer.QuerySpec{TTL: ttl})
+			b := fl.RunQuerySpec(j.Origin, j.Category, peer.QuerySpec{TTL: ttl})
 			if !sameStats(a, b) {
 				t.Fatalf("origin %d cat %d ttl %d: oracle %+v != flat.Engine %+v", j.Origin, j.Category, ttl, a, b)
 			}
@@ -88,12 +88,12 @@ func TestFloodNoPerMessageAllocation(t *testing.T) {
 	e := flat.NewEngine(g, m, func(int) peer.Router { return routing.Flood{} })
 	const origin, none, ttl = 3, trace.InterestID(1), 7
 	for i := 0; i < 3; i++ {
-		e.RunQuery(origin, 0, ttl)
+		e.RunQuerySpec(origin, 0, peer.QuerySpec{TTL: ttl})
 	}
-	if st := e.RunQuery(origin, none, ttl); st.QueryMessages < g.N() || st.Hits != 0 {
+	if st := e.RunQuerySpec(origin, none, peer.QuerySpec{TTL: ttl}); st.QueryMessages < g.N() || st.Hits != 0 {
 		t.Fatalf("warm-up flood sent %d messages with %d hits; want a flood of the whole overlay and none", st.QueryMessages, st.Hits)
 	}
-	if allocs := testing.AllocsPerRun(50, func() { e.RunQuery(origin, none, ttl) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(50, func() { e.RunQuerySpec(origin, none, peer.QuerySpec{TTL: ttl}) }); allocs != 0 {
 		t.Fatalf("a warm hitless flood allocates %.1f times per query, want 0", allocs)
 	}
 }
@@ -119,7 +119,7 @@ func TestFlatAssocChurnedConsequent(t *testing.T) {
 	const ttl = 2 // 0 -> 1 -> leaf; leaves never route
 	query := func(step string, wantMsgs, wantHits int) {
 		t.Helper()
-		a, b := fl.RunQuery(0, cat, ttl), seq.RunQuery(0, cat, ttl)
+		a, b := fl.RunQuerySpec(0, cat, peer.QuerySpec{TTL: ttl}), seq.RunQuerySpec(0, cat, peer.QuerySpec{TTL: ttl})
 		if a.QueryMessages != b.QueryMessages || a.Hits != b.Hits || a.HitMessages != b.HitMessages {
 			t.Fatalf("%s: flat %+v != map %+v", step, a, b)
 		}

@@ -51,8 +51,8 @@ func TestFloodClearsMarks(t *testing.T) {
 	ttls := []int{0, 7, 1, 7, 2, 7}
 	for i, j := range peer.DrawWorkload(stats.NewRNG(4), m, g.N(), 60) {
 		ttl := ttls[i%len(ttls)]
-		a := fast.RunQuery(j.Origin, j.Category, ttl)
-		b := slow.RunQuery(j.Origin, j.Category, ttl)
+		a := fast.RunQuerySpec(j.Origin, j.Category, peer.QuerySpec{TTL: ttl})
+		b := slow.RunQuerySpec(j.Origin, j.Category, peer.QuerySpec{TTL: ttl})
 		if !slices.Equal(a.HitNodes, b.HitNodes) {
 			t.Fatalf("query %d (origin %d, TTL %d): hit nodes %v != generic loop's %v", i, j.Origin, ttl, a.HitNodes, b.HitNodes)
 		}

@@ -110,7 +110,7 @@ func TestEngineHitLossIsNotFound(t *testing.T) {
 	}
 	m := content.Explicit(6, 4, map[int][]trace.InterestID{4: {0}})
 	for _, eng := range faultEngines {
-		st := eng.mk(g, m, downhillDropInjector{}).RunQuery(0, 0, 8)
+		st := eng.mk(g, m, downhillDropInjector{}).RunQuerySpec(0, 0, peer.QuerySpec{TTL: 8})
 		if st.Hits != 1 {
 			t.Fatalf("%s: content did not match: %+v", eng.name, st)
 		}
@@ -119,7 +119,7 @@ func TestEngineHitLossIsNotFound(t *testing.T) {
 		}
 
 		// Same topology, no faults: the identical query is Found.
-		if st := eng.mk(g, m, nil).RunQuery(0, 0, 8); !st.Found {
+		if st := eng.mk(g, m, nil).RunQuerySpec(0, 0, peer.QuerySpec{TTL: 8}); !st.Found {
 			t.Fatalf("%s: clean control query not Found: %+v", eng.name, st)
 		}
 	}

@@ -93,21 +93,10 @@ func (h *delayHeap) Pop() any {
 	return x
 }
 
-// RunQuery injects a query at origin for category with the given TTL and
-// simulates it to quiescence, returning its stats. Matches at the origin
-// itself are not counted (a user searches for content they lack).
-func (e *Engine) RunQuery(origin int, category trace.InterestID, ttl int) peer.Stats {
-	return e.RunQueryPhase(origin, category, ttl, false)
-}
-
-// RunQueryPhase is RunQuery with control over peer.Meta.FloodPhase, used to
-// reissue a failed rule-routed query as a flood.
-func (e *Engine) RunQueryPhase(origin int, category trace.InterestID, ttl int, floodPhase bool) peer.Stats {
-	return e.RunQuerySpec(origin, category, peer.QuerySpec{TTL: ttl, FloodPhase: floodPhase})
-}
-
-// RunQuerySpec runs one query under full peer.QuerySpec semantics: TTL bound,
-// optional top-k termination budget, and the fallback-flood marker.
+// RunQuerySpec injects a query at origin for category and simulates it to
+// quiescence under full peer.QuerySpec semantics: TTL bound, optional
+// top-k termination budget, and the fallback-flood marker. Matches at the
+// origin itself are not counted (a user searches for content they lack).
 func (e *Engine) RunQuerySpec(origin int, category trace.InterestID, spec peer.QuerySpec) peer.Stats {
 	ttl := spec.TTL
 	id := e.nextID

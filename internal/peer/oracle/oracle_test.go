@@ -67,7 +67,7 @@ func TestFloodFindsContentOnLine(t *testing.T) {
 	g := lineGraph(6)
 	m := modelHosting(6, 4)
 	e := floodEngine(g, m)
-	st := e.RunQuery(0, 0, 5)
+	st := e.RunQuerySpec(0, 0, peer.QuerySpec{TTL: 5})
 	if !st.Found || st.Hits != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -87,7 +87,7 @@ func TestTTLBoundsPropagation(t *testing.T) {
 	g := lineGraph(10)
 	m := modelHosting(10, 9)
 	e := floodEngine(g, m)
-	st := e.RunQuery(0, 0, 3)
+	st := e.RunQuerySpec(0, 0, peer.QuerySpec{TTL: 3})
 	if st.Found {
 		t.Fatal("content beyond TTL was found")
 	}
@@ -100,7 +100,7 @@ func TestOriginContentNotCounted(t *testing.T) {
 	g := lineGraph(3)
 	m := modelHosting(3, 0, 2)
 	e := floodEngine(g, m)
-	st := e.RunQuery(0, 0, 3)
+	st := e.RunQuerySpec(0, 0, peer.QuerySpec{TTL: 3})
 	if st.Hits != 1 || st.FirstHitHops != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -112,7 +112,7 @@ func TestFloodMessageCountOnGeneralGraph(t *testing.T) {
 	m := modelHosting(200) // no content: pure propagation cost
 	e := floodEngine(g, m)
 	origin := 7
-	st := e.RunQuery(origin, 0, 64)
+	st := e.RunQuerySpec(origin, 0, peer.QuerySpec{TTL: 64})
 	// Every node forwards once to all neighbors except its upstream;
 	// origin forwards to all. Total = deg(origin) + sum_{u != origin}
 	// (deg(u) - 1) = 2M - N + 1.
@@ -136,7 +136,7 @@ func TestHitObservationPath(t *testing.T) {
 		routers[u] = &recordingRouter{u: u}
 		return routers[u]
 	})
-	st := e.RunQuery(0, 0, 3)
+	st := e.RunQuerySpec(0, 0, peer.QuerySpec{TTL: 3})
 	if !st.Found {
 		t.Fatal("not found")
 	}
@@ -181,7 +181,7 @@ func TestWalkerTraversesAndTerminatesOnHit(t *testing.T) {
 	g := lineGraph(6)
 	m := modelHosting(6, 3)
 	e := NewEngine(g, m, func(u int) peer.Router { return singleWalker{} })
-	st := e.RunQuery(0, 0, 100)
+	st := e.RunQuerySpec(0, 0, peer.QuerySpec{TTL: 100})
 	if !st.Found || st.FirstHitHops != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -195,7 +195,7 @@ func TestWalkerTTLBounds(t *testing.T) {
 	g := lineGraph(10)
 	m := modelHosting(10) // nothing to find
 	e := NewEngine(g, m, func(u int) peer.Router { return singleWalker{} })
-	st := e.RunQuery(0, 0, 4)
+	st := e.RunQuerySpec(0, 0, peer.QuerySpec{TTL: 4})
 	if st.QueryMessages != 4 {
 		t.Fatalf("walker sent %d messages with TTL 4", st.QueryMessages)
 	}
@@ -229,7 +229,7 @@ func TestMetaCategoryPlumbing(t *testing.T) {
 	var sawCat trace.InterestID
 	var sawTTL int
 	e := NewEngine(g, m, func(u int) peer.Router { return &metaSpy{cat: &sawCat, ttl: &sawTTL} })
-	e.RunQuery(0, 7, 2)
+	e.RunQuerySpec(0, 7, peer.QuerySpec{TTL: 2})
 	if sawCat != 7 {
 		t.Fatalf("router saw category %d", sawCat)
 	}

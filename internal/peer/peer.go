@@ -17,19 +17,21 @@ import (
 )
 
 // Observability instruments shared by the engines (peer/flat and the
-// oracle). Counts are recorded once per completed query from its
-// final Stats — the per-delivery hot loops stay untouched.
-var (
-	mQueries = obsv.GetCounter("peer.queries")
-	mFound   = obsv.GetCounter("peer.queries_found")
-)
+// oracle), one set for the process. Counts are recorded once per completed
+// query from its final Stats — the per-delivery hot loops stay untouched.
+var counts struct {
+	Queries obsv.Counter `obsv:"peer.queries"`
+	Found   obsv.Counter `obsv:"peer.queries_found"`
+}
+
+func init() { obsv.Default.Register(&counts) }
 
 // RecordQuery folds one completed query's stats into the shared
 // instruments. Every engine calls it once per completed query.
 func RecordQuery(st *Stats) {
-	mQueries.Inc()
+	counts.Queries.Inc()
 	if st.Found {
-		mFound.Inc()
+		counts.Found.Inc()
 	}
 }
 
@@ -44,8 +46,8 @@ type Meta struct {
 	TTL      int // remaining forwards allowed after this node
 	Hops     int // hops traveled so far
 	// FloodPhase marks a fallback reissue: selective routers should
-	// flood (while still learning from any hits). Set by
-	// QueryEngine.RunQueryPhase for the paper's origin-level
+	// flood (while still learning from any hits). Set from
+	// QuerySpec.FloodPhase for the paper's origin-level
 	// revert-to-flooding (§III-B).
 	FloodPhase bool
 }

@@ -31,10 +31,10 @@ func TestForkAssocs(t *testing.T) {
 	// twoPhase runs one query as the strict deployment's origin does: the
 	// rule phase, then a flood reissue on a miss. Both phases learn.
 	twoPhase := func(e *flat.Engine, j peer.WorkloadJob) peer.Stats {
-		if st := e.RunQueryPhase(j.Origin, j.Category, ttl, false); st.Found {
+		if st := e.RunQuerySpec(j.Origin, j.Category, peer.QuerySpec{TTL: ttl}); st.Found {
 			return st
 		}
-		return e.RunQueryPhase(j.Origin, j.Category, ttl, true)
+		return e.RunQuerySpec(j.Origin, j.Category, peer.QuerySpec{TTL: ttl, FloodPhase: true})
 	}
 	tables := func(as []Assoc) [][]byte {
 		out := make([][]byte, len(as))

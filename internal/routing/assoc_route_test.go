@@ -5,7 +5,6 @@ import (
 	"unsafe"
 
 	"arq/internal/core"
-	"arq/internal/obsv"
 	"arq/internal/peer"
 )
 
@@ -16,9 +15,7 @@ func newAssocWith(cfg AssocConfig, learn core.LearnerConfig) *Assoc {
 
 // assocCounters reads the three decision counters RouteAppend moves.
 func assocCounters() (routed, fallback, drops int64) {
-	return obsv.GetCounter("routing.assoc.rule_routed").Value(),
-		obsv.GetCounter("routing.assoc.fallback_flood").Value(),
-		obsv.GetCounter("routing.assoc.strict_drops").Value()
+	return assocCounts.RuleRouted.Value(), assocCounts.Fallbacks.Value(), assocCounts.Drops.Value()
 }
 
 // RouteAppend walks the antecedent's consequents, not the neighbor list,

@@ -19,18 +19,19 @@ import (
 	"arq/internal/trace"
 )
 
-// Observability instruments for the association-rule router, aggregated
-// across all node instances: how often queries ride rules vs fall back to
-// flooding (the paper's traffic-reduction mechanism vs its safety net),
-// strict-mode drops, and the hit feedback that trains the rules. Shared
-// atomics: one process can run many routers (every servent of an
-// in-process mesh, every sweep worker's engine) recording concurrently.
-var (
-	mAssocRuleRouted = obsv.GetCounter("routing.assoc.rule_routed")
-	mAssocFallbacks  = obsv.GetCounter("routing.assoc.fallback_flood")
-	mAssocDrops      = obsv.GetCounter("routing.assoc.strict_drops")
-	mAssocHits       = obsv.GetCounter("routing.assoc.hits_observed")
-)
+// Observability instruments for the association-rule router, one set for
+// every node instance in the process: how often queries ride rules vs fall
+// back to flooding (the paper's traffic-reduction mechanism vs its safety
+// net), strict-mode drops, and the hit feedback that trains the rules.
+// Shared atomics: many routers (every sweep worker's engine) record at once.
+var assocCounts struct {
+	RuleRouted obsv.Counter `obsv:"routing.assoc.rule_routed"`
+	Fallbacks  obsv.Counter `obsv:"routing.assoc.fallback_flood"`
+	Drops      obsv.Counter `obsv:"routing.assoc.strict_drops"`
+	Hits       obsv.Counter `obsv:"routing.assoc.hits_observed"`
+}
+
+func init() { obsv.Default.Register(&assocCounts) }
 
 // Flood forwards every query to all neighbors except the one it arrived
 // from — baseline Gnutella behaviour.
@@ -167,7 +168,7 @@ func DefaultAssocConfig() AssocConfig {
 //
 // The learner sits in the router by value and an overlay's routers sit in
 // one slice (NewAssocs), so a node's whole learn/serve plane is a stretch
-// of that slab, 104 bytes, and costs no heap object of its own beyond its
+// of that slab, 96 bytes, and costs no heap object of its own beyond its
 // count table's two arrays and its snapshots. What a routing
 // decision reads, the shared config and the served snapshot's pointer,
 // comes first and shares a cache line. An Assoc must not be copied:
@@ -270,18 +271,18 @@ func (a *Assoc) RouteAppend(dst []int32, u, from int, q peer.Meta, nbrs []int32)
 		return v, int(v) != from && slices.Contains(nbrs, v)
 	})
 	if why == core.RuleHit {
-		mAssocRuleRouted.Inc()
+		assocCounts.RuleRouted.Inc()
 		return dst
 	}
 	// No rule and no usable consequent alike: the query is uncovered.
 	if a.cfg.Strict {
 		// Uncovered under strict deployment: drop; the origin will
 		// revert the query to flooding if nothing is found.
-		mAssocDrops.Inc()
+		assocCounts.Drops.Inc()
 		return dst
 	}
 	// Uncovered: locally revert to flooding.
-	mAssocFallbacks.Inc()
+	assocCounts.Fallbacks.Inc()
 	return Flood{}.RouteAppend(dst, u, from, q, nbrs)
 }
 
@@ -289,7 +290,7 @@ func (a *Assoc) RouteAppend(dst []int32, u, from int, q peer.Meta, nbrs []int32)
 // one per returned hit, with periodic exponential decay. It is ObserveHits
 // with a run of one, handed to the learner without the stack buffer.
 func (a *Assoc) ObserveHit(u, from int, _ peer.Meta, via int) {
-	mAssocHits.Inc()
+	assocCounts.Hits.Inc()
 	if via != u {
 		a.learn.Observe(trace.HostOf(from), []trace.HostID{trace.HostOf(via)})
 	}
@@ -307,7 +308,7 @@ const observeChunk = 64
 // allocates nothing. A via equal to u is a hit that matched at this node
 // itself: it is counted, but there is no next-hop consequent to learn.
 func (a *Assoc) ObserveHits(u, from int, _ peer.Meta, vias []int32) {
-	mAssocHits.Add(int64(len(vias)))
+	assocCounts.Hits.Add(int64(len(vias)))
 	src := trace.HostOf(from)
 	var buf [observeChunk]trace.HostID
 	reps := buf[:0]

@@ -264,7 +264,7 @@ func TestAssocTwoPhaseNeverLosesContent(t *testing.T) {
 		origin := rng.Intn(g.N())
 		cat := m.DrawQuery(rng, origin)
 		st := two.Search(origin, cat)
-		fl := ef.RunQuery(origin, cat, 7)
+		fl := ef.RunQuerySpec(origin, cat, peer.QuerySpec{TTL: 7})
 		if fl.Found && !st.Found {
 			t.Fatalf("two-phase missed content flood finds (origin %d cat %d)", origin, cat)
 		}

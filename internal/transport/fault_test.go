@@ -54,22 +54,20 @@ func dialPair(t *testing.T, inj fault.Injector, extra func(*Options)) (*Conn, *c
 // true, nothing reaches the peer, and the drop is accounted.
 func TestFaultDropAtSocket(t *testing.T) {
 	c, got := dialPair(t, &fixedFate{fate: fault.Fate{Drop: true}}, nil)
-	drops0 := obsv.GetCounter("transport.fault_drops").Value()
-	out0 := obsv.GetCounter("transport.msgs_out").Value()
 	const n = 30
 	for i := 0; i < n; i++ {
 		if !c.Send(queryMsg(byte(i))) {
 			t.Fatalf("send %d rejected — a dropped frame must look sent", i)
 		}
 	}
-	if d := obsv.GetCounter("transport.fault_drops").Value() - drops0; d != n {
+	if d := c.t.m.FaultDrops.Value(); d != n {
 		t.Fatalf("fault_drops = %d, want %d", d, n)
 	}
 	c.CloseDrain(time.Second)
 	if got.count() != 0 {
 		t.Fatalf("peer received %d frames across a dropping edge", got.count())
 	}
-	if o := obsv.GetCounter("transport.msgs_out").Value() - out0; o != 0 {
+	if o := c.t.m.MsgsOut.Value(); o != 0 {
 		t.Fatalf("msgs_out = %d across a dropping edge", o)
 	}
 }
@@ -80,7 +78,6 @@ func TestFaultDelayAtSocket(t *testing.T) {
 	const delaySteps = 30 // x DelayUnit(1ms) = 30ms per frame
 	c, got := dialPair(t, &fixedFate{fate: fault.Fate{Delay: delaySteps}},
 		func(o *Options) { o.DelayUnit = time.Millisecond })
-	del0 := obsv.GetCounter("transport.fault_delays").Value()
 	start := time.Now()
 	const n = 3
 	for i := 0; i < n; i++ {
@@ -90,7 +87,7 @@ func TestFaultDelayAtSocket(t *testing.T) {
 	if el := time.Since(start); el < n*delaySteps*time.Millisecond {
 		t.Fatalf("%d frames delivered in %v, each should sleep %dms", n, el, delaySteps)
 	}
-	if d := obsv.GetCounter("transport.fault_delays").Value() - del0; d != n {
+	if d := c.t.m.FaultDelay.Value(); d != n {
 		t.Fatalf("fault_delays = %d, want %d", d, n)
 	}
 	got.mu.Lock()
@@ -155,14 +152,13 @@ func TestPartitionAtSocket(t *testing.T) {
 	if err != nil {
 		t.Fatal("dial across partition must still connect:", err)
 	}
-	drops0 := obsv.GetCounter("transport.fault_drops").Value()
 	const n = 15
 	for i := 0; i < n; i++ {
 		cSame.Send(queryMsg(byte(i)))
 		cOther.Send(queryMsg(byte(i)))
 	}
 	waitFor(t, 2*time.Second, func() bool { return gotSame.count() == n }, "in-group frames")
-	if d := obsv.GetCounter("transport.fault_drops").Value() - drops0; d != n {
+	if d := a.m.FaultDrops.Value(); d != n {
 		t.Fatalf("fault_drops = %d, want %d", d, n)
 	}
 	if gotOther.count() != 0 {
@@ -171,22 +167,27 @@ func TestPartitionAtSocket(t *testing.T) {
 }
 
 // A peer the injector marks down swallows sends at the source, exactly
-// like the simulator engines' down-drop path.
+// like the simulator engines' down-drop path. fault.down_drops is the
+// fault package's one process-wide count, so it is read as a delta.
 func TestDownPeerDropsAtSender(t *testing.T) {
 	c, got := dialPair(t, &fixedFate{down: map[int]bool{2: true}}, nil)
-	dd0 := obsv.GetCounter("fault.down_drops").Value()
+	downDrops := func() int64 { return obsv.Default.Snapshot().Counters["fault.down_drops"] }
+	dd0 := downDrops()
 	const n = 8
 	for i := 0; i < n; i++ {
 		if !c.Send(queryMsg(byte(i))) {
 			t.Fatalf("send %d to a down peer rejected; it must be silently lost", i)
 		}
 	}
-	if d := obsv.GetCounter("fault.down_drops").Value() - dd0; d != n {
+	if d := downDrops() - dd0; d != n {
 		t.Fatalf("down_drops = %d, want %d", d, n)
 	}
 	c.CloseDrain(time.Second)
 	if got.count() != 0 {
 		t.Fatalf("down peer received %d frames", got.count())
+	}
+	if o := c.t.m.MsgsOut.Value(); o != 0 {
+		t.Fatalf("msgs_out = %d to a down peer", o)
 	}
 }
 
@@ -254,11 +255,6 @@ func TestKilledNodeDoesNotHangPeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out0 := obsv.GetCounter("transport.msgs_out").Value()
-	sheds0 := obsv.GetCounter("transport.queue_sheds").Value()
-	disc0 := obsv.GetCounter("transport.close_discards").Value()
-	werr0 := obsv.GetCounter("transport.write_errors").Value()
-
 	// Stream frames; kill the peer mid-workload; keep streaming. Every
 	// Send must return promptly (the test's own deadline is the hang
 	// detector) and the dead conn must be reaped.
@@ -285,11 +281,6 @@ func TestKilledNodeDoesNotHangPeers(t *testing.T) {
 	// The conn is closed: further sends resolve instantly into sheds.
 	send(50)
 
-	waitFor(t, 5*time.Second, func() bool {
-		out := obsv.GetCounter("transport.msgs_out").Value() - out0
-		sheds := obsv.GetCounter("transport.queue_sheds").Value() - sheds0
-		disc := obsv.GetCounter("transport.close_discards").Value() - disc0
-		werr := obsv.GetCounter("transport.write_errors").Value() - werr0
-		return out+sheds+disc+werr == int64(attempts)
-	}, "shed accounting to settle after peer death")
+	waitFor(t, 5*time.Second, func() bool { return settled(&a.m) == int64(attempts) },
+		"shed accounting to settle after peer death")
 }

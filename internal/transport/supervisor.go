@@ -79,11 +79,11 @@ func (t *Transport) superviseLoop(addr string, c *Conn) {
 		for {
 			nc, err := t.Dial(addr)
 			if err == nil {
-				mReconnects.Inc()
+				t.m.Reconnects.Inc()
 				c = nc
 				break
 			}
-			mReconnectFails.Inc()
+			t.m.ReconnectFails.Inc()
 			// Full jitter: sleep a uniform fraction of the current
 			// backoff, so a cluster of supervisors redialing one
 			// restarted peer spreads out instead of thundering.
@@ -129,13 +129,13 @@ func (c *Conn) heartbeatLoop() {
 		}
 		if probed {
 			misses++
-			mProbeMisses.Inc()
+			c.t.m.ProbeMisses.Inc()
 			if misses >= c.t.opts.HeartbeatMisses {
 				c.close()
 				return
 			}
 		}
-		mHeartbeats.Inc()
+		c.t.m.Heartbeats.Inc()
 		c.enqueue(outFrame{m: &wire.Message{ID: heartbeatMagic, Type: wire.TypePing, TTL: 1}})
 		probed = true
 	}

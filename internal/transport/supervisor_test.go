@@ -12,7 +12,6 @@ import (
 // a listener on the same address, and expects the supervisor to
 // re-establish a working connection on its own.
 func TestSuperviseRedialsAfterPeerRestart(t *testing.T) {
-	rec0 := mReconnects.Value()
 	var got collect
 	a := listen(t, Options{NodeID: 1, Handler: func(*Conn, *wire.Message) {}})
 	b, err := Listen("127.0.0.1:0", Options{NodeID: 2, Handler: got.handle})
@@ -43,8 +42,8 @@ func TestSuperviseRedialsAfterPeerRestart(t *testing.T) {
 	defer b2.Close()
 
 	waitFor(t, 5*time.Second, func() bool { return a.NumConns() == 1 }, "supervised redial")
-	if d := mReconnects.Value() - rec0; d < 1 {
-		t.Fatalf("transport.reconnects delta = %d, want >= 1", d)
+	if d := a.m.Reconnects.Value(); d < 1 {
+		t.Fatalf("transport.reconnects = %d, want >= 1", d)
 	}
 	// The re-established connection must carry frames again.
 	if !a.Conns()[0].Send(queryMsg(2)) {
@@ -82,7 +81,6 @@ func TestSuperviseInitialDialError(t *testing.T) {
 // handshake and hello, then goes silent. With no ReadIdle configured,
 // only the heartbeat miss budget can declare it dead.
 func TestHeartbeatClosesSilentPeer(t *testing.T) {
-	hb0, miss0 := mHeartbeats.Value(), mProbeMisses.Value()
 	tr := listen(t, Options{
 		NodeID: 1, Handler: func(*Conn, *wire.Message) {},
 		HeartbeatEvery: 20 * time.Millisecond, HeartbeatMisses: 2,
@@ -106,11 +104,11 @@ func TestHeartbeatClosesSilentPeer(t *testing.T) {
 	// The silent client never answers pings: the miss budget runs out
 	// and the transport reaps the connection.
 	waitFor(t, 3*time.Second, func() bool { return tr.NumConns() == 0 }, "heartbeat reap")
-	if d := mHeartbeats.Value() - hb0; d < 2 {
-		t.Fatalf("transport.heartbeats delta = %d, want >= 2", d)
+	if d := tr.m.Heartbeats.Value(); d < 2 {
+		t.Fatalf("transport.heartbeats = %d, want >= 2", d)
 	}
-	if d := mProbeMisses.Value() - miss0; d < 2 {
-		t.Fatalf("transport.probe_misses delta = %d, want >= 2", d)
+	if d := tr.m.ProbeMisses.Value(); d < 2 {
+		t.Fatalf("transport.probe_misses = %d, want >= 2", d)
 	}
 }
 
@@ -148,17 +146,16 @@ func TestHeartbeatKeepsIdleConnAlive(t *testing.T) {
 // compared a timestamp with the period counted 7 to 28 of them in a
 // second here, one timer jitter from reaping the link.
 func TestHeartbeatHealthyPairAccruesNoMisses(t *testing.T) {
-	hb0, miss0 := mHeartbeats.Value(), mProbeMisses.Value()
 	opts := Options{Handler: func(*Conn, *wire.Message) {}, HeartbeatEvery: 25 * time.Millisecond}
 	a, b := listen(t, opts), listen(t, opts)
 	if _, err := a.Dial(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(time.Second)
-	if d := mProbeMisses.Value() - miss0; d != 0 {
+	if d := a.m.ProbeMisses.Value() + b.m.ProbeMisses.Value(); d != 0 {
 		t.Fatalf("transport.probe_misses = %d on a link that answers every ping, want 0", d)
 	}
-	if d := mHeartbeats.Value() - hb0; d < 10 {
+	if d := a.m.Heartbeats.Value() + b.m.Heartbeats.Value(); d < 10 {
 		t.Fatalf("transport.heartbeats = %d in 1 s at 25 ms, want >= 10", d)
 	}
 	if a.NumConns() != 1 || b.NumConns() != 1 {

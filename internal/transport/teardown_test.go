@@ -14,8 +14,6 @@ import (
 // setup goroutine must time out, close the raw socket, and leave no
 // goroutine, no registered conn, and one handshake_errors count behind.
 func TestAcceptHandshakeStallLeaksNothing(t *testing.T) {
-	hs0 := mHandshakes.Value()
-	open0 := mConnsOpen.Value()
 	g0 := runtime.NumGoroutine()
 
 	tr := listen(t, Options{
@@ -37,10 +35,10 @@ func TestAcceptHandshakeStallLeaksNothing(t *testing.T) {
 		t.Fatal("server sent a frame to a client that never said hello")
 	}
 
-	waitFor(t, 2*time.Second, func() bool { return mHandshakes.Value() == hs0+1 }, "handshake error count")
-	if tr.NumConns() != 0 || mConnsOpen.Value() != open0 {
-		t.Fatalf("stalled handshake registered a conn: %d live, gauge %d->%d",
-			tr.NumConns(), open0, mConnsOpen.Value())
+	waitFor(t, 2*time.Second, func() bool { return tr.m.Handshakes.Value() == 1 }, "handshake error count")
+	if tr.NumConns() != 0 || tr.m.ConnsOpen.Value() != 0 {
+		t.Fatalf("stalled handshake registered a conn: %d live, gauge %d",
+			tr.NumConns(), tr.m.ConnsOpen.Value())
 	}
 	waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= g0+1 }, "setup goroutine exit")
 }
@@ -48,17 +46,11 @@ func TestAcceptHandshakeStallLeaksNothing(t *testing.T) {
 // TestTeardownSettlesWithConnDeadMidRedial drives the full self-healing
 // teardown invariant: a supervised peer dies for good, the supervisor is
 // left redialing into the void, more sends race the dead conn — and
-// after Close, conns_open is back where it started and every attempted
-// frame is accounted for as delivered, shed, discarded, or a write
-// error. Heartbeats stay off so the only outbox traffic is the test's.
+// after Close, the dialer's conns_open is back to zero and every frame it
+// was handed is accounted for in its own counts as delivered, shed,
+// discarded, or a write error. Heartbeats stay off so the only outbox
+// traffic is the test's.
 func TestTeardownSettlesWithConnDeadMidRedial(t *testing.T) {
-	out0 := mMsgsOut.Value()
-	sheds0 := mSheds.Value()
-	disc0 := mDiscards.Value()
-	werr0 := mWriteErrs.Value()
-	open0 := mConnsOpen.Value()
-	rfail0 := mReconnectFails.Value()
-
 	var got collect
 	a, err := Listen("127.0.0.1:0", Options{
 		NodeID: 1, Handler: func(*Conn, *wire.Message) {},
@@ -90,30 +82,32 @@ func TestTeardownSettlesWithConnDeadMidRedial(t *testing.T) {
 		c.Send(queryMsg(byte(100 + i)))
 		attempted++
 	}
-	waitFor(t, 3*time.Second, func() bool { return mReconnectFails.Value() >= rfail0+2 }, "mid-redial state")
+	waitFor(t, 3*time.Second, func() bool { return a.m.ReconnectFails.Value() >= 2 }, "mid-redial state")
 
 	a.Close()
-	if v := mConnsOpen.Value(); v != open0 {
-		t.Fatalf("transport.conns_open = %d after Close, want %d", v, open0)
+	for _, tr := range []*Transport{a, b} {
+		if v := tr.m.ConnsOpen.Value(); v != 0 {
+			t.Fatalf("transport.conns_open = %d after Close, want 0", v)
+		}
 	}
-	settled := func() int64 {
-		return (mMsgsOut.Value() - out0) + (mSheds.Value() - sheds0) +
-			(mDiscards.Value() - disc0) + (mWriteErrs.Value() - werr0)
-	}
-	if got := settled(); got != int64(attempted) {
+	m := &a.m
+	if got := settled(m); got != int64(attempted) {
 		t.Fatalf("attempted %d != delivered+shed+discarded+write_errors %d "+
 			"(out %d sheds %d discards %d werrs %d)", attempted, got,
-			mMsgsOut.Value()-out0, mSheds.Value()-sheds0,
-			mDiscards.Value()-disc0, mWriteErrs.Value()-werr0)
+			m.MsgsOut.Value(), m.Sheds.Value(), m.Discards.Value(), m.WriteErrs.Value())
 	}
+}
+
+// settled is what became of the frames a transport was handed: delivered
+// (msgs_out), shed, discarded at close, or lost to a write error.
+func settled(m *Instruments) int64 {
+	return m.MsgsOut.Value() + m.Sheds.Value() + m.Discards.Value() + m.WriteErrs.Value()
 }
 
 // TestCloseDrainReturnsConnsOpenToZero pins the gauge across the
 // graceful path too: a drained shutdown with live traffic in flight
-// still returns transport.conns_open to its starting value on both
-// endpoints.
+// still returns transport.conns_open to zero on both endpoints.
 func TestCloseDrainReturnsConnsOpenToZero(t *testing.T) {
-	open0 := mConnsOpen.Value()
 	var got collect
 	a, err := Listen("127.0.0.1:0", Options{NodeID: 1, Handler: func(*Conn, *wire.Message) {}})
 	if err != nil {
@@ -133,8 +127,10 @@ func TestCloseDrainReturnsConnsOpenToZero(t *testing.T) {
 	a.CloseDrain(time.Second)
 	waitFor(t, 2*time.Second, func() bool { return got.count() == 64 }, "drained delivery")
 	b.CloseDrain(time.Second)
-	if v := mConnsOpen.Value(); v != open0 {
-		t.Fatalf("transport.conns_open = %d after CloseDrain, want %d", v, open0)
+	for _, tr := range []*Transport{a, b} {
+		if v := tr.m.ConnsOpen.Value(); v != 0 {
+			t.Fatalf("transport.conns_open = %d after CloseDrain, want 0", v)
+		}
 	}
 }
 
@@ -144,8 +140,6 @@ func TestCloseDrainReturnsConnsOpenToZero(t *testing.T) {
 // than WriteWait (plus slack) after the last frame was queued, and every
 // frame is still accounted for.
 func TestStalledPeerClosedWithinWriteWait(t *testing.T) {
-	out0, sheds0 := mMsgsOut.Value(), mSheds.Value()
-	disc0, werr0 := mDiscards.Value(), mWriteErrs.Value()
 	const writeWait = 400 * time.Millisecond
 	tr := listen(t, Options{
 		NodeID: 1, Handler: func(*Conn, *wire.Message) {},
@@ -189,13 +183,12 @@ func TestStalledPeerClosedWithinWriteWait(t *testing.T) {
 		t.Fatalf("stalled peer closed after %v, want within WriteWait %v + slack", took, writeWait)
 	}
 	waitFor(t, 2*time.Second, func() bool { return tr.NumConns() == 0 }, "conn teardown")
-	out, sheds := mMsgsOut.Value()-out0, mSheds.Value()-sheds0
-	disc, werr := mDiscards.Value()-disc0, mWriteErrs.Value()-werr0
-	if out+sheds+disc+werr != attempted {
+	m := &tr.m
+	if settled(m) != attempted {
 		t.Fatalf("attempted %d != delivered %d + shed %d + discarded %d + write_errors %d",
-			attempted, out, sheds, disc, werr)
+			attempted, m.MsgsOut.Value(), m.Sheds.Value(), m.Discards.Value(), m.WriteErrs.Value())
 	}
-	if werr == 0 {
+	if m.WriteErrs.Value() == 0 {
 		t.Fatal("a write that timed out counted no transport.write_errors")
 	}
 }

@@ -36,33 +36,31 @@ import (
 	"arq/internal/wire"
 )
 
-// Socket-layer instruments, aggregated across every Transport in the
-// process (one process per node in a cluster, so per-process counters
-// are per-node counters there).
-var (
-	mMsgsIn     = obsv.GetCounter("transport.msgs_in")
-	mMsgsOut    = obsv.GetCounter("transport.msgs_out")
-	mBytesIn    = obsv.GetCounter("transport.bytes_in")
-	mBytesOut   = obsv.GetCounter("transport.bytes_out")
-	mDials      = obsv.GetCounter("transport.dials")
-	mAcceptErrs = obsv.GetCounter("transport.accept_errors")
-	mHandshakes = obsv.GetCounter("transport.handshake_errors")
-	mSheds      = obsv.GetCounter("transport.queue_sheds")
-	mDiscards   = obsv.GetCounter("transport.close_discards")
-	mReadTOs    = obsv.GetCounter("transport.read_timeouts")
-	mWriteErrs  = obsv.GetCounter("transport.write_errors")
-	mFaultDrops = obsv.GetCounter("transport.fault_drops")
-	mFaultDelay = obsv.GetCounter("transport.fault_delays")
-	mConnsOpen  = obsv.GetGauge("transport.conns_open")
-
-	// Self-healing instruments: supervised redials that re-established a
-	// peer link, redial attempts that failed, heartbeat pings sent on
-	// idle connections, and heartbeat probes that went unanswered.
-	mReconnects     = obsv.GetCounter("transport.reconnects")
-	mReconnectFails = obsv.GetCounter("transport.reconnect_failures")
-	mHeartbeats     = obsv.GetCounter("transport.heartbeats")
-	mProbeMisses    = obsv.GetCounter("transport.probe_misses")
-)
+// Instruments is one Transport's socket-layer counts. Listen registers
+// them with obsv.Default and Close retires them once the transport's
+// goroutines have exited, so each count is this endpoint's own.
+type Instruments struct {
+	MsgsIn     obsv.Counter `obsv:"transport.msgs_in"`
+	MsgsOut    obsv.Counter `obsv:"transport.msgs_out"`
+	BytesIn    obsv.Counter `obsv:"transport.bytes_in"`
+	BytesOut   obsv.Counter `obsv:"transport.bytes_out"`
+	Dials      obsv.Counter `obsv:"transport.dials"`
+	AcceptErrs obsv.Counter `obsv:"transport.accept_errors"`
+	Handshakes obsv.Counter `obsv:"transport.handshake_errors"`
+	Sheds      obsv.Counter `obsv:"transport.queue_sheds"`
+	Discards   obsv.Counter `obsv:"transport.close_discards"`
+	ReadTOs    obsv.Counter `obsv:"transport.read_timeouts"`
+	WriteErrs  obsv.Counter `obsv:"transport.write_errors"`
+	FaultDrops obsv.Counter `obsv:"transport.fault_drops"`
+	FaultDelay obsv.Counter `obsv:"transport.fault_delays"`
+	ConnsOpen  obsv.Gauge   `obsv:"transport.conns_open"`
+	// Self-healing (supervisor.go): redials that re-established a link or
+	// failed, heartbeat pings sent, and probes that went unanswered.
+	Reconnects     obsv.Counter `obsv:"transport.reconnects"`
+	ReconnectFails obsv.Counter `obsv:"transport.reconnect_failures"`
+	Heartbeats     obsv.Counter `obsv:"transport.heartbeats"`
+	ProbeMisses    obsv.Counter `obsv:"transport.probe_misses"`
+}
 
 // Defaults applied by Listen for zero-valued Options fields.
 const (
@@ -171,6 +169,9 @@ type Transport struct {
 	conns  map[*Conn]struct{}
 	sup    map[string]struct{} // desired peers by advertised listen addr
 	closed bool
+
+	m      Instruments
+	retire func() // takes m out of obsv.Default's live view
 }
 
 // Listen starts a Transport on addr (use "127.0.0.1:0" for tests and
@@ -190,6 +191,7 @@ func Listen(addr string, opts Options) (*Transport, error) {
 		conns: make(map[*Conn]struct{}),
 		sup:   make(map[string]struct{}),
 	}
+	t.retire = obsv.Default.Register(&t.m)
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -197,6 +199,9 @@ func Listen(addr string, opts Options) (*Transport, error) {
 
 // Addr returns the listening address.
 func (t *Transport) Addr() string { return t.ln.Addr().String() }
+
+// Instruments returns the transport's own counts.
+func (t *Transport) Instruments() *Instruments { return &t.m }
 
 func (t *Transport) acceptLoop() {
 	defer t.wg.Done()
@@ -207,15 +212,15 @@ func (t *Transport) acceptLoop() {
 			closed := t.closed
 			t.mu.Unlock()
 			if !closed {
-				mAcceptErrs.Inc()
+				t.m.AcceptErrs.Inc()
 			}
 			return
 		}
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
-			if err := t.setup(nc, false); err != nil {
-				mHandshakes.Inc()
+			if _, err := t.setupConn(nc, false); err != nil {
+				t.m.Handshakes.Inc()
 				_ = nc.Close()
 			}
 		}()
@@ -226,7 +231,7 @@ func (t *Transport) acceptLoop() {
 // hello exchange, and starts the connection's loops. The returned Conn
 // is already registered and live.
 func (t *Transport) Dial(addr string) (*Conn, error) {
-	mDials.Inc()
+	t.m.Dials.Inc()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -237,11 +242,6 @@ func (t *Transport) Dial(addr string) (*Conn, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-func (t *Transport) setup(nc net.Conn, initiator bool) error {
-	_, err := t.setupConn(nc, initiator)
-	return err
 }
 
 // setupConn runs handshake + hello, registers the Conn, fires OnConn,
@@ -288,7 +288,7 @@ func (t *Transport) setupConn(nc net.Conn, initiator bool) (*Conn, error) {
 	}
 	t.conns[c] = struct{}{}
 	t.mu.Unlock()
-	mConnsOpen.Add(1)
+	t.m.ConnsOpen.Add(1)
 	if t.opts.OnConn != nil {
 		t.opts.OnConn(c)
 	}
@@ -340,6 +340,7 @@ func (t *Transport) shutdown(drain time.Duration) {
 		c.close()
 	}
 	t.wg.Wait()
+	t.retire()
 }
 
 // outFrame is one queued outbound frame plus its injected delay.
@@ -387,13 +388,13 @@ func (c *Conn) Send(m *wire.Message) bool {
 		}
 		fate := f.OnSend(c.t.opts.NodeID, c.peerID)
 		if fate.Drop {
-			mFaultDrops.Inc()
+			c.t.m.FaultDrops.Inc()
 			return true
 		}
 		var delay time.Duration
 		if fate.Delay > 0 {
 			delay = time.Duration(fate.Delay) * c.t.opts.DelayUnit
-			mFaultDelay.Inc()
+			c.t.m.FaultDelay.Inc()
 		}
 		if fate.Corrupt {
 			// Corrupt a copy: the caller may be fanning m out to other
@@ -412,7 +413,7 @@ func (c *Conn) Send(m *wire.Message) bool {
 
 func (c *Conn) enqueue(f outFrame) bool {
 	if !c.out.PushDeadline(f, c.t.opts.SendWait) {
-		mSheds.Inc()
+		c.t.m.Sheds.Inc()
 		return false
 	}
 	return true
@@ -430,12 +431,12 @@ func (c *Conn) readLoop() {
 		if err != nil {
 			var nerr net.Error
 			if errors.As(err, &nerr) && nerr.Timeout() {
-				mReadTOs.Inc()
+				c.t.m.ReadTOs.Inc()
 			}
 			return
 		}
-		mMsgsIn.Inc()
-		mBytesIn.Add(int64(m.WireSize()))
+		c.t.m.MsgsIn.Inc()
+		c.t.m.BytesIn.Add(int64(m.WireSize()))
 		c.framesIn.Add(1)
 		if m.ID == heartbeatMagic {
 			// Transport-internal liveness traffic: answer pings, absorb
@@ -473,6 +474,7 @@ func (c *Conn) writeLoop() {
 	defer c.t.wg.Done()
 	defer c.writerDead.Do(func() { close(c.done) })
 	bw := bufio.NewWriter(&deadlineWriter{nc: c.nc, wait: c.t.opts.WriteWait})
+	m := &c.t.m
 	// Frames encoded into bw but not yet flushed to the kernel:
 	// transport.msgs_out counts only flushed frames, and a failed flush
 	// charges every buffered frame to transport.write_errors, so
@@ -480,7 +482,7 @@ func (c *Conn) writeLoop() {
 	var pending, pendingBytes int64
 	broken := false
 	fail := func(n int64) {
-		mWriteErrs.Add(n)
+		m.WriteErrs.Add(n)
 		broken = true
 		pending, pendingBytes = 0, 0
 		c.close()
@@ -490,8 +492,8 @@ func (c *Conn) writeLoop() {
 			fail(pending)
 			return
 		}
-		mMsgsOut.Add(pending)
-		mBytesOut.Add(pendingBytes)
+		m.MsgsOut.Add(pending)
+		m.BytesOut.Add(pendingBytes)
 		pending, pendingBytes = 0, 0
 	}
 	for {
@@ -503,7 +505,7 @@ func (c *Conn) writeLoop() {
 			return
 		}
 		if broken {
-			mWriteErrs.Inc() // drained after a dead socket: the frame is lost
+			m.WriteErrs.Inc() // drained after a dead socket: the frame is lost
 			continue
 		}
 		if f.delay > 0 {
@@ -543,7 +545,7 @@ func (c *Conn) awaitWriter(deadline time.Time) {
 func (c *Conn) close() {
 	c.closeOnce.Do(func() {
 		if n := c.out.CloseDiscard(); n > 0 {
-			mDiscards.Add(int64(n))
+			c.t.m.Discards.Add(int64(n))
 		}
 		_ = c.nc.Close()
 		c.t.mu.Lock()
@@ -551,7 +553,7 @@ func (c *Conn) close() {
 		delete(c.t.conns, c)
 		c.t.mu.Unlock()
 		if present {
-			mConnsOpen.Add(-1)
+			c.t.m.ConnsOpen.Add(-1)
 			if c.t.opts.OnClose != nil {
 				c.t.opts.OnClose(c)
 			}

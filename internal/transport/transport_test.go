@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"arq/internal/obsv"
 	"arq/internal/wire"
 )
 
@@ -115,9 +114,6 @@ func TestShedAccountingSettles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sheds0 := obsv.GetCounter("transport.queue_sheds").Value()
-		disc0 := obsv.GetCounter("transport.close_discards").Value()
-		werr0 := obsv.GetCounter("transport.write_errors").Value()
 		const attempts = 200
 		for i := 0; i < attempts; i++ {
 			c.Send(queryMsg(byte(i)))
@@ -134,9 +130,7 @@ func TestShedAccountingSettles(t *testing.T) {
 			}
 			return time.Since(lastChange) > 300*time.Millisecond
 		}, "receive count to settle")
-		sheds := obsv.GetCounter("transport.queue_sheds").Value() - sheds0
-		disc := obsv.GetCounter("transport.close_discards").Value() - disc0
-		werr := obsv.GetCounter("transport.write_errors").Value() - werr0
+		sheds, disc, werr := a.m.Sheds.Value(), a.m.Discards.Value(), a.m.WriteErrs.Value()
 		total := int64(slow.count()) + sheds + disc + werr
 		if total != attempts {
 			t.Fatalf("SendWait %v: received %d + sheds %d + discards %d + write errors %d = %d, want %d",
@@ -192,9 +186,8 @@ func TestReadIdleReapsSilentPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return a.NumConns() == 1 }, "registration")
-	before := obsv.GetCounter("transport.read_timeouts").Value()
 	waitFor(t, 2*time.Second, func() bool { return a.NumConns() == 0 }, "idle reap")
-	if obsv.GetCounter("transport.read_timeouts").Value() == before {
+	if a.m.ReadTOs.Value() != 1 {
 		t.Fatal("reap not accounted as a read timeout")
 	}
 }

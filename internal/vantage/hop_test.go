@@ -110,7 +110,6 @@ func TestMalformedHitDroppedAtFirstHop(t *testing.T) {
 	trailing := append(clone(), 0xFF)
 	fewer := clone()
 	fewer[0] = 1 // one result declared, two present: trailing bytes
-	routed0, dropped0 := mHitsRouted.Value(), mHitsDropped.Value()
 	for name, p := range map[string][]byte{
 		"too short": short, "truncated result": truncated, "unterminated name": unterminated,
 		"trailing byte": trailing, "trailing result": fewer,
@@ -128,7 +127,7 @@ func TestMalformedHitDroppedAtFirstHop(t *testing.T) {
 	if n := up.count(wire.TypeQueryHit); n != 1 {
 		t.Fatalf("upstream received %d hits, want only the well-formed one", n)
 	}
-	if r, d := mHitsRouted.Value()-routed0, mHitsDropped.Value()-dropped0; r != 1 || d != 0 {
+	if r, d := s.m.HitsRouted.Value(), s.m.HitsDropped.Value(); r != 1 || d != 0 {
 		t.Fatalf("hits routed %d dropped %d, want 1 and 0 (a malformed hit is neither)", r, d)
 	}
 }
@@ -174,7 +173,6 @@ func TestHitWithoutTTLIsNotRelayed(t *testing.T) {
 	back := far.conns[0]
 	far.mu.Unlock()
 
-	routed0, dropped0 := mHitsRouted.Value(), mHitsDropped.Value()
 	for ttl := byte(0); ttl <= 2; ttl++ {
 		h := &wire.QueryHit{Results: []wire.Result{{FileIndex: uint32(ttl), FileName: "sent with this ttl"}}}
 		p, err := h.Marshal()
@@ -191,8 +189,14 @@ func TestHitWithoutTTLIsNotRelayed(t *testing.T) {
 	if hit == nil || hit.Results[0].FileIndex != 2 {
 		t.Fatalf("Search returned %+v, want the hit sent with TTL 2 and no other", hit)
 	}
-	if r, d := mHitsRouted.Value()-routed0, mHitsDropped.Value()-dropped0; r != 2 || d != 2 {
-		t.Fatalf("hits routed %d dropped %d, want 2 (relay, origin) and 2 (TTL 0 and 1 at the relay)", r, d)
+	for _, c := range []struct {
+		name            string
+		s               *Servent
+		routed, dropped int64
+	}{{"origin", origin, 1, 0}, {"relay", relay, 1, 2}, {"far end", far, 0, 0}} {
+		if r, d := c.s.m.HitsRouted.Value(), c.s.m.HitsDropped.Value(); r != c.routed || d != c.dropped {
+			t.Errorf("%s: hits routed %d dropped %d, want %d and %d (the relay drops TTL 0 and 1)", c.name, r, d, c.routed, c.dropped)
+		}
 	}
 }
 
@@ -228,9 +232,8 @@ func TestSeenWindowBoundsTheTable(t *testing.T) {
 		t.Fatalf("seen table holds %d GUIDs after %d queries, want <= %d", n, sent, 2*seenWindow)
 	}
 
-	dups0 := mDupDrops.Value()
 	up.conn.Send(queryFrame(marked))
-	waitUntil(t, func() bool { return mDupDrops.Value() == dups0+1 }, "the repeated query to be dropped as a duplicate")
+	waitUntil(t, func() bool { return s.m.DupDrops.Value() == 1 }, "the repeated query to be dropped as a duplicate")
 	down.conn.Send(hitFrame(marked, goodHit(t)))
 	waitUntil(t, func() bool { return up.count(wire.TypeQueryHit) == 1 }, "the hit of a query inside the window to be routed")
 	if n := down.count(wire.TypeQuery); n != sent {
@@ -239,9 +242,8 @@ func TestSeenWindowBoundsTheTable(t *testing.T) {
 
 	// A GUID two windows old is forgotten: its hit has no reverse path.
 	send(seenWindow + 1)
-	dropped0 := mHitsDropped.Value()
 	down.conn.Send(hitFrame(1, goodHit(t)))
-	waitUntil(t, func() bool { return mHitsDropped.Value() == dropped0+1 }, "the hit of a forgotten query to be dropped")
+	waitUntil(t, func() bool { return s.m.HitsDropped.Value() == 1 }, "the hit of a forgotten query to be dropped")
 	if n := tableLen(); n > 2*seenWindow {
 		t.Fatalf("seen table holds %d GUIDs after %d queries, want <= %d", n, sent, 2*seenWindow)
 	}
@@ -301,18 +303,16 @@ func TestHopAllocations(t *testing.T) {
 	payload, _ := h.Marshal()
 	hit := hitFrame(1, payload)
 
-	routed0 := mHitsRouted.Value()
 	if n := testing.AllocsPerRun(200, func() { s.handleQueryHit(down, hit) }); n > 1 {
 		t.Fatalf("forwarding a 15-result hit allocates %v times, want <= 1", n)
 	}
-	if mHitsRouted.Value() == routed0 {
+	if s.m.HitsRouted.Value() == 0 {
 		t.Fatal("the measured hits were not routed")
 	}
-	dups0 := mDupDrops.Value()
 	if n := testing.AllocsPerRun(200, func() { s.handleQuery(down, query) }); n != 0 {
 		t.Fatalf("a duplicate query allocates %v times, want 0", n)
 	}
-	if mDupDrops.Value() == dups0 {
+	if s.m.DupDrops.Value() == 0 {
 		t.Fatal("the measured queries were not duplicates")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"arq/internal/core"
-	"arq/internal/obsv"
 	"arq/internal/trace"
 )
 
@@ -31,23 +30,17 @@ import (
 // so its supports may trail the learner's by up to one decay period; the
 // checkpoint publishes exact ones (writeCheckpoint).
 
-// Rule-serving instruments: queries forwarded on learned rules vs flooded
-// (no coverage, or no learned consequent currently connected).
-var (
-	mRuleRouted = obsv.GetCounter("vantage.rule_routed")
-	mRuleFlood  = obsv.GetCounter("vantage.rule_flood")
-)
-
 // ruleServer owns the learn plane, one core.Learner held by value under
 // core.DefaultLearnerConfig, and hands out lock-free routing decisions
 // from its published snapshot.
 type ruleServer struct {
 	cfg     core.LearnerConfig
 	learner core.Learner
+	m       *instruments // the servent's: counts rule-routed and flooded queries
 }
 
-func newRuleServer() *ruleServer {
-	r := &ruleServer{cfg: core.DefaultLearnerConfig()}
+func newRuleServer(m *instruments) *ruleServer {
+	r := &ruleServer{cfg: core.DefaultLearnerConfig(), m: m}
 	r.learner.Init(&r.cfg)
 	return r
 }
@@ -83,10 +76,10 @@ func (r *ruleServer) filter(upstreamConn int, targets []*peerConn) []*peerConn {
 		})
 	switch why {
 	case core.RuleHit:
-		mRuleRouted.Inc()
+		r.m.RuleRouted.Inc()
 		return out
 	case core.NoRule, core.NoUsable:
-		mRuleFlood.Inc()
+		r.m.RuleFlood.Inc()
 	}
 	return targets
 }

@@ -139,7 +139,7 @@ func TestRulesConcurrentSearches(t *testing.T) {
 // absent from targets (closed since it was learned) does not use up a
 // slot, so the query still goes to core.DefaultTopK peers.
 func TestRuleServerFilterSkipsClosedConsequents(t *testing.T) {
-	r := newRuleServer()
+	r := newRuleServer(new(instruments))
 	for via, hits := range map[int]int{1: 6, 2: 4, 3: 2} {
 		for i := 0; i < hits; i++ {
 			r.observe(0, via)
@@ -175,7 +175,7 @@ func (s *Servent) RuleCount() int {
 func TestRuleServerDecidesAsAssoc(t *testing.T) {
 	const conns = 6
 	const self = conns // the router's own node id, never a connection
-	r := newRuleServer()
+	r := newRuleServer(new(instruments))
 	a := routing.NewAssoc(routing.DefaultAssocConfig())
 	rng := stats.NewRNG(5)
 	var narrowed, flooded int

@@ -26,17 +26,20 @@ import (
 	"arq/internal/wire"
 )
 
-// Observability instruments aggregated across all servents in the
-// process: wire messages in/out, duplicate-GUID drops, and query-hits
-// routed back vs dropped for want of a reverse path. One atomic add per
-// TCP message — noise next to the syscall that carried it.
-var (
-	mMsgsIn      = obsv.GetCounter("vantage.msgs_in")
-	mMsgsOut     = obsv.GetCounter("vantage.msgs_out")
-	mDupDrops    = obsv.GetCounter("vantage.dup_queries_dropped")
-	mHitsRouted  = obsv.GetCounter("vantage.hits_routed")
-	mHitsDropped = obsv.GetCounter("vantage.hits_dropped")
-)
+// instruments is one servent's protocol counts: wire messages in/out,
+// duplicate-GUID drops, query-hits routed back vs dropped for want of a
+// reverse path, and queries forwarded on learned rules vs flooded. Listen
+// registers them with obsv.Default and Close retires them. One atomic add
+// per TCP message — noise next to the syscall that carried it.
+type instruments struct {
+	MsgsIn      obsv.Counter `obsv:"vantage.msgs_in"`
+	MsgsOut     obsv.Counter `obsv:"vantage.msgs_out"`
+	DupDrops    obsv.Counter `obsv:"vantage.dup_queries_dropped"`
+	HitsRouted  obsv.Counter `obsv:"vantage.hits_routed"`
+	HitsDropped obsv.Counter `obsv:"vantage.hits_dropped"`
+	RuleRouted  obsv.Counter `obsv:"vantage.rule_routed"`
+	RuleFlood   obsv.Counter `obsv:"vantage.rule_flood"`
+}
 
 // SharedFile is one item in the servent's library.
 type SharedFile struct {
@@ -68,6 +71,9 @@ type Servent struct {
 	seen    seenTable                         // query GUID -> conn id it arrived on (-1 = ours)
 	pending map[wire.GUID]chan *wire.QueryHit // our own searches
 	closed  bool
+
+	m      instruments
+	retire func() // takes m out of obsv.Default's live view
 }
 
 // seenWindow is how many query GUIDs one generation of a seenTable holds.
@@ -114,10 +120,11 @@ var errShed = errors.New("vantage: outbound message shed")
 type peerConn struct {
 	id int
 	c  *transport.Conn
+	m  *instruments // the servent's
 }
 
 func (p *peerConn) send(m *wire.Message) error {
-	mMsgsOut.Inc()
+	p.m.MsgsOut.Inc()
 	if !p.c.Send(m) {
 		return errShed
 	}
@@ -175,8 +182,9 @@ func Listen(addr string, opts Options) (*Servent, error) {
 		return nil, err
 	}
 	s.tr = tr
+	s.retire = obsv.Default.Register(&s.m)
 	if opts.Rules {
-		s.rules = newRuleServer()
+		s.rules = newRuleServer(&s.m)
 		if opts.Checkpoint != nil {
 			s.ckpt = &checkpointer{cfg: opts.Checkpoint.withDefaults()}
 		}
@@ -195,7 +203,7 @@ func Listen(addr string, opts Options) (*Servent, error) {
 func (s *Servent) register(c *transport.Conn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pc := &peerConn{id: s.nextCID, c: c}
+	pc := &peerConn{id: s.nextCID, c: c, m: &s.m}
 	s.nextCID++
 	c.Tag = pc
 	s.conns[pc.id] = pc
@@ -214,6 +222,9 @@ func (s *Servent) unregister(c *transport.Conn) {
 // Addr returns the listening address.
 func (s *Servent) Addr() string { return s.tr.Addr() }
 
+// NetInstruments returns the counts of the servent's own transport.
+func (s *Servent) NetInstruments() *transport.Instruments { return s.tr.Instruments() }
+
 // Close shuts the servent down and waits for its goroutines: queued
 // outbound frames get a bounded drain, then sockets close.
 func (s *Servent) Close() {
@@ -228,6 +239,7 @@ func (s *Servent) Close() {
 	// remap needs the live connection set.
 	s.closeCheckpointer()
 	s.tr.CloseDrain(drainTimeout)
+	s.retire()
 }
 
 // Share adds a file to the servent's library and indexes its name.
@@ -265,7 +277,7 @@ func (s *Servent) NumConns() int {
 }
 
 func (s *Servent) handle(from *peerConn, m *wire.Message) {
-	mMsgsIn.Inc()
+	s.m.MsgsIn.Inc()
 	switch m.Type {
 	case wire.TypePing:
 		s.handlePing(from, m)
@@ -293,7 +305,7 @@ func (s *Servent) handleQuery(from *peerConn, m *wire.Message) {
 	s.mu.Lock()
 	if _, dup := s.seen.get(m.ID); dup {
 		s.mu.Unlock()
-		mDupDrops.Inc()
+		s.m.DupDrops.Inc()
 		return
 	}
 	s.seen.put(m.ID, from.id)
@@ -361,10 +373,10 @@ func (s *Servent) handleQueryHit(from *peerConn, m *wire.Message) {
 	// sent on with the byte wrapped round to 255. An honest responder
 	// sends Hops+1, so only a broken or hostile peer gets here.
 	if !known || (upstream != -1 && m.TTL <= 1) {
-		mHitsDropped.Inc()
+		s.m.HitsDropped.Inc()
 		return
 	}
-	mHitsRouted.Inc()
+	s.m.HitsRouted.Inc()
 	var hit *wire.QueryHit
 	if waiter != nil || s.cap != nil {
 		hit, _ = wire.UnmarshalQueryHit(m.Payload) // CheckQueryHit passed it

@@ -14,5 +14,7 @@ func main() {
 	w.Work()
 	t.Shown()
 	fmt.Println("a.by_name")
+	var set a.Set
+	fmt.Println(set.ByField.Value())
 	fmt.Println(a.Live(), a.LiveConst, a.LiveVar, t.Live(), t, a.Config{Set: 1}, a.ModeLive, a.Preset{Written: 1}.Never)
 }

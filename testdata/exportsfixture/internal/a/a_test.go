@@ -2,4 +2,4 @@ package a
 
 import "testing"
 
-func TestGauge(t *testing.T) { _ = mByTest }
+func TestGauge(t *testing.T) { _ = counts.ByTest }

@@ -1,3 +1,5 @@
 package o
 
-var mElsewise = 1
+var x struct{ Elsewise int }
+
+var _ = x.Elsewise

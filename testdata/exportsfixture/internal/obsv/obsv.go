@@ -1,8 +1,8 @@
-// Package obsv stands in for the repository's instrument registry.
+// Package obsv stands in for the repository's instrument package.
 package obsv
 
 type Counter struct{ n int64 }
 
-func GetCounter(name string) *Counter { return &Counter{} }
+func (c *Counter) Value() int64 { return c.n }
 
-func GetGauge(name string) *Counter { return &Counter{} }
+type Gauge struct{ n int64 }
